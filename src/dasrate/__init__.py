@@ -9,7 +9,7 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
 from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
 from .numerics import exp_e1, log_integral_quadrature
-from .rate import (AnalysisPoint, CrossoverFormulas, UserLinkPartition,
+from .rate import (AnalysisPoint, CrossoverFormulas, RateTable, UserLinkPartition,
                    approx_sum_rate, crossover_snr, ergodic_sum_rate,
                    ergodic_user_rate, ergodic_user_rate_no_interference,
                    pdf_interference_plus_noise, pdf_signal, pdf_sinr,
@@ -25,7 +25,7 @@ __all__ = [
     "AnalysisPoint", "CandidateSet", "CapacityError", "ChannelRealization",
     "ConfigError", "CrossoverFormulas", "DasRateError", "DegenerateGainsError",
     "McEstimate", "NumericalFailureError", "Origin", "PathlossMatrix",
-    "RateCurve", "RateSeries", "Scenario", "SelectionResult",
+    "RateCurve", "RateSeries", "RateTable", "Scenario", "SelectionResult",
     "TransmissionMode", "UserLinkPartition", "approx_sum_rate", "cell_average",
     "compare_schemes", "crossover_snr", "db_to_linear", "default_port_layout",
     "drop_users_uniform", "enumerate_ideal", "enumerate_min_distance",

@@ -87,6 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject counts that would run nothing, before any work starts."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "drops", 1) < 1:
+        raise ConfigError(f"--drops must be >= 1, got {args.drops}")
+    runs_mc = ((args.command == "rates" and not args.no_mc)
+               or getattr(args, "rating", None) == "mc")
+    if runs_mc and args.channels < 2:
+        raise ConfigError(f"--channels must be >= 2 when Monte Carlo runs, "
+                          f"got {args.channels}")
+
+
 def _resolve_config(name: str) -> Scenario:
     path = Path(name)
     if not path.exists():
@@ -183,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                 "crossover": _cmd_crossover, "hist": _cmd_hist,
                 "verify": _cmd_verify}
     try:
+        _check_counts(args)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,10 @@ from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, pathloss_matrix
 from .modes import TransmissionMode, enumerate_ideal
-from .rate import (CrossoverFormulas, approx_sum_rate, crossover_snr,
-                   ergodic_sum_rate, rate_curve_intersection_db)
-from .simulate import RateCurve, RateSeries, cell_average, mc_ergodic_sum_rate
+from .rate import (CrossoverFormulas, RateTable, crossover_snr, log1p_inv,
+                   rate_curve_intersection_db)
+from .simulate import (MAX_GRID_POINTS, RateCurve, RateSeries, cell_average,
+                       mc_ergodic_sum_rate)
 
 
 def _fmt(value: float) -> str:
@@ -34,8 +35,11 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric SNR spec {spec!r}") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError(f"SNR spec needs step > 0 and stop >= start, got {spec!r}")
+    if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
+        raise ConfigError(f"SNR spec needs finite bounds, step > 0 and stop >= start, "
+                          f"got {spec!r}")
+    if (stop - start) / step + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"SNR spec {spec!r} holds more than {MAX_GRID_POINTS} points")
     n_steps = int(math.floor((stop - start) / step + 1e-9))
     return tuple(start + i * step for i in range(n_steps + 1))
 
@@ -105,25 +109,20 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
+    table = RateTable(scenario, pl, modes)
+    points = [scenario.with_snr_db(db) for db in grid]
+    analytic = [table.sum_rates(point.tx_power).tolist() for point in points]
     series: list[RateSeries] = []
     for m_idx, mode in enumerate(modes):
-        analytic = []
-        mc_means = []
-        mc_errs = []
-        for p_idx, db in enumerate(grid):
-            point = scenario.with_snr_db(db)
-            analytic.append(ergodic_sum_rate(point, pl, mode).sum_rate)
-            if include_mc:
-                est = mc_ergodic_sum_rate(point, pl, mode, n_channels,
-                                          seed=(seed, m_idx, p_idx))
-                mc_means.append(est.mean)
-                mc_errs.append(est.std_error)
         series.append(RateSeries(label=mode.label, kind="analytic",
-                                 values=tuple(analytic)))
+                                 values=tuple(row[m_idx] for row in analytic)))
         if include_mc:
+            estimates = [mc_ergodic_sum_rate(point, pl, mode, n_channels,
+                                             seed=(seed, m_idx, p_idx))
+                         for p_idx, point in enumerate(points)]
             series.append(RateSeries(label=mode.label, kind="mc",
-                                     values=tuple(mc_means),
-                                     std_errors=tuple(mc_errs)))
+                                     values=tuple(e.mean for e in estimates),
+                                     std_errors=tuple(e.std_error for e in estimates)))
     return RateCurve(snr_grid_db=grid, series=tuple(series))
 
 
@@ -211,21 +210,14 @@ def crossover_report(scenario: Scenario,
     pl = pathloss_matrix(scenario)
     swapped = PathlossMatrix(distances=pl.distances[::-1].copy(),
                              gains=pl.gains[::-1].copy())
-    single = TransmissionMode((1, 1))
-    paired = TransmissionMode((1, 2))
+    table = RateTable(scenario, pl, (TransmissionMode((1, 1)), TransmissionMode((1, 2))))
 
-    def approx_rate(mode):
-        return lambda snr: approx_sum_rate(
-            scenario.with_tx_power(snr * scenario.noise_power), pl, mode)
+    def curve(row, kernel=None):
+        return lambda snr: table.sum_rates(snr * scenario.noise_power, kernel)[row]
 
-    def exact_rate(mode):
-        return lambda snr: ergodic_sum_rate(
-            scenario.with_tx_power(snr * scenario.noise_power), pl, mode).sum_rate
-
-    approx_db = rate_curve_intersection_db(approx_rate(single), approx_rate(paired),
+    approx_db = rate_curve_intersection_db(curve(0, log1p_inv), curve(1, log1p_inv),
                                            lo_db=lo_db, hi_db=hi_db)
-    exact_db = rate_curve_intersection_db(exact_rate(single), exact_rate(paired),
-                                          lo_db=lo_db, hi_db=hi_db)
+    exact_db = rate_curve_intersection_db(curve(0), curve(1), lo_db=lo_db, hi_db=hi_db)
     return CrossoverReport(formulas=crossover_snr(pl),
                            formulas_swapped_users=crossover_snr(swapped),
                            approx_intersection_db=approx_db,

@@ -31,25 +31,6 @@ GAIN_TIE_REL_TOL = 1e-9
 GAIN_PERTURB_REL = 1e-7
 _GUARD_MAX_PASSES = 8
 
-# Evaluations of the scaled E1 kernel repeat heavily across candidate
-# modes at a fixed (geometry, SNR) point; memoize by argument.
-_E1_CACHE: dict[float, float] = {}
-_E1_CACHE_LIMIT = 200_000
-
-
-def _exp_e1(x: float) -> float:
-    value = _E1_CACHE.get(x)
-    if value is None:
-        value = numerics.exp_e1(x)
-        if len(_E1_CACHE) >= _E1_CACHE_LIMIT:
-            _E1_CACHE.clear()
-        _E1_CACHE[x] = value
-    return value
-
-
-def clear_caches() -> None:
-    _E1_CACHE.clear()
-
 
 def _separate_gains(gains: Sequence[float]) -> list[float]:
     """Nudge near-tied gains apart deterministically.
@@ -240,51 +221,131 @@ def cdf_sinr(partition: UserLinkPartition) -> Callable:
 
 # --- ergodic rates ----------------------------------------------------------
 
-def _log1p_inv(x: float) -> float:
+def log1p_inv(x: float) -> float:
     """ln(1 + 1/x): the high-accuracy stand-in used by the approximated rates."""
     return math.log1p(1.0 / x)
 
 
-def _rate_with_interference(partition: UserLinkPartition,
-                            kernel: Callable[[float], float]) -> float:
-    sig, intf = partition.signal_gains, partition.interference_gains
-    p, noise = partition.tx_power, partition.noise_power
-    w_sig, w_intf = _pf_weights(sig), _pf_weights(intf)
-    kernel_at = {g: kernel(noise / (g * p)) for g in set(sig) | set(intf)}
-    total = 0.0
-    for wk, sk in zip(w_sig, sig):
-        for wu, su in zip(w_intf, intf):
-            total += (wk * wu * sk / (sk - su)
-                      * (kernel_at[sk] - kernel_at[su]))
-    return total / LN2
+def _partition_terms(partitions: Sequence[UserLinkPartition]):
+    """Flat scaled-E1 term list of ``partitions``, numbered from slot 1.
+
+    Returns ``(n_slots, slot, coef, a, b, gains)``. Term t adds
+    ``coef[t] * (E[a[t]] - E[b[t]])`` to slot ``slot[t]``, where E holds the
+    kernel at each of ``gains`` and index ``len(gains)`` reads 0 (the
+    interferer of an interference-free term). Terms keep each partition's
+    (signal, interferer) loop order, so summing them one by one rounds
+    exactly as the per-partition formula does.
+    """
+    slot, coef, sig_g, intf_g = [], [], [], []
+    for s, part in enumerate(partitions, start=1):
+        sig, intf = part.signal_gains, part.interference_gains
+        w_sig, w_intf = _pf_weights(sig), _pf_weights(intf)
+        for wk, sk in zip(w_sig, sig):
+            # With no interferer the single term is w_k * E(s_k).
+            for wu, su in zip(w_intf, intf) if intf else [(None, None)]:
+                slot.append(s)
+                coef.append(wk if su is None else wk * wu * sk / (sk - su))
+                sig_g.append(sk)
+                intf_g.append(su)
+    gains = sorted(set(sig_g).union(intf_g) - {None})
+    where = {g: i for i, g in enumerate(gains)}
+    where[None] = len(gains)
+    return (len(partitions) + 1, np.array(slot, dtype=np.intp), np.array(coef),
+            np.array([where[g] for g in sig_g], dtype=np.intp),
+            np.array([where[g] for g in intf_g], dtype=np.intp), np.array(gains))
 
 
-def _rate_no_interference(gains: Sequence[float], tx_power: float,
-                          noise_power: float,
-                          kernel: Callable[[float], float]) -> float:
-    weights = _pf_weights(gains)
-    return sum(w * kernel(noise_power / (g * tx_power))
-               for w, g in zip(weights, gains)) / LN2
+def _slot_rates(terms, noise_power: float, tx_power: float,
+                kernel: Callable[[float], float] | None = None) -> np.ndarray:
+    """Rate of every slot in bits/s/Hz; slot 0 (no terms) reads 0."""
+    n_slots, slot, coef, a, b, gains = terms
+    # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
+    kernel = numerics.exp_e1 if kernel is None else kernel
+    values = np.array([kernel(x) for x in (noise_power / (gains * tx_power)).tolist()]
+                      + [0.0])
+    rates = np.zeros(n_slots)
+    # Sequential in term order: a matrix product over collapsed gain columns
+    # rounds differently and moves near-tied rates by up to ~1e-7 bits.
+    np.add.at(rates, slot, coef * (values[a] - values[b]))
+    return rates / LN2
+
+
+class RateTable:
+    """Closed-form rates of every mode of one drop, built once per drop.
+
+    A user's exact rate is a weighted sum of scaled-E1 terms at
+    ``x = noise / (g * P)`` whose weights depend only on gain ratios, so
+    the terms of each distinct (user, serving ports, interfering ports)
+    partition are built once, with no SNR involved. Each evaluation then
+    calls the kernel once per distinct gain and rates every mode.
+    """
+
+    def __init__(self, scenario: Scenario, pathloss: PathlossMatrix,
+                 modes: Sequence[TransmissionMode]) -> None:
+        self.modes = tuple(modes)
+        self.noise_power = scenario.noise_power
+        self._row = {mode.assignment: m for m, mode in enumerate(self.modes)}
+        slots: dict = {}
+        parts: list[UserLinkPartition] = []
+        # (mode, user) -> partition slot; slot 0 is an idle user.
+        self._index = np.zeros((len(self.modes), scenario.n_users), dtype=np.intp)
+        for m, mode in enumerate(self.modes):
+            for user, ports in mode.support_sets.items():
+                key = (user, ports, mode.complements[user])
+                if key not in slots:
+                    try:
+                        parts.append(partition_for_user(pathloss, mode, user,
+                                                        scenario.tx_power,
+                                                        scenario.noise_power))
+                    except DegenerateGainsError as exc:
+                        raise DegenerateGainsError(
+                            f"user {user}, mode {mode.label}: {exc}") from exc
+                    slots[key] = len(parts)
+                self._index[m, user - 1] = slots[key]
+        self._terms = _partition_terms(parts)
+
+    def rows(self, modes: Sequence[TransmissionMode]) -> np.ndarray:
+        """Row indices of ``modes``, each of which must be in the table."""
+        try:
+            return np.array([self._row[m.assignment] for m in modes], dtype=np.intp)
+        except KeyError as exc:
+            label = TransmissionMode(exc.args[0]).label
+            raise ValueError(f"mode {label} is not in the rate table") from None
+
+    def user_rates(self, tx_power: float, kernel: Callable[[float], float] | None = None
+                   ) -> np.ndarray:
+        """(modes x users) rates at transmit power ``tx_power``; idle users
+        get 0. ``kernel`` defaults to the exact ``numerics.exp_e1``; pass
+        ``log1p_inv`` for the approximated rates."""
+        return _slot_rates(self._terms, self.noise_power, tx_power, kernel)[self._index]
+
+    def sum_rates(self, tx_power: float, kernel: Callable[[float], float] | None = None
+                  ) -> np.ndarray:
+        """Sum rate of every mode at transmit power ``tx_power``, adding
+        users one by one in index order."""
+        per_user = self.user_rates(tx_power, kernel)
+        total = per_user[:, 0]
+        for column in per_user.T[1:]:
+            total = total + column
+        return total
 
 
 def ergodic_user_rate(partition: UserLinkPartition) -> float:
     """Exact ergodic rate of one user, in bits/s/Hz.
 
-    Weighted differences of scaled-E1 terms; dispatches to the
-    interference-free form when the partition has no interferers.
+    Weighted differences of scaled-E1 terms; with no interferers the
+    terms are the signal-only ones.
     """
-    if not partition.interference_gains:
-        return _rate_no_interference(partition.signal_gains, partition.tx_power,
-                                     partition.noise_power, _exp_e1)
-    return _rate_with_interference(partition, _exp_e1)
+    terms = _partition_terms([partition])
+    return float(_slot_rates(terms, partition.noise_power, partition.tx_power)[1])
 
 
 def ergodic_user_rate_no_interference(signal_gains: Sequence[float],
                                       tx_power: float,
                                       noise_power: float) -> float:
     """Exact ergodic rate with no interfering port: signal over noise only."""
-    gains = _separate_gains(signal_gains)
-    return _rate_no_interference(gains, tx_power, noise_power, _exp_e1)
+    return ergodic_user_rate(UserLinkPartition(tuple(signal_gains), (), tx_power,
+                                               noise_power))
 
 
 @dataclass(frozen=True)
@@ -302,18 +363,8 @@ def ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
 
     Users not served by the mode contribute exactly zero.
     """
-    per_user = []
-    for user in range(1, scenario.n_users + 1):
-        part = partition_for_user(pathloss, mode, user,
-                                  scenario.tx_power, scenario.noise_power)
-        if part is None:
-            per_user.append(0.0)
-            continue
-        try:
-            per_user.append(ergodic_user_rate(part))
-        except DegenerateGainsError as exc:
-            raise DegenerateGainsError(
-                f"user {user}, mode {mode.label}: {exc}") from exc
+    table = RateTable(scenario, pathloss, (mode,))
+    per_user = table.user_rates(scenario.tx_power)[0].tolist()
     return AnalysisPoint(snr=scenario.snr, per_user_rates=tuple(per_user),
                          sum_rate=float(sum(per_user)))
 
@@ -326,18 +377,8 @@ def approx_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
     of substituted terms carry no sign guarantee, so this is not a bound
     on the exact sum rate in general.
     """
-    total = 0.0
-    for user in range(1, scenario.n_users + 1):
-        part = partition_for_user(pathloss, mode, user,
-                                  scenario.tx_power, scenario.noise_power)
-        if part is None:
-            continue
-        if part.interference_gains:
-            total += _rate_with_interference(part, _log1p_inv)
-        else:
-            total += _rate_no_interference(part.signal_gains, part.tx_power,
-                                           part.noise_power, _log1p_inv)
-    return total
+    table = RateTable(scenario, pathloss, (mode,))
+    return float(table.sum_rates(scenario.tx_power, log1p_inv)[0])
 
 
 # --- two-port, two-user analysis -------------------------------------------

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DasRateError
+import numpy as np
+
 from .geometry import PathlossMatrix, Scenario
 from .modes import CandidateSet, TransmissionMode, enumerate_ideal, enumerate_min_distance
-from .rate import ergodic_sum_rate
+from .rate import RateTable
 
 
 @dataclass(frozen=True)
@@ -18,34 +19,28 @@ class SelectionResult:
     scheme: str
 
 
-def select_mode(scenario: Scenario, pathloss: PathlossMatrix,
-                candidates: CandidateSet, snr: float) -> SelectionResult:
+def select_mode(table: RateTable, candidates: CandidateSet,
+                snr: float) -> SelectionResult:
     """Best candidate at linear SNR ``snr``; first maximizer wins ties.
 
-    Rates depend on transmit power and noise only through their ratio, so
-    the scenario is evaluated at tx_power = snr * noise_power.
+    Every candidate must be a mode of ``table``. Rates depend on transmit
+    power and noise only through their ratio, so the table is evaluated at
+    tx_power = snr * noise_power.
     """
     if not candidates.modes:
         raise ValueError("empty candidate set")
-    scn = scenario.with_tx_power(snr * scenario.noise_power)
-    rates = []
-    for mode in candidates.modes:
-        try:
-            rates.append(ergodic_sum_rate(scn, pathloss, mode).sum_rate)
-        except DasRateError as exc:
-            raise type(exc)(f"candidate {mode.label}: {exc}") from exc
-    best = max(range(len(rates)), key=rates.__getitem__)
+    rates = table.sum_rates(snr * table.noise_power)[table.rows(candidates.modes)]
+    best = int(np.argmax(rates))
     return SelectionResult(chosen_mode=candidates.modes[best],
-                           chosen_rate=rates[best],
-                           per_candidate_rates=tuple(rates),
+                           chosen_rate=float(rates[best]),
+                           per_candidate_rates=tuple(rates.tolist()),
                            scheme=candidates.origin.value)
 
 
 def compare_schemes(scenario: Scenario, pathloss: PathlossMatrix,
                     snr: float) -> tuple[SelectionResult, SelectionResult]:
-    """Run exhaustive and nearest-user selection on the same inputs."""
-    ideal = select_mode(scenario, pathloss,
-                        enumerate_ideal(scenario.n_ports, scenario.n_users), snr)
-    reduced = select_mode(scenario, pathloss,
-                          enumerate_min_distance(pathloss), snr)
-    return ideal, reduced
+    """Run exhaustive and nearest-user selection on one table over both sets."""
+    ideal = enumerate_ideal(scenario.n_ports, scenario.n_users)
+    reduced = enumerate_min_distance(pathloss)
+    table = RateTable(scenario, pathloss, dict.fromkeys(ideal.modes + reduced.modes))
+    return select_mode(table, ideal, snr), select_mode(table, reduced, snr)

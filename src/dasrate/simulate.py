@@ -20,12 +20,15 @@ from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
 from .modes import (CandidateSet, DegenerateGeometryWarning, TransmissionMode,
                     enumerate_ideal, enumerate_min_distance)
-from .rate import ergodic_sum_rate
+from .rate import RateTable
 from .selection import select_mode
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
 DEFAULT_N_CHANNELS = 5000
 DEFAULT_N_DROPS = 4000
+
+# Most SNR points one grid spec or histogram range may hold.
+MAX_GRID_POINTS = 10_000
 
 # Trials per RNG stream; fixed so chunk boundaries never depend on n_jobs.
 MC_CHUNK = 8192
@@ -185,34 +188,42 @@ def _scheme_label(scheme: Scheme) -> str:
     return scheme.label if isinstance(scheme, TransmissionMode) else scheme
 
 
-def _cell_drop_worker(args) -> tuple[np.ndarray, np.ndarray]:
+def _drop_worker(args) -> tuple[list[TransmissionMode], np.ndarray]:
+    """Chosen mode and its rate per grid point for one drop: closed-form
+    from one rate table over the drop's candidates (or the fixed mode), or
+    the Monte Carlo mean when ``rating`` is "mc"."""
     (template, scheme, ideal, grid_db, n_channels, seed, drop, rating) = args
     scenario = drop_users_uniform(
         template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
     pl = pathloss_matrix(scenario)
     candidates = _candidates_for_drop(scheme, pl, ideal)
+    modes = (scheme,) if candidates is None else candidates.modes
+    table = RateTable(scenario, pl, modes)
 
+    chosen = []
     values = np.empty(len(grid_db))
-    errors = np.zeros(len(grid_db))
     for idx, snr_db in enumerate(grid_db):
         snr = db_to_linear(snr_db)
         if candidates is None:
-            chosen = scheme
-            if rating == "analytic":
-                point = scenario.with_tx_power(snr * scenario.noise_power)
-                values[idx] = ergodic_sum_rate(point, pl, chosen).sum_rate
+            chosen.append(scheme)
+            values[idx] = table.sum_rates(snr * scenario.noise_power)[0]
         else:
-            result = select_mode(scenario, pl, candidates, snr)
-            chosen = result.chosen_mode
-            if rating == "analytic":
-                values[idx] = result.chosen_rate
+            result = select_mode(table, candidates, snr)
+            chosen.append(result.chosen_mode)
+            values[idx] = result.chosen_rate
         if rating == "mc":
             point = scenario.with_tx_power(snr * scenario.noise_power)
-            est = mc_ergodic_sum_rate(point, pl, chosen, n_channels,
-                                      seed=(seed, drop, idx))
-            values[idx] = est.mean
-            errors[idx] = est.std_error
-    return values, errors
+            values[idx] = mc_ergodic_sum_rate(point, pl, chosen[-1], n_channels,
+                                              seed=(seed, drop, idx)).mean
+    return chosen, values
+
+
+def _run_drops(tasks, n_jobs: int) -> list:
+    """Drop worker results in drop order, on a process pool when n_jobs > 1."""
+    if n_jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(_drop_worker, tasks, chunksize=8))
+    return [_drop_worker(t) for t in tasks]
 
 
 def cell_average(scenario_template: Scenario, scheme: Scheme,
@@ -234,13 +245,7 @@ def cell_average(scenario_template: Scenario, scheme: Scheme,
              if scheme == "ideal" else None)
     tasks = [(scenario_template, scheme, ideal, grid, n_channels, seed, d, rating)
              for d in range(n_drops)]
-    if n_jobs > 1 and n_drops > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_cell_drop_worker, tasks, chunksize=8))
-    else:
-        results = [_cell_drop_worker(t) for t in tasks]
-
-    per_drop = np.stack([values for values, _ in results])  # fixed drop order
+    per_drop = np.stack([values for _, values in _run_drops(tasks, n_jobs)])
     mean = per_drop.mean(axis=0)
     if n_drops > 1:
         stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
@@ -253,22 +258,6 @@ def cell_average(scenario_template: Scenario, scheme: Scheme,
     return RateCurve(snr_grid_db=grid, series=(series,))
 
 
-def _hist_drop_worker(args) -> dict[float, str]:
-    """Selected-mode group label per grid point, for one drop."""
-    template, grid_points, seed, drop = args
-    scenario = drop_users_uniform(
-        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
-    pl = pathloss_matrix(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGeometryWarning)
-        candidates = enumerate_min_distance(pl)
-    chosen_at = {}
-    for db in grid_points:
-        mode = select_mode(scenario, pl, candidates, db_to_linear(db)).chosen_mode
-        chosen_at[db] = f"KA{mode.n_active_users}_NA{mode.n_active_ports}"
-    return chosen_at
-
-
 def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
                    seed: int, grid_step_db: float = 5.0,
                    n_jobs: int = 1) -> dict[tuple[float, float], dict[str, float]]:
@@ -278,10 +267,15 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
     scheme's selected mode is tallied under the label ``KA{k}_NA{n}``;
     fractions sum to one within each range.
     """
+    if n_drops < 1:
+        raise ValueError("n_drops must be >= 1")
     ranges = [(float(lo), float(hi)) for lo, hi in snr_ranges_db]
     for lo, hi in ranges:
-        if hi < lo:
+        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ConfigError(f"invalid SNR range [{lo}, {hi}]")
+        if (hi - lo) / grid_step_db + 1 > MAX_GRID_POINTS:
+            raise ConfigError(f"SNR range [{lo}, {hi}] holds more than "
+                              f"{MAX_GRID_POINTS} points at {grid_step_db} dB steps")
     points_per_range = []
     for lo, hi in ranges:
         points = [lo]
@@ -290,18 +284,17 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
         points_per_range.append(points)
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
-    tasks = [(scenario_template, flat_points, seed, d) for d in range(n_drops)]
-    if n_jobs > 1 and n_drops > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            per_drop = list(pool.map(_hist_drop_worker, tasks, chunksize=8))
-    else:
-        per_drop = [_hist_drop_worker(t) for t in tasks]
+    tasks = [(scenario_template, "min-distance", None, flat_points, 0, seed, d,
+              "analytic") for d in range(n_drops)]
+    per_drop = [dict(zip(flat_points, chosen))
+                for chosen, _ in _run_drops(tasks, n_jobs)]
 
     counts: dict[tuple[float, float], dict[str, int]] = {r: {} for r in ranges}
     for chosen_at in per_drop:
         for r, points in zip(ranges, points_per_range):
             for db in points:
-                label = chosen_at[db]
+                mode = chosen_at[db]
+                label = f"KA{mode.n_active_users}_NA{mode.n_active_ports}"
                 counts[r][label] = counts[r].get(label, 0) + 1
 
     fractions: dict[tuple[float, float], dict[str, float]] = {}

@@ -22,7 +22,7 @@ from .geometry import (Scenario, drop_users_uniform, load_scenario,
                        pathloss_matrix)
 from .modes import (enumerate_ideal, enumerate_min_distance, ideal_count,
                     min_distance_count)
-from .rate import UserLinkPartition
+from .rate import RateTable, UserLinkPartition
 from .selection import compare_schemes, select_mode
 
 
@@ -212,8 +212,9 @@ def check_selection_properties(n_drops: int = 5) -> CheckResult:
                 scaled = dataclasses.replace(scenario,
                                              noise_power=scenario.noise_power * 7.3,
                                              tx_power=scenario.tx_power * 7.3)
-                again = select_mode(scaled, pl,
-                                    enumerate_min_distance(pl), snr)
+                reduced_set = enumerate_min_distance(pl)
+                again = select_mode(RateTable(scaled, pl, reduced_set.modes),
+                                    reduced_set, snr)
                 ok = ok and again.chosen_mode == reduced.chosen_mode
     return CheckResult("selection dominance and argmax invariance",
                        ok and worst <= 1e-12, measured=worst, tolerance=1e-12,
@@ -337,16 +338,14 @@ def sample_crossover_geometries(n_geometries: int = 20, seed: int = 79,
         if float(gains.min()) * formulas.single_vs_12 < min_link_snr:
             continue
 
-        def approx(mode):
-            return lambda snr: rate.approx_sum_rate(
-                scenario.with_tx_power(snr), pl, mode)
+        table = RateTable(scenario, pl, (single, paired))
 
-        def exact(mode):
-            return lambda snr: rate.ergodic_sum_rate(
-                scenario.with_tx_power(snr), pl, mode).sum_rate
+        def curve(row, kernel=None):
+            return lambda snr: table.sum_rates(snr, kernel)[row]
 
-        approx_db = rate.rate_curve_intersection_db(approx(single), approx(paired))
-        exact_db = rate.rate_curve_intersection_db(exact(single), exact(paired))
+        approx_db = rate.rate_curve_intersection_db(curve(0, rate.log1p_inv),
+                                                    curve(1, rate.log1p_inv))
+        exact_db = rate.rate_curve_intersection_db(curve(0), curve(1))
         if approx_db is None or exact_db is None:
             continue
         found += 1

@@ -20,7 +20,7 @@ from dasrate.modes import (TransmissionMode, enumerate_ideal,
                            enumerate_min_distance, ideal_count,
                            min_distance_count, nearest_user_assignment)
 from dasrate.numerics import SERIES_CF_SPLIT, _exp_e1_continued_fraction, _exp_e1_series, exp_e1
-from dasrate.rate import (UserLinkPartition, cdf_interference_plus_noise,
+from dasrate.rate import (RateTable, UserLinkPartition, cdf_interference_plus_noise,
                           cdf_signal, cdf_sinr, ergodic_sum_rate,
                           ergodic_user_rate, pdf_interference_plus_noise,
                           pdf_signal, pdf_sinr)
@@ -304,7 +304,9 @@ def test_criterion_6_property_suites(n2_template):
             assert reduced.chosen_rate <= ideal.chosen_rate + 1e-12
             scaled = dataclasses.replace(scn, tx_power=scn.tx_power * 5.0,
                                          noise_power=scn.noise_power * 5.0)
-            again = select_mode(scaled, pl, enumerate_min_distance(pl), snr)
+            reduced_set = enumerate_min_distance(pl)
+            again = select_mode(RateTable(scaled, pl, reduced_set.modes),
+                                reduced_set, snr)
             assert again.chosen_mode == reduced.chosen_mode
 
     # bit-identical reruns at fixed seed under varying worker counts

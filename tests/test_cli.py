@@ -2,7 +2,7 @@
 
 import pytest
 
-from dasrate import cli, numerics, rate
+from dasrate import cli, numerics, simulate
 
 
 def run_cli(capsys, *argv):
@@ -131,10 +131,33 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     true_exp_e1 = numerics.exp_e1
     monkeypatch.setattr(numerics, "exp_e1",
                         lambda x: true_exp_e1(x) * (1.0 + 1e-6))
-    rate.clear_caches()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--level", "quick")
-    finally:
-        rate.clear_caches()
+    code, out, _ = run_cli(capsys, "verify", "--level", "quick")
     assert code != 0
     assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--config", "fig3.cfg", "--snr", "0:5:inf"), "finite bounds"),
+    (("sweep", "--config", "fig3.cfg", "--snr", "0:5:nan"), "finite bounds"),
+    (("rates", "--config", "fig2.cfg", "--no-mc", "--snr", "0:1e-12:1"),
+     "more than 10000 points"),
+    (("hist", "--config", "fig7.cfg", "--snr-ranges", "0:inf"), "invalid SNR range"),
+    (("hist", "--config", "fig7.cfg", "--drops", "0"), "--drops must be >= 1"),
+    (("sweep", "--config", "fig3.cfg", "--jobs", "0"), "--jobs must be >= 1"),
+    (("hist", "--config", "fig7.cfg", "--jobs", "-3"), "--jobs must be >= 1"),
+    (("sweep", "--config", "fig3.cfg", "--rating", "mc", "--channels", "1"),
+     "--channels must be >= 2"),
+], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
+        "jobs-0", "jobs-negative", "channels-1-with-mc"])
+def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
+    """Each bad value exits 2 with one line on stderr, before a drop is
+    drawn or a worker pool starts."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(simulate, "drop_users_uniform", no_work)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and message in err

@@ -1,0 +1,162 @@
+"""Per-drop rate table: pinned floats, internal consistency, and a
+50-digit oracle of the same closed form."""
+
+import itertools
+import json
+import math
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from dasrate.experiments import bundled_config_path
+from dasrate.geometry import Scenario, drop_users_uniform, load_scenario, pathloss_matrix
+from dasrate.modes import enumerate_ideal, enumerate_min_distance
+from dasrate.rate import (RateTable, approx_sum_rate, ergodic_sum_rate,
+                          ergodic_user_rate, partition_for_user)
+from dasrate.selection import select_mode
+
+# Rates recorded, as repr strings, from the per-mode evaluation path that
+# the table replaced; every value must come out bit for bit the same.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_rates.json").read_text())
+
+FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
+
+# User 1 sits on the perpendicular bisector of the two ports, so its two
+# gains are exactly equal and the tie-separation guard must act.
+TIE = Scenario(n_ports=2, n_users=2, cell_radius=6.0, pathloss_exponent=3.0,
+               tx_power=1.0, noise_power=1.0,
+               port_positions=((-4.0, 0.0), (4.0, 0.0)),
+               user_positions=((0.0, 1.5), (3.0, -2.0)))
+
+
+@pytest.mark.parametrize("name, scenario", [("fig2", FIG2), ("tie", TIE)])
+def test_golden_sum_rates_are_bit_identical(name, scenario):
+    pl = pathloss_matrix(scenario)
+    if name == "tie":
+        assert pl.gains[0, 0] == pl.gains[0, 1]
+    for mode in enumerate_ideal(2, 2).modes:
+        for db in (0.0, 25.0, 50.0):
+            want = GOLDEN[name][f"{mode.label}@{db:g}"]
+            point = scenario.with_snr_db(db)
+            assert ergodic_sum_rate(point, pl, mode).sum_rate == want["exact"]
+            assert approx_sum_rate(point, pl, mode) == want["approx"]
+
+
+def test_golden_candidate_rates_of_one_drop_are_bit_identical():
+    want = GOLDEN["n4_drop"]
+    template = load_scenario(bundled_config_path("fig5.cfg"))
+    seed, drop = want["seed"]
+    scenario = drop_users_uniform(
+        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
+    pl = pathloss_matrix(scenario)
+    candidates = enumerate_ideal(4, 4)
+    result = select_mode(RateTable(scenario, pl, candidates.modes), candidates,
+                         10.0 ** (want["snr_db"] / 10.0))
+    assert list(candidates.labels()) == want["labels"]
+    assert list(result.per_candidate_rates) == want["rates"]
+    assert result.chosen_mode.label == want["chosen"]
+
+
+def _drops(n, count, seed=91):
+    template = Scenario(n_ports=n, n_users=n, cell_radius=math.sqrt(112.0 / 3.0),
+                        pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
+    for d in range(count):
+        scenario = drop_users_uniform(template, seed=(seed, n, d))
+        yield scenario, pathloss_matrix(scenario)
+
+
+def _modes(n, pl):
+    """Min-distance modes plus the ideal set (every 25th mode at N = 5)."""
+    reduced = enumerate_min_distance(pl).modes
+    ideal = enumerate_ideal(n, n).modes[::25 if n == 5 else 1]
+    return tuple(dict.fromkeys(ideal + reduced))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rows_are_sums_of_one_partition_rates(n):
+    for scenario, pl in _drops(n, 2):
+        modes = _modes(n, pl)
+        table = RateTable(scenario, pl, modes)
+        for tx_power in (1.0, 10.0 ** 2.5, 1e5):
+            rows = table.sum_rates(tx_power)
+            per_user = table.user_rates(tx_power)
+            for m, mode in enumerate(modes):
+                users = [partition_for_user(pl, mode, u, tx_power, 1.0)
+                         for u in range(1, n + 1)]
+                rates = [0.0 if p is None else ergodic_user_rate(p) for p in users]
+                assert per_user[m].tolist() == rates
+                assert rows[m] == sum(rates)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_min_distance_rows_of_union_table_match_own_table(n):
+    for scenario, pl in _drops(n, 3):
+        reduced = enumerate_min_distance(pl)
+        union = RateTable(scenario, pl, _modes(n, pl))
+        alone = RateTable(scenario, pl, reduced.modes)
+        rows = union.rows(reduced.modes)
+        for snr in (1.0, 1e3, 1e5):
+            assert (union.sum_rates(snr)[rows].tolist()
+                    == alone.sum_rates(snr).tolist())  # noise power 1
+            assert select_mode(union, reduced, snr) == select_mode(alone, reduced, snr)
+
+
+def test_rows_reject_modes_outside_the_table():
+    pl = pathloss_matrix(FIG2)
+    table = RateTable(FIG2, pl, enumerate_ideal(2, 2).modes[:2])
+    with pytest.raises(ValueError, match=r"\[2 1\] is not in the rate table"):
+        select_mode(table, enumerate_ideal(2, 2), 10.0)
+
+
+def _mp_user_rate(signal, interference, tx_power, noise):
+    """The closed form at 50 digits: partial fractions over exp(x)E1(x)."""
+    def weights(gains):
+        return [mpmath.fprod(g / (g - h) for l, h in enumerate(gains) if l != k)
+                for k, g in enumerate(gains)]
+
+    def kernel(g):
+        x = noise / (g * tx_power)
+        return mpmath.exp(x) * mpmath.e1(x)
+
+    if not interference:
+        total = mpmath.fsum(w * kernel(g) for w, g in zip(weights(signal), signal))
+    else:
+        total = mpmath.fsum(wk * wu * sk / (sk - su) * (kernel(sk) - kernel(su))
+                            for wk, sk in zip(weights(signal), signal)
+                            for wu, su in zip(weights(interference), interference))
+    return total / mpmath.log(2)
+
+
+def _well_separated(pl, min_gap=1e-2):
+    for row in pl.gains:
+        for a, b in itertools.combinations(row.tolist(), 2):
+            if abs(a - b) < min_gap * max(a, b):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rates_match_fifty_digit_closed_form(n):
+    checked = 0
+    with mpmath.workdps(50):
+        for scenario, pl in _drops(n, 12, seed=92):
+            if not _well_separated(pl):
+                continue
+            modes = enumerate_min_distance(pl).modes
+            table = RateTable(scenario, pl, modes)
+            for tx_power in (1.0, 1e3, 1e5):
+                per_user = table.user_rates(tx_power)
+                for m, mode in enumerate(modes):
+                    for user, ports in mode.support_sets.items():
+                        row = [mpmath.mpf(g) for g in pl.gains[user - 1].tolist()]
+                        signal = [row[j] for j in sorted(ports)]
+                        interference = [row[j] for j in sorted(mode.complements[user])]
+                        want = _mp_user_rate(signal, interference,
+                                             mpmath.mpf(tx_power), mpmath.mpf(1))
+                        assert abs(per_user[m, user - 1] - float(want)) <= 1e-9
+            checked += 1
+            if checked == 3:
+                break
+    assert checked == 3

@@ -8,6 +8,7 @@ import pytest
 from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode,
                            enumerate_ideal)
+from dasrate.rate import RateTable
 from dasrate.selection import compare_schemes, select_mode
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
@@ -19,28 +20,33 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
 FIG2_PL = pathloss_matrix(FIG2)
 
 
+def select(scenario, pathloss, candidates, snr):
+    """Selection over a rate table built for exactly ``candidates``."""
+    return select_mode(RateTable(scenario, pathloss, candidates.modes),
+                       candidates, snr)
+
+
 def test_fixed_geometry_low_snr_picks_paired_mode():
-    result = select_mode(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
+    result = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
     assert result.chosen_mode.label == "[1 2]"
     assert result.chosen_rate == max(result.per_candidate_rates)
 
 
 def test_fixed_geometry_high_snr_picks_single_user_mode():
-    result = select_mode(FIG2, FIG2_PL, enumerate_ideal(2, 2),
-                         snr=10.0 ** 4.5)
+    result = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0 ** 4.5)
     assert result.chosen_mode.label == "[1 1]"
 
 
 def test_single_candidate_trivial():
     only = CandidateSet(modes=(TransmissionMode((2, 2)),), origin=Origin.EXPLICIT)
-    result = select_mode(FIG2, FIG2_PL, only, snr=100.0)
+    result = select(FIG2, FIG2_PL, only, snr=100.0)
     assert result.chosen_mode.label == "[2 2]"
     assert len(result.per_candidate_rates) == 1
 
 
 def test_selection_deterministic():
-    a = select_mode(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
-    b = select_mode(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
+    a = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
+    b = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
     assert a == b
 
 
@@ -51,7 +57,7 @@ def test_tie_break_first_in_order():
                    tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)),
                    user_positions=((0.0, 1.0), (0.0, -1.0)))
     pl = pathloss_matrix(scn)
-    result = select_mode(scn, pl, enumerate_ideal(2, 2), snr=100.0)
+    result = select(scn, pl, enumerate_ideal(2, 2), snr=100.0)
     ties = [i for i, r in enumerate(result.per_candidate_rates)
             if r == result.chosen_rate]
     assert result.chosen_mode == enumerate_ideal(2, 2).modes[ties[0]]
@@ -69,9 +75,9 @@ def test_reduced_never_beats_exhaustive():
 
 def test_argmax_invariance_under_joint_scaling():
     for snr in (1.0, 100.0, 10000.0):
-        base = select_mode(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr)
+        base = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr)
         scaled_scn = dataclasses.replace(FIG2, noise_power=13.0, tx_power=13.0)
-        scaled = select_mode(scaled_scn, FIG2_PL, enumerate_ideal(2, 2), snr)
+        scaled = select(scaled_scn, FIG2_PL, enumerate_ideal(2, 2), snr)
         assert scaled.chosen_mode == base.chosen_mode
         assert scaled.chosen_rate == pytest.approx(base.chosen_rate, rel=1e-12)
 
