@@ -8,7 +8,7 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
                        load_scenario, parse_scenario_config, pathloss_matrix)
 from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
-from .numerics import exp_e1, log_integral_quadrature
+from .numerics import exp_e1
 from .rate import (AnalysisPoint, CrossoverFormulas, RateTable, UserLinkPartition,
                    approx_sum_rate, crossover_snr, ergodic_sum_rate,
                    ergodic_user_rate, ergodic_user_rate_no_interference,
@@ -32,7 +32,7 @@ __all__ = [
     "ergodic_sum_rate", "ergodic_user_rate",
     "ergodic_user_rate_no_interference", "exp_e1", "ideal_count",
     "instantaneous_rates", "linear_to_db", "load_scenario",
-    "log_integral_quadrature", "mc_ergodic_sum_rate", "min_distance_count",
+    "mc_ergodic_sum_rate", "min_distance_count",
     "mode_histogram", "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
     "pdf_signal", "pdf_sinr", "select_mode", "single_user_rate_lower_bound",
 ]

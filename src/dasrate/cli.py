@@ -1,7 +1,10 @@
 """Command-line interface: rates, sweep, crossover, hist, verify.
 
-Exit codes: 0 success, 2 usage/config, 3 enumeration capacity,
-4 degenerate gains, 5 numerical failure.
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/config,
+3 enumeration capacity, 4 degenerate gains, 5 numerical failure.
+
+Only ``verify`` imports scipy (through ``verification``); every other
+command runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -10,13 +13,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import experiments, simulate, verification
+from . import experiments, simulate
 from .errors import (CapacityError, ConfigError, DegenerateGainsError,
                      NumericalFailureError)
 from .geometry import Scenario, load_scenario
 from .modes import TransmissionMode
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_DEGENERACY = 4
@@ -181,12 +185,14 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     results = verification.run_checks(args.level)
     for result in results:
         print(result.line())
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, pathloss_matrix
-from .modes import TransmissionMode, enumerate_ideal
+from .modes import TransmissionMode, enumerate_ideal, ideal_count
 from .rate import (CrossoverFormulas, RateTable, crossover_snr, log1p_inv,
                    rate_curve_intersection_db)
 from .simulate import (MAX_GRID_POINTS, RateCurve, RateSeries, cell_average,
@@ -132,21 +132,38 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
 SWEEP_IDEAL_LIMIT = 1000
 
 
+def _check_fixed_mode(mode: TransmissionMode, n_ports: int, n_users: int) -> None:
+    """Reject a fixed mode that does not fit the scenario."""
+    if len(mode.assignment) != n_ports:
+        raise ConfigError(f"fixed mode {mode.label} has {len(mode.assignment)} "
+                          f"entries; the scenario has {n_ports} ports")
+    if max(mode.assignment) > n_users:
+        raise ConfigError(f"fixed mode {mode.label} serves user "
+                          f"{max(mode.assignment)}; the scenario has {n_users} users")
+    if not mode.active_ports:
+        raise ConfigError(f"fixed mode {mode.label} has no active port")
+
+
 def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
                  n_channels: int, seed: int, rating: str = "analytic",
                  n_jobs: int = 1, force_ideal: bool = False) -> RateCurve:
-    """Cell-averaged curves for a list of schemes and/or fixed modes."""
-    from .modes import ideal_count
+    """Cell-averaged curves for a list of schemes and/or fixed modes.
 
-    curve: RateCurve | None = None
+    Every scheme and fixed mode is checked against the scenario before the
+    first one runs.
+    """
     for scheme in schemes:
-        if scheme == "ideal" and not force_ideal:
+        if isinstance(scheme, TransmissionMode):
+            _check_fixed_mode(scheme, template.n_ports, template.n_users)
+        elif scheme == "ideal" and not force_ideal:
             count = ideal_count(template.n_ports, template.n_users)
             if count > SWEEP_IDEAL_LIMIT:
                 raise ConfigError(
                     f"exhaustive sweep would evaluate {count} candidates per "
                     f"drop and SNR point; pass force_ideal/--force-ideal to "
                     f"run it anyway")
+    curve: RateCurve | None = None
+    for scheme in schemes:
         one = cell_average(template, scheme, snr_grid_db, n_drops,
                            n_channels, seed, rating=rating, n_jobs=n_jobs)
         curve = one if curve is None else curve.merged_with(one)
@@ -203,6 +220,9 @@ def crossover_report(scenario: Scenario,
     numerically bisected intersections of the approximated and exact
     [1 1]-vs-[1 2] rate curves.
     """
+    if reference_db is not None and not math.isfinite(reference_db):
+        raise ConfigError(f"reference_db/--reference-db must be finite, "
+                          f"got {reference_db!r}")
     if scenario.n_ports != 2 or scenario.n_users != 2:
         raise ConfigError("crossover analysis is defined for 2 ports and 2 users")
     if scenario.user_positions is None:

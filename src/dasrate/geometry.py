@@ -7,6 +7,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+# numpy loads its random module lazily, on first use; load it at import
+# so the first drop of a timed command does not pay for it.
+import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 

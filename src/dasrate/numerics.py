@@ -1,4 +1,4 @@
-"""Scaled exponential-integral kernel and the log-rate quadrature oracle.
+"""Scaled exponential-integral kernel.
 
 Every closed-form rate in this package is a weighted combination of
 ``exp(x) * E1(x)`` terms, where ``E1(x) = integral_x^inf exp(-t)/t dt``.
@@ -10,9 +10,6 @@ their product stays comfortably inside double range for any positive x.
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-from scipy import integrate
 
 from .errors import NumericalFailureError
 
@@ -92,44 +89,3 @@ def _exp_e1_continued_fraction(x: float) -> float:
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise NumericalFailureError(f"continued fraction for exp_e1 stalled at x={x}")
-
-
-def log_integral_quadrature(
-    pdf: Callable[[float], float],
-    upper_cut: float,
-    abs_tol: float = 1e-8,
-) -> float:
-    """Integral of ``log2(1 + rho) * pdf(rho)`` over (0, inf).
-
-    Adaptive quadrature handles (0, upper_cut]; the remainder is a
-    transformed semi-infinite integral, valid because every density in
-    this package decays under an exponential envelope. Serves as the
-    independent oracle for the closed-form ergodic rates.
-
-    Args:
-        pdf: non-negative density on (0, inf), normalized by the caller.
-        upper_cut: split point; choose several multiples of the density's
-            largest exponential scale.
-        abs_tol: budget on the combined quadrature error estimate.
-
-    Raises:
-        NumericalFailureError: if the error estimate exceeds ``abs_tol``.
-    """
-    upper_cut = float(upper_cut)
-    if not math.isfinite(upper_cut) or upper_cut <= 0.0:
-        raise ValueError(f"upper_cut must be finite and positive, got {upper_cut!r}")
-
-    def integrand(rho: float) -> float:
-        return math.log1p(rho) / LN2 * float(pdf(rho))
-
-    head = integrate.quad(integrand, 0.0, upper_cut,
-                          epsabs=abs_tol * 1e-2, epsrel=1e-10,
-                          limit=400, full_output=1)
-    tail = integrate.quad(integrand, upper_cut, math.inf,
-                          epsabs=abs_tol * 1e-2, epsrel=1e-10,
-                          limit=400, full_output=1)
-    err = head[1] + tail[1]
-    if err > abs_tol:
-        raise NumericalFailureError(
-            f"quadrature error estimate {err:.3e} exceeds budget {abs_tol:.1e}")
-    return head[0] + tail[0]

@@ -15,6 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its random module lazily, on first use; load it at import
+# so the first drop of a timed command does not pay for it.
+import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix

@@ -1,5 +1,10 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dasrate import cli, numerics, simulate
@@ -132,7 +137,7 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     monkeypatch.setattr(numerics, "exp_e1",
                         lambda x: true_exp_e1(x) * (1.0 + 1e-6))
     code, out, _ = run_cli(capsys, "verify", "--level", "quick")
-    assert code != 0
+    assert code == cli.EXIT_CHECK_FAILED
     assert "[FAIL]" in out
 
 
@@ -147,8 +152,19 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("hist", "--config", "fig7.cfg", "--jobs", "-3"), "--jobs must be >= 1"),
     (("sweep", "--config", "fig3.cfg", "--rating", "mc", "--channels", "1"),
      "--channels must be >= 2"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[9 9]"), "4 ports"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[5 5 5 5]"), "4 users"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 1 1 1 1]"), "4 ports"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 2]"), "4 ports"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[0 0 0 0]"), "no active port"),
+    (("sweep", "--config", "fig5.cfg", "--scheme", "ideal", "--fixed-mode", "[9 9]"),
+     "4 ports"),
+    (("crossover", "--config", "fig2.cfg", "--reference-db", "nan"), "must be finite"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
-        "jobs-0", "jobs-negative", "channels-1-with-mc"])
+        "jobs-0", "jobs-negative", "channels-1-with-mc", "fixed-mode-too-short",
+        "fixed-mode-user-out-of-range", "fixed-mode-too-long",
+        "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
+        "fixed-mode-bad-after-ideal", "reference-db-nan"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a worker pool starts."""
@@ -161,3 +177,38 @@ def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, mes
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+# Runs in a fresh interpreter, where nothing has imported scipy yet.
+NUMPY_ONLY_SCRIPT = """
+import sys
+from dasrate import cli
+
+def numpy_only(when):
+    assert "scipy" not in sys.modules, "scipy loaded " + when
+    assert "numpy.random" in sys.modules, "numpy.random missing " + when
+
+numpy_only("by import dasrate.cli")
+out = sys.argv[1] + "/out.csv"
+for argv in (
+    ["rates", "--config", "fig2.cfg", "--snr", "0:10:20", "--no-mc"],
+    ["rates", "--config", "fig2.cfg", "--snr", "0:10:20", "--channels", "200"],
+    ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50"],
+    ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50",
+     "--rating", "mc", "--channels", "50", "--jobs", "2"],
+    ["crossover", "--config", "fig2.cfg"],
+    ["hist", "--config", "fig7.cfg", "--drops", "2"],
+):
+    assert cli.main(argv + ["--out", out]) == 0, argv
+    numpy_only("by " + " ".join(argv))
+"""
+
+
+def test_commands_other_than_verify_never_import_scipy(tmp_path):
+    """scipy is needed only by ``dasrate verify``; every other command,
+    and the import of the CLI itself, runs on numpy alone."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

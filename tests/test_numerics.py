@@ -8,7 +8,8 @@ from scipy import special
 
 from dasrate.errors import NumericalFailureError
 from dasrate.numerics import (LN2, SERIES_CF_SPLIT, _exp_e1_continued_fraction,
-                              _exp_e1_series, exp_e1, log_integral_quadrature)
+                              _exp_e1_series, exp_e1)
+from dasrate.verification import log_integral_quadrature
 
 # Frozen reference values computed with 30-digit mpmath before the build:
 # e**x * E1(x), E1(x) = integral_x^inf exp(-t)/t dt.
