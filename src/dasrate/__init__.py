@@ -11,28 +11,24 @@ from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
 from .numerics import exp_e1
 from .rate import (AnalysisPoint, CrossoverFormulas, RateTable, UserLinkPartition,
                    approx_sum_rate, crossover_snr, ergodic_sum_rate,
-                   ergodic_user_rate, ergodic_user_rate_no_interference,
-                   pdf_interference_plus_noise, pdf_signal, pdf_sinr,
-                   single_user_rate_lower_bound)
+                   ergodic_user_rate, pdf_interference_plus_noise, pdf_signal,
+                   pdf_sinr, single_user_rate_lower_bound)
 from .selection import SelectionResult, compare_schemes, select_mode
-from .simulate import (ChannelRealization, McEstimate, RateCurve, RateSeries,
-                       cell_average, instantaneous_rates, mc_ergodic_sum_rate,
-                       mode_histogram)
+from .simulate import (McEstimate, RateCurve, RateSeries, cell_average,
+                       mc_ergodic_sum_rate, mode_histogram)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisPoint", "CandidateSet", "CapacityError", "ChannelRealization",
-    "ConfigError", "CrossoverFormulas", "DasRateError", "DegenerateGainsError",
+    "AnalysisPoint", "CandidateSet", "CapacityError", "ConfigError",
+    "CrossoverFormulas", "DasRateError", "DegenerateGainsError",
     "McEstimate", "NumericalFailureError", "Origin", "PathlossMatrix",
     "RateCurve", "RateSeries", "RateTable", "Scenario", "SelectionResult",
     "TransmissionMode", "UserLinkPartition", "approx_sum_rate", "cell_average",
     "compare_schemes", "crossover_snr", "db_to_linear", "default_port_layout",
     "drop_users_uniform", "enumerate_ideal", "enumerate_min_distance",
-    "ergodic_sum_rate", "ergodic_user_rate",
-    "ergodic_user_rate_no_interference", "exp_e1", "ideal_count",
-    "instantaneous_rates", "linear_to_db", "load_scenario",
-    "mc_ergodic_sum_rate", "min_distance_count",
+    "ergodic_sum_rate", "ergodic_user_rate", "exp_e1", "ideal_count",
+    "linear_to_db", "load_scenario", "mc_ergodic_sum_rate", "min_distance_count",
     "mode_histogram", "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
     "pdf_signal", "pdf_sinr", "select_mode", "single_user_rate_lower_bound",
 ]

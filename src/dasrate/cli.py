@@ -10,6 +10,7 @@ command runs on numpy alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,24 +28,27 @@ EXIT_DEGENERACY = 4
 EXIT_NUMERICAL = 5
 
 
-def _common_flags(parser: argparse.ArgumentParser, *, config_required: bool = True,
-                  drops: bool = False, channels: bool = False) -> None:
-    parser.add_argument("--config", required=config_required,
+# Flags shared by several commands; each command adds only those it reads.
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=1, help="master RNG seed"),
+    "--snr": dict(default="0:5:50", help="SNR grid in dB as start:step:stop"),
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes that run the drops"),
+    "--drops": dict(type=int, default=simulate.DEFAULT_N_DROPS,
+                    help="number of uniform user drops"),
+    "--channels": dict(type=int, default=simulate.DEFAULT_N_CHANNELS,
+                       help="fading realizations per Monte Carlo estimate"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add --config, --out and the named shared flags to a command."""
+    parser.add_argument("--config", required=True,
                         help="scenario config file (bundled names like "
                              "fig2.cfg are resolved automatically)")
-    parser.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    parser.add_argument("--snr", default="0:5:50",
-                        help="SNR grid in dB as start:step:stop")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for simulation-heavy steps")
-    if drops:
-        parser.add_argument("--drops", type=int, default=simulate.DEFAULT_N_DROPS,
-                            help="number of uniform user drops")
-    if channels:
-        parser.add_argument("--channels", type=int,
-                            default=simulate.DEFAULT_N_CHANNELS,
-                            help="fading realizations per Monte Carlo estimate")
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,17 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ergodic sum-rate analysis and simulation for "
                     "distributed antenna downlinks")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags are spelled in full, so a flag a command does not read is never
+    # taken as the prefix of one it does (hist's --snr for --snr-ranges).
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("rates", help="per-mode rate curves on a fixed geometry")
-    _common_flags(p, channels=True)
+    p = command("rates", help="per-mode rate curves on a fixed geometry")
+    _add_flags(p, "--seed", "--snr", "--channels")
     p.add_argument("--modes", default="",
                    help="comma-separated mode labels like '[1 2],[2 1]' "
                         "(default: every admissible mode)")
     p.add_argument("--no-mc", action="store_true",
                    help="emit analytic columns only (byte-stable output)")
 
-    p = sub.add_parser("sweep", help="cell-averaged curves over uniform drops")
-    _common_flags(p, drops=True, channels=True)
+    p = command("sweep", help="cell-averaged curves over uniform drops")
+    _add_flags(p, "--seed", "--snr", "--jobs", "--drops", "--channels")
     p.add_argument("--scheme", action="append", default=None,
                    choices=["ideal", "min-distance"],
                    help="selection scheme to sweep (repeatable)")
@@ -75,18 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-ideal", action="store_true",
                    help="allow exhaustive sweeps past the candidate-count guard")
 
-    p = sub.add_parser("crossover",
-                       help="single-user vs two-user crossover report (2x2)")
-    _common_flags(p)
+    p = command("crossover",
+                help="single-user vs two-user crossover report (2x2)")
+    _add_flags(p)
     p.add_argument("--reference-db", type=float, default=None,
                    help="external reference value to compare against, in dB")
 
-    p = sub.add_parser("hist", help="selected-mode histogram by (K_A, N_A) group")
-    _common_flags(p, drops=True)
+    p = command("hist", help="selected-mode histogram by (K_A, N_A) group")
+    _add_flags(p, "--seed", "--jobs", "--drops")
     p.add_argument("--snr-ranges", default="0:10,10:20,20:30,30:40",
                    help="comma-separated lo:hi dB ranges")
 
-    p = sub.add_parser("verify", help="run the self-check suites")
+    p = command("verify", help="run the self-check suites")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     return parser
 

@@ -147,10 +147,11 @@ def _check_fixed_mode(mode: TransmissionMode, n_ports: int, n_users: int) -> Non
 def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
                  n_channels: int, seed: int, rating: str = "analytic",
                  n_jobs: int = 1, force_ideal: bool = False) -> RateCurve:
-    """Cell-averaged curves for a list of schemes and/or fixed modes.
+    """Cell-averaged curves for a list of schemes and/or fixed modes, all
+    from one pass over the drops.
 
-    Every scheme and fixed mode is checked against the scenario before the
-    first one runs.
+    Every scheme and fixed mode is checked against the scenario before any
+    drop is drawn.
     """
     for scheme in schemes:
         if isinstance(scheme, TransmissionMode):
@@ -162,14 +163,8 @@ def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
                     f"exhaustive sweep would evaluate {count} candidates per "
                     f"drop and SNR point; pass force_ideal/--force-ideal to "
                     f"run it anyway")
-    curve: RateCurve | None = None
-    for scheme in schemes:
-        one = cell_average(template, scheme, snr_grid_db, n_drops,
-                           n_channels, seed, rating=rating, n_jobs=n_jobs)
-        curve = one if curve is None else curve.merged_with(one)
-    if curve is None:
-        raise ConfigError("no schemes requested")
-    return curve
+    return cell_average(template, schemes, snr_grid_db, n_drops, n_channels,
+                        seed, rating=rating, n_jobs=n_jobs)
 
 
 # --- crossover report ---------------------------------------------------------

@@ -340,14 +340,6 @@ def ergodic_user_rate(partition: UserLinkPartition) -> float:
     return float(_slot_rates(terms, partition.noise_power, partition.tx_power)[1])
 
 
-def ergodic_user_rate_no_interference(signal_gains: Sequence[float],
-                                      tx_power: float,
-                                      noise_power: float) -> float:
-    """Exact ergodic rate with no interfering port: signal over noise only."""
-    return ergodic_user_rate(UserLinkPartition(tuple(signal_gains), (), tx_power,
-                                               noise_power))
-
-
 @dataclass(frozen=True)
 class AnalysisPoint:
     """Closed-form rates of one (scenario, mode) pair at one SNR."""

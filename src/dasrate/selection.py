@@ -20,16 +20,16 @@ class SelectionResult:
 
 
 def select_mode(table: RateTable, candidates: CandidateSet,
-                snr: float) -> SelectionResult:
-    """Best candidate at linear SNR ``snr``; first maximizer wins ties.
+                rates: np.ndarray) -> SelectionResult:
+    """Best candidate by ``rates``; first maximizer wins ties.
 
-    Every candidate must be a mode of ``table``. Rates depend on transmit
-    power and noise only through their ratio, so the table is evaluated at
-    tx_power = snr * noise_power.
+    ``rates`` is ``table.sum_rates`` at one transmit power, one entry per
+    mode of ``table``, so every scheme of a drop selects from one
+    evaluation. Every candidate must be a mode of ``table``.
     """
     if not candidates.modes:
         raise ValueError("empty candidate set")
-    rates = table.sum_rates(snr * table.noise_power)[table.rows(candidates.modes)]
+    rates = rates[table.rows(candidates.modes)]
     best = int(np.argmax(rates))
     return SelectionResult(chosen_mode=candidates.modes[best],
                            chosen_rate=float(rates[best]),
@@ -39,8 +39,14 @@ def select_mode(table: RateTable, candidates: CandidateSet,
 
 def compare_schemes(scenario: Scenario, pathloss: PathlossMatrix,
                     snr: float) -> tuple[SelectionResult, SelectionResult]:
-    """Run exhaustive and nearest-user selection on one table over both sets."""
+    """Run exhaustive and nearest-user selection at linear SNR ``snr`` on
+    one table over both sets.
+
+    Rates depend on transmit power and noise only through their ratio, so
+    the table is evaluated at tx_power = snr * noise_power.
+    """
     ideal = enumerate_ideal(scenario.n_ports, scenario.n_users)
     reduced = enumerate_min_distance(pathloss)
     table = RateTable(scenario, pathloss, dict.fromkeys(ideal.modes + reduced.modes))
-    return select_mode(table, ideal, snr), select_mode(table, reduced, snr)
+    rates = table.sum_rates(snr * scenario.noise_power)
+    return select_mode(table, ideal, rates), select_mode(table, reduced, rates)

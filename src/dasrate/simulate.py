@@ -2,9 +2,11 @@
 
 Fading power gains are drawn directly as unit-mean exponentials (the
 squared magnitude of a unit-variance complex Gaussian). All randomness is
-keyed by counter-based streams derived from (seed, drop, point, chunk),
-and partial results are combined in fixed chunk order, so outputs are
-bit-identical for a given seed regardless of worker count.
+keyed by counter-based streams derived from (seed, drop, point, chunk).
+A command runs its drops on at most one process pool; each drop combines
+its Monte Carlo chunks in chunk order, and drop results are combined in
+drop order, so outputs are bit-identical for a given seed regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
-from .modes import (CandidateSet, DegenerateGeometryWarning, TransmissionMode,
-                    enumerate_ideal, enumerate_min_distance)
+from .modes import (CandidateSet, DegenerateGeometryWarning, Origin,
+                    TransmissionMode, enumerate_ideal, enumerate_min_distance)
 from .rate import RateTable
 from .selection import select_mode
 
@@ -33,15 +35,9 @@ DEFAULT_N_DROPS = 4000
 # Most SNR points one grid spec or histogram range may hold.
 MAX_GRID_POINTS = 10_000
 
-# Trials per RNG stream; fixed so chunk boundaries never depend on n_jobs.
+# Trials per RNG stream; fixed, so the draws depend only on the seed and
+# the trial count.
 MC_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One small-scale fading draw: |h|^2 per (user, port), unit mean."""
-
-    power_gains: np.ndarray  # shape (K, N)
 
 
 @dataclass(frozen=True)
@@ -72,23 +68,11 @@ class RateCurve:
             if len(s.values) != len(self.snr_grid_db):
                 raise ValueError(f"series {s.label!r} length does not match grid")
 
-    def merged_with(self, other: "RateCurve") -> "RateCurve":
-        if other.snr_grid_db != self.snr_grid_db:
-            raise ValueError("cannot merge curves over different SNR grids")
-        return RateCurve(self.snr_grid_db, self.series + other.series)
-
 
 def _stream(entropy, spawn_key) -> np.random.Generator:
     """Counter-based generator for one (seed, index...) key."""
     seq = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def draw_channel(n_users: int, n_ports: int, seed) -> ChannelRealization:
-    rng = np.random.default_rng(seed)
-    gains = rng.exponential(size=(n_users, n_ports))
-    gains.setflags(write=False)
-    return ChannelRealization(power_gains=gains)
 
 
 def _mode_weight_matrices(pathloss: PathlossMatrix, mode: TransmissionMode,
@@ -106,17 +90,6 @@ def _mode_weight_matrices(pathloss: PathlossMatrix, mode: TransmissionMode,
     return sig, intf
 
 
-def instantaneous_rates(scenario: Scenario, pathloss: PathlossMatrix,
-                        mode: TransmissionMode,
-                        channel: ChannelRealization) -> np.ndarray:
-    """Per-user rates log2(1 + SINR) for one fading draw; idle users get 0."""
-    sig_w, intf_w = _mode_weight_matrices(pathloss, mode, scenario.tx_power)
-    h = channel.power_gains
-    signal = (sig_w * h).sum(axis=1)
-    denom = scenario.noise_power + (intf_w * h).sum(axis=1)
-    return np.log2(1.0 + signal / denom)
-
-
 def _batch_sum_rates(sig_w: np.ndarray, intf_w: np.ndarray, noise: float,
                      h: np.ndarray) -> np.ndarray:
     """Sum rates for a (T, K, N) block of fading draws."""
@@ -130,17 +103,9 @@ def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def _mc_chunk_worker(args) -> tuple[float, float]:
-    sig_w, intf_w, noise, n_users, n_ports, entropy, spawn_key, size = args
-    rng = _stream(entropy, spawn_key)
-    h = rng.exponential(size=(size, n_users, n_ports))
-    rates = _batch_sum_rates(sig_w, intf_w, noise, h)
-    return float(rates.sum()), float(np.square(rates).sum())
-
-
 def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
-                        mode: TransmissionMode, n_channels: int, seed,
-                        n_jobs: int = 1) -> McEstimate:
+                        mode: TransmissionMode, n_channels: int,
+                        seed) -> McEstimate:
     """Monte Carlo estimate of the ergodic sum rate over fading.
 
     ``seed`` may be an int or a tuple of ints (callers namespace nested
@@ -150,19 +115,14 @@ def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
         raise ValueError("n_channels must be >= 2")
     sig_w, intf_w = _mode_weight_matrices(pathloss, mode, scenario.tx_power)
     n_users, n_ports = pathloss.gains.shape
-    tasks = [(sig_w, intf_w, scenario.noise_power, n_users, n_ports,
-              seed, (c,), size)
-             for c, size in enumerate(_chunk_sizes(n_channels))]
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            partials = list(pool.map(_mc_chunk_worker, tasks))
-    else:
-        partials = [_mc_chunk_worker(t) for t in tasks]
     total = 0.0
     total_sq = 0.0
-    for s1, s2 in partials:  # fixed chunk order keeps the reduction exact
-        total += s1
-        total_sq += s2
+    # One stream per fixed-size chunk, summed in chunk order.
+    for c, size in enumerate(_chunk_sizes(n_channels)):
+        h = _stream(seed, (c,)).exponential(size=(size, n_users, n_ports))
+        rates = _batch_sum_rates(sig_w, intf_w, scenario.noise_power, h)
+        total += float(rates.sum())
+        total_sq += float(np.square(rates).sum())
     mean = total / n_channels
     var = max(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
     return McEstimate(mean=mean, std_error=math.sqrt(var / n_channels),
@@ -174,91 +134,98 @@ def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
 Scheme = str | TransmissionMode  # "ideal" | "min-distance" | fixed mode
 
 
-def _candidates_for_drop(scheme: Scheme, pathloss: PathlossMatrix,
-                         ideal: CandidateSet | None) -> CandidateSet | None:
-    if isinstance(scheme, TransmissionMode):
-        return None
-    if scheme == "ideal":
-        return ideal
-    if scheme == "min-distance":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            return enumerate_min_distance(pathloss)
-    raise ConfigError(f"unknown scheme {scheme!r}")
-
-
 def _scheme_label(scheme: Scheme) -> str:
     return scheme.label if isinstance(scheme, TransmissionMode) else scheme
 
 
-def _drop_worker(args) -> tuple[list[TransmissionMode], np.ndarray]:
-    """Chosen mode and its rate per grid point for one drop: closed-form
-    from one rate table over the drop's candidates (or the fixed mode), or
-    the Monte Carlo mean when ``rating`` is "mc"."""
-    (template, scheme, ideal, grid_db, n_channels, seed, drop, rating) = args
+def _drop_worker(args) -> tuple[list[list[TransmissionMode]], np.ndarray]:
+    """Chosen mode and its rate per candidate set and grid point for one drop.
+
+    A set of None stands for the drop's nearest-user set. One rate table
+    over the union of the sets is evaluated once per point, and every set
+    selects from that vector. The recorded value is the closed-form rate,
+    or the Monte Carlo mean when ``rating`` is "mc".
+    """
+    (template, sets, grid_db, n_channels, seed, drop, rating) = args
     scenario = drop_users_uniform(
         template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
     pl = pathloss_matrix(scenario)
-    candidates = _candidates_for_drop(scheme, pl, ideal)
-    modes = (scheme,) if candidates is None else candidates.modes
-    table = RateTable(scenario, pl, modes)
+    if any(candidates is None for candidates in sets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGeometryWarning)
+            reduced = enumerate_min_distance(pl)
+        sets = [reduced if candidates is None else candidates for candidates in sets]
+    table = RateTable(scenario, pl,
+                      dict.fromkeys(mode for candidates in sets for mode in candidates.modes))
 
-    chosen = []
-    values = np.empty(len(grid_db))
+    chosen: list[list[TransmissionMode]] = [[] for _ in sets]
+    values = np.empty((len(sets), len(grid_db)))
     for idx, snr_db in enumerate(grid_db):
-        snr = db_to_linear(snr_db)
-        if candidates is None:
-            chosen.append(scheme)
-            values[idx] = table.sum_rates(snr * scenario.noise_power)[0]
-        else:
-            result = select_mode(table, candidates, snr)
-            chosen.append(result.chosen_mode)
-            values[idx] = result.chosen_rate
-        if rating == "mc":
-            point = scenario.with_tx_power(snr * scenario.noise_power)
-            values[idx] = mc_ergodic_sum_rate(point, pl, chosen[-1], n_channels,
-                                              seed=(seed, drop, idx)).mean
+        tx_power = db_to_linear(snr_db) * scenario.noise_power
+        rates = table.sum_rates(tx_power)
+        for s, candidates in enumerate(sets):
+            result = select_mode(table, candidates, rates)
+            chosen[s].append(result.chosen_mode)
+            values[s, idx] = result.chosen_rate
+            if rating == "mc":
+                values[s, idx] = mc_ergodic_sum_rate(
+                    scenario.with_tx_power(tx_power), pl, result.chosen_mode,
+                    n_channels, seed=(seed, drop, idx)).mean
     return chosen, values
 
 
 def _run_drops(tasks, n_jobs: int) -> list:
-    """Drop worker results in drop order, on a process pool when n_jobs > 1."""
+    """Drop worker results in drop order, on one process pool when n_jobs > 1."""
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(_drop_worker, tasks, chunksize=8))
     return [_drop_worker(t) for t in tasks]
 
 
-def cell_average(scenario_template: Scenario, scheme: Scheme,
-                 snr_grid_db, n_drops: int, n_channels: int, seed: int,
+def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
+                 n_drops: int, n_channels: int, seed: int,
                  rating: str = "analytic", n_jobs: int = 1) -> RateCurve:
-    """Rate curve averaged over uniform user drops.
+    """Rate curves of ``schemes`` averaged over the same uniform user drops.
 
-    Selection (for the two scheme strategies) always uses closed-form
-    rates; the recorded value per drop is closed-form when
-    ``rating="analytic"`` or a fading-simulation estimate when
-    ``rating="mc"``. Fixed modes skip selection entirely.
+    ``schemes`` lists "ideal", "min-distance" and fixed modes; the curve
+    holds one series per entry, in order. Selection always uses
+    closed-form rates, and a fixed mode is a candidate set of one. The
+    recorded value per drop is closed-form when ``rating="analytic"`` or a
+    fading-simulation estimate when ``rating="mc"``.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
     if rating not in ("analytic", "mc"):
         raise ConfigError(f"rating must be 'analytic' or 'mc', got {rating!r}")
+    if not schemes:
+        raise ConfigError("no schemes requested")
+    sets: list[CandidateSet | None] = []
+    for scheme in schemes:
+        if isinstance(scheme, TransmissionMode):
+            sets.append(CandidateSet((scheme,), Origin.EXPLICIT))
+        elif scheme == "ideal":
+            sets.append(enumerate_ideal(scenario_template.n_ports,
+                                        scenario_template.n_users))
+        elif scheme == "min-distance":
+            sets.append(None)  # drawn per drop
+        else:
+            raise ConfigError(f"unknown scheme {scheme!r}")
     grid = tuple(float(db) for db in snr_grid_db)
-    ideal = (enumerate_ideal(scenario_template.n_ports, scenario_template.n_users)
-             if scheme == "ideal" else None)
-    tasks = [(scenario_template, scheme, ideal, grid, n_channels, seed, d, rating)
+    tasks = [(scenario_template, sets, grid, n_channels, seed, d, rating)
              for d in range(n_drops)]
-    per_drop = np.stack([values for _, values in _run_drops(tasks, n_jobs)])
-    mean = per_drop.mean(axis=0)
-    if n_drops > 1:
-        stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
-    else:
-        stderr = np.zeros_like(mean)
-    series = RateSeries(label=_scheme_label(scheme),
-                        kind="analytic" if rating == "analytic" else "mc",
-                        values=tuple(float(v) for v in mean),
-                        std_errors=tuple(float(e) for e in stderr))
-    return RateCurve(snr_grid_db=grid, series=(series,))
+    results = _run_drops(tasks, n_jobs)
+    series = []
+    for s, scheme in enumerate(schemes):
+        per_drop = np.stack([values[s] for _, values in results])
+        mean = per_drop.mean(axis=0)
+        if n_drops > 1:
+            stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
+        else:
+            stderr = np.zeros_like(mean)
+        series.append(RateSeries(label=_scheme_label(scheme), kind=rating,
+                                 values=tuple(float(v) for v in mean),
+                                 std_errors=tuple(float(e) for e in stderr)))
+    return RateCurve(snr_grid_db=grid, series=tuple(series))
 
 
 def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
@@ -287,10 +254,11 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
         points_per_range.append(points)
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
-    tasks = [(scenario_template, "min-distance", None, flat_points, 0, seed, d,
-              "analytic") for d in range(n_drops)]
+    # One candidate set: None, the nearest-user set of each drop.
+    tasks = [(scenario_template, [None], flat_points, 0, seed, d, "analytic")
+             for d in range(n_drops)]
     per_drop = [dict(zip(flat_points, chosen))
-                for chosen, _ in _run_drops(tasks, n_jobs)]
+                for (chosen,), _ in _run_drops(tasks, n_jobs)]
 
     counts: dict[tuple[float, float], dict[str, int]] = {r: {} for r in ranges}
     for chosen_at in per_drop:

@@ -260,8 +260,9 @@ def check_selection_properties(n_drops: int = 5) -> CheckResult:
                                              noise_power=scenario.noise_power * 7.3,
                                              tx_power=scenario.tx_power * 7.3)
                 reduced_set = enumerate_min_distance(pl)
-                again = select_mode(RateTable(scaled, pl, reduced_set.modes),
-                                    reduced_set, snr)
+                table = RateTable(scaled, pl, reduced_set.modes)
+                again = select_mode(table, reduced_set,
+                                    table.sum_rates(snr * scaled.noise_power))
                 ok = ok and again.chosen_mode == reduced.chosen_mode
     return CheckResult("selection dominance and argmax invariance",
                        ok and worst <= 1e-12, measured=worst, tolerance=1e-12,
@@ -322,12 +323,16 @@ def check_ks_distributions(n_samples: int = 1_000_000) -> CheckResult:
 
 
 def check_worker_invariance() -> CheckResult:
-    scenario = drop_users_uniform(_template(2, 2), seed=808).with_tx_power(100.0)
-    pl = pathloss_matrix(scenario)
-    mode = enumerate_ideal(2, 2).modes[0]
-    serial = simulate.mc_ergodic_sum_rate(scenario, pl, mode, 30000, seed=9, n_jobs=1)
-    parallel = simulate.mc_ergodic_sum_rate(scenario, pl, mode, 30000, seed=9, n_jobs=2)
-    identical = serial == parallel
+    """A Monte Carlo rated cell average of both schemes and a fixed mode
+    is bit-identical on one worker and on two."""
+    schemes = ["ideal", "min-distance", enumerate_ideal(2, 2).modes[0]]
+
+    def run(n_jobs):
+        return simulate.cell_average(_template(2, 2), schemes, (0.0, 20.0, 40.0),
+                                     n_drops=6, n_channels=3000, seed=9,
+                                     rating="mc", n_jobs=n_jobs)
+
+    identical = run(1) == run(2)
     return CheckResult("bit-identical Monte Carlo across worker counts",
                        identical, measured=0.0 if identical else 1.0,
                        tolerance=0.0)

@@ -52,11 +52,10 @@ def n3_template():
 def scheme_curves(n2_template, n3_template):
     curves = {}
     for label, template in (("n2", n2_template), ("n3", n3_template)):
-        curves[label] = {
-            scheme: np.array(cell_average(template, scheme, GRID, DROPS,
-                                          n_channels=0, seed=SEED)
-                             .series[0].values)
-            for scheme in ("ideal", "min-distance")}
+        curve = cell_average(template, ["ideal", "min-distance"], GRID, DROPS,
+                             n_channels=0, seed=SEED)
+        curves[label] = {series.label: np.array(series.values)
+                         for series in curve.series}
     return curves
 
 
@@ -194,11 +193,12 @@ def test_criterion_5a_selection_dominates_fixed_modes(n2_template,
     slack = 1e-9
     for label, template in (("n2", n2_template), ("n3", n3_template)):
         ideal_curve = scheme_curves[label]["ideal"]
-        for mode in enumerate_ideal(template.n_ports, template.n_users).modes:
-            fixed = np.array(cell_average(template, mode, GRID, DROPS,
-                                          n_channels=0, seed=SEED)
-                             .series[0].values)
-            assert np.all(ideal_curve >= fixed - slack), mode.label
+        modes = enumerate_ideal(template.n_ports, template.n_users).modes
+        fixed_curves = cell_average(template, modes, GRID, DROPS,
+                                    n_channels=0, seed=SEED).series
+        assert len(fixed_curves) == len(modes)
+        for fixed in fixed_curves:
+            assert np.all(ideal_curve >= np.array(fixed.values) - slack), fixed.label
     record_criterion(5, True, "(a) exhaustive-selection curve dominates all "
                               "4 + 45 fixed-mode curves pointwise")
 
@@ -208,12 +208,11 @@ def test_criterion_5b_saturation_vs_log_growth(n2_template):
     # the 40->50 dB two-user gain at 0.197-0.199 bits, under the 0.2-bit
     # saturation threshold; 500-drop estimates scatter by about +-0.01
     # around it, so the fixed seed here is one representative draw.
-    two_user = np.array(cell_average(n2_template, TransmissionMode((1, 2)),
-                                     GRID, DROPS, n_channels=0, seed=12)
-                        .series[0].values)
-    single_user = np.array(cell_average(n2_template, TransmissionMode((1, 1)),
-                                        GRID, DROPS, n_channels=0, seed=12)
-                           .series[0].values)
+    two_user, single_user = (
+        np.array(series.values)
+        for series in cell_average(n2_template,
+                                   [TransmissionMode((1, 2)), TransmissionMode((1, 1))],
+                                   GRID, DROPS, n_channels=0, seed=12).series)
     at = {db: i for i, db in enumerate(GRID)}
     saturating = two_user[at[50.0]] < two_user[at[40.0]] + 0.2
     growing = (single_user[at[50.0]] - single_user[at[40.0]] >= 2.0
@@ -305,19 +304,20 @@ def test_criterion_6_property_suites(n2_template):
             scaled = dataclasses.replace(scn, tx_power=scn.tx_power * 5.0,
                                          noise_power=scn.noise_power * 5.0)
             reduced_set = enumerate_min_distance(pl)
-            again = select_mode(RateTable(scaled, pl, reduced_set.modes),
-                                reduced_set, snr)
+            table = RateTable(scaled, pl, reduced_set.modes)
+            again = select_mode(table, reduced_set,
+                                table.sum_rates(snr * scaled.noise_power))
             assert again.chosen_mode == reduced.chosen_mode
 
     # bit-identical reruns at fixed seed under varying worker counts
-    scn = drop_users_uniform(n2_template, seed=63).with_tx_power(100.0)
-    pl = pathloss_matrix(scn)
-    mode = TransmissionMode((1, 2))
-    assert (mc_ergodic_sum_rate(scn, pl, mode, 30_000, seed=7, n_jobs=1)
-            == mc_ergodic_sum_rate(scn, pl, mode, 30_000, seed=7, n_jobs=3))
-    assert (cell_average(n2_template, "min-distance", (0.0, 30.0), 40,
+    schemes = ["min-distance", TransmissionMode((1, 2))]
+    assert (cell_average(n2_template, schemes, (0.0, 30.0), 4, n_channels=30_000,
+                         seed=63, rating="mc", n_jobs=1)
+            == cell_average(n2_template, schemes, (0.0, 30.0), 4, n_channels=30_000,
+                            seed=63, rating="mc", n_jobs=2))
+    assert (cell_average(n2_template, schemes, (0.0, 30.0), 40,
                          n_channels=0, seed=64, n_jobs=1)
-            == cell_average(n2_template, "min-distance", (0.0, 30.0), 40,
+            == cell_average(n2_template, schemes, (0.0, 30.0), 40,
                             n_channels=0, seed=64, n_jobs=2))
 
     record_criterion(6, True,

@@ -9,6 +9,8 @@ import pytest
 
 from dasrate import cli, numerics, simulate
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -177,6 +179,60 @@ def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, mes
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("crossover", "--config", "fig2.cfg", "--seed", "5"),
+    ("crossover", "--config", "fig2.cfg", "--snr", "garbage"),
+    ("crossover", "--config", "fig2.cfg", "--jobs", "7"),
+    ("hist", "--config", "fig7.cfg", "--drops", "2", "--snr", "0:5:nan"),
+    ("rates", "--config", "fig2.cfg", "--no-mc", "--jobs", "64"),
+], ids=["crossover-seed", "crossover-snr", "crossover-jobs", "hist-snr", "rates-jobs"])
+def test_flag_a_command_does_not_read_is_usage_error(capsys, argv):
+    """Each command accepts only the flags it reads; argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+MULTI_SCHEME_SWEEP = ("sweep", "--config", "fig4.cfg", "--scheme", "ideal",
+                      "--scheme", "min-distance", "--fixed-mode", "[1 2 3]",
+                      "--fixed-mode", "[1 0 0]", "--seed", "7", "--snr", "0:10:50")
+
+
+@pytest.mark.parametrize("extra, recorded", [
+    (("--drops", "20"), "sweep_fig4_multi_analytic.csv"),
+    (("--drops", "4", "--rating", "mc", "--channels", "200", "--jobs", "1"),
+     "sweep_fig4_multi_mc.csv"),
+    (("--drops", "4", "--rating", "mc", "--channels", "200", "--jobs", "2"),
+     "sweep_fig4_multi_mc.csv"),
+], ids=["analytic", "mc-jobs1", "mc-jobs2"])
+def test_multi_scheme_sweep_matches_recorded_output(capsys, extra, recorded):
+    """Schemes and fixed modes swept together print the bytes recorded
+    when each ran in its own pass over the drops."""
+    code, out, _ = run_cli(capsys, *MULTI_SCHEME_SWEEP, *extra)
+    assert code == 0
+    assert out == (DATA / recorded).read_text()
+
+
+def test_sweep_starts_one_pool(capsys, monkeypatch):
+    """A --jobs 2 sweep of two schemes and a fixed mode runs every drop on
+    one process pool."""
+    started = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    code, _, _ = run_cli(capsys, "sweep", "--config", "fig3.cfg", "--drops", "4",
+                         "--snr", "0:25:50", "--scheme", "ideal",
+                         "--scheme", "min-distance", "--fixed-mode", "[1 2]",
+                         "--jobs", "2")
+    assert code == 0
+    assert started == [2]
 
 
 # Runs in a fresh interpreter, where nothing has imported scipy yet.

@@ -106,12 +106,10 @@ def test_selection_gain_shrinks_at_high_snr():
 
     template = load_scenario(bundled_config_path("fig3.cfg"))
     grid = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-    scheme = np.array(cell_average(template, "ideal", grid, 300, 0, seed=20)
-                      .series[0].values)
-    fixed = np.stack([
-        np.array(cell_average(template, mode, grid, 300, 0, seed=20)
-                 .series[0].values)
-        for mode in enumerate_ideal(2, 2).modes])
+    curve = cell_average(template, ["ideal", *enumerate_ideal(2, 2).modes], grid,
+                         300, 0, seed=20)
+    scheme = np.array(curve.series[0].values)
+    fixed = np.stack([np.array(series.values) for series in curve.series[1:]])
     gain = scheme - fixed.max(axis=0)
     assert np.all(gain >= -1e-12)
     assert gain[5] < gain[4] < gain[3]  # 30 -> 40 -> 50 dB

@@ -11,9 +11,8 @@ from dasrate.modes import TransmissionMode
 from dasrate.numerics import LN2, exp_e1
 from dasrate.rate import (UserLinkPartition, approx_sum_rate, cdf_signal,
                           cdf_sinr, crossover_snr, ergodic_sum_rate,
-                          ergodic_user_rate, ergodic_user_rate_no_interference,
-                          pdf_interference_plus_noise, pdf_signal, pdf_sinr,
-                          rate_curve_intersection_db,
+                          ergodic_user_rate, pdf_interference_plus_noise,
+                          pdf_signal, pdf_sinr, rate_curve_intersection_db,
                           single_user_rate_lower_bound)
 from dasrate.verification import quadrature_user_rate, random_partition
 
@@ -141,8 +140,8 @@ def test_pdf_sinr_requires_interference():
 
 def test_rate_unit_snr_single_gain():
     """S*P/noise = 1 gives the classic exp(1)*E1(1)/ln2 value."""
-    rate = ergodic_user_rate_no_interference((0.01,), tx_power=100.0,
-                                             noise_power=1.0)
+    rate = ergodic_user_rate(UserLinkPartition((0.01,), (), tx_power=100.0,
+                                               noise_power=1.0))
     assert rate == pytest.approx(0.86034738227088595, rel=1e-12)
     # Monte Carlo oracle
     rng = np.random.default_rng(24)
@@ -151,7 +150,7 @@ def test_rate_unit_snr_single_gain():
 
 
 def test_rate_vanishing_interference_limit():
-    base = ergodic_user_rate_no_interference((0.05,), 100.0, 1.0)
+    base = ergodic_user_rate(UserLinkPartition((0.05,), (), 100.0, 1.0))
     part = UserLinkPartition(signal_gains=(0.05,), interference_gains=(1e-12,),
                              tx_power=100.0, noise_power=1.0)
     assert ergodic_user_rate(part) == pytest.approx(base, abs=1e-9)
@@ -168,7 +167,7 @@ def test_rate_vs_quadrature_50_partitions():
 def test_rate_near_equal_gains_vs_erlang_quadrature():
     """Two nearly equal gains behave like the two-stage equal-scale chain."""
     s, p = 0.02, 80.0
-    rate = ergodic_user_rate_no_interference((s, s * (1.0 + 1e-6)), p, 1.0)
+    rate = ergodic_user_rate(UserLinkPartition((s, s * (1.0 + 1e-6)), (), p, 1.0))
     scale = s * p
 
     def erlang2(x):
@@ -247,7 +246,7 @@ def test_sum_rate_inactive_users_contribute_zero():
     result = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((2, 2)))
     assert result.per_user_rates[0] == 0.0
     assert result.sum_rate == result.per_user_rates[1]
-    single = ergodic_user_rate_no_interference((S21, S22), 10.0, 1.0)
+    single = ergodic_user_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
     assert result.sum_rate == pytest.approx(single, rel=1e-12)
 
 
@@ -309,7 +308,7 @@ def test_approx_termwise_bound():
 def test_approx_exceeds_exact_for_single_gain_no_interference():
     part_gains = (0.05,)
     for snr in (1.0, 100.0, 1e4):
-        exact = ergodic_user_rate_no_interference(part_gains, snr, 1.0)
+        exact = ergodic_user_rate(UserLinkPartition(part_gains, (), snr, 1.0))
         approx = math.log1p(part_gains[0] * snr) / LN2
         assert approx >= exact
 

@@ -52,8 +52,9 @@ def test_golden_candidate_rates_of_one_drop_are_bit_identical():
         template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
     pl = pathloss_matrix(scenario)
     candidates = enumerate_ideal(4, 4)
-    result = select_mode(RateTable(scenario, pl, candidates.modes), candidates,
-                         10.0 ** (want["snr_db"] / 10.0))
+    table = RateTable(scenario, pl, candidates.modes)
+    result = select_mode(table, candidates, table.sum_rates(
+        10.0 ** (want["snr_db"] / 10.0) * scenario.noise_power))
     assert list(candidates.labels()) == want["labels"]
     assert list(result.per_candidate_rates) == want["rates"]
     assert result.chosen_mode.label == want["chosen"]
@@ -100,14 +101,15 @@ def test_min_distance_rows_of_union_table_match_own_table(n):
         for snr in (1.0, 1e3, 1e5):
             assert (union.sum_rates(snr)[rows].tolist()
                     == alone.sum_rates(snr).tolist())  # noise power 1
-            assert select_mode(union, reduced, snr) == select_mode(alone, reduced, snr)
+            assert (select_mode(union, reduced, union.sum_rates(snr))
+                    == select_mode(alone, reduced, alone.sum_rates(snr)))
 
 
 def test_rows_reject_modes_outside_the_table():
     pl = pathloss_matrix(FIG2)
     table = RateTable(FIG2, pl, enumerate_ideal(2, 2).modes[:2])
     with pytest.raises(ValueError, match=r"\[2 1\] is not in the rate table"):
-        select_mode(table, enumerate_ideal(2, 2), 10.0)
+        select_mode(table, enumerate_ideal(2, 2), table.sum_rates(10.0))
 
 
 def _mp_user_rate(signal, interference, tx_power, noise):

@@ -22,8 +22,8 @@ FIG2_PL = pathloss_matrix(FIG2)
 
 def select(scenario, pathloss, candidates, snr):
     """Selection over a rate table built for exactly ``candidates``."""
-    return select_mode(RateTable(scenario, pathloss, candidates.modes),
-                       candidates, snr)
+    table = RateTable(scenario, pathloss, candidates.modes)
+    return select_mode(table, candidates, table.sum_rates(snr * scenario.noise_power))
 
 
 def test_fixed_geometry_low_snr_picks_paired_mode():

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
+from dasrate.geometry import (PathlossMatrix, Scenario, drop_users_uniform,
+                              pathloss_matrix)
 from dasrate.modes import TransmissionMode, enumerate_ideal
 from dasrate.rate import ergodic_sum_rate
-from dasrate.simulate import (ChannelRealization, cell_average, draw_channel,
-                              instantaneous_rates, mc_ergodic_sum_rate,
-                              mode_histogram)
+from dasrate.simulate import (_batch_sum_rates, _mode_weight_matrices, _stream,
+                              cell_average, mc_ergodic_sum_rate, mode_histogram)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -26,40 +26,50 @@ def unit_scenario():
                     user_positions=((0.0, 0.0),))
 
 
+def instantaneous_sum_rates(scn, mode, power_gains):
+    """The Monte Carlo engine's sum rate for each (K, N) fading draw."""
+    sig_w, intf_w = _mode_weight_matrices(pathloss_matrix(scn), mode, scn.tx_power)
+    return _batch_sum_rates(sig_w, intf_w, scn.noise_power, np.asarray(power_gains))
+
+
 def test_instantaneous_rate_unit_case():
-    scn = unit_scenario()
-    pl = pathloss_matrix(scn)
-    channel = ChannelRealization(power_gains=np.ones((1, 1)))
-    rates = instantaneous_rates(scn, pl, TransmissionMode((1,)), channel)
+    rates = instantaneous_sum_rates(unit_scenario(), TransmissionMode((1,)),
+                                    np.ones((1, 1, 1)))
     assert rates[0] == pytest.approx(1.0)
 
 
 def test_instantaneous_rate_zero_fading():
-    scn = unit_scenario()
-    pl = pathloss_matrix(scn)
-    channel = ChannelRealization(power_gains=np.zeros((1, 1)))
-    rates = instantaneous_rates(scn, pl, TransmissionMode((1,)), channel)
+    rates = instantaneous_sum_rates(unit_scenario(), TransmissionMode((1,)),
+                                    np.zeros((1, 1, 1)))
     assert rates[0] == 0.0
 
 
 def test_instantaneous_rates_hand_built_two_by_two():
-    from dasrate.geometry import PathlossMatrix
-
+    """User 1 is served by port 1 and hears port 2; user 2 the reverse."""
     gains = np.array([[0.1, 0.2], [0.3, 0.4]])
-    pl = PathlossMatrix(distances=gains ** (-1.0 / 3.0), gains=gains)
-    scn = Scenario(n_ports=2, n_users=2, cell_radius=100.0, pathloss_exponent=3.0,
-                   tx_power=10.0, user_positions=((0.0, 0.0), (1.0, 1.0)))
-    channel = ChannelRealization(power_gains=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    rates = instantaneous_rates(scn, pl, TransmissionMode((1, 2)), channel)
-    assert rates[0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0))
-    assert rates[1] == pytest.approx(math.log2(1.0 + 16.0 / 10.0))
+    sig_w, intf_w = _mode_weight_matrices(
+        PathlossMatrix(distances=gains ** (-1.0 / 3.0), gains=gains),
+        TransmissionMode((1, 2)), tx_power=10.0)
+    assert np.array_equal(sig_w, [[1.0, 0.0], [0.0, 4.0]])
+    assert np.array_equal(intf_w, [[0.0, 2.0], [3.0, 0.0]])
+    h = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+    rates = _batch_sum_rates(sig_w, intf_w, 1.0, h)
+    assert rates[0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
+                                     + math.log2(1.0 + 16.0 / 10.0))
+    # each user alone: its own signal over noise plus its interferer
+    for user, expected in ((0, 1.0 / 5.0), (1, 16.0 / 10.0)):
+        keep = np.zeros((2, 1))
+        keep[user] = 1.0
+        alone = _batch_sum_rates(sig_w * keep, intf_w * keep, 1.0, h)
+        assert alone[0] == pytest.approx(math.log2(1.0 + expected))
 
 
 def test_fading_draws_unit_mean():
-    channel = draw_channel(4, 3, seed=31)
-    assert channel.power_gains.shape == (4, 3)
-    big = draw_channel(1000, 1000, seed=31)
-    assert big.power_gains.mean() == pytest.approx(1.0, abs=0.01)
+    """The engine's per-chunk streams draw unit-mean power gains."""
+    small = _stream(31, (0,)).exponential(size=(2, 4, 3))
+    assert small.shape == (2, 4, 3)
+    big = _stream(31, (0,)).exponential(size=(1000, 1000))
+    assert big.mean() == pytest.approx(1.0, abs=0.01)
 
 
 def test_mc_deterministic_per_seed():
@@ -74,11 +84,13 @@ def test_mc_deterministic_per_seed():
 
 
 def test_mc_bit_identical_across_worker_counts():
-    scn = drop_users_uniform(template(2), 33).with_tx_power(50.0)
-    pl = pathloss_matrix(scn)
-    mode = TransmissionMode((1, 1))
-    serial = mc_ergodic_sum_rate(scn, pl, mode, 40_000, seed=7, n_jobs=1)
-    parallel = mc_ergodic_sum_rate(scn, pl, mode, 40_000, seed=7, n_jobs=3)
+    """Monte Carlo cell averages of a scheme and a fixed mode, with more
+    channels than one chunk, match bit for bit on one and two workers."""
+    schemes = ["min-distance", TransmissionMode((1, 1))]
+    serial, parallel = (cell_average(template(2), schemes, (10.0, 30.0), n_drops=3,
+                                     n_channels=10_000, seed=7, rating="mc",
+                                     n_jobs=n_jobs)
+                        for n_jobs in (1, 2))
     assert serial == parallel
 
 
@@ -117,43 +129,38 @@ def test_cell_average_fixed_mode_symmetry():
     """Uniform drops make the two paired modes statistically identical;
     the same seed even yields mirrored drops, so check equality loosely."""
     grid = (0.0, 20.0, 40.0)
-    curves = {}
-    for label, mode in (("a", TransmissionMode((1, 2))),
-                        ("b", TransmissionMode((2, 1)))):
-        curve = cell_average(template(2), mode, grid, n_drops=400,
-                             n_channels=0, seed=40)
-        curves[label] = np.array(curve.series[0].values)
-        errs = np.array(curve.series[0].std_errors)
+    curve = cell_average(template(2), [TransmissionMode((1, 2)), TransmissionMode((2, 1))],
+                         grid, n_drops=400, n_channels=0, seed=40)
+    a, b = (np.array(series.values) for series in curve.series)
+    for series in curve.series:
+        errs = np.array(series.std_errors)
         assert np.all(errs > 0)
-    assert np.all(np.abs(curves["a"] - curves["b"])
-                  < 6.0 * errs)
+    assert np.all(np.abs(a - b) < 6.0 * errs)
 
 
 def test_cell_average_scheme_dominates_fixed_modes():
     grid = (0.0, 10.0, 20.0, 30.0)
-    scheme = cell_average(template(2), "min-distance", grid, n_drops=150,
-                          n_channels=0, seed=41)
-    scheme_values = np.array(scheme.series[0].values)
-    for mode in enumerate_ideal(2, 2).modes:
-        fixed = cell_average(template(2), mode, grid, n_drops=150,
-                             n_channels=0, seed=41)
-        assert np.all(scheme_values >= np.array(fixed.series[0].values) - 1e-12)
+    curve = cell_average(template(2), ["min-distance", *enumerate_ideal(2, 2).modes],
+                         grid, n_drops=150, n_channels=0, seed=41)
+    scheme_values = np.array(curve.series[0].values)
+    for fixed in curve.series[1:]:
+        assert np.all(scheme_values >= np.array(fixed.values) - 1e-12)
 
 
 def test_cell_average_deterministic_and_worker_invariant():
     grid = (0.0, 30.0)
-    a = cell_average(template(2), "min-distance", grid, n_drops=60,
+    a = cell_average(template(2), ["min-distance"], grid, n_drops=60,
                      n_channels=0, seed=42, n_jobs=1)
-    b = cell_average(template(2), "min-distance", grid, n_drops=60,
+    b = cell_average(template(2), ["min-distance"], grid, n_drops=60,
                      n_channels=0, seed=42, n_jobs=2)
     assert a == b
 
 
 def test_cell_average_mc_rating_close_to_analytic():
     grid = (10.0, 30.0)
-    analytic = cell_average(template(2), TransmissionMode((1, 2)), grid,
+    analytic = cell_average(template(2), [TransmissionMode((1, 2))], grid,
                             n_drops=120, n_channels=0, seed=43)
-    mc = cell_average(template(2), TransmissionMode((1, 2)), grid,
+    mc = cell_average(template(2), [TransmissionMode((1, 2))], grid,
                       n_drops=120, n_channels=400, seed=43, rating="mc")
     assert mc.series[0].kind == "mc"
     for a, m, err in zip(analytic.series[0].values, mc.series[0].values,
