@@ -16,8 +16,8 @@ from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, pathloss_matrix
 from .modes import TransmissionMode, enumerate_ideal, ideal_count
-from .rate import (CrossoverFormulas, RateTable, crossover_snr, log1p_inv,
-                   rate_curve_intersection_db)
+from .rate import (CrossoverFormulas, RateTable, block_sum_rates, crossover_snr,
+                   log1p_inv, rate_curve_intersection_db)
 from .simulate import (MAX_GRID_POINTS, RateCurve, RateSeries, cell_average,
                        mc_ergodic_sum_rate)
 
@@ -111,7 +111,7 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
     grid = tuple(float(db) for db in snr_grid_db)
     table = RateTable(scenario, pl, modes)
     points = [scenario.with_snr_db(db) for db in grid]
-    analytic = [table.sum_rates(point.tx_power).tolist() for point in points]
+    analytic = block_sum_rates([table], [point.tx_power for point in points])[0].tolist()
     series: list[RateSeries] = []
     for m_idx, mode in enumerate(modes):
         series.append(RateSeries(label=mode.label, kind="analytic",
@@ -150,9 +150,14 @@ def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
     """Cell-averaged curves for a list of schemes and/or fixed modes, all
     from one pass over the drops.
 
-    Every scheme and fixed mode is checked against the scenario before any
-    drop is drawn.
+    Every scheme and fixed mode is checked against the scenario, and for
+    repeats, before any drop is drawn.
     """
+    labels = [s.label if isinstance(s, TransmissionMode) else s for s in schemes]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"scheme or fixed mode given more than once: "
+                          f"{', '.join(repeated)}")
     for scheme in schemes:
         if isinstance(scheme, TransmissionMode):
             _check_fixed_mode(scheme, template.n_ports, template.n_users)
@@ -228,7 +233,8 @@ def crossover_report(scenario: Scenario,
     table = RateTable(scenario, pl, (TransmissionMode((1, 1)), TransmissionMode((1, 2))))
 
     def curve(row, kernel=None):
-        return lambda snr: table.sum_rates(snr * scenario.noise_power, kernel)[row]
+        return lambda snr: block_sum_rates([table], snr * scenario.noise_power,
+                                           kernel)[0][:, row]
 
     approx_db = rate_curve_intersection_db(curve(0, log1p_inv), curve(1, log1p_inv),
                                            lo_db=lo_db, hi_db=hi_db)

@@ -9,7 +9,10 @@ their product stays comfortably inside double range for any positive x.
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 from .errors import NumericalFailureError
 
@@ -29,63 +32,106 @@ _CF_EPS = 5e-16
 _TINY = 1e-300
 
 
-def exp_e1(x: float) -> float:
+def _float_for_float(branch):
+    """Let an array-in, array-out kernel give a Python float for a float."""
+    @functools.wraps(branch)
+    def kernel(x):
+        values = np.asarray(x, dtype=float)
+        out = branch(values.reshape(-1))
+        return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
+    return kernel
+
+
+@_float_for_float
+def exp_e1(x):
     """Exponentially scaled exponential integral ``exp(x) * E1(x)``.
 
-    Relative accuracy is better than 1e-12 over the full double range;
-    the result is finite for any x in [1e-300, 1e300].
+    Takes a float or an array and gives the same. Every element runs the
+    scalar recurrence of its branch, in the same order of operations, so a
+    value does not depend on the other elements of the call. Relative
+    accuracy is better than 1e-12 over the full double range; the result
+    is finite for any x in [1e-300, 1e300]. Each iteration costs a dozen
+    numpy operations whatever the call's size, so pass many values at once.
 
     Raises:
-        ValueError: if x is not a finite positive number.
+        ValueError: if an element is not a finite positive number.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"exp_e1 requires finite x > 0, got {x!r}")
-    if x <= SERIES_CF_SPLIT:
-        return _exp_e1_series(x)
-    return _exp_e1_continued_fraction(x)
+    ok = (x > 0.0) & (x < math.inf)
+    if not ok.all():
+        raise ValueError(f"exp_e1 requires finite x > 0, got {float(x[~ok][0])!r}")
+    out = np.empty_like(x)
+    low = x <= SERIES_CF_SPLIT
+    out[low] = _exp_e1_series(x[low])
+    out[~low] = _exp_e1_continued_fraction(x[~low])
+    return out
 
 
-def _exp_e1_series(x: float) -> float:
+@_float_for_float
+def _exp_e1_series(x):
     """Power-series branch, accurate for 0 < x <= 1.
 
     E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!),
     multiplied by exp(x). No cancellation occurs on this range since
-    -ln(x) >= 0 and the series total stays well away from zero.
+    -ln(x) >= 0 and the series total stays well away from zero. ``ln`` and
+    ``exp`` are libm's, per element: numpy's vector versions can differ
+    in the last ulp.
     """
-    total = -EULER_GAMMA - math.log(x)
-    power = 1.0  # holds (-x)^k / k!
+    out = -EULER_GAMMA - np.array([math.log(v) for v in x.tolist()])
+    # Elements still summing: their index into x, -x, the running total
+    # and -(-x)^k / k! (negation is exact, so each product rounds as the
+    # scalar recurrence's does).
+    live, neg_x, total = np.arange(len(x)), -x, out.copy()
+    neg_power = np.full(len(x), -1.0)
     for k in range(1, _SERIES_MAX_TERMS):
-        power *= -x / k
-        term = -power / k
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
+        if not len(live):
             break
-    return math.exp(x) * total
+        neg_power = neg_power * (neg_x / k)
+        term = neg_power / k
+        total = total + term
+        going = abs(term) > 1e-17 * abs(total)
+        if np.count_nonzero(going) < len(live):
+            out[live] = total
+            live, neg_x, total, neg_power = (
+                live[going], neg_x[going], total[going], neg_power[going])
+    out[live] = total
+    return np.array([math.exp(v) for v in x.tolist()]) * out
 
 
-def _exp_e1_continued_fraction(x: float) -> float:
+@_float_for_float
+def _exp_e1_continued_fraction(x):
     """Modified-Lentz continued fraction branch, accurate for x >= 1.
 
     exp(x) * E1(x) = 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
     evaluated without any exp() factor so arguments up to 1e300 work.
+
+    Raises:
+        NumericalFailureError: naming the first x whose fraction stalls.
     """
-    b = x + 1.0
-    c = 1.0 / _TINY
+    out = np.empty_like(x)
+    # Elements still iterating: their index into x and their b, c, d, h.
+    live, b = np.arange(len(x)), x + 1.0
+    c = np.full(len(x), 1.0 / _TINY)
     d = 1.0 / b
     h = d
     for i in range(1, _CF_MAX_ITER):
+        if not len(live):
+            break
         a = -float(i) * float(i)
-        b += 2.0
+        b = b + 2.0
         d = a * d + b
-        if d == 0.0:
-            d = _TINY
+        if np.count_nonzero(d) < len(d):
+            d[d == 0.0] = _TINY
         d = 1.0 / d
         c = b + a / c
-        if c == 0.0:
-            c = _TINY
+        if np.count_nonzero(c) < len(c):
+            c[c == 0.0] = _TINY
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise NumericalFailureError(f"continued fraction for exp_e1 stalled at x={x}")
+        h = h * delta
+        going = abs(delta - 1.0) >= _CF_EPS
+        if np.count_nonzero(going) < len(live):
+            out[live] = h
+            live, b, c, d, h = live[going], b[going], c[going], d[going], h[going]
+    if len(live):
+        raise NumericalFailureError(
+            f"continued fraction for exp_e1 stalled at x={float(x[live[0]])}")
+    return out

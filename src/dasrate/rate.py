@@ -221,9 +221,10 @@ def cdf_sinr(partition: UserLinkPartition) -> Callable:
 
 # --- ergodic rates ----------------------------------------------------------
 
-def log1p_inv(x: float) -> float:
-    """ln(1 + 1/x): the high-accuracy stand-in used by the approximated rates."""
-    return math.log1p(1.0 / x)
+def log1p_inv(x: np.ndarray) -> np.ndarray:
+    """ln(1 + 1/x) per element: the high-accuracy stand-in used by the
+    approximated rates. ``log1p`` is libm's, per element, as in ``exp_e1``."""
+    return np.array([math.log1p(v) for v in (1.0 / x).tolist()])
 
 
 def _partition_terms(partitions: Sequence[UserLinkPartition]):
@@ -255,19 +256,59 @@ def _partition_terms(partitions: Sequence[UserLinkPartition]):
             np.array([where[g] for g in intf_g], dtype=np.intp), np.array(gains))
 
 
-def _slot_rates(terms, noise_power: float, tx_power: float,
-                kernel: Callable[[float], float] | None = None) -> np.ndarray:
-    """Rate of every slot in bits/s/Hz; slot 0 (no terms) reads 0."""
-    n_slots, slot, coef, a, b, gains = terms
+def _slot_rates(term_lists, noise_powers, tx_powers,
+                kernel: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> list[np.ndarray]:
+    """(points x slots) rates in bits/s/Hz of each term list at every
+    transmit power, from one kernel call; slot 0 (no terms) reads 0."""
+    tx = np.asarray(tx_powers, dtype=float)[:, None]
+    args = [noise / (terms[5] * tx) for terms, noise in zip(term_lists, noise_powers)]
     # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
     kernel = numerics.exp_e1 if kernel is None else kernel
-    values = np.array([kernel(x) for x in (noise_power / (gains * tx_power)).tolist()]
-                      + [0.0])
-    rates = np.zeros(n_slots)
-    # Sequential in term order: a matrix product over collapsed gain columns
-    # rounds differently and moves near-tied rates by up to ~1e-7 bits.
-    np.add.at(rates, slot, coef * (values[a] - values[b]))
-    return rates / LN2
+    values = kernel(np.concatenate([x.ravel() for x in args]))
+    ends = np.cumsum([x.size for x in args])
+    out = []
+    for (n_slots, slot, coef, a, b, _), x, end in zip(term_lists, args, ends):
+        # Column len(gains) reads 0: the interferer of an interference-free term.
+        e = np.zeros((len(tx), x.shape[1] + 1))
+        e[:, :-1] = values[end - x.size:end].reshape(x.shape)
+        flat = np.arange(0, len(tx) * n_slots, n_slots)[:, None] + slot
+        rates = np.zeros(len(tx) * n_slots)
+        # Sequential in (point, term) order: a matrix product over collapsed
+        # gain columns rounds differently and moves near-tied rates by up to
+        # ~1e-7 bits.
+        np.add.at(rates, flat.ravel(), (coef * (e[:, a] - e[:, b])).ravel())
+        out.append(rates.reshape(len(tx), n_slots) / LN2)
+    return out
+
+
+def _user_rates(tables: Sequence["RateTable"], tx_powers, kernel=None):
+    """Yield the (points x modes x users) rates of each table in turn, so
+    only one table's array is held at a time; idle users get 0."""
+    slot_rates = _slot_rates([t._terms for t in tables],
+                             [t.noise_power for t in tables], tx_powers, kernel)
+    for table, rates in zip(tables, slot_rates):
+        yield rates[:, table._index]
+
+
+def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
+                    kernel: Callable[[np.ndarray], np.ndarray] | None = None
+                    ) -> list[np.ndarray]:
+    """(points x modes) sum rates of each table at every transmit power.
+
+    The kernel arguments of all tables and points go to one kernel call,
+    since the array kernel pays off only on large batches. Users are added
+    one by one in index order, so a rate does not depend on the other
+    tables or points of the call. ``kernel`` defaults to the exact
+    ``numerics.exp_e1``; pass ``log1p_inv`` for the approximated rates.
+    """
+    out = []
+    for per_user in _user_rates(tables, tx_powers, kernel):
+        total = per_user[:, :, 0]
+        for k in range(1, per_user.shape[2]):
+            total = total + per_user[:, :, k]
+        out.append(total)
+    return out
 
 
 class RateTable:
@@ -276,8 +317,9 @@ class RateTable:
     A user's exact rate is a weighted sum of scaled-E1 terms at
     ``x = noise / (g * P)`` whose weights depend only on gain ratios, so
     the terms of each distinct (user, serving ports, interfering ports)
-    partition are built once, with no SNR involved. Each evaluation then
-    calls the kernel once per distinct gain and rates every mode.
+    partition are built once, with no SNR involved. An evaluation then
+    needs the kernel once per distinct gain and point, and rates every
+    mode; ``block_sum_rates`` evaluates many tables and points at once.
     """
 
     def __init__(self, scenario: Scenario, pathloss: PathlossMatrix,
@@ -312,22 +354,19 @@ class RateTable:
             label = TransmissionMode(exc.args[0]).label
             raise ValueError(f"mode {label} is not in the rate table") from None
 
-    def user_rates(self, tx_power: float, kernel: Callable[[float], float] | None = None
+    def user_rates(self, tx_power: float,
+                   kernel: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> np.ndarray:
         """(modes x users) rates at transmit power ``tx_power``; idle users
-        get 0. ``kernel`` defaults to the exact ``numerics.exp_e1``; pass
-        ``log1p_inv`` for the approximated rates."""
-        return _slot_rates(self._terms, self.noise_power, tx_power, kernel)[self._index]
+        get 0. ``kernel`` is as for ``block_sum_rates``."""
+        return next(_user_rates([self], [tx_power], kernel))[0]
 
-    def sum_rates(self, tx_power: float, kernel: Callable[[float], float] | None = None
+    def sum_rates(self, tx_power: float,
+                  kernel: Callable[[np.ndarray], np.ndarray] | None = None
                   ) -> np.ndarray:
-        """Sum rate of every mode at transmit power ``tx_power``, adding
-        users one by one in index order."""
-        per_user = self.user_rates(tx_power, kernel)
-        total = per_user[:, 0]
-        for column in per_user.T[1:]:
-            total = total + column
-        return total
+        """Sum rate of every mode at transmit power ``tx_power``: the
+        one-table, one-point case of ``block_sum_rates``."""
+        return block_sum_rates([self], [tx_power], kernel)[0][0]
 
 
 def ergodic_user_rate(partition: UserLinkPartition) -> float:
@@ -337,7 +376,8 @@ def ergodic_user_rate(partition: UserLinkPartition) -> float:
     terms are the signal-only ones.
     """
     terms = _partition_terms([partition])
-    return float(_slot_rates(terms, partition.noise_power, partition.tx_power)[1])
+    rates = _slot_rates([terms], [partition.noise_power], [partition.tx_power])[0]
+    return float(rates[0, 1])
 
 
 @dataclass(frozen=True)
@@ -427,24 +467,25 @@ def single_user_rate_lower_bound(pathloss: PathlossMatrix, user_index: int,
     return math.log2(best * snr + 1.0)
 
 
-def rate_curve_intersection_db(rate_a: Callable[[float], float],
-                               rate_b: Callable[[float], float],
+def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
+                               rate_b: Callable[[np.ndarray], np.ndarray],
                                lo_db: float = -20.0, hi_db: float = 80.0,
                                tol_db: float = 1e-4,
                                scan_step_db: float = 0.25) -> float | None:
     """Highest-SNR crossing of two rate curves, located by bisection.
 
-    ``rate_a``/``rate_b`` map linear SNR to bits/s/Hz. The difference is
-    scanned on a dB grid and the last sign change is refined; returns the
-    crossing in dB, or None when the curves do not cross in range.
+    ``rate_a``/``rate_b`` map an array of linear SNRs to bits/s/Hz. The
+    difference is scanned on a dB grid, in one call per curve, and the
+    last sign change is refined; returns the crossing in dB, or None when
+    the curves do not cross in range.
     """
-    def diff(db: float) -> float:
-        rho = 10.0 ** (db / 10.0)
-        return rate_a(rho) - rate_b(rho)
+    def diff(dbs: list[float]) -> list[float]:
+        rhos = np.array([10.0 ** (db / 10.0) for db in dbs])
+        return (np.asarray(rate_a(rhos)) - np.asarray(rate_b(rhos))).tolist()
 
     n_steps = int(math.ceil((hi_db - lo_db) / scan_step_db))
     grid = [lo_db + i * (hi_db - lo_db) / n_steps for i in range(n_steps + 1)]
-    values = [diff(db) for db in grid]
+    values = diff(grid)
 
     bracket = None
     for i in range(len(grid) - 1):
@@ -456,10 +497,10 @@ def rate_curve_intersection_db(rate_a: Callable[[float], float],
         return None
 
     lo, hi = bracket
-    f_lo = diff(lo)
+    f_lo = diff([lo])[0]
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
+        f_mid = diff([mid])[0]
         if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0.0:

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
 from .modes import (CandidateSet, DegenerateGeometryWarning, Origin,
                     TransmissionMode, enumerate_ideal, enumerate_min_distance)
-from .rate import RateTable
+from .rate import RateTable, block_sum_rates
 from .selection import select_mode
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
@@ -138,48 +138,76 @@ def _scheme_label(scheme: Scheme) -> str:
     return scheme.label if isinstance(scheme, TransmissionMode) else scheme
 
 
-def _drop_worker(args) -> tuple[list[list[TransmissionMode]], np.ndarray]:
-    """Chosen mode and its rate per candidate set and grid point for one drop.
+def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]:
+    """Chosen modes and their rates for a block of consecutive drops, in
+    drop order: per drop, one list of modes and one row of values per
+    candidate set, one entry per grid point.
 
-    A set of None stands for the drop's nearest-user set. One rate table
-    over the union of the sets is evaluated once per point, and every set
-    selects from that vector. The recorded value is the closed-form rate,
-    or the Monte Carlo mean when ``rating`` is "mc".
+    A set of None stands for the drop's nearest-user set. Each drop gets
+    one rate table over the union of its sets, and the tables of the block
+    are evaluated at every point in one kernel call; every set selects
+    from its drop's rate vector at each point. The recorded value is the
+    closed-form rate, or the Monte Carlo mean when ``rating`` is "mc".
     """
-    (template, sets, grid_db, n_channels, seed, drop, rating) = args
-    scenario = drop_users_uniform(
-        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
-    pl = pathloss_matrix(scenario)
-    if any(candidates is None for candidates in sets):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            reduced = enumerate_min_distance(pl)
-        sets = [reduced if candidates is None else candidates for candidates in sets]
-    table = RateTable(scenario, pl,
-                      dict.fromkeys(mode for candidates in sets for mode in candidates.modes))
+    (template, sets, grid_db, n_channels, seed, drops, rating) = args
+    tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
+    drawn = []
+    for drop in drops:
+        scenario = drop_users_uniform(
+            template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
+        pl = pathloss_matrix(scenario)
+        drop_sets = sets
+        if any(candidates is None for candidates in sets):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateGeometryWarning)
+                reduced = enumerate_min_distance(pl)
+            drop_sets = [reduced if candidates is None else candidates
+                         for candidates in sets]
+        table = RateTable(scenario, pl, dict.fromkeys(
+            mode for candidates in drop_sets for mode in candidates.modes))
+        drawn.append((drop, scenario, pl, drop_sets, table))
 
-    chosen: list[list[TransmissionMode]] = [[] for _ in sets]
-    values = np.empty((len(sets), len(grid_db)))
-    for idx, snr_db in enumerate(grid_db):
-        tx_power = db_to_linear(snr_db) * scenario.noise_power
-        rates = table.sum_rates(tx_power)
-        for s, candidates in enumerate(sets):
-            result = select_mode(table, candidates, rates)
-            chosen[s].append(result.chosen_mode)
-            values[s, idx] = result.chosen_rate
-            if rating == "mc":
-                values[s, idx] = mc_ergodic_sum_rate(
-                    scenario.with_tx_power(tx_power), pl, result.chosen_mode,
-                    n_channels, seed=(seed, drop, idx)).mean
-    return chosen, values
+    rates_per_drop = block_sum_rates([table for *_, table in drawn], tx_powers)
+    results = []
+    for (drop, scenario, pl, drop_sets, table), rates in zip(drawn, rates_per_drop):
+        chosen: list[list[TransmissionMode]] = [[] for _ in drop_sets]
+        values = np.empty((len(drop_sets), len(grid_db)))
+        for idx, tx_power in enumerate(tx_powers):
+            for s, candidates in enumerate(drop_sets):
+                result = select_mode(table, candidates, rates[idx])
+                chosen[s].append(result.chosen_mode)
+                values[s, idx] = result.chosen_rate
+                if rating == "mc":
+                    values[s, idx] = mc_ergodic_sum_rate(
+                        scenario.with_tx_power(tx_power), pl, result.chosen_mode,
+                        n_channels, seed=(seed, drop, idx)).mean
+        results.append((chosen, values))
+    return results
 
 
-def _run_drops(tasks, n_jobs: int) -> list:
-    """Drop worker results in drop order, on one process pool when n_jobs > 1."""
+# Most drops in one block: bounds a worker's tables and kernel batch.
+MAX_BLOCK_DROPS = 64
+
+
+def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
+               n_drops: int, rating: str, n_jobs: int) -> list:
+    """Per-drop results in drop order, on one process pool when n_jobs > 1.
+
+    Drops go out in blocks of consecutive drops: about eight per worker,
+    so the pool stays balanced, and at most MAX_BLOCK_DROPS each. A block
+    makes one kernel call, which pays off only on about 1000 values or
+    more, so larger blocks run faster.
+    """
+    size = min(MAX_BLOCK_DROPS, math.ceil(n_drops / (8 * n_jobs)))
+    tasks = [(template, sets, grid_db, n_channels, seed,
+              range(start, min(start + size, n_drops)), rating)
+             for start in range(0, n_drops, size)]
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(_drop_worker, tasks, chunksize=8))
-    return [_drop_worker(t) for t in tasks]
+            blocks = list(pool.map(_block_worker, tasks))
+    else:
+        blocks = [_block_worker(t) for t in tasks]
+    return [result for block in blocks for result in block]
 
 
 def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
@@ -211,9 +239,8 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
     grid = tuple(float(db) for db in snr_grid_db)
-    tasks = [(scenario_template, sets, grid, n_channels, seed, d, rating)
-             for d in range(n_drops)]
-    results = _run_drops(tasks, n_jobs)
+    results = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops,
+                         rating, n_jobs)
     series = []
     for s, scheme in enumerate(schemes):
         per_drop = np.stack([values[s] for _, values in results])
@@ -255,10 +282,9 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
     # One candidate set: None, the nearest-user set of each drop.
-    tasks = [(scenario_template, [None], flat_points, 0, seed, d, "analytic")
-             for d in range(n_drops)]
     per_drop = [dict(zip(flat_points, chosen))
-                for (chosen,), _ in _run_drops(tasks, n_jobs)]
+                for (chosen,), _ in _run_drops(scenario_template, [None], flat_points,
+                                               0, seed, n_drops, "analytic", n_jobs)]
 
     counts: dict[tuple[float, float], dict[str, int]] = {r: {} for r in ranges}
     for chosen_at in per_drop:

@@ -393,7 +393,7 @@ def sample_crossover_geometries(n_geometries: int = 20, seed: int = 79,
         table = RateTable(scenario, pl, (single, paired))
 
         def curve(row, kernel=None):
-            return lambda snr: table.sum_rates(snr, kernel)[row]
+            return lambda snr: rate.block_sum_rates([table], snr, kernel)[0][:, row]
 
         approx_db = rate.rate_curve_intersection_db(curve(0, rate.log1p_inv),
                                                     curve(1, rate.log1p_inv))

@@ -162,11 +162,16 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("sweep", "--config", "fig5.cfg", "--scheme", "ideal", "--fixed-mode", "[9 9]"),
      "4 ports"),
     (("crossover", "--config", "fig2.cfg", "--reference-db", "nan"), "must be finite"),
+    (("sweep", "--config", "fig4.cfg", "--scheme", "ideal", "--scheme", "ideal"),
+     "given more than once: ideal"),
+    (("sweep", "--config", "fig4.cfg", "--fixed-mode", "[1 2 3]",
+      "--fixed-mode", "[1  2 3]"), "given more than once: [1 2 3]"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
         "jobs-0", "jobs-negative", "channels-1-with-mc", "fixed-mode-too-short",
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
         "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
-        "fixed-mode-bad-after-ideal", "reference-db-nan"])
+        "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
+        "fixed-mode-repeated"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a worker pool starts."""
@@ -214,6 +219,22 @@ def test_multi_scheme_sweep_matches_recorded_output(capsys, extra, recorded):
     code, out, _ = run_cli(capsys, *MULTI_SCHEME_SWEEP, *extra)
     assert code == 0
     assert out == (DATA / recorded).read_text()
+
+
+@pytest.mark.parametrize("drops", [1, 9, 65])
+@pytest.mark.parametrize("argv", [
+    ("hist", "--config", "fig7.cfg", "--seed", "3"),
+    ("sweep", "--config", "fig4.cfg", "--seed", "3", "--snr", "0:10:50"),
+], ids=["hist", "sweep"])
+def test_drop_blocks_do_not_change_output(capsys, argv, drops):
+    """Drops go out in blocks sized from the drop and worker counts, so
+    --jobs 1 and --jobs 2 split them differently; the bytes are the same."""
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, *argv, "--drops", str(drops), "--jobs", jobs)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_starts_one_pool(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from dasrate import numerics
 from dasrate.errors import NumericalFailureError
 from dasrate.numerics import (LN2, SERIES_CF_SPLIT, _exp_e1_continued_fraction,
                               _exp_e1_series, exp_e1)
@@ -137,3 +138,75 @@ def test_quadrature_error_budget_enforced():
 
     with pytest.raises(NumericalFailureError):
         log_integral_quadrature(nasty, upper_cut=50.0, abs_tol=1e-12)
+
+
+# --- array kernel ---------------------------------------------------------------
+
+def _loop_exp_e1(x: float) -> float:
+    """The kernel's recurrences on Python floats, one value at a time: the
+    reference the array kernel must match bit for bit."""
+    if x <= SERIES_CF_SPLIT:
+        total = -0.57721566490153286061 - math.log(x)
+        power = 1.0
+        for k in range(1, 500):
+            power *= -x / k
+            term = -power / k
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        return math.exp(x) * total
+    b, c, d = x + 1.0, 1.0 / 1e-300, 1.0 / (x + 1.0)
+    h = d
+    for i in range(1, 20000):
+        a = -float(i) * float(i)
+        b += 2.0
+        d = a * d + b
+        d = 1.0 / (d if d != 0.0 else 1e-300)
+        c = b + a / c
+        c = c if c != 0.0 else 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) < 5e-16:
+            return h
+    raise AssertionError(f"reference fraction stalled at x={x}")
+
+
+def test_array_kernel_is_bit_identical_to_the_loop_and_to_one_element_calls():
+    """An element's value does not depend on the rest of the call: the
+    array result equals the float-by-float loop and the one-element calls
+    bit for bit, on both branches, at the switchover and at the ends of
+    the double range."""
+    xs = np.concatenate([np.logspace(-300, 300, 4001),
+                         [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]])
+    together = exp_e1(xs)
+    assert together.tobytes() == np.array([_loop_exp_e1(x) for x in xs.tolist()]).tobytes()
+    assert together.tobytes() == np.array([exp_e1(x) for x in xs.tolist()]).tobytes()
+    shuffled = np.random.default_rng(3).permutation(len(xs))
+    assert exp_e1(xs[shuffled]).tobytes() == together[shuffled].tobytes()
+
+
+def test_float_in_float_out_and_shape_kept():
+    assert type(exp_e1(1.0)) is float
+    assert type(exp_e1(np.float64(2.0))) is float
+    assert type(_exp_e1_series(0.5)) is float
+    assert type(_exp_e1_continued_fraction(2.0)) is float
+    grid = np.array([[0.5, 2.0], [1e-3, 1e3]])
+    assert exp_e1(grid).shape == (2, 2)
+    assert exp_e1(grid)[1, 1] == exp_e1(1e3)
+
+
+def test_empty_array_gives_empty_array():
+    out = exp_e1(np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+def test_one_bad_element_fails_the_whole_array(bad):
+    xs = np.array([0.5, 2.0, bad, 7.0])
+    with pytest.raises(ValueError, match="finite x > 0"):
+        exp_e1(xs)
+
+
+def test_stalled_fraction_names_its_argument(monkeypatch):
+    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 5)
+    with pytest.raises(NumericalFailureError, match="x=1.5"):
+        exp_e1(np.array([1e6, 1.5, 3.0]))

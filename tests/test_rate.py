@@ -9,8 +9,9 @@ from scipy import integrate, stats
 from dasrate.geometry import PathlossMatrix, Scenario, pathloss_matrix
 from dasrate.modes import TransmissionMode
 from dasrate.numerics import LN2, exp_e1
-from dasrate.rate import (UserLinkPartition, approx_sum_rate, cdf_signal,
-                          cdf_sinr, crossover_snr, ergodic_sum_rate,
+from dasrate.rate import (RateTable, UserLinkPartition, approx_sum_rate,
+                          block_sum_rates, cdf_signal, cdf_sinr, crossover_snr,
+                          ergodic_sum_rate,
                           ergodic_user_rate, pdf_interference_plus_noise,
                           pdf_signal, pdf_sinr, rate_curve_intersection_db,
                           single_user_rate_lower_bound)
@@ -353,8 +354,8 @@ def test_intersection_bisection_on_fig2():
     single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
 
     def curve(mode):
-        return lambda snr: ergodic_sum_rate(FIG2.with_tx_power(snr),
-                                            FIG2_PL, mode).sum_rate
+        table = RateTable(FIG2, FIG2_PL, (mode,))
+        return lambda snr: block_sum_rates([table], snr)[0][:, 0]  # noise power 1
 
     crossing = rate_curve_intersection_db(curve(single), curve(paired))
     assert crossing == pytest.approx(37.78, abs=0.05)
@@ -366,8 +367,8 @@ def test_intersection_none_when_curves_do_not_cross():
     strong, weak = TransmissionMode((1, 1)), TransmissionMode((2, 1))
 
     def curve(mode):
-        return lambda snr: ergodic_sum_rate(FIG2.with_tx_power(snr),
-                                            FIG2_PL, mode).sum_rate
+        table = RateTable(FIG2, FIG2_PL, (mode,))
+        return lambda snr: block_sum_rates([table], snr)[0][:, 0]  # noise power 1
 
     assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
 

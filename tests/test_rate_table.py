@@ -1,6 +1,7 @@
 """Per-drop rate table: pinned floats, internal consistency, and a
 50-digit oracle of the same closed form."""
 
+import functools
 import itertools
 import json
 import math
@@ -13,8 +14,9 @@ import pytest
 from dasrate.experiments import bundled_config_path
 from dasrate.geometry import Scenario, drop_users_uniform, load_scenario, pathloss_matrix
 from dasrate.modes import enumerate_ideal, enumerate_min_distance
-from dasrate.rate import (RateTable, approx_sum_rate, ergodic_sum_rate,
-                          ergodic_user_rate, partition_for_user)
+from dasrate.rate import (RateTable, approx_sum_rate, block_sum_rates,
+                          ergodic_sum_rate, ergodic_user_rate, log1p_inv,
+                          partition_for_user)
 from dasrate.selection import select_mode
 
 # Rates recorded, as repr strings, from the per-mode evaluation path that
@@ -83,10 +85,12 @@ def test_rows_are_sums_of_one_partition_rates(n):
         for tx_power in (1.0, 10.0 ** 2.5, 1e5):
             rows = table.sum_rates(tx_power)
             per_user = table.user_rates(tx_power)
+            # Modes share partitions; each distinct one is rated once.
+            one_partition = functools.cache(ergodic_user_rate)
             for m, mode in enumerate(modes):
                 users = [partition_for_user(pl, mode, u, tx_power, 1.0)
                          for u in range(1, n + 1)]
-                rates = [0.0 if p is None else ergodic_user_rate(p) for p in users]
+                rates = [0.0 if p is None else one_partition(p) for p in users]
                 assert per_user[m].tolist() == rates
                 assert rows[m] == sum(rates)
 
@@ -103,6 +107,24 @@ def test_min_distance_rows_of_union_table_match_own_table(n):
                     == alone.sum_rates(snr).tolist())  # noise power 1
             assert (select_mode(union, reduced, union.sum_rates(snr))
                     == select_mode(alone, reduced, alone.sum_rates(snr)))
+
+
+@pytest.mark.parametrize("kernel", [None, log1p_inv], ids=["exp_e1", "log1p_inv"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
+    """One kernel call over several drops' tables and every point gives
+    each table, at each point, the floats of its own one-point call."""
+    tables = [RateTable(scenario, pl, _modes(n, pl)) for scenario, pl in _drops(n, 3)]
+    tx_powers = [10.0 ** (db / 10.0) for db in range(-10, 81, 15)]
+    block = block_sum_rates(tables, tx_powers, kernel)
+    assert len(block) == len(tables)
+    for table, rates in zip(tables, block):
+        assert rates.shape == (len(tx_powers), len(table.modes))
+        for p, tx_power in enumerate(tx_powers):
+            assert rates[p].tolist() == table.sum_rates(tx_power, kernel).tolist()
+    # A table's rates do not depend on which other tables share the call.
+    alone = block_sum_rates(tables[1:2], tx_powers[::-1], kernel)[0]
+    assert alone[::-1].tolist() == block[1].tolist()
 
 
 def test_rows_reject_modes_outside_the_table():
