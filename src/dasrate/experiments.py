@@ -153,7 +153,7 @@ def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
     Every scheme and fixed mode is checked against the scenario, and for
     repeats, before any drop is drawn.
     """
-    labels = [s.label if isinstance(s, TransmissionMode) else s for s in schemes]
+    labels = [simulate._scheme_label(s) for s in schemes]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"scheme or fixed mode given more than once: "

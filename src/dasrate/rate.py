@@ -282,15 +282,6 @@ def _slot_rates(term_lists, noise_powers, tx_powers,
     return out
 
 
-def _user_rates(tables: Sequence["RateTable"], tx_powers, kernel=None):
-    """Yield the (points x modes x users) rates of each table in turn, so
-    only one table's array is held at a time; idle users get 0."""
-    slot_rates = _slot_rates([t._terms for t in tables],
-                             [t.noise_power for t in tables], tx_powers, kernel)
-    for table, rates in zip(tables, slot_rates):
-        yield rates[:, table._index]
-
-
 def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
                     kernel: Callable[[np.ndarray], np.ndarray] | None = None
                     ) -> list[np.ndarray]:
@@ -302,11 +293,14 @@ def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
     tables or points of the call. ``kernel`` defaults to the exact
     ``numerics.exp_e1``; pass ``log1p_inv`` for the approximated rates.
     """
+    slot_rates = _slot_rates([t._terms for t in tables],
+                             [t.noise_power for t in tables], tx_powers, kernel)
     out = []
-    for per_user in _user_rates(tables, tx_powers, kernel):
-        total = per_user[:, :, 0]
-        for k in range(1, per_user.shape[2]):
-            total = total + per_user[:, :, k]
+    for table, rates in zip(tables, slot_rates):
+        # One user column at a time: no (points x modes x users) array.
+        total = rates[:, table._index[:, 0]]
+        for k in range(1, table._index.shape[1]):
+            total = total + rates[:, table._index[:, k]]
         out.append(total)
     return out
 
@@ -359,7 +353,8 @@ class RateTable:
                    ) -> np.ndarray:
         """(modes x users) rates at transmit power ``tx_power``; idle users
         get 0. ``kernel`` is as for ``block_sum_rates``."""
-        return next(_user_rates([self], [tx_power], kernel))[0]
+        rates = _slot_rates([self._terms], [self.noise_power], [tx_power], kernel)
+        return rates[0][0][self._index]
 
     def sum_rates(self, tx_power: float,
                   kernel: Callable[[np.ndarray], np.ndarray] | None = None

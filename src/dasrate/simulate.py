@@ -145,8 +145,9 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
 
     A set of None stands for the drop's nearest-user set. Each drop gets
     one rate table over the union of its sets, and the tables of the block
-    are evaluated at every point in one kernel call; every set selects
-    from its drop's rate vector at each point. The recorded value is the
+    are evaluated in one kernel call per slice of at most
+    MAX_BLOCK_DROP_POINTS drop-points, usually the whole grid; every set
+    selects from its drop's rate vector at each point. The recorded value is the
     closed-form rate, or the Monte Carlo mean when ``rating`` is "mc".
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
@@ -167,26 +168,31 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
             mode for candidates in drop_sets for mode in candidates.modes))
         drawn.append((drop, scenario, pl, drop_sets, table))
 
-    rates_per_drop = block_sum_rates([table for *_, table in drawn], tx_powers)
-    results = []
-    for (drop, scenario, pl, drop_sets, table), rates in zip(drawn, rates_per_drop):
-        chosen: list[list[TransmissionMode]] = [[] for _ in drop_sets]
-        values = np.empty((len(drop_sets), len(grid_db)))
-        for idx, tx_power in enumerate(tx_powers):
-            for s, candidates in enumerate(drop_sets):
-                result = select_mode(table, candidates, rates[idx])
-                chosen[s].append(result.chosen_mode)
-                values[s, idx] = result.chosen_rate
-                if rating == "mc":
-                    values[s, idx] = mc_ergodic_sum_rate(
-                        scenario.with_tx_power(tx_power), pl, result.chosen_mode,
-                        n_channels, seed=(seed, drop, idx)).mean
-        results.append((chosen, values))
+    tables = [table for *_, table in drawn]
+    results = [([[] for _ in drop_sets], np.empty((len(drop_sets), len(grid_db))))
+               for *_, drop_sets, _ in drawn]
+    # A block of many drops holds few points; a long grid goes in slices.
+    step = max(1, MAX_BLOCK_DROP_POINTS // len(drawn))
+    for lo in range(0, len(tx_powers), step):
+        rates_per_drop = block_sum_rates(tables, tx_powers[lo:lo + step])
+        for (drop, scenario, pl, drop_sets, table), rates, (chosen, values) in zip(
+                drawn, rates_per_drop, results):
+            for idx in range(lo, min(lo + step, len(tx_powers))):
+                for s, candidates in enumerate(drop_sets):
+                    result = select_mode(table, candidates, rates[idx - lo])
+                    chosen[s].append(result.chosen_mode)
+                    values[s, idx] = result.chosen_rate
+                    if rating == "mc":
+                        values[s, idx] = mc_ergodic_sum_rate(
+                            scenario.with_tx_power(tx_powers[idx]), pl,
+                            result.chosen_mode, n_channels, seed=(seed, drop, idx)).mean
     return results
 
 
-# Most drops in one block: bounds a worker's tables and kernel batch.
-MAX_BLOCK_DROPS = 64
+# Most (drop, SNR point) pairs one kernel call rates: 64 drops of an
+# 11-point grid. It bounds a worker's rate arrays and kernel batch
+# whatever the grid length.
+MAX_BLOCK_DROP_POINTS = 704
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
@@ -194,11 +200,12 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     """Per-drop results in drop order, on one process pool when n_jobs > 1.
 
     Drops go out in blocks of consecutive drops: about eight per worker,
-    so the pool stays balanced, and at most MAX_BLOCK_DROPS each. A block
-    makes one kernel call, which pays off only on about 1000 values or
+    so the pool stays balanced, and no more than MAX_BLOCK_DROP_POINTS
+    drop-points each. A kernel call pays off only on about 1000 values or
     more, so larger blocks run faster.
     """
-    size = min(MAX_BLOCK_DROPS, math.ceil(n_drops / (8 * n_jobs)))
+    size = max(1, min(math.ceil(n_drops / (8 * n_jobs)),
+                      MAX_BLOCK_DROP_POINTS // max(1, len(grid_db))))
     tasks = [(template, sets, grid_db, n_channels, seed,
               range(start, min(start + size, n_drops)), rating)
              for start in range(0, n_drops, size)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dasrate import numerics, simulate
 from dasrate.geometry import (PathlossMatrix, Scenario, drop_users_uniform,
                               pathloss_matrix)
 from dasrate.modes import TransmissionMode, enumerate_ideal
@@ -154,6 +155,41 @@ def test_cell_average_deterministic_and_worker_invariant():
     b = cell_average(template(2), ["min-distance"], grid, n_drops=60,
                      n_channels=0, seed=42, n_jobs=2)
     assert a == b
+
+
+def recorded_kernel_sizes(monkeypatch):
+    """Sizes of the argument arrays of every later kernel call."""
+    sizes = []
+    kernel = numerics.exp_e1
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return kernel(x)
+
+    monkeypatch.setattr(numerics, "exp_e1", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("rating, n_channels", [("analytic", 0), ("mc", 50)])
+def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
+    """A block rates at most MAX_BLOCK_DROP_POINTS drop-points per kernel
+    call; a grid longer than that goes in slices with the same values."""
+    grid = tuple(float(db) for db in range(0, 50, 5))
+    args = (template(3), ["ideal", "min-distance"], grid)
+    kwargs = dict(n_drops=5, n_channels=n_channels, seed=46, rating=rating)
+    whole = cell_average(*args, **kwargs)
+    sizes = recorded_kernel_sizes(monkeypatch)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_DROP_POINTS", 4)
+    assert cell_average(*args, **kwargs) == whole
+    # One drop per block, slices of 4, 4 and 2 points, 9 gains per drop.
+    assert len(sizes) == 5 * 3 and max(sizes) <= 4 * 9
+
+
+def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
+    sizes = recorded_kernel_sizes(monkeypatch)
+    grid = tuple(0.1 * i for i in range(2000))
+    cell_average(template(3), ["min-distance"], grid, n_drops=3, n_channels=0, seed=47)
+    assert max(sizes) <= simulate.MAX_BLOCK_DROP_POINTS * 9
 
 
 def test_cell_average_mc_rating_close_to_analytic():
