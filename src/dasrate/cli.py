@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record closed-form rates (fast) or Monte Carlo "
                         "estimates (validation)")
     p.add_argument("--force-ideal", action="store_true",
-                   help="allow exhaustive sweeps past the candidate-count guard")
+                   help="allow exhaustive sweeps past the total-work guard")
 
     p = command("crossover",
                 help="single-user vs two-user crossover report (2x2)")

@@ -128,8 +128,13 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
 
 # --- cell-averaged sweeps -----------------------------------------------------
 
-# Exhaustive sweeps beyond this candidate count must be forced explicitly.
-SWEEP_IDEAL_LIMIT = 1000
+# Most candidate-drop-points (candidates x drops x SNR points) an
+# exhaustive sweep may rate unless forced: about 35-60 s of work at the
+# 0.09-0.15 us per candidate-drop-point measured at N = K = 5 and 4 (one
+# worker on a 2-core x86 machine). The old guard, 1000 candidates per
+# drop, allowed about as much at default size: 1000 x 4000 x 11 at about
+# 1 us each.
+SWEEP_IDEAL_LIMIT = 400_000_000
 
 
 def _check_fixed_mode(mode: TransmissionMode, n_ports: int, n_users: int) -> None:
@@ -163,11 +168,13 @@ def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
             _check_fixed_mode(scheme, template.n_ports, template.n_users)
         elif scheme == "ideal" and not force_ideal:
             count = ideal_count(template.n_ports, template.n_users)
-            if count > SWEEP_IDEAL_LIMIT:
+            work = count * n_drops * len(snr_grid_db)
+            if work > SWEEP_IDEAL_LIMIT:
                 raise ConfigError(
-                    f"exhaustive sweep would evaluate {count} candidates per "
-                    f"drop and SNR point; pass force_ideal/--force-ideal to "
-                    f"run it anyway")
+                    f"exhaustive sweep would rate {work} candidate-drop-points "
+                    f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
+                    f"SNR points), more than {SWEEP_IDEAL_LIMIT}; pass "
+                    f"force_ideal/--force-ideal to run it anyway")
     return cell_average(template, schemes, snr_grid_db, n_drops, n_channels,
                         seed, rating=rating, n_jobs=n_jobs)
 

@@ -42,10 +42,11 @@ class TransmissionMode:
     def __post_init__(self) -> None:
         if not self.assignment:
             raise ValueError("assignment must be non-empty")
-        if any(u < 0 or u != int(u) for u in self.assignment):
+        entries = tuple(map(int, self.assignment))
+        if entries != tuple(self.assignment) or min(entries) < 0:
             raise ValueError(f"assignment entries must be integers >= 0, "
                              f"got {self.assignment}")
-        object.__setattr__(self, "assignment", tuple(int(u) for u in self.assignment))
+        object.__setattr__(self, "assignment", entries)
 
     @cached_property
     def support_sets(self) -> dict[int, frozenset[int]]:
@@ -93,6 +94,11 @@ class TransmissionMode:
         return cls(entries)
 
 
+def _active_counts(assignment: tuple[int, ...]) -> tuple[int, int]:
+    """(active users, active ports) of an assignment, with no support sets."""
+    return len(set(assignment) - {0}), len(assignment) - assignment.count(0)
+
+
 class Origin(enum.Enum):
     IDEAL = "ideal"
     MIN_DISTANCE = "min-distance"
@@ -113,18 +119,18 @@ class CandidateSet:
             # ports; the reduced set may (shared nearest users), but keeps
             # at least two active ports.
             for m in self.modes:
-                if m.n_active_users == 0:
+                n_users, n_ports = _active_counts(m.assignment)
+                if n_users == 0:
                     raise ValueError("all-off mode not admissible")
-                if (m.n_active_users == 1
-                        and m.n_active_ports < len(m.assignment)):
+                if n_users == 1 and n_ports < len(m.assignment):
                     raise ValueError(f"partial-port single-user mode {m.label} "
                                      "not admissible")
         elif self.origin is Origin.MIN_DISTANCE:
             for m in self.modes:
-                if m.n_active_users == 0:
+                n_users, n_ports = _active_counts(m.assignment)
+                if n_users == 0:
                     raise ValueError("all-off mode not admissible")
-                if (m.n_active_users == 1 and m.n_active_ports == 1
-                        and len(m.assignment) > 1):
+                if n_users == 1 and n_ports == 1 and len(m.assignment) > 1:
                     raise ValueError(f"single-port mode {m.label} not admissible")
 
     def __len__(self) -> int:
@@ -183,38 +189,48 @@ def nearest_user_assignment(pathloss: PathlossMatrix) -> tuple[int, ...]:
                  for j in range(pathloss.distances.shape[1]))
 
 
-def enumerate_min_distance(pathloss: PathlossMatrix) -> CandidateSet:
-    """Reduced candidate set built from the nearest-user base mode.
+def nearest_user_sets(distances: np.ndarray) -> list[CandidateSet]:
+    """Nearest-user candidate sets of a block of drops, in one array pass.
 
-    Starting from the mode where each port serves its nearest user, every
-    port on/off mask with more than one active port is kept; masks leaving
-    a single port on are dropped, and one single-user mode serving the
-    globally closest user with all ports is appended instead. Size is
-    2^N - N whenever the appended mode is not already present (it can
-    coincide with a mask result when every port shares one nearest user).
+    ``distances`` is (drops x users x ports). Starting from the mode where
+    each port serves its nearest user, every port on/off mask with more
+    than one active port is kept; masks leaving a single port on are
+    dropped, and one single-user mode serving the globally closest user
+    with all ports is added instead. Each drop's modes are in
+    lexicographic order. Size is 2^N - N, or one less when every port
+    shares one nearest user: the added mode is then the all-ports mask.
     """
-    distances = pathloss.distances
-    n_users, n_ports = distances.shape
-    base = nearest_user_assignment(pathloss)
-
-    seen: set[tuple[int, ...]] = set()
-    for mask in range(1, 2 ** n_ports):
-        candidate = tuple(base[j] if (mask >> j) & 1 else 0
-                          for j in range(n_ports))
-        if sum(1 for u in candidate if u != 0) > 1:
-            seen.add(candidate)
-
+    n_drops, n_users, n_ports = distances.shape
+    # Per-port nearest user; distance ties go to the lowest index.
+    base = distances.argmin(axis=1) + 1
+    masks = (np.arange(1, 2 ** n_ports)[:, None] >> np.arange(n_ports)) & 1
+    masks = masks[masks.sum(axis=1) > 1]
     # Globally closest (user, port) pair; row-major argmin breaks ties
     # toward the lowest user index.
-    i_star = int(np.unravel_index(np.argmin(distances), distances.shape)[0]) + 1
-    single = (i_star,) * n_ports
-    if single in seen:
+    closest = distances.reshape(n_drops, -1).argmin(axis=1) // n_ports + 1
+    rows = np.concatenate([base[:, None, :] * masks,
+                           np.repeat(closest[:, None, None], n_ports, axis=2)], axis=1)
+    flat = rows.reshape(-1, n_ports)
+    drop = np.repeat(np.arange(n_drops), rows.shape[1])
+    rows = flat[np.lexsort([*flat.T[::-1], drop])].reshape(rows.shape)
+    sets = []
+    for drop_rows in rows.tolist():
+        # Sorted, a repeated mode sits next to its first copy.
+        modes = tuple(TransmissionMode(tuple(a))
+                      for a, prev in zip(drop_rows, [None] + drop_rows) if a != prev)
+        sets.append(CandidateSet(modes=modes, origin=Origin.MIN_DISTANCE))
+    return sets
+
+
+def enumerate_min_distance(pathloss: PathlossMatrix) -> CandidateSet:
+    """Reduced candidate set built from the nearest-user base mode: the
+    one-drop case of ``nearest_user_sets``. Warns when every port shares
+    one nearest user, so the set is smaller than 2^N - N."""
+    (candidates,) = nearest_user_sets(pathloss.distances[None])
+    if len(candidates) < min_distance_count(pathloss.distances.shape[1]):
         warnings.warn(
             "degenerate geometry: every port shares one nearest user, so the "
             "appended single-user mode duplicates a mask result and the "
             "candidate set is smaller than 2^N - N",
             DegenerateGeometryWarning, stacklevel=2)
-    seen.add(single)
-
-    ordered = tuple(TransmissionMode(a) for a in sorted(seen))
-    return CandidateSet(modes=ordered, origin=Origin.MIN_DISTANCE)
+    return candidates

@@ -8,10 +8,19 @@ then reduce to combinations of scaled exponential-integral terms.
 All formulas assume pairwise-distinct gains; near-ties are separated by a
 deterministic relative perturbation (see ``GAIN_TIE_REL_TOL``), which the
 continuity of the rate in the gains makes harmless.
+
+Closed-form rates go through rate tables. ``rate_tables`` builds the
+tables of a block of drops with array operations: one ``np.unique`` over
+(user, serving-port bitmask, interfering-port bitmask) keys gives the
+distinct partitions, and the partial-fraction weights are computed for
+all partitions of one size at once. Only the near-tied partitions take
+the per-partition ``_separate_gains`` route. ``block_sum_rates`` then
+rates every table at many transmit powers from one kernel call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -96,7 +105,10 @@ def partition_for_user(pathloss: PathlossMatrix, mode: TransmissionMode,
 
 
 def _pf_weights(gains: Sequence[float]) -> list[float]:
-    """Partial-fraction weights w_k = prod_{l != k} g_k / (g_k - g_l)."""
+    """Partial-fraction weights w_k = prod_{l != k} g_k / (g_k - g_l).
+
+    Each gain may also be an array, one entry per partition, to weigh
+    many partitions of the same size at once."""
     weights = []
     for k, gk in enumerate(gains):
         prod = 1.0
@@ -227,58 +239,107 @@ def log1p_inv(x: np.ndarray) -> np.ndarray:
     return np.array([math.log1p(v) for v in (1.0 / x).tolist()])
 
 
-def _partition_terms(partitions: Sequence[UserLinkPartition]):
-    """Flat scaled-E1 term list of ``partitions``, numbered from slot 1.
+def _near_ties(gains: np.ndarray) -> np.ndarray:
+    """Rows of a (partitions x gains) array that hold two gains
+    ``_separate_gains`` treats as tied."""
+    tied = np.zeros(len(gains), dtype=bool)
+    for a, b in itertools.combinations(range(gains.shape[1]), 2):
+        tied |= (np.abs(gains[:, a] - gains[:, b])
+                 <= GAIN_TIE_REL_TOL * np.maximum(gains[:, a], gains[:, b]))
+    return tied
 
-    Returns ``(n_slots, slot, coef, a, b, gains)``. Term t adds
-    ``coef[t] * (E[a[t]] - E[b[t]])`` to slot ``slot[t]``, where E holds the
-    kernel at each of ``gains`` and index ``len(gains)`` reads 0 (the
-    interferer of an interference-free term). Terms keep each partition's
-    (signal, interferer) loop order, so summing them one by one rounds
-    exactly as the per-partition formula does.
+
+class _Block:
+    """Flat scaled-E1 term list of the partitions of one or more tables.
+
+    Built from ``groups``, one per (signal count, interferer count): the
+    slots of its partitions (numbered from 1; slot 0 is an idle user and
+    reads 0), their (partitions x gains) columns into ``gains``, serving
+    gains first, each part in ascending port order, and the signal count.
+    Near-tied partitions go through ``_separate_gains``, and every gain it
+    moves gets a kernel column of its own; ``where(slot)`` names a
+    partition in its error. The weights are computed a whole group at a
+    time, looping only over the gains of a partition in ``_pf_weights``
+    order, so each term gets the floats of the per-partition formula.
+
+    Term t adds ``coef[t] * (E[a[t]] - E[b[t]])`` to slot ``slot[t]``,
+    where E holds the kernel at each of ``gains`` and column
+    ``len(gains)`` reads 0 (the interferer of an interference-free term).
+    A partition's terms are contiguous, in the formula's (k, u) order, so
+    summing them one by one rounds as the per-partition formula does.
+    ``index`` is the (rows x users) slot index of the tables that share
+    the block.
     """
-    slot, coef, sig_g, intf_g = [], [], [], []
-    for s, part in enumerate(partitions, start=1):
-        sig, intf = part.signal_gains, part.interference_gains
-        w_sig, w_intf = _pf_weights(sig), _pf_weights(intf)
-        for wk, sk in zip(w_sig, sig):
-            # With no interferer the single term is w_k * E(s_k).
-            for wu, su in zip(w_intf, intf) if intf else [(None, None)]:
-                slot.append(s)
-                coef.append(wk if su is None else wk * wu * sk / (sk - su))
-                sig_g.append(sk)
-                intf_g.append(su)
-    gains = sorted(set(sig_g).union(intf_g) - {None})
-    where = {g: i for i, g in enumerate(gains)}
-    where[None] = len(gains)
-    return (len(partitions) + 1, np.array(slot, dtype=np.intp), np.array(coef),
-            np.array([where[g] for g in sig_g], dtype=np.intp),
-            np.array([where[g] for g in intf_g], dtype=np.intp), np.array(gains))
+
+    def __init__(self, noise_power: float, gains: np.ndarray, groups,
+                 index: np.ndarray, where: Callable[[int], str]) -> None:
+        self.noise_power = noise_power
+        self.index = index
+        self.n_slots = 1 + sum(len(slots) for slots, _, _ in groups)
+        moved: list[float] = []
+        slot, coef, sig_col, intf_col = [], [], [], []
+        for slots, cols, n_sig in groups:
+            g = gains[cols]
+            for r in np.nonzero(_near_ties(g))[0]:
+                try:
+                    values = _separate_gains(g[r].tolist())
+                except DegenerateGainsError as exc:
+                    raise DegenerateGainsError(f"{where(slots[r])}: {exc}") from exc
+                for j in np.nonzero(np.array(values) != g[r])[0]:
+                    cols[r, j] = len(gains) + len(moved)
+                    moved.append(values[j])
+                g[r] = values
+            sig, intf = list(g[:, :n_sig].T), list(g[:, n_sig:].T)
+            w_intf = _pf_weights(intf)
+            # Coefficient of term (k, u): wk*wu*sk/(sk-su), or wk with no
+            # interferer, where the single term is w_k * E(s_k).
+            c = np.empty((len(slots), n_sig, max(len(intf), 1)))
+            for k, (wk, sk) in enumerate(zip(_pf_weights(sig), sig)):
+                if not intf:
+                    c[:, k, 0] = wk
+                for u, (wu, su) in enumerate(zip(w_intf, intf)):
+                    c[:, k, u] = wk * wu * sk / (sk - su)
+            slot.append(np.repeat(slots, c[0].size))
+            coef.append(c.ravel())
+            sig_col.append(np.broadcast_to(cols[:, :n_sig, None], c.shape).ravel())
+            intf_col.append(np.broadcast_to(cols[:, None, n_sig:] if intf else -1,
+                                            c.shape).ravel())
+        self.slot, self.coef, sig_col, intf_col = (
+            np.concatenate([np.zeros(0, dtype=dtype)] + parts)
+            for parts, dtype in ((slot, np.intp), (coef, float),
+                                 (sig_col, np.intp), (intf_col, np.intp)))
+        # One kernel column per gain that some term reads; an absent
+        # interferer maps to the column after the last.
+        gains = np.concatenate([gains, moved])
+        intf_col[intf_col < 0] = len(gains)
+        used, col = np.unique(np.concatenate([sig_col, intf_col]), return_inverse=True)
+        self.gains = gains[used[used < len(gains)]]
+        self.a, self.b = np.split(col, [len(sig_col)])
 
 
-def _slot_rates(term_lists, noise_powers, tx_powers,
+def _slot_rates(blocks: Sequence[_Block], tx_powers,
                 kernel: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> list[np.ndarray]:
-    """(points x slots) rates in bits/s/Hz of each term list at every
-    transmit power, from one kernel call; slot 0 (no terms) reads 0."""
+    """(points x slots) rates in bits/s/Hz of each block at every transmit
+    power, from one kernel call; slot 0 (no terms) reads 0."""
     tx = np.asarray(tx_powers, dtype=float)[:, None]
-    args = [noise / (terms[5] * tx) for terms, noise in zip(term_lists, noise_powers)]
+    args = [block.noise_power / (block.gains * tx) for block in blocks]
     # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
     kernel = numerics.exp_e1 if kernel is None else kernel
     values = kernel(np.concatenate([x.ravel() for x in args]))
     ends = np.cumsum([x.size for x in args])
     out = []
-    for (n_slots, slot, coef, a, b, _), x, end in zip(term_lists, args, ends):
+    for block, x, end in zip(blocks, args, ends):
         # Column len(gains) reads 0: the interferer of an interference-free term.
         e = np.zeros((len(tx), x.shape[1] + 1))
         e[:, :-1] = values[end - x.size:end].reshape(x.shape)
-        flat = np.arange(0, len(tx) * n_slots, n_slots)[:, None] + slot
-        rates = np.zeros(len(tx) * n_slots)
+        flat = np.arange(0, len(tx) * block.n_slots, block.n_slots)[:, None] + block.slot
+        rates = np.zeros(len(tx) * block.n_slots)
         # Sequential in (point, term) order: a matrix product over collapsed
         # gain columns rounds differently and moves near-tied rates by up to
         # ~1e-7 bits.
-        np.add.at(rates, flat.ravel(), (coef * (e[:, a] - e[:, b])).ravel())
-        out.append(rates.reshape(len(tx), n_slots) / LN2)
+        np.add.at(rates, flat.ravel(), (block.coef * (e[:, block.a] - e[:, block.b])).ravel())
+        out.append(rates.reshape(len(tx), block.n_slots) / LN2)
     return out
 
 
@@ -293,57 +354,137 @@ def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
     tables or points of the call. ``kernel`` defaults to the exact
     ``numerics.exp_e1``; pass ``log1p_inv`` for the approximated rates.
     """
-    slot_rates = _slot_rates([t._terms for t in tables],
-                             [t.noise_power for t in tables], tx_powers, kernel)
-    out = []
-    for table, rates in zip(tables, slot_rates):
+    blocks = list(dict.fromkeys(table._block for table in tables))
+    sums = {}
+    for block, rates in zip(blocks, _slot_rates(blocks, tx_powers, kernel)):
+        # The rows of every table of the block that was asked for.
+        lo = min(t._rows.start for t in tables if t._block is block)
+        hi = max(t._rows.stop for t in tables if t._block is block)
+        index = block.index[lo:hi]
         # One user column at a time: no (points x modes x users) array.
-        total = rates[:, table._index[:, 0]]
-        for k in range(1, table._index.shape[1]):
-            total = total + rates[:, table._index[:, k]]
-        out.append(total)
+        total = rates[:, index[:, 0]]
+        for k in range(1, index.shape[1]):
+            total = total + rates[:, index[:, k]]
+        sums[block] = (lo, total)
+    out = []
+    for table in tables:
+        lo, total = sums[table._block]
+        out.append(total[:, table._rows.start - lo:table._rows.stop - lo])
     return out
 
 
+def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, list[slice]]:
+    """One block of partition terms for the tables of several drops.
+
+    ``gains`` is (drops x users x ports) and ``drop_modes`` gives each
+    drop's mode sequences. A sequence shared by several drops is laid out
+    once. Each active (mode, user) pair is keyed by (user, serving-port
+    bitmask, interfering-port bitmask), and one ``np.unique`` gives the
+    distinct keys; a drop's partitions are the keys its rows use, so a
+    mode repeated in a drop's sequences costs only index entries. Returns
+    the block and each drop's row range in its index.
+    """
+    n_drops, n_users, n_ports = gains.shape
+    sequences = list({id(modes): modes for seqs in drop_modes for modes in seqs}.values())
+    rows = np.array([m.assignment for modes in sequences for m in modes],
+                    dtype=np.int64).reshape(-1, n_ports)
+    # Keys that would not fit in int64 stay Python ints.
+    dtype = np.int64 if n_users << (2 * n_ports) < 2 ** 62 else object
+    bit = np.array([1 << j for j in range(n_ports)], dtype=dtype)
+    serving = ((rows[:, None, :] == np.arange(1, n_users + 1)[:, None]) * bit).sum(axis=2)
+    interfering = ((rows != 0) * bit).sum(axis=1)[:, None] - serving
+    user = np.arange(n_users).astype(dtype)
+    key = (user * 2 ** n_ports + serving) * 2 ** n_ports + interfering
+    active = serving != 0
+    _, first, type_of = np.unique(key[active], return_index=True, return_inverse=True)
+    n_types = len(first)
+    # (row, user) of each key's first use; idle pairs get type n_types.
+    rep_row, rep_user = (axis[first] for axis in np.nonzero(active))
+    tid = np.full(key.shape, n_types, dtype=np.intp)
+    tid[active] = type_of
+    # Ports of each key: serving ones, then interfering ones, each ascending.
+    role = np.where(rows[rep_row] == rep_user[:, None] + 1, 0, np.where(rows[rep_row] != 0, 1, 2))
+    ports = np.argsort(role, axis=1, kind="stable")
+    n_sig = (role == 0).sum(axis=1)
+    n_int = (role == 1).sum(axis=1)
+
+    starts = np.cumsum([0] + [len(modes) for modes in sequences])
+    seq_tid = {id(modes): tid[lo:hi] for modes, lo, hi in zip(sequences, starts, starts[1:])}
+    seq_types = {k: np.unique(t) for k, t in seq_tid.items()}
+    need = np.zeros((n_drops, n_types + 1), dtype=bool)
+    for d, seqs in enumerate(drop_modes):
+        for modes in seqs:
+            need[d, seq_types[id(modes)]] = True
+    need[:, n_types] = False
+    part_drop, part_type = np.nonzero(need)
+    slot = np.zeros(need.shape, dtype=np.intp)
+    slot[part_drop, part_type] = np.arange(1, len(part_drop) + 1)
+    index = [slot[d, seq_tid[id(modes)]] for d, seqs in enumerate(drop_modes) for modes in seqs]
+    index = np.concatenate([np.zeros((0, n_users), dtype=np.intp)] + index)
+    bounds = np.cumsum([0] + [sum(len(modes) for modes in seqs) for seqs in drop_modes])
+
+    # Column of each partition's gain row in the flattened gain array.
+    row_col = (part_drop * n_users + rep_user[part_type]) * n_ports
+    size = n_sig[part_type] * (n_ports + 1) + n_int[part_type]
+    groups = []
+    for s in np.unique(size):
+        members = np.nonzero(size == s)[0]
+        t = part_type[members]
+        width = n_sig[t[0]] + n_int[t[0]]
+        groups.append((members + 1, row_col[members, None] + ports[t, :width], n_sig[t[0]]))
+
+    def where(s: int) -> str:
+        t = part_type[s - 1]
+        return (f"user {rep_user[t] + 1}, mode "
+                f"{TransmissionMode(tuple(rows[rep_row[t]].tolist())).label}")
+
+    block = _Block(noise_power, np.asarray(gains, dtype=float).reshape(-1), groups, index, where)
+    return block, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class RateTable:
-    """Closed-form rates of every mode of one drop, built once per drop.
+    """Closed-form rates of every mode of one drop.
 
     A user's exact rate is a weighted sum of scaled-E1 terms at
     ``x = noise / (g * P)`` whose weights depend only on gain ratios, so
     the terms of each distinct (user, serving ports, interfering ports)
-    partition are built once, with no SNR involved. An evaluation then
-    needs the kernel once per distinct gain and point, and rates every
-    mode; ``block_sum_rates`` evaluates many tables and points at once.
+    partition are built once, with no SNR involved. ``rate_tables`` builds
+    the tables of a block of drops in one array pass, and the one-drop
+    constructor is its one-drop case. A table's rows are its mode
+    sequences, concatenated in order, repeats included. An evaluation
+    needs the kernel once per gain and point, and rates every mode;
+    ``block_sum_rates`` evaluates many tables and points at once.
     """
 
     def __init__(self, scenario: Scenario, pathloss: PathlossMatrix,
                  modes: Sequence[TransmissionMode]) -> None:
-        self.modes = tuple(modes)
-        self.noise_power = scenario.noise_power
-        self._row = {mode.assignment: m for m, mode in enumerate(self.modes)}
-        slots: dict = {}
-        parts: list[UserLinkPartition] = []
-        # (mode, user) -> partition slot; slot 0 is an idle user.
-        self._index = np.zeros((len(self.modes), scenario.n_users), dtype=np.intp)
-        for m, mode in enumerate(self.modes):
-            for user, ports in mode.support_sets.items():
-                key = (user, ports, mode.complements[user])
-                if key not in slots:
-                    try:
-                        parts.append(partition_for_user(pathloss, mode, user,
-                                                        scenario.tx_power,
-                                                        scenario.noise_power))
-                    except DegenerateGainsError as exc:
-                        raise DegenerateGainsError(
-                            f"user {user}, mode {mode.label}: {exc}") from exc
-                    slots[key] = len(parts)
-                self._index[m, user - 1] = slots[key]
-        self._terms = _partition_terms(parts)
+        sequences = (tuple(modes),)
+        block, (rows,) = _layout(scenario.noise_power, pathloss.gains[None], [sequences])
+        self._bind(block, rows, sequences)
 
-    def rows(self, modes: Sequence[TransmissionMode]) -> np.ndarray:
-        """Row indices of ``modes``, each of which must be in the table."""
+    def _bind(self, block: _Block, rows: slice,
+              sequences: Sequence[tuple[TransmissionMode, ...]]) -> None:
+        self.modes = sequences[0] if len(sequences) == 1 else sum(sequences, ())
+        self.noise_power = block.noise_power
+        self._block = block
+        self._rows = rows
+        self._sequences = sequences
+
+    def rows(self, modes: Sequence[TransmissionMode]) -> slice | np.ndarray:
+        """Rows of ``modes``, each of which must be in the table.
+
+        A mode sequence the table was built from (the same object) gets
+        its slice of rows with no lookup; other lists are looked up mode
+        by mode.
+        """
+        start = 0
+        for sequence in self._sequences:
+            if modes is sequence:
+                return slice(start, start + len(sequence))
+            start += len(sequence)
+        row = {m.assignment: r for r, m in reversed(list(enumerate(self.modes)))}
         try:
-            return np.array([self._row[m.assignment] for m in modes], dtype=np.intp)
+            return np.array([row[m.assignment] for m in modes], dtype=np.intp)
         except KeyError as exc:
             label = TransmissionMode(exc.args[0]).label
             raise ValueError(f"mode {label} is not in the rate table") from None
@@ -353,8 +494,8 @@ class RateTable:
                    ) -> np.ndarray:
         """(modes x users) rates at transmit power ``tx_power``; idle users
         get 0. ``kernel`` is as for ``block_sum_rates``."""
-        rates = _slot_rates([self._terms], [self.noise_power], [tx_power], kernel)
-        return rates[0][0][self._index]
+        rates = _slot_rates([self._block], [tx_power], kernel)
+        return rates[0][0][self._block.index[self._rows]]
 
     def sum_rates(self, tx_power: float,
                   kernel: Callable[[np.ndarray], np.ndarray] | None = None
@@ -364,15 +505,34 @@ class RateTable:
         return block_sum_rates([self], [tx_power], kernel)[0][0]
 
 
+def rate_tables(scenario: Scenario, gains: np.ndarray, drop_modes) -> list[RateTable]:
+    """Rate tables of a block of drops with ``scenario``'s noise power.
+
+    ``gains`` is the (drops x users x ports) gain array and ``drop_modes``
+    lists, per drop, the mode sequences of its table; ``rows`` finds each
+    sequence's rows with no lookup. One block of partition terms serves
+    every table, so ``block_sum_rates`` rates them together.
+    """
+    block, rows = _layout(scenario.noise_power, gains, drop_modes)
+    tables = []
+    for r, sequences in zip(rows, drop_modes):
+        table = RateTable.__new__(RateTable)
+        table._bind(block, r, tuple(sequences))
+        tables.append(table)
+    return tables
+
+
 def ergodic_user_rate(partition: UserLinkPartition) -> float:
     """Exact ergodic rate of one user, in bits/s/Hz.
 
     Weighted differences of scaled-E1 terms; with no interferers the
     terms are the signal-only ones.
     """
-    terms = _partition_terms([partition])
-    rates = _slot_rates([terms], [partition.noise_power], [partition.tx_power])[0]
-    return float(rates[0, 1])
+    gains = np.array(partition.signal_gains + partition.interference_gains)
+    group = (np.array([1]), np.arange(len(gains))[None, :], len(partition.signal_gains))
+    block = _Block(partition.noise_power, gains, [group], np.ones((1, 1), dtype=np.intp),
+                   lambda _: "partition")
+    return float(_slot_rates([block], [partition.tx_power])[0][0, 1])
 
 
 @dataclass(frozen=True)

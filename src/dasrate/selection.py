@@ -8,7 +8,7 @@ import numpy as np
 
 from .geometry import PathlossMatrix, Scenario
 from .modes import CandidateSet, TransmissionMode, enumerate_ideal, enumerate_min_distance
-from .rate import RateTable
+from .rate import RateTable, rate_tables
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,13 @@ def select_mode(table: RateTable, candidates: CandidateSet,
 def compare_schemes(scenario: Scenario, pathloss: PathlossMatrix,
                     snr: float) -> tuple[SelectionResult, SelectionResult]:
     """Run exhaustive and nearest-user selection at linear SNR ``snr`` on
-    one table over both sets.
+    one table with the rows of both sets.
 
     Rates depend on transmit power and noise only through their ratio, so
     the table is evaluated at tx_power = snr * noise_power.
     """
     ideal = enumerate_ideal(scenario.n_ports, scenario.n_users)
     reduced = enumerate_min_distance(pathloss)
-    table = RateTable(scenario, pathloss, dict.fromkeys(ideal.modes + reduced.modes))
+    (table,) = rate_tables(scenario, pathloss.gains[None], [[ideal.modes, reduced.modes]])
     rates = table.sum_rates(snr * scenario.noise_power)
     return select_mode(table, ideal, rates), select_mode(table, reduced, rates)

@@ -12,7 +12,6 @@ worker count.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -23,9 +22,9 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
-from .modes import (CandidateSet, DegenerateGeometryWarning, Origin,
-                    TransmissionMode, enumerate_ideal, enumerate_min_distance)
-from .rate import RateTable, block_sum_rates
+from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
+                    nearest_user_sets)
+from .rate import block_sum_rates, rate_tables
 from .selection import select_mode
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
@@ -143,49 +142,50 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
     drop order: per drop, one list of modes and one row of values per
     candidate set, one entry per grid point.
 
-    A set of None stands for the drop's nearest-user set. Each drop gets
-    one rate table over the union of its sets, and the tables of the block
-    are evaluated in one kernel call per slice of at most
-    MAX_BLOCK_DROP_POINTS drop-points, usually the whole grid; every set
-    selects from its drop's rate vector at each point. The recorded value is the
-    closed-form rate, or the Monte Carlo mean when ``rating`` is "mc".
+    A set of None stands for the drop's nearest-user set; the block's
+    nearest-user sets come from one array pass. Each drop gets one rate
+    table with a row for every mode of its sets, all built in one array
+    pass, and the tables of the block are evaluated in one kernel call per
+    slice of at most MAX_BLOCK_DROP_POINTS drop-points, usually the whole
+    grid; every set selects from its drop's rate vector at each point.
+    The recorded value is the closed-form rate, or the Monte Carlo mean
+    when ``rating`` is "mc": one estimate per distinct chosen mode and
+    (drop, point), since the stream key does not depend on the scheme.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
     tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
-    drawn = []
-    for drop in drops:
-        scenario = drop_users_uniform(
-            template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
-        pl = pathloss_matrix(scenario)
-        drop_sets = sets
-        if any(candidates is None for candidates in sets):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateGeometryWarning)
-                reduced = enumerate_min_distance(pl)
-            drop_sets = [reduced if candidates is None else candidates
-                         for candidates in sets]
-        table = RateTable(scenario, pl, dict.fromkeys(
-            mode for candidates in drop_sets for mode in candidates.modes))
-        drawn.append((drop, scenario, pl, drop_sets, table))
+    scenarios = [drop_users_uniform(
+        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,))) for drop in drops]
+    pls = [pathloss_matrix(scenario) for scenario in scenarios]
+    if any(candidates is None for candidates in sets):
+        nearest = nearest_user_sets(np.stack([pl.distances for pl in pls]))
+    else:
+        nearest = [None] * len(pls)
+    drop_sets = [[reduced if candidates is None else candidates for candidates in sets]
+                 for reduced in nearest]
+    tables = rate_tables(template, np.stack([pl.gains for pl in pls]),
+                         [[candidates.modes for candidates in cands] for cands in drop_sets])
 
-    tables = [table for *_, table in drawn]
-    results = [([[] for _ in drop_sets], np.empty((len(drop_sets), len(grid_db))))
-               for *_, drop_sets, _ in drawn]
+    results = [([[] for _ in sets], np.empty((len(sets), len(grid_db)))) for _ in drops]
     # A block of many drops holds few points; a long grid goes in slices.
-    step = max(1, MAX_BLOCK_DROP_POINTS // len(drawn))
+    step = max(1, MAX_BLOCK_DROP_POINTS // len(drops))
     for lo in range(0, len(tx_powers), step):
         rates_per_drop = block_sum_rates(tables, tx_powers[lo:lo + step])
-        for (drop, scenario, pl, drop_sets, table), rates, (chosen, values) in zip(
-                drawn, rates_per_drop, results):
+        for drop, scenario, pl, cands, table, rates, (chosen, values) in zip(
+                drops, scenarios, pls, drop_sets, tables, rates_per_drop, results):
             for idx in range(lo, min(lo + step, len(tx_powers))):
-                for s, candidates in enumerate(drop_sets):
+                estimates: dict[TransmissionMode, float] = {}
+                for s, candidates in enumerate(cands):
                     result = select_mode(table, candidates, rates[idx - lo])
-                    chosen[s].append(result.chosen_mode)
+                    mode = result.chosen_mode
+                    chosen[s].append(mode)
                     values[s, idx] = result.chosen_rate
                     if rating == "mc":
-                        values[s, idx] = mc_ergodic_sum_rate(
-                            scenario.with_tx_power(tx_powers[idx]), pl,
-                            result.chosen_mode, n_channels, seed=(seed, drop, idx)).mean
+                        if mode not in estimates:
+                            estimates[mode] = mc_ergodic_sum_rate(
+                                scenario.with_tx_power(tx_powers[idx]), pl, mode,
+                                n_channels, seed=(seed, drop, idx)).mean
+                        values[s, idx] = estimates[mode]
     return results
 
 

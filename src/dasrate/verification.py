@@ -26,8 +26,8 @@ from .errors import NumericalFailureError
 from .experiments import bundled_config_path, crossover_report
 from .geometry import (Scenario, drop_users_uniform, load_scenario,
                        pathloss_matrix)
-from .modes import (enumerate_ideal, enumerate_min_distance, ideal_count,
-                    min_distance_count)
+from .modes import (DegenerateGeometryWarning, enumerate_ideal,
+                    enumerate_min_distance, ideal_count, min_distance_count)
 from .rate import RateTable, UserLinkPartition
 from .selection import compare_schemes, select_mode
 
@@ -250,7 +250,7 @@ def check_selection_properties(n_drops: int = 5) -> CheckResult:
         scenario = drop_users_uniform(template, seed=(404, drop))
         pl = pathloss_matrix(scenario)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", simulate.DegenerateGeometryWarning)
+            warnings.simplefilter("ignore", DegenerateGeometryWarning)
             for snr_db in (0.0, 20.0, 40.0):
                 snr = 10.0 ** (snr_db / 10.0)
                 ideal, reduced = compare_schemes(scenario, pl, snr)

@@ -76,8 +76,9 @@ def test_sweep_csv_and_capacity_guard(tmp_path, capsys):
     header = out.read_text().splitlines()[0]
     assert header == "snr_db,ideal_analytic,min-distance_analytic"
 
+    # 7625 candidates x 20 000 drops x 11 points is past the work limit.
     code, _, err = run_cli(capsys, "sweep", "--config", "fig6.cfg",
-                           "--drops", "1", "--snr", "0:25:50")
+                           "--drops", "20000", "--snr", "0:5:50")
     assert code == cli.EXIT_USAGE
     assert "force" in err
 

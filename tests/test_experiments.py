@@ -88,9 +88,14 @@ def test_rate_curve_validation():
 
 def test_sweep_guards_large_exhaustive_runs():
     template = load_scenario(bundled_config_path("fig6.cfg"))
+    # 7625 candidates x 60 000 drops x 2 points is past the work limit...
     with pytest.raises(ConfigError, match="force"):
-        sweep_curves(template, ["ideal"], (0.0,), n_drops=1, n_channels=0,
-                     seed=1)
+        sweep_curves(template, ["ideal"], (0.0, 10.0), n_drops=60_000,
+                     n_channels=0, seed=1)
+    # ...and one drop is not.
+    curve = sweep_curves(template, ["ideal"], (0.0, 10.0), n_drops=1,
+                         n_channels=0, seed=1)
+    assert len(curve.series) == 1
     # min-distance at the same size is fine
     curve = sweep_curves(template, ["min-distance"], (0.0,), n_drops=2,
                          n_channels=0, seed=1)

@@ -13,10 +13,12 @@ import pytest
 
 from dasrate.experiments import bundled_config_path
 from dasrate.geometry import Scenario, drop_users_uniform, load_scenario, pathloss_matrix
-from dasrate.modes import enumerate_ideal, enumerate_min_distance
+from dasrate.modes import (DegenerateGeometryWarning, enumerate_ideal,
+                           enumerate_min_distance, min_distance_count,
+                           nearest_user_sets)
 from dasrate.rate import (RateTable, approx_sum_rate, block_sum_rates,
                           ergodic_sum_rate, ergodic_user_rate, log1p_inv,
-                          partition_for_user)
+                          partition_for_user, rate_tables)
 from dasrate.selection import select_mode
 
 # Rates recorded, as repr strings, from the per-mode evaluation path that
@@ -125,6 +127,60 @@ def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
     # A table's rates do not depend on which other tables share the call.
     alone = block_sum_rates(tables[1:2], tx_powers[::-1], kernel)[0]
     assert alone[::-1].tolist() == block[1].tolist()
+
+
+# Ring of four ports at radius 4; a user at the centre has four exactly
+# tied gains. In the second drop one user sits near the centre and the
+# others beyond it, at radius 6 between two ports, so every port has the
+# same nearest user.
+RING = Scenario(n_ports=4, n_users=4, cell_radius=6.5, pathloss_exponent=3.0,
+                tx_power=1.0, noise_power=1.0, port_ring_radius=4.0)
+EDGE = tuple((6.0 * math.cos(a), 6.0 * math.sin(a))
+             for a in (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi))
+SPECIAL_DROPS = {
+    "tie2": (TIE, [TIE.user_positions, ((1.0, 0.5), (-1.0, -5.5))]),
+    "ring4": (RING, [((0.0, 0.0), (3.5, 0.5), (0.5, 3.5), (-3.5, -0.5)),
+                     ((0.05, 0.05),) + EDGE]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_DROPS))
+def test_drop_rates_do_not_depend_on_its_block(name):
+    """A drop's table, rates and chosen modes are the same built alone or
+    in a block of 63 drops, for an exact-tie drop and for a drop whose
+    ports all share one nearest user."""
+    template, special = SPECIAL_DROPS[name]
+    n = template.n_ports
+    scenarios = [drop_users_uniform(template, seed=(93, d)) for d in range(61)]
+    scenarios[20:20] = [template.with_users(users) for users in special]
+    pls = [pathloss_matrix(s) for s in scenarios]
+    tied, degenerate = pls[20], pls[21]
+    assert len(set(tied.gains[0].tolist())) == 1
+    assert len(set(np.argmin(degenerate.distances, axis=0).tolist())) == 1
+
+    ideal = enumerate_ideal(n, n)
+    nearest = nearest_user_sets(np.stack([pl.distances for pl in pls]))
+    with pytest.warns(DegenerateGeometryWarning):
+        alone_set = enumerate_min_distance(degenerate)
+    assert nearest[21] == alone_set
+    assert len(nearest[21]) == min_distance_count(n) - 1
+    # The nearest-user modes and the fixed ones repeat rows of the ideal set.
+    fixed = ideal.modes[:1]
+    block = rate_tables(template, np.stack([pl.gains for pl in pls]),
+                        [[ideal.modes, reduced.modes, fixed] for reduced in nearest])
+    tx_powers = [10.0 ** (db / 10.0) for db in (0, 20, 40, 60)]
+    block_rates = block_sum_rates(block, tx_powers)
+    for scenario, pl, reduced, table, rates in zip(scenarios, pls, nearest, block,
+                                                    block_rates):
+        alone = RateTable(scenario, pl, ideal.modes)
+        alone_rates = block_sum_rates([alone], tx_powers)[0]
+        assert rates[:, table.rows(ideal.modes)].tolist() == alone_rates.tolist()
+        for p in range(len(tx_powers)):
+            assert (select_mode(table, ideal, rates[p])
+                    == select_mode(alone, ideal, alone_rates[p]))
+            own = RateTable(scenario, pl, reduced.modes)
+            assert (select_mode(table, reduced, rates[p])
+                    == select_mode(own, reduced, own.sum_rates(tx_powers[p])))
 
 
 def test_rows_reject_modes_outside_the_table():

@@ -225,3 +225,31 @@ def test_mode_histogram_single_user_fraction_grows():
     fractions = [single_user_fraction(hist[r]) for r in ranges]
     assert fractions[0] <= fractions[1] <= fractions[2]
     assert fractions[2] > 0.5
+
+
+def test_mc_estimates_each_distinct_chosen_mode_once(monkeypatch):
+    """Schemes that choose the same mode at a (drop, point) share one Monte
+    Carlo estimate: its stream key (seed, drop, point) has no scheme in it."""
+    grid = (0.0, 20.0, 40.0)
+    sets = [enumerate_ideal(3, 3), None]
+    analytic = simulate._run_drops(template(3), sets, grid, 0, 48, 6, "analytic", 1)
+    want = sorted({((48, drop, idx), mode.assignment)
+                   for drop, (chosen, _) in enumerate(analytic)
+                   for per_set in chosen for idx, mode in enumerate(per_set)})
+    calls = []
+    estimate = simulate.mc_ergodic_sum_rate
+
+    def counting(scenario, pathloss, mode, n_channels, seed):
+        calls.append((seed, mode.assignment))
+        return estimate(scenario, pathloss, mode, n_channels, seed)
+
+    monkeypatch.setattr(simulate, "mc_ergodic_sum_rate", counting)
+    mc = simulate._run_drops(template(3), sets, grid, 50, 48, 6, "mc", 1)
+    assert sorted(calls) == want
+    # Both schemes chose one mode somewhere, so estimates were shared.
+    assert len(calls) < 2 * 6 * len(grid)
+    for (chosen, values), (mc_chosen, mc_values) in zip(analytic, mc):
+        assert mc_chosen == chosen
+        for idx in range(len(grid)):
+            if chosen[0][idx] == chosen[1][idx]:
+                assert mc_values[0, idx] == mc_values[1, idx]
