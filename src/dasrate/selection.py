@@ -15,7 +15,6 @@ from .rate import RateTable, rate_tables
 class SelectionResult:
     chosen_mode: TransmissionMode
     chosen_rate: float
-    per_candidate_rates: tuple[float, ...]
     scheme: str
 
 
@@ -33,7 +32,6 @@ def select_mode(table: RateTable, candidates: CandidateSet,
     best = int(np.argmax(rates))
     return SelectionResult(chosen_mode=candidates.modes[best],
                            chosen_rate=float(rates[best]),
-                           per_candidate_rates=tuple(rates.tolist()),
                            scheme=candidates.origin.value)
 
 

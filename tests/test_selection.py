@@ -20,16 +20,22 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
 FIG2_PL = pathloss_matrix(FIG2)
 
 
-def select(scenario, pathloss, candidates, snr):
-    """Selection over a rate table built for exactly ``candidates``."""
+def candidate_rates(scenario, pathloss, candidates, snr):
+    """Selection over a rate table built for exactly ``candidates``, and
+    the candidates' rates in candidate order."""
     table = RateTable(scenario, pathloss, candidates.modes)
-    return select_mode(table, candidates, table.sum_rates(snr * scenario.noise_power))
+    rates = table.sum_rates(snr * scenario.noise_power)
+    return select_mode(table, candidates, rates), rates[table.rows(candidates.modes)]
+
+
+def select(scenario, pathloss, candidates, snr):
+    return candidate_rates(scenario, pathloss, candidates, snr)[0]
 
 
 def test_fixed_geometry_low_snr_picks_paired_mode():
-    result = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
+    result, rates = candidate_rates(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
     assert result.chosen_mode.label == "[1 2]"
-    assert result.chosen_rate == max(result.per_candidate_rates)
+    assert result.chosen_rate == max(rates)
 
 
 def test_fixed_geometry_high_snr_picks_single_user_mode():
@@ -39,9 +45,9 @@ def test_fixed_geometry_high_snr_picks_single_user_mode():
 
 def test_single_candidate_trivial():
     only = CandidateSet(modes=(TransmissionMode((2, 2)),), origin=Origin.EXPLICIT)
-    result = select(FIG2, FIG2_PL, only, snr=100.0)
+    result, rates = candidate_rates(FIG2, FIG2_PL, only, snr=100.0)
     assert result.chosen_mode.label == "[2 2]"
-    assert len(result.per_candidate_rates) == 1
+    assert len(rates) == 1
 
 
 def test_selection_deterministic():
@@ -57,9 +63,8 @@ def test_tie_break_first_in_order():
                    tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)),
                    user_positions=((0.0, 1.0), (0.0, -1.0)))
     pl = pathloss_matrix(scn)
-    result = select(scn, pl, enumerate_ideal(2, 2), snr=100.0)
-    ties = [i for i, r in enumerate(result.per_candidate_rates)
-            if r == result.chosen_rate]
+    result, rates = candidate_rates(scn, pl, enumerate_ideal(2, 2), snr=100.0)
+    ties = [i for i, r in enumerate(rates) if r == result.chosen_rate]
     assert result.chosen_mode == enumerate_ideal(2, 2).modes[ties[0]]
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from dasrate import numerics, simulate
-from dasrate.geometry import (PathlossMatrix, Scenario, drop_users_uniform,
-                              pathloss_matrix)
+from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import TransmissionMode, enumerate_ideal
 from dasrate.rate import ergodic_sum_rate
-from dasrate.simulate import (_batch_sum_rates, _mode_weight_matrices, _stream,
-                              cell_average, mc_ergodic_sum_rate, mode_histogram)
+from dasrate.simulate import (McEstimate, _chunk_sizes, _port_sum, _stream, _sum_rates,
+                              _user_sum, cell_average, mc_ergodic_sum_rate,
+                              mode_histogram)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -29,8 +29,8 @@ def unit_scenario():
 
 def instantaneous_sum_rates(scn, mode, power_gains):
     """The Monte Carlo engine's sum rate for each (K, N) fading draw."""
-    sig_w, intf_w = _mode_weight_matrices(pathloss_matrix(scn), mode, scn.tx_power)
-    return _batch_sum_rates(sig_w, intf_w, scn.noise_power, np.asarray(power_gains))
+    weights = pathloss_matrix(scn).gains * scn.tx_power
+    return _sum_rates(np.asarray(power_gains), weights, mode, scn.noise_power)
 
 
 def test_instantaneous_rate_unit_case():
@@ -48,29 +48,150 @@ def test_instantaneous_rate_zero_fading():
 def test_instantaneous_rates_hand_built_two_by_two():
     """User 1 is served by port 1 and hears port 2; user 2 the reverse."""
     gains = np.array([[0.1, 0.2], [0.3, 0.4]])
-    sig_w, intf_w = _mode_weight_matrices(
-        PathlossMatrix(distances=gains ** (-1.0 / 3.0), gains=gains),
-        TransmissionMode((1, 2)), tx_power=10.0)
-    assert np.array_equal(sig_w, [[1.0, 0.0], [0.0, 4.0]])
-    assert np.array_equal(intf_w, [[0.0, 2.0], [3.0, 0.0]])
+    weights = gains * 10.0
+    mode = TransmissionMode((1, 2))
+    # unit fading reads off each user's signal and interference weights
+    ones = np.ones((1, 2, 2))
+    for user, signal, interference in ((1, 1.0, 2.0), (2, 4.0, 3.0)):
+        k = user - 1
+        assert _port_sum(ones[:, k], weights[k], mode.support_sets[user])[0] == signal
+        assert _port_sum(ones[:, k], weights[k], mode.complements[user])[0] == interference
     h = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    rates = _batch_sum_rates(sig_w, intf_w, 1.0, h)
+    rates = _sum_rates(h, weights, mode, 1.0)
     assert rates[0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
                                      + math.log2(1.0 + 16.0 / 10.0))
     # each user alone: its own signal over noise plus its interferer
     for user, expected in ((0, 1.0 / 5.0), (1, 16.0 / 10.0)):
         keep = np.zeros((2, 1))
         keep[user] = 1.0
-        alone = _batch_sum_rates(sig_w * keep, intf_w * keep, 1.0, h)
+        alone = _sum_rates(h, weights * keep, mode, 1.0)
         assert alone[0] == pytest.approx(math.log2(1.0 + expected))
 
 
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_port_sum_matches_einsum_bit_for_bit():
+    """Only the nonzero-weight ports are added, in einsum's order."""
+    rng = np.random.default_rng(60)
+    for n_ports in range(1, 41):
+        for n_draws in (1, 2, 7, 300):
+            h = rng.exponential(size=(n_draws, 3, n_ports)) * 10.0 ** rng.uniform(
+                -6, 6, size=(n_draws, 3, n_ports))
+            w = 10.0 ** rng.uniform(-6, 6, size=(3, n_ports))
+            w *= rng.random((3, n_ports)) < rng.random()
+            dense = np.einsum("tkn,kn->tk", h, w)
+            for k in range(3):
+                got = _port_sum(h[:, k], w[k], np.flatnonzero(w[k]))
+                if got is None:
+                    assert not dense[:, k].any()
+                else:
+                    assert np.array_equal(bits(got), bits(dense[:, k])), (n_ports, n_draws, k)
+
+
+def test_user_sum_matches_numpy_row_sum_bit_for_bit():
+    """Idle users are left out, and the rest are added in the pairwise
+    order of numpy's row sum, also past 8 and 128 users."""
+    rng = np.random.default_rng(61)
+    for n_users in [*range(1, 40), 127, 128, 129, 300]:
+        rates = rng.exponential(size=(5, n_users)) * 10.0 ** rng.uniform(-8, 8, size=(5, n_users))
+        rates *= rng.random(n_users) < rng.random()
+        got = _user_sum([rates[:, k].copy() if rates[:, k].any() else None
+                         for k in range(n_users)])
+        got = np.zeros(5) if got is None else got
+        assert np.array_equal(bits(got), bits(rates.sum(axis=1))), n_users
+
+
+def dense_weights(pathloss, mode, tx_power):
+    """Per-(user, port) weights S*P, split into signal and interference
+    parts and zero off the mode."""
+    n_users, n_ports = pathloss.gains.shape
+    sig_w = np.zeros((n_users, n_ports))
+    intf_w = np.zeros((n_users, n_ports))
+    for user, ports in mode.support_sets.items():
+        for j in ports:
+            sig_w[user - 1, j] = pathloss.gains[user - 1, j] * tx_power
+        for j in mode.complements[user]:
+            intf_w[user - 1, j] = pathloss.gains[user - 1, j] * tx_power
+    return sig_w, intf_w
+
+
+def dense_sum_rates(sig_w, intf_w, noise, h):
+    """The engine's per-draw sum rates in their dense einsum form."""
+    signal = np.einsum("tkn,kn->tk", h, sig_w)
+    denom = noise + np.einsum("tkn,kn->tk", h, intf_w)
+    return np.log2(1.0 + signal / denom).sum(axis=1)
+
+
+def dense_mc_ergodic_sum_rate(scenario, pathloss, mode, n_channels, seed):
+    """The engine in its dense form, over chunks drawn by ``exponential``."""
+    sig_w, intf_w = dense_weights(pathloss, mode, scenario.tx_power)
+    total = 0.0
+    total_sq = 0.0
+    for c, size in enumerate(_chunk_sizes(n_channels)):
+        h = _stream(seed, (c,)).exponential(size=(size, *sig_w.shape))
+        rates = dense_sum_rates(sig_w, intf_w, scenario.noise_power, h)
+        total += float(rates.sum())
+        total_sq += float(np.square(rates).sum())
+    mean = total / n_channels
+    var = max(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n_channels),
+                      n_trials=n_channels)
+
+
+def oracle_cases():
+    """Every ideal mode at N = K = 3 and samples at N = K = 5 and 9 (from
+    8 users on, numpy's row sum is pairwise), each on its own drop."""
+    rng = np.random.default_rng(62)
+    cases = [(3, mode) for mode in enumerate_ideal(3, 3).modes]
+    modes5 = enumerate_ideal(5, 5).modes
+    cases += [(5, modes5[i]) for i in rng.choice(len(modes5), size=24, replace=False)]
+    cases += [(9, TransmissionMode(tuple(int(u) for u in rng.permutation(10)[:9])))
+              for _ in range(4)]
+    for case, (n, mode) in enumerate(cases):
+        scn = drop_users_uniform(template(n), seed=(63, case))
+        yield case, scn.with_tx_power(float(10.0 ** rng.uniform(-1, 5))), mode
+
+
+def test_sum_rates_match_dense_form_bit_for_bit():
+    for case, scn, mode in oracle_cases():
+        pl = pathloss_matrix(scn)
+        h = _stream(67, (case,)).standard_exponential(size=(300, *pl.gains.shape))
+        want = dense_sum_rates(*dense_weights(pl, mode, scn.tx_power), scn.noise_power, h)
+        got = _sum_rates(h, pl.gains * scn.tx_power, mode, scn.noise_power)
+        assert np.array_equal(bits(got), bits(want)), mode.label
+
+
+@pytest.mark.parametrize("n_channels", [200, 9000])
+def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
+    """9000 channels are two chunks, the second a tail."""
+    for case, scn, mode in oracle_cases():
+        pl = pathloss_matrix(scn)
+        assert (mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
+                == dense_mc_ergodic_sum_rate(scn, pl, mode, n_channels, (64, case))), mode.label
+
+
+def test_mc_mode_with_no_active_port_is_zero():
+    scn = drop_users_uniform(template(3), seed=65)
+    est = mc_ergodic_sum_rate(scn, pathloss_matrix(scn), TransmissionMode((0, 0, 0)),
+                              9000, seed=66)
+    assert est == McEstimate(mean=0.0, std_error=0.0, n_trials=9000)
+
+
 def test_fading_draws_unit_mean():
-    """The engine's per-chunk streams draw unit-mean power gains."""
-    small = _stream(31, (0,)).exponential(size=(2, 4, 3))
+    """The engine's per-chunk streams draw unit-mean power gains with
+    ``standard_exponential``, bit for bit the draws of ``exponential``."""
+    small = _stream(31, (0,)).standard_exponential(size=(2, 4, 3))
     assert small.shape == (2, 4, 3)
-    big = _stream(31, (0,)).exponential(size=(1000, 1000))
+    big = _stream(31, (0,)).standard_exponential(size=(1000, 1000))
     assert big.mean() == pytest.approx(1.0, abs=0.01)
+    for size in (simulate.MC_CHUNK, 808, 2):
+        for chunk in range(2):
+            shape = (size, 3, 3)
+            assert np.array_equal(
+                bits(_stream((31, 5), (chunk,)).standard_exponential(size=shape)),
+                bits(_stream((31, 5), (chunk,)).exponential(size=shape)))
 
 
 def test_mc_deterministic_per_seed():
