@@ -104,6 +104,8 @@ def _check_counts(args) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "drops", 1) < 1:
         raise ConfigError(f"--drops must be >= 1, got {args.drops}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     runs_mc = ((args.command == "rates" and not args.no_mc)
                or getattr(args, "rating", None) == "mc")
     if runs_mc and args.channels < 2:

@@ -19,7 +19,7 @@ from .modes import TransmissionMode, enumerate_ideal, ideal_count
 from .rate import (CrossoverFormulas, RateTable, block_sum_rates, crossover_snr,
                    log1p_inv, rate_curve_intersection_db)
 from .simulate import (MAX_GRID_POINTS, RateCurve, RateSeries, cell_average,
-                       mc_ergodic_sum_rate)
+                       fading_buffer, mc_ergodic_sum_rate)
 
 
 def _fmt(value: float) -> str:
@@ -104,7 +104,8 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
                      n_channels: int = simulate.DEFAULT_N_CHANNELS,
                      seed: int = 1, include_mc: bool = True) -> RateCurve:
     """Per-mode analytic curves over a fixed geometry, with optional
-    Monte Carlo companions (independent draws per mode and SNR point)."""
+    Monte Carlo companions (independent draws per mode and SNR point,
+    all into one fading buffer)."""
     if scenario.user_positions is None:
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
@@ -113,12 +114,14 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
     points = [scenario.with_snr_db(db) for db in grid]
     analytic = block_sum_rates([table], [point.tx_power for point in points])[0].tolist()
     series: list[RateSeries] = []
+    fading = (fading_buffer(n_channels, scenario.n_users, scenario.n_ports)
+              if include_mc else None)
     for m_idx, mode in enumerate(modes):
         series.append(RateSeries(label=mode.label, kind="analytic",
                                  values=tuple(row[m_idx] for row in analytic)))
         if include_mc:
             estimates = [mc_ergodic_sum_rate(point, pl, mode, n_channels,
-                                             seed=(seed, m_idx, p_idx))
+                                             seed=(seed, m_idx, p_idx), fading=fading)
                          for p_idx, point in enumerate(points)]
             series.append(RateSeries(label=mode.label, kind="mc",
                                      values=tuple(e.mean for e in estimates),

@@ -7,6 +7,10 @@ Each chunk rates only the mode's active users, each from its own signal
 and interference ports, added in the order of the dense
 ``np.einsum("tkn,kn->tk")`` form on the numpy 2.4.6 x86-64 baseline
 build, so Monte Carlo bytes are tied to that build.
+Each block of drops draws every chunk of every estimate into one fading
+buffer, allocated once: a fresh chunk-sized array per draw is freed to
+the OS at the heap top and page-faulted in again by the next chunk,
+which cost up to a sixth of a Monte Carlo sweep's time.
 A command runs its drops on at most one process pool; each drop combines
 its Monte Carlo chunks in chunk order, and drop results are combined in
 drop order, so outputs are bit-identical for a given seed regardless of
@@ -145,22 +149,39 @@ def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
+def fading_buffer(n_channels: int, n_users: int, n_ports: int) -> np.ndarray:
+    """Room for the largest chunk of an ``n_channels`` estimate over
+    (n_users, n_ports) draws; estimates that share it draw into it."""
+    if n_channels < 2:
+        raise ValueError("n_channels must be >= 2")
+    return np.empty((min(n_channels, MC_CHUNK), n_users, n_ports))
+
+
 def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
                         mode: TransmissionMode, n_channels: int,
-                        seed) -> McEstimate:
+                        seed, *, fading: np.ndarray | None = None) -> McEstimate:
     """Monte Carlo estimate of the ergodic sum rate over fading.
 
     ``seed`` may be an int or a tuple of ints (callers namespace nested
-    experiments by passing e.g. (seed, drop, point)).
+    experiments by passing e.g. (seed, drop, point)). Every chunk is
+    drawn into ``fading``, a ``fading_buffer`` that many estimates may
+    share; without one the estimate allocates its own.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
     weights = pathloss.gains * scenario.tx_power
+    shape = (min(n_channels, MC_CHUNK), *weights.shape)
+    if fading is None:
+        fading = np.empty(shape)
+    elif (fading.dtype != np.float64 or not fading.flags.c_contiguous
+          or fading.shape[1:] != shape[1:] or fading.shape[0] < shape[0]):
+        raise ValueError(f"fading buffer must be C-contiguous float64 with shape "
+                         f"{shape} or more rows, got {fading.dtype} {fading.shape}")
     total = 0.0
     total_sq = 0.0
     # One stream per fixed-size chunk, summed in chunk order.
     for c, size in enumerate(_chunk_sizes(n_channels)):
-        h = _stream(seed, (c,)).standard_exponential(size=(size, *weights.shape))
+        h = _stream(seed, (c,)).standard_exponential(out=fading[:size])
         rates = _sum_rates(h, weights, mode, scenario.noise_power)
         total += float(rates.sum())
         total_sq += float(np.square(rates).sum())
@@ -192,9 +213,12 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
     grid; every set selects from its drop's rate vector at each point.
     The recorded value is the closed-form rate, or the Monte Carlo mean
     when ``rating`` is "mc": one estimate per distinct chosen mode and
-    (drop, point), since the stream key does not depend on the scheme.
+    (drop, point), since the stream key does not depend on the scheme,
+    every one drawn into the block's one fading buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
+    fading = (fading_buffer(n_channels, template.n_users, template.n_ports)
+              if rating == "mc" else None)
     tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
     scenarios = [drop_users_uniform(
         template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,))) for drop in drops]
@@ -226,7 +250,7 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
                         if mode not in estimates:
                             estimates[mode] = mc_ergodic_sum_rate(
                                 scenario.with_tx_power(tx_powers[idx]), pl, mode,
-                                n_channels, seed=(seed, drop, idx)).mean
+                                n_channels, seed=(seed, drop, idx), fading=fading).mean
                         values[s, idx] = estimates[mode]
     return results
 

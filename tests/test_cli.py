@@ -155,6 +155,10 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("hist", "--config", "fig7.cfg", "--jobs", "-3"), "--jobs must be >= 1"),
     (("sweep", "--config", "fig3.cfg", "--rating", "mc", "--channels", "1"),
      "--channels must be >= 2"),
+    (("sweep", "--config", "fig4.cfg", "--seed", "-1", "--jobs", "2"),
+     "--seed must be >= 0"),
+    (("hist", "--config", "fig7.cfg", "--seed", "-1"), "--seed must be >= 0"),
+    (("rates", "--config", "fig2.cfg", "--no-mc", "--seed", "-1"), "--seed must be >= 0"),
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[9 9]"), "4 ports"),
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[5 5 5 5]"), "4 users"),
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 1 1 1 1]"), "4 ports"),
@@ -168,7 +172,8 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("sweep", "--config", "fig4.cfg", "--fixed-mode", "[1 2 3]",
       "--fixed-mode", "[1  2 3]"), "given more than once: [1 2 3]"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
-        "jobs-0", "jobs-negative", "channels-1-with-mc", "fixed-mode-too-short",
+        "jobs-0", "jobs-negative", "channels-1-with-mc", "sweep-seed-negative",
+        "hist-seed-negative", "rates-seed-negative", "fixed-mode-too-short",
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
         "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
         "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
@@ -220,6 +225,15 @@ def test_multi_scheme_sweep_matches_recorded_output(capsys, extra, recorded):
     code, out, _ = run_cli(capsys, *MULTI_SCHEME_SWEEP, *extra)
     assert code == 0
     assert out == (DATA / recorded).read_text()
+
+
+def test_rates_monte_carlo_matches_recorded_output(capsys):
+    """The Monte Carlo columns of ``rates``: 9000 channels are one full
+    chunk and a tail, drawn for every mode and point into one buffer."""
+    code, out, _ = run_cli(capsys, "rates", "--config", "fig2.cfg", "--snr", "0:10:30",
+                           "--channels", "9000")
+    assert code == 0
+    assert out == (DATA / "rates_fig2_mc.csv").read_text()
 
 
 @pytest.mark.parametrize("drops", [1, 9, 65])

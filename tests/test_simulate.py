@@ -181,17 +181,74 @@ def test_mc_mode_with_no_active_port_is_zero():
 
 def test_fading_draws_unit_mean():
     """The engine's per-chunk streams draw unit-mean power gains with
-    ``standard_exponential``, bit for bit the draws of ``exponential``."""
+    ``standard_exponential``, bit for bit the draws of ``exponential``,
+    and drawn ``out=`` the head of a buffer that holds an earlier chunk,
+    bit for bit the draws of ``size=``."""
     small = _stream(31, (0,)).standard_exponential(size=(2, 4, 3))
     assert small.shape == (2, 4, 3)
     big = _stream(31, (0,)).standard_exponential(size=(1000, 1000))
     assert big.mean() == pytest.approx(1.0, abs=0.01)
+    buffer = _stream((31, 4), (0,)).standard_exponential(size=(simulate.MC_CHUNK, 3, 3))
     for size in (simulate.MC_CHUNK, 808, 2):
         for chunk in range(2):
             shape = (size, 3, 3)
+            drawn = _stream((31, 5), (chunk,)).standard_exponential(size=shape)
             assert np.array_equal(
-                bits(_stream((31, 5), (chunk,)).standard_exponential(size=shape)),
-                bits(_stream((31, 5), (chunk,)).exponential(size=shape)))
+                bits(drawn), bits(_stream((31, 5), (chunk,)).exponential(size=shape)))
+            into = _stream((31, 5), (chunk,)).standard_exponential(out=buffer[:size])
+            assert np.shares_memory(into, buffer)
+            assert np.array_equal(bits(into), bits(drawn))
+
+
+@pytest.mark.parametrize("n_channels", [2, 200, simulate.MC_CHUNK, 9000])
+def test_mc_fading_buffer_does_not_change_estimate(n_channels):
+    """A buffer passed in, stale or longer than needed, gives the estimate
+    of a call that allocates its own; 9000 channels are a chunk and a tail."""
+    scn = drop_users_uniform(template(3), seed=70).with_tx_power(300.0)
+    pl = pathloss_matrix(scn)
+    mode = TransmissionMode((1, 2, 3))
+    want = mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(71, 2))
+    for rows in (min(n_channels, simulate.MC_CHUNK), simulate.MC_CHUNK + 5):
+        fading = np.full((rows, 3, 3), np.nan)
+        for _ in range(2):
+            assert mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(71, 2),
+                                       fading=fading) == want
+
+
+@pytest.mark.parametrize("fading", [
+    np.empty((199, 3, 3)),
+    np.empty((200, 3, 2)),
+    np.empty((200, 2, 3)),
+    np.empty((200, 9)),
+    np.empty((200, 3, 3, 1)),
+    np.empty((200, 3, 3), dtype=np.float32),
+    np.empty((400, 3, 3))[::2],
+    np.empty((200, 3, 3), order="F"),
+], ids=["too-few-rows", "wrong-ports", "wrong-users", "flat", "4d", "float32",
+        "strided", "fortran"])
+def test_mc_rejects_unfit_fading_buffer(fading):
+    scn = drop_users_uniform(template(3), seed=72)
+    with pytest.raises(ValueError, match="fading buffer"):
+        mc_ergodic_sum_rate(scn, pathloss_matrix(scn), TransmissionMode((1, 2, 3)),
+                            200, seed=73, fading=fading)
+
+
+def test_block_worker_draws_every_estimate_into_one_buffer(monkeypatch):
+    # The buffers are kept alive, so two of them cannot share an address.
+    buffers = []
+    estimate = simulate.mc_ergodic_sum_rate
+
+    def recording(*args, fading, **kwargs):
+        buffers.append(fading)
+        return estimate(*args, fading=fading, **kwargs)
+
+    monkeypatch.setattr(simulate, "mc_ergodic_sum_rate", recording)
+    sets = [enumerate_ideal(3, 3), None]
+    simulate._block_worker((template(3), sets, (0.0, 20.0, 40.0), 9000, 74,
+                            range(3), "mc"))
+    assert len(buffers) >= 3 * 3
+    assert {(b.ctypes.data, b.shape) for b in buffers} == {
+        (buffers[0].ctypes.data, (simulate.MC_CHUNK, 3, 3))}
 
 
 def test_mc_deterministic_per_seed():
@@ -360,9 +417,9 @@ def test_mc_estimates_each_distinct_chosen_mode_once(monkeypatch):
     calls = []
     estimate = simulate.mc_ergodic_sum_rate
 
-    def counting(scenario, pathloss, mode, n_channels, seed):
+    def counting(scenario, pathloss, mode, n_channels, seed, **kwargs):
         calls.append((seed, mode.assignment))
-        return estimate(scenario, pathloss, mode, n_channels, seed)
+        return estimate(scenario, pathloss, mode, n_channels, seed, **kwargs)
 
     monkeypatch.setattr(simulate, "mc_ergodic_sum_rate", counting)
     mc = simulate._run_drops(template(3), sets, grid, 50, 48, 6, "mc", 1)
