@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 
@@ -19,6 +20,13 @@ from .errors import (CapacityError, ConfigError, DegenerateGainsError,
                      NumericalFailureError)
 from .geometry import Scenario, load_scenario
 from .modes import TransmissionMode
+
+# Objects made at import live until exit. Frozen, they are skipped by
+# every collection a run makes and by the interpreter's final collection
+# and teardown, which otherwise walk all of them at exit. At module
+# level, not in main(), so in-process callers such as the tests freeze
+# once rather than on every call.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,10 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """Reject counts that would run nothing, before any work starts."""
+def _check_args(args) -> None:
+    """Reject counts and an output path that would run nothing or lose
+    the result, before any work starts."""
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if getattr(args, "jobs", 1) > simulate.MAX_JOBS:
+        raise ConfigError(f"--jobs must be <= {simulate.MAX_JOBS}, got {args.jobs}")
     if getattr(args, "drops", 1) < 1:
         raise ConfigError(f"--drops must be >= 1, got {args.drops}")
     if getattr(args, "seed", 0) < 0:
@@ -111,6 +122,9 @@ def _check_counts(args) -> None:
     if runs_mc and args.channels < 2:
         raise ConfigError(f"--channels must be >= 2 when Monte Carlo runs, "
                           f"got {args.channels}")
+    out = getattr(args, "out", None)
+    if out and not Path(out).parent.is_dir():
+        raise ConfigError(f"--out directory '{Path(out).parent}' does not exist")
 
 
 def _resolve_config(name: str) -> Scenario:
@@ -122,7 +136,10 @@ def _resolve_config(name: str) -> Scenario:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -211,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
                 "crossover": _cmd_crossover, "hist": _cmd_hist,
                 "verify": _cmd_verify}
     try:
-        _check_counts(args)
+        _check_args(args)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

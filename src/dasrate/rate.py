@@ -410,7 +410,8 @@ def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, 
 
     starts = np.cumsum([0] + [len(modes) for modes in sequences])
     seq_tid = {id(modes): tid[lo:hi] for modes, lo, hi in zip(sequences, starts, starts[1:])}
-    seq_types = {k: np.unique(t) for k, t in seq_tid.items()}
+    # bincount, not np.unique: a plain np.unique imports numpy.ma.
+    seq_types = {k: np.flatnonzero(np.bincount(t.ravel())) for k, t in seq_tid.items()}
     need = np.zeros((n_drops, n_types + 1), dtype=bool)
     for d, seqs in enumerate(drop_modes):
         for modes in seqs:
@@ -427,7 +428,7 @@ def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, 
     row_col = (part_drop * n_users + rep_user[part_type]) * n_ports
     size = n_sig[part_type] * (n_ports + 1) + n_int[part_type]
     groups = []
-    for s in np.unique(size):
+    for s in np.flatnonzero(np.bincount(size)):
         members = np.nonzero(size == s)[0]
         t = part_type[members]
         width = n_sig[t[0]] + n_int[t[0]]

@@ -11,17 +11,17 @@ Each block of drops draws every chunk of every estimate into one fading
 buffer, allocated once: a fresh chunk-sized array per draw is freed to
 the OS at the heap top and page-faulted in again by the next chunk,
 which cost up to a sixth of a Monte Carlo sweep's time.
-A command runs its drops on at most one process pool; each drop combines
-its Monte Carlo chunks in chunk order, and drop results are combined in
-drop order, so outputs are bit-identical for a given seed regardless of
-worker count.
+A command runs its drops on at most one process pool, with no more
+workers than blocks of drops, and imports the pool machinery only when
+it starts one. Each drop combines its Monte Carlo chunks in chunk order,
+and drop results are combined in drop order, so outputs are
+bit-identical for a given seed regardless of worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +42,9 @@ DEFAULT_N_DROPS = 4000
 
 # Most SNR points one grid spec or histogram range may hold.
 MAX_GRID_POINTS = 10_000
+
+# Most worker processes one command may ask for.
+MAX_JOBS = 256
 
 # Trials per RNG stream; fixed, so the draws depend only on the seed and
 # the trial count.
@@ -263,7 +266,8 @@ MAX_BLOCK_DROP_POINTS = 704
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
                n_drops: int, rating: str, n_jobs: int) -> list:
-    """Per-drop results in drop order, on one process pool when n_jobs > 1.
+    """Per-drop results in drop order, on one process pool of
+    min(n_jobs, blocks) workers when both are above one.
 
     Drops go out in blocks of consecutive drops: about eight per worker,
     so the pool stays balanced, and no more than MAX_BLOCK_DROP_POINTS
@@ -276,7 +280,11 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
               range(start, min(start + size, n_drops)), rating)
              for start in range(0, n_drops, size)]
     if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        # Imported here, so a command that starts no pool never loads
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
             blocks = list(pool.map(_block_worker, tasks))
     else:
         blocks = [_block_worker(t) for t in tasks]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -153,6 +154,7 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("hist", "--config", "fig7.cfg", "--drops", "0"), "--drops must be >= 1"),
     (("sweep", "--config", "fig3.cfg", "--jobs", "0"), "--jobs must be >= 1"),
     (("hist", "--config", "fig7.cfg", "--jobs", "-3"), "--jobs must be >= 1"),
+    (("hist", "--config", "fig7.cfg", "--jobs", "257"), "--jobs must be <= 256"),
     (("sweep", "--config", "fig3.cfg", "--rating", "mc", "--channels", "1"),
      "--channels must be >= 2"),
     (("sweep", "--config", "fig4.cfg", "--seed", "-1", "--jobs", "2"),
@@ -171,13 +173,17 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
      "given more than once: ideal"),
     (("sweep", "--config", "fig4.cfg", "--fixed-mode", "[1 2 3]",
       "--fixed-mode", "[1  2 3]"), "given more than once: [1 2 3]"),
+    (("hist", "--config", "fig7.cfg", "--drops", "2",
+      "--out", str(DATA / "no-such-dir" / "x.csv")), "does not exist"),
+    (("crossover", "--config", "fig2.cfg", "--out", str(DATA)), "cannot write --out"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
-        "jobs-0", "jobs-negative", "channels-1-with-mc", "sweep-seed-negative",
-        "hist-seed-negative", "rates-seed-negative", "fixed-mode-too-short",
+        "jobs-0", "jobs-negative", "jobs-too-many", "channels-1-with-mc",
+        "sweep-seed-negative", "hist-seed-negative", "rates-seed-negative",
+        "fixed-mode-too-short",
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
         "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
         "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
-        "fixed-mode-repeated"])
+        "fixed-mode-repeated", "out-dir-missing", "out-is-a-directory"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a worker pool starts."""
@@ -185,7 +191,7 @@ def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, mes
         raise AssertionError("work started on invalid input")
 
     monkeypatch.setattr(simulate, "drop_users_uniform", no_work)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
@@ -252,33 +258,51 @@ def test_drop_blocks_do_not_change_output(capsys, argv, drops):
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_starts_one_pool(capsys, monkeypatch):
-    """A --jobs 2 sweep of two schemes and a fixed mode runs every drop on
-    one process pool."""
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The max_workers of every process pool a command starts."""
     started = []
 
-    class CountingPool(simulate.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def test_sweep_starts_one_pool(capsys, pools_started):
+    """A --jobs 2 sweep of two schemes and a fixed mode runs every drop on
+    one process pool."""
     code, _, _ = run_cli(capsys, "sweep", "--config", "fig3.cfg", "--drops", "4",
                          "--snr", "0:25:50", "--scheme", "ideal",
                          "--scheme", "min-distance", "--fixed-mode", "[1 2]",
                          "--jobs", "2")
     assert code == 0
-    assert started == [2]
+    assert pools_started == [2]
 
 
-# Runs in a fresh interpreter, where nothing has imported scipy yet.
+def test_pool_has_no_more_workers_than_blocks(capsys, pools_started):
+    """Two drops go out as two blocks, so --jobs 6 starts two workers."""
+    code, _, _ = run_cli(capsys, "hist", "--config", "fig7.cfg", "--drops", "2",
+                         "--jobs", "6")
+    assert code == 0
+    assert pools_started == [2]
+
+
+# Runs in a fresh interpreter, where nothing has imported scipy yet. The
+# --jobs 2 sweep comes last: once a pool has run, its modules stay loaded.
 NUMPY_ONLY_SCRIPT = """
 import sys
 from dasrate import cli
 
-def numpy_only(when):
+def numpy_only(when, pool=False):
     assert "scipy" not in sys.modules, "scipy loaded " + when
     assert "numpy.random" in sys.modules, "numpy.random missing " + when
+    assert "numpy.ma" not in sys.modules, "numpy.ma loaded " + when
+    assert ("concurrent.futures.process" in sys.modules) == pool, (
+        "pool modules " + ("missing " if pool else "loaded ") + when)
 
 numpy_only("by import dasrate.cli")
 out = sys.argv[1] + "/out.csv"
@@ -286,19 +310,21 @@ for argv in (
     ["rates", "--config", "fig2.cfg", "--snr", "0:10:20", "--no-mc"],
     ["rates", "--config", "fig2.cfg", "--snr", "0:10:20", "--channels", "200"],
     ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50"],
-    ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50",
-     "--rating", "mc", "--channels", "50", "--jobs", "2"],
     ["crossover", "--config", "fig2.cfg"],
     ["hist", "--config", "fig7.cfg", "--drops", "2"],
+    ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50",
+     "--rating", "mc", "--channels", "50", "--jobs", "2"],
 ):
     assert cli.main(argv + ["--out", out]) == 0, argv
-    numpy_only("by " + " ".join(argv))
+    numpy_only("by " + " ".join(argv), pool="--jobs" in argv)
 """
 
 
 def test_commands_other_than_verify_never_import_scipy(tmp_path):
     """scipy is needed only by ``dasrate verify``; every other command,
-    and the import of the CLI itself, runs on numpy alone."""
+    and the import of the CLI itself, runs on numpy alone, without
+    ``numpy.ma``, and loads the process-pool modules only when it starts
+    a pool."""
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
                             env={**os.environ, "PYTHONPATH": src},
