@@ -18,8 +18,7 @@ from .geometry import PathlossMatrix, Scenario, pathloss_matrix
 from .modes import TransmissionMode, enumerate_ideal, ideal_count
 from .rate import (CrossoverFormulas, RateTable, block_sum_rates, crossover_snr,
                    log1p_inv, rate_curve_intersection_db)
-from .simulate import (MAX_GRID_POINTS, RateCurve, RateSeries, cell_average,
-                       fading_buffer, mc_ergodic_sum_rate)
+from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates
 
 
 def _fmt(value: float) -> str:
@@ -27,7 +26,8 @@ def _fmt(value: float) -> str:
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """SNR grid from a ``start:step:stop`` dB spec (stop inclusive)."""
+    """SNR grid from a ``start:step:stop`` dB spec (stop inclusive), checked
+    by ``simulate.check_snr_grid``."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"SNR spec must be start:step:stop in dB, got {spec!r}")
@@ -35,11 +35,7 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric SNR spec {spec!r}") from exc
-    if not all(map(math.isfinite, (start, step, stop))) or step <= 0 or stop < start:
-        raise ConfigError(f"SNR spec needs finite bounds, step > 0 and stop >= start, "
-                          f"got {spec!r}")
-    if (stop - start) / step + 1 > MAX_GRID_POINTS:
-        raise ConfigError(f"SNR spec {spec!r} holds more than {MAX_GRID_POINTS} points")
+    simulate.check_snr_grid(start, step, stop, f"SNR spec/--snr {spec!r}")
     n_steps = int(math.floor((stop - start) / step + 1e-9))
     return tuple(start + i * step for i in range(n_steps + 1))
 
@@ -104,28 +100,28 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
                      n_channels: int = simulate.DEFAULT_N_CHANNELS,
                      seed: int = 1, include_mc: bool = True) -> RateCurve:
     """Per-mode analytic curves over a fixed geometry, with optional
-    Monte Carlo companions (independent draws per mode and SNR point,
-    all into one fading buffer)."""
+    Monte Carlo companions: every mode at every point reads the same
+    fading draw per chunk, keyed by the seed and the chunk."""
     if scenario.user_positions is None:
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
     table = RateTable(scenario, pl, modes)
-    points = [scenario.with_snr_db(db) for db in grid]
-    analytic = block_sum_rates([table], [point.tx_power for point in points])[0].tolist()
+    tx_powers = [scenario.with_snr_db(db).tx_power for db in grid]
+    analytic = block_sum_rates([table], tx_powers)[0].tolist()
+    if include_mc:
+        estimates = mc_sum_rates(pl.gains, scenario.noise_power,
+                                 [(mode, tx_powers) for mode in modes], n_channels,
+                                 simulate.stream_key(seed))
     series: list[RateSeries] = []
-    fading = (fading_buffer(n_channels, scenario.n_users, scenario.n_ports)
-              if include_mc else None)
     for m_idx, mode in enumerate(modes):
         series.append(RateSeries(label=mode.label, kind="analytic",
                                  values=tuple(row[m_idx] for row in analytic)))
         if include_mc:
-            estimates = [mc_ergodic_sum_rate(point, pl, mode, n_channels,
-                                             seed=(seed, m_idx, p_idx), fading=fading)
-                         for p_idx, point in enumerate(points)]
+            mc = estimates[m_idx]
             series.append(RateSeries(label=mode.label, kind="mc",
-                                     values=tuple(e.mean for e in estimates),
-                                     std_errors=tuple(e.std_error for e in estimates)))
+                                     values=tuple(e.mean for e in mc),
+                                     std_errors=tuple(e.std_error for e in mc)))
     return RateCurve(snr_grid_db=grid, series=tuple(series))
 
 

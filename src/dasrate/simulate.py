@@ -1,26 +1,24 @@
 """Monte Carlo fading engine and cell-averaged experiments.
 
-Fading power gains are drawn directly as unit-mean exponentials (the
-squared magnitude of a unit-variance complex Gaussian). All randomness is
-keyed by counter-based streams derived from (seed, drop, point, chunk).
-Each chunk rates only the mode's active users, each from its own signal
-and interference ports, added in the order of the dense
-``np.einsum("tkn,kn->tk")`` form on the numpy 2.4.6 x86-64 baseline
-build, so Monte Carlo bytes are tied to that build.
-Each block of drops draws every chunk of every estimate into one fading
-buffer, allocated once: a fresh chunk-sized array per draw is freed to
-the OS at the heap top and page-faulted in again by the next chunk,
-which cost up to a sixth of a Monte Carlo sweep's time.
-A command runs its drops on at most one process pool, with no more
-workers than blocks of drops, and imports the pool machinery only when
-it starts one. Each drop combines its Monte Carlo chunks in chunk order,
-and drop results are combined in drop order, so outputs are
-bit-identical for a given seed regardless of worker count.
+Fading power gains are unit-mean exponentials (the squared magnitude of
+a unit-variance complex Gaussian), drawn in chunks of MC_CHUNK channels,
+each from its own counter-based stream: a ``SeedSequence`` on the seed
+with its indices in the spawn key, which is not zero-padded as the
+entropy is, so keys of different lengths never coincide. Drop d's users
+come from (seed; d), the fading of its chunk c from (seed; d, c), and
+chunk c of a fixed geometry from (seed; 0, 0, c).
+
+A draw does not depend on the transmit power, so each chunk is drawn
+once per drop and read by every mode and point rated there (common
+random numbers). Each (mode, point) adds its chunks in chunk order and
+drop results are combined in drop order, so outputs are bit-identical
+for a given seed whatever the worker count. A command runs its drops on
+at most one process pool, with no more workers than blocks of drops,
+and imports the pool machinery only when it starts one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,12 +41,22 @@ DEFAULT_N_DROPS = 4000
 # Most SNR points one grid spec or histogram range may hold.
 MAX_GRID_POINTS = 10_000
 
+# SNR points lie within +-MAX_ABS_SNR_DB dB. Every closed-form and Monte
+# Carlo rate of the bundled configs is finite there; the linear SNR
+# itself overflows a float near 3083 dB.
+MAX_ABS_SNR_DB = 300.0
+
 # Most worker processes one command may ask for.
 MAX_JOBS = 256
 
 # Trials per RNG stream; fixed, so the draws depend only on the seed and
 # the trial count.
 MC_CHUNK = 8192
+
+# Most transmit powers one Monte Carlo rating pass holds: its two
+# (points, chunk) work arrays take at most 2 MiB whatever the grid
+# length, and an 11-point grid is one pass.
+MC_POINT_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -80,71 +88,31 @@ class RateCurve:
                 raise ValueError(f"series {s.label!r} length does not match grid")
 
 
-def _stream(entropy, spawn_key) -> np.random.Generator:
-    """Counter-based generator for one (seed, index...) key."""
-    seq = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(spawn_key))
+def check_snr_grid(lo: float, step: float, hi: float, what: str) -> None:
+    """Reject an SNR grid from ``lo`` to ``hi`` dB in ``step`` dB steps
+    that is not finite or increasing, leaves +-MAX_ABS_SNR_DB or holds
+    more than MAX_GRID_POINTS points; ``what`` names it in the message."""
+    if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
+        raise ConfigError(f"invalid {what}: it needs finite bounds, step > 0 and "
+                          f"stop >= start")
+    if not -MAX_ABS_SNR_DB <= lo <= hi <= MAX_ABS_SNR_DB:
+        raise ConfigError(f"{what} spans {lo:g} to {hi:g} dB; SNR points must lie "
+                          f"within +-{MAX_ABS_SNR_DB:g} dB")
+    if (hi - lo) / step + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"{what} holds more than {MAX_GRID_POINTS} points")
+
+
+def _chunk_stream(key: np.random.SeedSequence, chunk: int) -> np.random.Generator:
+    """Counter-based generator of Monte Carlo chunk ``chunk`` under
+    ``key``: the key's child of that index, as ``key.spawn`` makes it."""
+    seq = np.random.SeedSequence(key.entropy, spawn_key=(*key.spawn_key, chunk))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _add(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """a + b, where None stands for an array of exact zeros."""
-    if a is None:
-        return b
-    return a if b is None else a + b
-
-
-def _port_sum(h_user: np.ndarray, weights: np.ndarray, ports) -> np.ndarray | None:
-    """Sum of ``h_user[:, j] * weights[j]`` over ``ports`` (None for no
-    ports), where ``h_user`` is ``h[:, k]`` of a (T, K, N) draw: bit for
-    bit column k of ``np.einsum("tkn,kn->tk", h, w)`` with ``w[k]``
-    zero off ``ports``.
-
-    A zero-weight port adds an exact +0, so only ``ports`` are added, in
-    the order of einsum's kernel on the numpy 2.4.6 x86-64 baseline build
-    (two float64 lanes, no fused multiply-add): lane 0 adds the even ports
-    and lane 1 the odd ones; within each whole block of 8 ports a lane
-    adds its four from the highest down; the ports after the last whole
-    block follow in ascending order; the sum is lane 0 + lane 1.
-    """
-    whole = h_user.shape[1] // 8 * 8
-    lanes: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
-    for j in sorted(ports, key=lambda j: (j // 8, -j if j < whole else j)):
-        lanes[j % 2].append(h_user[:, j] * weights[j])
-    return _add(*(functools.reduce(_add, lane, None) for lane in lanes))
-
-
-def _user_sum(rates: list[np.ndarray | None]) -> np.ndarray | None:
-    """Sum of the per-user ``rates`` (None for an idle user, whose rate is
-    an exact +0), bit for bit numpy's pairwise ``sum(axis=1)`` over the
-    (T, K) array of them: in order below 8 users, else 8 strided partial
-    sums, and halves beyond 128 users."""
-    n = len(rates)
-    if n < 8:
-        return functools.reduce(_add, rates, None)
-    if n <= 128:
-        whole = n // 8 * 8
-        r = [functools.reduce(_add, rates[j:whole:8], None) for j in range(8)]
-        head = _add(_add(_add(r[0], r[1]), _add(r[2], r[3])),
-                    _add(_add(r[4], r[5]), _add(r[6], r[7])))
-        return functools.reduce(_add, rates[whole:], head)
-    half = n // 2 // 8 * 8
-    return _add(_user_sum(rates[:half]), _user_sum(rates[half:]))
-
-
-def _sum_rates(h: np.ndarray, weights: np.ndarray, mode: TransmissionMode,
-               noise: float) -> np.ndarray:
-    """Sum rate of ``mode`` for each (K, N) draw of a (T, K, N) block of
-    fading power gains, given the per-(user, port) received-power weights
-    S*P. Only the active users' own ports are read."""
-    per_user: list[np.ndarray | None] = [None] * len(weights)
-    for user, ports in mode.support_sets.items():
-        k = user - 1
-        signal = _port_sum(h[:, k], weights[k], ports)
-        interference = _port_sum(h[:, k], weights[k], mode.complements[user])
-        denom = noise if interference is None else noise + interference
-        per_user[k] = np.log2(1.0 + signal / denom)
-    rates = _user_sum(per_user)
-    return np.zeros(len(h)) if rates is None else rates
+def stream_key(seed: int, drop: int | None = None) -> np.random.SeedSequence:
+    """Key of a drop, whose users are drawn from it, or of a fixed
+    geometry when ``drop`` is None; its child c draws Monte Carlo chunk c."""
+    return np.random.SeedSequence(seed, spawn_key=(0, 0) if drop is None else (drop,))
 
 
 def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
@@ -152,46 +120,93 @@ def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def fading_buffer(n_channels: int, n_users: int, n_ports: int) -> np.ndarray:
-    """Room for the largest chunk of an ``n_channels`` estimate over
-    (n_users, n_ports) draws; estimates that share it draw into it."""
-    if n_channels < 2:
-        raise ValueError("n_channels must be >= 2")
-    return np.empty((min(n_channels, MC_CHUNK), n_users, n_ports))
+def _user_powers(hg: np.ndarray, mode: TransmissionMode) -> list[tuple]:
+    """(signal, interference) received power of each active user of
+    ``mode`` in each draw of a (T, K, N) block of fading times gains: its
+    sums, in port order, over its serving ports and the mode's other
+    active ports (0 for none)."""
+    return [(sum(hg[:, user - 1, j] for j in ports),
+             sum(hg[:, user - 1, j] for j in mode.complements[user]))
+            for user, ports in mode.support_sets.items()]
 
 
-def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
-                        mode: TransmissionMode, n_channels: int,
-                        seed, *, fading: np.ndarray | None = None) -> McEstimate:
-    """Monte Carlo estimate of the ergodic sum rate over fading.
+def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Sum over ``users`` of log2(1 + S / (I + noise / P)) for each draw
+    (column) and each noise / P of the (points, 1) ``inv_snr`` (row), in
+    ``work[0]``; ``work`` is a (2, points, draws) array."""
+    rates, term = work
+    rates[:] = 0.0
+    for signal, interference in users:
+        np.add(interference, inv_snr, out=term)
+        np.divide(signal, term, out=term)
+        term += 1.0
+        np.log2(term, out=term)
+        rates += term
+    return rates
 
-    ``seed`` may be an int or a tuple of ints (callers namespace nested
-    experiments by passing e.g. (seed, drop, point)). Every chunk is
-    drawn into ``fading``, a ``fading_buffer`` that many estimates may
-    share; without one the estimate allocates its own.
+
+def mc_sum_rates(gains: np.ndarray, noise_power: float, rated, n_channels: int,
+                 key: np.random.SeedSequence, *,
+                 fading: np.ndarray | None = None) -> list[list[McEstimate]]:
+    """Monte Carlo estimates of the ergodic sum rate of several modes, each
+    at its own transmit powers, from one fading draw per chunk.
+
+    ``rated`` lists (mode, tx_powers) pairs over the (K, N) pathloss
+    ``gains``; the result holds one estimate per pair and power. Chunk c
+    is drawn from ``key``'s child c into ``fading`` (at least
+    (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
+    ``gains`` in place. Each mode's user powers are summed once per chunk
+    and rated at its powers in slices of MC_POINT_SLICE. Each (mode,
+    power) adds its own total and sum of squares in chunk order, so its
+    estimate does not depend on the other pairs and powers of the call.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
-    weights = pathloss.gains * scenario.tx_power
-    shape = (min(n_channels, MC_CHUNK), *weights.shape)
+    shape = (min(n_channels, MC_CHUNK), *gains.shape)
     if fading is None:
         fading = np.empty(shape)
     elif (fading.dtype != np.float64 or not fading.flags.c_contiguous
           or fading.shape[1:] != shape[1:] or fading.shape[0] < shape[0]):
         raise ValueError(f"fading buffer must be C-contiguous float64 with shape "
                          f"{shape} or more rows, got {fading.dtype} {fading.shape}")
-    total = 0.0
-    total_sq = 0.0
-    # One stream per fixed-size chunk, summed in chunk order.
+    inv_snrs = [noise_power / np.asarray(tx_powers, dtype=float)[:, None]
+                for _, tx_powers in rated]
+    totals = [np.zeros((2, len(inv_snr))) for inv_snr in inv_snrs]
+    work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, inv_snrs), default=0)) * shape[0])
     for c, size in enumerate(_chunk_sizes(n_channels)):
-        h = _stream(seed, (c,)).standard_exponential(out=fading[:size])
-        rates = _sum_rates(h, weights, mode, scenario.noise_power)
-        total += float(rates.sum())
-        total_sq += float(np.square(rates).sum())
-    mean = total / n_channels
-    var = max(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_channels),
-                      n_trials=n_channels)
+        hg = _chunk_stream(key, c).standard_exponential(out=fading[:size])
+        hg *= gains
+        for (mode, _), inv_snr, (total, total_sq) in zip(rated, inv_snrs, totals):
+            users = _user_powers(hg, mode)
+            for lo in range(0, len(inv_snr), MC_POINT_SLICE):
+                part = inv_snr[lo:lo + MC_POINT_SLICE]
+                rates = _sum_rates(users, part,
+                                   work[:2 * len(part) * size].reshape(2, len(part), size))
+                total[lo:lo + len(part)] += rates.sum(axis=1)
+                total_sq[lo:lo + len(part)] += np.square(rates, out=rates).sum(axis=1)
+    estimates = []
+    for total, total_sq in totals:
+        mean = total / n_channels
+        var = np.maximum(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
+        estimates.append([McEstimate(mean=float(m), std_error=float(e), n_trials=n_channels)
+                          for m, e in zip(mean, np.sqrt(var / n_channels))])
+    return estimates
+
+
+def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
+                        mode: TransmissionMode, n_channels: int,
+                        seed, *, fading: np.ndarray | None = None) -> McEstimate:
+    """Monte Carlo estimate of the ergodic sum rate over fading: the
+    one-mode, one-power case of ``mc_sum_rates``.
+
+    ``seed`` may be an int or a tuple of ints (callers namespace nested
+    experiments by passing e.g. (seed, case)); chunk c is drawn under
+    ``SeedSequence(seed, spawn_key=(c,))``. ``fading`` is as for
+    ``mc_sum_rates``.
+    """
+    return mc_sum_rates(pathloss.gains, scenario.noise_power,
+                        [(mode, [scenario.tx_power])], n_channels,
+                        np.random.SeedSequence(seed), fading=fading)[0][0]
 
 
 # --- cell-averaged experiments ----------------------------------------------
@@ -215,17 +230,14 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
     slice of at most MAX_BLOCK_DROP_POINTS drop-points, usually the whole
     grid; every set selects from its drop's rate vector at each point.
     The recorded value is the closed-form rate, or the Monte Carlo mean
-    when ``rating`` is "mc": one estimate per distinct chosen mode and
-    (drop, point), since the stream key does not depend on the scheme,
-    every one drawn into the block's one fading buffer.
+    when ``rating`` is "mc": one ``mc_sum_rates`` call per drop rates each
+    distinct chosen mode at the points where any set chose it, from one
+    draw per chunk under the drop's key, into the block's one buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
-    fading = (fading_buffer(n_channels, template.n_users, template.n_ports)
-              if rating == "mc" else None)
     tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
-    scenarios = [drop_users_uniform(
-        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,))) for drop in drops]
-    pls = [pathloss_matrix(scenario) for scenario in scenarios]
+    keys = [stream_key(seed, drop) for drop in drops]
+    pls = [pathloss_matrix(drop_users_uniform(template, key)) for key in keys]
     if any(candidates is None for candidates in sets):
         nearest = nearest_user_sets(np.stack([pl.distances for pl in pls]))
     else:
@@ -240,21 +252,29 @@ def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]
     step = max(1, MAX_BLOCK_DROP_POINTS // len(drops))
     for lo in range(0, len(tx_powers), step):
         rates_per_drop = block_sum_rates(tables, tx_powers[lo:lo + step])
-        for drop, scenario, pl, cands, table, rates, (chosen, values) in zip(
-                drops, scenarios, pls, drop_sets, tables, rates_per_drop, results):
+        for cands, table, rates, (chosen, values) in zip(drop_sets, tables,
+                                                         rates_per_drop, results):
             for idx in range(lo, min(lo + step, len(tx_powers))):
-                estimates: dict[TransmissionMode, float] = {}
                 for s, candidates in enumerate(cands):
                     result = select_mode(table, candidates, rates[idx - lo])
-                    mode = result.chosen_mode
-                    chosen[s].append(mode)
+                    chosen[s].append(result.chosen_mode)
                     values[s, idx] = result.chosen_rate
-                    if rating == "mc":
-                        if mode not in estimates:
-                            estimates[mode] = mc_ergodic_sum_rate(
-                                scenario.with_tx_power(tx_powers[idx]), pl, mode,
-                                n_channels, seed=(seed, drop, idx), fading=fading).mean
-                        values[s, idx] = estimates[mode]
+    if rating == "mc":
+        # Allocated once: a fresh array per chunk is freed to the OS at
+        # the heap top and page-faulted in again by the next chunk.
+        fading = np.empty((min(n_channels, MC_CHUNK), template.n_users, template.n_ports))
+        for key, pl, (chosen, values) in zip(keys, pls, results):
+            points: dict[TransmissionMode, list[int]] = {}  # each chosen mode: where
+            for idx, modes in enumerate(zip(*chosen)):
+                for mode in set(modes):
+                    points.setdefault(mode, []).append(idx)
+            estimates = mc_sum_rates(
+                pl.gains, template.noise_power,
+                [(mode, [tx_powers[idx] for idx in idxs]) for mode, idxs in points.items()],
+                n_channels, key, fading=fading)
+            for (mode, idxs), ests in zip(points.items(), estimates):
+                for idx, est in zip(idxs, ests):
+                    values[[per_set[idx] == mode for per_set in chosen], idx] = est.mean
     return results
 
 
@@ -349,11 +369,7 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
         raise ValueError("n_drops must be >= 1")
     ranges = [(float(lo), float(hi)) for lo, hi in snr_ranges_db]
     for lo, hi in ranges:
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ConfigError(f"invalid SNR range [{lo}, {hi}]")
-        if (hi - lo) / grid_step_db + 1 > MAX_GRID_POINTS:
-            raise ConfigError(f"SNR range [{lo}, {hi}] holds more than "
-                              f"{MAX_GRID_POINTS} points at {grid_step_db} dB steps")
+        check_snr_grid(lo, grid_step_db, hi, f"SNR range/--snr-ranges {lo:g}:{hi:g}")
     points_per_range = []
     for lo, hi in ranges:
         points = [lo]

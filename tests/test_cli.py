@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,15 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("hist", "--config", "fig7.cfg", "--drops", "2",
       "--out", str(DATA / "no-such-dir" / "x.csv")), "does not exist"),
     (("crossover", "--config", "fig2.cfg", "--out", str(DATA)), "cannot write --out"),
+    (("sweep", "--config", "fig4.cfg", "--drops", "1", "--snr", "0:1000:4000"),
+     "--snr '0:1000:4000' spans 0 to 4000 dB"),
+    (("sweep", "--config", "fig4.cfg", "--drops", "1", "--snr=-4000:1000:0"),
+     "--snr '-4000:1000:0' spans -4000 to 0 dB"),
+    (("rates", "--config", "fig2.cfg", "--snr", "300:1:300.5"), "within +-300 dB"),
+    (("hist", "--config", "fig7.cfg", "--drops", "1", "--snr-ranges", "3080:3090"),
+     "--snr-ranges 3080:3090 spans 3080 to 3090 dB"),
+    (("hist", "--config", "fig7.cfg", "--snr-ranges", "0:10,-310:-300"),
+     "--snr-ranges -310:-300 spans"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
         "jobs-0", "jobs-negative", "jobs-too-many", "channels-1-with-mc",
         "sweep-seed-negative", "hist-seed-negative", "rates-seed-negative",
@@ -183,7 +193,9 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
         "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
         "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
-        "fixed-mode-repeated", "out-dir-missing", "out-is-a-directory"])
+        "fixed-mode-repeated", "out-dir-missing", "out-is-a-directory",
+        "snr-too-high", "snr-too-low", "rates-snr-past-bound", "range-too-high",
+        "range-too-low"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a worker pool starts."""
@@ -240,6 +252,23 @@ def test_rates_monte_carlo_matches_recorded_output(capsys):
                            "--channels", "9000")
     assert code == 0
     assert out == (DATA / "rates_fig2_mc.csv").read_text()
+
+
+def test_long_grid_mc_sweep_memory_stays_bounded(capsys):
+    """A 2001-point Monte Carlo sweep rates each chosen mode in slices of
+    MC_POINT_SLICE points, so its temporaries stay at about 2.7 MB (two
+    slice work arrays and the fading buffer); rating every point at once
+    peaked at 330 MB."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "sweep", "--config", "fig4.cfg",
+                               "--scheme", "min-distance", "--rating", "mc",
+                               "--channels", "9000", "--snr", "0:0.025:50", "--drops", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out.splitlines()) == 2002
+    assert peak < 6e6
 
 
 @pytest.mark.parametrize("drops", [1, 9, 65])

@@ -7,11 +7,11 @@ import pytest
 
 from dasrate import numerics, simulate
 from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
-from dasrate.modes import TransmissionMode, enumerate_ideal
+from dasrate.modes import CandidateSet, Origin, TransmissionMode, enumerate_ideal
 from dasrate.rate import ergodic_sum_rate
-from dasrate.simulate import (McEstimate, _chunk_sizes, _port_sum, _stream, _sum_rates,
-                              _user_sum, cell_average, mc_ergodic_sum_rate,
-                              mode_histogram)
+from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
+                              _user_powers, cell_average, mc_ergodic_sum_rate,
+                              mc_sum_rates, mode_histogram, stream_key)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -29,8 +29,10 @@ def unit_scenario():
 
 def instantaneous_sum_rates(scn, mode, power_gains):
     """The Monte Carlo engine's sum rate for each (K, N) fading draw."""
-    weights = pathloss_matrix(scn).gains * scn.tx_power
-    return _sum_rates(np.asarray(power_gains), weights, mode, scn.noise_power)
+    h = np.asarray(power_gains, dtype=float)
+    users = _user_powers(h * pathloss_matrix(scn).gains, mode)
+    inv_snr = np.array([[scn.noise_power / scn.tx_power]])
+    return _sum_rates(users, inv_snr, np.empty((2, 1, len(h))))[0]
 
 
 def test_instantaneous_rate_unit_case():
@@ -47,60 +49,27 @@ def test_instantaneous_rate_zero_fading():
 
 def test_instantaneous_rates_hand_built_two_by_two():
     """User 1 is served by port 1 and hears port 2; user 2 the reverse."""
-    gains = np.array([[0.1, 0.2], [0.3, 0.4]])
-    weights = gains * 10.0
+    weights = np.array([[1.0, 2.0], [3.0, 4.0]])
     mode = TransmissionMode((1, 2))
+    inv_snr = np.ones((1, 1))  # noise power 1 at transmit power 1
     # unit fading reads off each user's signal and interference weights
-    ones = np.ones((1, 2, 2))
-    for user, signal, interference in ((1, 1.0, 2.0), (2, 4.0, 3.0)):
-        k = user - 1
-        assert _port_sum(ones[:, k], weights[k], mode.support_sets[user])[0] == signal
-        assert _port_sum(ones[:, k], weights[k], mode.complements[user])[0] == interference
+    (s1, i1), (s2, i2) = _user_powers(np.ones((1, 2, 2)) * weights, mode)
+    assert (s1[0], i1[0], s2[0], i2[0]) == (1.0, 2.0, 4.0, 3.0)
     h = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    rates = _sum_rates(h, weights, mode, 1.0)
-    assert rates[0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
-                                     + math.log2(1.0 + 16.0 / 10.0))
+    rates = _sum_rates(_user_powers(h * weights, mode), inv_snr, np.empty((2, 1, 1)))
+    assert rates[0, 0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
+                                        + math.log2(1.0 + 16.0 / 10.0))
     # each user alone: its own signal over noise plus its interferer
     for user, expected in ((0, 1.0 / 5.0), (1, 16.0 / 10.0)):
         keep = np.zeros((2, 1))
         keep[user] = 1.0
-        alone = _sum_rates(h, weights * keep, mode, 1.0)
-        assert alone[0] == pytest.approx(math.log2(1.0 + expected))
+        alone = _sum_rates(_user_powers(h * weights * keep, mode), inv_snr,
+                           np.empty((2, 1, 1)))
+        assert alone[0, 0] == pytest.approx(math.log2(1.0 + expected))
 
 
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
-
-
-def test_port_sum_matches_einsum_bit_for_bit():
-    """Only the nonzero-weight ports are added, in einsum's order."""
-    rng = np.random.default_rng(60)
-    for n_ports in range(1, 41):
-        for n_draws in (1, 2, 7, 300):
-            h = rng.exponential(size=(n_draws, 3, n_ports)) * 10.0 ** rng.uniform(
-                -6, 6, size=(n_draws, 3, n_ports))
-            w = 10.0 ** rng.uniform(-6, 6, size=(3, n_ports))
-            w *= rng.random((3, n_ports)) < rng.random()
-            dense = np.einsum("tkn,kn->tk", h, w)
-            for k in range(3):
-                got = _port_sum(h[:, k], w[k], np.flatnonzero(w[k]))
-                if got is None:
-                    assert not dense[:, k].any()
-                else:
-                    assert np.array_equal(bits(got), bits(dense[:, k])), (n_ports, n_draws, k)
-
-
-def test_user_sum_matches_numpy_row_sum_bit_for_bit():
-    """Idle users are left out, and the rest are added in the pairwise
-    order of numpy's row sum, also past 8 and 128 users."""
-    rng = np.random.default_rng(61)
-    for n_users in [*range(1, 40), 127, 128, 129, 300]:
-        rates = rng.exponential(size=(5, n_users)) * 10.0 ** rng.uniform(-8, 8, size=(5, n_users))
-        rates *= rng.random(n_users) < rng.random()
-        got = _user_sum([rates[:, k].copy() if rates[:, k].any() else None
-                         for k in range(n_users)])
-        got = np.zeros(5) if got is None else got
-        assert np.array_equal(bits(got), bits(rates.sum(axis=1))), n_users
 
 
 def dense_weights(pathloss, mode, tx_power):
@@ -130,7 +99,8 @@ def dense_mc_ergodic_sum_rate(scenario, pathloss, mode, n_channels, seed):
     total = 0.0
     total_sq = 0.0
     for c, size in enumerate(_chunk_sizes(n_channels)):
-        h = _stream(seed, (c,)).exponential(size=(size, *sig_w.shape))
+        h = _chunk_stream(np.random.SeedSequence(seed), c).exponential(
+            size=(size, *sig_w.shape))
         rates = dense_sum_rates(sig_w, intf_w, scenario.noise_power, h)
         total += float(rates.sum())
         total_sq += float(np.square(rates).sum())
@@ -141,8 +111,8 @@ def dense_mc_ergodic_sum_rate(scenario, pathloss, mode, n_channels, seed):
 
 
 def oracle_cases():
-    """Every ideal mode at N = K = 3 and samples at N = K = 5 and 9 (from
-    8 users on, numpy's row sum is pairwise), each on its own drop."""
+    """Every ideal mode at N = K = 3 and samples at N = K = 5 and 9, each
+    on its own drop."""
     rng = np.random.default_rng(62)
     cases = [(3, mode) for mode in enumerate_ideal(3, 3).modes]
     modes5 = enumerate_ideal(5, 5).modes
@@ -154,22 +124,70 @@ def oracle_cases():
         yield case, scn.with_tx_power(float(10.0 ** rng.uniform(-1, 5))), mode
 
 
-def test_sum_rates_match_dense_form_bit_for_bit():
-    for case, scn, mode in oracle_cases():
-        pl = pathloss_matrix(scn)
-        h = _stream(67, (case,)).standard_exponential(size=(300, *pl.gains.shape))
-        want = dense_sum_rates(*dense_weights(pl, mode, scn.tx_power), scn.noise_power, h)
-        got = _sum_rates(h, pl.gains * scn.tx_power, mode, scn.noise_power)
-        assert np.array_equal(bits(got), bits(want)), mode.label
+# The engine and the dense form differ only in the order and grouping of
+# a few adds and in scaling by P before or after the sums: a few ulps per
+# draw, far inside this relative bound. A per-draw rate near 0 also
+# carries the rounding of 1 + x before its log, an absolute error of a
+# few eps per user.
+DENSE_REL_TOL = 1e-12
+ONE_PLUS_X_ATOL = 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n_channels", [200, 9000])
-def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
-    """9000 channels are two chunks, the second a tail."""
+def test_mc_matches_dense_form_on_same_draw(n_channels):
+    """On the same draws, the engine's per-draw sum rates and its
+    estimates agree with the dense einsum form within DENSE_REL_TOL (and
+    ONE_PLUS_X_ATOL per user for a draw); 9000 channels are two chunks,
+    the second a tail."""
     for case, scn, mode in oracle_cases():
         pl = pathloss_matrix(scn)
-        assert (mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
-                == dense_mc_ergodic_sum_rate(scn, pl, mode, n_channels, (64, case))), mode.label
+        h = _chunk_stream(np.random.SeedSequence((64, case)), 0).standard_exponential(
+            size=(min(n_channels, simulate.MC_CHUNK), *pl.gains.shape))
+        want = dense_sum_rates(*dense_weights(pl, mode, scn.tx_power), scn.noise_power, h)
+        np.testing.assert_allclose(instantaneous_sum_rates(scn, mode, h), want,
+                                   rtol=DENSE_REL_TOL,
+                                   atol=ONE_PLUS_X_ATOL * len(mode.support_sets),
+                                   err_msg=mode.label)
+        got = mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
+        dense = dense_mc_ergodic_sum_rate(scn, pl, mode, n_channels, (64, case))
+        assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), mode.label
+        assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), mode.label
+
+
+def test_mc_ergodic_sum_rate_is_one_pair_of_mc_sum_rates():
+    """Each (mode, power) estimate of a call that rates several modes at
+    more powers than one slice holds equals, bit for bit, the one-mode,
+    one-power estimate: one Monte Carlo path."""
+    scn = drop_users_uniform(template(3), seed=75)
+    pl = pathloss_matrix(scn)
+    modes = enumerate_ideal(3, 3).modes[::9]
+    tx_powers = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
+    assert len(modes) >= 3 and len(tx_powers) > simulate.MC_POINT_SLICE
+    rated = [(mode, tx_powers[m::2]) for m, mode in enumerate(modes)]
+    together = mc_sum_rates(pl.gains, scn.noise_power, rated, 9000,
+                            np.random.SeedSequence((76, 1)))
+    for (mode, powers), estimates in zip(rated, together):
+        assert len(estimates) == len(powers)
+        for p, est in zip(powers, estimates):
+            alone = mc_ergodic_sum_rate(scn.with_tx_power(p), pl, mode, 9000, seed=(76, 1))
+            assert bits([alone.mean, alone.std_error]).tolist() == bits(
+                [est.mean, est.std_error]).tolist(), (mode.label, p)
+
+
+def test_stream_keys_never_coincide():
+    """No Monte Carlo chunk of a drop or of a fixed geometry shares its
+    stream with another chunk or with any drop's users."""
+    grid = [(seed, index) for seed in (0, 1, 5, 2**31) for index in range(5)]
+    geometry = [stream_key(seed, drop) for seed, drop in grid]
+    sweep = [_chunk_stream(stream_key(seed, drop), c).bit_generator.seed_seq
+             for seed, drop in grid for c in range(5)]
+    fixed = [_chunk_stream(stream_key(seed), c).bit_generator.seed_seq
+             for seed, c in grid]
+    states = {tuple(key.generate_state(4)) for key in geometry + sweep + fixed}
+    assert len(states) == len(geometry) + len(sweep) + len(fixed)
+    # The entropy is zero-padded to four words, so indices kept there alias.
+    assert (np.random.SeedSequence((3, 2, 0)).generate_state(4).tolist()
+            == np.random.SeedSequence((3, 2)).generate_state(4).tolist())
 
 
 def test_mc_mode_with_no_active_port_is_zero():
@@ -184,18 +202,21 @@ def test_fading_draws_unit_mean():
     ``standard_exponential``, bit for bit the draws of ``exponential``,
     and drawn ``out=`` the head of a buffer that holds an earlier chunk,
     bit for bit the draws of ``size=``."""
-    small = _stream(31, (0,)).standard_exponential(size=(2, 4, 3))
+    def stream(seed, chunk):
+        return _chunk_stream(np.random.SeedSequence(seed), chunk)
+
+    small = stream(31, 0).standard_exponential(size=(2, 4, 3))
     assert small.shape == (2, 4, 3)
-    big = _stream(31, (0,)).standard_exponential(size=(1000, 1000))
+    big = stream(31, 0).standard_exponential(size=(1000, 1000))
     assert big.mean() == pytest.approx(1.0, abs=0.01)
-    buffer = _stream((31, 4), (0,)).standard_exponential(size=(simulate.MC_CHUNK, 3, 3))
+    buffer = stream((31, 4), 0).standard_exponential(size=(simulate.MC_CHUNK, 3, 3))
     for size in (simulate.MC_CHUNK, 808, 2):
         for chunk in range(2):
             shape = (size, 3, 3)
-            drawn = _stream((31, 5), (chunk,)).standard_exponential(size=shape)
+            drawn = stream((31, 5), chunk).standard_exponential(size=shape)
             assert np.array_equal(
-                bits(drawn), bits(_stream((31, 5), (chunk,)).exponential(size=shape)))
-            into = _stream((31, 5), (chunk,)).standard_exponential(out=buffer[:size])
+                bits(drawn), bits(stream((31, 5), chunk).exponential(size=shape)))
+            into = stream((31, 5), chunk).standard_exponential(out=buffer[:size])
             assert np.shares_memory(into, buffer)
             assert np.array_equal(bits(into), bits(drawn))
 
@@ -231,24 +252,6 @@ def test_mc_rejects_unfit_fading_buffer(fading):
     with pytest.raises(ValueError, match="fading buffer"):
         mc_ergodic_sum_rate(scn, pathloss_matrix(scn), TransmissionMode((1, 2, 3)),
                             200, seed=73, fading=fading)
-
-
-def test_block_worker_draws_every_estimate_into_one_buffer(monkeypatch):
-    # The buffers are kept alive, so two of them cannot share an address.
-    buffers = []
-    estimate = simulate.mc_ergodic_sum_rate
-
-    def recording(*args, fading, **kwargs):
-        buffers.append(fading)
-        return estimate(*args, fading=fading, **kwargs)
-
-    monkeypatch.setattr(simulate, "mc_ergodic_sum_rate", recording)
-    sets = [enumerate_ideal(3, 3), None]
-    simulate._block_worker((template(3), sets, (0.0, 20.0, 40.0), 9000, 74,
-                            range(3), "mc"))
-    assert len(buffers) >= 3 * 3
-    assert {(b.ctypes.data, b.shape) for b in buffers} == {
-        (buffers[0].ctypes.data, (simulate.MC_CHUNK, 3, 3))}
 
 
 def test_mc_deterministic_per_seed():
@@ -405,29 +408,62 @@ def test_mode_histogram_single_user_fraction_grows():
     assert fractions[2] > 0.5
 
 
-def test_mc_estimates_each_distinct_chosen_mode_once(monkeypatch):
-    """Schemes that choose the same mode at a (drop, point) share one Monte
-    Carlo estimate: its stream key (seed, drop, point) has no scheme in it."""
-    grid = (0.0, 20.0, 40.0)
-    sets = [enumerate_ideal(3, 3), None]
-    analytic = simulate._run_drops(template(3), sets, grid, 0, 48, 6, "analytic", 1)
-    want = sorted({((48, drop, idx), mode.assignment)
-                   for drop, (chosen, _) in enumerate(analytic)
-                   for per_set in chosen for idx, mode in enumerate(per_set)})
-    calls = []
-    estimate = simulate.mc_ergodic_sum_rate
+@pytest.fixture
+def streams_opened(monkeypatch):
+    """(entropy, spawn key, buffer address, buffer shape) of every Monte
+    Carlo chunk drawn later; the buffers are kept alive, so two of them
+    cannot share an address."""
+    opened = []
+    chunk_stream = simulate._chunk_stream
 
-    def counting(scenario, pathloss, mode, n_channels, seed, **kwargs):
-        calls.append((seed, mode.assignment))
-        return estimate(scenario, pathloss, mode, n_channels, seed, **kwargs)
+    class Recording:
+        def __init__(self, key, chunk):
+            self.rng = chunk_stream(key, chunk)
+            self.seq = self.rng.bit_generator.seed_seq
 
-    monkeypatch.setattr(simulate, "mc_ergodic_sum_rate", counting)
-    mc = simulate._run_drops(template(3), sets, grid, 50, 48, 6, "mc", 1)
-    assert sorted(calls) == want
-    # Both schemes chose one mode somewhere, so estimates were shared.
-    assert len(calls) < 2 * 6 * len(grid)
-    for (chosen, values), (mc_chosen, mc_values) in zip(analytic, mc):
+        def standard_exponential(self, *, out):
+            opened.append((self.seq.entropy, self.seq.spawn_key, out.ctypes.data,
+                           out.base.shape, out))
+            return self.rng.standard_exponential(out=out)
+
+    monkeypatch.setattr(simulate, "_chunk_stream", Recording)
+    return opened
+
+
+@pytest.mark.parametrize("sets, grid", [
+    ([None], (20.0,)),
+    ([enumerate_ideal(3, 3), None, CandidateSet((TransmissionMode((1, 2, 3)),),
+                                                Origin.EXPLICIT)],
+     (0.0, 20.0, 40.0, 60.0)),
+], ids=["one-set-one-point", "three-sets-four-points"])
+def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid):
+    """A block of 3 drops at 9000 channels (a chunk and a tail) opens 3 x 2
+    streams, keyed (seed; drop, chunk), whatever its points and sets, and
+    draws all of them into one buffer; sets that chose one mode at a point
+    record one value there."""
+    analytic = simulate._block_worker((template(3), sets, grid, 0, 74, range(5, 8),
+                                       "analytic"))
+    mc = simulate._block_worker((template(3), sets, grid, 9000, 74, range(5, 8), "mc"))
+    assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
+        (74, (drop, c)) for drop in range(5, 8) for c in range(2)]
+    assert {(address, shape) for _, _, address, shape, _ in streams_opened} == {
+        (streams_opened[0][2], (simulate.MC_CHUNK, 3, 3))}
+    for (chosen, _), (mc_chosen, values) in zip(analytic, mc):
         assert mc_chosen == chosen
         for idx in range(len(grid)):
-            if chosen[0][idx] == chosen[1][idx]:
-                assert mc_values[0, idx] == mc_values[1, idx]
+            for s in range(len(sets)):
+                same = [t for t in range(len(sets)) if chosen[t][idx] == chosen[s][idx]]
+                assert {values[t, idx] for t in same} == {values[s, idx]}
+
+
+def test_rates_open_one_stream_per_chunk(streams_opened):
+    """Every mode at every point of a fixed geometry reads one draw per
+    chunk, keyed (seed; 0, 0, chunk)."""
+    from dasrate.experiments import bundled_config_path, mode_rate_curves
+    from dasrate.geometry import load_scenario
+
+    scn = load_scenario(bundled_config_path("fig2.cfg"))
+    mode_rate_curves(scn, enumerate_ideal(2, 2).modes, (0.0, 10.0, 20.0, 30.0),
+                     n_channels=9000, seed=3)
+    assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
+        (3, (0, 0, 0)), (3, (0, 0, 1))]
