@@ -93,15 +93,34 @@ def dense_sum_rates(sig_w, intf_w, noise, h):
     return np.log2(1.0 + signal / denom).sum(axis=1)
 
 
-def dense_mc_ergodic_sum_rate(scenario, pathloss, mode, n_channels, seed):
-    """The engine in its dense form, over chunks drawn by ``exponential``."""
-    sig_w, intf_w = dense_weights(pathloss, mode, scenario.tx_power)
+def ordered_sum_rates(pathloss, mode, inv_snr, h):
+    """The engine's per-draw sum rates in a dense form that adds in the
+    engine's order: ports in index order, users in the order they first
+    appear in the mode's assignment. Masked ports and idle users add an
+    exact 0."""
+    n_users, n_ports = pathloss.gains.shape
+    order = [*mode.support_sets, *(u for u in range(1, n_users + 1)
+                                   if u not in mode.support_sets)]
+    sig_mask = np.zeros((n_users, n_ports))
+    intf_mask = np.zeros((n_users, n_ports))
+    for row, user in enumerate(mode.support_sets):
+        sig_mask[row, sorted(mode.support_sets[user])] = 1.0
+        intf_mask[row, sorted(mode.complements[user])] = 1.0
+    hg = (h * pathloss.gains)[:, [u - 1 for u in order]]
+    signal = np.cumsum(hg * sig_mask, axis=2)[..., -1]
+    interference = np.cumsum(hg * intf_mask, axis=2)[..., -1]
+    terms = np.log2(1.0 + signal / (interference + inv_snr))
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def dense_mc_ergodic_sum_rate(n_channels, seed, shape, sum_rates):
+    """The engine in a dense form: ``sum_rates`` of each chunk of (T,
+    ``shape``) fading drawn by ``exponential``."""
     total = 0.0
     total_sq = 0.0
     for c, size in enumerate(_chunk_sizes(n_channels)):
-        h = _chunk_stream(np.random.SeedSequence(seed), c).exponential(
-            size=(size, *sig_w.shape))
-        rates = dense_sum_rates(sig_w, intf_w, scenario.noise_power, h)
+        h = _chunk_stream(np.random.SeedSequence(seed), c).exponential(size=(size, *shape))
+        rates = sum_rates(h)
         total += float(rates.sum())
         total_sq += float(np.square(rates).sum())
     mean = total / n_channels
@@ -149,9 +168,34 @@ def test_mc_matches_dense_form_on_same_draw(n_channels):
                                    atol=ONE_PLUS_X_ATOL * len(mode.support_sets),
                                    err_msg=mode.label)
         got = mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
-        dense = dense_mc_ergodic_sum_rate(scn, pl, mode, n_channels, (64, case))
+        weights = dense_weights(pl, mode, scn.tx_power)
+        dense = dense_mc_ergodic_sum_rate(
+            n_channels, (64, case), pl.gains.shape,
+            lambda h: dense_sum_rates(*weights, scn.noise_power, h))
         assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), mode.label
         assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), mode.label
+
+
+def test_sum_rates_match_dense_form_bit_for_bit():
+    for case, scn, mode in oracle_cases():
+        pl = pathloss_matrix(scn)
+        h = _chunk_stream(np.random.SeedSequence(67), case).standard_exponential(
+            size=(300, *pl.gains.shape))
+        want = ordered_sum_rates(pl, mode, scn.noise_power / scn.tx_power, h)
+        got = instantaneous_sum_rates(scn, mode, h)
+        assert np.array_equal(bits(got), bits(want)), mode.label
+
+
+@pytest.mark.parametrize("n_channels", [200, 9000])
+def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
+    """9000 channels are two chunks, the second a tail."""
+    for case, scn, mode in oracle_cases():
+        pl = pathloss_matrix(scn)
+        inv_snr = scn.noise_power / scn.tx_power
+        assert (mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
+                == dense_mc_ergodic_sum_rate(
+                    n_channels, (64, case), pl.gains.shape,
+                    lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), mode.label
 
 
 def test_mc_ergodic_sum_rate_is_one_pair_of_mc_sum_rates():
