@@ -12,7 +12,7 @@ from .numerics import exp_e1
 from .rate import (AnalysisPoint, CrossoverFormulas, RateTable, UserLinkPartition,
                    approx_sum_rate, crossover_snr, ergodic_sum_rate,
                    ergodic_user_rate, pdf_interference_plus_noise, pdf_signal,
-                   pdf_sinr, single_user_rate_lower_bound)
+                   pdf_sinr)
 from .selection import SelectionResult, compare_schemes, select_mode
 from .simulate import (McEstimate, RateCurve, RateSeries, cell_average,
                        mc_ergodic_sum_rate, mode_histogram)
@@ -30,5 +30,5 @@ __all__ = [
     "ergodic_sum_rate", "ergodic_user_rate", "exp_e1", "ideal_count",
     "linear_to_db", "load_scenario", "mc_ergodic_sum_rate", "min_distance_count",
     "mode_histogram", "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
-    "pdf_signal", "pdf_sinr", "select_mode", "single_user_rate_lower_bound",
+    "pdf_signal", "pdf_sinr", "select_mode",
 ]

@@ -18,6 +18,12 @@ Coord = tuple[float, float]
 # Ring radius of the circular port layout, as a fraction of cell radius.
 RING_RADIUS_FACTOR = math.sqrt(3.0 / 7.0)
 
+# SNR points and the configured transmit power lie within
+# +-MAX_ABS_SNR_DB dB. Every closed-form and Monte Carlo rate of the
+# bundled configs is finite there; the linear SNR itself overflows a float
+# near 3083 dB.
+MAX_ABS_SNR_DB = 300.0
+
 # Pathloss d**-p diverges for a user on top of a port; distances are
 # clamped below at this value (in the same units as cell_radius).
 MIN_DISTANCE = 0.01
@@ -54,11 +60,13 @@ class Scenario:
         if self.n_ports < 1 or self.n_users < 1:
             raise ConfigError("n_ports and n_users must be >= 1")
         for name in ("cell_radius", "pathloss_exponent", "tx_power", "noise_power"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and strictly positive")
         if self.port_ring_radius is None:
             object.__setattr__(self, "port_ring_radius",
                                RING_RADIUS_FACTOR * self.cell_radius)
+        elif not math.isfinite(self.port_ring_radius):
+            raise ConfigError("port_ring_radius must be finite")
         if self.port_positions is None:
             object.__setattr__(self, "port_positions",
                                default_port_layout(self.n_ports, self.cell_radius,
@@ -94,8 +102,8 @@ class Scenario:
 class PathlossMatrix:
     """Per-(user, port) Euclidean distances and large-scale gains d**-p."""
 
-    distances: np.ndarray  # shape (K, N)
-    gains: np.ndarray      # shape (K, N), distance**-pathloss_exponent
+    distances: np.ndarray  # shape (K, N), or (drops, K, N) for a block
+    gains: np.ndarray      # same shape, distance**-pathloss_exponent
 
 
 def default_port_layout(n_ports: int, cell_radius: float,
@@ -108,17 +116,19 @@ def default_port_layout(n_ports: int, cell_radius: float,
     return tuple((float(r * math.cos(a)), float(r * math.sin(a))) for a in angles)
 
 
-def pathloss_matrix(scenario: Scenario) -> PathlossMatrix:
-    """Distances and gains for every (user, port) pair.
+def pathloss_matrix(scenario: Scenario, users: np.ndarray | None = None) -> PathlossMatrix:
+    """Distances and gains for every (user, port) pair, (K x N) each; a
+    block of drops passes its (drops x K x 2) ``users`` positions and gets
+    (drops x K x N).
 
     Distances are clamped below at MIN_DISTANCE before exponentiation so
     gains stay finite even for a user coincident with a port.
     """
-    if scenario.user_positions is None:
-        raise ConfigError("scenario has no user positions; drop users first")
-    users = np.asarray(scenario.user_positions, dtype=float)   # (K, 2)
-    ports = np.asarray(scenario.port_positions, dtype=float)   # (N, 2)
-    diffs = users[:, None, :] - ports[None, :, :]
+    if users is None:
+        if scenario.user_positions is None:
+            raise ConfigError("scenario has no user positions; drop users first")
+        users = np.asarray(scenario.user_positions, dtype=float)
+    diffs = users[..., :, None, :] - np.asarray(scenario.port_positions, dtype=float)
     distances = np.maximum(np.hypot(diffs[..., 0], diffs[..., 1]), MIN_DISTANCE)
     gains = distances ** (-scenario.pathloss_exponent)
     distances.setflags(write=False)
@@ -126,19 +136,26 @@ def pathloss_matrix(scenario: Scenario) -> PathlossMatrix:
     return PathlossMatrix(distances=distances, gains=gains)
 
 
-def drop_users_uniform(template: Scenario, seed) -> Scenario:
-    """Scenario with K user positions drawn i.i.d. uniform on the cell disc.
+def uniform_positions(template: Scenario, seeds) -> np.ndarray:
+    """(drops x K x 2) user positions drawn i.i.d. uniform on the cell
+    disc, drop i from ``seeds[i]``: its K radii, then its K angles.
 
     Radius is sampled as R*sqrt(u) with u uniform so the density is
-    uniform in area; deterministic for a given seed.
+    uniform in area; cos and sin are libm's, per element.
     """
-    rng = np.random.default_rng(seed)
     k = template.n_users
-    radii = template.cell_radius * np.sqrt(rng.random(k))
-    angles = 2.0 * math.pi * rng.random(k)
-    positions = tuple((float(r * math.cos(a)), float(r * math.sin(a)))
-                      for r, a in zip(radii, angles))
-    return template.with_users(positions)
+    u = np.array([np.random.default_rng(seed).random(2 * k) for seed in seeds]).reshape(-1, 2, k)
+    radii = template.cell_radius * np.sqrt(u[:, 0])
+    angles = (2.0 * math.pi * u[:, 1]).ravel().tolist()
+    cos, sin = (np.array(list(map(f, angles))).reshape(radii.shape) for f in (math.cos, math.sin))
+    return np.stack([radii * cos, radii * sin], axis=-1)
+
+
+def drop_users_uniform(template: Scenario, seed) -> Scenario:
+    """Scenario with K user positions drawn i.i.d. uniform on the cell
+    disc: the one-drop case of ``uniform_positions``."""
+    (positions,) = uniform_positions(template, [seed]).tolist()
+    return template.with_users(tuple(map(tuple, positions)))
 
 
 # --- scenario config files -------------------------------------------------
@@ -166,6 +183,8 @@ def _parse_positions(value: str, key: str) -> tuple[Coord, ...]:
             pairs.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ConfigError(f"{key}: non-numeric coordinate in {chunk!r}") from exc
+        if not all(map(math.isfinite, pairs[-1])):
+            raise ConfigError(f"{key}: non-finite coordinate in {chunk!r}")
     if not pairs:
         raise ConfigError(f"{key}: no coordinate pairs found")
     return tuple(pairs)
@@ -196,18 +215,20 @@ def parse_scenario_config(text: str) -> Scenario:
         n_users = int(raw["n_users"])
         cell_radius = float(raw["cell_radius"])
         pathloss_exponent = float(raw["pathloss_exponent"])
-        tx_power = db_to_linear(float(raw["tx_power_dB"]))
+        tx_power_db = float(raw["tx_power_dB"])
         noise_power = float(raw["noise_power"])
+        ring = float(raw["port_ring_radius"]) if "port_ring_radius" in raw else None
     except ValueError as exc:
         raise ConfigError(f"non-numeric value in config: {exc}") from exc
-
-    ring = float(raw["port_ring_radius"]) if "port_ring_radius" in raw else None
+    if not abs(tx_power_db) <= MAX_ABS_SNR_DB:
+        raise ConfigError(f"tx_power_dB must be finite and within +-{MAX_ABS_SNR_DB:g} dB, "
+                          f"got {raw['tx_power_dB']}")
     ports = (_parse_positions(raw["port_positions"], "port_positions")
              if "port_positions" in raw else None)
     users = (_parse_positions(raw["user_positions"], "user_positions")
              if "user_positions" in raw else None)
     return Scenario(n_ports=n_ports, n_users=n_users, cell_radius=cell_radius,
-                    pathloss_exponent=pathloss_exponent, tx_power=tx_power,
+                    pathloss_exponent=pathloss_exponent, tx_power=db_to_linear(tx_power_db),
                     noise_power=noise_power, port_ring_radius=ring,
                     port_positions=ports, user_positions=users)
 

@@ -94,6 +94,14 @@ class TransmissionMode:
         return cls(entries)
 
 
+def assignment_array(modes, n_ports: int) -> np.ndarray:
+    """(modes x ports) assignments of a sequence of TransmissionMode; an
+    int array of them is returned as it is."""
+    if isinstance(modes, np.ndarray):
+        return modes
+    return np.array([m.assignment for m in modes], dtype=np.int64).reshape(-1, n_ports)
+
+
 def _active_counts(assignment: tuple[int, ...]) -> tuple[int, int]:
     """(active users, active ports) of an assignment, with no support sets."""
     return len(set(assignment) - {0}), len(assignment) - assignment.count(0)
@@ -114,24 +122,19 @@ class CandidateSet:
         assignments = [m.assignment for m in self.modes]
         if len(set(assignments)) != len(assignments):
             raise ValueError("duplicate modes in candidate set")
-        if self.origin is Origin.IDEAL:
-            # The exhaustive set never serves one user with fewer than all
-            # ports; the reduced set may (shared nearest users), but keeps
-            # at least two active ports.
-            for m in self.modes:
-                n_users, n_ports = _active_counts(m.assignment)
-                if n_users == 0:
-                    raise ValueError("all-off mode not admissible")
-                if n_users == 1 and n_ports < len(m.assignment):
-                    raise ValueError(f"partial-port single-user mode {m.label} "
-                                     "not admissible")
-        elif self.origin is Origin.MIN_DISTANCE:
-            for m in self.modes:
-                n_users, n_ports = _active_counts(m.assignment)
-                if n_users == 0:
-                    raise ValueError("all-off mode not admissible")
-                if n_users == 1 and n_ports == 1 and len(m.assignment) > 1:
-                    raise ValueError(f"single-port mode {m.label} not admissible")
+        if self.origin is Origin.EXPLICIT:
+            return
+        # The exhaustive set never serves one user with fewer than all
+        # ports; the reduced set may (shared nearest users), but keeps at
+        # least two active ports.
+        for m in self.modes:
+            n_users, n_ports = _active_counts(m.assignment)
+            if n_users == 0:
+                raise ValueError("all-off mode not admissible")
+            if n_users == 1 and n_ports < len(m.assignment) and self.origin is Origin.IDEAL:
+                raise ValueError(f"partial-port single-user mode {m.label} not admissible")
+            if n_users == 1 and n_ports == 1 and len(m.assignment) > 1:
+                raise ValueError(f"single-port mode {m.label} not admissible")
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -183,22 +186,18 @@ def enumerate_ideal(n_ports: int, n_users: int,
     return CandidateSet(modes=tuple(out), origin=Origin.IDEAL)
 
 
-def nearest_user_assignment(pathloss: PathlossMatrix) -> tuple[int, ...]:
-    """Per-port nearest user (1-based); distance ties go to the lowest index."""
-    return tuple(int(np.argmin(pathloss.distances[:, j])) + 1
-                 for j in range(pathloss.distances.shape[1]))
-
-
-def nearest_user_sets(distances: np.ndarray) -> list[CandidateSet]:
+def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-user candidate sets of a block of drops, in one array pass.
 
     ``distances`` is (drops x users x ports). Starting from the mode where
     each port serves its nearest user, every port on/off mask with more
     than one active port is kept; masks leaving a single port on are
     dropped, and one single-user mode serving the globally closest user
-    with all ports is added instead. Each drop's modes are in
-    lexicographic order. Size is 2^N - N, or one less when every port
-    shares one nearest user: the added mode is then the all-ports mask.
+    with all ports is added instead. Size is 2^N - N, or one less when
+    every port shares one nearest user: the added mode is then the
+    all-ports mask. Returns the (modes x ports) assignments of every
+    drop's set, drop after drop, each in lexicographic order with no
+    repeats, and the (drops + 1) offsets of each drop's rows.
     """
     n_drops, n_users, n_ports = distances.shape
     # Per-port nearest user; distance ties go to the lowest index.
@@ -213,20 +212,19 @@ def nearest_user_sets(distances: np.ndarray) -> list[CandidateSet]:
     flat = rows.reshape(-1, n_ports)
     drop = np.repeat(np.arange(n_drops), rows.shape[1])
     rows = flat[np.lexsort([*flat.T[::-1], drop])].reshape(rows.shape)
-    sets = []
-    for drop_rows in rows.tolist():
-        # Sorted, a repeated mode sits next to its first copy.
-        modes = tuple(TransmissionMode(tuple(a))
-                      for a, prev in zip(drop_rows, [None] + drop_rows) if a != prev)
-        sets.append(CandidateSet(modes=modes, origin=Origin.MIN_DISTANCE))
-    return sets
+    # Sorted, a repeated mode sits next to its first copy.
+    keep = np.ones(rows.shape[:2], dtype=bool)
+    keep[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=2)
+    return rows[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 
 
 def enumerate_min_distance(pathloss: PathlossMatrix) -> CandidateSet:
     """Reduced candidate set built from the nearest-user base mode: the
-    one-drop case of ``nearest_user_sets``. Warns when every port shares
+    one-drop case of ``nearest_user_modes``. Warns when every port shares
     one nearest user, so the set is smaller than 2^N - N."""
-    (candidates,) = nearest_user_sets(pathloss.distances[None])
+    rows, _ = nearest_user_modes(pathloss.distances[None])
+    candidates = CandidateSet(modes=tuple(map(TransmissionMode, map(tuple, rows.tolist()))),
+                              origin=Origin.MIN_DISTANCE)
     if len(candidates) < min_distance_count(pathloss.distances.shape[1]):
         warnings.warn(
             "degenerate geometry: every port shares one nearest user, so the "

@@ -30,7 +30,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateGainsError
 from .geometry import PathlossMatrix, Scenario, linear_to_db
-from .modes import TransmissionMode
+from .modes import TransmissionMode, assignment_array
 
 LN2 = math.log(2.0)
 
@@ -121,111 +121,91 @@ def _pf_weights(gains: Sequence[float]) -> list[float]:
 
 # --- densities and distribution functions ----------------------------------
 
-def pdf_signal(partition: UserLinkPartition) -> Callable:
-    """Density of the aggregate received signal power on (0, inf).
-
-    Hypoexponential mixture: sum_k w_k/(S_k P) * exp(-rho/(S_k P)).
+def _hypoexponential(gains: Sequence[float], tx_power: float, shift: float,
+                     cdf: bool) -> Callable:
+    """Density, or with ``cdf`` the distribution function, of ``shift``
+    plus independent exponentials with means g * P over ``gains``: the
+    mixture sum_k w_k/(g_k P) * exp(-(rho - shift)/(g_k P)) on (shift, inf).
     """
-    scales = [g * partition.tx_power for g in partition.signal_gains]
-    weights = _pf_weights(partition.signal_gains)
+    scales = [g * tx_power for g in gains]
+    weights = _pf_weights(gains)
 
-    def pdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        out = sum(w / s * np.exp(-rho / s) for w, s in zip(weights, scales))
-        return np.where(rho > 0.0, out, 0.0)
+    def f(rho):
+        excess = np.asarray(rho, dtype=float) - shift
+        t = np.maximum(excess, 0.0)
+        out = sum(w * -np.expm1(-t / s) if cdf else w / s * np.exp(-t / s)
+                  for w, s in zip(weights, scales))
+        return np.where(excess > 0.0, out, 0.0)
 
-    return pdf
+    return f
+
+
+def pdf_signal(partition: UserLinkPartition) -> Callable:
+    """Density of the aggregate received signal power on (0, inf)."""
+    return _hypoexponential(partition.signal_gains, partition.tx_power, 0.0, cdf=False)
 
 
 def cdf_signal(partition: UserLinkPartition) -> Callable:
-    scales = [g * partition.tx_power for g in partition.signal_gains]
-    weights = _pf_weights(partition.signal_gains)
+    return _hypoexponential(partition.signal_gains, partition.tx_power, 0.0, cdf=True)
 
-    def cdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        out = sum(w * (-np.expm1(-np.maximum(rho, 0.0) / s))
-                  for w, s in zip(weights, scales))
-        return np.where(rho > 0.0, out, 0.0)
 
-    return cdf
+def _interferers(partition: UserLinkPartition) -> tuple:
+    """Interference gains, transmit power and noise power of a partition
+    that has interferers."""
+    if not partition.interference_gains:
+        raise ValueError("partition has no interference gains")
+    return partition.interference_gains, partition.tx_power, partition.noise_power
 
 
 def pdf_interference_plus_noise(partition: UserLinkPartition) -> Callable:
     """Density of noise power plus aggregate interference, on (noise, inf)."""
-    if not partition.interference_gains:
-        raise ValueError("partition has no interference gains")
-    noise = partition.noise_power
-    scales = [g * partition.tx_power for g in partition.interference_gains]
-    weights = _pf_weights(partition.interference_gains)
-
-    def pdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        shifted = rho - noise
-        out = sum(w / s * np.exp(-np.maximum(shifted, 0.0) / s)
-                  for w, s in zip(weights, scales))
-        return np.where(shifted > 0.0, out, 0.0)
-
-    return pdf
+    return _hypoexponential(*_interferers(partition), cdf=False)
 
 
 def cdf_interference_plus_noise(partition: UserLinkPartition) -> Callable:
-    if not partition.interference_gains:
-        raise ValueError("partition has no interference gains")
-    noise = partition.noise_power
-    scales = [g * partition.tx_power for g in partition.interference_gains]
-    weights = _pf_weights(partition.interference_gains)
-
-    def cdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        shifted = np.maximum(rho - noise, 0.0)
-        out = sum(w * (-np.expm1(-shifted / s)) for w, s in zip(weights, scales))
-        return np.where(rho > noise, out, 0.0)
-
-    return cdf
+    return _hypoexponential(*_interferers(partition), cdf=True)
 
 
-def pdf_sinr(partition: UserLinkPartition) -> Callable:
-    """Density of the SINR ratio on (0, inf).
-
-    Requires at least one interference gain; with none the ratio reduces
-    to signal/noise and callers should use the no-interference rate path.
-    """
+def _sinr_terms(partition: UserLinkPartition) -> list[tuple[float, float, float, float]]:
+    """(w_k, s_k, w_u, s_u) of every (signal, interferer) gain pair, in
+    (k, u) order; the SINR ratio needs at least one interference gain.
+    With none it reduces to signal/noise, and callers should use the
+    no-interference rate path."""
     if not partition.interference_gains:
         raise ValueError("no interference gains: use the no-interference "
                          "rate path instead of the SINR ratio density")
     sig, intf = partition.signal_gains, partition.interference_gains
+    return [(wk, sk, wu, su) for (wk, sk), (wu, su)
+            in itertools.product(zip(_pf_weights(sig), sig), zip(_pf_weights(intf), intf))]
+
+
+def pdf_sinr(partition: UserLinkPartition) -> Callable:
+    """Density of the SINR ratio on (0, inf)."""
+    terms = _sinr_terms(partition)
     p, noise = partition.tx_power, partition.noise_power
-    w_sig, w_intf = _pf_weights(sig), _pf_weights(intf)
 
     def pdf(rho):
         rho = np.asarray(rho, dtype=float)
         out = np.zeros_like(rho)
-        for wk, sk in zip(w_sig, sig):
-            for wu, su in zip(w_intf, intf):
-                denom = su * rho + sk
-                out = out + (wk * wu * (noise * denom + sk * su * p) / denom ** 2
-                             * np.exp(-noise * rho / (sk * p)))
-        out = out / p
-        return np.where(rho > 0.0, out, 0.0)
+        for wk, sk, wu, su in terms:
+            denom = su * rho + sk
+            out = out + (wk * wu * (noise * denom + sk * su * p) / denom ** 2
+                         * np.exp(-noise * rho / (sk * p)))
+        return np.where(rho > 0.0, out / p, 0.0)
 
     return pdf
 
 
 def cdf_sinr(partition: UserLinkPartition) -> Callable:
-    if not partition.interference_gains:
-        raise ValueError("no interference gains: use the no-interference path")
-    sig, intf = partition.signal_gains, partition.interference_gains
+    terms = _sinr_terms(partition)
     p, noise = partition.tx_power, partition.noise_power
-    w_sig, w_intf = _pf_weights(sig), _pf_weights(intf)
 
     def cdf(rho):
         rho = np.asarray(rho, dtype=float)
         rpos = np.maximum(rho, 0.0)
         tail = np.zeros_like(rpos)
-        for wk, sk in zip(w_sig, sig):
-            for wu, su in zip(w_intf, intf):
-                tail = tail + (wk * wu * sk / (sk + rpos * su)
-                               * np.exp(-noise * rpos / (sk * p)))
+        for wk, sk, wu, su in terms:
+            tail = tail + (wk * wu * sk / (sk + rpos * su) * np.exp(-noise * rpos / (sk * p)))
         return np.where(rho > 0.0, 1.0 - tail, 0.0)
 
     return cdf
@@ -377,17 +357,26 @@ def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, 
     """One block of partition terms for the tables of several drops.
 
     ``gains`` is (drops x users x ports) and ``drop_modes`` gives each
-    drop's mode sequences. A sequence shared by several drops is laid out
-    once. Each active (mode, user) pair is keyed by (user, serving-port
-    bitmask, interfering-port bitmask), and one ``np.unique`` gives the
-    distinct keys; a drop's partitions are the keys its rows use, so a
-    mode repeated in a drop's sequences costs only index entries. Returns
-    the block and each drop's row range in its index.
+    drop's mode sequences, each an int assignment array or a sequence of
+    TransmissionMode; one shared by several drops (the same object) is
+    laid out once. Each active (mode, user) pair is keyed by (user,
+    serving-port bitmask, interfering-port bitmask), and one ``np.unique``
+    gives the distinct keys; a drop's partitions are the keys its rows
+    use, so a mode repeated in a drop's sequences costs only index
+    entries. Returns the block and each drop's row range in its index.
     """
     n_drops, n_users, n_ports = gains.shape
     sequences = list({id(modes): modes for seqs in drop_modes for modes in seqs}.values())
-    rows = np.array([m.assignment for modes in sequences for m in modes],
-                    dtype=np.int64).reshape(-1, n_ports)
+    first_of = {id(modes): i for i, modes in enumerate(sequences)}
+    parts = [assignment_array(modes, n_ports) for modes in sequences]
+    rows = np.concatenate([np.zeros((0, n_ports), dtype=np.int64)] + parts)
+    starts = np.cumsum([0] + [len(part) for part in parts])
+    # The distinct row and the drop of each table row.
+    source = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        np.arange(starts[first_of[id(modes)]], starts[first_of[id(modes)] + 1])
+        for seqs in drop_modes for modes in seqs])
+    bounds = np.cumsum([0] + [sum(len(modes) for modes in seqs) for seqs in drop_modes])
+    drop_of = np.repeat(np.arange(n_drops), np.diff(bounds))[:, None]
     # Keys that would not fit in int64 stay Python ints.
     dtype = np.int64 if n_users << (2 * n_ports) < 2 ** 62 else object
     bit = np.array([1 << j for j in range(n_ports)], dtype=dtype)
@@ -408,21 +397,16 @@ def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, 
     n_sig = (role == 0).sum(axis=1)
     n_int = (role == 1).sum(axis=1)
 
-    starts = np.cumsum([0] + [len(modes) for modes in sequences])
-    seq_tid = {id(modes): tid[lo:hi] for modes, lo, hi in zip(sequences, starts, starts[1:])}
-    # bincount, not np.unique: a plain np.unique imports numpy.ma.
-    seq_types = {k: np.flatnonzero(np.bincount(t.ravel())) for k, t in seq_tid.items()}
+    # A drop's partitions are the types its table rows use, numbered from
+    # 1 in (drop, type) order.
+    tid = tid[source]
     need = np.zeros((n_drops, n_types + 1), dtype=bool)
-    for d, seqs in enumerate(drop_modes):
-        for modes in seqs:
-            need[d, seq_types[id(modes)]] = True
+    need[drop_of, tid] = True
     need[:, n_types] = False
     part_drop, part_type = np.nonzero(need)
     slot = np.zeros(need.shape, dtype=np.intp)
     slot[part_drop, part_type] = np.arange(1, len(part_drop) + 1)
-    index = [slot[d, seq_tid[id(modes)]] for d, seqs in enumerate(drop_modes) for modes in seqs]
-    index = np.concatenate([np.zeros((0, n_users), dtype=np.intp)] + index)
-    bounds = np.cumsum([0] + [sum(len(modes) for modes in seqs) for seqs in drop_modes])
+    index = slot[drop_of, tid]
 
     # Column of each partition's gain row in the flattened gain array.
     row_col = (part_drop * n_users + rep_user[part_type]) * n_ports
@@ -463,9 +447,7 @@ class RateTable:
         block, (rows,) = _layout(scenario.noise_power, pathloss.gains[None], [sequences])
         self._bind(block, rows, sequences)
 
-    def _bind(self, block: _Block, rows: slice,
-              sequences: Sequence[tuple[TransmissionMode, ...]]) -> None:
-        self.modes = sequences[0] if len(sequences) == 1 else sum(sequences, ())
+    def _bind(self, block: _Block, rows: slice, sequences) -> None:
         self.noise_power = block.noise_power
         self._block = block
         self._rows = rows
@@ -474,16 +456,20 @@ class RateTable:
     def rows(self, modes: Sequence[TransmissionMode]) -> slice | np.ndarray:
         """Rows of ``modes``, each of which must be in the table.
 
-        A mode sequence the table was built from (the same object) gets
-        its slice of rows with no lookup; other lists are looked up mode
-        by mode.
+        A mode sequence the table was built from (the same object, mode
+        sequence or assignment array) gets its slice of rows with no
+        lookup; other lists are looked up mode by mode.
         """
         start = 0
         for sequence in self._sequences:
             if modes is sequence:
                 return slice(start, start + len(sequence))
             start += len(sequence)
-        row = {m.assignment: r for r, m in reversed(list(enumerate(self.modes)))}
+        assignments = [a for sequence in self._sequences
+                       for a in (map(tuple, sequence.tolist())
+                                 if isinstance(sequence, np.ndarray)
+                                 else (m.assignment for m in sequence))]
+        row = {a: r for r, a in reversed(list(enumerate(assignments)))}
         try:
             return np.array([row[m.assignment] for m in modes], dtype=np.intp)
         except KeyError as exc:
@@ -510,9 +496,10 @@ def rate_tables(scenario: Scenario, gains: np.ndarray, drop_modes) -> list[RateT
     """Rate tables of a block of drops with ``scenario``'s noise power.
 
     ``gains`` is the (drops x users x ports) gain array and ``drop_modes``
-    lists, per drop, the mode sequences of its table; ``rows`` finds each
-    sequence's rows with no lookup. One block of partition terms serves
-    every table, so ``block_sum_rates`` rates them together.
+    lists, per drop, the mode sequences of its table, as for ``_layout``;
+    ``rows`` finds each sequence's rows with no lookup. One block of
+    partition terms serves every table, so ``block_sum_rates`` rates them
+    together.
     """
     block, rows = _layout(scenario.noise_power, gains, drop_modes)
     tables = []
@@ -611,16 +598,6 @@ def crossover_snr(pathloss: PathlossMatrix) -> CrossoverFormulas:
     vs_12 = (1.0 / s12) * ratio ** (s22 / (s21 - s22))
     vs_21 = (1.0 / s21) * ratio ** (s21 / (s21 - s22))
     return CrossoverFormulas(single_vs_12=vs_12, single_vs_21=vs_21)
-
-
-def single_user_rate_lower_bound(pathloss: PathlossMatrix, user_index: int,
-                                 snr: float) -> float:
-    """log2(max-gain * snr + 1): floor on the all-ports single-user rate."""
-    gains = pathloss.gains
-    if gains.shape[1] != 2:
-        raise ValueError("single-user bound is stated for the two-port case")
-    best = float(np.max(gains[user_index - 1]))
-    return math.log2(best * snr + 1.0)
 
 
 def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],

@@ -28,11 +28,11 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import ConfigError
-from .geometry import PathlossMatrix, Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
-from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
-                    nearest_user_sets)
+from .geometry import (MAX_ABS_SNR_DB, PathlossMatrix, Scenario, db_to_linear, pathloss_matrix,
+                       uniform_positions)
+from .modes import TransmissionMode, assignment_array, enumerate_ideal, nearest_user_modes
 from .rate import block_sum_rates, rate_tables
-from .selection import select_mode
+from .selection import select_rows
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
 DEFAULT_N_CHANNELS = 5000
@@ -40,11 +40,6 @@ DEFAULT_N_DROPS = 4000
 
 # Most SNR points one grid spec or histogram range may hold.
 MAX_GRID_POINTS = 10_000
-
-# SNR points lie within +-MAX_ABS_SNR_DB dB. Every closed-form and Monte
-# Carlo rate of the bundled configs is finite there; the linear SNR
-# itself overflows a float near 3083 dB.
-MAX_ABS_SNR_DB = 300.0
 
 # Most worker processes one command may ask for.
 MAX_JOBS = 256
@@ -218,64 +213,61 @@ def _scheme_label(scheme: Scheme) -> str:
     return scheme.label if isinstance(scheme, TransmissionMode) else scheme
 
 
-def _block_worker(args) -> list[tuple[list[list[TransmissionMode]], np.ndarray]]:
-    """Chosen modes and their rates for a block of consecutive drops, in
-    drop order: per drop, one list of modes and one row of values per
-    candidate set, one entry per grid point.
+def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
+    """The (drops x sets x points x ports) chosen assignments and (drops
+    x sets x points) recorded values of a block of consecutive drops.
 
-    A set of None stands for the drop's nearest-user set; the block's
-    nearest-user sets come from one array pass. Each drop gets one rate
-    table with a row for every mode of its sets, all built in one array
-    pass, and the tables of the block are evaluated in one kernel call per
-    slice of at most MAX_BLOCK_DROP_POINTS drop-points, usually the whole
-    grid; every set selects from its drop's rate vector at each point.
-    The recorded value is the closed-form rate, or the Monte Carlo mean
-    when ``rating`` is "mc": one ``mc_sum_rates`` call per drop rates each
-    distinct chosen mode at the points where any set chose it, from one
-    draw per chunk under the drop's key, into the block's one buffer.
+    A set is a (modes x ports) assignment array, or None for each drop's
+    nearest-user set. Users, gains, nearest-user sets and the drops' rate
+    tables are built for the whole block in one array pass each; the
+    tables are rated in one kernel call per slice of at most
+    MAX_BLOCK_DROP_POINTS drop-points, and each (drop, set) selects at
+    every point of a slice with one first-maximizer argmax. The value is
+    the closed-form rate, or with ``rating`` "mc" the Monte Carlo mean:
+    one ``mc_sum_rates`` call per drop rates each distinct chosen mode at
+    the points where any set chose it, from one draw per chunk under the
+    drop's key, into the block's one buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
     tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
-    pls = [pathloss_matrix(drop_users_uniform(template, key)) for key in keys]
-    if any(candidates is None for candidates in sets):
-        nearest = nearest_user_sets(np.stack([pl.distances for pl in pls]))
-    else:
-        nearest = [None] * len(pls)
-    drop_sets = [[reduced if candidates is None else candidates for candidates in sets]
-                 for reduced in nearest]
-    tables = rate_tables(template, np.stack([pl.gains for pl in pls]),
-                         [[candidates.modes for candidates in cands] for cands in drop_sets])
+    pl = pathloss_matrix(template, uniform_positions(template, keys))
+    nearest, offsets = nearest_user_modes(pl.distances)
+    drop_sets = [[nearest[offsets[d]:offsets[d + 1]] if modes is None else modes
+                  for modes in sets] for d in range(len(drops))]
+    tables = rate_tables(template, pl.gains, drop_sets)
 
-    results = [([[] for _ in sets], np.empty((len(sets), len(grid_db)))) for _ in drops]
+    shape = (len(drops), len(sets), len(grid_db))
+    chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
+    values = np.empty(shape)
     # A block of many drops holds few points; a long grid goes in slices.
     step = max(1, MAX_BLOCK_DROP_POINTS // len(drops))
     for lo in range(0, len(tx_powers), step):
         rates_per_drop = block_sum_rates(tables, tx_powers[lo:lo + step])
-        for cands, table, rates, (chosen, values) in zip(drop_sets, tables,
-                                                         rates_per_drop, results):
-            for idx in range(lo, min(lo + step, len(tx_powers))):
-                for s, candidates in enumerate(cands):
-                    result = select_mode(table, candidates, rates[idx - lo])
-                    chosen[s].append(result.chosen_mode)
-                    values[s, idx] = result.chosen_rate
+        for d, (table, rates) in enumerate(zip(tables, rates_per_drop)):
+            for s, modes in enumerate(drop_sets[d]):
+                best, values[d, s, lo:lo + step] = select_rows(rates[:, table.rows(modes)])
+                chosen[d, s, lo:lo + step] = modes[best]
     if rating == "mc":
         # Allocated once: a fresh array per chunk is freed to the OS at
         # the heap top and page-faulted in again by the next chunk.
         fading = np.empty((min(n_channels, MC_CHUNK), template.n_users, template.n_ports))
-        for key, pl, (chosen, values) in zip(keys, pls, results):
-            points: dict[TransmissionMode, list[int]] = {}  # each chosen mode: where
-            for idx, modes in enumerate(zip(*chosen)):
-                for mode in set(modes):
-                    points.setdefault(mode, []).append(idx)
+        for key, gains, drop_chosen, drop_values in zip(keys, pl.gains, chosen, values):
+            # Each distinct chosen mode, the (set, point) cells that chose
+            # it, and the points where any set did.
+            distinct, which = np.unique(drop_chosen.reshape(-1, template.n_ports), axis=0,
+                                        return_inverse=True)
+            cells = which.reshape(shape[1:]) == np.arange(len(distinct))[:, None, None]
+            points = [np.flatnonzero(at.any(axis=0)) for at in cells]
             estimates = mc_sum_rates(
-                pl.gains, template.noise_power,
-                [(mode, [tx_powers[idx] for idx in idxs]) for mode, idxs in points.items()],
+                gains, template.noise_power,
+                [(TransmissionMode(tuple(mode)), [tx_powers[idx] for idx in idxs])
+                 for mode, idxs in zip(distinct.tolist(), points)],
                 n_channels, key, fading=fading)
-            for (mode, idxs), ests in zip(points.items(), estimates):
+            for at, idxs, ests in zip(cells, points, estimates):
                 for idx, est in zip(idxs, ests):
-                    values[[per_set[idx] == mode for per_set in chosen], idx] = est.mean
-    return results
+                    drop_values[at[:, idx], idx] = est.mean
+    return chosen, values
 
 
 # Most (drop, SNR point) pairs one kernel call rates: 64 drops of an
@@ -285,9 +277,10 @@ MAX_BLOCK_DROP_POINTS = 704
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
-               n_drops: int, rating: str, n_jobs: int) -> list:
-    """Per-drop results in drop order, on one process pool of
-    min(n_jobs, blocks) workers when both are above one.
+               n_drops: int, rating: str, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chosen assignments and values of ``_block_worker`` for every
+    drop, in drop order, on one process pool of min(n_jobs, blocks)
+    workers when both are above one.
 
     Drops go out in blocks of consecutive drops: about eight per worker,
     so the pool stays balanced, and no more than MAX_BLOCK_DROP_POINTS
@@ -308,7 +301,8 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
             blocks = list(pool.map(_block_worker, tasks))
     else:
         blocks = [_block_worker(t) for t in tasks]
-    return [result for block in blocks for result in block]
+    chosen, values = zip(*blocks)
+    return np.concatenate(chosen), np.concatenate(values)
 
 
 def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
@@ -328,23 +322,24 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
         raise ConfigError(f"rating must be 'analytic' or 'mc', got {rating!r}")
     if not schemes:
         raise ConfigError("no schemes requested")
-    sets: list[CandidateSet | None] = []
+    n_ports = scenario_template.n_ports
+    sets: list[np.ndarray | None] = []
     for scheme in schemes:
         if isinstance(scheme, TransmissionMode):
-            sets.append(CandidateSet((scheme,), Origin.EXPLICIT))
+            sets.append(assignment_array([scheme], n_ports))
         elif scheme == "ideal":
-            sets.append(enumerate_ideal(scenario_template.n_ports,
-                                        scenario_template.n_users))
+            sets.append(assignment_array(
+                enumerate_ideal(n_ports, scenario_template.n_users).modes, n_ports))
         elif scheme == "min-distance":
             sets.append(None)  # drawn per drop
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
     grid = tuple(float(db) for db in snr_grid_db)
-    results = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops,
-                         rating, n_jobs)
+    _, values = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops,
+                           rating, n_jobs)
     series = []
     for s, scheme in enumerate(schemes):
-        per_drop = np.stack([values[s] for _, values in results])
+        per_drop = values[:, s]
         mean = per_drop.mean(axis=0)
         if n_drops > 1:
             stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
@@ -363,7 +358,8 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
 
     For every drop and every grid point inside a range, the nearest-user
     scheme's selected mode is tallied under the label ``KA{k}_NA{n}``;
-    fractions sum to one within each range.
+    fractions sum to one within each range. The choices of all drops come
+    back as one assignment array and are grouped with array operations.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
@@ -379,21 +375,19 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
     # One candidate set: None, the nearest-user set of each drop.
-    per_drop = [dict(zip(flat_points, chosen))
-                for (chosen,), _ in _run_drops(scenario_template, [None], flat_points,
-                                               0, seed, n_drops, "analytic", n_jobs)]
-
-    counts: dict[tuple[float, float], dict[str, int]] = {r: {} for r in ranges}
-    for chosen_at in per_drop:
-        for r, points in zip(ranges, points_per_range):
-            for db in points:
-                mode = chosen_at[db]
-                label = f"KA{mode.n_active_users}_NA{mode.n_active_ports}"
-                counts[r][label] = counts[r].get(label, 0) + 1
-
+    chosen, _ = _run_drops(scenario_template, [None], flat_points, 0, seed, n_drops,
+                           "analytic", n_jobs)
+    # Each choice's group as the code KA * (N + 1) + NA: its distinct
+    # nonzero users, counted on the sorted assignment, and its active ports.
+    users = np.sort(chosen[:, 0], axis=2)
+    first = np.ones(users.shape, dtype=bool)
+    first[..., 1:] = users[..., 1:] != users[..., :-1]
+    n = scenario_template.n_ports + 1
+    codes = (first & (users != 0)).sum(axis=2) * n + (users != 0).sum(axis=2)
+    column = {db: i for i, db in enumerate(flat_points)}
     fractions: dict[tuple[float, float], dict[str, float]] = {}
-    for r in ranges:
-        total = sum(counts[r].values())
-        fractions[r] = {label: counts[r][label] / total
-                        for label in sorted(counts[r])}
+    for r, points in zip(ranges, points_per_range):
+        counts = np.bincount(codes[:, [column[db] for db in points]].ravel()).tolist()
+        groups = sorted((f"KA{code // n}_NA{code % n}", c) for code, c in enumerate(counts) if c)
+        fractions[r] = {label: c / sum(counts) for label, c in groups}
     return fractions

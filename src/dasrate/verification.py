@@ -29,7 +29,7 @@ from .geometry import (Scenario, drop_users_uniform, load_scenario,
 from .modes import (DegenerateGeometryWarning, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
 from .rate import RateTable, UserLinkPartition
-from .selection import compare_schemes, select_mode
+from .selection import compare_schemes
 
 
 @dataclass(frozen=True)
@@ -244,25 +244,21 @@ def check_selection_properties(n_drops: int = 5) -> CheckResult:
     """Reduced-set rate never exceeds exhaustive; scaling P and noise
     together never changes the choice."""
     template = _template(3, 3)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
     worst = 0.0
     ok = True
     for drop in range(n_drops):
         scenario = drop_users_uniform(template, seed=(404, drop))
+        scaled = dataclasses.replace(scenario, noise_power=scenario.noise_power * 7.3,
+                                     tx_power=scenario.tx_power * 7.3)
         pl = pathloss_matrix(scenario)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            for snr_db in (0.0, 20.0, 40.0):
-                snr = 10.0 ** (snr_db / 10.0)
-                ideal, reduced = compare_schemes(scenario, pl, snr)
-                worst = max(worst, reduced.chosen_rate - ideal.chosen_rate)
-                scaled = dataclasses.replace(scenario,
-                                             noise_power=scenario.noise_power * 7.3,
-                                             tx_power=scenario.tx_power * 7.3)
-                reduced_set = enumerate_min_distance(pl)
-                table = RateTable(scaled, pl, reduced_set.modes)
-                again = select_mode(table, reduced_set,
-                                    table.sum_rates(snr * scaled.noise_power))
-                ok = ok and again.chosen_mode == reduced.chosen_mode
+            ideal, reduced = compare_schemes(scenario, pl, snrs)
+            again = compare_schemes(scaled, pl, snrs)
+        worst = max([worst] + [r.chosen_rate - i.chosen_rate for i, r in zip(ideal, reduced)])
+        ok = ok and ([r.chosen_mode for r in again[1]]
+                     == [r.chosen_mode for r in reduced])
     return CheckResult("selection dominance and argmax invariance",
                        ok and worst <= 1e-12, measured=worst, tolerance=1e-12,
                        detail="reduced-minus-exhaustive chosen rate")

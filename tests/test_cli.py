@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dasrate import cli, numerics, simulate
+from dasrate import cli, experiments, numerics, simulate
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,9 +202,44 @@ def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, mes
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
-    monkeypatch.setattr(simulate, "drop_users_uniform", no_work)
+    monkeypatch.setattr(simulate, "uniform_positions", no_work)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tx_power_dB = 4000", "tx_power_dB must be finite and within +-300 dB, got 4000"),
+    ("tx_power_dB = -301", "tx_power_dB must be finite and within +-300 dB, got -301"),
+    ("tx_power_dB = inf", "tx_power_dB must be finite and within +-300 dB, got inf"),
+    ("tx_power_dB = nan", "tx_power_dB must be finite"),
+    ("noise_power = 1e400", "noise_power must be finite"),
+    ("noise_power = nan", "noise_power must be finite"),
+    ("cell_radius = inf", "cell_radius must be finite"),
+    ("pathloss_exponent = inf", "pathloss_exponent must be finite"),
+    ("port_ring_radius = nan", "port_ring_radius must be finite"),
+    ("user_positions = -3,-2.5; nan,3.5", "user_positions: non-finite coordinate"),
+], ids=["tx-power-4000", "tx-power-past-minus-300", "tx-power-inf", "tx-power-nan",
+        "noise-power-overflow", "noise-power-nan", "cell-radius-inf",
+        "pathloss-exponent-inf", "ring-radius-nan", "user-position-nan"])
+@pytest.mark.parametrize("command", ["crossover", "rates", "hist"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, command, line,
+                                         message):
+    """A config value that is not finite, or a transmit power past
+    +-MAX_ABS_SNR_DB dB, exits 2 with one line naming its key, before any
+    work starts."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on invalid input")
+
+    monkeypatch.setattr(simulate, "uniform_positions", no_work)
+    key = line.split(" = ")[0]
+    text = experiments.bundled_config_path("fig2.cfg").read_text()
+    kept = [old for old in text.splitlines() if not old.startswith(key + " ")]
+    config = tmp_path / "bad.cfg"
+    config.write_text("\n".join(kept + [line]) + "\n")
+    code, out, err = run_cli(capsys, command, "--config", str(config))
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and message in err
@@ -243,6 +278,15 @@ def test_multi_scheme_sweep_matches_recorded_output(capsys, extra, recorded):
     code, out, _ = run_cli(capsys, *MULTI_SCHEME_SWEEP, *extra)
     assert code == 0
     assert out == (DATA / recorded).read_text()
+
+
+@pytest.mark.parametrize("config", ["fig7.cfg", "fig8.cfg"])
+def test_hist_matches_recorded_output(capsys, config):
+    """The nearest-user histogram of 200 drops prints the recorded bytes."""
+    code, out, _ = run_cli(capsys, "hist", "--config", config, "--seed", "1",
+                           "--drops", "200")
+    assert code == 0
+    assert out == (DATA / f"hist_{config.removesuffix('.cfg')}.csv").read_text()
 
 
 def test_rates_monte_carlo_matches_recorded_output(capsys):

@@ -11,7 +11,7 @@ from dasrate.geometry import PathlossMatrix, Scenario, drop_users_uniform, pathl
 from dasrate.modes import (CandidateSet, DegenerateGeometryWarning, Origin,
                            TransmissionMode, enumerate_ideal,
                            enumerate_min_distance, ideal_count,
-                           min_distance_count, nearest_user_assignment)
+                           min_distance_count)
 
 
 def pathloss_from_distances(distances):
@@ -122,7 +122,8 @@ def test_min_distance_random_geometries():
         for trial in range(6):
             scn = drop_users_uniform(template, seed=(12, n, trial))
             pl = pathloss_matrix(scn)
-            base = nearest_user_assignment(pl)
+            # Per-port nearest user, 1-based; ties go to the lowest index.
+            base = [int(np.argmin(pl.distances[:, j])) + 1 for j in range(n)]
             if len(set(base)) < n:
                 continue  # degeneracy handled by the dedicated tests above
             cands = enumerate_min_distance(pl)

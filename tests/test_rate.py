@@ -13,8 +13,7 @@ from dasrate.rate import (RateTable, UserLinkPartition, approx_sum_rate,
                           block_sum_rates, cdf_signal, cdf_sinr, crossover_snr,
                           ergodic_sum_rate,
                           ergodic_user_rate, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr, rate_curve_intersection_db,
-                          single_user_rate_lower_bound)
+                          pdf_signal, pdf_sinr, rate_curve_intersection_db)
 from dasrate.verification import quadrature_user_rate, random_partition
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
@@ -371,6 +370,12 @@ def test_intersection_none_when_curves_do_not_cross():
         return lambda snr: block_sum_rates([table], snr)[0][:, 0]  # noise power 1
 
     assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
+
+
+def single_user_rate_lower_bound(pathloss, user_index, snr):
+    """log2(max-gain * snr + 1): floor on the all-ports single-user rate
+    of the two-port case."""
+    return math.log2(float(np.max(pathloss.gains[user_index - 1])) * snr + 1.0)
 
 
 def test_single_user_lower_bound():

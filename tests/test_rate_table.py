@@ -13,9 +13,10 @@ import pytest
 
 from dasrate.experiments import bundled_config_path
 from dasrate.geometry import Scenario, drop_users_uniform, load_scenario, pathloss_matrix
-from dasrate.modes import (DegenerateGeometryWarning, enumerate_ideal,
+from dasrate.modes import (CandidateSet, DegenerateGeometryWarning, Origin, TransmissionMode,
+                           enumerate_ideal,
                            enumerate_min_distance, min_distance_count,
-                           nearest_user_sets)
+                           nearest_user_modes)
 from dasrate.rate import (RateTable, approx_sum_rate, block_sum_rates,
                           ergodic_sum_rate, ergodic_user_rate, log1p_inv,
                           partition_for_user, rate_tables)
@@ -116,12 +117,13 @@ def test_min_distance_rows_of_union_table_match_own_table(n):
 def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
     """One kernel call over several drops' tables and every point gives
     each table, at each point, the floats of its own one-point call."""
-    tables = [RateTable(scenario, pl, _modes(n, pl)) for scenario, pl in _drops(n, 3)]
+    modes = [(scenario, pl, _modes(n, pl)) for scenario, pl in _drops(n, 3)]
+    tables = [RateTable(*drop) for drop in modes]
     tx_powers = [10.0 ** (db / 10.0) for db in range(-10, 81, 15)]
     block = block_sum_rates(tables, tx_powers, kernel)
     assert len(block) == len(tables)
-    for table, rates in zip(tables, block):
-        assert rates.shape == (len(tx_powers), len(table.modes))
+    for table, (*_, table_modes), rates in zip(tables, modes, block):
+        assert rates.shape == (len(tx_powers), len(table_modes))
         for p, tx_power in enumerate(tx_powers):
             assert rates[p].tolist() == table.sum_rates(tx_power, kernel).tolist()
     # A table's rates do not depend on which other tables share the call.
@@ -159,28 +161,32 @@ def test_drop_rates_do_not_depend_on_its_block(name):
     assert len(set(np.argmin(degenerate.distances, axis=0).tolist())) == 1
 
     ideal = enumerate_ideal(n, n)
-    nearest = nearest_user_sets(np.stack([pl.distances for pl in pls]))
+    rows, offsets = nearest_user_modes(np.stack([pl.distances for pl in pls]))
+    nearest = [rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     with pytest.warns(DegenerateGeometryWarning):
         alone_set = enumerate_min_distance(degenerate)
-    assert nearest[21] == alone_set
+    assert nearest[21].tolist() == [list(m.assignment) for m in alone_set.modes]
     assert len(nearest[21]) == min_distance_count(n) - 1
     # The nearest-user modes and the fixed ones repeat rows of the ideal set.
     fixed = ideal.modes[:1]
     block = rate_tables(template, np.stack([pl.gains for pl in pls]),
-                        [[ideal.modes, reduced.modes, fixed] for reduced in nearest])
+                        [[ideal.modes, reduced, fixed] for reduced in nearest])
     tx_powers = [10.0 ** (db / 10.0) for db in (0, 20, 40, 60)]
     block_rates = block_sum_rates(block, tx_powers)
     for scenario, pl, reduced, table, rates in zip(scenarios, pls, nearest, block,
                                                     block_rates):
+        candidates = CandidateSet(tuple(TransmissionMode(tuple(a)) for a in reduced.tolist()),
+                                  Origin.MIN_DISTANCE)
         alone = RateTable(scenario, pl, ideal.modes)
         alone_rates = block_sum_rates([alone], tx_powers)[0]
         assert rates[:, table.rows(ideal.modes)].tolist() == alone_rates.tolist()
         for p in range(len(tx_powers)):
             assert (select_mode(table, ideal, rates[p])
                     == select_mode(alone, ideal, alone_rates[p]))
-            own = RateTable(scenario, pl, reduced.modes)
-            assert (select_mode(table, reduced, rates[p])
-                    == select_mode(own, reduced, own.sum_rates(tx_powers[p])))
+            own = RateTable(scenario, pl, candidates.modes)
+            assert (select_mode(table, candidates, rates[p])
+                    == select_mode(own, candidates, own.sum_rates(tx_powers[p])))
+        assert rates[:, table.rows(reduced)].tolist() == block_sum_rates([own], tx_powers)[0].tolist()
 
 
 def test_rows_reject_modes_outside_the_table():

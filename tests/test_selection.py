@@ -7,7 +7,7 @@ import pytest
 
 from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode,
-                           enumerate_ideal)
+                           enumerate_ideal, enumerate_min_distance)
 from dasrate.rate import RateTable
 from dasrate.selection import compare_schemes, select_mode
 
@@ -70,12 +70,12 @@ def test_tie_break_first_in_order():
 
 def test_reduced_never_beats_exhaustive():
     template = dataclasses.replace(FIG2, user_positions=None)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
     for drop in range(15):
         scn = drop_users_uniform(template, seed=(50, drop))
-        pl = pathloss_matrix(scn)
-        for snr_db in (0.0, 20.0, 40.0):
-            ideal, reduced = compare_schemes(scn, pl, 10.0 ** (snr_db / 10.0))
-            assert reduced.chosen_rate <= ideal.chosen_rate + 1e-12
+        ideal, reduced = compare_schemes(scn, pathloss_matrix(scn), snrs)
+        for best, fewer in zip(ideal, reduced):
+            assert fewer.chosen_rate <= best.chosen_rate + 1e-12
 
 
 def test_argmax_invariance_under_joint_scaling():
@@ -98,13 +98,12 @@ def test_two_user_schemes_agree_per_drop():
     """
     template = dataclasses.replace(FIG2, user_positions=None,
                                    port_positions=None)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 51, 10)]
     cells = equal = 0
     total_ideal = total_reduced = 0.0
     for drop in range(200):
         scn = drop_users_uniform(template, seed=(51, drop))
-        pl = pathloss_matrix(scn)
-        for snr_db in range(0, 51, 10):
-            ideal, reduced = compare_schemes(scn, pl, 10.0 ** (snr_db / 10.0))
+        for ideal, reduced in zip(*compare_schemes(scn, pathloss_matrix(scn), snrs)):
             cells += 1
             total_ideal += ideal.chosen_rate
             total_reduced += reduced.chosen_rate
@@ -116,6 +115,23 @@ def test_two_user_schemes_agree_per_drop():
 
 
 def test_scheme_field_reflects_origin():
-    ideal, reduced = compare_schemes(FIG2, FIG2_PL, 100.0)
-    assert ideal.scheme == "ideal"
-    assert reduced.scheme == "min-distance"
+    ideal, reduced = compare_schemes(FIG2, FIG2_PL, [100.0])
+    assert [r.scheme for r in ideal] == ["ideal"]
+    assert [r.scheme for r in reduced] == ["min-distance"]
+
+
+def test_compare_schemes_at_many_snrs_equals_one_snr_at_a_time():
+    """One call over a grid selects, at each SNR, the mode and the
+    bit-identical rate that a one-point selection on each set's own table
+    gives."""
+    template = dataclasses.replace(FIG2, user_positions=None, port_positions=None)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in range(-10, 71, 5)]
+    for drop in range(5):
+        scn = drop_users_uniform(template, seed=(52, drop))
+        pl = pathloss_matrix(scn)
+        schemes = compare_schemes(scn, pl, snrs)
+        for candidates, results in zip((enumerate_ideal(2, 2), enumerate_min_distance(pl)),
+                                       schemes):
+            assert len(results) == len(snrs)
+            for snr, result in zip(snrs, results):
+                assert result == select(scn, pl, candidates, snr)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dasrate import numerics, simulate
-from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
-from dasrate.modes import CandidateSet, Origin, TransmissionMode, enumerate_ideal
-from dasrate.rate import ergodic_sum_rate
+from dasrate.geometry import Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
+from dasrate.modes import (CandidateSet, Origin, TransmissionMode, assignment_array,
+                           enumerate_ideal, enumerate_min_distance, min_distance_count)
+from dasrate.rate import RateTable, ergodic_sum_rate
+from dasrate.selection import select_rows
 from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
                               _user_powers, cell_average, mc_ergodic_sum_rate,
                               mc_sum_rates, mode_histogram, stream_key)
@@ -452,6 +454,75 @@ def test_mode_histogram_single_user_fraction_grows():
     assert fractions[2] > 0.5
 
 
+def test_select_rows_takes_the_first_maximizer_at_each_point():
+    rates = np.array([[1.0, 3.0, 3.0, 2.0],
+                      [5.0, 5.0, 5.0, 5.0],
+                      [0.0, -1.0, 0.0, 0.5],
+                      [-0.0, 0.0, -1.0, 0.0]])
+    best, chosen = select_rows(rates)
+    assert best.tolist() == [1, 0, 3, 0]
+    assert chosen.tolist() == [3.0, 5.0, 0.5, 0.0]
+
+
+# Special drops of a two-port and a four-port ring layout. "tie": every
+# user at the same distance from every port (two ports), or the users on
+# the axes (four ports), so modes of the exhaustive set tie exactly at
+# the maximum. "shared": every port has the same nearest user, so the
+# drop's nearest-user set has 2^N - N - 1 modes.
+TWO_PORTS = Scenario(n_ports=2, n_users=2, cell_radius=10.0, pathloss_exponent=3.0,
+                     tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)))
+RING = Scenario(n_ports=4, n_users=4, cell_radius=6.5, pathloss_exponent=3.0,
+                tx_power=1.0, port_ring_radius=4.0)
+SPECIAL_DROPS = {
+    2: (TWO_PORTS, {"tie": ((0.0, 1.0), (0.0, -1.0)),
+                    "shared": ((0.5, 0.5), (0.0, -8.0))}),
+    4: (RING, {"tie": ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)),
+               "shared": ((0.05, 0.05),) + tuple(
+                   (6.0 * math.cos(a), 6.0 * math.sin(a))
+                   for a in (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi))}),
+}
+
+
+@pytest.mark.parametrize("max_drop_points", [simulate.MAX_BLOCK_DROP_POINTS, 20],
+                         ids=["one-slice", "sliced"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_block_selection_matches_brute_force_argmax(monkeypatch, n, max_drop_points):
+    """Every (drop, set, point) of a block chooses the first maximizer of
+    its set's rates, and records that rate, as a per-point scan of the
+    drop's own tables does: for the exhaustive, nearest-user and fixed
+    sets of one drop, at exact ties, for a shared-nearest-user drop among
+    full-size ones, and with the grid split into slices."""
+    template, special = SPECIAL_DROPS[n]
+    drawn = simulate.uniform_positions(template, [stream_key(81, d) for d in range(6)])
+    positions = np.concatenate([drawn[:3], np.array(list(special.values())), drawn[3:]])
+    monkeypatch.setattr(simulate, "uniform_positions", lambda _, keys: positions)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_DROP_POINTS", max_drop_points)
+    ideal = enumerate_ideal(n, n)
+    fixed = CandidateSet(ideal.modes[-1:], Origin.EXPLICIT)
+    grid = tuple(float(db) for db in range(-10, 71, 5))
+    sets = [assignment_array(ideal.modes, n), None, assignment_array(fixed.modes, n)]
+    chosen, values = simulate._block_worker((template, sets, grid, 0, 81,
+                                             range(len(positions)), "analytic"))
+    assert chosen.shape == (len(positions), 3, len(grid), n)
+    ties = full_size = 0
+    for d, users in enumerate(positions.tolist()):
+        scn = template.with_users(tuple(map(tuple, users)))
+        pl = pathloss_matrix(scn)
+        nearest = enumerate_min_distance(pl)
+        full_size += len(nearest) == min_distance_count(n)
+        if d == 4:
+            assert len(nearest) == min_distance_count(n) - 1
+        for s, candidates in enumerate((ideal, nearest, fixed)):
+            table = RateTable(scn, pl, candidates.modes)
+            for p, db in enumerate(grid):
+                rates = table.sum_rates(db_to_linear(db) * scn.noise_power).tolist()
+                best = rates.index(max(rates))
+                ties += rates.count(rates[best]) > 1
+                assert chosen[d, s, p].tolist() == list(candidates.modes[best].assignment)
+                assert values[d, s, p] == rates[best]
+    assert ties > 0 and full_size > 0
+
+
 @pytest.fixture
 def streams_opened(monkeypatch):
     """(entropy, spawn key, buffer address, buffer shape) of every Monte
@@ -476,8 +547,7 @@ def streams_opened(monkeypatch):
 
 @pytest.mark.parametrize("sets, grid", [
     ([None], (20.0,)),
-    ([enumerate_ideal(3, 3), None, CandidateSet((TransmissionMode((1, 2, 3)),),
-                                                Origin.EXPLICIT)],
+    ([assignment_array(enumerate_ideal(3, 3).modes, 3), None, np.array([[1, 2, 3]])],
      (0.0, 20.0, 40.0, 60.0)),
 ], ids=["one-set-one-point", "three-sets-four-points"])
 def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid):
@@ -492,12 +562,14 @@ def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid
         (74, (drop, c)) for drop in range(5, 8) for c in range(2)]
     assert {(address, shape) for _, _, address, shape, _ in streams_opened} == {
         (streams_opened[0][2], (simulate.MC_CHUNK, 3, 3))}
-    for (chosen, _), (mc_chosen, values) in zip(analytic, mc):
-        assert mc_chosen == chosen
+    (chosen, _), (mc_chosen, values) = analytic, mc
+    assert mc_chosen.tolist() == chosen.tolist()
+    for drop_chosen, drop_values in zip(chosen.tolist(), values):
         for idx in range(len(grid)):
             for s in range(len(sets)):
-                same = [t for t in range(len(sets)) if chosen[t][idx] == chosen[s][idx]]
-                assert {values[t, idx] for t in same} == {values[s, idx]}
+                same = [t for t in range(len(sets))
+                        if drop_chosen[t][idx] == drop_chosen[s][idx]]
+                assert {drop_values[t, idx] for t in same} == {drop_values[s, idx]}
 
 
 def test_rates_open_one_stream_per_chunk(streams_opened):
