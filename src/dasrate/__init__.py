@@ -9,26 +9,24 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
 from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
 from .numerics import exp_e1
-from .rate import (AnalysisPoint, CrossoverFormulas, RateTable, UserLinkPartition,
-                   approx_sum_rate, crossover_snr, ergodic_sum_rate,
-                   ergodic_user_rate, pdf_interference_plus_noise, pdf_signal,
-                   pdf_sinr)
-from .selection import SelectionResult, compare_schemes, select_mode
-from .simulate import (McEstimate, RateCurve, RateSeries, cell_average,
-                       mc_ergodic_sum_rate, mode_histogram)
+from .rate import (CrossoverFormulas, RateTable, UserLinkPartition, block_sum_rates,
+                   crossover_snr, pdf_interference_plus_noise, pdf_signal, pdf_sinr,
+                   rate_tables)
+from .selection import SelectionResult, compare_schemes
+from .simulate import (McEstimate, RateCurve, RateSeries, cell_average, mc_sum_rates,
+                       mode_histogram)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisPoint", "CandidateSet", "CapacityError", "ConfigError",
-    "CrossoverFormulas", "DasRateError", "DegenerateGainsError",
-    "McEstimate", "NumericalFailureError", "Origin", "PathlossMatrix",
-    "RateCurve", "RateSeries", "RateTable", "Scenario", "SelectionResult",
-    "TransmissionMode", "UserLinkPartition", "approx_sum_rate", "cell_average",
-    "compare_schemes", "crossover_snr", "db_to_linear", "default_port_layout",
-    "drop_users_uniform", "enumerate_ideal", "enumerate_min_distance",
-    "ergodic_sum_rate", "ergodic_user_rate", "exp_e1", "ideal_count",
-    "linear_to_db", "load_scenario", "mc_ergodic_sum_rate", "min_distance_count",
-    "mode_histogram", "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
-    "pdf_signal", "pdf_sinr", "select_mode",
+    "CandidateSet", "CapacityError", "ConfigError", "CrossoverFormulas",
+    "DasRateError", "DegenerateGainsError", "McEstimate", "NumericalFailureError",
+    "Origin", "PathlossMatrix", "RateCurve", "RateSeries", "RateTable", "Scenario",
+    "SelectionResult", "TransmissionMode", "UserLinkPartition", "block_sum_rates",
+    "cell_average", "compare_schemes", "crossover_snr", "db_to_linear",
+    "default_port_layout", "drop_users_uniform", "enumerate_ideal",
+    "enumerate_min_distance", "exp_e1", "ideal_count", "linear_to_db", "load_scenario",
+    "mc_sum_rates", "min_distance_count", "mode_histogram", "parse_scenario_config",
+    "pathloss_matrix", "pdf_interference_plus_noise", "pdf_signal", "pdf_sinr",
+    "rate_tables",
 ]

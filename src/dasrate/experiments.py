@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import simulate
 from .errors import ConfigError
-from .geometry import PathlossMatrix, Scenario, pathloss_matrix
+from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
 from .modes import TransmissionMode, enumerate_ideal, ideal_count
-from .rate import (CrossoverFormulas, RateTable, block_sum_rates, crossover_snr,
-                   log1p_inv, rate_curve_intersection_db)
+from .rate import (CrossoverFormulas, block_sum_rates, crossover_curves_db, crossover_snr,
+                   rate_tables)
 from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates
 
 
@@ -106,12 +106,11 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
-    table = RateTable(scenario, pl, modes)
-    tx_powers = [scenario.with_snr_db(db).tx_power for db in grid]
-    analytic = block_sum_rates([table], tx_powers)[0].tolist()
+    (table,) = rate_tables(pl.gains[None], [[modes]])
+    snrs = [db_to_linear(db) for db in grid]
+    analytic = block_sum_rates([table], snrs)[0].tolist()
     if include_mc:
-        estimates = mc_sum_rates(pl.gains, scenario.noise_power,
-                                 [(mode, tx_powers) for mode in modes], n_channels,
+        estimates = mc_sum_rates(pl.gains, [(mode, snrs) for mode in modes], n_channels,
                                  simulate.stream_key(seed))
     series: list[RateSeries] = []
     for m_idx, mode in enumerate(modes):
@@ -218,8 +217,7 @@ class CrossoverReport:
 
 
 def crossover_report(scenario: Scenario,
-                     reference_db: float | None = None,
-                     lo_db: float = -20.0, hi_db: float = 80.0) -> CrossoverReport:
+                     reference_db: float | None = None) -> CrossoverReport:
     """Self-auditing crossover comparison for a 2x2 fixed geometry.
 
     Reports the closed-form value under both user labelings plus the
@@ -236,15 +234,7 @@ def crossover_report(scenario: Scenario,
     pl = pathloss_matrix(scenario)
     swapped = PathlossMatrix(distances=pl.distances[::-1].copy(),
                              gains=pl.gains[::-1].copy())
-    table = RateTable(scenario, pl, (TransmissionMode((1, 1)), TransmissionMode((1, 2))))
-
-    def curve(row, kernel=None):
-        return lambda snr: block_sum_rates([table], snr * scenario.noise_power,
-                                           kernel)[0][:, row]
-
-    approx_db = rate_curve_intersection_db(curve(0, log1p_inv), curve(1, log1p_inv),
-                                           lo_db=lo_db, hi_db=hi_db)
-    exact_db = rate_curve_intersection_db(curve(0), curve(1), lo_db=lo_db, hi_db=hi_db)
+    approx_db, exact_db = crossover_curves_db(pl.gains)
     return CrossoverReport(formulas=crossover_snr(pl),
                            formulas_swapped_users=crossover_snr(swapped),
                            approx_intersection_db=approx_db,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,6 +75,17 @@ class Scenario:
         elif len(self.port_positions) != self.n_ports:
             raise ConfigError(f"expected {self.n_ports} port positions, "
                               f"got {len(self.port_positions)}")
+        # Every kernel argument 1 / (d**-p * snr), over the distances a user
+        # can have and the SNR points, must be a normal positive float.
+        reach = max(math.hypot(x, y) for x, y in self.port_positions)
+        far = max(MIN_DISTANCE, self.cell_radius + reach)
+        log_args = [self.pathloss_exponent * math.log10(d) + sign * MAX_ABS_SNR_DB / 10.0
+                    for d in (MIN_DISTANCE, far) for sign in (-1.0, 1.0)]
+        if not (math.log10(sys.float_info.min) <= min(log_args)
+                and max(log_args) <= math.log10(sys.float_info.max)):
+            raise ConfigError(f"pathloss_exponent {self.pathloss_exponent:g} is too large: "
+                              f"the gains at distances {MIN_DISTANCE:g} to {far:g} leave "
+                              f"the float range at +-{MAX_ABS_SNR_DB:g} dB SNR")
         if self.user_positions is not None:
             if len(self.user_positions) != self.n_users:
                 raise ConfigError(f"expected {self.n_users} user positions, "
@@ -82,17 +94,6 @@ class Scenario:
                 if math.hypot(x, y) > self.cell_radius * (1.0 + 1e-12):
                     raise ConfigError(f"user position ({x}, {y}) lies outside "
                                       f"the cell of radius {self.cell_radius}")
-
-    @property
-    def snr(self) -> float:
-        """Transmit SNR = tx_power / noise_power (linear)."""
-        return self.tx_power / self.noise_power
-
-    def with_tx_power(self, tx_power: float) -> "Scenario":
-        return replace(self, tx_power=tx_power)
-
-    def with_snr_db(self, snr_db: float) -> "Scenario":
-        return replace(self, tx_power=db_to_linear(snr_db) * self.noise_power)
 
     def with_users(self, user_positions: tuple[Coord, ...]) -> "Scenario":
         return replace(self, user_positions=tuple(user_positions))

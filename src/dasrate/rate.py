@@ -9,13 +9,17 @@ All formulas assume pairwise-distinct gains; near-ties are separated by a
 deterministic relative perturbation (see ``GAIN_TIE_REL_TOL``), which the
 continuity of the rate in the gains makes harmless.
 
-Closed-form rates go through rate tables. ``rate_tables`` builds the
-tables of a block of drops with array operations: one ``np.unique`` over
-(user, serving-port bitmask, interfering-port bitmask) keys gives the
-distinct partitions, and the partial-fraction weights are computed for
-all partitions of one size at once. Only the near-tied partitions take
-the per-partition ``_separate_gains`` route. ``block_sum_rates`` then
-rates every table at many transmit powers from one kernel call.
+Rates depend on the transmit and noise powers only through their ratio,
+the linear SNR P / sigma^2, and the rate engine takes that alone. Every
+closed-form rate goes through rate tables: ``rate_tables`` builds the
+tables of a block of drops with array operations, where one ``np.unique``
+over (user, serving-port bitmask, interfering-port bitmask) keys gives
+the distinct partitions and the partial-fraction weights are computed
+for all partitions of one size at once. Only the near-tied partitions
+take the per-partition ``_separate_gains`` route. ``block_sum_rates``
+then rates every table at many SNRs from one kernel call. The densities
+of a ``UserLinkPartition`` are the physical model that ``verify`` checks
+the tables against.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateGainsError
-from .geometry import PathlossMatrix, Scenario, linear_to_db
+from .geometry import PathlossMatrix, linear_to_db
 from .modes import TransmissionMode, assignment_array
 
 LN2 = math.log(2.0)
@@ -88,20 +92,6 @@ class UserLinkPartition:
         n_sig = len(self.signal_gains)
         object.__setattr__(self, "signal_gains", tuple(merged[:n_sig]))
         object.__setattr__(self, "interference_gains", tuple(merged[n_sig:]))
-
-
-def partition_for_user(pathloss: PathlossMatrix, mode: TransmissionMode,
-                       user: int, tx_power: float,
-                       noise_power: float) -> UserLinkPartition | None:
-    """Partition for a (1-based) user, or None when the mode leaves it idle."""
-    ports = mode.support_sets.get(user)
-    if not ports:
-        return None
-    row = pathloss.gains[user - 1]
-    signal = tuple(float(row[j]) for j in sorted(ports))
-    interference = tuple(float(row[j]) for j in sorted(mode.complements[user]))
-    return UserLinkPartition(signal_gains=signal, interference_gains=interference,
-                             tx_power=tx_power, noise_power=noise_power)
 
 
 def _pf_weights(gains: Sequence[float]) -> list[float]:
@@ -251,9 +241,8 @@ class _Block:
     the block.
     """
 
-    def __init__(self, noise_power: float, gains: np.ndarray, groups,
-                 index: np.ndarray, where: Callable[[int], str]) -> None:
-        self.noise_power = noise_power
+    def __init__(self, gains: np.ndarray, groups, index: np.ndarray,
+                 where: Callable[[int], str]) -> None:
         self.index = index
         self.n_slots = 1 + sum(len(slots) for slots, _, _ in groups)
         moved: list[float] = []
@@ -297,13 +286,13 @@ class _Block:
         self.a, self.b = np.split(col, [len(sig_col)])
 
 
-def _slot_rates(blocks: Sequence[_Block], tx_powers,
+def _slot_rates(blocks: Sequence[_Block], snrs,
                 kernel: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> list[np.ndarray]:
-    """(points x slots) rates in bits/s/Hz of each block at every transmit
-    power, from one kernel call; slot 0 (no terms) reads 0."""
-    tx = np.asarray(tx_powers, dtype=float)[:, None]
-    args = [block.noise_power / (block.gains * tx) for block in blocks]
+    """(points x slots) rates in bits/s/Hz of each block at every linear
+    SNR, from one kernel call; slot 0 (no terms) reads 0."""
+    snr = np.asarray(snrs, dtype=float)[:, None]
+    args = [1.0 / (block.gains * snr) for block in blocks]
     # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
     kernel = numerics.exp_e1 if kernel is None else kernel
     values = kernel(np.concatenate([x.ravel() for x in args]))
@@ -311,22 +300,22 @@ def _slot_rates(blocks: Sequence[_Block], tx_powers,
     out = []
     for block, x, end in zip(blocks, args, ends):
         # Column len(gains) reads 0: the interferer of an interference-free term.
-        e = np.zeros((len(tx), x.shape[1] + 1))
+        e = np.zeros((len(snr), x.shape[1] + 1))
         e[:, :-1] = values[end - x.size:end].reshape(x.shape)
-        flat = np.arange(0, len(tx) * block.n_slots, block.n_slots)[:, None] + block.slot
-        rates = np.zeros(len(tx) * block.n_slots)
+        flat = np.arange(0, len(snr) * block.n_slots, block.n_slots)[:, None] + block.slot
+        rates = np.zeros(len(snr) * block.n_slots)
         # Sequential in (point, term) order: a matrix product over collapsed
         # gain columns rounds differently and moves near-tied rates by up to
         # ~1e-7 bits.
         np.add.at(rates, flat.ravel(), (block.coef * (e[:, block.a] - e[:, block.b])).ravel())
-        out.append(rates.reshape(len(tx), block.n_slots) / LN2)
+        out.append(rates.reshape(len(snr), block.n_slots) / LN2)
     return out
 
 
-def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
+def block_sum_rates(tables: Sequence["RateTable"], snrs,
                     kernel: Callable[[np.ndarray], np.ndarray] | None = None
                     ) -> list[np.ndarray]:
-    """(points x modes) sum rates of each table at every transmit power.
+    """(points x modes) sum rates of each table at every linear SNR.
 
     The kernel arguments of all tables and points go to one kernel call,
     since the array kernel pays off only on large batches. Users are added
@@ -336,7 +325,7 @@ def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
     """
     blocks = list(dict.fromkeys(table._block for table in tables))
     sums = {}
-    for block, rates in zip(blocks, _slot_rates(blocks, tx_powers, kernel)):
+    for block, rates in zip(blocks, _slot_rates(blocks, snrs, kernel)):
         # The rows of every table of the block that was asked for.
         lo = min(t._rows.start for t in tables if t._block is block)
         hi = max(t._rows.stop for t in tables if t._block is block)
@@ -353,7 +342,7 @@ def block_sum_rates(tables: Sequence["RateTable"], tx_powers,
     return out
 
 
-def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, list[slice]]:
+def _layout(gains: np.ndarray, drop_modes) -> tuple[_Block, list[slice]]:
     """One block of partition terms for the tables of several drops.
 
     ``gains`` is (drops x users x ports) and ``drop_modes`` gives each
@@ -423,7 +412,7 @@ def _layout(noise_power: float, gains: np.ndarray, drop_modes) -> tuple[_Block, 
         return (f"user {rep_user[t] + 1}, mode "
                 f"{TransmissionMode(tuple(rows[rep_row[t]].tolist())).label}")
 
-    block = _Block(noise_power, np.asarray(gains, dtype=float).reshape(-1), groups, index, where)
+    block = _Block(np.asarray(gains, dtype=float).reshape(-1), groups, index, where)
     return block, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -431,69 +420,41 @@ class RateTable:
     """Closed-form rates of every mode of one drop.
 
     A user's exact rate is a weighted sum of scaled-E1 terms at
-    ``x = noise / (g * P)`` whose weights depend only on gain ratios, so
+    ``x = 1 / (g * snr)`` whose weights depend only on gain ratios, so
     the terms of each distinct (user, serving ports, interfering ports)
     partition are built once, with no SNR involved. ``rate_tables`` builds
-    the tables of a block of drops in one array pass, and the one-drop
-    constructor is its one-drop case. A table's rows are its mode
-    sequences, concatenated in order, repeats included. An evaluation
-    needs the kernel once per gain and point, and rates every mode;
-    ``block_sum_rates`` evaluates many tables and points at once.
+    the tables of a block of drops in one array pass. A table's rows are
+    its mode sequences, concatenated in order, repeats included. An
+    evaluation needs the kernel once per gain and point, and rates every
+    mode; ``block_sum_rates`` evaluates many tables and points at once.
     """
 
-    def __init__(self, scenario: Scenario, pathloss: PathlossMatrix,
-                 modes: Sequence[TransmissionMode]) -> None:
-        sequences = (tuple(modes),)
-        block, (rows,) = _layout(scenario.noise_power, pathloss.gains[None], [sequences])
-        self._bind(block, rows, sequences)
-
-    def _bind(self, block: _Block, rows: slice, sequences) -> None:
-        self.noise_power = block.noise_power
+    def __init__(self, block: _Block, rows: slice, sequences: tuple) -> None:
         self._block = block
         self._rows = rows
         self._sequences = sequences
 
-    def rows(self, modes: Sequence[TransmissionMode]) -> slice | np.ndarray:
-        """Rows of ``modes``, each of which must be in the table.
-
-        A mode sequence the table was built from (the same object, mode
-        sequence or assignment array) gets its slice of rows with no
-        lookup; other lists are looked up mode by mode.
-        """
+    def rows(self, modes) -> slice:
+        """Rows of ``modes``, one of the mode sequences (the same object)
+        the table was built from."""
         start = 0
         for sequence in self._sequences:
             if modes is sequence:
                 return slice(start, start + len(sequence))
             start += len(sequence)
-        assignments = [a for sequence in self._sequences
-                       for a in (map(tuple, sequence.tolist())
-                                 if isinstance(sequence, np.ndarray)
-                                 else (m.assignment for m in sequence))]
-        row = {a: r for r, a in reversed(list(enumerate(assignments)))}
-        try:
-            return np.array([row[m.assignment] for m in modes], dtype=np.intp)
-        except KeyError as exc:
-            label = TransmissionMode(exc.args[0]).label
-            raise ValueError(f"mode {label} is not in the rate table") from None
+        raise ValueError("modes are not a sequence the rate table was built from")
 
-    def user_rates(self, tx_power: float,
+    def user_rates(self, snr: float,
                    kernel: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> np.ndarray:
-        """(modes x users) rates at transmit power ``tx_power``; idle users
-        get 0. ``kernel`` is as for ``block_sum_rates``."""
-        rates = _slot_rates([self._block], [tx_power], kernel)
+        """(modes x users) rates at linear SNR ``snr``; idle users get 0.
+        ``kernel`` is as for ``block_sum_rates``."""
+        rates = _slot_rates([self._block], [snr], kernel)
         return rates[0][0][self._block.index[self._rows]]
 
-    def sum_rates(self, tx_power: float,
-                  kernel: Callable[[np.ndarray], np.ndarray] | None = None
-                  ) -> np.ndarray:
-        """Sum rate of every mode at transmit power ``tx_power``: the
-        one-table, one-point case of ``block_sum_rates``."""
-        return block_sum_rates([self], [tx_power], kernel)[0][0]
 
-
-def rate_tables(scenario: Scenario, gains: np.ndarray, drop_modes) -> list[RateTable]:
-    """Rate tables of a block of drops with ``scenario``'s noise power.
+def rate_tables(gains: np.ndarray, drop_modes) -> list[RateTable]:
+    """Rate tables of a block of drops.
 
     ``gains`` is the (drops x users x ports) gain array and ``drop_modes``
     lists, per drop, the mode sequences of its table, as for ``_layout``;
@@ -501,59 +462,8 @@ def rate_tables(scenario: Scenario, gains: np.ndarray, drop_modes) -> list[RateT
     partition terms serves every table, so ``block_sum_rates`` rates them
     together.
     """
-    block, rows = _layout(scenario.noise_power, gains, drop_modes)
-    tables = []
-    for r, sequences in zip(rows, drop_modes):
-        table = RateTable.__new__(RateTable)
-        table._bind(block, r, tuple(sequences))
-        tables.append(table)
-    return tables
-
-
-def ergodic_user_rate(partition: UserLinkPartition) -> float:
-    """Exact ergodic rate of one user, in bits/s/Hz.
-
-    Weighted differences of scaled-E1 terms; with no interferers the
-    terms are the signal-only ones.
-    """
-    gains = np.array(partition.signal_gains + partition.interference_gains)
-    group = (np.array([1]), np.arange(len(gains))[None, :], len(partition.signal_gains))
-    block = _Block(partition.noise_power, gains, [group], np.ones((1, 1), dtype=np.intp),
-                   lambda _: "partition")
-    return float(_slot_rates([block], [partition.tx_power])[0][0, 1])
-
-
-@dataclass(frozen=True)
-class AnalysisPoint:
-    """Closed-form rates of one (scenario, mode) pair at one SNR."""
-
-    snr: float
-    per_user_rates: tuple[float, ...]
-    sum_rate: float
-
-
-def ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
-                     mode: TransmissionMode) -> AnalysisPoint:
-    """Exact ergodic sum rate: per-user rates summed over active users.
-
-    Users not served by the mode contribute exactly zero.
-    """
-    table = RateTable(scenario, pathloss, (mode,))
-    per_user = table.user_rates(scenario.tx_power)[0].tolist()
-    return AnalysisPoint(snr=scenario.snr, per_user_rates=tuple(per_user),
-                         sum_rate=float(sum(per_user)))
-
-
-def approx_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
-                    mode: TransmissionMode) -> float:
-    """Approximated sum rate: every scaled-E1 term replaced by ln(1 + 1/x).
-
-    The substitution upper-bounds each term individually, but differences
-    of substituted terms carry no sign guarantee, so this is not a bound
-    on the exact sum rate in general.
-    """
-    table = RateTable(scenario, pathloss, (mode,))
-    return float(table.sum_rates(scenario.tx_power, log1p_inv)[0])
+    block, rows = _layout(gains, drop_modes)
+    return [RateTable(block, r, tuple(sequences)) for r, sequences in zip(rows, drop_modes)]
 
 
 # --- two-port, two-user analysis -------------------------------------------
@@ -641,3 +551,18 @@ def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def crossover_curves_db(gains: np.ndarray) -> tuple[float | None, float | None]:
+    """Highest-SNR crossings, in dB, of the [1 1] and [1 2] sum-rate curves
+    of a 2x2 gain matrix: of the approximated curves, then of the exact
+    ones, each None when the curves do not cross in range."""
+    (table,) = rate_tables(np.asarray(gains, dtype=float)[None],
+                           [[(TransmissionMode((1, 1)), TransmissionMode((1, 2)))]])
+
+    def curve(row, kernel):
+        return lambda snr: block_sum_rates([table], snr, kernel)[0][:, row]
+
+    approx_db, exact_db = (rate_curve_intersection_db(curve(0, kernel), curve(1, kernel))
+                           for kernel in (log1p_inv, None))
+    return approx_db, exact_db

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PathlossMatrix, Scenario
-from .modes import CandidateSet, TransmissionMode, enumerate_ideal, enumerate_min_distance
-from .rate import RateTable, block_sum_rates, rate_tables
+from .modes import TransmissionMode, enumerate_ideal, enumerate_min_distance
+from .rate import block_sum_rates, rate_tables
 
 
 @dataclass(frozen=True)
@@ -26,34 +26,18 @@ def select_rows(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, rates[np.arange(len(rates)), best]
 
 
-def select_mode(table: RateTable, candidates: CandidateSet,
-                rates: np.ndarray) -> SelectionResult:
-    """Best candidate by ``rates``: the one-point case of ``select_rows``.
-
-    ``rates`` is ``table.sum_rates`` at one transmit power, one entry per
-    mode of ``table``, so every scheme of a drop selects from one
-    evaluation. Every candidate must be a mode of ``table``.
-    """
-    if not candidates.modes:
-        raise ValueError("empty candidate set")
-    (best,), (rate,) = select_rows(rates[None, table.rows(candidates.modes)])
-    return SelectionResult(chosen_mode=candidates.modes[best], chosen_rate=float(rate),
-                           scheme=candidates.origin.value)
-
-
 def compare_schemes(scenario: Scenario, pathloss: PathlossMatrix, snrs
                     ) -> tuple[list[SelectionResult], list[SelectionResult]]:
     """Exhaustive and nearest-user selection at each linear SNR of the
     sequence ``snrs``: one result per SNR and scheme, from one table with
-    the rows of both sets rated at every SNR in one call.
-
-    Rates depend on transmit power and noise only through their ratio, so
-    the table is evaluated at tx_power = snr * noise_power.
+    the rows of both sets rated at every SNR in one call. Only the
+    scenario's port and user counts are read: the rates depend on the
+    SNR alone, not on its transmit or noise power.
     """
     sets = (enumerate_ideal(scenario.n_ports, scenario.n_users),
             enumerate_min_distance(pathloss))
-    (table,) = rate_tables(scenario, pathloss.gains[None], [[c.modes for c in sets]])
-    (rates,) = block_sum_rates([table], np.asarray(snrs, dtype=float) * scenario.noise_power)
+    (table,) = rate_tables(pathloss.gains[None], [[c.modes for c in sets]])
+    (rates,) = block_sum_rates([table], snrs)
     results = []
     for candidates in sets:
         best, chosen = select_rows(rates[:, table.rows(candidates.modes)])

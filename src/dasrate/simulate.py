@@ -8,7 +8,7 @@ entropy is, so keys of different lengths never coincide. Drop d's users
 come from (seed; d), the fading of its chunk c from (seed; d, c), and
 chunk c of a fixed geometry from (seed; 0, 0, c).
 
-A draw does not depend on the transmit power, so each chunk is drawn
+A draw does not depend on the SNR, so each chunk is drawn
 once per drop and read by every mode and point rated there (common
 random numbers). Each (mode, point) adds its chunks in chunk order and
 drop results are combined in drop order, so outputs are bit-identical
@@ -28,8 +28,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import ConfigError
-from .geometry import (MAX_ABS_SNR_DB, PathlossMatrix, Scenario, db_to_linear, pathloss_matrix,
-                       uniform_positions)
+from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from .modes import TransmissionMode, assignment_array, enumerate_ideal, nearest_user_modes
 from .rate import block_sum_rates, rate_tables
 from .selection import select_rows
@@ -48,7 +47,7 @@ MAX_JOBS = 256
 # the trial count.
 MC_CHUNK = 8192
 
-# Most transmit powers one Monte Carlo rating pass holds: its two
+# Most SNR points one Monte Carlo rating pass holds: its two
 # (points, chunk) work arrays take at most 2 MiB whatever the grid
 # length, and an 11-point grid is one pass.
 MC_POINT_SLICE = 16
@@ -126,8 +125,8 @@ def _user_powers(hg: np.ndarray, mode: TransmissionMode) -> list[tuple]:
 
 
 def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Sum over ``users`` of log2(1 + S / (I + noise / P)) for each draw
-    (column) and each noise / P of the (points, 1) ``inv_snr`` (row), in
+    """Sum over ``users`` of log2(1 + S / (I + 1 / snr)) for each draw
+    (column) and each 1 / snr of the (points, 1) ``inv_snr`` (row), in
     ``work[0]``; ``work`` is a (2, points, draws) array."""
     rates, term = work
     rates[:] = 0.0
@@ -140,20 +139,22 @@ def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.
     return rates
 
 
-def mc_sum_rates(gains: np.ndarray, noise_power: float, rated, n_channels: int,
+def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
                  key: np.random.SeedSequence, *,
                  fading: np.ndarray | None = None) -> list[list[McEstimate]]:
     """Monte Carlo estimates of the ergodic sum rate of several modes, each
-    at its own transmit powers, from one fading draw per chunk.
+    at its own linear SNRs, from one fading draw per chunk.
 
-    ``rated`` lists (mode, tx_powers) pairs over the (K, N) pathloss
-    ``gains``; the result holds one estimate per pair and power. Chunk c
+    ``rated`` lists (mode, snrs) pairs over the (K, N) pathloss ``gains``;
+    the result holds one estimate per pair and SNR. Chunk c
     is drawn from ``key``'s child c into ``fading`` (at least
     (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
     ``gains`` in place. Each mode's user powers are summed once per chunk
-    and rated at its powers in slices of MC_POINT_SLICE. Each (mode,
-    power) adds its own total and sum of squares in chunk order, so its
-    estimate does not depend on the other pairs and powers of the call.
+    and rated at its SNRs in slices of MC_POINT_SLICE. Each (mode, SNR)
+    adds its own total and sum of squares in chunk order, so its estimate
+    does not depend on the other pairs and SNRs of the call. A fixed
+    geometry passes ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw
+    chunk c from ``SeedSequence(seed, spawn_key=(c,))``.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
@@ -164,8 +165,7 @@ def mc_sum_rates(gains: np.ndarray, noise_power: float, rated, n_channels: int,
           or fading.shape[1:] != shape[1:] or fading.shape[0] < shape[0]):
         raise ValueError(f"fading buffer must be C-contiguous float64 with shape "
                          f"{shape} or more rows, got {fading.dtype} {fading.shape}")
-    inv_snrs = [noise_power / np.asarray(tx_powers, dtype=float)[:, None]
-                for _, tx_powers in rated]
+    inv_snrs = [1.0 / np.asarray(snrs, dtype=float)[:, None] for _, snrs in rated]
     totals = [np.zeros((2, len(inv_snr))) for inv_snr in inv_snrs]
     work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, inv_snrs), default=0)) * shape[0])
     for c, size in enumerate(_chunk_sizes(n_channels)):
@@ -186,22 +186,6 @@ def mc_sum_rates(gains: np.ndarray, noise_power: float, rated, n_channels: int,
         estimates.append([McEstimate(mean=float(m), std_error=float(e), n_trials=n_channels)
                           for m, e in zip(mean, np.sqrt(var / n_channels))])
     return estimates
-
-
-def mc_ergodic_sum_rate(scenario: Scenario, pathloss: PathlossMatrix,
-                        mode: TransmissionMode, n_channels: int,
-                        seed, *, fading: np.ndarray | None = None) -> McEstimate:
-    """Monte Carlo estimate of the ergodic sum rate over fading: the
-    one-mode, one-power case of ``mc_sum_rates``.
-
-    ``seed`` may be an int or a tuple of ints (callers namespace nested
-    experiments by passing e.g. (seed, case)); chunk c is drawn under
-    ``SeedSequence(seed, spawn_key=(c,))``. ``fading`` is as for
-    ``mc_sum_rates``.
-    """
-    return mc_sum_rates(pathloss.gains, scenario.noise_power,
-                        [(mode, [scenario.tx_power])], n_channels,
-                        np.random.SeedSequence(seed), fading=fading)[0][0]
 
 
 # --- cell-averaged experiments ----------------------------------------------
@@ -229,21 +213,21 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     drop's key, into the block's one buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
-    tx_powers = [db_to_linear(snr_db) * template.noise_power for snr_db in grid_db]
+    snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
     pl = pathloss_matrix(template, uniform_positions(template, keys))
     nearest, offsets = nearest_user_modes(pl.distances)
     drop_sets = [[nearest[offsets[d]:offsets[d + 1]] if modes is None else modes
                   for modes in sets] for d in range(len(drops))]
-    tables = rate_tables(template, pl.gains, drop_sets)
+    tables = rate_tables(pl.gains, drop_sets)
 
     shape = (len(drops), len(sets), len(grid_db))
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values = np.empty(shape)
     # A block of many drops holds few points; a long grid goes in slices.
     step = max(1, MAX_BLOCK_DROP_POINTS // len(drops))
-    for lo in range(0, len(tx_powers), step):
-        rates_per_drop = block_sum_rates(tables, tx_powers[lo:lo + step])
+    for lo in range(0, len(snrs), step):
+        rates_per_drop = block_sum_rates(tables, snrs[lo:lo + step])
         for d, (table, rates) in enumerate(zip(tables, rates_per_drop)):
             for s, modes in enumerate(drop_sets[d]):
                 best, values[d, s, lo:lo + step] = select_rows(rates[:, table.rows(modes)])
@@ -260,8 +244,8 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
             cells = which.reshape(shape[1:]) == np.arange(len(distinct))[:, None, None]
             points = [np.flatnonzero(at.any(axis=0)) for at in cells]
             estimates = mc_sum_rates(
-                gains, template.noise_power,
-                [(TransmissionMode(tuple(mode)), [tx_powers[idx] for idx in idxs])
+                gains,
+                [(TransmissionMode(tuple(mode)), [snrs[idx] for idx in idxs])
                  for mode, idxs in zip(distinct.tolist(), points)],
                 n_channels, key, fading=fading)
             for at, idxs, ests in zip(cells, points, estimates):

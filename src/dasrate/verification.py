@@ -28,7 +28,7 @@ from .geometry import (Scenario, drop_users_uniform, load_scenario,
                        pathloss_matrix)
 from .modes import (DegenerateGeometryWarning, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
-from .rate import RateTable, UserLinkPartition
+from .rate import UserLinkPartition
 from .selection import compare_schemes
 
 
@@ -86,6 +86,17 @@ def log_integral_quadrature(
         raise NumericalFailureError(
             f"quadrature error estimate {err:.3e} exceeds budget {abs_tol:.1e}")
     return head[0] + tail[0]
+
+
+def partition_rate(partition: UserLinkPartition) -> float:
+    """Closed-form rate of a partition's user, in bits/s/Hz, read from a
+    one-drop rate table: its ports hold the signal gains, then the
+    interference gains, in the given order, and a second user is served
+    by the interfering ports."""
+    n_sig, n_intf = len(partition.signal_gains), len(partition.interference_gains)
+    row = partition.signal_gains + partition.interference_gains
+    (table,) = rate.rate_tables(np.array([[row, row]]), [[np.array([[1] * n_sig + [2] * n_intf])]])
+    return float(table.user_rates(partition.tx_power / partition.noise_power)[0, 0])
 
 
 def quadrature_user_rate(partition: UserLinkPartition) -> float:
@@ -195,7 +206,7 @@ def check_rate_vs_quadrature(n_partitions: int = 10) -> CheckResult:
     worst = 0.0
     for _ in range(n_partitions):
         part = random_partition(rng, allow_empty_interference=True)
-        closed = rate.ergodic_user_rate(part)
+        closed = partition_rate(part)
         worst = max(worst, abs(closed - quadrature_user_rate(part)))
     return CheckResult("closed-form rate vs quadrature oracle",
                        worst <= 1e-8, measured=worst, tolerance=1e-8)
@@ -265,11 +276,10 @@ def check_selection_properties(n_drops: int = 5) -> CheckResult:
 
 
 def check_mc_determinism() -> CheckResult:
-    scenario = drop_users_uniform(_template(2, 2), seed=505).with_tx_power(100.0)
-    pl = pathloss_matrix(scenario)
-    mode = enumerate_ideal(2, 2).modes[1]
-    a = simulate.mc_ergodic_sum_rate(scenario, pl, mode, 5000, seed=7)
-    b = simulate.mc_ergodic_sum_rate(scenario, pl, mode, 5000, seed=7)
+    pl = pathloss_matrix(drop_users_uniform(_template(2, 2), seed=505))
+    rated = [(enumerate_ideal(2, 2).modes[1], [100.0])]
+    a, b = (simulate.mc_sum_rates(pl.gains, rated, 5000, np.random.SeedSequence(7))
+            for _ in range(2))
     identical = a == b
     return CheckResult("Monte Carlo determinism at fixed seed", identical,
                        measured=0.0 if identical else 1.0, tolerance=0.0)
@@ -280,14 +290,14 @@ def check_mc_vs_analytic(n_cases: int = 6, n_trials: int = 20000) -> CheckResult
     worst = 0.0
     for case in range(n_cases):
         n = int(rng.integers(2, 4))
-        scenario = drop_users_uniform(_template(n, n), seed=(607, case))
-        scenario = scenario.with_tx_power(10.0 ** rng.uniform(0.0, 3.0))
-        pl = pathloss_matrix(scenario)
+        pl = pathloss_matrix(drop_users_uniform(_template(n, n), seed=(607, case)))
+        snr = 10.0 ** rng.uniform(0.0, 3.0)
         candidates = enumerate_ideal(n, n)
         mode = candidates.modes[int(rng.integers(0, len(candidates)))]
-        est = simulate.mc_ergodic_sum_rate(scenario, pl, mode, n_trials,
-                                           seed=(608, case))
-        closed = rate.ergodic_sum_rate(scenario, pl, mode).sum_rate
+        ((est,),) = simulate.mc_sum_rates(pl.gains, [(mode, [snr])], n_trials,
+                                          np.random.SeedSequence((608, case)))
+        (table,) = rate.rate_tables(pl.gains[None], [[(mode,)]])
+        closed = float(rate.block_sum_rates([table], [snr])[0][0, 0])
         worst = max(worst, abs(closed - est.mean) / est.std_error)
     return CheckResult("analytic rate within 3 sigma of Monte Carlo",
                        worst <= 3.0, measured=worst, tolerance=3.0,
@@ -366,10 +376,7 @@ def sample_crossover_geometries(n_geometries: int = 20, seed: int = 79,
 
     Yields (pathloss, formula_db, approx_db, exact_db) tuples.
     """
-    from .modes import TransmissionMode
-
     template = _template(2, 2)
-    single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
     found = 0
     for attempt in range(4000):
         if found >= n_geometries:
@@ -385,14 +392,7 @@ def sample_crossover_geometries(n_geometries: int = 20, seed: int = 79,
         if float(gains.min()) * formulas.single_vs_12 < min_link_snr:
             continue
 
-        table = RateTable(scenario, pl, (single, paired))
-
-        def curve(row, kernel=None):
-            return lambda snr: rate.block_sum_rates([table], snr, kernel)[0][:, row]
-
-        approx_db = rate.rate_curve_intersection_db(curve(0, rate.log1p_inv),
-                                                    curve(1, rate.log1p_inv))
-        exact_db = rate.rate_curve_intersection_db(curve(0), curve(1))
+        approx_db, exact_db = rate.crossover_curves_db(gains)
         if approx_db is None or exact_db is None:
             continue
         found += 1

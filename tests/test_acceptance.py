@@ -15,20 +15,19 @@ from scipy import integrate, stats
 
 from conftest import record_criterion
 from dasrate.experiments import bundled_config_path, crossover_report
-from dasrate.geometry import load_scenario, pathloss_matrix
+from dasrate.geometry import db_to_linear, load_scenario, pathloss_matrix
 from dasrate.modes import (TransmissionMode, enumerate_ideal,
                            enumerate_min_distance, ideal_count,
                            min_distance_count)
 from dasrate.numerics import SERIES_CF_SPLIT, _exp_e1_continued_fraction, _exp_e1_series, exp_e1
-from dasrate.rate import (RateTable, UserLinkPartition, cdf_interference_plus_noise,
-                          cdf_signal, cdf_sinr, ergodic_sum_rate,
-                          ergodic_user_rate, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr)
-from dasrate.simulate import cell_average, mc_ergodic_sum_rate, mode_histogram
-from dasrate.verification import (quadrature_user_rate, random_partition,
+from dasrate.rate import (UserLinkPartition, block_sum_rates, cdf_interference_plus_noise,
+                          cdf_signal, cdf_sinr, pdf_interference_plus_noise,
+                          pdf_signal, pdf_sinr, rate_tables)
+from dasrate.simulate import cell_average, mc_sum_rates, mode_histogram
+from dasrate.verification import (partition_rate, quadrature_user_rate, random_partition,
                                   sample_crossover_geometries)
 from dasrate.geometry import Scenario, drop_users_uniform
-from dasrate.selection import compare_schemes, select_mode
+from dasrate.selection import compare_schemes
 
 GRID = tuple(float(db) for db in range(0, 51, 5))
 DROPS = 500
@@ -63,13 +62,15 @@ def test_criterion_1_fig2_analytic_mc_agreement():
     """Closed form within 3 standard errors of 5000-channel Monte Carlo for
     all four admissible modes over 0:5:50 dB."""
     worst = 0.0
-    for m_idx, mode in enumerate(enumerate_ideal(2, 2).modes):
-        for p_idx, snr_db in enumerate(GRID):
-            point = FIG2.with_snr_db(snr_db)
-            est = mc_ergodic_sum_rate(point, FIG2_PL, mode, 5000,
-                                      seed=(1, m_idx, p_idx))
-            closed = ergodic_sum_rate(point, FIG2_PL, mode).sum_rate
-            worst = max(worst, abs(closed - est.mean) / est.std_error)
+    modes = enumerate_ideal(2, 2).modes
+    snrs = [db_to_linear(snr_db) for snr_db in GRID]
+    (table,) = rate_tables(FIG2_PL.gains[None], [[modes]])
+    closed = block_sum_rates([table], snrs)[0]
+    for m_idx, mode in enumerate(modes):
+        for p_idx, snr in enumerate(snrs):
+            ((est,),) = mc_sum_rates(FIG2_PL.gains, [(mode, [snr])], 5000,
+                                     np.random.SeedSequence((1, m_idx, p_idx)))
+            worst = max(worst, abs(closed[p_idx, m_idx] - est.mean) / est.std_error)
     record_criterion(1, worst < 3.0,
                      f"fixed-geometry analytic vs MC, worst z = {worst:.2f} "
                      f"(44 cells at 5000 channels)")
@@ -262,7 +263,7 @@ def test_criterion_6_property_suites(n2_template):
     worst_norm = worst_rate = 0.0
     for i in range(50):
         part = random_partition(rng, allow_empty_interference=True)
-        closed = ergodic_user_rate(part)
+        closed = partition_rate(part)
         worst_rate = max(worst_rate, abs(closed - quadrature_user_rate(part)))
         if i < 20:
             if part.interference_gains:
@@ -302,13 +303,10 @@ def test_criterion_6_property_suites(n2_template):
         ideal, reduced = compare_schemes(scn, pl, snrs)
         scaled = dataclasses.replace(scn, tx_power=scn.tx_power * 5.0,
                                      noise_power=scn.noise_power * 5.0)
-        reduced_set = enumerate_min_distance(pl)
-        table = RateTable(scaled, pl, reduced_set.modes)
-        for snr, best, fewer in zip(snrs, ideal, reduced):
+        _, again = compare_schemes(scaled, pl, snrs)
+        for best, fewer, other in zip(ideal, reduced, again):
             assert fewer.chosen_rate <= best.chosen_rate + 1e-12
-            again = select_mode(table, reduced_set,
-                                table.sum_rates(snr * scaled.noise_power))
-            assert again.chosen_mode == fewer.chosen_mode
+            assert other.chosen_mode == fewer.chosen_mode
 
     # bit-identical reruns at fixed seed under varying worker counts
     schemes = ["min-distance", TransmissionMode((1, 2))]

@@ -221,28 +221,60 @@ def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, mes
     ("pathloss_exponent = inf", "pathloss_exponent must be finite"),
     ("port_ring_radius = nan", "port_ring_radius must be finite"),
     ("user_positions = -3,-2.5; nan,3.5", "user_positions: non-finite coordinate"),
+    ("pathloss_exponent = 400", "pathloss_exponent 400 is too large"),
+    ("pathloss_exponent = 200\nuser_positions = -4,0; 3,3.5",
+     "pathloss_exponent 200 is too large"),
 ], ids=["tx-power-4000", "tx-power-past-minus-300", "tx-power-inf", "tx-power-nan",
         "noise-power-overflow", "noise-power-nan", "cell-radius-inf",
-        "pathloss-exponent-inf", "ring-radius-nan", "user-position-nan"])
+        "pathloss-exponent-inf", "ring-radius-nan", "user-position-nan",
+        "pathloss-exponent-underflow", "pathloss-exponent-overflow"])
 @pytest.mark.parametrize("command", ["crossover", "rates", "hist"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, command, line,
                                          message):
-    """A config value that is not finite, or a transmit power past
-    +-MAX_ABS_SNR_DB dB, exits 2 with one line naming its key, before any
-    work starts."""
+    """A config value that is not finite, a transmit power past
+    +-MAX_ABS_SNR_DB dB, or a pathloss exponent whose gains leave the float
+    range exits 2 with one line naming its key, before any work starts."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
     monkeypatch.setattr(simulate, "uniform_positions", no_work)
-    key = line.split(" = ")[0]
+    keys = tuple(new.split(" = ")[0] + " " for new in line.splitlines())
     text = experiments.bundled_config_path("fig2.cfg").read_text()
-    kept = [old for old in text.splitlines() if not old.startswith(key + " ")]
+    kept = [old for old in text.splitlines() if not old.startswith(keys)]
     config = tmp_path / "bad.cfg"
     config.write_text("\n".join(kept + [line]) + "\n")
     code, out, err = run_cli(capsys, command, "--config", str(config))
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+NOISE_COMMANDS = {
+    "sweep": ("fig4.cfg", "sweep", "--drops", "6", "--snr=-300:50:300"),
+    "sweep-mc": ("fig4.cfg", "sweep", "--drops", "3", "--snr=-300:50:300",
+                 "--rating", "mc", "--channels", "300"),
+    "hist": ("fig8.cfg", "hist", "--drops", "6", "--snr-ranges=-300:-250,-10:10,250:300"),
+    "rates": ("fig2.cfg", "rates", "--no-mc", "--snr=-300:50:300"),
+    "crossover": ("fig2.cfg", "crossover"),
+}
+
+
+@pytest.mark.parametrize("noise_power", ["7.3", "1e-320", "1e300"])
+@pytest.mark.parametrize("name", sorted(NOISE_COMMANDS))
+def test_output_does_not_depend_on_noise_power(tmp_path, capsys, name, noise_power):
+    """Rates depend on the transmit and noise powers only through the SNR,
+    so every output byte at any noise_power, subnormal and huge included,
+    is the one at noise_power = 1, over SNR points out to +-300 dB."""
+    config, command, *flags = NOISE_COMMANDS[name]
+    text = experiments.bundled_config_path(config).read_text()
+    assert "\nnoise_power = 1\n" in text
+    scaled = tmp_path / config
+    scaled.write_text(text.replace("\nnoise_power = 1\n", f"\nnoise_power = {noise_power}\n"))
+    code, want, _ = run_cli(capsys, command, "--config", config, *flags)
+    assert code == 0
+    code, got, err = run_cli(capsys, command, "--config", str(scaled), *flags)
+    assert (code, err) == (0, "")
+    assert got == want
 
 
 @pytest.mark.parametrize("argv", [

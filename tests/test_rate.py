@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from dasrate.geometry import PathlossMatrix, Scenario, pathloss_matrix
-from dasrate.modes import TransmissionMode
+from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
+from dasrate.modes import TransmissionMode, enumerate_ideal
 from dasrate.numerics import LN2, exp_e1
-from dasrate.rate import (RateTable, UserLinkPartition, approx_sum_rate,
-                          block_sum_rates, cdf_signal, cdf_sinr, crossover_snr,
-                          ergodic_sum_rate,
-                          ergodic_user_rate, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr, rate_curve_intersection_db)
-from dasrate.verification import quadrature_user_rate, random_partition
+from dasrate.rate import (UserLinkPartition, block_sum_rates, cdf_signal, cdf_sinr,
+                          crossover_snr, log1p_inv, pdf_interference_plus_noise,
+                          pdf_signal, pdf_sinr, rate_curve_intersection_db, rate_tables)
+from dasrate.simulate import mc_sum_rates
+from dasrate.verification import partition_rate, quadrature_user_rate, random_partition
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -25,6 +24,17 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
                 port_positions=((-4.0, 0.0), (4.0, 0.0)),
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
 FIG2_PL = pathloss_matrix(FIG2)
+
+
+def mode_table(pl, modes):
+    """The one-drop rate table of ``modes`` on ``pl``'s gains."""
+    (table,) = rate_tables(pl.gains[None], [[modes]])
+    return table
+
+
+def mode_rates(pl, modes, snrs, kernel=None):
+    """(points x modes) sum rates of ``modes`` on ``pl``'s gains."""
+    return block_sum_rates([mode_table(pl, modes)], snrs, kernel)[0]
 
 # Direct arithmetic: d^2 values are 7.25, 55.25, 61.25, 13.25.
 S11 = 7.25 ** -1.5
@@ -140,8 +150,8 @@ def test_pdf_sinr_requires_interference():
 
 def test_rate_unit_snr_single_gain():
     """S*P/noise = 1 gives the classic exp(1)*E1(1)/ln2 value."""
-    rate = ergodic_user_rate(UserLinkPartition((0.01,), (), tx_power=100.0,
-                                               noise_power=1.0))
+    rate = partition_rate(UserLinkPartition((0.01,), (), tx_power=100.0,
+                                            noise_power=1.0))
     assert rate == pytest.approx(0.86034738227088595, rel=1e-12)
     # Monte Carlo oracle
     rng = np.random.default_rng(24)
@@ -150,24 +160,24 @@ def test_rate_unit_snr_single_gain():
 
 
 def test_rate_vanishing_interference_limit():
-    base = ergodic_user_rate(UserLinkPartition((0.05,), (), 100.0, 1.0))
+    base = partition_rate(UserLinkPartition((0.05,), (), 100.0, 1.0))
     part = UserLinkPartition(signal_gains=(0.05,), interference_gains=(1e-12,),
                              tx_power=100.0, noise_power=1.0)
-    assert ergodic_user_rate(part) == pytest.approx(base, abs=1e-9)
+    assert partition_rate(part) == pytest.approx(base, abs=1e-9)
 
 
 def test_rate_vs_quadrature_50_partitions():
     rng = np.random.default_rng(25)
     for _ in range(50):
         part = random_partition(rng, allow_empty_interference=True)
-        closed = ergodic_user_rate(part)
+        closed = partition_rate(part)
         assert closed == pytest.approx(quadrature_user_rate(part), abs=1e-8)
 
 
 def test_rate_near_equal_gains_vs_erlang_quadrature():
     """Two nearly equal gains behave like the two-stage equal-scale chain."""
     s, p = 0.02, 80.0
-    rate = ergodic_user_rate(UserLinkPartition((s, s * (1.0 + 1e-6)), (), p, 1.0))
+    rate = partition_rate(UserLinkPartition((s, s * (1.0 + 1e-6)), (), p, 1.0))
     scale = s * p
 
     def erlang2(x):
@@ -187,7 +197,7 @@ def test_rate_monotone_in_power():
         part = random_partition(rng, allow_empty_interference=True)
         higher = UserLinkPartition(part.signal_gains, part.interference_gains,
                                    part.tx_power * 2.0, part.noise_power)
-        assert ergodic_user_rate(higher) > ergodic_user_rate(part)
+        assert partition_rate(higher) > partition_rate(part)
 
 
 def test_rate_interference_hurts():
@@ -196,7 +206,7 @@ def test_rate_interference_hurts():
         part = random_partition(rng, max_interference=2)
         without = UserLinkPartition(part.signal_gains, part.interference_gains[:-1],
                                     part.tx_power, part.noise_power)
-        assert ergodic_user_rate(part) < ergodic_user_rate(without)
+        assert partition_rate(part) < partition_rate(without)
 
 
 def test_rate_degenerate_gain_continuity():
@@ -206,76 +216,68 @@ def test_rate_degenerate_gain_continuity():
     jittered = UserLinkPartition(signal_gains=(0.02, 0.02 * (1.0 + 1e-6)),
                                  interference_gains=(0.005,),
                                  tx_power=100.0, noise_power=1.0)
-    assert ergodic_user_rate(part) == pytest.approx(ergodic_user_rate(jittered),
-                                                    abs=1e-4)
+    assert partition_rate(part) == pytest.approx(partition_rate(jittered), abs=1e-4)
 
 
 def test_guard_separates_cross_list_ties():
     part = UserLinkPartition(signal_gains=(0.01,), interference_gains=(0.01,),
                              tx_power=10.0, noise_power=1.0)
     assert part.signal_gains[0] != part.interference_gains[0]
-    assert math.isfinite(ergodic_user_rate(part))
+    assert math.isfinite(partition_rate(part))
 
 
 # --- sum rate over modes --------------------------------------------------------
 
-def sum_rate_at(scenario, pl, mode, snr_db):
-    point = scenario.with_snr_db(snr_db)
-    return ergodic_sum_rate(point, pl, mode).sum_rate
-
-
 def test_sum_rate_matches_displayed_two_term_expression():
     """Mode [2 1]: user 1 served by port 2, user 2 by port 1."""
     snr = 100.0
-    point = FIG2.with_tx_power(snr)
-    result = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((2, 1)))
+    result, mirrored = mode_rates(FIG2_PL, (TransmissionMode((2, 1)),
+                                            TransmissionMode((1, 2))), [snr])[0]
 
     def brace(s_sig, s_intf):
         return (s_sig / (s_sig - s_intf)
                 * (exp_e1(1.0 / (s_sig * snr)) - exp_e1(1.0 / (s_intf * snr))))
 
     expected = (brace(S12, S11) + brace(S21, S22)) / LN2
-    assert result.sum_rate == pytest.approx(expected, rel=1e-12)
+    assert result == pytest.approx(expected, rel=1e-12)
     # the mirrored mode evaluates the other pairing, not the same value
-    mirrored = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((1, 2)))
-    assert mirrored.sum_rate != pytest.approx(result.sum_rate, rel=1e-3)
+    assert mirrored != pytest.approx(result, rel=1e-3)
 
 
 def test_sum_rate_inactive_users_contribute_zero():
-    point = FIG2.with_tx_power(10.0)
-    result = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((2, 2)))
-    assert result.per_user_rates[0] == 0.0
-    assert result.sum_rate == result.per_user_rates[1]
-    single = ergodic_user_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
-    assert result.sum_rate == pytest.approx(single, rel=1e-12)
+    table = mode_table(FIG2_PL, (TransmissionMode((2, 2)),))
+    per_user = table.user_rates(10.0)[0].tolist()
+    sum_rate = block_sum_rates([table], [10.0])[0][0, 0]
+    assert per_user[0] == 0.0
+    assert sum_rate == per_user[1]
+    single = partition_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
+    assert sum_rate == pytest.approx(single, rel=1e-12)
 
 
 def test_sum_rate_permutation_equivariance():
     """Relabeling users permutes per-user rates; relabeling ports (with the
     matching mode permutation) changes nothing."""
-    point = FIG2.with_tx_power(50.0)
-    base = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((1, 2)))
+    snr = 50.0
+    base = mode_table(FIG2_PL, (TransmissionMode((1, 2)),)).user_rates(snr)[0]
     swapped_users = PathlossMatrix(distances=FIG2_PL.distances[::-1].copy(),
                                    gains=FIG2_PL.gains[::-1].copy())
-    swapped = ergodic_sum_rate(point, swapped_users, TransmissionMode((2, 1)))
-    assert swapped.per_user_rates == base.per_user_rates[::-1]
+    swapped = mode_table(swapped_users, (TransmissionMode((2, 1)),)).user_rates(snr)[0]
+    assert swapped.tolist() == base[::-1].tolist()
     swapped_ports = PathlossMatrix(distances=FIG2_PL.distances[:, ::-1].copy(),
                                    gains=FIG2_PL.gains[:, ::-1].copy())
-    reordered = ergodic_sum_rate(point, swapped_ports, TransmissionMode((2, 1)))
-    assert reordered.sum_rate == pytest.approx(base.sum_rate, rel=1e-12)
+    reordered = mode_rates(swapped_ports, (TransmissionMode((2, 1)),), [snr])[0, 0]
+    assert reordered == pytest.approx(sum(base), rel=1e-12)
 
 
 def test_sum_rate_mc_agreement_all_fig2_modes():
-    from dasrate.modes import enumerate_ideal
-    from dasrate.simulate import mc_ergodic_sum_rate
-
+    modes = enumerate_ideal(2, 2).modes
     for snr_db in (0.0, 15.0, 30.0, 45.0):
-        point = FIG2.with_snr_db(snr_db)
-        for mode in enumerate_ideal(2, 2).modes:
-            est = mc_ergodic_sum_rate(point, FIG2_PL, mode, 100_000,
-                                      seed=(28, int(snr_db)))
-            closed = ergodic_sum_rate(point, FIG2_PL, mode).sum_rate
-            assert abs(closed - est.mean) < 3.0 * est.std_error
+        snr = db_to_linear(snr_db)
+        estimates = mc_sum_rates(FIG2_PL.gains, [(mode, [snr]) for mode in modes], 100_000,
+                                 np.random.SeedSequence((28, int(snr_db))))
+        closed = mode_rates(FIG2_PL, modes, [snr])[0]
+        for (est,), rate in zip(estimates, closed.tolist()):
+            assert abs(rate - est.mean) < 3.0 * est.std_error
 
 
 # --- approximated rates -----------------------------------------------------
@@ -283,8 +285,7 @@ def test_sum_rate_mc_agreement_all_fig2_modes():
 def test_approx_rate_hand_evaluated_two_user_expression():
     """Mode [1 2] at 20 dB against the two-logarithm form written out."""
     rho = 100.0
-    point = FIG2.with_tx_power(rho)
-    got = approx_sum_rate(point, FIG2_PL, TransmissionMode((1, 2)))
+    got = mode_rates(FIG2_PL, (TransmissionMode((1, 2)),), [rho], log1p_inv)[0, 0]
     expected = (S11 / (S12 - S11) * math.log((S12 * rho + 1) / (S11 * rho + 1))
                 + S22 / (S21 - S22) * math.log((S21 * rho + 1) / (S22 * rho + 1))
                 ) / LN2
@@ -293,8 +294,7 @@ def test_approx_rate_hand_evaluated_two_user_expression():
 
 def test_approx_rate_single_user_two_log_identity():
     rho = 100.0
-    point = FIG2.with_tx_power(rho)
-    got = approx_sum_rate(point, FIG2_PL, TransmissionMode((1, 1)))
+    got = mode_rates(FIG2_PL, (TransmissionMode((1, 1)),), [rho], log1p_inv)[0, 0]
     expected = (S11 / (S11 - S12) * math.log(S11 * rho + 1)
                 + S12 / (S12 - S11) * math.log(S12 * rho + 1)) / LN2
     assert got == pytest.approx(expected, rel=1e-12)
@@ -308,18 +308,16 @@ def test_approx_termwise_bound():
 def test_approx_exceeds_exact_for_single_gain_no_interference():
     part_gains = (0.05,)
     for snr in (1.0, 100.0, 1e4):
-        exact = ergodic_user_rate(UserLinkPartition(part_gains, (), snr, 1.0))
+        exact = partition_rate(UserLinkPartition(part_gains, (), snr, 1.0))
         approx = math.log1p(part_gains[0] * snr) / LN2
         assert approx >= exact
 
 
 def test_approx_gap_shrinks_for_single_user_modes():
-    gaps = []
-    for rho in (1e6, 1e8):
-        point = FIG2.with_tx_power(rho)
-        exact = ergodic_sum_rate(point, FIG2_PL, TransmissionMode((1, 1))).sum_rate
-        approx = approx_sum_rate(point, FIG2_PL, TransmissionMode((1, 1)))
-        gaps.append(abs(approx - exact) / exact)
+    single = (TransmissionMode((1, 1)),)
+    exact = mode_rates(FIG2_PL, single, [1e6, 1e8])[:, 0]
+    approx = mode_rates(FIG2_PL, single, [1e6, 1e8], log1p_inv)[:, 0]
+    gaps = np.abs(approx - exact) / exact
     assert gaps[1] < gaps[0]
 
 
@@ -342,19 +340,19 @@ def test_crossover_equal_gain_limit():
 
 def test_crossover_matches_selection_flip_on_fixed_geometry():
     """The exact curves change order right around the formula's value."""
-    single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
-    assert sum_rate_at(FIG2, FIG2_PL, paired, 36.0) > sum_rate_at(
-        FIG2, FIG2_PL, single, 36.0)
-    assert sum_rate_at(FIG2, FIG2_PL, single, 39.0) > sum_rate_at(
-        FIG2, FIG2_PL, paired, 39.0)
+    (single_36, paired_36), (single_39, paired_39) = mode_rates(
+        FIG2_PL, (TransmissionMode((1, 1)), TransmissionMode((1, 2))),
+        [db_to_linear(36.0), db_to_linear(39.0)])
+    assert paired_36 > single_36
+    assert single_39 > paired_39
 
 
 def test_intersection_bisection_on_fig2():
     single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
 
     def curve(mode):
-        table = RateTable(FIG2, FIG2_PL, (mode,))
-        return lambda snr: block_sum_rates([table], snr)[0][:, 0]  # noise power 1
+        table = mode_table(FIG2_PL, (mode,))
+        return lambda snr: block_sum_rates([table], snr)[0][:, 0]
 
     crossing = rate_curve_intersection_db(curve(single), curve(paired))
     assert crossing == pytest.approx(37.78, abs=0.05)
@@ -366,8 +364,8 @@ def test_intersection_none_when_curves_do_not_cross():
     strong, weak = TransmissionMode((1, 1)), TransmissionMode((2, 1))
 
     def curve(mode):
-        table = RateTable(FIG2, FIG2_PL, (mode,))
-        return lambda snr: block_sum_rates([table], snr)[0][:, 0]  # noise power 1
+        table = mode_table(FIG2_PL, (mode,))
+        return lambda snr: block_sum_rates([table], snr)[0][:, 0]
 
     assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
 
@@ -381,11 +379,10 @@ def single_user_rate_lower_bound(pathloss, user_index, snr):
 def test_single_user_lower_bound():
     for snr_db in (0.0, 15.0, 30.0, 45.0):
         rho = 10.0 ** (snr_db / 10.0)
-        point = FIG2.with_tx_power(rho)
         for user, mode in ((1, TransmissionMode((1, 1))),
                            (2, TransmissionMode((2, 2)))):
             bound = single_user_rate_lower_bound(FIG2_PL, user, rho)
-            assert approx_sum_rate(point, FIG2_PL, mode) >= bound
+            assert mode_rates(FIG2_PL, (mode,), [rho], log1p_inv)[0, 0] >= bound
     # equal gains: the bound is exact
     d = np.array([[2.0, 2.0], [3.0, 5.0]])
     pl = PathlossMatrix(distances=d, gains=d ** -3.0)

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from dasrate.experiments import bundled_config_path
-from dasrate.geometry import Scenario, drop_users_uniform, load_scenario, pathloss_matrix
-from dasrate.modes import (CandidateSet, DegenerateGeometryWarning, Origin, TransmissionMode,
-                           enumerate_ideal,
+from dasrate.geometry import (Scenario, db_to_linear, drop_users_uniform, load_scenario,
+                              pathloss_matrix)
+from dasrate.modes import (DegenerateGeometryWarning, TransmissionMode, enumerate_ideal,
                            enumerate_min_distance, min_distance_count,
                            nearest_user_modes)
-from dasrate.rate import (RateTable, approx_sum_rate, block_sum_rates,
-                          ergodic_sum_rate, ergodic_user_rate, log1p_inv,
-                          partition_for_user, rate_tables)
-from dasrate.selection import select_mode
+from dasrate.rate import UserLinkPartition, block_sum_rates, log1p_inv, rate_tables
+from dasrate.selection import select_rows
+from dasrate.verification import partition_rate
 
 # Rates recorded, as repr strings, from the per-mode evaluation path that
 # the table replaced; every value must come out bit for bit the same.
@@ -41,12 +40,16 @@ def test_golden_sum_rates_are_bit_identical(name, scenario):
     pl = pathloss_matrix(scenario)
     if name == "tie":
         assert pl.gains[0, 0] == pl.gains[0, 1]
-    for mode in enumerate_ideal(2, 2).modes:
-        for db in (0.0, 25.0, 50.0):
+    modes = enumerate_ideal(2, 2).modes
+    (table,) = rate_tables(pl.gains[None], [[modes]])
+    dbs = (0.0, 25.0, 50.0)
+    snrs = [db_to_linear(db) for db in dbs]
+    exact, approx = (block_sum_rates([table], snrs, kernel)[0] for kernel in (None, log1p_inv))
+    for m, mode in enumerate(modes):
+        for p, db in enumerate(dbs):
             want = GOLDEN[name][f"{mode.label}@{db:g}"]
-            point = scenario.with_snr_db(db)
-            assert ergodic_sum_rate(point, pl, mode).sum_rate == want["exact"]
-            assert approx_sum_rate(point, pl, mode) == want["approx"]
+            assert exact[p, m] == want["exact"]
+            assert approx[p, m] == want["approx"]
 
 
 def test_golden_candidate_rates_of_one_drop_are_bit_identical():
@@ -57,20 +60,19 @@ def test_golden_candidate_rates_of_one_drop_are_bit_identical():
         template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
     pl = pathloss_matrix(scenario)
     candidates = enumerate_ideal(4, 4)
-    table = RateTable(scenario, pl, candidates.modes)
-    rates = table.sum_rates(10.0 ** (want["snr_db"] / 10.0) * scenario.noise_power)
-    result = select_mode(table, candidates, rates)
+    (table,) = rate_tables(pl.gains[None], [[candidates.modes]])
+    (rates,) = block_sum_rates([table], [10.0 ** (want["snr_db"] / 10.0)])
+    (best,), _ = select_rows(rates)
     assert list(candidates.labels()) == want["labels"]
-    assert rates[table.rows(candidates.modes)].tolist() == want["rates"]
-    assert result.chosen_mode.label == want["chosen"]
+    assert rates[0].tolist() == want["rates"]
+    assert candidates.modes[best].label == want["chosen"]
 
 
 def _drops(n, count, seed=91):
     template = Scenario(n_ports=n, n_users=n, cell_radius=math.sqrt(112.0 / 3.0),
                         pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
     for d in range(count):
-        scenario = drop_users_uniform(template, seed=(seed, n, d))
-        yield scenario, pathloss_matrix(scenario)
+        yield pathloss_matrix(drop_users_uniform(template, seed=(seed, n, d)))
 
 
 def _modes(n, pl):
@@ -80,19 +82,29 @@ def _modes(n, pl):
     return tuple(dict.fromkeys(ideal + reduced))
 
 
+def _partition(pl, mode, user, snr):
+    """The partition of a (1-based) user under ``mode``, or None when the
+    mode leaves it idle."""
+    ports = mode.support_sets.get(user)
+    if not ports:
+        return None
+    row = pl.gains[user - 1].tolist()
+    return UserLinkPartition(tuple(row[j] for j in sorted(ports)),
+                             tuple(row[j] for j in sorted(mode.complements[user])), snr, 1.0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_rows_are_sums_of_one_partition_rates(n):
-    for scenario, pl in _drops(n, 2):
+    for pl in _drops(n, 2):
         modes = _modes(n, pl)
-        table = RateTable(scenario, pl, modes)
-        for tx_power in (1.0, 10.0 ** 2.5, 1e5):
-            rows = table.sum_rates(tx_power)
-            per_user = table.user_rates(tx_power)
+        (table,) = rate_tables(pl.gains[None], [[modes]])
+        for snr in (1.0, 10.0 ** 2.5, 1e5):
+            (rows,) = block_sum_rates([table], [snr])[0]
+            per_user = table.user_rates(snr)
             # Modes share partitions; each distinct one is rated once.
-            one_partition = functools.cache(ergodic_user_rate)
+            one_partition = functools.cache(partition_rate)
             for m, mode in enumerate(modes):
-                users = [partition_for_user(pl, mode, u, tx_power, 1.0)
-                         for u in range(1, n + 1)]
+                users = [_partition(pl, mode, u, snr) for u in range(1, n + 1)]
                 rates = [0.0 if p is None else one_partition(p) for p in users]
                 assert per_user[m].tolist() == rates
                 assert rows[m] == sum(rates)
@@ -100,16 +112,16 @@ def test_rows_are_sums_of_one_partition_rates(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_min_distance_rows_of_union_table_match_own_table(n):
-    for scenario, pl in _drops(n, 3):
-        reduced = enumerate_min_distance(pl)
-        union = RateTable(scenario, pl, _modes(n, pl))
-        alone = RateTable(scenario, pl, reduced.modes)
-        rows = union.rows(reduced.modes)
-        for snr in (1.0, 1e3, 1e5):
-            assert (union.sum_rates(snr)[rows].tolist()
-                    == alone.sum_rates(snr).tolist())  # noise power 1
-            assert (select_mode(union, reduced, union.sum_rates(snr))
-                    == select_mode(alone, reduced, alone.sum_rates(snr)))
+    for pl in _drops(n, 3):
+        reduced = enumerate_min_distance(pl).modes
+        (union,) = rate_tables(pl.gains[None], [[_modes(n, pl), reduced]])
+        (alone,) = rate_tables(pl.gains[None], [[reduced]])
+        snrs = [1.0, 1e3, 1e5]
+        union_rates = block_sum_rates([union], snrs)[0][:, union.rows(reduced)]
+        alone_rates = block_sum_rates([alone], snrs)[0]
+        assert union_rates.tolist() == alone_rates.tolist()
+        assert ([a.tolist() for a in select_rows(union_rates)]
+                == [a.tolist() for a in select_rows(alone_rates)])
 
 
 @pytest.mark.parametrize("kernel", [None, log1p_inv], ids=["exp_e1", "log1p_inv"])
@@ -117,17 +129,18 @@ def test_min_distance_rows_of_union_table_match_own_table(n):
 def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
     """One kernel call over several drops' tables and every point gives
     each table, at each point, the floats of its own one-point call."""
-    modes = [(scenario, pl, _modes(n, pl)) for scenario, pl in _drops(n, 3)]
-    tables = [RateTable(*drop) for drop in modes]
-    tx_powers = [10.0 ** (db / 10.0) for db in range(-10, 81, 15)]
-    block = block_sum_rates(tables, tx_powers, kernel)
+    modes = [(pl, _modes(n, pl)) for pl in _drops(n, 3)]
+    # One table per rate_tables call, so each has a block of its own.
+    tables = [rate_tables(pl.gains[None], [[drop_modes]])[0] for pl, drop_modes in modes]
+    snrs = [10.0 ** (db / 10.0) for db in range(-10, 81, 15)]
+    block = block_sum_rates(tables, snrs, kernel)
     assert len(block) == len(tables)
-    for table, (*_, table_modes), rates in zip(tables, modes, block):
-        assert rates.shape == (len(tx_powers), len(table_modes))
-        for p, tx_power in enumerate(tx_powers):
-            assert rates[p].tolist() == table.sum_rates(tx_power, kernel).tolist()
+    for table, (_, table_modes), rates in zip(tables, modes, block):
+        assert rates.shape == (len(snrs), len(table_modes))
+        for p, snr in enumerate(snrs):
+            assert rates[p].tolist() == block_sum_rates([table], [snr], kernel)[0][0].tolist()
     # A table's rates do not depend on which other tables share the call.
-    alone = block_sum_rates(tables[1:2], tx_powers[::-1], kernel)[0]
+    alone = block_sum_rates(tables[1:2], snrs[::-1], kernel)[0]
     assert alone[::-1].tolist() == block[1].tolist()
 
 
@@ -169,41 +182,43 @@ def test_drop_rates_do_not_depend_on_its_block(name):
     assert len(nearest[21]) == min_distance_count(n) - 1
     # The nearest-user modes and the fixed ones repeat rows of the ideal set.
     fixed = ideal.modes[:1]
-    block = rate_tables(template, np.stack([pl.gains for pl in pls]),
+    block = rate_tables(np.stack([pl.gains for pl in pls]),
                         [[ideal.modes, reduced, fixed] for reduced in nearest])
-    tx_powers = [10.0 ** (db / 10.0) for db in (0, 20, 40, 60)]
-    block_rates = block_sum_rates(block, tx_powers)
-    for scenario, pl, reduced, table, rates in zip(scenarios, pls, nearest, block,
-                                                    block_rates):
-        candidates = CandidateSet(tuple(TransmissionMode(tuple(a)) for a in reduced.tolist()),
-                                  Origin.MIN_DISTANCE)
-        alone = RateTable(scenario, pl, ideal.modes)
-        alone_rates = block_sum_rates([alone], tx_powers)[0]
+    snrs = [10.0 ** (db / 10.0) for db in (0, 20, 40, 60)]
+    block_rates = block_sum_rates(block, snrs)
+
+    def selected(rates):
+        return [a.tolist() for a in select_rows(rates)]
+
+    for pl, reduced, table, rates in zip(pls, nearest, block, block_rates):
+        candidates = tuple(TransmissionMode(tuple(a)) for a in reduced.tolist())
+        (alone,) = rate_tables(pl.gains[None], [[ideal.modes]])
+        (own,) = rate_tables(pl.gains[None], [[candidates]])
+        alone_rates, own_rates = block_sum_rates([alone, own], snrs)
         assert rates[:, table.rows(ideal.modes)].tolist() == alone_rates.tolist()
-        for p in range(len(tx_powers)):
-            assert (select_mode(table, ideal, rates[p])
-                    == select_mode(alone, ideal, alone_rates[p]))
-            own = RateTable(scenario, pl, candidates.modes)
-            assert (select_mode(table, candidates, rates[p])
-                    == select_mode(own, candidates, own.sum_rates(tx_powers[p])))
-        assert rates[:, table.rows(reduced)].tolist() == block_sum_rates([own], tx_powers)[0].tolist()
+        assert selected(rates[:, table.rows(ideal.modes)]) == selected(alone_rates)
+        assert selected(rates[:, table.rows(reduced)]) == selected(own_rates)
+        assert rates[:, table.rows(reduced)].tolist() == own_rates.tolist()
 
 
 def test_rows_reject_modes_outside_the_table():
     pl = pathloss_matrix(FIG2)
-    table = RateTable(FIG2, pl, enumerate_ideal(2, 2).modes[:2])
-    with pytest.raises(ValueError, match=r"\[2 1\] is not in the rate table"):
-        select_mode(table, enumerate_ideal(2, 2), table.sum_rates(10.0))
+    modes = enumerate_ideal(2, 2).modes
+    (table,) = rate_tables(pl.gains[None], [[modes[:2]]])
+    # Only a sequence the table was built from has rows, not an equal copy.
+    for other in (modes, modes[:2]):
+        with pytest.raises(ValueError, match="not a sequence the rate table was built from"):
+            table.rows(other)
 
 
-def _mp_user_rate(signal, interference, tx_power, noise):
+def _mp_user_rate(signal, interference, snr):
     """The closed form at 50 digits: partial fractions over exp(x)E1(x)."""
     def weights(gains):
         return [mpmath.fprod(g / (g - h) for l, h in enumerate(gains) if l != k)
                 for k, g in enumerate(gains)]
 
     def kernel(g):
-        x = noise / (g * tx_power)
+        x = 1 / (g * snr)
         return mpmath.exp(x) * mpmath.e1(x)
 
     if not interference:
@@ -227,20 +242,19 @@ def _well_separated(pl, min_gap=1e-2):
 def test_rates_match_fifty_digit_closed_form(n):
     checked = 0
     with mpmath.workdps(50):
-        for scenario, pl in _drops(n, 12, seed=92):
+        for pl in _drops(n, 12, seed=92):
             if not _well_separated(pl):
                 continue
             modes = enumerate_min_distance(pl).modes
-            table = RateTable(scenario, pl, modes)
-            for tx_power in (1.0, 1e3, 1e5):
-                per_user = table.user_rates(tx_power)
+            (table,) = rate_tables(pl.gains[None], [[modes]])
+            for snr in (1.0, 1e3, 1e5):
+                per_user = table.user_rates(snr)
                 for m, mode in enumerate(modes):
                     for user, ports in mode.support_sets.items():
                         row = [mpmath.mpf(g) for g in pl.gains[user - 1].tolist()]
                         signal = [row[j] for j in sorted(ports)]
                         interference = [row[j] for j in sorted(mode.complements[user])]
-                        want = _mp_user_rate(signal, interference,
-                                             mpmath.mpf(tx_power), mpmath.mpf(1))
+                        want = _mp_user_rate(signal, interference, mpmath.mpf(snr))
                         assert abs(per_user[m, user - 1] - float(want)) <= 1e-9
             checked += 1
             if checked == 3:

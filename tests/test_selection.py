@@ -8,8 +8,8 @@ import pytest
 from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode,
                            enumerate_ideal, enumerate_min_distance)
-from dasrate.rate import RateTable
-from dasrate.selection import compare_schemes, select_mode
+from dasrate.rate import block_sum_rates, rate_tables
+from dasrate.selection import SelectionResult, compare_schemes, select_rows
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -20,39 +20,41 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
 FIG2_PL = pathloss_matrix(FIG2)
 
 
-def candidate_rates(scenario, pathloss, candidates, snr):
+def candidate_rates(pathloss, candidates, snr):
     """Selection over a rate table built for exactly ``candidates``, and
     the candidates' rates in candidate order."""
-    table = RateTable(scenario, pathloss, candidates.modes)
-    rates = table.sum_rates(snr * scenario.noise_power)
-    return select_mode(table, candidates, rates), rates[table.rows(candidates.modes)]
+    (table,) = rate_tables(pathloss.gains[None], [[candidates.modes]])
+    (rates,) = block_sum_rates([table], [snr])
+    (best,), (rate,) = select_rows(rates)
+    result = SelectionResult(candidates.modes[best], float(rate), candidates.origin.value)
+    return result, rates[0]
 
 
-def select(scenario, pathloss, candidates, snr):
-    return candidate_rates(scenario, pathloss, candidates, snr)[0]
+def select(pathloss, candidates, snr):
+    return candidate_rates(pathloss, candidates, snr)[0]
 
 
 def test_fixed_geometry_low_snr_picks_paired_mode():
-    result, rates = candidate_rates(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
+    result, rates = candidate_rates(FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
     assert result.chosen_mode.label == "[1 2]"
     assert result.chosen_rate == max(rates)
 
 
 def test_fixed_geometry_high_snr_picks_single_user_mode():
-    result = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=10.0 ** 4.5)
+    result = select(FIG2_PL, enumerate_ideal(2, 2), snr=10.0 ** 4.5)
     assert result.chosen_mode.label == "[1 1]"
 
 
 def test_single_candidate_trivial():
     only = CandidateSet(modes=(TransmissionMode((2, 2)),), origin=Origin.EXPLICIT)
-    result, rates = candidate_rates(FIG2, FIG2_PL, only, snr=100.0)
+    result, rates = candidate_rates(FIG2_PL, only, snr=100.0)
     assert result.chosen_mode.label == "[2 2]"
     assert len(rates) == 1
 
 
 def test_selection_deterministic():
-    a = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
-    b = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
+    a = select(FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
+    b = select(FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
     assert a == b
 
 
@@ -63,7 +65,7 @@ def test_tie_break_first_in_order():
                    tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)),
                    user_positions=((0.0, 1.0), (0.0, -1.0)))
     pl = pathloss_matrix(scn)
-    result, rates = candidate_rates(scn, pl, enumerate_ideal(2, 2), snr=100.0)
+    result, rates = candidate_rates(pl, enumerate_ideal(2, 2), snr=100.0)
     ties = [i for i, r in enumerate(rates) if r == result.chosen_rate]
     assert result.chosen_mode == enumerate_ideal(2, 2).modes[ties[0]]
 
@@ -79,12 +81,13 @@ def test_reduced_never_beats_exhaustive():
 
 
 def test_argmax_invariance_under_joint_scaling():
-    for snr in (1.0, 100.0, 10000.0):
-        base = select(FIG2, FIG2_PL, enumerate_ideal(2, 2), snr)
-        scaled_scn = dataclasses.replace(FIG2, noise_power=13.0, tx_power=13.0)
-        scaled = select(scaled_scn, FIG2_PL, enumerate_ideal(2, 2), snr)
-        assert scaled.chosen_mode == base.chosen_mode
-        assert scaled.chosen_rate == pytest.approx(base.chosen_rate, rel=1e-12)
+    snrs = [1.0, 100.0, 10000.0]
+    scaled_scn = dataclasses.replace(FIG2, noise_power=13.0, tx_power=13.0)
+    for base, scaled in zip(compare_schemes(FIG2, FIG2_PL, snrs),
+                            compare_schemes(scaled_scn, FIG2_PL, snrs)):
+        assert [r.chosen_mode for r in scaled] == [r.chosen_mode for r in base]
+        assert ([r.chosen_rate for r in scaled]
+                == pytest.approx([r.chosen_rate for r in base], rel=1e-12))
 
 
 def test_two_user_schemes_agree_per_drop():
@@ -134,4 +137,4 @@ def test_compare_schemes_at_many_snrs_equals_one_snr_at_a_time():
                                        schemes):
             assert len(results) == len(snrs)
             for snr, result in zip(snrs, results):
-                assert result == select(scn, pl, candidates, snr)
+                assert result == select(pl, candidates, snr)

@@ -9,11 +9,11 @@ from dasrate import numerics, simulate
 from dasrate.geometry import Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode, assignment_array,
                            enumerate_ideal, enumerate_min_distance, min_distance_count)
-from dasrate.rate import RateTable, ergodic_sum_rate
+from dasrate.rate import block_sum_rates, rate_tables
 from dasrate.selection import select_rows
 from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
-                              _user_powers, cell_average, mc_ergodic_sum_rate,
-                              mc_sum_rates, mode_histogram, stream_key)
+                              _user_powers, cell_average, mc_sum_rates, mode_histogram,
+                              stream_key)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -29,22 +29,29 @@ def unit_scenario():
                     user_positions=((0.0, 0.0),))
 
 
-def instantaneous_sum_rates(scn, mode, power_gains):
+def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
     """The Monte Carlo engine's sum rate for each (K, N) fading draw."""
     h = np.asarray(power_gains, dtype=float)
-    users = _user_powers(h * pathloss_matrix(scn).gains, mode)
-    inv_snr = np.array([[scn.noise_power / scn.tx_power]])
+    users = _user_powers(h * pl.gains, mode)
+    inv_snr = np.array([[1.0 / snr]])
     return _sum_rates(users, inv_snr, np.empty((2, 1, len(h))))[0]
 
 
+def one_estimate(pl, mode, snr, n_channels, seed, fading=None):
+    """``mc_sum_rates`` of one mode at one SNR, keyed by ``SeedSequence(seed)``."""
+    ((est,),) = mc_sum_rates(pl.gains, [(mode, [snr])], n_channels,
+                             np.random.SeedSequence(seed), fading=fading)
+    return est
+
+
 def test_instantaneous_rate_unit_case():
-    rates = instantaneous_sum_rates(unit_scenario(), TransmissionMode((1,)),
+    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), TransmissionMode((1,)),
                                     np.ones((1, 1, 1)))
     assert rates[0] == pytest.approx(1.0)
 
 
 def test_instantaneous_rate_zero_fading():
-    rates = instantaneous_sum_rates(unit_scenario(), TransmissionMode((1,)),
+    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), TransmissionMode((1,)),
                                     np.zeros((1, 1, 1)))
     assert rates[0] == 0.0
 
@@ -53,7 +60,7 @@ def test_instantaneous_rates_hand_built_two_by_two():
     """User 1 is served by port 1 and hears port 2; user 2 the reverse."""
     weights = np.array([[1.0, 2.0], [3.0, 4.0]])
     mode = TransmissionMode((1, 2))
-    inv_snr = np.ones((1, 1))  # noise power 1 at transmit power 1
+    inv_snr = np.ones((1, 1))  # SNR 1
     # unit fading reads off each user's signal and interference weights
     (s1, i1), (s2, i2) = _user_powers(np.ones((1, 2, 2)) * weights, mode)
     assert (s1[0], i1[0], s2[0], i2[0]) == (1.0, 2.0, 4.0, 3.0)
@@ -74,24 +81,24 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def dense_weights(pathloss, mode, tx_power):
-    """Per-(user, port) weights S*P, split into signal and interference
+def dense_weights(pathloss, mode, snr):
+    """Per-(user, port) weights S*snr, split into signal and interference
     parts and zero off the mode."""
     n_users, n_ports = pathloss.gains.shape
     sig_w = np.zeros((n_users, n_ports))
     intf_w = np.zeros((n_users, n_ports))
     for user, ports in mode.support_sets.items():
         for j in ports:
-            sig_w[user - 1, j] = pathloss.gains[user - 1, j] * tx_power
+            sig_w[user - 1, j] = pathloss.gains[user - 1, j] * snr
         for j in mode.complements[user]:
-            intf_w[user - 1, j] = pathloss.gains[user - 1, j] * tx_power
+            intf_w[user - 1, j] = pathloss.gains[user - 1, j] * snr
     return sig_w, intf_w
 
 
-def dense_sum_rates(sig_w, intf_w, noise, h):
+def dense_sum_rates(sig_w, intf_w, h):
     """The engine's per-draw sum rates in their dense einsum form."""
     signal = np.einsum("tkn,kn->tk", h, sig_w)
-    denom = noise + np.einsum("tkn,kn->tk", h, intf_w)
+    denom = 1.0 + np.einsum("tkn,kn->tk", h, intf_w)
     return np.log2(1.0 + signal / denom).sum(axis=1)
 
 
@@ -115,7 +122,7 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def dense_mc_ergodic_sum_rate(n_channels, seed, shape, sum_rates):
+def dense_mc_estimate(n_channels, seed, shape, sum_rates):
     """The engine in a dense form: ``sum_rates`` of each chunk of (T,
     ``shape``) fading drawn by ``exponential``."""
     total = 0.0
@@ -141,12 +148,12 @@ def oracle_cases():
     cases += [(9, TransmissionMode(tuple(int(u) for u in rng.permutation(10)[:9])))
               for _ in range(4)]
     for case, (n, mode) in enumerate(cases):
-        scn = drop_users_uniform(template(n), seed=(63, case))
-        yield case, scn.with_tx_power(float(10.0 ** rng.uniform(-1, 5))), mode
+        pl = pathloss_matrix(drop_users_uniform(template(n), seed=(63, case)))
+        yield case, pl, float(10.0 ** rng.uniform(-1, 5)), mode
 
 
 # The engine and the dense form differ only in the order and grouping of
-# a few adds and in scaling by P before or after the sums: a few ulps per
+# a few adds and in scaling by the SNR before or after the sums: a few ulps per
 # draw, far inside this relative bound. A per-draw rate near 0 also
 # carries the rounding of 1 + x before its log, an absolute error of a
 # few eps per user.
@@ -160,64 +167,59 @@ def test_mc_matches_dense_form_on_same_draw(n_channels):
     estimates agree with the dense einsum form within DENSE_REL_TOL (and
     ONE_PLUS_X_ATOL per user for a draw); 9000 channels are two chunks,
     the second a tail."""
-    for case, scn, mode in oracle_cases():
-        pl = pathloss_matrix(scn)
+    for case, pl, snr, mode in oracle_cases():
         h = _chunk_stream(np.random.SeedSequence((64, case)), 0).standard_exponential(
             size=(min(n_channels, simulate.MC_CHUNK), *pl.gains.shape))
-        want = dense_sum_rates(*dense_weights(pl, mode, scn.tx_power), scn.noise_power, h)
-        np.testing.assert_allclose(instantaneous_sum_rates(scn, mode, h), want,
+        want = dense_sum_rates(*dense_weights(pl, mode, snr), h)
+        np.testing.assert_allclose(instantaneous_sum_rates(pl, mode, h, snr), want,
                                    rtol=DENSE_REL_TOL,
                                    atol=ONE_PLUS_X_ATOL * len(mode.support_sets),
                                    err_msg=mode.label)
-        got = mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
-        weights = dense_weights(pl, mode, scn.tx_power)
-        dense = dense_mc_ergodic_sum_rate(
+        got = one_estimate(pl, mode, snr, n_channels, (64, case))
+        weights = dense_weights(pl, mode, snr)
+        dense = dense_mc_estimate(
             n_channels, (64, case), pl.gains.shape,
-            lambda h: dense_sum_rates(*weights, scn.noise_power, h))
+            lambda h: dense_sum_rates(*weights, h))
         assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), mode.label
         assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), mode.label
 
 
 def test_sum_rates_match_dense_form_bit_for_bit():
-    for case, scn, mode in oracle_cases():
-        pl = pathloss_matrix(scn)
+    for case, pl, snr, mode in oracle_cases():
         h = _chunk_stream(np.random.SeedSequence(67), case).standard_exponential(
             size=(300, *pl.gains.shape))
-        want = ordered_sum_rates(pl, mode, scn.noise_power / scn.tx_power, h)
-        got = instantaneous_sum_rates(scn, mode, h)
+        want = ordered_sum_rates(pl, mode, 1.0 / snr, h)
+        got = instantaneous_sum_rates(pl, mode, h, snr)
         assert np.array_equal(bits(got), bits(want)), mode.label
 
 
 @pytest.mark.parametrize("n_channels", [200, 9000])
 def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
     """9000 channels are two chunks, the second a tail."""
-    for case, scn, mode in oracle_cases():
-        pl = pathloss_matrix(scn)
-        inv_snr = scn.noise_power / scn.tx_power
-        assert (mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(64, case))
-                == dense_mc_ergodic_sum_rate(
+    for case, pl, snr, mode in oracle_cases():
+        inv_snr = 1.0 / snr
+        assert (one_estimate(pl, mode, snr, n_channels, (64, case))
+                == dense_mc_estimate(
                     n_channels, (64, case), pl.gains.shape,
                     lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), mode.label
 
 
-def test_mc_ergodic_sum_rate_is_one_pair_of_mc_sum_rates():
-    """Each (mode, power) estimate of a call that rates several modes at
-    more powers than one slice holds equals, bit for bit, the one-mode,
-    one-power estimate: one Monte Carlo path."""
-    scn = drop_users_uniform(template(3), seed=75)
-    pl = pathloss_matrix(scn)
+def test_mc_sum_rates_pair_does_not_depend_on_its_call():
+    """Each (mode, SNR) estimate of a call that rates several modes at
+    more SNRs than one slice holds equals, bit for bit, the estimate of a
+    call that rates that pair alone."""
+    pl = pathloss_matrix(drop_users_uniform(template(3), seed=75))
     modes = enumerate_ideal(3, 3).modes[::9]
-    tx_powers = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
-    assert len(modes) >= 3 and len(tx_powers) > simulate.MC_POINT_SLICE
-    rated = [(mode, tx_powers[m::2]) for m, mode in enumerate(modes)]
-    together = mc_sum_rates(pl.gains, scn.noise_power, rated, 9000,
-                            np.random.SeedSequence((76, 1)))
-    for (mode, powers), estimates in zip(rated, together):
-        assert len(estimates) == len(powers)
-        for p, est in zip(powers, estimates):
-            alone = mc_ergodic_sum_rate(scn.with_tx_power(p), pl, mode, 9000, seed=(76, 1))
+    snrs = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
+    assert len(modes) >= 3 and len(snrs) > simulate.MC_POINT_SLICE
+    rated = [(mode, snrs[m::2]) for m, mode in enumerate(modes)]
+    together = mc_sum_rates(pl.gains, rated, 9000, np.random.SeedSequence((76, 1)))
+    for (mode, mode_snrs), estimates in zip(rated, together):
+        assert len(estimates) == len(mode_snrs)
+        for snr, est in zip(mode_snrs, estimates):
+            alone = one_estimate(pl, mode, snr, 9000, (76, 1))
             assert bits([alone.mean, alone.std_error]).tolist() == bits(
-                [est.mean, est.std_error]).tolist(), (mode.label, p)
+                [est.mean, est.std_error]).tolist(), (mode.label, snr)
 
 
 def test_stream_keys_never_coincide():
@@ -237,9 +239,8 @@ def test_stream_keys_never_coincide():
 
 
 def test_mc_mode_with_no_active_port_is_zero():
-    scn = drop_users_uniform(template(3), seed=65)
-    est = mc_ergodic_sum_rate(scn, pathloss_matrix(scn), TransmissionMode((0, 0, 0)),
-                              9000, seed=66)
+    pl = pathloss_matrix(drop_users_uniform(template(3), seed=65))
+    est = one_estimate(pl, TransmissionMode((0, 0, 0)), 1.0, 9000, 66)
     assert est == McEstimate(mean=0.0, std_error=0.0, n_trials=9000)
 
 
@@ -271,15 +272,13 @@ def test_fading_draws_unit_mean():
 def test_mc_fading_buffer_does_not_change_estimate(n_channels):
     """A buffer passed in, stale or longer than needed, gives the estimate
     of a call that allocates its own; 9000 channels are a chunk and a tail."""
-    scn = drop_users_uniform(template(3), seed=70).with_tx_power(300.0)
-    pl = pathloss_matrix(scn)
+    pl = pathloss_matrix(drop_users_uniform(template(3), seed=70))
     mode = TransmissionMode((1, 2, 3))
-    want = mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(71, 2))
+    want = one_estimate(pl, mode, 300.0, n_channels, (71, 2))
     for rows in (min(n_channels, simulate.MC_CHUNK), simulate.MC_CHUNK + 5):
         fading = np.full((rows, 3, 3), np.nan)
         for _ in range(2):
-            assert mc_ergodic_sum_rate(scn, pl, mode, n_channels, seed=(71, 2),
-                                       fading=fading) == want
+            assert one_estimate(pl, mode, 300.0, n_channels, (71, 2), fading) == want
 
 
 @pytest.mark.parametrize("fading", [
@@ -294,20 +293,18 @@ def test_mc_fading_buffer_does_not_change_estimate(n_channels):
 ], ids=["too-few-rows", "wrong-ports", "wrong-users", "flat", "4d", "float32",
         "strided", "fortran"])
 def test_mc_rejects_unfit_fading_buffer(fading):
-    scn = drop_users_uniform(template(3), seed=72)
+    pl = pathloss_matrix(drop_users_uniform(template(3), seed=72))
     with pytest.raises(ValueError, match="fading buffer"):
-        mc_ergodic_sum_rate(scn, pathloss_matrix(scn), TransmissionMode((1, 2, 3)),
-                            200, seed=73, fading=fading)
+        one_estimate(pl, TransmissionMode((1, 2, 3)), 1.0, 200, 73, fading)
 
 
 def test_mc_deterministic_per_seed():
-    scn = drop_users_uniform(template(2), 32).with_tx_power(100.0)
-    pl = pathloss_matrix(scn)
+    pl = pathloss_matrix(drop_users_uniform(template(2), 32))
     mode = TransmissionMode((1, 2))
-    first = mc_ergodic_sum_rate(scn, pl, mode, 20_000, seed=5)
-    second = mc_ergodic_sum_rate(scn, pl, mode, 20_000, seed=5)
+    first = one_estimate(pl, mode, 100.0, 20_000, 5)
+    second = one_estimate(pl, mode, 100.0, 20_000, 5)
     assert first == second
-    third = mc_ergodic_sum_rate(scn, pl, mode, 20_000, seed=6)
+    third = one_estimate(pl, mode, 100.0, 20_000, 6)
     assert third.mean != first.mean
 
 
@@ -326,29 +323,27 @@ def test_mc_matches_closed_form_three_sigma():
     rng = np.random.default_rng(34)
     for case in range(20):
         n = int(rng.integers(2, 4))
-        scn = drop_users_uniform(template(n), seed=(35, case))
-        scn = scn.with_tx_power(float(10.0 ** rng.uniform(0, 3)))
-        pl = pathloss_matrix(scn)
+        pl = pathloss_matrix(drop_users_uniform(template(n), seed=(35, case)))
+        snr = float(10.0 ** rng.uniform(0, 3))
         candidates = enumerate_ideal(n, n).modes
         mode = candidates[int(rng.integers(0, len(candidates)))]
-        est = mc_ergodic_sum_rate(scn, pl, mode, 100_000, seed=(36, case))
-        closed = ergodic_sum_rate(scn, pl, mode).sum_rate
+        est = one_estimate(pl, mode, snr, 100_000, (36, case))
+        (table,) = rate_tables(pl.gains[None], [[(mode,)]])
+        closed = block_sum_rates([table], [snr])[0][0, 0]
         assert abs(closed - est.mean) < 3.0 * est.std_error, (
             f"case {case}: mode {mode.label} closed {closed} vs "
             f"mc {est.mean} +- {est.std_error}")
 
 
 def test_mc_single_link_unit_snr():
-    scn = unit_scenario()
-    pl = pathloss_matrix(scn)
-    est = mc_ergodic_sum_rate(scn, pl, TransmissionMode((1,)), 1_000_000, seed=8)
+    pl = pathloss_matrix(unit_scenario())
+    est = one_estimate(pl, TransmissionMode((1,)), 1.0, 1_000_000, 8)
     assert abs(est.mean - 0.8603473822708859) < 3.0 * est.std_error
 
 
 def test_mc_std_error_contract():
-    scn = unit_scenario()
-    pl = pathloss_matrix(scn)
-    est = mc_ergodic_sum_rate(scn, pl, TransmissionMode((1,)), 10_000, seed=9)
+    pl = pathloss_matrix(unit_scenario())
+    est = one_estimate(pl, TransmissionMode((1,)), 1.0, 10_000, 9)
     assert est.n_trials == 10_000
     assert 0.0 < est.std_error < est.mean
 
@@ -513,9 +508,9 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, max_drop_poi
         if d == 4:
             assert len(nearest) == min_distance_count(n) - 1
         for s, candidates in enumerate((ideal, nearest, fixed)):
-            table = RateTable(scn, pl, candidates.modes)
+            (table,) = rate_tables(pl.gains[None], [[candidates.modes]])
             for p, db in enumerate(grid):
-                rates = table.sum_rates(db_to_linear(db) * scn.noise_power).tolist()
+                rates = block_sum_rates([table], [db_to_linear(db)])[0][0].tolist()
                 best = rates.index(max(rates))
                 ties += rates.count(rates[best]) > 1
                 assert chosen[d, s, p].tolist() == list(candidates.modes[best].assignment)
