@@ -9,7 +9,6 @@ whose candidate count depends only on the number of ports.
 from __future__ import annotations
 
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -162,28 +161,29 @@ def min_distance_count(n_ports: int) -> int:
     return 2 ** n_ports - n_ports
 
 
-def enumerate_ideal(n_ports: int, n_users: int,
-                    budget: int = IDEAL_ENUMERATION_BUDGET) -> CandidateSet:
-    """Every admissible assignment, in lexicographic order.
-
-    Excluded: the all-off vector, and single-active-user assignments with
-    any port off. Raises CapacityError when (K+1)^N exceeds ``budget``.
-    """
+def ideal_modes(n_ports: int, n_users: int,
+                budget: int = IDEAL_ENUMERATION_BUDGET) -> np.ndarray:
+    """Every admissible assignment, in lexicographic order, as the rows of
+    a (modes x ports) int array. Excluded: the all-off vector, and
+    single-active-user assignments with any port off. Raises
+    CapacityError, before allocating, when (K+1)^N exceeds ``budget``."""
     raw_size = (n_users + 1) ** n_ports
     if raw_size > budget:
         raise CapacityError(
             f"(K+1)^N = {raw_size} assignment vectors exceeds the enumeration "
             f"budget of {budget} for N={n_ports}, K={n_users}")
-    out = []
-    for assignment in itertools.product(range(n_users + 1), repeat=n_ports):
-        active_users = {u for u in assignment if u != 0}
-        if not active_users:
-            continue
-        n_active_ports = sum(1 for u in assignment if u != 0)
-        if len(active_users) == 1 and n_active_ports < n_ports:
-            continue
-        out.append(TransmissionMode(assignment))
-    return CandidateSet(modes=tuple(out), origin=Origin.IDEAL)
+    rows = np.indices((n_users + 1,) * n_ports).reshape(n_ports, -1).T
+    active = rows != 0
+    # Two distinct active users, or every port on (and so one user).
+    keep = (active & (rows != rows.max(axis=1, keepdims=True))).any(axis=1) | active.all(axis=1)
+    return rows[keep]
+
+
+def enumerate_ideal(n_ports: int, n_users: int,
+                    budget: int = IDEAL_ENUMERATION_BUDGET) -> CandidateSet:
+    """The rows of ``ideal_modes`` as a CandidateSet of TransmissionModes."""
+    rows = ideal_modes(n_ports, n_users, budget).tolist()
+    return CandidateSet(tuple(map(TransmissionMode, map(tuple, rows))), Origin.IDEAL)
 
 
 def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
-from .modes import TransmissionMode, assignment_array, enumerate_ideal, nearest_user_modes
+from .modes import TransmissionMode, assignment_array, ideal_modes, nearest_user_modes
 from .rate import block_sum_rates, rate_tables
 from .selection import select_rows
 
@@ -266,13 +266,14 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     drop, in drop order, on one process pool of min(n_jobs, blocks)
     workers when both are above one.
 
-    Drops go out in blocks of consecutive drops: about eight per worker,
-    so the pool stays balanced, and no more than MAX_BLOCK_DROP_POINTS
-    drop-points each. A kernel call pays off only on about 1000 values or
-    more, so larger blocks run faster.
+    Drops go out in blocks of consecutive drops, as large as
+    MAX_BLOCK_DROP_POINTS drop-points allow, since a kernel call pays off
+    only on about 1000 values or more; a pool gets about eight blocks per
+    worker instead, when smaller, so that it stays balanced.
     """
-    size = max(1, min(math.ceil(n_drops / (8 * n_jobs)),
-                      MAX_BLOCK_DROP_POINTS // max(1, len(grid_db))))
+    size = max(1, MAX_BLOCK_DROP_POINTS // max(1, len(grid_db)))
+    if n_jobs > 1:
+        size = min(size, math.ceil(n_drops / (8 * n_jobs)))
     tasks = [(template, sets, grid_db, n_channels, seed,
               range(start, min(start + size, n_drops)), rating)
              for start in range(0, n_drops, size)]
@@ -312,8 +313,7 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
         if isinstance(scheme, TransmissionMode):
             sets.append(assignment_array([scheme], n_ports))
         elif scheme == "ideal":
-            sets.append(assignment_array(
-                enumerate_ideal(n_ports, scenario_template.n_users).modes, n_ports))
+            sets.append(ideal_modes(n_ports, scenario_template.n_users))
         elif scheme == "min-distance":
             sets.append(None)  # drawn per drop
         else:

@@ -252,24 +252,24 @@ def check_candidate_counts() -> CheckResult:
 
 
 def check_selection_properties(n_drops: int = 5) -> CheckResult:
-    """Reduced-set rate never exceeds exhaustive; scaling P and noise
-    together never changes the choice."""
+    """Reduced-set rate never exceeds exhaustive; scaling the gains by c
+    and the SNR by 1/c changes no choice and no rate beyond 1e-12."""
     template = _template(3, 3)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
     worst = 0.0
     ok = True
     for drop in range(n_drops):
         scenario = drop_users_uniform(template, seed=(404, drop))
-        scaled = dataclasses.replace(scenario, noise_power=scenario.noise_power * 7.3,
-                                     tx_power=scenario.tx_power * 7.3)
         pl = pathloss_matrix(scenario)
+        scaled = dataclasses.replace(pl, gains=pl.gains * 7.3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeometryWarning)
             ideal, reduced = compare_schemes(scenario, pl, snrs)
-            again = compare_schemes(scaled, pl, snrs)
+            again = compare_schemes(scenario, scaled, [snr / 7.3 for snr in snrs])
         worst = max([worst] + [r.chosen_rate - i.chosen_rate for i, r in zip(ideal, reduced)])
-        ok = ok and ([r.chosen_mode for r in again[1]]
-                     == [r.chosen_mode for r in reduced])
+        ok = ok and all(a.chosen_mode == b.chosen_mode
+                        and math.isclose(a.chosen_rate, b.chosen_rate, rel_tol=1e-12)
+                        for a, b in zip(ideal + reduced, again[0] + again[1]))
     return CheckResult("selection dominance and argmax invariance",
                        ok and worst <= 1e-12, measured=worst, tolerance=1e-12,
                        detail="reduced-minus-exhaustive chosen rate")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dasrate.errors import CapacityError
 from dasrate.geometry import PathlossMatrix, Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, DegenerateGeometryWarning, Origin,
                            TransmissionMode, enumerate_ideal,
-                           enumerate_min_distance, ideal_count,
+                           enumerate_min_distance, ideal_count, ideal_modes,
                            min_distance_count)
 
 
@@ -63,10 +64,10 @@ def test_enumerate_ideal_two_by_two():
 
 
 def test_enumerate_ideal_matches_count_and_brute_force():
-    for n, k in itertools.product(range(1, 5), range(1, 5)):
-        enumerated = enumerate_ideal(n, k)
-        assert len(enumerated) == ideal_count(n, k)
-        # independent filter over the raw assignment space
+    for n, k in itertools.product(range(1, 6), range(1, 6)):
+        rows = ideal_modes(n, k)
+        assert rows.shape == (ideal_count(n, k), n)
+        # independent filter over the raw assignment space, in its order
         brute = []
         for vec in itertools.product(range(k + 1), repeat=n):
             active = {u for u in vec if u}
@@ -75,12 +76,22 @@ def test_enumerate_ideal_matches_count_and_brute_force():
             if len(active) == 1 and sum(1 for u in vec if u) < n:
                 continue
             brute.append(vec)
-        assert [m.assignment for m in enumerated.modes] == sorted(brute)
+        assert list(map(tuple, rows.tolist())) == brute
+        assert [m.assignment for m in enumerate_ideal(n, k).modes] == brute
 
 
 def test_enumerate_ideal_budget():
     with pytest.raises(CapacityError):
         enumerate_ideal(10, 9, budget=10 ** 6)
+    # 10^9 raw vectors: refused before any of them is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            enumerate_ideal(9, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_min_distance_table_construction():

@@ -81,10 +81,12 @@ def test_reduced_never_beats_exhaustive():
 
 
 def test_argmax_invariance_under_joint_scaling():
+    """Rates depend on each gain times the SNR alone: gains times 13 and
+    SNRs over 13 choose the same modes at the same rates."""
     snrs = [1.0, 100.0, 10000.0]
-    scaled_scn = dataclasses.replace(FIG2, noise_power=13.0, tx_power=13.0)
+    scaled_pl = dataclasses.replace(FIG2_PL, gains=FIG2_PL.gains * 13.0)
     for base, scaled in zip(compare_schemes(FIG2, FIG2_PL, snrs),
-                            compare_schemes(scaled_scn, FIG2_PL, snrs)):
+                            compare_schemes(FIG2, scaled_pl, [snr / 13.0 for snr in snrs])):
         assert [r.chosen_mode for r in scaled] == [r.chosen_mode for r in base]
         assert ([r.chosen_rate for r in scaled]
                 == pytest.approx([r.chosen_rate for r in base], rel=1e-12))

@@ -1,5 +1,6 @@
 """Monte Carlo engine and cell-averaged experiment tests."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -412,6 +413,61 @@ def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
     grid = tuple(0.1 * i for i in range(2000))
     cell_average(template(3), ["min-distance"], grid, n_drops=3, n_channels=0, seed=47)
     assert max(sizes) <= simulate.MAX_BLOCK_DROP_POINTS * 9
+
+
+@pytest.fixture
+def blocks_run(monkeypatch):
+    """The drops of every block a later cell average runs, in order; a
+    pool it starts maps its blocks in this process."""
+    blocks = []
+    worker = simulate._block_worker
+
+    def recording(args):
+        blocks.append(args[5])
+        return worker(args)
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulate, "_block_worker", recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return blocks
+
+
+@pytest.mark.parametrize("n_drops, n_points", [(10, 11), (64, 11), (65, 11), (150, 11),
+                                               (90, 16), (5, 704)])
+def test_poolless_blocks_fill_the_drop_point_bound(blocks_run, n_drops, n_points):
+    """With no pool, drops go out in as few blocks as the drop-point
+    bound allows."""
+    grid = tuple(0.1 * i for i in range(n_points))
+    cell_average(template(2), ["min-distance"], grid, n_drops=n_drops, n_channels=0, seed=48)
+    bound = simulate.MAX_BLOCK_DROP_POINTS
+    assert len(blocks_run) == math.ceil(n_drops * n_points / bound)
+    assert all(len(drops) * n_points <= bound for drops in blocks_run)
+    assert [d for drops in blocks_run for d in drops] == list(range(n_drops))
+
+
+def test_pool_runs_split_drops_for_balance(blocks_run):
+    """A pool of two gets about eight blocks per worker, with the values
+    of one block per drop-point bound."""
+    grid = tuple(float(db) for db in range(0, 51, 5))
+    args = (template(2), ["ideal", "min-distance"], grid)
+    kwargs = dict(n_drops=70, n_channels=0, seed=49)
+    pooled = cell_average(*args, n_jobs=2, **kwargs)
+    assert blocks_run == [range(lo, min(lo + 5, 70)) for lo in range(0, 70, 5)]
+    blocks_run.clear()
+    assert cell_average(*args, **kwargs) == pooled
+    assert blocks_run == [range(0, 64), range(64, 70)]
 
 
 def test_cell_average_mc_rating_close_to_analytic():
