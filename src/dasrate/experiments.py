@@ -127,11 +127,11 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
 # --- cell-averaged sweeps -----------------------------------------------------
 
 # Most candidate-drop-points (candidates x drops x SNR points) an
-# exhaustive sweep may rate unless forced: about 35-60 s of work at the
-# 0.09-0.15 us per candidate-drop-point measured at N = K = 5 and 4 (one
-# worker on a 2-core x86 machine). The old guard, 1000 candidates per
-# drop, allowed about as much at default size: 1000 x 4000 x 11 at about
-# 1 us each.
+# exhaustive sweep may rate unless forced: about 36 s of work at the
+# 0.09 us per candidate-drop-point measured at N = K = 4, and 20-25 s at
+# the 0.05-0.06 us measured at N = K = 5 (one worker on a 2-core x86
+# machine). The old guard, 1000 candidates per drop, allowed about as
+# much at default size: 1000 x 4000 x 11 at about 1 us each.
 SWEEP_IDEAL_LIMIT = 400_000_000
 
 

@@ -48,21 +48,37 @@ def exp_e1(x):
 
     Takes a float or an array and gives the same. Every element runs the
     scalar recurrence of its branch, in the same order of operations, so a
-    value does not depend on the other elements of the call. Relative
-    accuracy is better than 1e-12 over the full double range; the result
-    is finite for any x in [1e-300, 1e300]. Each iteration costs a dozen
-    numpy operations whatever the call's size, so pass many values at once.
+    value does not depend on the other elements of the call or their
+    order. Relative accuracy is better than 1e-12 over the full double
+    range; the result is finite for any x in [1e-300, 1e300]. The call
+    sorts its arguments once and hands each branch its part in about the
+    order in which elements finish, so each iteration runs about a dozen
+    in-place numpy operations over the suffix from the first element still
+    iterating, with no gathers; pass many values at once.
 
     Raises:
         ValueError: if an element is not a finite positive number.
+        NumericalFailureError: naming, in input order, the first x whose
+            continued fraction stalls.
     """
-    ok = (x > 0.0) & (x < math.inf)
-    if not ok.all():
-        raise ValueError(f"exp_e1 requires finite x > 0, got {float(x[~ok][0])!r}")
+    order = np.argsort(x)
+    xs = x[order]
+    # NaN sorts last, so the ends bound every element.
+    if len(xs) and not (xs[0] > 0.0 and xs[-1] < math.inf):
+        bad = x[~((x > 0.0) & (x < math.inf))][0]
+        raise ValueError(f"exp_e1 requires finite x > 0, got {float(bad)!r}")
+    split = int(np.searchsorted(xs, SERIES_CF_SPLIT, side="right"))
+    # Ascending for the series and descending for the fraction: an
+    # element finishes in fewer steps the farther it lies from the split.
+    xs[:split] = _exp_e1_series(xs[:split])
+    xs[split:] = _exp_e1_continued_fraction(xs[split:][::-1])[::-1]
+    stalled = np.isnan(xs[split:])
+    if stalled.any():
+        first = order[split:][stalled].min()
+        raise NumericalFailureError(
+            f"continued fraction for exp_e1 stalled at x={float(x[first])}")
     out = np.empty_like(x)
-    low = x <= SERIES_CF_SPLIT
-    out[low] = _exp_e1_series(x[low])
-    out[~low] = _exp_e1_continued_fraction(x[~low])
+    out[order] = xs
     return out
 
 
@@ -74,27 +90,28 @@ def _exp_e1_series(x):
     multiplied by exp(x). No cancellation occurs on this range since
     -ln(x) >= 0 and the series total stays well away from zero. ``ln`` and
     ``exp`` are libm's, per element: numpy's vector versions can differ
-    in the last ulp.
+    in the last ulp. Any order works; ascending x is fastest.
     """
-    out = -EULER_GAMMA - np.array([math.log(v) for v in x.tolist()])
-    # Elements still summing: their index into x, -x, the running total
-    # and -(-x)^k / k! (negation is exact, so each product rounds as the
-    # scalar recurrence's does).
-    live, neg_x, total = np.arange(len(x)), -x, out.copy()
-    neg_power = np.full(len(x), -1.0)
+    out = -EULER_GAMMA - np.fromiter(map(math.log, x.tolist()), float, len(x))
+    # The suffix of elements from the first one still summing: -x, the
+    # running total (a view of out) and -(-x)^k / k! (negation is exact,
+    # so each product rounds as the scalar recurrence's does).
+    neg_x, total, neg_power = -x, out, np.full(len(x), -1.0)
     for k in range(1, _SERIES_MAX_TERMS):
-        if not len(live):
+        if not len(total):
             break
-        neg_power = neg_power * (neg_x / k)
+        neg_power *= neg_x / k
         term = neg_power / k
-        total = total + term
-        going = abs(term) > 1e-17 * abs(total)
-        if np.count_nonzero(going) < len(live):
-            out[live] = total
-            live, neg_x, total, neg_power = (
-                live[going], neg_x[going], total[going], neg_power[going])
-    out[live] = total
-    return np.array([math.exp(v) for v in x.tolist()]) * out
+        total += term
+        bound = abs(total)
+        bound *= 1e-17
+        # A stopped element's later terms are smaller still and under half
+        # an ulp of its total, so its total and its test stay as they are.
+        going = abs(term) > bound
+        if not going[0]:
+            first = int(going.argmax()) or len(going)
+            neg_x, total, neg_power = neg_x[first:], total[first:], neg_power[first:]
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x)) * out
 
 
 @_float_for_float
@@ -103,35 +120,40 @@ def _exp_e1_continued_fraction(x):
 
     exp(x) * E1(x) = 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
     evaluated without any exp() factor so arguments up to 1e300 work.
-
-    Raises:
-        NumericalFailureError: naming the first x whose fraction stalls.
+    Any order works; descending x is fastest. An element whose fraction
+    stalls reads NaN.
     """
-    out = np.empty_like(x)
-    # Elements still iterating: their index into x and their b, c, d, h.
-    live, b = np.arange(len(x)), x + 1.0
+    # Rows of the suffix of elements from the first one still iterating:
+    # (out, d) and (h, NaN), so one masked copy stores h and poisons d.
+    dst, src = np.full((2, len(x)), math.nan), np.full((2, len(x)), math.nan)
+    out, d, h = dst[0], dst[1], src[0]
+    b = x + 1.0
     c = np.full(len(x), 1.0 / _TINY)
-    d = 1.0 / b
-    h = d
+    np.divide(1.0, b, out=d)
+    h[:] = d
     for i in range(1, _CF_MAX_ITER):
-        if not len(live):
+        if not len(b):
             break
         a = -float(i) * float(i)
-        b = b + 2.0
-        d = a * d + b
+        b += 2.0
+        d *= a
+        d += b
         if np.count_nonzero(d) < len(d):
             d[d == 0.0] = _TINY
-        d = 1.0 / d
-        c = b + a / c
+        np.reciprocal(d, out=d)
+        c = a / c
+        c += b
         if np.count_nonzero(c) < len(c):
             c[c == 0.0] = _TINY
         delta = c * d
-        h = h * delta
-        going = abs(delta - 1.0) >= _CF_EPS
-        if np.count_nonzero(going) < len(live):
-            out[live] = h
-            live, b, c, d, h = live[going], b[going], c[going], d[going], h[going]
-    if len(live):
-        raise NumericalFailureError(
-            f"continued fraction for exp_e1 stalled at x={float(x[live[0]])}")
+        h *= delta
+        delta -= 1.0
+        stop = abs(delta) < _CF_EPS
+        # A stopped element keeps its h; its d is NaN from here on, so its
+        # test never holds again.
+        np.copyto(dst, src, where=stop)
+        if stop[0]:
+            first = int(np.isnan(d).argmin()) or len(d)
+            b, c, dst, src = b[first:], c[first:], dst[:, first:], src[:, first:]
+            d, h = dst[1], src[0]
     return out

@@ -204,12 +204,13 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     A set is a (modes x ports) assignment array, or None for each drop's
     nearest-user set. Users, gains, nearest-user sets and the drops' rate
     tables are built for the whole block in one array pass each; the
-    tables are rated in one kernel call per slice of at most
-    MAX_BLOCK_DROP_POINTS drop-points, and each (drop, set) selects at
-    every point of a slice with one first-maximizer argmax. The value is
-    the closed-form rate, or with ``rating`` "mc" the Monte Carlo mean:
-    one ``mc_sum_rates`` call per drop rates each distinct chosen mode at
-    the points where any set chose it, from one draw per chunk under the
+    tables are rated in one kernel call over every point, or over each
+    slice of points when the whole grid would hold more than
+    MAX_BLOCK_VALUES, and each (drop, set) selects at every point of a
+    slice with one first-maximizer argmax. The value is the closed-form
+    rate, or with ``rating`` "mc" the Monte Carlo mean: one
+    ``mc_sum_rates`` call per drop rates each distinct chosen mode at the
+    points where any set chose it, from one draw per chunk under the
     drop's key, into the block's one buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
@@ -225,7 +226,8 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values = np.empty(shape)
     # A block of many drops holds few points; a long grid goes in slices.
-    step = max(1, MAX_BLOCK_DROP_POINTS // len(drops))
+    fixed, per_point = _drop_footprint(template, sets)
+    step = max(1, (MAX_BLOCK_VALUES // len(drops) - fixed) // per_point)
     for lo in range(0, len(snrs), step):
         rates_per_drop = block_sum_rates(tables, snrs[lo:lo + step])
         for d, (table, rates) in enumerate(zip(tables, rates_per_drop)):
@@ -254,10 +256,24 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     return chosen, values
 
 
-# Most (drop, SNR point) pairs one kernel call rates: 64 drops of an
-# 11-point grid. It bounds a worker's rate arrays and kernel batch
-# whatever the grid length.
-MAX_BLOCK_DROP_POINTS = 704
+# Most values one block holds, as counted by _drop_footprint. Measured
+# under tracemalloc, a block's peak is 20-60 bytes per counted value (the
+# most on small nearest-user sets, whose partition terms outnumber their
+# rows), so within 64 bytes a block peaks under 135 MB: the exhaustive
+# N = K = 5 set takes 16 drops of an 11-point grid (40 MB), and a
+# 500-drop nearest-user histogram at N = K = 4 is one block (11 MB).
+MAX_BLOCK_VALUES = 2 ** 21
+
+
+def _drop_footprint(template: Scenario, sets) -> tuple[int, int]:
+    """Values one drop adds to a block, as (fixed, per SNR point): its
+    (rows x users) table index and its row of the layout's (drops x
+    partition types) arrays, at most K (3^N - 2^N) types; then per point
+    its rate rows and its K N kernel values. A nearest-user set has at
+    most 2^N - N rows."""
+    n, k = template.n_ports, template.n_users
+    rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
+    return rows * k + k * (3 ** n - 2 ** n), rows + k * n
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
@@ -267,11 +283,12 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     workers when both are above one.
 
     Drops go out in blocks of consecutive drops, as large as
-    MAX_BLOCK_DROP_POINTS drop-points allow, since a kernel call pays off
-    only on about 1000 values or more; a pool gets about eight blocks per
+    MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
+    as its memory bound permits; a pool gets about eight blocks per
     worker instead, when smaller, so that it stays balanced.
     """
-    size = max(1, MAX_BLOCK_DROP_POINTS // max(1, len(grid_db)))
+    fixed, per_point = _drop_footprint(template, sets)
+    size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
     if n_jobs > 1:
         size = min(size, math.ceil(n_drops / (8 * n_jobs)))
     tasks = [(template, sets, grid_db, n_channels, seed,

@@ -184,6 +184,31 @@ def test_array_kernel_is_bit_identical_to_the_loop_and_to_one_element_calls():
     assert exp_e1(xs[shuffled]).tobytes() == together[shuffled].tobytes()
 
 
+# Dense grids on both branches (on [1, 1e3] the fraction's stopping step
+# is not monotone in x), and many equal values on both.
+ORDER_INPUTS = {
+    "fraction-logspace": np.logspace(0, 3, 3001),
+    "series-logspace": np.logspace(-8, 0, 3001),
+    "repeats": np.repeat([1e-3, 0.4, 1.0, 1.3, 7.0, 1e5], 60),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_INPUTS)
+def test_array_kernel_matches_the_loop_in_any_order(name):
+    """Ascending, descending, shuffled and reversed-shuffled inputs give the
+    float-by-float loop's values bit for bit, through exp_e1 and through
+    each branch, whose elements then stop out of order."""
+    xs = ORDER_INPUTS[name]
+    expected = np.array([_loop_exp_e1(x) for x in xs.tolist()])
+    shuffled = np.random.default_rng(4).permutation(len(xs))
+    low = xs <= SERIES_CF_SPLIT
+    for order in (np.arange(len(xs)), np.arange(len(xs))[::-1], shuffled, shuffled[::-1]):
+        assert exp_e1(xs[order]).tobytes() == expected[order].tobytes()
+        for branch, part in ((_exp_e1_series, low[order]),
+                             (_exp_e1_continued_fraction, ~low[order])):
+            assert branch(xs[order][part]).tobytes() == expected[order][part].tobytes()
+
+
 def test_float_in_float_out_and_shape_kept():
     assert type(exp_e1(1.0)) is float
     assert type(exp_e1(np.float64(2.0))) is float
@@ -210,3 +235,11 @@ def test_stalled_fraction_names_its_argument(monkeypatch):
     monkeypatch.setattr(numerics, "_CF_MAX_ITER", 5)
     with pytest.raises(NumericalFailureError, match="x=1.5"):
         exp_e1(np.array([1e6, 1.5, 3.0]))
+
+
+def test_stall_is_named_in_input_order_not_sorted_order(monkeypatch):
+    """Both arguments stall and the kernel sorts them, 1.5 first; the
+    error still names 3.0, first in input order."""
+    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 5)
+    with pytest.raises(NumericalFailureError, match=r"x=3\.0$"):
+        exp_e1(np.array([3.0, 1.5]))

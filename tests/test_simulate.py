@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,26 +394,46 @@ def recorded_kernel_sizes(monkeypatch):
     return sizes
 
 
+def nearest_footprint(n):
+    """(fixed, per point) values of one drop of an N = K = n nearest-user
+    block: its (rows x users) index and K (3^N - 2^N) partition types, then
+    per point its 2^N - N rows and K N kernel values."""
+    rows = 2 ** n - n
+    return rows * n + n * (3 ** n - 2 ** n), rows + n * n
+
+
 @pytest.mark.parametrize("rating, n_channels", [("analytic", 0), ("mc", 50)])
 def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
-    """A block rates at most MAX_BLOCK_DROP_POINTS drop-points per kernel
-    call; a grid longer than that goes in slices with the same values."""
+    """A block holds at most MAX_BLOCK_VALUES; a grid too long for that
+    goes in slices of points with the same values."""
     grid = tuple(float(db) for db in range(0, 50, 5))
     args = (template(3), ["ideal", "min-distance"], grid)
     kwargs = dict(n_drops=5, n_channels=n_channels, seed=46, rating=rating)
     whole = cell_average(*args, **kwargs)
     sizes = recorded_kernel_sizes(monkeypatch)
-    monkeypatch.setattr(simulate, "MAX_BLOCK_DROP_POINTS", 4)
+    # 45 exhaustive and 5 nearest-user rows: 50 x 3 index entries and
+    # 3 (27 - 8) types, then 50 rows and 9 kernel values per point.
+    fixed, per_point = 50 * 3 + 3 * 19, 50 + 9
+    assert simulate._drop_footprint(template(3), [np.zeros((45, 3)), None]) == (
+        fixed, per_point)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
     assert cell_average(*args, **kwargs) == whole
     # One drop per block, slices of 4, 4 and 2 points, 9 gains per drop.
     assert len(sizes) == 5 * 3 and max(sizes) <= 4 * 9
 
 
 def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
+    """A long grid on a small bound goes in point slices, whose kernel
+    values stay within the bound."""
     sizes = recorded_kernel_sizes(monkeypatch)
+    fixed, per_point = nearest_footprint(3)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", 10_000)
     grid = tuple(0.1 * i for i in range(2000))
     cell_average(template(3), ["min-distance"], grid, n_drops=3, n_channels=0, seed=47)
-    assert max(sizes) <= simulate.MAX_BLOCK_DROP_POINTS * 9
+    # One drop per block, in slices of 709, 709 and 582 points.
+    step = (10_000 - fixed) // per_point
+    assert step == 709 and len(sizes) == 3 * 3
+    assert max(sizes) <= step * 9 <= simulate.MAX_BLOCK_VALUES
 
 
 @pytest.fixture
@@ -446,20 +467,25 @@ def blocks_run(monkeypatch):
 
 @pytest.mark.parametrize("n_drops, n_points", [(10, 11), (64, 11), (65, 11), (150, 11),
                                                (90, 16), (5, 704)])
-def test_poolless_blocks_fill_the_drop_point_bound(blocks_run, n_drops, n_points):
-    """With no pool, drops go out in as few blocks as the drop-point
-    bound allows."""
+def test_poolless_blocks_fill_the_drop_point_bound(monkeypatch, blocks_run, n_drops, n_points):
+    """With no pool, drops go out in as few blocks as MAX_BLOCK_VALUES
+    allows; here it holds 64 drops of an 11-point grid."""
+    fixed, per_point = nearest_footprint(2)
+    assert (fixed, per_point) == (14, 6)
+    bound = 64 * (fixed + 11 * per_point)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", bound)
     grid = tuple(0.1 * i for i in range(n_points))
     cell_average(template(2), ["min-distance"], grid, n_drops=n_drops, n_channels=0, seed=48)
-    bound = simulate.MAX_BLOCK_DROP_POINTS
-    assert len(blocks_run) == math.ceil(n_drops * n_points / bound)
-    assert all(len(drops) * n_points <= bound for drops in blocks_run)
+    size = max(1, bound // (fixed + n_points * per_point))
+    assert len(blocks_run) == math.ceil(n_drops / size)
+    assert all(len(drops) == 1 or len(drops) * (fixed + n_points * per_point) <= bound
+               for drops in blocks_run)
     assert [d for drops in blocks_run for d in drops] == list(range(n_drops))
 
 
 def test_pool_runs_split_drops_for_balance(blocks_run):
     """A pool of two gets about eight blocks per worker, with the values
-    of one block per drop-point bound."""
+    of the one block that holds every drop with no pool."""
     grid = tuple(float(db) for db in range(0, 51, 5))
     args = (template(2), ["ideal", "min-distance"], grid)
     kwargs = dict(n_drops=70, n_channels=0, seed=49)
@@ -467,7 +493,46 @@ def test_pool_runs_split_drops_for_balance(blocks_run):
     assert blocks_run == [range(lo, min(lo + 5, 70)) for lo in range(0, 70, 5)]
     blocks_run.clear()
     assert cell_average(*args, **kwargs) == pooled
-    assert blocks_run == [range(0, 64), range(64, 70)]
+    assert blocks_run == [range(0, 70)]
+
+
+def test_nearest_user_hist_makes_one_kernel_call(monkeypatch):
+    """A 500-drop nearest-user histogram at N = K = 4 is one block: one
+    kernel call rates all 500 x 9 drop-points."""
+    sizes = recorded_kernel_sizes(monkeypatch)
+    ranges = [(0.0, 10.0), (10.0, 20.0), (20.0, 30.0), (30.0, 40.0)]
+    mode_histogram(template(4), ranges, n_drops=500, seed=50)
+    assert len(sizes) == 1 and sizes[0] <= 500 * 9 * 16
+
+
+@pytest.mark.parametrize("n, schemes, n_drops, top_db", [
+    (4, ["min-distance"], 500, 40), (5, ["ideal", "min-distance"], 40, 50),
+], ids=["hist-nearest", "fig6-exhaustive"])
+def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_db):
+    """The traced peak of the largest block of a 500-drop nearest-user
+    histogram at N = K = 4 and of an exhaustive N = K = 5 sweep stays
+    within 64 bytes per counted value, and so under 64 x MAX_BLOCK_VALUES
+    bytes."""
+    peaks = []
+    worker = simulate._block_worker
+
+    def traced(args):
+        tracemalloc.start()
+        try:
+            out = worker(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fixed, per_point = simulate._drop_footprint(args[0], args[1])
+        peaks.append((peak, len(args[5]) * (fixed + per_point * len(args[2]))))
+        return out
+
+    monkeypatch.setattr(simulate, "_block_worker", traced)
+    grid = tuple(float(db) for db in range(0, top_db + 1, 5))
+    cell_average(template(n), schemes, grid, n_drops=n_drops, n_channels=0, seed=51)
+    peak, values = max(peaks)
+    assert values <= simulate.MAX_BLOCK_VALUES
+    assert peak <= 64 * values <= 64 * simulate.MAX_BLOCK_VALUES
 
 
 def test_cell_average_mc_rating_close_to_analytic():
@@ -534,10 +599,9 @@ SPECIAL_DROPS = {
 }
 
 
-@pytest.mark.parametrize("max_drop_points", [simulate.MAX_BLOCK_DROP_POINTS, 20],
-                         ids=["one-slice", "sliced"])
+@pytest.mark.parametrize("points_per_slice", [None, 2], ids=["one-slice", "sliced"])
 @pytest.mark.parametrize("n", [2, 4])
-def test_block_selection_matches_brute_force_argmax(monkeypatch, n, max_drop_points):
+def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_slice):
     """Every (drop, set, point) of a block chooses the first maximizer of
     its set's rates, and records that rate, as a per-point scan of the
     drop's own tables does: for the exhaustive, nearest-user and fixed
@@ -547,11 +611,14 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, max_drop_poi
     drawn = simulate.uniform_positions(template, [stream_key(81, d) for d in range(6)])
     positions = np.concatenate([drawn[:3], np.array(list(special.values())), drawn[3:]])
     monkeypatch.setattr(simulate, "uniform_positions", lambda _, keys: positions)
-    monkeypatch.setattr(simulate, "MAX_BLOCK_DROP_POINTS", max_drop_points)
     ideal = enumerate_ideal(n, n)
     fixed = CandidateSet(ideal.modes[-1:], Origin.EXPLICIT)
     grid = tuple(float(db) for db in range(-10, 71, 5))
     sets = [assignment_array(ideal.modes, n), None, assignment_array(fixed.modes, n)]
+    if points_per_slice:
+        base, per_point = simulate._drop_footprint(template, sets)
+        monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
+                            len(positions) * (base + points_per_slice * per_point))
     chosen, values = simulate._block_worker((template, sets, grid, 0, 81,
                                              range(len(positions)), "analytic"))
     assert chosen.shape == (len(positions), 3, len(grid), n)
