@@ -9,9 +9,9 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
 from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
                     enumerate_min_distance, ideal_count, min_distance_count)
 from .numerics import exp_e1
-from .rate import (CrossoverFormulas, RateTable, UserLinkPartition, block_sum_rates,
-                   crossover_snr, pdf_interference_plus_noise, pdf_signal, pdf_sinr,
-                   rate_tables)
+from .rate import (CrossoverFormulas, UserLinkPartition, crossover_snr,
+                   pdf_interference_plus_noise, pdf_signal, pdf_sinr, row_sum_rates,
+                   subset_rates)
 from .selection import SelectionResult, compare_schemes
 from .simulate import (McEstimate, RateCurve, RateSeries, cell_average, mc_sum_rates,
                        mode_histogram)
@@ -21,12 +21,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateSet", "CapacityError", "ConfigError", "CrossoverFormulas",
     "DasRateError", "DegenerateGainsError", "McEstimate", "NumericalFailureError",
-    "Origin", "PathlossMatrix", "RateCurve", "RateSeries", "RateTable", "Scenario",
-    "SelectionResult", "TransmissionMode", "UserLinkPartition", "block_sum_rates",
-    "cell_average", "compare_schemes", "crossover_snr", "db_to_linear",
+    "Origin", "PathlossMatrix", "RateCurve", "RateSeries", "Scenario",
+    "SelectionResult", "TransmissionMode", "UserLinkPartition", "cell_average",
+    "compare_schemes", "crossover_snr", "db_to_linear",
     "default_port_layout", "drop_users_uniform", "enumerate_ideal",
     "enumerate_min_distance", "exp_e1", "ideal_count", "linear_to_db", "load_scenario",
     "mc_sum_rates", "min_distance_count", "mode_histogram", "parse_scenario_config",
     "pathloss_matrix", "pdf_interference_plus_noise", "pdf_signal", "pdf_sinr",
-    "rate_tables",
+    "row_sum_rates", "subset_rates",
 ]

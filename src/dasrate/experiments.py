@@ -15,9 +15,9 @@ from pathlib import Path
 from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
-from .modes import TransmissionMode, enumerate_ideal, ideal_count
-from .rate import (CrossoverFormulas, block_sum_rates, crossover_curves_db, crossover_snr,
-                   rate_tables)
+from .modes import TransmissionMode, assignment_array, enumerate_ideal, ideal_count
+from .rate import (CrossoverFormulas, crossover_curves_db, crossover_snr, row_sum_rates,
+                   subset_rates)
 from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates
 
 
@@ -106,9 +106,9 @@ def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
-    (table,) = rate_tables(pl.gains[None], [[modes]])
     snrs = [db_to_linear(db) for db in grid]
-    analytic = block_sum_rates([table], snrs)[0].tolist()
+    analytic = row_sum_rates(subset_rates(pl.gains[None], snrs),
+                             assignment_array(modes, scenario.n_ports))[0].tolist()
     if include_mc:
         estimates = mc_sum_rates(pl.gains, [(mode, snrs) for mode in modes], n_channels,
                                  simulate.stream_key(seed))

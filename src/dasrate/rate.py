@@ -5,21 +5,27 @@ interference-plus-noise power are each weighted sums of independent
 exponentials, so both densities are hypoexponential mixtures obtained by
 partial fractions. The ratio's density and the resulting ergodic rate
 then reduce to combinations of scaled exponential-integral terms.
-All formulas assume pairwise-distinct gains; near-ties are separated by a
-deterministic relative perturbation (see ``GAIN_TIE_REL_TOL``), which the
-continuity of the rate in the gains makes harmless.
 
 Rates depend on the transmit and noise powers only through their ratio,
-the linear SNR P / sigma^2, and the rate engine takes that alone. Every
-closed-form rate goes through rate tables: ``rate_tables`` builds the
-tables of a block of drops with array operations, where one ``np.unique``
-over (user, serving-port bitmask, interfering-port bitmask) keys gives
-the distinct partitions and the partial-fraction weights are computed
-for all partitions of one size at once. Only the near-tied partitions
-take the per-partition ``_separate_gains`` route. ``block_sum_rates``
-then rates every table at many SNRs from one kernel call. The densities
-of a ``UserLinkPartition`` are the physical model that ``verify`` checks
-the tables against.
+the linear SNR P / sigma^2, and the rate engine takes that alone.
+
+Every closed-form rate goes through subset rates. With X a user's signal
+power and Y its interference power,
+E[ln(1 + X / (Y + sigma^2))] = E[ln(1 + (X + Y) / sigma^2)] - E[ln(1 + Y / sigma^2)],
+so user k, served by ports S while ports A are active, has rate
+R_k(A) - R_k(A minus S), where R_k(B) is its interference-free rate over
+port set B and R_k(empty) = 0. ``subset_rates`` gives R_k(B) of every
+user and subset of a block of drops at many SNRs from one kernel call,
+and ``row_sum_rates`` rates any mode of those drops from that one table.
+The identity is algebraic in the kernel values, so it holds for the
+approximated rates too.
+
+R_k(B) is a partial-fraction sum that assumes pairwise-distinct gains.
+Near-ties (see ``GAIN_TIE_REL_TOL``) are separated by a deterministic
+relative perturbation, in the subsets that hold them only. At exact ties
+that leaves errors of up to about 1.5e-7 bits. The densities of a
+``UserLinkPartition`` are the physical model that ``verify`` checks the
+subset rates against.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateGainsError
 from .geometry import PathlossMatrix, linear_to_db
-from .modes import TransmissionMode, assignment_array
 
 LN2 = math.log(2.0)
 
@@ -97,8 +102,8 @@ class UserLinkPartition:
 def _pf_weights(gains: Sequence[float]) -> list[float]:
     """Partial-fraction weights w_k = prod_{l != k} g_k / (g_k - g_l).
 
-    Each gain may also be an array, one entry per partition, to weigh
-    many partitions of the same size at once."""
+    Each gain may also be an array, one entry per subset, to weigh many
+    subsets of the same size at once."""
     weights = []
     for k, gk in enumerate(gains):
         prod = 1.0
@@ -210,7 +215,7 @@ def log1p_inv(x: np.ndarray) -> np.ndarray:
 
 
 def _near_ties(gains: np.ndarray) -> np.ndarray:
-    """Rows of a (partitions x gains) array that hold two gains
+    """Rows of a (subsets x gains) array that hold two gains
     ``_separate_gains`` treats as tied."""
     tied = np.zeros(len(gains), dtype=bool)
     for a, b in itertools.combinations(range(gains.shape[1]), 2):
@@ -219,251 +224,93 @@ def _near_ties(gains: np.ndarray) -> np.ndarray:
     return tied
 
 
-class _Block:
-    """Flat scaled-E1 term list of the partitions of one or more tables.
+def subset_rates(gains: np.ndarray, snrs,
+                 kernel: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """Interference-free rates R_k(B), in bits/s/Hz, of every user k over
+    every port subset B, for a block of drops at every linear SNR.
 
-    Built from ``groups``, one per (signal count, interferer count): the
-    slots of its partitions (numbered from 1; slot 0 is an idle user and
-    reads 0), their (partitions x gains) columns into ``gains``, serving
-    gains first, each part in ascending port order, and the signal count.
-    Near-tied partitions go through ``_separate_gains``, and every gain it
-    moves gets a kernel column of its own; ``where(slot)`` names a
-    partition in its error. The weights are computed a whole group at a
-    time, looping only over the gains of a partition in ``_pf_weights``
-    order, so each term gets the floats of the per-partition formula.
-
-    Term t adds ``coef[t] * (E[a[t]] - E[b[t]])`` to slot ``slot[t]``,
-    where E holds the kernel at each of ``gains`` and column
-    ``len(gains)`` reads 0 (the interferer of an interference-free term).
-    A partition's terms are contiguous, in the formula's (k, u) order, so
-    summing them one by one rounds as the per-partition formula does.
-    ``index`` is the (rows x users) slot index of the tables that share
-    the block.
-    """
-
-    def __init__(self, gains: np.ndarray, groups, index: np.ndarray,
-                 where: Callable[[int], str]) -> None:
-        self.index = index
-        self.n_slots = 1 + sum(len(slots) for slots, _, _ in groups)
-        moved: list[float] = []
-        slot, coef, sig_col, intf_col = [], [], [], []
-        for slots, cols, n_sig in groups:
-            g = gains[cols]
-            for r in np.nonzero(_near_ties(g))[0]:
-                try:
-                    values = _separate_gains(g[r].tolist())
-                except DegenerateGainsError as exc:
-                    raise DegenerateGainsError(f"{where(slots[r])}: {exc}") from exc
-                for j in np.nonzero(np.array(values) != g[r])[0]:
-                    cols[r, j] = len(gains) + len(moved)
-                    moved.append(values[j])
-                g[r] = values
-            sig, intf = list(g[:, :n_sig].T), list(g[:, n_sig:].T)
-            w_intf = _pf_weights(intf)
-            # Coefficient of term (k, u): wk*wu*sk/(sk-su), or wk with no
-            # interferer, where the single term is w_k * E(s_k).
-            c = np.empty((len(slots), n_sig, max(len(intf), 1)))
-            for k, (wk, sk) in enumerate(zip(_pf_weights(sig), sig)):
-                if not intf:
-                    c[:, k, 0] = wk
-                for u, (wu, su) in enumerate(zip(w_intf, intf)):
-                    c[:, k, u] = wk * wu * sk / (sk - su)
-            slot.append(np.repeat(slots, c[0].size))
-            coef.append(c.ravel())
-            sig_col.append(np.broadcast_to(cols[:, :n_sig, None], c.shape).ravel())
-            intf_col.append(np.broadcast_to(cols[:, None, n_sig:] if intf else -1,
-                                            c.shape).ravel())
-        self.slot, self.coef, sig_col, intf_col = (
-            np.concatenate([np.zeros(0, dtype=dtype)] + parts)
-            for parts, dtype in ((slot, np.intp), (coef, float),
-                                 (sig_col, np.intp), (intf_col, np.intp)))
-        # One kernel column per gain that some term reads; an absent
-        # interferer maps to the column after the last.
-        gains = np.concatenate([gains, moved])
-        intf_col[intf_col < 0] = len(gains)
-        used, col = np.unique(np.concatenate([sig_col, intf_col]), return_inverse=True)
-        self.gains = gains[used[used < len(gains)]]
-        self.a, self.b = np.split(col, [len(sig_col)])
-
-
-def _slot_rates(blocks: Sequence[_Block], snrs,
-                kernel: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> list[np.ndarray]:
-    """(points x slots) rates in bits/s/Hz of each block at every linear
-    SNR, from one kernel call; slot 0 (no terms) reads 0."""
-    snr = np.asarray(snrs, dtype=float)[:, None]
-    args = [1.0 / (block.gains * snr) for block in blocks]
-    # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
-    kernel = numerics.exp_e1 if kernel is None else kernel
-    values = kernel(np.concatenate([x.ravel() for x in args]))
-    ends = np.cumsum([x.size for x in args])
-    out = []
-    for block, x, end in zip(blocks, args, ends):
-        # Column len(gains) reads 0: the interferer of an interference-free term.
-        e = np.zeros((len(snr), x.shape[1] + 1))
-        e[:, :-1] = values[end - x.size:end].reshape(x.shape)
-        flat = np.arange(0, len(snr) * block.n_slots, block.n_slots)[:, None] + block.slot
-        rates = np.zeros(len(snr) * block.n_slots)
-        # Sequential in (point, term) order: a matrix product over collapsed
-        # gain columns rounds differently and moves near-tied rates by up to
-        # ~1e-7 bits.
-        np.add.at(rates, flat.ravel(), (block.coef * (e[:, block.a] - e[:, block.b])).ravel())
-        out.append(rates.reshape(len(snr), block.n_slots) / LN2)
-    return out
-
-
-def block_sum_rates(tables: Sequence["RateTable"], snrs,
-                    kernel: Callable[[np.ndarray], np.ndarray] | None = None
-                    ) -> list[np.ndarray]:
-    """(points x modes) sum rates of each table at every linear SNR.
-
-    The kernel arguments of all tables and points go to one kernel call,
-    since the array kernel pays off only on large batches. Users are added
-    one by one in index order, so a rate does not depend on the other
-    tables or points of the call. ``kernel`` defaults to the exact
+    ``gains`` is (drops x users x ports); the result is (drops x points x
+    users x 2^N), indexed by B's port bitmask (bit j for port j), and
+    mask 0 reads 0. R_k(B) = E[log2(1 + snr sum_{j in B} g_kj |h_kj|^2)]
+    is the partial-fraction sum sum_j w_j exp_e1(1 / (g_j snr)) / ln 2
+    over B's gains in ascending order, so it depends on B's gains alone,
+    not on how the ports are numbered. The weights depend on the gains
+    alone and are formed for all subsets of one size at once; only the
+    near-tied subsets go through ``_separate_gains``, and every gain it
+    moves gets a kernel value of its own. Every drop's gains, at every
+    point, go to one kernel call. Each user's (drops x points x 2^N)
+    slice is contiguous. ``kernel`` defaults to the exact
     ``numerics.exp_e1``; pass ``log1p_inv`` for the approximated rates.
     """
-    blocks = list(dict.fromkeys(table._block for table in tables))
-    sums = {}
-    for block, rates in zip(blocks, _slot_rates(blocks, snrs, kernel)):
-        # The rows of every table of the block that was asked for.
-        lo = min(t._rows.start for t in tables if t._block is block)
-        hi = max(t._rows.stop for t in tables if t._block is block)
-        index = block.index[lo:hi]
-        # One user column at a time: no (points x modes x users) array.
-        total = rates[:, index[:, 0]]
-        for k in range(1, index.shape[1]):
-            total = total + rates[:, index[:, k]]
-        sums[block] = (lo, total)
-    out = []
-    for table in tables:
-        lo, total = sums[table._block]
-        out.append(total[:, table._rows.start - lo:table._rows.stop - lo])
-    return out
-
-
-def _layout(gains: np.ndarray, drop_modes) -> tuple[_Block, list[slice]]:
-    """One block of partition terms for the tables of several drops.
-
-    ``gains`` is (drops x users x ports) and ``drop_modes`` gives each
-    drop's mode sequences, each an int assignment array or a sequence of
-    TransmissionMode; one shared by several drops (the same object) is
-    laid out once. Each active (mode, user) pair is keyed by (user,
-    serving-port bitmask, interfering-port bitmask), and one ``np.unique``
-    gives the distinct keys; a drop's partitions are the keys its rows
-    use, so a mode repeated in a drop's sequences costs only index
-    entries. Returns the block and each drop's row range in its index.
-    """
+    gains = np.asarray(gains, dtype=float)
     n_drops, n_users, n_ports = gains.shape
-    sequences = list({id(modes): modes for seqs in drop_modes for modes in seqs}.values())
-    first_of = {id(modes): i for i, modes in enumerate(sequences)}
-    parts = [assignment_array(modes, n_ports) for modes in sequences]
-    rows = np.concatenate([np.zeros((0, n_ports), dtype=np.int64)] + parts)
-    starts = np.cumsum([0] + [len(part) for part in parts])
-    # The distinct row and the drop of each table row.
-    source = np.concatenate([np.zeros(0, dtype=np.intp)] + [
-        np.arange(starts[first_of[id(modes)]], starts[first_of[id(modes)] + 1])
-        for seqs in drop_modes for modes in seqs])
-    bounds = np.cumsum([0] + [sum(len(modes) for modes in seqs) for seqs in drop_modes])
-    drop_of = np.repeat(np.arange(n_drops), np.diff(bounds))[:, None]
-    # Keys that would not fit in int64 stay Python ints.
-    dtype = np.int64 if n_users << (2 * n_ports) < 2 ** 62 else object
-    bit = np.array([1 << j for j in range(n_ports)], dtype=dtype)
-    serving = ((rows[:, None, :] == np.arange(1, n_users + 1)[:, None]) * bit).sum(axis=2)
-    interfering = ((rows != 0) * bit).sum(axis=1)[:, None] - serving
-    user = np.arange(n_users).astype(dtype)
-    key = (user * 2 ** n_ports + serving) * 2 ** n_ports + interfering
-    active = serving != 0
-    _, first, type_of = np.unique(key[active], return_index=True, return_inverse=True)
-    n_types = len(first)
-    # (row, user) of each key's first use; idle pairs get type n_types.
-    rep_row, rep_user = (axis[first] for axis in np.nonzero(active))
-    tid = np.full(key.shape, n_types, dtype=np.intp)
-    tid[active] = type_of
-    # Ports of each key: serving ones, then interfering ones, each ascending.
-    role = np.where(rows[rep_row] == rep_user[:, None] + 1, 0, np.where(rows[rep_row] != 0, 1, 2))
-    ports = np.argsort(role, axis=1, kind="stable")
-    n_sig = (role == 0).sum(axis=1)
-    n_int = (role == 1).sum(axis=1)
-
-    # A drop's partitions are the types its table rows use, numbered from
-    # 1 in (drop, type) order.
-    tid = tid[source]
-    need = np.zeros((n_drops, n_types + 1), dtype=bool)
-    need[drop_of, tid] = True
-    need[:, n_types] = False
-    part_drop, part_type = np.nonzero(need)
-    slot = np.zeros(need.shape, dtype=np.intp)
-    slot[part_drop, part_type] = np.arange(1, len(part_drop) + 1)
-    index = slot[drop_of, tid]
-
-    # Column of each partition's gain row in the flattened gain array.
-    row_col = (part_drop * n_users + rep_user[part_type]) * n_ports
-    size = n_sig[part_type] * (n_ports + 1) + n_int[part_type]
+    flat = gains.reshape(-1)
+    members = (np.arange(1 << n_ports)[:, None] >> np.arange(n_ports)) & 1
+    moved: list[float] = []
     groups = []
-    for s in np.flatnonzero(np.bincount(size)):
-        members = np.nonzero(size == s)[0]
-        t = part_type[members]
-        width = n_sig[t[0]] + n_int[t[0]]
-        groups.append((members + 1, row_col[members, None] + ports[t, :width], n_sig[t[0]]))
+    for size in range(1, n_ports + 1):
+        masks = np.flatnonzero(members.sum(axis=1) == size)
+        ports = np.nonzero(members[masks])[1].reshape(len(masks), size)
+        # Column in ``flat`` of each (drop, user, subset) gain, in ascending
+        # gain order; a stable sort keeps tied gains in port order.
+        cols = (np.arange(n_drops * n_users)[:, None, None] * n_ports + ports).reshape(-1, size)
+        cols = np.take_along_axis(cols, np.argsort(flat[cols], axis=1, kind="stable"), axis=1)
+        g = flat[cols]
+        for r in np.flatnonzero(_near_ties(g)):
+            try:
+                values = _separate_gains(g[r].tolist())
+            except DegenerateGainsError as exc:
+                _, user, m = np.unravel_index(r, (n_drops, n_users, len(masks)))
+                raise DegenerateGainsError(f"user {user + 1}, ports "
+                                           f"{(ports[m] + 1).tolist()}: {exc}") from exc
+            for j in np.flatnonzero(np.array(values) != g[r]):
+                cols[r, j] = len(flat) + len(moved)
+                moved.append(values[j])
+            g[r] = values
+        groups.append((masks, cols, _pf_weights(list(g.T))))
+    snr = np.asarray(snrs, dtype=float)[:, None]
+    x = 1.0 / (np.concatenate([flat, moved]) * snr)
+    # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
+    kernel = numerics.exp_e1 if kernel is None else kernel
+    e = kernel(x.ravel()).reshape(x.shape)
+    out = np.zeros((n_users, n_drops, len(snr), 1 << n_ports))
+    for masks, cols, weights in groups:
+        # Term by term in gain order, one (points x subsets) column at a time.
+        total = weights[0] * e[:, cols[:, 0]]
+        for w, col in zip(weights[1:], cols.T[1:]):
+            total = total + w * e[:, col]
+        total = (total / LN2).reshape(len(snr), n_drops, n_users, len(masks))
+        out[..., masks] = total.transpose(2, 1, 0, 3)
+    return out.transpose(1, 2, 0, 3)
 
-    def where(s: int) -> str:
-        t = part_type[s - 1]
-        return (f"user {rep_user[t] + 1}, mode "
-                f"{TransmissionMode(tuple(rows[rep_row[t]].tolist())).label}")
 
-    block = _Block(np.asarray(gains, dtype=float).reshape(-1), groups, index, where)
-    return block, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-class RateTable:
-    """Closed-form rates of every mode of one drop.
-
-    A user's exact rate is a weighted sum of scaled-E1 terms at
-    ``x = 1 / (g * snr)`` whose weights depend only on gain ratios, so
-    the terms of each distinct (user, serving ports, interfering ports)
-    partition are built once, with no SNR involved. ``rate_tables`` builds
-    the tables of a block of drops in one array pass. A table's rows are
-    its mode sequences, concatenated in order, repeats included. An
-    evaluation needs the kernel once per gain and point, and rates every
-    mode; ``block_sum_rates`` evaluates many tables and points at once.
+def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
+    """(drops x points x rows) sum rates of assignments from a
+    ``subset_rates`` table: sum_k [R_k(A) - R_k(A minus S_k)], where A
+    holds a row's active ports and S_k user k's serving ones. ``rows`` is
+    a (rows x ports) set that every drop rates, or (drops x rows x ports),
+    a set per drop. Users are added in index order and an idle user adds
+    exactly 0.0, so a row's rate does not depend on the other rows, drops
+    or points of the call.
     """
-
-    def __init__(self, block: _Block, rows: slice, sequences: tuple) -> None:
-        self._block = block
-        self._rows = rows
-        self._sequences = sequences
-
-    def rows(self, modes) -> slice:
-        """Rows of ``modes``, one of the mode sequences (the same object)
-        the table was built from."""
-        start = 0
-        for sequence in self._sequences:
-            if modes is sequence:
-                return slice(start, start + len(sequence))
-            start += len(sequence)
-        raise ValueError("modes are not a sequence the rate table was built from")
-
-    def user_rates(self, snr: float,
-                   kernel: Callable[[np.ndarray], np.ndarray] | None = None
-                   ) -> np.ndarray:
-        """(modes x users) rates at linear SNR ``snr``; idle users get 0.
-        ``kernel`` is as for ``block_sum_rates``."""
-        rates = _slot_rates([self._block], [snr], kernel)
-        return rates[0][0][self._block.index[self._rows]]
-
-
-def rate_tables(gains: np.ndarray, drop_modes) -> list[RateTable]:
-    """Rate tables of a block of drops.
-
-    ``gains`` is the (drops x users x ports) gain array and ``drop_modes``
-    lists, per drop, the mode sequences of its table, as for ``_layout``;
-    ``rows`` finds each sequence's rows with no lookup. One block of
-    partition terms serves every table, so ``block_sum_rates`` rates them
-    together.
-    """
-    block, rows = _layout(gains, drop_modes)
-    return [RateTable(block, r, tuple(sequences)) for r, sequences in zip(rows, drop_modes)]
+    rows = np.asarray(rows)
+    n_masks = table.shape[3]
+    bit = 1 << np.arange(rows.shape[-1])
+    active = ((rows != 0) * bit).sum(axis=-1)
+    total = None
+    for k in range(table.shape[2]):
+        rest = active - ((rows == k + 1) * bit).sum(axis=-1)
+        user = table[:, :, k]
+        if rows.ndim == 2:
+            # The rows of a large set repeat few (A, A minus S_k) pairs, at
+            # most 3^N: each pair's difference is taken once.
+            pairs, pair = np.unique(active * n_masks + rest, return_inverse=True)
+            rate = (user[:, :, pairs // n_masks] - user[:, :, pairs % n_masks])[:, :, pair]
+        else:
+            rate = (np.take_along_axis(user, active[:, None], axis=2)
+                    - np.take_along_axis(user, rest[:, None], axis=2))
+        total = rate if total is None else total + rate
+    return total
 
 
 # --- two-port, two-user analysis -------------------------------------------
@@ -557,12 +404,12 @@ def crossover_curves_db(gains: np.ndarray) -> tuple[float | None, float | None]:
     """Highest-SNR crossings, in dB, of the [1 1] and [1 2] sum-rate curves
     of a 2x2 gain matrix: of the approximated curves, then of the exact
     ones, each None when the curves do not cross in range."""
-    (table,) = rate_tables(np.asarray(gains, dtype=float)[None],
-                           [[(TransmissionMode((1, 1)), TransmissionMode((1, 2)))]])
+    gains = np.asarray(gains, dtype=float)[None]
 
     def curve(row, kernel):
-        return lambda snr: block_sum_rates([table], snr, kernel)[0][:, row]
+        return lambda snr: row_sum_rates(subset_rates(gains, snr, kernel), [row])[0, :, 0]
 
-    approx_db, exact_db = (rate_curve_intersection_db(curve(0, kernel), curve(1, kernel))
+    approx_db, exact_db = (rate_curve_intersection_db(curve((1, 1), kernel),
+                                                      curve((1, 2), kernel))
                            for kernel in (log1p_inv, None))
     return approx_db, exact_db

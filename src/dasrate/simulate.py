@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401
 from .errors import ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from .modes import TransmissionMode, assignment_array, ideal_modes, nearest_user_modes
-from .rate import block_sum_rates, rate_tables
+from .rate import row_sum_rates, subset_rates
 from .selection import select_rows
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
@@ -202,25 +202,29 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     x sets x points) recorded values of a block of consecutive drops.
 
     A set is a (modes x ports) assignment array, or None for each drop's
-    nearest-user set. Users, gains, nearest-user sets and the drops' rate
-    tables are built for the whole block in one array pass each; the
-    tables are rated in one kernel call over every point, or over each
-    slice of points when the whole grid would hold more than
-    MAX_BLOCK_VALUES, and each (drop, set) selects at every point of a
-    slice with one first-maximizer argmax. The value is the closed-form
-    rate, or with ``rating`` "mc" the Monte Carlo mean: one
-    ``mc_sum_rates`` call per drop rates each distinct chosen mode at the
-    points where any set chose it, from one draw per chunk under the
-    drop's key, into the block's one buffer.
+    nearest-user set. Users, gains and nearest-user sets are built for the
+    whole block in one array pass each. One ``subset_rates`` table holds
+    every drop's subset rates at every point, or at each slice of points
+    when the whole grid would hold more than MAX_BLOCK_VALUES, from one
+    kernel call. Each set is rated on every drop of the block at once,
+    and selects at every (drop, point) with one first-maximizer argmax.
+    The value is the closed-form rate, or with ``rating`` "mc" the Monte
+    Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
+    chosen mode at the points where any set chose it, from one draw per
+    chunk under the drop's key, into the block's one buffer.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
     pl = pathloss_matrix(template, uniform_positions(template, keys))
     nearest, offsets = nearest_user_modes(pl.distances)
-    drop_sets = [[nearest[offsets[d]:offsets[d + 1]] if modes is None else modes
-                  for modes in sets] for d in range(len(drops))]
-    tables = rate_tables(pl.gains, drop_sets)
+    # Every drop's nearest-user set as one (drops x rows x ports) array: a
+    # set one row short repeats its last row, which the first-maximizer
+    # argmax never takes.
+    sizes = np.diff(offsets)
+    nearest = nearest[offsets[:-1, None]
+                      + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+    drop_sets = [nearest if modes is None else modes for modes in sets]
 
     shape = (len(drops), len(sets), len(grid_db))
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
@@ -229,11 +233,11 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     fixed, per_point = _drop_footprint(template, sets)
     step = max(1, (MAX_BLOCK_VALUES // len(drops) - fixed) // per_point)
     for lo in range(0, len(snrs), step):
-        rates_per_drop = block_sum_rates(tables, snrs[lo:lo + step])
-        for d, (table, rates) in enumerate(zip(tables, rates_per_drop)):
-            for s, modes in enumerate(drop_sets[d]):
-                best, values[d, s, lo:lo + step] = select_rows(rates[:, table.rows(modes)])
-                chosen[d, s, lo:lo + step] = modes[best]
+        table = subset_rates(pl.gains, snrs[lo:lo + step])
+        for s, rows in enumerate(drop_sets):
+            best, values[:, s, lo:lo + step] = select_rows(row_sum_rates(table, rows))
+            chosen[:, s, lo:lo + step] = (rows[best] if rows.ndim == 2 else
+                                          rows[np.arange(len(drops))[:, None], best])
     if rating == "mc":
         # Allocated once: a fresh array per chunk is freed to the OS at
         # the heap top and page-faulted in again by the next chunk.
@@ -257,23 +261,24 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Most values one block holds, as counted by _drop_footprint. Measured
-# under tracemalloc, a block's peak is 20-60 bytes per counted value (the
-# most on small nearest-user sets, whose partition terms outnumber their
-# rows), so within 64 bytes a block peaks under 135 MB: the exhaustive
-# N = K = 5 set takes 16 drops of an 11-point grid (40 MB), and a
-# 500-drop nearest-user histogram at N = K = 4 is one block (11 MB).
+# under tracemalloc, a block's peak is 8-30 bytes per counted value (the
+# most on long grids of one fixed mode, where the kernel's arguments and
+# values outnumber the rows), so within 64 bytes a block peaks under
+# 135 MB: the exhaustive N = K = 5 set takes 20 drops of an 11-point grid
+# (39 MB), and a 500-drop nearest-user histogram at N = K = 4 is one
+# block (7 MB).
 MAX_BLOCK_VALUES = 2 ** 21
 
 
 def _drop_footprint(template: Scenario, sets) -> tuple[int, int]:
-    """Values one drop adds to a block, as (fixed, per SNR point): its
-    (rows x users) table index and its row of the layout's (drops x
-    partition types) arrays, at most K (3^N - 2^N) types; then per point
-    its rate rows and its K N kernel values. A nearest-user set has at
-    most 2^N - N rows."""
+    """Values one drop adds to a block, as (fixed, per SNR point): two
+    port masks per row (its active ports, and those less a user's) and
+    the gain columns and weights of its K (2^N - 1) subsets, K N 2^(N-1)
+    of each; then per point its rate rows and its K 2^N subset rates. A
+    nearest-user set has at most 2^N - N rows."""
     n, k = template.n_ports, template.n_users
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
-    return rows * k + k * (3 ** n - 2 ** n), rows + k * n
+    return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,

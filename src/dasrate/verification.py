@@ -89,14 +89,16 @@ def log_integral_quadrature(
 
 
 def partition_rate(partition: UserLinkPartition) -> float:
-    """Closed-form rate of a partition's user, in bits/s/Hz, read from a
-    one-drop rate table: its ports hold the signal gains, then the
-    interference gains, in the given order, and a second user is served
-    by the interfering ports."""
-    n_sig, n_intf = len(partition.signal_gains), len(partition.interference_gains)
-    row = partition.signal_gains + partition.interference_gains
-    (table,) = rate.rate_tables(np.array([[row, row]]), [[np.array([[1] * n_sig + [2] * n_intf])]])
-    return float(table.user_rates(partition.tx_power / partition.noise_power)[0, 0])
+    """Closed-form rate of a partition's user, in bits/s/Hz, as
+    R(S + I) - R(I): the interference-free rates over all its gains and
+    over its interference gains alone."""
+    gains = partition.signal_gains + partition.interference_gains
+    table = rate.subset_rates(np.array([[gains]]),
+                              [partition.tx_power / partition.noise_power])[0, 0, 0]
+    # Ports hold the signal gains, then the interference gains.
+    every = (1 << len(gains)) - 1
+    interfering = every - ((1 << len(partition.signal_gains)) - 1)
+    return float(table[every] - table[interfering])
 
 
 def quadrature_user_rate(partition: UserLinkPartition) -> float:
@@ -296,8 +298,8 @@ def check_mc_vs_analytic(n_cases: int = 6, n_trials: int = 20000) -> CheckResult
         mode = candidates.modes[int(rng.integers(0, len(candidates)))]
         ((est,),) = simulate.mc_sum_rates(pl.gains, [(mode, [snr])], n_trials,
                                           np.random.SeedSequence((608, case)))
-        (table,) = rate.rate_tables(pl.gains[None], [[(mode,)]])
-        closed = float(rate.block_sum_rates([table], [snr])[0][0, 0])
+        table = rate.subset_rates(pl.gains[None], [snr])
+        closed = float(rate.row_sum_rates(table, [mode.assignment])[0, 0, 0])
         worst = max(worst, abs(closed - est.mean) / est.std_error)
     return CheckResult("analytic rate within 3 sigma of Monte Carlo",
                        worst <= 3.0, measured=worst, tolerance=3.0,

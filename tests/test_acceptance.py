@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import record_criterion
+from conftest import mode_rates, record_criterion
 from dasrate.experiments import bundled_config_path, crossover_report
 from dasrate.geometry import db_to_linear, load_scenario, pathloss_matrix
 from dasrate.modes import (TransmissionMode, enumerate_ideal,
                            enumerate_min_distance, ideal_count,
                            min_distance_count)
 from dasrate.numerics import SERIES_CF_SPLIT, _exp_e1_continued_fraction, _exp_e1_series, exp_e1
-from dasrate.rate import (UserLinkPartition, block_sum_rates, cdf_interference_plus_noise,
+from dasrate.rate import (UserLinkPartition, cdf_interference_plus_noise,
                           cdf_signal, cdf_sinr, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr, rate_tables)
+                          pdf_signal, pdf_sinr)
 from dasrate.simulate import cell_average, mc_sum_rates, mode_histogram
 from dasrate.verification import (partition_rate, quadrature_user_rate, random_partition,
                                   sample_crossover_geometries)
@@ -64,8 +64,7 @@ def test_criterion_1_fig2_analytic_mc_agreement():
     worst = 0.0
     modes = enumerate_ideal(2, 2).modes
     snrs = [db_to_linear(snr_db) for snr_db in GRID]
-    (table,) = rate_tables(FIG2_PL.gains[None], [[modes]])
-    closed = block_sum_rates([table], snrs)[0]
+    closed = mode_rates(FIG2_PL, modes, snrs)
     for m_idx, mode in enumerate(modes):
         for p_idx, snr in enumerate(snrs):
             ((est,),) = mc_sum_rates(FIG2_PL.gains, [(mode, [snr])], 5000,

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from conftest import mode_rates, user_rates
 from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
 from dasrate.modes import TransmissionMode, enumerate_ideal
 from dasrate.numerics import LN2, exp_e1
-from dasrate.rate import (UserLinkPartition, block_sum_rates, cdf_signal, cdf_sinr,
-                          crossover_snr, log1p_inv, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr, rate_curve_intersection_db, rate_tables)
+from dasrate.rate import (UserLinkPartition, cdf_signal, cdf_sinr, crossover_snr, log1p_inv,
+                          pdf_interference_plus_noise, pdf_signal, pdf_sinr,
+                          rate_curve_intersection_db)
 from dasrate.simulate import mc_sum_rates
 from dasrate.verification import partition_rate, quadrature_user_rate, random_partition
 
@@ -24,17 +25,6 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
                 port_positions=((-4.0, 0.0), (4.0, 0.0)),
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
 FIG2_PL = pathloss_matrix(FIG2)
-
-
-def mode_table(pl, modes):
-    """The one-drop rate table of ``modes`` on ``pl``'s gains."""
-    (table,) = rate_tables(pl.gains[None], [[modes]])
-    return table
-
-
-def mode_rates(pl, modes, snrs, kernel=None):
-    """(points x modes) sum rates of ``modes`` on ``pl``'s gains."""
-    return block_sum_rates([mode_table(pl, modes)], snrs, kernel)[0]
 
 # Direct arithmetic: d^2 values are 7.25, 55.25, 61.25, 13.25.
 S11 = 7.25 ** -1.5
@@ -245,9 +235,8 @@ def test_sum_rate_matches_displayed_two_term_expression():
 
 
 def test_sum_rate_inactive_users_contribute_zero():
-    table = mode_table(FIG2_PL, (TransmissionMode((2, 2)),))
-    per_user = table.user_rates(10.0)[0].tolist()
-    sum_rate = block_sum_rates([table], [10.0])[0][0, 0]
+    per_user = user_rates(FIG2_PL, (TransmissionMode((2, 2)),), 10.0)[0].tolist()
+    sum_rate = mode_rates(FIG2_PL, (TransmissionMode((2, 2)),), [10.0])[0, 0]
     assert per_user[0] == 0.0
     assert sum_rate == per_user[1]
     single = partition_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
@@ -258,10 +247,10 @@ def test_sum_rate_permutation_equivariance():
     """Relabeling users permutes per-user rates; relabeling ports (with the
     matching mode permutation) changes nothing."""
     snr = 50.0
-    base = mode_table(FIG2_PL, (TransmissionMode((1, 2)),)).user_rates(snr)[0]
+    base = user_rates(FIG2_PL, (TransmissionMode((1, 2)),), snr)[0]
     swapped_users = PathlossMatrix(distances=FIG2_PL.distances[::-1].copy(),
                                    gains=FIG2_PL.gains[::-1].copy())
-    swapped = mode_table(swapped_users, (TransmissionMode((2, 1)),)).user_rates(snr)[0]
+    swapped = user_rates(swapped_users, (TransmissionMode((2, 1)),), snr)[0]
     assert swapped.tolist() == base[::-1].tolist()
     swapped_ports = PathlossMatrix(distances=FIG2_PL.distances[:, ::-1].copy(),
                                    gains=FIG2_PL.gains[:, ::-1].copy())
@@ -351,8 +340,7 @@ def test_intersection_bisection_on_fig2():
     single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
 
     def curve(mode):
-        table = mode_table(FIG2_PL, (mode,))
-        return lambda snr: block_sum_rates([table], snr)[0][:, 0]
+        return lambda snr: mode_rates(FIG2_PL, (mode,), snr)[:, 0]
 
     crossing = rate_curve_intersection_db(curve(single), curve(paired))
     assert crossing == pytest.approx(37.78, abs=0.05)
@@ -364,8 +352,7 @@ def test_intersection_none_when_curves_do_not_cross():
     strong, weak = TransmissionMode((1, 1)), TransmissionMode((2, 1))
 
     def curve(mode):
-        table = mode_table(FIG2_PL, (mode,))
-        return lambda snr: block_sum_rates([table], snr)[0][:, 0]
+        return lambda snr: mode_rates(FIG2_PL, (mode,), snr)[:, 0]
 
     assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
 

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
+from conftest import mode_rates
 from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode,
                            enumerate_ideal, enumerate_min_distance)
-from dasrate.rate import block_sum_rates, rate_tables
 from dasrate.selection import SelectionResult, compare_schemes, select_rows
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
@@ -21,10 +21,9 @@ FIG2_PL = pathloss_matrix(FIG2)
 
 
 def candidate_rates(pathloss, candidates, snr):
-    """Selection over a rate table built for exactly ``candidates``, and
-    the candidates' rates in candidate order."""
-    (table,) = rate_tables(pathloss.gains[None], [[candidates.modes]])
-    (rates,) = block_sum_rates([table], [snr])
+    """Selection over exactly ``candidates``, and the candidates' rates in
+    candidate order."""
+    rates = mode_rates(pathloss, candidates.modes, [snr])
     (best,), (rate,) = select_rows(rates)
     result = SelectionResult(candidates.modes[best], float(rate), candidates.origin.value)
     return result, rates[0]

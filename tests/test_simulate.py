@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import mode_rates
 from dasrate import numerics, simulate
 from dasrate.geometry import Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
 from dasrate.modes import (CandidateSet, Origin, TransmissionMode, assignment_array,
                            enumerate_ideal, enumerate_min_distance, min_distance_count)
-from dasrate.rate import block_sum_rates, rate_tables
 from dasrate.selection import select_rows
 from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
                               _user_powers, cell_average, mc_sum_rates, mode_histogram,
@@ -330,8 +330,7 @@ def test_mc_matches_closed_form_three_sigma():
         candidates = enumerate_ideal(n, n).modes
         mode = candidates[int(rng.integers(0, len(candidates)))]
         est = one_estimate(pl, mode, snr, 100_000, (36, case))
-        (table,) = rate_tables(pl.gains[None], [[(mode,)]])
-        closed = block_sum_rates([table], [snr])[0][0, 0]
+        closed = mode_rates(pl, (mode,), [snr])[0, 0]
         assert abs(closed - est.mean) < 3.0 * est.std_error, (
             f"case {case}: mode {mode.label} closed {closed} vs "
             f"mc {est.mean} +- {est.std_error}")
@@ -396,10 +395,10 @@ def recorded_kernel_sizes(monkeypatch):
 
 def nearest_footprint(n):
     """(fixed, per point) values of one drop of an N = K = n nearest-user
-    block: its (rows x users) index and K (3^N - 2^N) partition types, then
-    per point its 2^N - N rows and K N kernel values."""
+    block: two masks per row and K N 2^(N-1) subset gain columns and
+    weights, then per point its 2^N - N rows and K 2^N subset rates."""
     rows = 2 ** n - n
-    return rows * n + n * (3 ** n - 2 ** n), rows + n * n
+    return 2 * rows + n * n * 2 ** n, rows + n * 2 ** n
 
 
 @pytest.mark.parametrize("rating, n_channels", [("analytic", 0), ("mc", 50)])
@@ -411,9 +410,10 @@ def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
     kwargs = dict(n_drops=5, n_channels=n_channels, seed=46, rating=rating)
     whole = cell_average(*args, **kwargs)
     sizes = recorded_kernel_sizes(monkeypatch)
-    # 45 exhaustive and 5 nearest-user rows: 50 x 3 index entries and
-    # 3 (27 - 8) types, then 50 rows and 9 kernel values per point.
-    fixed, per_point = 50 * 3 + 3 * 19, 50 + 9
+    # 45 exhaustive and 5 nearest-user rows: 50 x 2 masks and 3 x 3 x 4
+    # subset gain columns and as many weights, then 50 rows and 3 x 8
+    # subset rates per point.
+    fixed, per_point = 50 * 2 + 3 * 3 * 8, 50 + 3 * 8
     assert simulate._drop_footprint(template(3), [np.zeros((45, 3)), None]) == (
         fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
@@ -427,11 +427,11 @@ def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
     values stay within the bound."""
     sizes = recorded_kernel_sizes(monkeypatch)
     fixed, per_point = nearest_footprint(3)
-    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", 10_000)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 709 * per_point)
     grid = tuple(0.1 * i for i in range(2000))
     cell_average(template(3), ["min-distance"], grid, n_drops=3, n_channels=0, seed=47)
     # One drop per block, in slices of 709, 709 and 582 points.
-    step = (10_000 - fixed) // per_point
+    step = (simulate.MAX_BLOCK_VALUES - fixed) // per_point
     assert step == 709 and len(sizes) == 3 * 3
     assert max(sizes) <= step * 9 <= simulate.MAX_BLOCK_VALUES
 
@@ -471,7 +471,7 @@ def test_poolless_blocks_fill_the_drop_point_bound(monkeypatch, blocks_run, n_dr
     """With no pool, drops go out in as few blocks as MAX_BLOCK_VALUES
     allows; here it holds 64 drops of an 11-point grid."""
     fixed, per_point = nearest_footprint(2)
-    assert (fixed, per_point) == (14, 6)
+    assert (fixed, per_point) == (20, 10)
     bound = 64 * (fixed + 11 * per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", bound)
     grid = tuple(0.1 * i for i in range(n_points))
@@ -631,9 +631,8 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
         if d == 4:
             assert len(nearest) == min_distance_count(n) - 1
         for s, candidates in enumerate((ideal, nearest, fixed)):
-            (table,) = rate_tables(pl.gains[None], [[candidates.modes]])
             for p, db in enumerate(grid):
-                rates = block_sum_rates([table], [db_to_linear(db)])[0][0].tolist()
+                rates = mode_rates(pl, candidates.modes, [db_to_linear(db)])[0].tolist()
                 best = rates.index(max(rates))
                 ties += rates.count(rates[best]) > 1
                 assert chosen[d, s, p].tolist() == list(candidates.modes[best].assignment)
