@@ -4,29 +4,28 @@ for multi-user downlink distributed antenna systems."""
 from .errors import (CapacityError, ConfigError, DasRateError,
                      DegenerateGainsError, NumericalFailureError)
 from .geometry import (PathlossMatrix, Scenario, db_to_linear,
-                       default_port_layout, drop_users_uniform, linear_to_db,
-                       load_scenario, parse_scenario_config, pathloss_matrix)
-from .modes import (CandidateSet, Origin, TransmissionMode, enumerate_ideal,
-                    enumerate_min_distance, ideal_count, min_distance_count)
+                       default_port_layout, linear_to_db, load_scenario,
+                       parse_scenario_config, pathloss_matrix, uniform_positions)
+from .modes import (TransmissionMode, admissible, ideal_count, ideal_modes,
+                    min_distance_count, nearest_user_modes)
 from .numerics import exp_e1
 from .rate import (CrossoverFormulas, UserLinkPartition, crossover_snr,
                    pdf_interference_plus_noise, pdf_signal, pdf_sinr, row_sum_rates,
                    subset_rates)
-from .selection import SelectionResult, compare_schemes
+from .selection import select_rows
 from .simulate import (McEstimate, RateCurve, RateSeries, cell_average, mc_sum_rates,
                        mode_histogram)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet", "CapacityError", "ConfigError", "CrossoverFormulas",
-    "DasRateError", "DegenerateGainsError", "McEstimate", "NumericalFailureError",
-    "Origin", "PathlossMatrix", "RateCurve", "RateSeries", "Scenario",
-    "SelectionResult", "TransmissionMode", "UserLinkPartition", "cell_average",
-    "compare_schemes", "crossover_snr", "db_to_linear",
-    "default_port_layout", "drop_users_uniform", "enumerate_ideal",
-    "enumerate_min_distance", "exp_e1", "ideal_count", "linear_to_db", "load_scenario",
-    "mc_sum_rates", "min_distance_count", "mode_histogram", "parse_scenario_config",
-    "pathloss_matrix", "pdf_interference_plus_noise", "pdf_signal", "pdf_sinr",
-    "row_sum_rates", "subset_rates",
+    "CapacityError", "ConfigError", "CrossoverFormulas", "DasRateError",
+    "DegenerateGainsError", "McEstimate", "NumericalFailureError", "PathlossMatrix",
+    "RateCurve", "RateSeries", "Scenario", "TransmissionMode", "UserLinkPartition",
+    "admissible", "cell_average", "crossover_snr", "db_to_linear", "default_port_layout",
+    "exp_e1", "ideal_count", "ideal_modes", "linear_to_db", "load_scenario",
+    "mc_sum_rates", "min_distance_count", "mode_histogram", "nearest_user_modes",
+    "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
+    "pdf_signal", "pdf_sinr", "row_sum_rates", "select_rows", "subset_rates",
+    "uniform_positions",
 ]

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
-from .modes import TransmissionMode, assignment_array, enumerate_ideal, ideal_count
+from .modes import TransmissionMode, admissible, ideal_count, ideal_modes
 from .rate import (CrossoverFormulas, crossover_curves_db, crossover_snr, row_sum_rates,
                    subset_rates)
 from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates
@@ -77,48 +79,50 @@ def histogram_to_csv(fractions: dict[tuple[float, float], dict[str, float]]) -> 
 # --- fixed-geometry rate curves ---------------------------------------------
 
 def resolve_mode_filter(labels: list[str] | None, n_ports: int,
-                        n_users: int) -> tuple[TransmissionMode, ...]:
-    """Modes for a rates run; an empty filter means the full ideal set."""
-    candidates = enumerate_ideal(n_ports, n_users)
+                        n_users: int) -> np.ndarray:
+    """(modes x ports) assignments for a rates run: the labelled modes,
+    each checked against the scenario and the exhaustive-set rule, or
+    the whole exhaustive set for an empty filter."""
     if not labels:
-        return candidates.modes
-    valid = {m.label: m for m in candidates.modes}
-    chosen = []
+        return ideal_modes(n_ports, n_users)
+    rows = []
     for text in labels:
         try:
             mode = TransmissionMode.from_label(text)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if mode.label not in valid:
-            raise ConfigError(f"unknown mode label {text!r}; valid labels: "
-                              + ", ".join(valid))
-        chosen.append(valid[mode.label])
-    return tuple(chosen)
+        _check_fixed_mode(mode, n_ports, n_users)
+        if not admissible(np.array([mode.assignment]))[0]:
+            raise ConfigError(f"mode {mode.label} serves one user with a port off; "
+                              f"a one-user mode must use every port")
+        rows.append(mode.assignment)
+    return np.array(rows)
 
 
-def mode_rate_curves(scenario: Scenario, modes, snr_grid_db,
+def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
                      n_channels: int = simulate.DEFAULT_N_CHANNELS,
                      seed: int = 1, include_mc: bool = True) -> RateCurve:
-    """Per-mode analytic curves over a fixed geometry, with optional
-    Monte Carlo companions: every mode at every point reads the same
-    fading draw per chunk, keyed by the seed and the chunk."""
+    """Per-mode analytic curves over a fixed geometry for the rows of a
+    (modes x ports) assignment array, with optional Monte Carlo
+    companions: every mode at every point reads the same fading draw per
+    chunk, keyed by the seed and the chunk."""
     if scenario.user_positions is None:
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
     snrs = [db_to_linear(db) for db in grid]
-    analytic = row_sum_rates(subset_rates(pl.gains[None], snrs),
-                             assignment_array(modes, scenario.n_ports))[0].tolist()
+    analytic = row_sum_rates(subset_rates(pl.gains[None], snrs), modes)[0].tolist()
     if include_mc:
-        estimates = mc_sum_rates(pl.gains, [(mode, snrs) for mode in modes], n_channels,
+        estimates = mc_sum_rates(pl.gains, [(row, snrs) for row in modes], n_channels,
                                  simulate.stream_key(seed))
     series: list[RateSeries] = []
-    for m_idx, mode in enumerate(modes):
-        series.append(RateSeries(label=mode.label, kind="analytic",
-                                 values=tuple(row[m_idx] for row in analytic)))
+    for m_idx, row in enumerate(modes.tolist()):
+        label = TransmissionMode(tuple(row)).label
+        series.append(RateSeries(label=label, kind="analytic",
+                                 values=tuple(point[m_idx] for point in analytic)))
         if include_mc:
             mc = estimates[m_idx]
-            series.append(RateSeries(label=mode.label, kind="mc",
+            series.append(RateSeries(label=label, kind="mc",
                                      values=tuple(e.mean for e in mc),
                                      std_errors=tuple(e.std_error for e in mc)))
     return RateCurve(snr_grid_db=grid, series=tuple(series))
@@ -144,7 +148,7 @@ def _check_fixed_mode(mode: TransmissionMode, n_ports: int, n_users: int) -> Non
     if max(mode.assignment) > n_users:
         raise ConfigError(f"fixed mode {mode.label} serves user "
                           f"{max(mode.assignment)}; the scenario has {n_users} users")
-    if not mode.active_ports:
+    if not any(mode.assignment):
         raise ConfigError(f"fixed mode {mode.label} has no active port")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ class Scenario:
     """Static problem description: counts, powers, and coordinates.
 
     ``user_positions`` may be None for a template scenario whose users
-    are drawn later by :func:`drop_users_uniform`; every other field is
+    are drawn later by :func:`uniform_positions`; every other field is
     fixed at construction. Port positions default to the circular layout.
     """
 
@@ -94,9 +94,6 @@ class Scenario:
                 if math.hypot(x, y) > self.cell_radius * (1.0 + 1e-12):
                     raise ConfigError(f"user position ({x}, {y}) lies outside "
                                       f"the cell of radius {self.cell_radius}")
-
-    def with_users(self, user_positions: tuple[Coord, ...]) -> "Scenario":
-        return replace(self, user_positions=tuple(user_positions))
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,6 @@ def uniform_positions(template: Scenario, seeds) -> np.ndarray:
     angles = (2.0 * math.pi * u[:, 1]).ravel().tolist()
     cos, sin = (np.array(list(map(f, angles))).reshape(radii.shape) for f in (math.cos, math.sin))
     return np.stack([radii * cos, radii * sin], axis=-1)
-
-
-def drop_users_uniform(template: Scenario, seed) -> Scenario:
-    """Scenario with K user positions drawn i.i.d. uniform on the cell
-    disc: the one-drop case of ``uniform_positions``."""
-    (positions,) = uniform_positions(template, [seed]).tolist()
-    return template.with_users(tuple(map(tuple, positions)))
 
 
 # --- scenario config files -------------------------------------------------

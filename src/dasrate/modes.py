@@ -1,39 +1,32 @@
 """Transmission-mode representation and candidate-set generation.
 
 A mode assigns each antenna port a served user index (1-based) or 0 for
-off. Two generation strategies are provided: exhaustive enumeration of
-every admissible assignment, and the reduced nearest-user construction
-whose candidate count depends only on the number of ports.
+off; below the CLI edge a set of modes is a (modes x ports) int array
+with one assignment per row. Two generation strategies are provided:
+exhaustive enumeration of every admissible assignment, and the reduced
+nearest-user construction whose candidate count depends only on the
+number of ports.
 """
 
 from __future__ import annotations
 
-import enum
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError
-from .geometry import PathlossMatrix
 
 # Exhaustive enumeration refuses to materialize more than this many
 # raw assignment vectors.
 IDEAL_ENUMERATION_BUDGET = 10_000_000
 
 
-class DegenerateGeometryWarning(UserWarning):
-    """A geometry's nearest-user map sends every port to one user."""
-
-
 @dataclass(frozen=True)
 class TransmissionMode:
-    """Port-to-user assignment vector with derived support sets.
+    """Port-to-user assignment vector, as the CLI reads and prints it.
 
     ``assignment[j]`` is the user served by port j (0 = port off). User
-    indices are 1-based to match the rendered labels; port indices in the
-    derived sets are 0-based column indices into the pathloss matrix.
+    indices are 1-based to match the rendered labels.
     """
 
     assignment: tuple[int, ...]
@@ -46,33 +39,6 @@ class TransmissionMode:
             raise ValueError(f"assignment entries must be integers >= 0, "
                              f"got {self.assignment}")
         object.__setattr__(self, "assignment", entries)
-
-    @cached_property
-    def support_sets(self) -> dict[int, frozenset[int]]:
-        """Ports serving each active user: {user: {port indices}}."""
-        sets: dict[int, set[int]] = {}
-        for port, user in enumerate(self.assignment):
-            if user != 0:
-                sets.setdefault(user, set()).add(port)
-        return {user: frozenset(ports) for user, ports in sets.items()}
-
-    @cached_property
-    def active_ports(self) -> frozenset[int]:
-        return frozenset(port for port, user in enumerate(self.assignment) if user != 0)
-
-    @cached_property
-    def complements(self) -> dict[int, frozenset[int]]:
-        """Interfering ports per active user: active ports serving others."""
-        return {user: self.active_ports - ports
-                for user, ports in self.support_sets.items()}
-
-    @property
-    def n_active_users(self) -> int:
-        return len(self.support_sets)
-
-    @property
-    def n_active_ports(self) -> int:
-        return len(self.active_ports)
 
     @property
     def label(self) -> str:
@@ -91,55 +57,6 @@ class TransmissionMode:
         if not entries:
             raise ValueError(f"cannot parse mode label {text!r}")
         return cls(entries)
-
-
-def assignment_array(modes, n_ports: int) -> np.ndarray:
-    """(modes x ports) assignments of a sequence of TransmissionMode; an
-    int array of them is returned as it is."""
-    if isinstance(modes, np.ndarray):
-        return modes
-    return np.array([m.assignment for m in modes], dtype=np.int64).reshape(-1, n_ports)
-
-
-def _active_counts(assignment: tuple[int, ...]) -> tuple[int, int]:
-    """(active users, active ports) of an assignment, with no support sets."""
-    return len(set(assignment) - {0}), len(assignment) - assignment.count(0)
-
-
-class Origin(enum.Enum):
-    IDEAL = "ideal"
-    MIN_DISTANCE = "min-distance"
-    EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    modes: tuple[TransmissionMode, ...]
-    origin: Origin
-
-    def __post_init__(self) -> None:
-        assignments = [m.assignment for m in self.modes]
-        if len(set(assignments)) != len(assignments):
-            raise ValueError("duplicate modes in candidate set")
-        if self.origin is Origin.EXPLICIT:
-            return
-        # The exhaustive set never serves one user with fewer than all
-        # ports; the reduced set may (shared nearest users), but keeps at
-        # least two active ports.
-        for m in self.modes:
-            n_users, n_ports = _active_counts(m.assignment)
-            if n_users == 0:
-                raise ValueError("all-off mode not admissible")
-            if n_users == 1 and n_ports < len(m.assignment) and self.origin is Origin.IDEAL:
-                raise ValueError(f"partial-port single-user mode {m.label} not admissible")
-            if n_users == 1 and n_ports == 1 and len(m.assignment) > 1:
-                raise ValueError(f"single-port mode {m.label} not admissible")
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
 
 
 def ideal_count(n_ports: int, n_users: int) -> int:
@@ -173,17 +90,15 @@ def ideal_modes(n_ports: int, n_users: int,
             f"(K+1)^N = {raw_size} assignment vectors exceeds the enumeration "
             f"budget of {budget} for N={n_ports}, K={n_users}")
     rows = np.indices((n_users + 1,) * n_ports).reshape(n_ports, -1).T
+    return rows[admissible(rows)]
+
+
+def admissible(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a (modes x ports) assignment array the exhaustive set
+    holds: those with two distinct active users, or with every port on
+    (and so one user)."""
     active = rows != 0
-    # Two distinct active users, or every port on (and so one user).
-    keep = (active & (rows != rows.max(axis=1, keepdims=True))).any(axis=1) | active.all(axis=1)
-    return rows[keep]
-
-
-def enumerate_ideal(n_ports: int, n_users: int,
-                    budget: int = IDEAL_ENUMERATION_BUDGET) -> CandidateSet:
-    """The rows of ``ideal_modes`` as a CandidateSet of TransmissionModes."""
-    rows = ideal_modes(n_ports, n_users, budget).tolist()
-    return CandidateSet(tuple(map(TransmissionMode, map(tuple, rows))), Origin.IDEAL)
+    return (active & (rows != rows.max(axis=1, keepdims=True))).any(axis=1) | active.all(axis=1)
 
 
 def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +132,3 @@ def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=2)
     return rows[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
 
-
-def enumerate_min_distance(pathloss: PathlossMatrix) -> CandidateSet:
-    """Reduced candidate set built from the nearest-user base mode: the
-    one-drop case of ``nearest_user_modes``. Warns when every port shares
-    one nearest user, so the set is smaller than 2^N - N."""
-    rows, _ = nearest_user_modes(pathloss.distances[None])
-    candidates = CandidateSet(modes=tuple(map(TransmissionMode, map(tuple, rows.tolist()))),
-                              origin=Origin.MIN_DISTANCE)
-    if len(candidates) < min_distance_count(pathloss.distances.shape[1]):
-        warnings.warn(
-            "degenerate geometry: every port shares one nearest user, so the "
-            "appended single-user mode duplicates a mask result and the "
-            "candidate set is smaller than 2^N - N",
-            DegenerateGeometryWarning, stacklevel=2)
-    return candidates

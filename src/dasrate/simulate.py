@@ -29,7 +29,7 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
-from .modes import TransmissionMode, assignment_array, ideal_modes, nearest_user_modes
+from .modes import TransmissionMode, ideal_modes, nearest_user_modes
 from .rate import row_sum_rates, subset_rates
 from .selection import select_rows
 
@@ -114,14 +114,17 @@ def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def _user_powers(hg: np.ndarray, mode: TransmissionMode) -> list[tuple]:
-    """(signal, interference) received power of each active user of
-    ``mode`` in each draw of a (T, K, N) block of fading times gains: its
-    sums, in port order, over its serving ports and the mode's other
-    active ports (0 for none)."""
-    return [(sum(hg[:, user - 1, j] for j in ports),
-             sum(hg[:, user - 1, j] for j in mode.complements[user]))
-            for user, ports in mode.support_sets.items()]
+def _user_powers(hg: np.ndarray, row) -> list[tuple]:
+    """(signal, interference) received power of each active user of the
+    assignment ``row`` in each draw of a (T, K, N) block of fading times
+    gains, users in the order of their first serving port: its sums, in
+    port order, over its serving ports and the row's other active ports
+    (0 for none)."""
+    row = [int(user) for user in row]
+    active = [j for j, user in enumerate(row) if user]
+    return [(sum(hg[:, user - 1, j] for j in active if row[j] == user),
+             sum(hg[:, user - 1, j] for j in active if row[j] != user))
+            for user in dict.fromkeys(row[j] for j in active)]
 
 
 def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -145,7 +148,8 @@ def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
     """Monte Carlo estimates of the ergodic sum rate of several modes, each
     at its own linear SNRs, from one fading draw per chunk.
 
-    ``rated`` lists (mode, snrs) pairs over the (K, N) pathloss ``gains``;
+    ``rated`` lists (assignment, snrs) pairs over the (K, N) pathloss
+    ``gains``, each assignment a sequence of N port entries;
     the result holds one estimate per pair and SNR. Chunk c
     is drawn from ``key``'s child c into ``fading`` (at least
     (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
@@ -171,8 +175,8 @@ def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
     for c, size in enumerate(_chunk_sizes(n_channels)):
         hg = _chunk_stream(key, c).standard_exponential(out=fading[:size])
         hg *= gains
-        for (mode, _), inv_snr, (total, total_sq) in zip(rated, inv_snrs, totals):
-            users = _user_powers(hg, mode)
+        for (row, _), inv_snr, (total, total_sq) in zip(rated, inv_snrs, totals):
+            users = _user_powers(hg, row)
             for lo in range(0, len(inv_snr), MC_POINT_SLICE):
                 part = inv_snr[lo:lo + MC_POINT_SLICE]
                 rates = _sum_rates(users, part,
@@ -250,9 +254,7 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
             cells = which.reshape(shape[1:]) == np.arange(len(distinct))[:, None, None]
             points = [np.flatnonzero(at.any(axis=0)) for at in cells]
             estimates = mc_sum_rates(
-                gains,
-                [(TransmissionMode(tuple(mode)), [snrs[idx] for idx in idxs])
-                 for mode, idxs in zip(distinct.tolist(), points)],
+                gains, [(row, [snrs[idx] for idx in idxs]) for row, idxs in zip(distinct, points)],
                 n_channels, key, fading=fading)
             for at, idxs, ests in zip(cells, points, estimates):
                 for idx, est in zip(idxs, ests):
@@ -333,7 +335,7 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
     sets: list[np.ndarray | None] = []
     for scheme in schemes:
         if isinstance(scheme, TransmissionMode):
-            sets.append(assignment_array([scheme], n_ports))
+            sets.append(np.array([scheme.assignment]))
         elif scheme == "ideal":
             sets.append(ideal_modes(n_ports, scenario_template.n_users))
         elif scheme == "min-distance":

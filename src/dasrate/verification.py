@@ -11,10 +11,8 @@ numpy alone.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,12 +22,12 @@ from scipy import integrate, special, stats
 from . import numerics, rate, simulate
 from .errors import NumericalFailureError
 from .experiments import bundled_config_path, crossover_report
-from .geometry import (Scenario, drop_users_uniform, load_scenario,
-                       pathloss_matrix)
-from .modes import (DegenerateGeometryWarning, enumerate_ideal,
-                    enumerate_min_distance, ideal_count, min_distance_count)
+from .geometry import (PathlossMatrix, Scenario, load_scenario, pathloss_matrix,
+                       uniform_positions)
+from .modes import (TransmissionMode, ideal_count, ideal_modes, min_distance_count,
+                    nearest_user_modes)
 from .rate import UserLinkPartition
-from .selection import compare_schemes
+from .selection import select_rows
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,12 @@ def _template(n: int, k: int) -> Scenario:
                     pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
 
 
+def _drop(n: int, seed) -> PathlossMatrix:
+    """Pathloss of one uniform drop of n users around n ports, from ``seed``."""
+    template = _template(n, n)
+    return pathloss_matrix(template, uniform_positions(template, [seed])[0])
+
+
 # --- individual checks -------------------------------------------------------
 
 def check_exp_e1_bounds() -> CheckResult:
@@ -233,18 +237,17 @@ def check_candidate_counts() -> CheckResult:
     worst = 0
     for n, k in itertools.product(range(1, 5), range(1, 5)):
         expected = ideal_count(n, k)
-        worst = max(worst, abs(len(enumerate_ideal(n, k)) - expected),
+        worst = max(worst, abs(len(ideal_modes(n, k)) - expected),
                     abs(_brute_force_ideal_size(n, k) - expected))
     for n in range(2, 7):
         template = _template(n, n)
-        for _ in range(3):
-            scenario = drop_users_uniform(template, rng)
-            pl = pathloss_matrix(scenario)
-            base = [int(np.argmin(pl.distances[:, j])) for j in range(n)]
-            if len(set(base)) < n:
-                continue  # degenerate nearest-user map is exempt from 2^N - N
-            got = len(enumerate_min_distance(pl))
-            worst = max(worst, abs(got - min_distance_count(n)))
+        # Three drops, drawn in turn from the one generator.
+        distances = pathloss_matrix(template, uniform_positions(template, [rng] * 3)).distances
+        _, offsets = nearest_user_modes(distances)
+        # A set is one row short only when every port shares one nearest user.
+        nearest = distances.argmin(axis=1)
+        shared = (nearest == nearest[:, :1]).all(axis=1)
+        worst = max(worst, int(np.abs(np.diff(offsets) + shared - min_distance_count(n)).max()))
     fixed = (ideal_count(2, 2), ideal_count(4, 4), ideal_count(5, 5),
              min_distance_count(2), min_distance_count(4), min_distance_count(5))
     if fixed != (4, 568, 7625, 2, 12, 27):
@@ -255,32 +258,37 @@ def check_candidate_counts() -> CheckResult:
 
 def check_selection_properties(n_drops: int = 5) -> CheckResult:
     """Reduced-set rate never exceeds exhaustive; scaling the gains by c
-    and the SNR by 1/c changes no choice and no rate beyond 1e-12."""
+    and the SNR by 1/c changes no choice and no rate beyond 1e-12. Each
+    scaling rates the block of drops from one table."""
     template = _template(3, 3)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
-    worst = 0.0
-    ok = True
-    for drop in range(n_drops):
-        scenario = drop_users_uniform(template, seed=(404, drop))
-        pl = pathloss_matrix(scenario)
-        scaled = dataclasses.replace(pl, gains=pl.gains * 7.3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGeometryWarning)
-            ideal, reduced = compare_schemes(scenario, pl, snrs)
-            again = compare_schemes(scenario, scaled, [snr / 7.3 for snr in snrs])
-        worst = max([worst] + [r.chosen_rate - i.chosen_rate for i, r in zip(ideal, reduced)])
-        ok = ok and all(a.chosen_mode == b.chosen_mode
-                        and math.isclose(a.chosen_rate, b.chosen_rate, rel_tol=1e-12)
-                        for a, b in zip(ideal + reduced, again[0] + again[1]))
+    pl = pathloss_matrix(template, uniform_positions(template,
+                                                     [(404, drop) for drop in range(n_drops)]))
+    nearest, offsets = nearest_user_modes(pl.distances)
+    ideal = ideal_modes(3, 3)
+    # Per (scaling, drop, set): the chosen rows and their rates.
+    chosen = np.empty((2, n_drops, 2, len(snrs), 3), dtype=ideal.dtype)
+    values = np.empty((2, n_drops, 2, len(snrs)))
+    for s, scale in enumerate((1.0, 7.3)):
+        table = rate.subset_rates(pl.gains * scale, [snr / scale for snr in snrs])
+        for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            for c, rows in enumerate((ideal, nearest[lo:hi])):
+                best, values[s, drop, c] = select_rows(
+                    rate.row_sum_rates(table[drop:drop + 1], rows)[0])
+                chosen[s, drop, c] = rows[best]
+    worst = max(0.0, float((values[0, :, 1] - values[0, :, 0]).max()))
+    gap = np.abs(values[0] - values[1])
+    ok = bool((chosen[0] == chosen[1]).all()
+              and (gap <= 1e-12 * np.maximum(np.abs(values[0]), np.abs(values[1]))).all())
     return CheckResult("selection dominance and argmax invariance",
                        ok and worst <= 1e-12, measured=worst, tolerance=1e-12,
                        detail="reduced-minus-exhaustive chosen rate")
 
 
 def check_mc_determinism() -> CheckResult:
-    pl = pathloss_matrix(drop_users_uniform(_template(2, 2), seed=505))
-    rated = [(enumerate_ideal(2, 2).modes[1], [100.0])]
-    a, b = (simulate.mc_sum_rates(pl.gains, rated, 5000, np.random.SeedSequence(7))
+    gains = _drop(2, 505).gains
+    rated = [(ideal_modes(2, 2)[1], [100.0])]
+    a, b = (simulate.mc_sum_rates(gains, rated, 5000, np.random.SeedSequence(7))
             for _ in range(2))
     identical = a == b
     return CheckResult("Monte Carlo determinism at fixed seed", identical,
@@ -292,14 +300,14 @@ def check_mc_vs_analytic(n_cases: int = 6, n_trials: int = 20000) -> CheckResult
     worst = 0.0
     for case in range(n_cases):
         n = int(rng.integers(2, 4))
-        pl = pathloss_matrix(drop_users_uniform(_template(n, n), seed=(607, case)))
+        pl = _drop(n, (607, case))
         snr = 10.0 ** rng.uniform(0.0, 3.0)
-        candidates = enumerate_ideal(n, n)
-        mode = candidates.modes[int(rng.integers(0, len(candidates)))]
-        ((est,),) = simulate.mc_sum_rates(pl.gains, [(mode, [snr])], n_trials,
+        candidates = ideal_modes(n, n)
+        row = candidates[int(rng.integers(0, len(candidates)))]
+        ((est,),) = simulate.mc_sum_rates(pl.gains, [(row, [snr])], n_trials,
                                           np.random.SeedSequence((608, case)))
         table = rate.subset_rates(pl.gains[None], [snr])
-        closed = float(rate.row_sum_rates(table, [mode.assignment])[0, 0, 0])
+        closed = float(rate.row_sum_rates(table, row[None])[0, 0, 0])
         worst = max(worst, abs(closed - est.mean) / est.std_error)
     return CheckResult("analytic rate within 3 sigma of Monte Carlo",
                        worst <= 3.0, measured=worst, tolerance=3.0,
@@ -332,7 +340,7 @@ def check_ks_distributions(n_samples: int = 1_000_000) -> CheckResult:
 def check_worker_invariance() -> CheckResult:
     """A Monte Carlo rated cell average of both schemes and a fixed mode
     is bit-identical on one worker and on two."""
-    schemes = ["ideal", "min-distance", enumerate_ideal(2, 2).modes[0]]
+    schemes = ["ideal", "min-distance", TransmissionMode((1, 1))]
 
     def run(n_jobs):
         return simulate.cell_average(_template(2, 2), schemes, (0.0, 20.0, 40.0),
@@ -352,8 +360,6 @@ def canonical_pathloss(pl):
     is the minimum-distance user served by port 1; arbitrary drops must be
     relabeled before the rule applies.
     """
-    from .geometry import PathlossMatrix
-
     gains, dist = pl.gains.copy(), pl.distances.copy()
     i, j = np.unravel_index(np.argmax(gains), gains.shape)
     if i == 1:
@@ -378,13 +384,11 @@ def sample_crossover_geometries(n_geometries: int = 20, seed: int = 79,
 
     Yields (pathloss, formula_db, approx_db, exact_db) tuples.
     """
-    template = _template(2, 2)
     found = 0
     for attempt in range(4000):
         if found >= n_geometries:
             return
-        scenario = drop_users_uniform(template, seed=(seed, attempt))
-        pl = canonical_pathloss(pathloss_matrix(scenario))
+        pl = canonical_pathloss(_drop(2, (seed, attempt)))
         gains = pl.gains
         if gains[1, 1] <= gains[0, 1]:
             continue

@@ -4,7 +4,6 @@ rate modes of one gain matrix through the subset-rate table."""
 
 import numpy as np
 
-from dasrate.modes import assignment_array
 from dasrate.rate import row_sum_rates, subset_rates
 
 _CRITERION_LINES: list[str] = []
@@ -22,17 +21,18 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def mode_rates(pl, modes, snrs, kernel=None) -> np.ndarray:
-    """(points x modes) sum rates of ``modes`` on ``pl``'s gains."""
-    rows = assignment_array(modes, pl.gains.shape[1])
+def mode_rates(pl, rows, snrs, kernel=None) -> np.ndarray:
+    """(points x modes) sum rates of the (modes x ports) assignment
+    ``rows`` on ``pl``'s gains."""
     return row_sum_rates(subset_rates(pl.gains[None], snrs, kernel), rows)[0]
 
 
-def user_rates(pl, modes, snr) -> np.ndarray:
-    """(modes x users) rates at linear SNR ``snr``, idle users 0: user k's
-    is the sum rate of its own table row, on which it is user 1 and every
-    other active port serves a user of no rate."""
-    rows = assignment_array(modes, pl.gains.shape[1])
+def user_rates(pl, rows, snr) -> np.ndarray:
+    """(modes x users) rates of the (modes x ports) assignment ``rows`` at
+    linear SNR ``snr``, idle users 0: user k's is the sum rate of its own
+    table row, on which it is user 1 and every other active port serves a
+    user of no rate."""
+    rows = np.asarray(rows)
     (table,) = subset_rates(pl.gains[None], [snr])
     return np.stack([row_sum_rates(table[None, :, [k]],
                                    np.where(rows == k + 1, 1, 2 * (rows != 0)))[0, 0]

@@ -15,19 +15,18 @@ from scipy import integrate, stats
 
 from conftest import mode_rates, record_criterion
 from dasrate.experiments import bundled_config_path, crossover_report
-from dasrate.geometry import db_to_linear, load_scenario, pathloss_matrix
-from dasrate.modes import (TransmissionMode, enumerate_ideal,
-                           enumerate_min_distance, ideal_count,
-                           min_distance_count)
+from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
+                              uniform_positions)
+from dasrate.modes import (TransmissionMode, ideal_count, ideal_modes, min_distance_count,
+                           nearest_user_modes)
 from dasrate.numerics import SERIES_CF_SPLIT, _exp_e1_continued_fraction, _exp_e1_series, exp_e1
 from dasrate.rate import (UserLinkPartition, cdf_interference_plus_noise,
                           cdf_signal, cdf_sinr, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr)
+                          pdf_signal, pdf_sinr, row_sum_rates, subset_rates)
+from dasrate.selection import select_rows
 from dasrate.simulate import cell_average, mc_sum_rates, mode_histogram
 from dasrate.verification import (partition_rate, quadrature_user_rate, random_partition,
                                   sample_crossover_geometries)
-from dasrate.geometry import Scenario, drop_users_uniform
-from dasrate.selection import compare_schemes
 
 GRID = tuple(float(db) for db in range(0, 51, 5))
 DROPS = 500
@@ -62,7 +61,7 @@ def test_criterion_1_fig2_analytic_mc_agreement():
     """Closed form within 3 standard errors of 5000-channel Monte Carlo for
     all four admissible modes over 0:5:50 dB."""
     worst = 0.0
-    modes = enumerate_ideal(2, 2).modes
+    modes = ideal_modes(2, 2)
     snrs = [db_to_linear(snr_db) for snr_db in GRID]
     closed = mode_rates(FIG2_PL, modes, snrs)
     for m_idx, mode in enumerate(modes):
@@ -94,23 +93,21 @@ def test_criterion_2_candidate_counts():
             if len(active) == 1 and sum(1 for u in vec if u) < n:
                 continue
             brute += 1
-        assert brute == ideal_count(n, k) == len(enumerate_ideal(n, k))
+        assert brute == ideal_count(n, k) == len(ideal_modes(n, k))
 
-    # the reduced enumeration realizes its count on non-degenerate drops
-    confirmed = 0
+    # the reduced enumeration realizes its count on every drop but those
+    # whose ports all share one nearest user, which are one row short
     for n, size in ((2, 2), (4, 12), (5, 27)):
         template = Scenario(n_ports=n, n_users=n,
                             cell_radius=math.sqrt(112.0 / 3.0),
                             pathloss_exponent=3.0, tx_power=1.0)
-        for trial in range(20):
-            scn = drop_users_uniform(template, seed=(2, n, trial))
-            pl = pathloss_matrix(scn)
-            if len(set(np.argmin(pl.distances, axis=0).tolist())) < n:
-                continue
-            assert len(enumerate_min_distance(pl)) == size
-            confirmed += 1
-            break
-    assert confirmed == 3
+        seeds = [(2, n, trial) for trial in range(20)]
+        distances = pathloss_matrix(template, uniform_positions(template, seeds)).distances
+        _, offsets = nearest_user_modes(distances)
+        nearest = distances.argmin(axis=1)
+        shared = (nearest == nearest[:, :1]).all(axis=1)
+        assert (np.diff(offsets) + shared == size).all()
+        assert not shared.all()
     record_criterion(2, True, "ideal counts 4/568/7625, reduced counts "
                               "2/12/27, brute force agrees for N,K <= 4")
 
@@ -193,7 +190,8 @@ def test_criterion_5a_selection_dominates_fixed_modes(n2_template,
     slack = 1e-9
     for label, template in (("n2", n2_template), ("n3", n3_template)):
         ideal_curve = scheme_curves[label]["ideal"]
-        modes = enumerate_ideal(template.n_ports, template.n_users).modes
+        modes = [TransmissionMode(tuple(row))
+                 for row in ideal_modes(template.n_ports, template.n_users).tolist()]
         fixed_curves = cell_average(template, modes, GRID, DROPS,
                                     n_channels=0, seed=SEED).series
         assert len(fixed_curves) == len(modes)
@@ -293,19 +291,22 @@ def test_criterion_6_property_suites(n2_template):
         stats.ks_1samp(signal / interference, cdf_sinr(part)).statistic)
     assert worst_ks < 0.005
 
-    # selection: subset dominance and joint-scaling invariance
-    import dataclasses
-    snrs = (1.0, 100.0, 10_000.0)
-    for drop in range(10):
-        scn = drop_users_uniform(n2_template, seed=(62, drop))
-        pl = pathloss_matrix(scn)
-        ideal, reduced = compare_schemes(scn, pl, snrs)
-        scaled = dataclasses.replace(scn, tx_power=scn.tx_power * 5.0,
-                                     noise_power=scn.noise_power * 5.0)
-        _, again = compare_schemes(scaled, pl, snrs)
-        for best, fewer, other in zip(ideal, reduced, again):
-            assert fewer.chosen_rate <= best.chosen_rate + 1e-12
-            assert other.chosen_mode == fewer.chosen_mode
+    # selection: subset dominance, and the same choices when the transmit
+    # and noise powers scale together, over one table per scaling
+    seeds = [(62, drop) for drop in range(10)]
+    pl = pathloss_matrix(n2_template, uniform_positions(n2_template, seeds))
+    nearest, offsets = nearest_user_modes(pl.distances)
+    ideal = ideal_modes(2, 2)
+    chosen = []
+    for scale in (1.0, 5.0):
+        snr = n2_template.tx_power * scale / (n2_template.noise_power * scale)
+        table = subset_rates(pl.gains, [snr * rho for rho in (1.0, 100.0, 10_000.0)])
+        _, best = select_rows(row_sum_rates(table, ideal))
+        for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            pick, fewer = select_rows(row_sum_rates(table[drop:drop + 1], nearest[lo:hi])[0])
+            assert (fewer <= best[drop] + 1e-12).all()
+            chosen.append(nearest[lo:hi][pick].tolist())
+    assert chosen[:len(seeds)] == chosen[len(seeds):]
 
     # bit-identical reruns at fixed seed under varying worker counts
     schemes = ["min-distance", TransmissionMode((1, 2))]

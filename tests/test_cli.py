@@ -46,7 +46,35 @@ def test_rates_unknown_mode_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "rates", "--config", "fig2.cfg",
                            "--modes", "[9 9]")
     assert code == cli.EXIT_USAGE
-    assert "[1 1]" in err  # usage error lists the valid labels
+    assert "2 users" in err  # usage error names the failed condition
+
+
+def test_rates_explicit_mode_at_eight_ports(tmp_path, capsys):
+    """At N = K = 8, past the enumeration budget, an explicit mode is
+    checked alone and rated as ``row_sum_rates`` rates its row; a one-user
+    row with a port off is a usage error."""
+    import numpy as np
+
+    from dasrate.geometry import load_scenario, pathloss_matrix
+    from dasrate.rate import row_sum_rates, subset_rates
+
+    users = "; ".join(f"{2.5 * np.cos(0.8 * j + 0.3):.4f},{2.5 * np.sin(0.8 * j + 0.3):.4f}"
+                      for j in range(8))
+    cfg = tmp_path / "n8.cfg"
+    cfg.write_text("n_ports = 8\nn_users = 8\ncell_radius = 6.11\npathloss_exponent = 3\n"
+                   f"tx_power_dB = 0\nnoise_power = 1\nuser_positions = {users}\n")
+    row = [1, 2, 3, 4, 5, 6, 7, 8]
+    code, out, _ = run_cli(capsys, "rates", "--config", str(cfg), "--no-mc",
+                           "--snr", "0:10:20", "--modes", str(row).replace(",", ""))
+    assert code == cli.EXIT_OK
+    gains = pathloss_matrix(load_scenario(cfg)).gains
+    want = row_sum_rates(subset_rates(gains[None], [1.0, 10.0, 100.0]), [row])[0, :, 0]
+    assert out.splitlines() == ["snr_db,[1 2 3 4 5 6 7 8]_analytic"] + [
+        f"{db},{value:.12g}" for db, value in zip((0, 10, 20), want.tolist())]
+    code, _, err = run_cli(capsys, "rates", "--config", str(cfg), "--no-mc",
+                           "--modes", "[1 0 0 0 0 0 0 0]")
+    assert code == cli.EXIT_USAGE
+    assert "port off" in err
 
 
 def test_missing_config_is_usage_error(capsys):

@@ -43,14 +43,17 @@ def test_fig2_config_geometry():
 
 def test_resolve_mode_filter_defaults_to_ideal_set():
     modes = resolve_mode_filter(None, 2, 2)
-    assert tuple(m.label for m in modes) == ("[1 1]", "[1 2]", "[2 1]", "[2 2]")
+    assert modes.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
 def test_resolve_mode_filter_unknown_label_lists_valid():
-    with pytest.raises(ConfigError, match=r"\[1 1\]"):
+    """A label is checked against the scenario and the exhaustive-set rule,
+    and the error names the condition it fails."""
+    with pytest.raises(ConfigError, match="2 users"):
         resolve_mode_filter(["[3 1]"], 2, 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="port off"):
         resolve_mode_filter(["[1 0]"], 2, 2)  # inadmissible single-port mode
+    assert resolve_mode_filter(["[2 1]", "[1 1]"], 2, 2).tolist() == [[2, 1], [1, 1]]
 
 
 def test_curve_csv_schema_and_stability():
@@ -106,13 +109,13 @@ def test_selection_gain_shrinks_at_high_snr():
     """The margin of the selection scheme over the best fixed mode peaks in
     the mid-SNR region and decreases as SNR grows large."""
     import numpy as np
-    from dasrate.modes import enumerate_ideal
+    from dasrate.modes import ideal_modes
     from dasrate.simulate import cell_average
 
     template = load_scenario(bundled_config_path("fig3.cfg"))
     grid = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-    curve = cell_average(template, ["ideal", *enumerate_ideal(2, 2).modes], grid,
-                         300, 0, seed=20)
+    fixed = [TransmissionMode(tuple(row)) for row in ideal_modes(2, 2).tolist()]
+    curve = cell_average(template, ["ideal", *fixed], grid, 300, 0, seed=20)
     scheme = np.array(curve.series[0].values)
     fixed = np.stack([np.array(series.values) for series in curve.series[1:]])
     gain = scheme - fixed.max(axis=0)

@@ -7,9 +7,9 @@ import pytest
 
 from dasrate.errors import ConfigError
 from dasrate.geometry import (MIN_DISTANCE, Scenario, db_to_linear,
-                              default_port_layout, drop_users_uniform,
-                              linear_to_db, parse_scenario_config,
-                              pathloss_matrix)
+                              default_port_layout, linear_to_db,
+                              parse_scenario_config, pathloss_matrix,
+                              uniform_positions)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -109,8 +109,8 @@ def test_drop_users_radial_mean():
     # positions are i.i.d., so one big drop stands in for n single drops
     big = Scenario(n_ports=2, n_users=n, cell_radius=CELL_RADIUS,
                    pathloss_exponent=3.0, tx_power=1.0)
-    drops = drop_users_uniform(big, 99)
-    radii = np.hypot(*np.array(drops.user_positions).T)
+    (positions,) = uniform_positions(big, [99])
+    radii = np.hypot(*positions.T)
     mean = radii.mean()
     stderr = radii.std(ddof=1) / math.sqrt(n)
     assert abs(mean - 2.0 / 3.0 * CELL_RADIUS) < 3.0 * stderr
@@ -122,10 +122,9 @@ def test_drop_users_radial_mean():
 def test_drop_users_deterministic():
     template = Scenario(n_ports=2, n_users=3, cell_radius=CELL_RADIUS,
                         pathloss_exponent=3.0, tx_power=1.0)
-    assert (drop_users_uniform(template, 7).user_positions
-            == drop_users_uniform(template, 7).user_positions)
-    assert (drop_users_uniform(template, 7).user_positions
-            != drop_users_uniform(template, 8).user_positions)
+    assert np.array_equal(uniform_positions(template, [7]), uniform_positions(template, [7]))
+    assert not np.array_equal(uniform_positions(template, [7]),
+                              uniform_positions(template, [8]))
 
 
 def test_db_conversions():

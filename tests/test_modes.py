@@ -3,38 +3,46 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dasrate.errors import CapacityError
-from dasrate.geometry import PathlossMatrix, Scenario, drop_users_uniform, pathloss_matrix
-from dasrate.modes import (CandidateSet, DegenerateGeometryWarning, Origin,
-                           TransmissionMode, enumerate_ideal,
-                           enumerate_min_distance, ideal_count, ideal_modes,
-                           min_distance_count)
+from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
+from dasrate.modes import (TransmissionMode, admissible, ideal_count, ideal_modes,
+                           min_distance_count, nearest_user_modes)
+from dasrate.simulate import _user_powers, mode_histogram
 
 
-def pathloss_from_distances(distances):
-    d = np.asarray(distances, dtype=float)
-    return PathlossMatrix(distances=d, gains=d ** -3.0)
+def nearest_set(distances):
+    """The nearest-user set of one (K x N) distance matrix, as a list of
+    assignment tuples."""
+    rows, offsets = nearest_user_modes(np.asarray(distances, dtype=float)[None])
+    assert offsets.tolist() == [0, len(rows)]
+    return list(map(tuple, rows.tolist()))
 
 
 def test_mode_derived_sets():
-    mode = TransmissionMode((2, 1, 0, 2))
-    assert mode.support_sets == {2: frozenset({0, 3}), 1: frozenset({1})}
-    assert mode.active_ports == frozenset({0, 1, 3})
-    assert mode.complements == {2: frozenset({1}), 1: frozenset({0, 3})}
-    assert mode.n_active_users == 2
-    assert mode.n_active_ports == 3
+    """A row's users come in the order of their first serving port, each
+    with its serving ports as signal and the row's other active ports as
+    interference."""
+    # Port j of user k carries 2^(4k + j): each sum names its ports.
+    hg = 2.0 ** np.arange(12.0).reshape(1, 3, 4)
+    (s2, i2), (s1, i1) = _user_powers(hg, (2, 1, 0, 2))
+    assert (s2[0], i2[0]) == (2.0 ** 4 + 2.0 ** 7, 2.0 ** 5)
+    assert (s1[0], i1[0]) == (2.0 ** 1, 2.0 ** 0 + 2.0 ** 3)
+    assert _user_powers(hg, np.array([0, 0, 0, 0])) == []
 
 
 def test_mode_invariant_ka_le_na():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        mode = TransmissionMode(tuple(int(u) for u in rng.integers(0, 5, n)))
-        assert mode.n_active_users <= mode.n_active_ports <= n
+    """Every selected mode's group has 1 <= K_A <= N_A <= N."""
+    template = Scenario(n_ports=4, n_users=4, cell_radius=math.sqrt(112.0 / 3.0),
+                        pathloss_exponent=3.0, tx_power=1.0)
+    (groups,) = mode_histogram(template, [(0.0, 50.0)], n_drops=40, seed=1).values()
+    for label in groups:
+        k, n = (int(part[2:]) for part in label.split("_"))
+        assert 1 <= k <= n <= 4, label
 
 
 def test_mode_label_round_trip():
@@ -59,8 +67,7 @@ def test_ideal_counts_match_fixed_values():
 
 
 def test_enumerate_ideal_two_by_two():
-    modes = enumerate_ideal(2, 2).labels()
-    assert modes == ("[1 1]", "[1 2]", "[2 1]", "[2 2]")
+    assert ideal_modes(2, 2).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
 def test_enumerate_ideal_matches_count_and_brute_force():
@@ -77,17 +84,18 @@ def test_enumerate_ideal_matches_count_and_brute_force():
                 continue
             brute.append(vec)
         assert list(map(tuple, rows.tolist())) == brute
-        assert [m.assignment for m in enumerate_ideal(n, k).modes] == brute
+        raw = np.array(list(itertools.product(range(k + 1), repeat=n)))
+        assert raw[admissible(raw)].tolist() == rows.tolist()
 
 
 def test_enumerate_ideal_budget():
     with pytest.raises(CapacityError):
-        enumerate_ideal(10, 9, budget=10 ** 6)
+        ideal_modes(10, 9, budget=10 ** 6)
     # 10^9 raw vectors: refused before any of them is built.
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            enumerate_ideal(9, 9)
+            ideal_modes(9, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -99,10 +107,9 @@ def test_min_distance_table_construction():
     distances = [[1.0, 5.0, 6.0],
                  [4.0, 2.0, 7.0],
                  [5.0, 6.0, 3.0]]
-    cands = enumerate_min_distance(pathloss_from_distances(distances))
-    assert cands.origin is Origin.MIN_DISTANCE
+    cands = nearest_set(distances)
     expected = {(1, 2, 3), (1, 2, 0), (1, 0, 3), (0, 2, 3), (1, 1, 1)}
-    assert {m.assignment for m in cands.modes} == expected
+    assert set(cands) == expected
     assert len(cands) == min_distance_count(3) == 5
 
 
@@ -111,45 +118,48 @@ def test_min_distance_keeps_shared_nearest_user_masks():
     distances = [[1.0, 2.0, 6.0],
                  [4.0, 5.0, 7.0],
                  [5.0, 6.0, 3.0]]
-    cands = enumerate_min_distance(pathloss_from_distances(distances))
-    assert TransmissionMode((1, 1, 0)) in cands.modes
+    cands = nearest_set(distances)
+    assert (1, 1, 0) in cands
     assert len(cands) == min_distance_count(3)
 
 
-def test_min_distance_degenerate_dedup_warns():
+def test_min_distance_degenerate_dedup():
+    """When every port shares one nearest user, the added single-user mode
+    repeats the all-ports mask and the set keeps one copy, silently."""
     distances = [[1.0, 2.0], [3.0, 4.0]]  # user 1 nearest to both ports
-    with pytest.warns(DegenerateGeometryWarning):
-        cands = enumerate_min_distance(pathloss_from_distances(distances))
-    assert cands.labels() == ("[1 1]",)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nearest_set(distances) == [(1, 1)]
 
 
 def test_min_distance_random_geometries():
-    """Size, ordering, nearest-user agreement, and the subset property."""
+    """Size, ordering, nearest-user agreement, and the subset property, on
+    every drop: only a drop whose ports all share one nearest user has a
+    set one row short."""
     checked_subset = 0
     for n in range(2, 7):
         template = Scenario(n_ports=n, n_users=n,
                             cell_radius=math.sqrt(112.0 / 3.0),
                             pathloss_exponent=3.0, tx_power=1.0)
-        for trial in range(6):
-            scn = drop_users_uniform(template, seed=(12, n, trial))
-            pl = pathloss_matrix(scn)
+        seeds = [(12, n, trial) for trial in range(6)]
+        pl = pathloss_matrix(template, uniform_positions(template, seeds))
+        rows, offsets = nearest_user_modes(pl.distances)
+        for distances, lo, hi in zip(pl.distances, offsets, offsets[1:]):
+            cands = list(map(tuple, rows[lo:hi].tolist()))
             # Per-port nearest user, 1-based; ties go to the lowest index.
-            base = [int(np.argmin(pl.distances[:, j])) + 1 for j in range(n)]
-            if len(set(base)) < n:
-                continue  # degeneracy handled by the dedicated tests above
-            cands = enumerate_min_distance(pl)
-            assert len(cands) == min_distance_count(n)
-            labels = [m.assignment for m in cands.modes]
-            assert labels == sorted(labels)
-            # every multi-user member follows the nearest-user map
-            for mode in cands.modes:
-                if mode.n_active_users == 1:
-                    continue
-                for port, user in enumerate(mode.assignment):
-                    assert user in (0, base[port])
-            if n <= 4:
-                ideal = {m.assignment for m in enumerate_ideal(n, n).modes}
-                assert {m.assignment for m in cands.modes} <= ideal
+            base = [int(np.argmin(distances[:, j])) + 1 for j in range(n)]
+            assert len(cands) == min_distance_count(n) - (len(set(base)) == 1)
+            assert cands == sorted(set(cands))
+            # Every member follows the nearest-user map, but for the
+            # all-ports mode of the globally closest user.
+            closest = int(np.argmin(distances.min(axis=1))) + 1
+            assert (closest,) * n in cands
+            assert all(user in (0, base[port]) for mode in cands if mode != (closest,) * n
+                       for port, user in enumerate(mode))
+            # A shared nearest user gives masks that serve it alone on
+            # some ports, which the exhaustive set leaves out.
+            if n <= 4 and len(set(base)) == n:
+                assert set(cands) <= set(map(tuple, ideal_modes(n, n).tolist()))
                 checked_subset += 1
     assert checked_subset >= 5
 
@@ -157,17 +167,11 @@ def test_min_distance_random_geometries():
 def test_min_distance_scale_invariance():
     rng = np.random.default_rng(13)
     d = rng.uniform(1.0, 9.0, size=(4, 4))
-    a = enumerate_min_distance(pathloss_from_distances(d))
-    b = enumerate_min_distance(pathloss_from_distances(3.7 * d))
-    assert a.labels() == b.labels()
-
-
-def test_candidate_set_rejects_duplicates():
-    with pytest.raises(ValueError):
-        CandidateSet(modes=(TransmissionMode((1, 2)), TransmissionMode((1, 2))),
-                     origin=Origin.EXPLICIT)
+    assert nearest_set(d) == nearest_set(3.7 * d)
 
 
 def test_candidate_set_rejects_inadmissible_ideal_members():
-    with pytest.raises(ValueError):
-        CandidateSet(modes=(TransmissionMode((1, 0)),), origin=Origin.IDEAL)
+    """The exhaustive-set rule refuses the all-off row and a one-user row
+    with a port off, and keeps a one-user row on every port."""
+    rows = np.array([[1, 0], [0, 0], [0, 2], [2, 2], [1, 2]])
+    assert admissible(rows).tolist() == [False, False, False, True, True]

@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from conftest import mode_rates, user_rates
 from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
-from dasrate.modes import TransmissionMode, enumerate_ideal
+from dasrate.modes import ideal_modes
 from dasrate.numerics import LN2, exp_e1
 from dasrate.rate import (UserLinkPartition, cdf_signal, cdf_sinr, crossover_snr, log1p_inv,
                           pdf_interference_plus_noise, pdf_signal, pdf_sinr,
@@ -221,8 +221,7 @@ def test_guard_separates_cross_list_ties():
 def test_sum_rate_matches_displayed_two_term_expression():
     """Mode [2 1]: user 1 served by port 2, user 2 by port 1."""
     snr = 100.0
-    result, mirrored = mode_rates(FIG2_PL, (TransmissionMode((2, 1)),
-                                            TransmissionMode((1, 2))), [snr])[0]
+    result, mirrored = mode_rates(FIG2_PL, [[2, 1], [1, 2]], [snr])[0]
 
     def brace(s_sig, s_intf):
         return (s_sig / (s_sig - s_intf)
@@ -235,8 +234,8 @@ def test_sum_rate_matches_displayed_two_term_expression():
 
 
 def test_sum_rate_inactive_users_contribute_zero():
-    per_user = user_rates(FIG2_PL, (TransmissionMode((2, 2)),), 10.0)[0].tolist()
-    sum_rate = mode_rates(FIG2_PL, (TransmissionMode((2, 2)),), [10.0])[0, 0]
+    per_user = user_rates(FIG2_PL, [[2, 2]], 10.0)[0].tolist()
+    sum_rate = mode_rates(FIG2_PL, [[2, 2]], [10.0])[0, 0]
     assert per_user[0] == 0.0
     assert sum_rate == per_user[1]
     single = partition_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
@@ -247,19 +246,19 @@ def test_sum_rate_permutation_equivariance():
     """Relabeling users permutes per-user rates; relabeling ports (with the
     matching mode permutation) changes nothing."""
     snr = 50.0
-    base = user_rates(FIG2_PL, (TransmissionMode((1, 2)),), snr)[0]
+    base = user_rates(FIG2_PL, [[1, 2]], snr)[0]
     swapped_users = PathlossMatrix(distances=FIG2_PL.distances[::-1].copy(),
                                    gains=FIG2_PL.gains[::-1].copy())
-    swapped = user_rates(swapped_users, (TransmissionMode((2, 1)),), snr)[0]
+    swapped = user_rates(swapped_users, [[2, 1]], snr)[0]
     assert swapped.tolist() == base[::-1].tolist()
     swapped_ports = PathlossMatrix(distances=FIG2_PL.distances[:, ::-1].copy(),
                                    gains=FIG2_PL.gains[:, ::-1].copy())
-    reordered = mode_rates(swapped_ports, (TransmissionMode((2, 1)),), [snr])[0, 0]
+    reordered = mode_rates(swapped_ports, [[2, 1]], [snr])[0, 0]
     assert reordered == pytest.approx(sum(base), rel=1e-12)
 
 
 def test_sum_rate_mc_agreement_all_fig2_modes():
-    modes = enumerate_ideal(2, 2).modes
+    modes = ideal_modes(2, 2)
     for snr_db in (0.0, 15.0, 30.0, 45.0):
         snr = db_to_linear(snr_db)
         estimates = mc_sum_rates(FIG2_PL.gains, [(mode, [snr]) for mode in modes], 100_000,
@@ -274,7 +273,7 @@ def test_sum_rate_mc_agreement_all_fig2_modes():
 def test_approx_rate_hand_evaluated_two_user_expression():
     """Mode [1 2] at 20 dB against the two-logarithm form written out."""
     rho = 100.0
-    got = mode_rates(FIG2_PL, (TransmissionMode((1, 2)),), [rho], log1p_inv)[0, 0]
+    got = mode_rates(FIG2_PL, [[1, 2]], [rho], log1p_inv)[0, 0]
     expected = (S11 / (S12 - S11) * math.log((S12 * rho + 1) / (S11 * rho + 1))
                 + S22 / (S21 - S22) * math.log((S21 * rho + 1) / (S22 * rho + 1))
                 ) / LN2
@@ -283,7 +282,7 @@ def test_approx_rate_hand_evaluated_two_user_expression():
 
 def test_approx_rate_single_user_two_log_identity():
     rho = 100.0
-    got = mode_rates(FIG2_PL, (TransmissionMode((1, 1)),), [rho], log1p_inv)[0, 0]
+    got = mode_rates(FIG2_PL, [[1, 1]], [rho], log1p_inv)[0, 0]
     expected = (S11 / (S11 - S12) * math.log(S11 * rho + 1)
                 + S12 / (S12 - S11) * math.log(S12 * rho + 1)) / LN2
     assert got == pytest.approx(expected, rel=1e-12)
@@ -303,7 +302,7 @@ def test_approx_exceeds_exact_for_single_gain_no_interference():
 
 
 def test_approx_gap_shrinks_for_single_user_modes():
-    single = (TransmissionMode((1, 1)),)
+    single = [[1, 1]]
     exact = mode_rates(FIG2_PL, single, [1e6, 1e8])[:, 0]
     approx = mode_rates(FIG2_PL, single, [1e6, 1e8], log1p_inv)[:, 0]
     gaps = np.abs(approx - exact) / exact
@@ -330,17 +329,17 @@ def test_crossover_equal_gain_limit():
 def test_crossover_matches_selection_flip_on_fixed_geometry():
     """The exact curves change order right around the formula's value."""
     (single_36, paired_36), (single_39, paired_39) = mode_rates(
-        FIG2_PL, (TransmissionMode((1, 1)), TransmissionMode((1, 2))),
+        FIG2_PL, [[1, 1], [1, 2]],
         [db_to_linear(36.0), db_to_linear(39.0)])
     assert paired_36 > single_36
     assert single_39 > paired_39
 
 
 def test_intersection_bisection_on_fig2():
-    single, paired = TransmissionMode((1, 1)), TransmissionMode((1, 2))
+    single, paired = [1, 1], [1, 2]
 
     def curve(mode):
-        return lambda snr: mode_rates(FIG2_PL, (mode,), snr)[:, 0]
+        return lambda snr: mode_rates(FIG2_PL, [mode], snr)[:, 0]
 
     crossing = rate_curve_intersection_db(curve(single), curve(paired))
     assert crossing == pytest.approx(37.78, abs=0.05)
@@ -349,10 +348,10 @@ def test_intersection_bisection_on_fig2():
 def test_intersection_none_when_curves_do_not_cross():
     # [1 1] serves the strongest user with both ports and dominates the
     # badly-paired [2 1] at every SNR on this geometry
-    strong, weak = TransmissionMode((1, 1)), TransmissionMode((2, 1))
+    strong, weak = [1, 1], [2, 1]
 
     def curve(mode):
-        return lambda snr: mode_rates(FIG2_PL, (mode,), snr)[:, 0]
+        return lambda snr: mode_rates(FIG2_PL, [mode], snr)[:, 0]
 
     assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
 
@@ -366,10 +365,9 @@ def single_user_rate_lower_bound(pathloss, user_index, snr):
 def test_single_user_lower_bound():
     for snr_db in (0.0, 15.0, 30.0, 45.0):
         rho = 10.0 ** (snr_db / 10.0)
-        for user, mode in ((1, TransmissionMode((1, 1))),
-                           (2, TransmissionMode((2, 2)))):
+        for user, mode in ((1, [1, 1]), (2, [2, 2])):
             bound = single_user_rate_lower_bound(FIG2_PL, user, rho)
-            assert mode_rates(FIG2_PL, (mode,), [rho], log1p_inv)[0, 0] >= bound
+            assert mode_rates(FIG2_PL, [mode], [rho], log1p_inv)[0, 0] >= bound
     # equal gains: the bound is exact
     d = np.array([[2.0, 2.0], [3.0, 5.0]])
     pl = PathlossMatrix(distances=d, gains=d ** -3.0)

@@ -13,10 +13,9 @@ import pytest
 
 from conftest import mode_rates, user_rates
 from dasrate.experiments import bundled_config_path
-from dasrate.geometry import (Scenario, db_to_linear, drop_users_uniform, load_scenario,
-                              pathloss_matrix)
-from dasrate.modes import (DegenerateGeometryWarning, TransmissionMode, assignment_array,
-                           enumerate_ideal, enumerate_min_distance, min_distance_count,
+from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
+                              uniform_positions)
+from dasrate.modes import (TransmissionMode, ideal_modes, min_distance_count,
                            nearest_user_modes)
 from dasrate.rate import UserLinkPartition, log1p_inv, row_sum_rates, subset_rates
 from dasrate.selection import select_rows
@@ -37,18 +36,27 @@ TIE = Scenario(n_ports=2, n_users=2, cell_radius=6.0, pathloss_exponent=3.0,
                user_positions=((0.0, 1.5), (3.0, -2.0)))
 
 
+def label(row):
+    return TransmissionMode(tuple(row)).label
+
+
+def nearest_rows(pl):
+    """The nearest-user set of one (K x N) pathloss."""
+    return nearest_user_modes(pl.distances[None])[0]
+
+
 @pytest.mark.parametrize("name, scenario", [("fig2", FIG2), ("tie", TIE)])
 def test_golden_sum_rates_are_bit_identical(name, scenario):
     pl = pathloss_matrix(scenario)
     if name == "tie":
         assert pl.gains[0, 0] == pl.gains[0, 1]
-    modes = enumerate_ideal(2, 2).modes
+    modes = ideal_modes(2, 2)
     dbs = (0.0, 25.0, 50.0)
     snrs = [db_to_linear(db) for db in dbs]
     exact, approx = (mode_rates(pl, modes, snrs, kernel) for kernel in (None, log1p_inv))
     for m, mode in enumerate(modes):
         for p, db in enumerate(dbs):
-            want = GOLDEN[name][f"{mode.label}@{db:g}"]
+            want = GOLDEN[name][f"{label(mode)}@{db:g}"]
             assert exact[p, m] == want["exact"]
             assert approx[p, m] == want["approx"]
 
@@ -57,40 +65,48 @@ def test_golden_candidate_rates_of_one_drop_are_bit_identical():
     want = GOLDEN["n4_drop"]
     template = load_scenario(bundled_config_path("fig5.cfg"))
     seed, drop = want["seed"]
-    scenario = drop_users_uniform(
-        template, np.random.SeedSequence(entropy=seed, spawn_key=(drop,)))
-    pl = pathloss_matrix(scenario)
-    candidates = enumerate_ideal(4, 4)
-    rates = mode_rates(pl, candidates.modes, [10.0 ** (want["snr_db"] / 10.0)])
+    (users,) = uniform_positions(
+        template, [np.random.SeedSequence(entropy=seed, spawn_key=(drop,))])
+    pl = pathloss_matrix(template, users)
+    candidates = ideal_modes(4, 4)
+    rates = mode_rates(pl, candidates, [10.0 ** (want["snr_db"] / 10.0)])
     (best,), _ = select_rows(rates)
-    assert list(candidates.labels()) == want["labels"]
+    assert list(map(label, candidates)) == want["labels"]
     assert rates[0].tolist() == want["rates"]
-    assert candidates.modes[best].label == want["chosen"]
+    assert label(candidates[best]) == want["chosen"]
 
 
 def _drops(n, count, seed=91):
     template = Scenario(n_ports=n, n_users=n, cell_radius=math.sqrt(112.0 / 3.0),
                         pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
-    for d in range(count):
-        yield pathloss_matrix(drop_users_uniform(template, seed=(seed, n, d)))
+    positions = uniform_positions(template, [(seed, n, d) for d in range(count)])
+    return [pathloss_matrix(template, users) for users in positions]
 
 
 def _modes(n, pl):
-    """Min-distance modes plus the ideal set (every 25th mode at N = 5)."""
-    reduced = enumerate_min_distance(pl).modes
-    ideal = enumerate_ideal(n, n).modes[::25 if n == 5 else 1]
-    return tuple(dict.fromkeys(ideal + reduced))
+    """The ideal set (every 25th mode at N = 5), then the min-distance
+    modes it lacks."""
+    rows = np.concatenate([ideal_modes(n, n)[::25 if n == 5 else 1], nearest_rows(pl)])
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def _ports(mode, user):
+    """A (1-based) user's serving ports under the assignment ``mode``, and
+    the mode's other active ports, in port order."""
+    return ([j for j, u in enumerate(mode) if u == user],
+            [j for j, u in enumerate(mode) if u not in (0, user)])
 
 
 def _partition(pl, mode, user, snr):
     """The partition of a (1-based) user under ``mode``, or None when the
     mode leaves it idle."""
-    ports = mode.support_sets.get(user)
-    if not ports:
+    signal, interference = _ports(mode, user)
+    if not signal:
         return None
     row = pl.gains[user - 1].tolist()
-    return UserLinkPartition(tuple(row[j] for j in sorted(ports)),
-                             tuple(row[j] for j in sorted(mode.complements[user])), snr, 1.0)
+    return UserLinkPartition(tuple(row[j] for j in signal),
+                             tuple(row[j] for j in interference), snr, 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -102,7 +118,7 @@ def test_rows_are_sums_of_one_partition_rates(n):
             per_user = user_rates(pl, modes, snr)
             # Modes share partitions; each distinct one is rated once.
             one_partition = functools.cache(partition_rate)
-            for m, mode in enumerate(modes):
+            for m, mode in enumerate(modes.tolist()):
                 users = [_partition(pl, mode, u, snr) for u in range(1, n + 1)]
                 rates = [0.0 if p is None else one_partition(p) for p in users]
                 assert per_user[m].tolist() == rates
@@ -115,9 +131,9 @@ def test_min_distance_rows_of_union_table_match_own_table(n):
     alone."""
     for pl in _drops(n, 3):
         modes = _modes(n, pl)
-        reduced = enumerate_min_distance(pl).modes
+        reduced = nearest_rows(pl)
         snrs = [1.0, 1e3, 1e5]
-        union_rates = mode_rates(pl, modes + reduced, snrs)[:, len(modes):]
+        union_rates = mode_rates(pl, np.concatenate([modes, reduced]), snrs)[:, len(modes):]
         alone_rates = mode_rates(pl, reduced, snrs)
         assert union_rates.tolist() == alone_rates.tolist()
         assert ([a.tolist() for a in select_rows(union_rates)]
@@ -130,8 +146,8 @@ def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
     """One table over several drops and every point gives each drop, at
     each point, the floats of its own one-point table, for a set that
     every drop rates and for a set per drop."""
-    pls = list(_drops(n, 3))
-    modes = [assignment_array(_modes(n, pl), n) for pl in pls]
+    pls = _drops(n, 3)
+    modes = [_modes(n, pl) for pl in pls]
     # A set per drop: the last rows of each drop's modes, its min-distance ones.
     size = min(map(len, modes))
     own_rows = np.stack([rows[-size:] for rows in modes])
@@ -173,31 +189,28 @@ def test_drop_rates_do_not_depend_on_its_block(name):
     all share one nearest user."""
     template, special = SPECIAL_DROPS[name]
     n = template.n_ports
-    scenarios = [drop_users_uniform(template, seed=(93, d)) for d in range(61)]
-    scenarios[20:20] = [template.with_users(users) for users in special]
-    pls = [pathloss_matrix(s) for s in scenarios]
+    positions = list(uniform_positions(template, [(93, d) for d in range(61)]))
+    positions[20:20] = map(np.array, special)
+    pls = [pathloss_matrix(template, users) for users in positions]
     tied, degenerate = pls[20], pls[21]
     assert len(set(tied.gains[0].tolist())) == 1
     assert len(set(np.argmin(degenerate.distances, axis=0).tolist())) == 1
 
-    ideal = enumerate_ideal(n, n)
+    ideal = ideal_modes(n, n)
     rows, offsets = nearest_user_modes(np.stack([pl.distances for pl in pls]))
     nearest = [rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-    with pytest.warns(DegenerateGeometryWarning):
-        alone_set = enumerate_min_distance(degenerate)
-    assert nearest[21].tolist() == [list(m.assignment) for m in alone_set.modes]
+    assert nearest[21].tolist() == nearest_rows(degenerate).tolist()
     assert len(nearest[21]) == min_distance_count(n) - 1
     snrs = [10.0 ** (db / 10.0) for db in (0, 20, 40, 60)]
     table = subset_rates(np.stack([pl.gains for pl in pls]), snrs)
-    ideal_rates = row_sum_rates(table, assignment_array(ideal.modes, n))
+    ideal_rates = row_sum_rates(table, ideal)
 
     def selected(rates):
         return [a.tolist() for a in select_rows(rates)]
 
     for d, (pl, reduced) in enumerate(zip(pls, nearest)):
-        candidates = tuple(TransmissionMode(tuple(a)) for a in reduced.tolist())
-        alone_rates = mode_rates(pl, ideal.modes, snrs)
-        own_rates = mode_rates(pl, candidates, snrs)
+        alone_rates = mode_rates(pl, ideal, snrs)
+        own_rates = mode_rates(pl, reduced, snrs)
         rates = row_sum_rates(table, reduced)[d]
         assert ideal_rates[d].tolist() == alone_rates.tolist()
         assert selected(ideal_rates[d]) == selected(alone_rates)
@@ -238,11 +251,12 @@ def _assert_fifty_digit_rates(pl, modes, snrs):
     with mpmath.workdps(50):
         for snr in snrs:
             per_user = user_rates(pl, modes, snr)
-            for m, mode in enumerate(modes):
-                for user, ports in mode.support_sets.items():
+            for m, mode in enumerate(np.asarray(modes).tolist()):
+                for user in set(mode) - {0}:
                     row = [mpmath.mpf(g) for g in pl.gains[user - 1].tolist()]
-                    signal = [row[j] for j in sorted(ports)]
-                    interference = [row[j] for j in sorted(mode.complements[user])]
+                    ports, others = _ports(mode, user)
+                    signal = [row[j] for j in ports]
+                    interference = [row[j] for j in others]
                     want = _mp_user_rate(signal, interference, mpmath.mpf(snr))
                     assert abs(per_user[m, user - 1] - float(want)) <= 1e-9
 
@@ -253,7 +267,7 @@ def test_rates_match_fifty_digit_closed_form(n):
     for pl in _drops(n, 12, seed=92):
         if not _well_separated(pl):
             continue
-        _assert_fifty_digit_rates(pl, enumerate_min_distance(pl).modes, (1.0, 1e3, 1e5))
+        _assert_fifty_digit_rates(pl, nearest_rows(pl), (1.0, 1e3, 1e5))
         checked += 1
         if checked == 3:
             break
@@ -265,7 +279,7 @@ def test_near_tied_rate_matches_fifty_digit_closed_form():
     and its serving gains by 1.2e-4, relative, and under [3 3 4 4] at
     50 dB its rate is within 1e-9 bits of the 50-digit closed form."""
     template = load_scenario(bundled_config_path("fig5.cfg"))
-    pl = pathloss_matrix(drop_users_uniform(template, stream_key(1, 9)))
+    pl = pathloss_matrix(template, uniform_positions(template, [stream_key(1, 9)])[0])
     assert pl.gains[3].tolist() == pytest.approx([4.67054e-3, 4.67067e-3,
                                                   4.29945e-2, 4.29892e-2], rel=1e-5)
-    _assert_fifty_digit_rates(pl, (TransmissionMode((3, 3, 4, 4)),), (db_to_linear(50.0),))
+    _assert_fifty_digit_rates(pl, [[3, 3, 4, 4]], (db_to_linear(50.0),))

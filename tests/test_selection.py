@@ -3,13 +3,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from conftest import mode_rates
-from dasrate.geometry import Scenario, drop_users_uniform, pathloss_matrix
-from dasrate.modes import (CandidateSet, Origin, TransmissionMode,
-                           enumerate_ideal, enumerate_min_distance)
-from dasrate.selection import SelectionResult, compare_schemes, select_rows
+from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
+from dasrate.modes import ideal_modes, nearest_user_modes
+from dasrate.rate import row_sum_rates, subset_rates
+from dasrate.selection import select_rows
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -20,40 +21,60 @@ FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
 FIG2_PL = pathloss_matrix(FIG2)
 
 
-def candidate_rates(pathloss, candidates, snr):
-    """Selection over exactly ``candidates``, and the candidates' rates in
-    candidate order."""
-    rates = mode_rates(pathloss, candidates.modes, [snr])
+def candidate_rates(pathloss, rows, snr):
+    """The chosen row and its rate over exactly the (modes x ports)
+    ``rows``, and the rows' rates in row order."""
+    rates = mode_rates(pathloss, rows, [snr])
     (best,), (rate,) = select_rows(rates)
-    result = SelectionResult(candidates.modes[best], float(rate), candidates.origin.value)
-    return result, rates[0]
+    return (tuple(rows[best]), float(rate)), rates[0]
 
 
-def select(pathloss, candidates, snr):
-    return candidate_rates(pathloss, candidates, snr)[0]
+def select(pathloss, rows, snr):
+    return candidate_rates(pathloss, rows, snr)[0]
+
+
+def drops(template, seeds):
+    """Pathloss of a block of uniform drops, one per seed."""
+    return pathloss_matrix(template, uniform_positions(template, seeds))
+
+
+def both_schemes(pl, snrs):
+    """Exhaustive and nearest-user selection on each drop of the block
+    ``pl`` at each SNR of ``snrs``, from one subset-rate table: per drop,
+    a list of (ideal, reduced) (row, rate) pairs, one per SNR."""
+    ideal = ideal_modes(pl.gains.shape[2], pl.gains.shape[1])
+    nearest, offsets = nearest_user_modes(pl.distances)
+    table = subset_rates(pl.gains, snrs)
+    results = []
+    for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        picks = []
+        for rows in (ideal, nearest[lo:hi]):
+            best, rates = select_rows(row_sum_rates(table[drop:drop + 1], rows)[0])
+            picks.append([(tuple(rows[b]), r) for b, r in zip(best, rates.tolist())])
+        results.append(list(zip(*picks)))
+    return results
 
 
 def test_fixed_geometry_low_snr_picks_paired_mode():
-    result, rates = candidate_rates(FIG2_PL, enumerate_ideal(2, 2), snr=10.0)
-    assert result.chosen_mode.label == "[1 2]"
-    assert result.chosen_rate == max(rates)
+    (mode, rate), rates = candidate_rates(FIG2_PL, ideal_modes(2, 2), snr=10.0)
+    assert mode == (1, 2)
+    assert rate == max(rates)
 
 
 def test_fixed_geometry_high_snr_picks_single_user_mode():
-    result = select(FIG2_PL, enumerate_ideal(2, 2), snr=10.0 ** 4.5)
-    assert result.chosen_mode.label == "[1 1]"
+    mode, _ = select(FIG2_PL, ideal_modes(2, 2), snr=10.0 ** 4.5)
+    assert mode == (1, 1)
 
 
 def test_single_candidate_trivial():
-    only = CandidateSet(modes=(TransmissionMode((2, 2)),), origin=Origin.EXPLICIT)
-    result, rates = candidate_rates(FIG2_PL, only, snr=100.0)
-    assert result.chosen_mode.label == "[2 2]"
+    (mode, _), rates = candidate_rates(FIG2_PL, np.array([[2, 2]]), snr=100.0)
+    assert mode == (2, 2)
     assert len(rates) == 1
 
 
 def test_selection_deterministic():
-    a = select(FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
-    b = select(FIG2_PL, enumerate_ideal(2, 2), snr=100.0)
+    a = select(FIG2_PL, ideal_modes(2, 2), snr=100.0)
+    b = select(FIG2_PL, ideal_modes(2, 2), snr=100.0)
     assert a == b
 
 
@@ -64,31 +85,31 @@ def test_tie_break_first_in_order():
                    tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)),
                    user_positions=((0.0, 1.0), (0.0, -1.0)))
     pl = pathloss_matrix(scn)
-    result, rates = candidate_rates(pl, enumerate_ideal(2, 2), snr=100.0)
-    ties = [i for i, r in enumerate(rates) if r == result.chosen_rate]
-    assert result.chosen_mode == enumerate_ideal(2, 2).modes[ties[0]]
+    (mode, rate), rates = candidate_rates(pl, ideal_modes(2, 2), snr=100.0)
+    ties = [i for i, r in enumerate(rates) if r == rate]
+    assert mode == tuple(ideal_modes(2, 2)[ties[0]])
 
 
 def test_reduced_never_beats_exhaustive():
     template = dataclasses.replace(FIG2, user_positions=None)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
-    for drop in range(15):
-        scn = drop_users_uniform(template, seed=(50, drop))
-        ideal, reduced = compare_schemes(scn, pathloss_matrix(scn), snrs)
-        for best, fewer in zip(ideal, reduced):
-            assert fewer.chosen_rate <= best.chosen_rate + 1e-12
+    for per_snr in both_schemes(drops(template, [(50, drop) for drop in range(15)]), snrs):
+        for (_, best), (_, fewer) in per_snr:
+            assert fewer <= best + 1e-12
 
 
 def test_argmax_invariance_under_joint_scaling():
     """Rates depend on each gain times the SNR alone: gains times 13 and
     SNRs over 13 choose the same modes at the same rates."""
     snrs = [1.0, 100.0, 10000.0]
-    scaled_pl = dataclasses.replace(FIG2_PL, gains=FIG2_PL.gains * 13.0)
-    for base, scaled in zip(compare_schemes(FIG2, FIG2_PL, snrs),
-                            compare_schemes(FIG2, scaled_pl, [snr / 13.0 for snr in snrs])):
-        assert [r.chosen_mode for r in scaled] == [r.chosen_mode for r in base]
-        assert ([r.chosen_rate for r in scaled]
-                == pytest.approx([r.chosen_rate for r in base], rel=1e-12))
+    block = pathloss_matrix(FIG2, np.array([FIG2.user_positions]))
+    scaled_pl = dataclasses.replace(block, gains=block.gains * 13.0)
+    (base,), (scaled,) = (both_schemes(block, snrs),
+                          both_schemes(scaled_pl, [snr / 13.0 for snr in snrs]))
+    for pair, scaled_pair in zip(base, scaled):
+        assert [mode for mode, _ in scaled_pair] == [mode for mode, _ in pair]
+        assert [rate for _, rate in scaled_pair] == pytest.approx([rate for _, rate in pair],
+                                                                  rel=1e-12)
 
 
 def test_two_user_schemes_agree_per_drop():
@@ -105,37 +126,29 @@ def test_two_user_schemes_agree_per_drop():
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in range(0, 51, 10)]
     cells = equal = 0
     total_ideal = total_reduced = 0.0
-    for drop in range(200):
-        scn = drop_users_uniform(template, seed=(51, drop))
-        for ideal, reduced in zip(*compare_schemes(scn, pathloss_matrix(scn), snrs)):
+    for per_snr in both_schemes(drops(template, [(51, drop) for drop in range(200)]), snrs):
+        for (_, ideal), (_, reduced) in per_snr:
             cells += 1
-            total_ideal += ideal.chosen_rate
-            total_reduced += reduced.chosen_rate
-            if math.isclose(ideal.chosen_rate, reduced.chosen_rate,
-                            rel_tol=1e-12):
+            total_ideal += ideal
+            total_reduced += reduced
+            if math.isclose(ideal, reduced, rel_tol=1e-12):
                 equal += 1
     assert equal / cells >= 0.97
     assert (total_ideal - total_reduced) / total_ideal <= 0.01
 
 
-def test_scheme_field_reflects_origin():
-    ideal, reduced = compare_schemes(FIG2, FIG2_PL, [100.0])
-    assert [r.scheme for r in ideal] == ["ideal"]
-    assert [r.scheme for r in reduced] == ["min-distance"]
-
-
 def test_compare_schemes_at_many_snrs_equals_one_snr_at_a_time():
-    """One call over a grid selects, at each SNR, the mode and the
+    """One table over a grid selects, at each SNR, the mode and the
     bit-identical rate that a one-point selection on each set's own table
     gives."""
     template = dataclasses.replace(FIG2, user_positions=None, port_positions=None)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in range(-10, 71, 5)]
-    for drop in range(5):
-        scn = drop_users_uniform(template, seed=(52, drop))
-        pl = pathloss_matrix(scn)
-        schemes = compare_schemes(scn, pl, snrs)
-        for candidates, results in zip((enumerate_ideal(2, 2), enumerate_min_distance(pl)),
-                                       schemes):
-            assert len(results) == len(snrs)
-            for snr, result in zip(snrs, results):
-                assert result == select(pl, candidates, snr)
+    seeds = [(52, drop) for drop in range(5)]
+    block = drops(template, seeds)
+    for seed, per_snr in zip(seeds, both_schemes(block, snrs)):
+        (positions,) = uniform_positions(template, [seed])
+        pl = pathloss_matrix(template, positions)
+        sets = (ideal_modes(2, 2), nearest_user_modes(pl.distances[None])[0])
+        assert len(per_snr) == len(snrs)
+        for snr, pair in zip(snrs, per_snr):
+            assert list(pair) == [select(pl, rows, snr) for rows in sets]

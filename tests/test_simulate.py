@@ -9,9 +9,9 @@ import pytest
 
 from conftest import mode_rates
 from dasrate import numerics, simulate
-from dasrate.geometry import Scenario, db_to_linear, drop_users_uniform, pathloss_matrix
-from dasrate.modes import (CandidateSet, Origin, TransmissionMode, assignment_array,
-                           enumerate_ideal, enumerate_min_distance, min_distance_count)
+from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
+from dasrate.modes import (TransmissionMode, ideal_modes, min_distance_count,
+                           nearest_user_modes)
 from dasrate.selection import select_rows
 from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
                               _user_powers, cell_average, mc_sum_rates, mode_histogram,
@@ -25,6 +25,11 @@ def template(n, k=None):
                     cell_radius=CELL_RADIUS, pathloss_exponent=3.0, tx_power=1.0)
 
 
+def drop(n, seed):
+    """Pathloss of one uniform drop at N = K = ``n`` from ``seed``."""
+    return pathloss_matrix(template(n), uniform_positions(template(n), [seed])[0])
+
+
 def unit_scenario():
     return Scenario(n_ports=1, n_users=1, cell_radius=5.0, pathloss_exponent=3.0,
                     tx_power=1.0, port_positions=((1.0, 0.0),),
@@ -32,7 +37,8 @@ def unit_scenario():
 
 
 def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
-    """The Monte Carlo engine's sum rate for each (K, N) fading draw."""
+    """The Monte Carlo engine's sum rate of the assignment ``mode`` for
+    each (K, N) fading draw."""
     h = np.asarray(power_gains, dtype=float)
     users = _user_powers(h * pl.gains, mode)
     inv_snr = np.array([[1.0 / snr]])
@@ -40,28 +46,27 @@ def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
 
 
 def one_estimate(pl, mode, snr, n_channels, seed, fading=None):
-    """``mc_sum_rates`` of one mode at one SNR, keyed by ``SeedSequence(seed)``."""
+    """``mc_sum_rates`` of one assignment at one SNR, keyed by
+    ``SeedSequence(seed)``."""
     ((est,),) = mc_sum_rates(pl.gains, [(mode, [snr])], n_channels,
                              np.random.SeedSequence(seed), fading=fading)
     return est
 
 
 def test_instantaneous_rate_unit_case():
-    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), TransmissionMode((1,)),
-                                    np.ones((1, 1, 1)))
+    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), (1,), np.ones((1, 1, 1)))
     assert rates[0] == pytest.approx(1.0)
 
 
 def test_instantaneous_rate_zero_fading():
-    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), TransmissionMode((1,)),
-                                    np.zeros((1, 1, 1)))
+    rates = instantaneous_sum_rates(pathloss_matrix(unit_scenario()), (1,), np.zeros((1, 1, 1)))
     assert rates[0] == 0.0
 
 
 def test_instantaneous_rates_hand_built_two_by_two():
     """User 1 is served by port 1 and hears port 2; user 2 the reverse."""
     weights = np.array([[1.0, 2.0], [3.0, 4.0]])
-    mode = TransmissionMode((1, 2))
+    mode = (1, 2)
     inv_snr = np.ones((1, 1))  # SNR 1
     # unit fading reads off each user's signal and interference weights
     (s1, i1), (s2, i2) = _user_powers(np.ones((1, 2, 2)) * weights, mode)
@@ -83,18 +88,21 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def masks(mode, users):
+    """(users x ports) signal and interference masks of the assignment
+    ``mode``, one row per 1-based user of ``users``: its serving ports, and
+    the other active ports when it is active."""
+    mode = np.asarray(mode)
+    serves = mode == np.asarray(users)[:, None]
+    return serves, (mode != 0) & ~serves & serves.any(axis=1, keepdims=True)
+
+
 def dense_weights(pathloss, mode, snr):
     """Per-(user, port) weights S*snr, split into signal and interference
     parts and zero off the mode."""
-    n_users, n_ports = pathloss.gains.shape
-    sig_w = np.zeros((n_users, n_ports))
-    intf_w = np.zeros((n_users, n_ports))
-    for user, ports in mode.support_sets.items():
-        for j in ports:
-            sig_w[user - 1, j] = pathloss.gains[user - 1, j] * snr
-        for j in mode.complements[user]:
-            intf_w[user - 1, j] = pathloss.gains[user - 1, j] * snr
-    return sig_w, intf_w
+    weights = pathloss.gains * snr
+    return tuple(np.where(mask, weights, 0.0)
+                 for mask in masks(mode, range(1, len(weights) + 1)))
 
 
 def dense_sum_rates(sig_w, intf_w, h):
@@ -109,14 +117,11 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
     engine's order: ports in index order, users in the order they first
     appear in the mode's assignment. Masked ports and idle users add an
     exact 0."""
-    n_users, n_ports = pathloss.gains.shape
-    order = [*mode.support_sets, *(u for u in range(1, n_users + 1)
-                                   if u not in mode.support_sets)]
-    sig_mask = np.zeros((n_users, n_ports))
-    intf_mask = np.zeros((n_users, n_ports))
-    for row, user in enumerate(mode.support_sets):
-        sig_mask[row, sorted(mode.support_sets[user])] = 1.0
-        intf_mask[row, sorted(mode.complements[user])] = 1.0
+    users, first = np.unique(mode, return_index=True)
+    by_first = users[np.argsort(first)]
+    active = by_first[by_first != 0].tolist()
+    order = active + [u for u in range(1, len(pathloss.gains) + 1) if u not in active]
+    sig_mask, intf_mask = (mask.astype(float) for mask in masks(mode, order))
     hg = (h * pathloss.gains)[:, [u - 1 for u in order]]
     signal = np.cumsum(hg * sig_mask, axis=2)[..., -1]
     interference = np.cumsum(hg * intf_mask, axis=2)[..., -1]
@@ -144,14 +149,12 @@ def oracle_cases():
     """Every ideal mode at N = K = 3 and samples at N = K = 5 and 9, each
     on its own drop."""
     rng = np.random.default_rng(62)
-    cases = [(3, mode) for mode in enumerate_ideal(3, 3).modes]
-    modes5 = enumerate_ideal(5, 5).modes
+    cases = [(3, mode) for mode in ideal_modes(3, 3)]
+    modes5 = ideal_modes(5, 5)
     cases += [(5, modes5[i]) for i in rng.choice(len(modes5), size=24, replace=False)]
-    cases += [(9, TransmissionMode(tuple(int(u) for u in rng.permutation(10)[:9])))
-              for _ in range(4)]
+    cases += [(9, rng.permutation(10)[:9]) for _ in range(4)]
     for case, (n, mode) in enumerate(cases):
-        pl = pathloss_matrix(drop_users_uniform(template(n), seed=(63, case)))
-        yield case, pl, float(10.0 ** rng.uniform(-1, 5)), mode
+        yield case, drop(n, (63, case)), float(10.0 ** rng.uniform(-1, 5)), mode
 
 
 # The engine and the dense form differ only in the order and grouping of
@@ -175,15 +178,15 @@ def test_mc_matches_dense_form_on_same_draw(n_channels):
         want = dense_sum_rates(*dense_weights(pl, mode, snr), h)
         np.testing.assert_allclose(instantaneous_sum_rates(pl, mode, h, snr), want,
                                    rtol=DENSE_REL_TOL,
-                                   atol=ONE_PLUS_X_ATOL * len(mode.support_sets),
-                                   err_msg=mode.label)
+                                   atol=ONE_PLUS_X_ATOL * np.count_nonzero(np.unique(mode)),
+                                   err_msg=str(mode))
         got = one_estimate(pl, mode, snr, n_channels, (64, case))
         weights = dense_weights(pl, mode, snr)
         dense = dense_mc_estimate(
             n_channels, (64, case), pl.gains.shape,
             lambda h: dense_sum_rates(*weights, h))
-        assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), mode.label
-        assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), mode.label
+        assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), str(mode)
+        assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), str(mode)
 
 
 def test_sum_rates_match_dense_form_bit_for_bit():
@@ -192,7 +195,7 @@ def test_sum_rates_match_dense_form_bit_for_bit():
             size=(300, *pl.gains.shape))
         want = ordered_sum_rates(pl, mode, 1.0 / snr, h)
         got = instantaneous_sum_rates(pl, mode, h, snr)
-        assert np.array_equal(bits(got), bits(want)), mode.label
+        assert np.array_equal(bits(got), bits(want)), str(mode)
 
 
 @pytest.mark.parametrize("n_channels", [200, 9000])
@@ -203,15 +206,15 @@ def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
         assert (one_estimate(pl, mode, snr, n_channels, (64, case))
                 == dense_mc_estimate(
                     n_channels, (64, case), pl.gains.shape,
-                    lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), mode.label
+                    lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), str(mode)
 
 
 def test_mc_sum_rates_pair_does_not_depend_on_its_call():
     """Each (mode, SNR) estimate of a call that rates several modes at
     more SNRs than one slice holds equals, bit for bit, the estimate of a
     call that rates that pair alone."""
-    pl = pathloss_matrix(drop_users_uniform(template(3), seed=75))
-    modes = enumerate_ideal(3, 3).modes[::9]
+    pl = drop(3, 75)
+    modes = ideal_modes(3, 3)[::9]
     snrs = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
     assert len(modes) >= 3 and len(snrs) > simulate.MC_POINT_SLICE
     rated = [(mode, snrs[m::2]) for m, mode in enumerate(modes)]
@@ -221,7 +224,7 @@ def test_mc_sum_rates_pair_does_not_depend_on_its_call():
         for snr, est in zip(mode_snrs, estimates):
             alone = one_estimate(pl, mode, snr, 9000, (76, 1))
             assert bits([alone.mean, alone.std_error]).tolist() == bits(
-                [est.mean, est.std_error]).tolist(), (mode.label, snr)
+                [est.mean, est.std_error]).tolist(), (mode, snr)
 
 
 def test_stream_keys_never_coincide():
@@ -241,8 +244,8 @@ def test_stream_keys_never_coincide():
 
 
 def test_mc_mode_with_no_active_port_is_zero():
-    pl = pathloss_matrix(drop_users_uniform(template(3), seed=65))
-    est = one_estimate(pl, TransmissionMode((0, 0, 0)), 1.0, 9000, 66)
+    pl = drop(3, 65)
+    est = one_estimate(pl, (0, 0, 0), 1.0, 9000, 66)
     assert est == McEstimate(mean=0.0, std_error=0.0, n_trials=9000)
 
 
@@ -274,8 +277,8 @@ def test_fading_draws_unit_mean():
 def test_mc_fading_buffer_does_not_change_estimate(n_channels):
     """A buffer passed in, stale or longer than needed, gives the estimate
     of a call that allocates its own; 9000 channels are a chunk and a tail."""
-    pl = pathloss_matrix(drop_users_uniform(template(3), seed=70))
-    mode = TransmissionMode((1, 2, 3))
+    pl = drop(3, 70)
+    mode = (1, 2, 3)
     want = one_estimate(pl, mode, 300.0, n_channels, (71, 2))
     for rows in (min(n_channels, simulate.MC_CHUNK), simulate.MC_CHUNK + 5):
         fading = np.full((rows, 3, 3), np.nan)
@@ -295,14 +298,14 @@ def test_mc_fading_buffer_does_not_change_estimate(n_channels):
 ], ids=["too-few-rows", "wrong-ports", "wrong-users", "flat", "4d", "float32",
         "strided", "fortran"])
 def test_mc_rejects_unfit_fading_buffer(fading):
-    pl = pathloss_matrix(drop_users_uniform(template(3), seed=72))
+    pl = drop(3, 72)
     with pytest.raises(ValueError, match="fading buffer"):
-        one_estimate(pl, TransmissionMode((1, 2, 3)), 1.0, 200, 73, fading)
+        one_estimate(pl, (1, 2, 3), 1.0, 200, 73, fading)
 
 
 def test_mc_deterministic_per_seed():
-    pl = pathloss_matrix(drop_users_uniform(template(2), 32))
-    mode = TransmissionMode((1, 2))
+    pl = drop(2, 32)
+    mode = (1, 2)
     first = one_estimate(pl, mode, 100.0, 20_000, 5)
     second = one_estimate(pl, mode, 100.0, 20_000, 5)
     assert first == second
@@ -325,26 +328,26 @@ def test_mc_matches_closed_form_three_sigma():
     rng = np.random.default_rng(34)
     for case in range(20):
         n = int(rng.integers(2, 4))
-        pl = pathloss_matrix(drop_users_uniform(template(n), seed=(35, case)))
+        pl = drop(n, (35, case))
         snr = float(10.0 ** rng.uniform(0, 3))
-        candidates = enumerate_ideal(n, n).modes
+        candidates = ideal_modes(n, n)
         mode = candidates[int(rng.integers(0, len(candidates)))]
         est = one_estimate(pl, mode, snr, 100_000, (36, case))
         closed = mode_rates(pl, (mode,), [snr])[0, 0]
         assert abs(closed - est.mean) < 3.0 * est.std_error, (
-            f"case {case}: mode {mode.label} closed {closed} vs "
+            f"case {case}: mode {mode} closed {closed} vs "
             f"mc {est.mean} +- {est.std_error}")
 
 
 def test_mc_single_link_unit_snr():
     pl = pathloss_matrix(unit_scenario())
-    est = one_estimate(pl, TransmissionMode((1,)), 1.0, 1_000_000, 8)
+    est = one_estimate(pl, (1,), 1.0, 1_000_000, 8)
     assert abs(est.mean - 0.8603473822708859) < 3.0 * est.std_error
 
 
 def test_mc_std_error_contract():
     pl = pathloss_matrix(unit_scenario())
-    est = one_estimate(pl, TransmissionMode((1,)), 1.0, 10_000, 9)
+    est = one_estimate(pl, (1,), 1.0, 10_000, 9)
     assert est.n_trials == 10_000
     assert 0.0 < est.std_error < est.mean
 
@@ -364,7 +367,8 @@ def test_cell_average_fixed_mode_symmetry():
 
 def test_cell_average_scheme_dominates_fixed_modes():
     grid = (0.0, 10.0, 20.0, 30.0)
-    curve = cell_average(template(2), ["min-distance", *enumerate_ideal(2, 2).modes],
+    fixed = [TransmissionMode(tuple(row)) for row in ideal_modes(2, 2).tolist()]
+    curve = cell_average(template(2), ["min-distance", *fixed],
                          grid, n_drops=150, n_channels=0, seed=41)
     scheme_values = np.array(curve.series[0].values)
     for fixed in curve.series[1:]:
@@ -611,10 +615,10 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
     drawn = simulate.uniform_positions(template, [stream_key(81, d) for d in range(6)])
     positions = np.concatenate([drawn[:3], np.array(list(special.values())), drawn[3:]])
     monkeypatch.setattr(simulate, "uniform_positions", lambda _, keys: positions)
-    ideal = enumerate_ideal(n, n)
-    fixed = CandidateSet(ideal.modes[-1:], Origin.EXPLICIT)
+    ideal = ideal_modes(n, n)
+    fixed = ideal[-1:]
     grid = tuple(float(db) for db in range(-10, 71, 5))
-    sets = [assignment_array(ideal.modes, n), None, assignment_array(fixed.modes, n)]
+    sets = [ideal, None, fixed]
     if points_per_slice:
         base, per_point = simulate._drop_footprint(template, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
@@ -623,19 +627,18 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
                                              range(len(positions)), "analytic"))
     assert chosen.shape == (len(positions), 3, len(grid), n)
     ties = full_size = 0
-    for d, users in enumerate(positions.tolist()):
-        scn = template.with_users(tuple(map(tuple, users)))
-        pl = pathloss_matrix(scn)
-        nearest = enumerate_min_distance(pl)
+    for d, users in enumerate(positions):
+        pl = pathloss_matrix(template, users)
+        nearest = nearest_user_modes(pl.distances[None])[0]
         full_size += len(nearest) == min_distance_count(n)
         if d == 4:
             assert len(nearest) == min_distance_count(n) - 1
         for s, candidates in enumerate((ideal, nearest, fixed)):
             for p, db in enumerate(grid):
-                rates = mode_rates(pl, candidates.modes, [db_to_linear(db)])[0].tolist()
+                rates = mode_rates(pl, candidates, [db_to_linear(db)])[0].tolist()
                 best = rates.index(max(rates))
                 ties += rates.count(rates[best]) > 1
-                assert chosen[d, s, p].tolist() == list(candidates.modes[best].assignment)
+                assert chosen[d, s, p].tolist() == candidates[best].tolist()
                 assert values[d, s, p] == rates[best]
     assert ties > 0 and full_size > 0
 
@@ -664,7 +667,7 @@ def streams_opened(monkeypatch):
 
 @pytest.mark.parametrize("sets, grid", [
     ([None], (20.0,)),
-    ([assignment_array(enumerate_ideal(3, 3).modes, 3), None, np.array([[1, 2, 3]])],
+    ([ideal_modes(3, 3), None, np.array([[1, 2, 3]])],
      (0.0, 20.0, 40.0, 60.0)),
 ], ids=["one-set-one-point", "three-sets-four-points"])
 def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid):
@@ -696,7 +699,7 @@ def test_rates_open_one_stream_per_chunk(streams_opened):
     from dasrate.geometry import load_scenario
 
     scn = load_scenario(bundled_config_path("fig2.cfg"))
-    mode_rate_curves(scn, enumerate_ideal(2, 2).modes, (0.0, 10.0, 20.0, 30.0),
+    mode_rate_curves(scn, ideal_modes(2, 2), (0.0, 10.0, 20.0, 30.0),
                      n_channels=9000, seed=3)
     assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
         (3, (0, 0, 0)), (3, (0, 0, 1))]
