@@ -1,7 +1,8 @@
 """Command-line interface: rates, sweep, crossover, hist, verify.
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/config,
-3 enumeration capacity, 4 degenerate gains, 5 numerical failure.
+3 enumeration capacity, 4 degenerate gains, 5 numerical failure (only
+``verify`` raises it, when a quadrature exceeds its error budget).
 
 Only ``verify`` imports scipy (through ``verification``); every other
 command runs on numpy alone.

@@ -18,4 +18,4 @@ class DegenerateGainsError(DasRateError):
 
 
 class NumericalFailureError(DasRateError):
-    """A quadrature or iterative numerical routine failed to converge."""
+    """A quadrature's error estimate exceeded its budget."""

@@ -81,8 +81,8 @@ def histogram_to_csv(fractions: dict[tuple[float, float], dict[str, float]]) -> 
 def resolve_mode_filter(labels: list[str] | None, n_ports: int,
                         n_users: int) -> np.ndarray:
     """(modes x ports) assignments for a rates run: the labelled modes,
-    each checked against the scenario and the exhaustive-set rule, or
-    the whole exhaustive set for an empty filter."""
+    each checked against the scenario, the exhaustive-set rule and for
+    repeats, or the whole exhaustive set for an empty filter."""
     if not labels:
         return ideal_modes(n_ports, n_users)
     rows = []
@@ -92,6 +92,8 @@ def resolve_mode_filter(labels: list[str] | None, n_ports: int,
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         _check_fixed_mode(mode, n_ports, n_users)
+        if mode.assignment in rows:
+            raise ConfigError(f"mode given more than once: {mode.label}")
         if not admissible(np.array([mode.assignment]))[0]:
             raise ConfigError(f"mode {mode.label} serves one user with a port off; "
                               f"a one-user mode must use every port")

@@ -5,6 +5,14 @@ Every closed-form rate in this package is a weighted combination of
 Only the scaled product is evaluated here: the unscaled ``E1`` underflows
 for x above ~700 and ``exp(x)`` overflows around the same point, while
 their product stays comfortably inside double range for any positive x.
+
+Each argument takes a fixed sequence of IEEE-754 ``+ - * /``, ``frexp``
+calls and comparisons, all exact or correctly rounded, and no libm
+function: a value has the same bits in any call, in any order and on any
+IEEE-754 machine. Its relative error against 30-digit mpmath stayed below
+7.5e-16 on about 160 000 x in [1e-300, 1e300]; the tests hold it to
+1e-15. Each series is cut, and each depth of the continued fraction
+chosen, so that what is left out is under 2**-57 of the value.
 """
 
 from __future__ import annotations
@@ -14,8 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import NumericalFailureError
-
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
@@ -24,12 +30,30 @@ LN2 = math.log(2.0)
 # Branch split for exp_e1: power series below, continued fraction above.
 SERIES_CF_SPLIT = 1.0
 
-_SERIES_MAX_TERMS = 500
-_CF_MAX_ITER = 20000
-# A few ulps above 1: delta carries ~1 ulp of rounding noise per step, so a
-# tighter threshold than this can never be met for very large arguments.
-_CF_EPS = 5e-16
-_TINY = 1e-300
+# Coefficients as int/int ratios, each a correctly rounded double.
+# exp(x) = sum_{k<=20} x^k / k!.
+_EXP = tuple(1 / math.factorial(k) for k in range(21))
+# E1(x) + ln x = -gamma + sum_{k>=1} (-1)^(k+1) x^k / (k k!), to k = 19.
+_EIN = (-EULER_GAMMA,) + tuple((-1) ** (k + 1) / (k * math.factorial(k))
+                               for k in range(1, 20))
+# ln m = 2 atanh s = 2 s + s z sum_{k>=1} 2 z^(k-1) / (2k + 1), z = s^2, to k = 10.
+_ATANH = tuple(2 / (2 * k + 1) for k in range(1, 11))
+# ln 2 = _LN2_HI + _LN2_LO; the high part has 32 bits, so e * _LN2_HI is
+# exact for every binary exponent e of a double.
+_LN2_HI = 2977044471 / 2**32
+_LN2_LO = 1.9082149292705877e-10
+_SQRT_HALF = math.sqrt(0.5)
+
+# (lowest x, depth) rows of the continued fraction, x ascending. A row's
+# depth is one level more than the least depth whose fraction is within
+# 2**-57 of 40-digit mpmath at the row's lowest x; the least depth falls
+# as x grows (checked on 3 000 log-spaced x in [1, 1e11]).
+_CF_ROWS = ((1.0, 116), (1.15625, 104), (1.28125, 93), (1.46875, 83),
+            (1.65625, 74), (1.875, 66), (2.125, 59), (2.4375, 53), (2.8125, 47),
+            (3.1875, 42), (3.75, 37), (4.375, 33), (5.125, 29), (5.875, 26),
+            (6.875, 23), (8.5, 20), (10.0, 18), (12.0, 16), (15.0, 14),
+            (20.0, 12), (28.5, 10), (37.0, 9), (50.0, 8), (76.0, 7), (132.0, 6),
+            (312.0, 5), (1344.0, 4), (28160.0, 3), (385875968.0, 2))
 
 
 def _float_for_float(branch):
@@ -42,43 +66,36 @@ def _float_for_float(branch):
     return kernel
 
 
+def _horner(x, coefficients):
+    """sum_k coefficients[k] x^k, highest power first."""
+    total = np.full(len(x), coefficients[-1])
+    for c in coefficients[-2::-1]:
+        total *= x
+        total += c
+    return total
+
+
 @_float_for_float
 def exp_e1(x):
     """Exponentially scaled exponential integral ``exp(x) * E1(x)``.
 
     Takes a float or an array and gives the same. Every element runs the
-    scalar recurrence of its branch, in the same order of operations, so a
-    value does not depend on the other elements of the call or their
-    order. Relative accuracy is better than 1e-12 over the full double
-    range; the result is finite for any x in [1e-300, 1e300]. The call
-    sorts its arguments once and hands each branch its part in about the
-    order in which elements finish, so each iteration runs about a dozen
-    in-place numpy operations over the suffix from the first element still
-    iterating, with no gathers; pass many values at once.
+    fixed operations of its branch, so a value does not depend on the
+    other elements of the call or their order. Relative error is under
+    1e-15 for x in [1e-300, 1e300], and the result is finite for any
+    finite x > 0. numpy costs a fixed overhead per operation, so pass
+    many values at once.
 
     Raises:
         ValueError: if an element is not a finite positive number.
-        NumericalFailureError: naming, in input order, the first x whose
-            continued fraction stalls.
     """
-    order = np.argsort(x)
-    xs = x[order]
-    # NaN sorts last, so the ends bound every element.
-    if len(xs) and not (xs[0] > 0.0 and xs[-1] < math.inf):
-        bad = x[~((x > 0.0) & (x < math.inf))][0]
-        raise ValueError(f"exp_e1 requires finite x > 0, got {float(bad)!r}")
-    split = int(np.searchsorted(xs, SERIES_CF_SPLIT, side="right"))
-    # Ascending for the series and descending for the fraction: an
-    # element finishes in fewer steps the farther it lies from the split.
-    xs[:split] = _exp_e1_series(xs[:split])
-    xs[split:] = _exp_e1_continued_fraction(xs[split:][::-1])[::-1]
-    stalled = np.isnan(xs[split:])
-    if stalled.any():
-        first = order[split:][stalled].min()
-        raise NumericalFailureError(
-            f"continued fraction for exp_e1 stalled at x={float(x[first])}")
+    finite = (x > 0.0) & (x < math.inf)
+    if not finite.all():
+        raise ValueError(f"exp_e1 requires finite x > 0, got {float(x[~finite][0])!r}")
+    low = x <= SERIES_CF_SPLIT
     out = np.empty_like(x)
-    out[order] = xs
+    out[low] = _exp_e1_series(x[low])
+    out[~low] = _exp_e1_continued_fraction(x[~low])
     return out
 
 
@@ -86,74 +103,55 @@ def exp_e1(x):
 def _exp_e1_series(x):
     """Power-series branch, accurate for 0 < x <= 1.
 
-    E1(x) = -gamma - ln(x) + sum_{k>=1} (-1)^(k+1) x^k / (k * k!),
-    multiplied by exp(x). No cancellation occurs on this range since
-    -ln(x) >= 0 and the series total stays well away from zero. ``ln`` and
-    ``exp`` are libm's, per element: numpy's vector versions can differ
-    in the last ulp. Any order works; ascending x is fastest.
+    exp(x) * (-gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)), with
+    ``exp`` and the sum as Horner polynomials. ``ln x`` is ``e ln 2 +
+    ln m`` for ``x = m 2^e`` and m in [sqrt(1/2), sqrt(2)), with ``ln m``
+    from the atanh series in ``s = (m - 1)/(m + 1)``.
     """
-    out = -EULER_GAMMA - np.fromiter(map(math.log, x.tolist()), float, len(x))
-    # The suffix of elements from the first one still summing: -x, the
-    # running total (a view of out) and -(-x)^k / k! (negation is exact,
-    # so each product rounds as the scalar recurrence's does).
-    neg_x, total, neg_power = -x, out, np.full(len(x), -1.0)
-    for k in range(1, _SERIES_MAX_TERMS):
-        if not len(total):
-            break
-        neg_power *= neg_x / k
-        term = neg_power / k
-        total += term
-        bound = abs(total)
-        bound *= 1e-17
-        # A stopped element's later terms are smaller still and under half
-        # an ulp of its total, so its total and its test stay as they are.
-        going = abs(term) > bound
-        if not going[0]:
-            first = int(going.argmax()) or len(going)
-            neg_x, total, neg_power = neg_x[first:], total[first:], neg_power[first:]
-    return np.fromiter(map(math.exp, x.tolist()), float, len(x)) * out
+    m, e = np.frexp(x)
+    fold = m < _SQRT_HALF
+    m += m * fold
+    e = e - fold
+    s = (m - 1.0) / (m + 1.0)
+    z = s * s
+    ln = _horner(z, _ATANH)
+    ln *= z
+    ln *= s
+    ln += s + s
+    ln += e * _LN2_LO
+    total = _horner(x, _EIN)
+    total -= ln
+    total -= e * _LN2_HI
+    total *= _horner(x, _EXP)
+    return total
 
 
 @_float_for_float
 def _exp_e1_continued_fraction(x):
-    """Modified-Lentz continued fraction branch, accurate for x >= 1.
+    """Continued-fraction branch, accurate for x >= 1.
 
     exp(x) * E1(x) = 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
-    evaluated without any exp() factor so arguments up to 1e300 work.
-    Any order works; descending x is fastest. An element whose fraction
-    stalls reads NaN.
+    evaluated bottom-up, ``t <- x - i^2/t + (2i - 1)`` from ``t = inf`` at
+    i = depth down to 1, to the depth of the element's row of
+    ``_CF_ROWS``. The call sorts its elements, so the ones still at each
+    level are a prefix that it updates in place.
     """
-    # Rows of the suffix of elements from the first one still iterating:
-    # (out, d) and (h, NaN), so one masked copy stores h and poisons d.
-    dst, src = np.full((2, len(x)), math.nan), np.full((2, len(x)), math.nan)
-    out, d, h = dst[0], dst[1], src[0]
-    b = x + 1.0
-    c = np.full(len(x), 1.0 / _TINY)
-    np.divide(1.0, b, out=d)
-    h[:] = d
-    for i in range(1, _CF_MAX_ITER):
-        if not len(b):
-            break
-        a = -float(i) * float(i)
-        b += 2.0
-        d *= a
-        d += b
-        if np.count_nonzero(d) < len(d):
-            d[d == 0.0] = _TINY
-        np.reciprocal(d, out=d)
-        c = a / c
-        c += b
-        if np.count_nonzero(c) < len(c):
-            c[c == 0.0] = _TINY
-        delta = c * d
-        h *= delta
-        delta -= 1.0
-        stop = abs(delta) < _CF_EPS
-        # A stopped element keeps its h; its d is NaN from here on, so its
-        # test never holds again.
-        np.copyto(dst, src, where=stop)
-        if stop[0]:
-            first = int(np.isnan(d).argmin()) or len(d)
-            b, c, dst, src = b[first:], c[first:], dst[:, first:], src[:, first:]
-            d, h = dst[1], src[0]
+    order = np.argsort(x)
+    xs = x[order]
+    # Elements below each row's upper edge: those at its depth or deeper.
+    ends = np.searchsorted(xs, [edge for edge, _ in _CF_ROWS[1:]]).tolist() + [len(xs)]
+    depths = [depth for _, depth in _CF_ROWS] + [0]
+    t = np.full(len(xs), math.inf)
+    for end, depth, below in zip(ends, depths, depths[1:]):
+        # A call of a few large x would otherwise spend its time on the
+        # empty prefixes of the deep rows.
+        if not end:
+            continue
+        head, x_head = t[:end], xs[:end]
+        for i in range(depth, below, -1):
+            np.divide(-i * i, head, out=head)
+            head += x_head
+            head += 2 * i - 1
+    out = np.empty_like(x)
+    out[order] = 1.0 / t
     return out

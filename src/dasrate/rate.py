@@ -210,7 +210,7 @@ def cdf_sinr(partition: UserLinkPartition) -> Callable:
 
 def log1p_inv(x: np.ndarray) -> np.ndarray:
     """ln(1 + 1/x) per element: the high-accuracy stand-in used by the
-    approximated rates. ``log1p`` is libm's, per element, as in ``exp_e1``."""
+    approximated rates. ``log1p`` is libm's, per element."""
     return np.array([math.log1p(v) for v in (1.0 / x).tolist()])
 
 

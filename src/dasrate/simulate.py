@@ -372,8 +372,10 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
     ranges = [(float(lo), float(hi)) for lo, hi in snr_ranges_db]
-    for lo, hi in ranges:
+    for i, (lo, hi) in enumerate(ranges):
         check_snr_grid(lo, grid_step_db, hi, f"SNR range/--snr-ranges {lo:g}:{hi:g}")
+        if (lo, hi) in ranges[:i]:
+            raise ConfigError(f"SNR range/--snr-ranges {lo:g}:{hi:g} given more than once")
     points_per_range = []
     for lo, hi in ranges:
         points = [lo]

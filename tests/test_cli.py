@@ -151,6 +151,14 @@ def test_hist_csv(capsys):
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_hist_overlapping_ranges_each_get_a_block(capsys):
+    code, out, _ = run_cli(capsys, "hist", "--config", "fig8.cfg", "--drops", "3",
+                           "--snr-ranges", "0:10,5:7")
+    assert code == 0
+    ranges = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:]}
+    assert ranges == {("0", "10"), ("5", "7")}
+
+
 def test_hist_bad_ranges(capsys):
     code, _, _ = run_cli(capsys, "hist", "--config", "fig7.cfg",
                          "--drops", "2", "--snr-ranges", "10-20")
@@ -202,6 +210,10 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
      "given more than once: ideal"),
     (("sweep", "--config", "fig4.cfg", "--fixed-mode", "[1 2 3]",
       "--fixed-mode", "[1  2 3]"), "given more than once: [1 2 3]"),
+    (("rates", "--config", "fig2.cfg", "--no-mc", "--modes", "[1 2],[2 1],[1  2]"),
+     "given more than once: [1 2]"),
+    (("hist", "--config", "fig7.cfg", "--drops", "3", "--snr-ranges", "0:10,5:7,0.0:10"),
+     "--snr-ranges 0:10 given more than once"),
     (("hist", "--config", "fig7.cfg", "--drops", "2",
       "--out", str(DATA / "no-such-dir" / "x.csv")), "does not exist"),
     (("crossover", "--config", "fig2.cfg", "--out", str(DATA)), "cannot write --out"),
@@ -221,7 +233,8 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
         "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
         "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
-        "fixed-mode-repeated", "out-dir-missing", "out-is-a-directory",
+        "fixed-mode-repeated", "rates-mode-repeated", "range-repeated",
+        "out-dir-missing", "out-is-a-directory",
         "snr-too-high", "snr-too-low", "rates-snr-past-bound", "range-too-high",
         "range-too-low"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):

@@ -1,7 +1,9 @@
 """Scaled exponential-integral kernel and quadrature oracle tests."""
 
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -142,32 +144,88 @@ def test_quadrature_error_budget_enforced():
 
 # --- array kernel ---------------------------------------------------------------
 
+BITS_FILE = Path(__file__).parent / "data" / "exp_e1_bits.txt"
+
+
+def _horner(x: float, coefficients) -> float:
+    total = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        total = total * x + c
+    return total
+
+
 def _loop_exp_e1(x: float) -> float:
     """The kernel's recurrences on Python floats, one value at a time: the
     reference the array kernel must match bit for bit."""
     if x <= SERIES_CF_SPLIT:
-        total = -0.57721566490153286061 - math.log(x)
-        power = 1.0
-        for k in range(1, 500):
-            power *= -x / k
-            term = -power / k
-            total += term
-            if abs(term) <= 1e-17 * abs(total):
-                break
-        return math.exp(x) * total
-    b, c, d = x + 1.0, 1.0 / 1e-300, 1.0 / (x + 1.0)
-    h = d
-    for i in range(1, 20000):
-        a = -float(i) * float(i)
-        b += 2.0
-        d = a * d + b
-        d = 1.0 / (d if d != 0.0 else 1e-300)
-        c = b + a / c
-        c = c if c != 0.0 else 1e-300
-        h *= c * d
-        if abs(c * d - 1.0) < 5e-16:
-            return h
-    raise AssertionError(f"reference fraction stalled at x={x}")
+        m, e = math.frexp(x)
+        if m < math.sqrt(0.5):
+            m, e = m + m, e - 1
+        s = (m - 1.0) / (m + 1.0)
+        z = s * s
+        ln = _horner(z, numerics._ATANH) * z * s + (s + s) + e * numerics._LN2_LO
+        total = _horner(x, numerics._EIN) - ln - e * numerics._LN2_HI
+        return total * _horner(x, numerics._EXP)
+    depth = min(depth for edge, depth in numerics._CF_ROWS if edge <= x)
+    t = math.inf
+    for i in range(depth, 0, -1):
+        t = -i * i / t + x + (2 * i - 1)
+    return 1.0 / t
+
+
+def _bits_arguments() -> np.ndarray:
+    """The arguments pinned in ``BITS_FILE``: 2 001 log-spaced x in
+    [1e-300, 1e300], both neighbours of 1 and every depth-table edge."""
+    edges = [edge for edge, _ in numerics._CF_ROWS]
+    return np.unique(np.concatenate([np.logspace(-300, 300, 2001),
+                                     [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+                                     edges]))
+
+
+def _accuracy_arguments() -> np.ndarray:
+    """4 001 log-spaced x in [1e-300, 1e300], 1 and its neighbours, each
+    depth-table edge and its lower neighbour, and dense grids where the
+    series cancels most and where the fraction is deepest."""
+    edges = np.array([edge for edge, _ in numerics._CF_ROWS])
+    return np.unique(np.concatenate([np.logspace(-300, 300, 4001),
+                                     [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)],
+                                     edges, np.nextafter(edges, 0.0),
+                                     np.linspace(0.5, 1.0, 1001), np.linspace(1.0, 3.0, 1001)]))
+
+
+def test_kernel_is_within_1e_15_of_mpmath():
+    xs = _accuracy_arguments()
+    assert len(xs) >= 4001
+    with mpmath.workdps(30):
+        for x, value in zip(xs.tolist(), exp_e1(xs).tolist()):
+            want = mpmath.exp(x) * mpmath.e1(x)
+            assert abs(value / want - 1) <= 1e-15, x
+
+
+def test_fraction_depths_keep_a_level_in_hand():
+    """At each row's lowest x, one level less than the row's depth already
+    brings the fraction within 2**-57 of mpmath; depths fall as x grows."""
+    edges = [edge for edge, _ in numerics._CF_ROWS]
+    depths = [depth for _, depth in numerics._CF_ROWS]
+    assert edges == sorted(edges) and depths == sorted(depths, reverse=True)
+    with mpmath.workdps(40):
+        for edge, depth in numerics._CF_ROWS:
+            t = mpmath.inf
+            for i in range(depth - 1, 0, -1):
+                t = edge + 2 * i - 1 - mpmath.mpf(i * i) / t
+            want = mpmath.exp(edge) * mpmath.e1(edge)
+            assert abs(1 / (t * want) - 1) <= mpmath.mpf(2) ** -57, edge
+
+
+def test_kernel_bits_match_the_pinned_file():
+    """The same bits on every machine: each pinned argument's value, in
+    ``float.hex``, as recorded."""
+    lines = [line.split() for line in BITS_FILE.read_text().splitlines()
+             if not line.startswith("#")]
+    xs = np.array([float.fromhex(x) for x, _ in lines])
+    assert xs.tolist() == _bits_arguments().tolist()
+    assert [v.hex() for v in exp_e1(xs).tolist()] == [v for _, v in lines]
+    assert [v.hex() for v in exp_e1(xs[::-1]).tolist()] == [v for _, v in lines[::-1]]
 
 
 def test_array_kernel_is_bit_identical_to_the_loop_and_to_one_element_calls():
@@ -184,8 +242,8 @@ def test_array_kernel_is_bit_identical_to_the_loop_and_to_one_element_calls():
     assert exp_e1(xs[shuffled]).tobytes() == together[shuffled].tobytes()
 
 
-# Dense grids on both branches (on [1, 1e3] the fraction's stopping step
-# is not monotone in x), and many equal values on both.
+# Dense grids on both branches (on [1, 1e3] across 27 rows of the
+# fraction's depth table), and many equal values on both.
 ORDER_INPUTS = {
     "fraction-logspace": np.logspace(0, 3, 3001),
     "series-logspace": np.logspace(-8, 0, 3001),
@@ -197,7 +255,7 @@ ORDER_INPUTS = {
 def test_array_kernel_matches_the_loop_in_any_order(name):
     """Ascending, descending, shuffled and reversed-shuffled inputs give the
     float-by-float loop's values bit for bit, through exp_e1 and through
-    each branch, whose elements then stop out of order."""
+    each branch."""
     xs = ORDER_INPUTS[name]
     expected = np.array([_loop_exp_e1(x) for x in xs.tolist()])
     shuffled = np.random.default_rng(4).permutation(len(xs))
@@ -231,15 +289,10 @@ def test_one_bad_element_fails_the_whole_array(bad):
         exp_e1(xs)
 
 
-def test_stalled_fraction_names_its_argument(monkeypatch):
-    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 5)
-    with pytest.raises(NumericalFailureError, match="x=1.5"):
-        exp_e1(np.array([1e6, 1.5, 3.0]))
-
-
-def test_stall_is_named_in_input_order_not_sorted_order(monkeypatch):
-    """Both arguments stall and the kernel sorts them, 1.5 first; the
-    error still names 3.0, first in input order."""
-    monkeypatch.setattr(numerics, "_CF_MAX_ITER", 5)
-    with pytest.raises(NumericalFailureError, match=r"x=3\.0$"):
-        exp_e1(np.array([3.0, 1.5]))
+if __name__ == "__main__":
+    # Re-record BITS_FILE from the current kernel.
+    xs = _bits_arguments()
+    BITS_FILE.write_text(
+        "# x and exp(x) E1(x) in float.hex; PYTHONPATH=src python tests/test_numerics.py\n"
+        "# rewrites this file from the current kernel.\n"
+        + "".join(f"{x.hex()} {v.hex()}\n" for x, v in zip(xs.tolist(), exp_e1(xs).tolist())))
