@@ -113,7 +113,13 @@ def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
     pl = pathloss_matrix(scenario)
     grid = tuple(float(db) for db in snr_grid_db)
     snrs = [db_to_linear(db) for db in grid]
-    analytic = row_sum_rates(subset_rates(pl.gains[None], snrs), modes)[0].tolist()
+    # The table holds the served users only, renumbered in order: an idle
+    # user adds exactly 0.0 to every row, and its gains may tie.
+    served = np.flatnonzero(np.bincount(modes.ravel(), minlength=scenario.n_users + 1)[1:])
+    renumber = np.zeros(scenario.n_users + 1, dtype=int)
+    renumber[served + 1] = np.arange(1, len(served) + 1)
+    analytic = row_sum_rates(subset_rates(pl.gains[None, served], snrs),
+                             renumber[modes])[0].tolist()
     if include_mc:
         estimates = mc_sum_rates(pl.gains, [(row, snrs) for row in modes], n_channels,
                                  simulate.stream_key(seed))

@@ -2,11 +2,12 @@
 
 Fading power gains are unit-mean exponentials (the squared magnitude of
 a unit-variance complex Gaussian), drawn in chunks of MC_CHUNK channels,
-each from its own counter-based stream: a ``SeedSequence`` on the seed
-with its indices in the spawn key, which is not zero-padded as the
-entropy is, so keys of different lengths never coincide. Drop d's users
-come from (seed; d), the fading of its chunk c from (seed; d, c), and
-chunk c of a fixed geometry from (seed; 0, 0, c).
+each from an SFC64 generator seeded by its own key, a ``SeedSequence``
+on the seed with its indices in the spawn key, which is not zero-padded
+as the entropy is, so keys of different lengths never coincide; no
+stream is jumped or advanced. Drop d's users come from (seed; d), the
+fading of its chunk c from (seed; d, c), and chunk c of a fixed
+geometry from (seed; 0, 0, c).
 
 A draw does not depend on the SNR, so each chunk is drawn
 once per drop and read by every mode and point rated there (common
@@ -97,10 +98,10 @@ def check_snr_grid(lo: float, step: float, hi: float, what: str) -> None:
 
 
 def _chunk_stream(key: np.random.SeedSequence, chunk: int) -> np.random.Generator:
-    """Counter-based generator of Monte Carlo chunk ``chunk`` under
-    ``key``: the key's child of that index, as ``key.spawn`` makes it."""
+    """SFC64 generator of Monte Carlo chunk ``chunk`` under ``key``,
+    seeded by the key's child of that index, as ``key.spawn`` makes it."""
     seq = np.random.SeedSequence(key.entropy, spawn_key=(*key.spawn_key, chunk))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def stream_key(seed: int, drop: int | None = None) -> np.random.SeedSequence:
@@ -130,15 +131,20 @@ def _user_powers(hg: np.ndarray, row) -> list[tuple]:
 def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Sum over ``users`` of log2(1 + S / (I + 1 / snr)) for each draw
     (column) and each 1 / snr of the (points, 1) ``inv_snr`` (row), in
-    ``work[0]``; ``work`` is a (2, points, draws) array."""
+    ``work[0]``; ``work`` is a (2, points, draws) array. The first term
+    is written there directly, and a user with no interference divides
+    by ``inv_snr``, which is 0 + 1 / snr exactly; no user rates 0."""
     rates, term = work
-    rates[:] = 0.0
-    for signal, interference in users:
-        np.add(interference, inv_snr, out=term)
-        np.divide(signal, term, out=term)
-        term += 1.0
-        np.log2(term, out=term)
-        rates += term
+    if not users:
+        rates[:] = 0.0
+    for i, (signal, interference) in enumerate(users):
+        out = term if i else rates
+        noise = np.add(interference, inv_snr, out=out) if np.ndim(interference) else inv_snr
+        np.divide(signal, noise, out=out)
+        out += 1.0
+        np.log2(out, out=out)
+        if i:
+            rates += term
     return rates
 
 
@@ -150,8 +156,8 @@ def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
 
     ``rated`` lists (assignment, snrs) pairs over the (K, N) pathloss
     ``gains``, each assignment a sequence of N port entries;
-    the result holds one estimate per pair and SNR. Chunk c
-    is drawn from ``key``'s child c into ``fading`` (at least
+    the result holds one estimate per pair and SNR. Chunk c is drawn
+    by SFC64 from ``key``'s child c into ``fading`` (at least
     (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
     ``gains`` in place. Each mode's user powers are summed once per chunk
     and rated at its SNRs in slices of MC_POINT_SLICE. Each (mode, SNR)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -75,6 +76,25 @@ def test_rates_explicit_mode_at_eight_ports(tmp_path, capsys):
                            "--modes", "[1 0 0 0 0 0 0 0]")
     assert code == cli.EXIT_USAGE
     assert "port off" in err
+
+
+def test_rates_idle_user_gain_tie_is_not_rated(tmp_path, capsys):
+    """An idle user at the centre of a ring of ten ports has ten nearly
+    equal gains; a mode that serves only the other user rates as that
+    user alone does, byte for byte, and the idle user's tie is never met."""
+    ports = "; ".join(f"{4 * math.cos(2 * math.pi * j / 10):.12f},"
+                      f"{4 * math.sin(2 * math.pi * j / 10):.12f}" for j in range(10))
+    head = ("n_ports = 10\ncell_radius = 6.11\npathloss_exponent = 3\ntx_power_dB = 0\n"
+            f"noise_power = 1\nport_positions = {ports}\n")
+    columns = []
+    for users, label in (("0,0; 2,1", "2"), ("2,1", "1")):
+        cfg = tmp_path / f"users{label}.cfg"
+        cfg.write_text(head + f"n_users = {users.count(';') + 1}\nuser_positions = {users}\n")
+        code, out, err = run_cli(capsys, "rates", "--config", str(cfg), "--no-mc",
+                                 "--snr", "0:10:20", "--modes", f"[{' '.join([label] * 10)}]")
+        assert code == cli.EXIT_OK, err
+        columns.append([line.split(",")[1] for line in out.splitlines()[1:]])
+    assert columns[0] == columns[1] == ["0.426644638526", "2.07713038112", "5.01231877375"]
 
 
 def test_missing_config_is_usage_error(capsys):

@@ -198,6 +198,27 @@ def test_sum_rates_match_dense_form_bit_for_bit():
         assert np.array_equal(bits(got), bits(want)), str(mode)
 
 
+def test_sum_rates_without_interferer_match_dense_form_bit_for_bit():
+    """A one-user mode on every port has no interferer: its one term is
+    the whole rate, written over stale work at every point of a slice,
+    with the signal divided by the noise column itself. It matches the
+    dense form, whose 0 + 1 / snr is exactly 1 / snr, bit for bit; no
+    user at all rates 0."""
+    inv_snrs = 1.0 / np.array([0.1, 1.0, 1e3, 1e5])[:, None]
+    for n in (3, 5, 9):
+        pl = drop(n, (68, n))
+        h = _chunk_stream(np.random.SeedSequence(69), n).standard_exponential(size=(300, n, n))
+        for user in (1, n):
+            mode = (user,) * n
+            work = np.full((2, len(inv_snrs), len(h)), np.nan)
+            got = _sum_rates(_user_powers(h * pl.gains, mode), inv_snrs, work)
+            for p, inv_snr in enumerate(inv_snrs[:, 0]):
+                want = ordered_sum_rates(pl, mode, inv_snr, h)
+                assert np.array_equal(bits(got[p]), bits(want)), (mode, inv_snr)
+    idle = _sum_rates([], inv_snrs, np.full((2, len(inv_snrs), 5), np.nan))
+    assert np.array_equal(bits(idle), bits(np.zeros((len(inv_snrs), 5))))
+
+
 @pytest.mark.parametrize("n_channels", [200, 9000])
 def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
     """9000 channels are two chunks, the second a tail."""
@@ -271,6 +292,41 @@ def test_fading_draws_unit_mean():
             into = stream((31, 5), chunk).standard_exponential(out=buffer[:size])
             assert np.shares_memory(into, buffer)
             assert np.array_equal(bits(into), bits(drawn))
+
+
+def chunk_draws(seed, drop, chunk):
+    """The fading of one full N = K = 3 chunk of a drop, as the engine
+    draws it: MC_CHUNK x 9 = 73 728 values."""
+    return _chunk_stream(stream_key(seed, drop), chunk).standard_exponential(
+        size=(simulate.MC_CHUNK, 3, 3)).ravel()
+
+
+# By the DKW inequality, P(KS distance > eps) <= 2 exp(-2 n eps^2): about
+# 1e-9 for n = 73 728 draws at eps = 0.012.
+KS_BOUND = 0.012
+# Independent draws give Pearson r with standard deviation 1 / sqrt(n),
+# 0.0037 for n = 73 728, so this bound sits about 6.8 sigma out.
+CORRELATION_BOUND = 0.025
+
+
+@pytest.mark.parametrize("drop_index, chunk", [(0, 0), (0, 1), (1, 0), (99, 2)])
+def test_chunk_stream_draws_unit_exponentials(drop_index, chunk):
+    """The KS distance of a chunk stream's draws from 1 - exp(-x)."""
+    x = np.sort(chunk_draws(1, drop_index, chunk))
+    cdf = -np.expm1(-x)
+    n = len(x)
+    distance = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert distance <= KS_BOUND
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_neighbouring_chunk_streams_are_uncorrelated(seed):
+    """Pearson |r| between consecutive chunks of one drop and between
+    neighbouring drops at one chunk."""
+    for (d1, c1), (d2, c2) in (((0, 0), (0, 1)), ((3, 1), (3, 2)),
+                               ((0, 0), (1, 0)), ((4, 2), (5, 2))):
+        r = np.corrcoef(chunk_draws(seed, d1, c1), chunk_draws(seed, d2, c2))[0, 1]
+        assert abs(r) < CORRELATION_BOUND, ((d1, c1), (d2, c2), r)
 
 
 @pytest.mark.parametrize("n_channels", [2, 200, simulate.MC_CHUNK, 9000])
