@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, simulate
-from .errors import (CapacityError, ConfigError, DegenerateGainsError,
-                     NumericalFailureError)
+from .errors import ConfigError, DasRateError
 from .geometry import Scenario, load_scenario
 from .modes import TransmissionMode
 
@@ -31,10 +30,7 @@ gc.freeze()
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
-EXIT_CAPACITY = 3
-EXIT_DEGENERACY = 4
-EXIT_NUMERICAL = 5
+EXIT_USAGE = ConfigError.exit_code
 
 
 # Flags shared by several commands; each command adds only those it reads.
@@ -148,9 +144,9 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_rates(args) -> int:
     scenario = _resolve_config(args.config)
     grid = experiments.parse_snr_spec(args.snr)
-    labels = [tok for tok in args.modes.split(",") if tok.strip()] or None
-    modes = experiments.resolve_mode_filter(labels, scenario.n_ports,
-                                            scenario.n_users)
+    rows = [TransmissionMode.from_label(tok).assignment
+            for tok in args.modes.split(",") if tok.strip()]
+    modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users)
     curve = experiments.mode_rate_curves(scenario, modes, grid,
                                          n_channels=args.channels,
                                          seed=args.seed,
@@ -162,16 +158,12 @@ def _cmd_rates(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _resolve_config(args.config)
     grid = experiments.parse_snr_spec(args.snr)
-    schemes: list = list(args.scheme or [])
-    for label in args.fixed_mode or []:
-        schemes.append(TransmissionMode.from_label(label))
-    if not schemes:
-        schemes = ["ideal", "min-distance"]
-    curve = experiments.sweep_curves(scenario, schemes, grid,
-                                     n_drops=args.drops, n_channels=args.channels,
-                                     seed=args.seed, rating=args.rating,
-                                     n_jobs=args.jobs,
-                                     force_ideal=args.force_ideal)
+    schemes = [*(args.scheme or []), *(TransmissionMode.from_label(label).assignment
+                                       for label in args.fixed_mode or [])]
+    curve = simulate.cell_average(scenario, schemes or ["ideal", "min-distance"], grid,
+                                  n_drops=args.drops, n_channels=args.channels,
+                                  seed=args.seed, rating=args.rating, n_jobs=args.jobs,
+                                  force_ideal=args.force_ideal)
     _emit(experiments.curve_to_csv(curve), args.out)
     return EXIT_OK
 
@@ -231,21 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (DasRateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except DegenerateGainsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except NumericalFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

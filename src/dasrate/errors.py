@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, each with its CLI exit code."""
 
 
 class DasRateError(Exception):
@@ -7,15 +7,19 @@ class DasRateError(Exception):
 
 class ConfigError(DasRateError):
     """Malformed or inconsistent scenario configuration / CLI usage."""
+    exit_code = 2
 
 
 class CapacityError(DasRateError):
     """Candidate enumeration would exceed the configured search budget."""
+    exit_code = 3
 
 
 class DegenerateGainsError(DasRateError):
     """Pathloss gains remained tied after the deterministic separation guard."""
+    exit_code = 4
 
 
 class NumericalFailureError(DasRateError):
     """A quadrature's error estimate exceeded its budget."""
+    exit_code = 5

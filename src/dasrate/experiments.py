@@ -1,8 +1,11 @@
-"""Experiment drivers behind the CLI: rate curves, sweeps, crossover
-reports, histograms, and their CSV forms.
+"""Experiment drivers behind the CLI: fixed-geometry rate curves,
+crossover reports, and the CSV forms of curves and histograms.
 
-CSV output is RFC-4180 style with '.' decimals and a fixed column order,
-so analytic-only outputs are byte-identical across runs and machines.
+CSV output is RFC-4180 style with '.' decimals and a fixed column order.
+On one machine, analytic-only outputs are byte-identical across runs and
+``--jobs`` values, and the scaled-E1 kernel's bits are pinned on every
+machine; the gains (``**``), trig and ``np.log2`` can still move by an
+ulp under another numpy SIMD dispatch, and so can a printed digit.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 from . import simulate
 from .errors import ConfigError
 from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
-from .modes import TransmissionMode, admissible, ideal_count, ideal_modes
+from .modes import admissible, check_fit, ideal_modes, mode_label
 from .rate import (CrossoverFormulas, crossover_curves_db, crossover_snr, row_sum_rates,
                    subset_rates)
-from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates
+from .simulate import RateCurve, RateSeries, mc_sum_rates
 
 
 def _fmt(value: float) -> str:
@@ -78,26 +81,20 @@ def histogram_to_csv(fractions: dict[tuple[float, float], dict[str, float]]) -> 
 
 # --- fixed-geometry rate curves ---------------------------------------------
 
-def resolve_mode_filter(labels: list[str] | None, n_ports: int,
-                        n_users: int) -> np.ndarray:
-    """(modes x ports) assignments for a rates run: the labelled modes,
-    each checked against the scenario, the exhaustive-set rule and for
-    repeats, or the whole exhaustive set for an empty filter."""
-    if not labels:
+def resolve_mode_filter(rows, n_ports: int, n_users: int) -> np.ndarray:
+    """(modes x ports) assignments for a rates run: the assignment
+    ``rows``, each checked by ``modes.check_fit``, for repeats and, as
+    members of the exhaustive set, by ``modes.admissible``; or the whole
+    exhaustive set for no rows."""
+    if not rows:
         return ideal_modes(n_ports, n_users)
-    rows = []
-    for text in labels:
-        try:
-            mode = TransmissionMode.from_label(text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        _check_fixed_mode(mode, n_ports, n_users)
-        if mode.assignment in rows:
-            raise ConfigError(f"mode given more than once: {mode.label}")
-        if not admissible(np.array([mode.assignment]))[0]:
-            raise ConfigError(f"mode {mode.label} serves one user with a port off; "
+    for i, row in enumerate(rows):
+        check_fit(row, n_ports, n_users)
+        if tuple(row) in map(tuple, rows[:i]):
+            raise ConfigError(f"mode given more than once: {mode_label(row)}")
+        if not admissible(np.array([row]))[0]:
+            raise ConfigError(f"mode {mode_label(row)} serves one user with a port off; "
                               f"a one-user mode must use every port")
-        rows.append(mode.assignment)
     return np.array(rows)
 
 
@@ -121,73 +118,18 @@ def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
     analytic = row_sum_rates(subset_rates(pl.gains[None, served], snrs),
                              renumber[modes])[0].tolist()
     if include_mc:
-        estimates = mc_sum_rates(pl.gains, [(row, snrs) for row in modes], n_channels,
-                                 simulate.stream_key(seed))
+        means, errors = mc_sum_rates(pl.gains, modes, snrs, n_channels,
+                                     simulate.stream_key(seed))
     series: list[RateSeries] = []
-    for m_idx, row in enumerate(modes.tolist()):
-        label = TransmissionMode(tuple(row)).label
+    for m_idx, row in enumerate(modes):
+        label = mode_label(row)
         series.append(RateSeries(label=label, kind="analytic",
                                  values=tuple(point[m_idx] for point in analytic)))
         if include_mc:
-            mc = estimates[m_idx]
             series.append(RateSeries(label=label, kind="mc",
-                                     values=tuple(e.mean for e in mc),
-                                     std_errors=tuple(e.std_error for e in mc)))
+                                     values=tuple(means[m_idx].tolist()),
+                                     std_errors=tuple(errors[m_idx].tolist())))
     return RateCurve(snr_grid_db=grid, series=tuple(series))
-
-
-# --- cell-averaged sweeps -----------------------------------------------------
-
-# Most candidate-drop-points (candidates x drops x SNR points) an
-# exhaustive sweep may rate unless forced: about 13 s of work at the
-# 0.032 us per candidate-drop-point measured at N = K = 4 (2 048 drops),
-# and 11 s at the 0.027 us measured at N = K = 5 (512 drops), 11 points
-# each, one worker on a 2-core x86 machine. The old guard, 1000
-# candidates per drop, allowed about 44 s at default size: 1000 x 4000 x
-# 11 at about 1 us each.
-SWEEP_IDEAL_LIMIT = 400_000_000
-
-
-def _check_fixed_mode(mode: TransmissionMode, n_ports: int, n_users: int) -> None:
-    """Reject a fixed mode that does not fit the scenario."""
-    if len(mode.assignment) != n_ports:
-        raise ConfigError(f"fixed mode {mode.label} has {len(mode.assignment)} "
-                          f"entries; the scenario has {n_ports} ports")
-    if max(mode.assignment) > n_users:
-        raise ConfigError(f"fixed mode {mode.label} serves user "
-                          f"{max(mode.assignment)}; the scenario has {n_users} users")
-    if not any(mode.assignment):
-        raise ConfigError(f"fixed mode {mode.label} has no active port")
-
-
-def sweep_curves(template: Scenario, schemes, snr_grid_db, n_drops: int,
-                 n_channels: int, seed: int, rating: str = "analytic",
-                 n_jobs: int = 1, force_ideal: bool = False) -> RateCurve:
-    """Cell-averaged curves for a list of schemes and/or fixed modes, all
-    from one pass over the drops.
-
-    Every scheme and fixed mode is checked against the scenario, and for
-    repeats, before any drop is drawn.
-    """
-    labels = [simulate._scheme_label(s) for s in schemes]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ConfigError(f"scheme or fixed mode given more than once: "
-                          f"{', '.join(repeated)}")
-    for scheme in schemes:
-        if isinstance(scheme, TransmissionMode):
-            _check_fixed_mode(scheme, template.n_ports, template.n_users)
-        elif scheme == "ideal" and not force_ideal:
-            count = ideal_count(template.n_ports, template.n_users)
-            work = count * n_drops * len(snr_grid_db)
-            if work > SWEEP_IDEAL_LIMIT:
-                raise ConfigError(
-                    f"exhaustive sweep would rate {work} candidate-drop-points "
-                    f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
-                    f"SNR points), more than {SWEEP_IDEAL_LIMIT}; pass "
-                    f"force_ideal/--force-ideal to run it anyway")
-    return cell_average(template, schemes, snr_grid_db, n_drops, n_channels,
-                        seed, rating=rating, n_jobs=n_jobs)
 
 
 # --- crossover report ---------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 # Exhaustive enumeration refuses to materialize more than this many
 # raw assignment vectors.
@@ -26,24 +26,16 @@ class TransmissionMode:
     """Port-to-user assignment vector, as the CLI reads and prints it.
 
     ``assignment[j]`` is the user served by port j (0 = port off). User
-    indices are 1-based to match the rendered labels.
+    indices are 1-based to match the rendered labels. ``modes.check_fit``
+    checks a parsed row against a scenario.
     """
 
     assignment: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.assignment:
-            raise ValueError("assignment must be non-empty")
-        entries = tuple(map(int, self.assignment))
-        if entries != tuple(self.assignment) or min(entries) < 0:
-            raise ValueError(f"assignment entries must be integers >= 0, "
-                             f"got {self.assignment}")
-        object.__setattr__(self, "assignment", entries)
-
     @property
     def label(self) -> str:
         """Render as ``[u1 u2 ... uN]``, the format used in CSV and logs."""
-        return "[" + " ".join(str(u) for u in self.assignment) + "]"
+        return mode_label(self.assignment)
 
     @classmethod
     def from_label(cls, text: str) -> "TransmissionMode":
@@ -57,6 +49,29 @@ class TransmissionMode:
         if not entries:
             raise ValueError(f"cannot parse mode label {text!r}")
         return cls(entries)
+
+
+def mode_label(row) -> str:
+    """The label ``[u1 u2 ... uN]`` of an assignment row."""
+    return "[" + " ".join(str(u) for u in row) + "]"
+
+
+def check_fit(row, n_ports: int, n_users: int) -> None:
+    """Reject an assignment row, a sequence of N port entries, that does
+    not fit a scenario of ``n_ports`` ports and ``n_users`` users. Any row
+    that fits may be swept as a fixed mode, in the exhaustive set or not
+    (``[1 0 0]`` serves one user on one of three ports); ``rates`` also
+    asks for ``admissible`` rows."""
+    if len(row) != n_ports:
+        raise ConfigError(f"fixed mode {mode_label(row)} has {len(row)} entries; "
+                          f"the scenario has {n_ports} ports")
+    if any(int(u) != u or u < 0 for u in row):
+        raise ConfigError(f"fixed mode {mode_label(row)} needs integer entries >= 0")
+    if max(row) > n_users:
+        raise ConfigError(f"fixed mode {mode_label(row)} serves user {max(row)}; "
+                          f"the scenario has {n_users} users")
+    if not any(row):
+        raise ConfigError(f"fixed mode {mode_label(row)} has no active port")
 
 
 def ideal_count(n_ports: int, n_users: int) -> int:

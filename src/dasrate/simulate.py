@@ -30,7 +30,7 @@ import numpy.random  # noqa: F401
 
 from .errors import ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
-from .modes import TransmissionMode, ideal_modes, nearest_user_modes
+from .modes import check_fit, ideal_count, ideal_modes, mode_label, nearest_user_modes
 from .rate import row_sum_rates, subset_rates
 from .selection import select_rows
 
@@ -52,13 +52,6 @@ MC_CHUNK = 8192
 # (points, chunk) work arrays take at most 2 MiB whatever the grid
 # length, and an 11-point grid is one pass.
 MC_POINT_SLICE = 16
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_error: float
-    n_trials: int
 
 
 @dataclass(frozen=True)
@@ -148,23 +141,24 @@ def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.
     return rates
 
 
-def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
-                 key: np.random.SeedSequence, *,
-                 fading: np.ndarray | None = None) -> list[list[McEstimate]]:
-    """Monte Carlo estimates of the ergodic sum rate of several modes, each
-    at its own linear SNRs, from one fading draw per chunk.
+def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
+                 key: np.random.SeedSequence, *, at: np.ndarray | None = None,
+                 fading: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means and standard errors of the ergodic sum rates of
+    the assignment ``rows``, each a sequence of N port entries, over the
+    (K, N) pathloss ``gains`` at the linear ``snrs``, as two (rows x
+    points) arrays, from one fading draw per chunk.
 
-    ``rated`` lists (assignment, snrs) pairs over the (K, N) pathloss
-    ``gains``, each assignment a sequence of N port entries;
-    the result holds one estimate per pair and SNR. Chunk c is drawn
+    Only the cells of the (rows x points) boolean mask ``at`` are rated,
+    every cell when it is None; the others read NaN. Chunk c is drawn
     by SFC64 from ``key``'s child c into ``fading`` (at least
     (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
-    ``gains`` in place. Each mode's user powers are summed once per chunk
-    and rated at its SNRs in slices of MC_POINT_SLICE. Each (mode, SNR)
-    adds its own total and sum of squares in chunk order, so its estimate
-    does not depend on the other pairs and SNRs of the call. A fixed
-    geometry passes ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw
-    chunk c from ``SeedSequence(seed, spawn_key=(c,))``.
+    ``gains`` in place. Each row's user powers are summed once per chunk
+    and rated at its points in slices of MC_POINT_SLICE. Each cell adds
+    its own total and sum of squares in chunk order, so its estimate
+    does not depend on the other cells of the call. A fixed geometry
+    passes ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c
+    from ``SeedSequence(seed, spawn_key=(c,))``.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
@@ -175,37 +169,32 @@ def mc_sum_rates(gains: np.ndarray, rated, n_channels: int,
           or fading.shape[1:] != shape[1:] or fading.shape[0] < shape[0]):
         raise ValueError(f"fading buffer must be C-contiguous float64 with shape "
                          f"{shape} or more rows, got {fading.dtype} {fading.shape}")
-    inv_snrs = [1.0 / np.asarray(snrs, dtype=float)[:, None] for _, snrs in rated]
-    totals = [np.zeros((2, len(inv_snr))) for inv_snr in inv_snrs]
-    work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, inv_snrs), default=0)) * shape[0])
+    snrs = np.asarray(snrs, dtype=float)
+    at = np.ones((len(rows), len(snrs)), dtype=bool) if at is None else np.asarray(at)
+    if at.shape != (len(rows), len(snrs)):
+        raise ValueError(f"at must have shape {(len(rows), len(snrs))}, got {at.shape}")
+    points = [np.flatnonzero(cells) for cells in at]
+    inv_snrs = [1.0 / snrs[cols, None] for cols in points]
+    totals = np.zeros((2, *at.shape))
+    work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, points), default=0)) * shape[0])
     for c, size in enumerate(_chunk_sizes(n_channels)):
         hg = _chunk_stream(key, c).standard_exponential(out=fading[:size])
         hg *= gains
-        for (row, _), inv_snr, (total, total_sq) in zip(rated, inv_snrs, totals):
+        for row, cols, inv_snr, total, total_sq in zip(rows, points, inv_snrs, *totals):
             users = _user_powers(hg, row)
-            for lo in range(0, len(inv_snr), MC_POINT_SLICE):
-                part = inv_snr[lo:lo + MC_POINT_SLICE]
+            for lo in range(0, len(cols), MC_POINT_SLICE):
+                part, idx = inv_snr[lo:lo + MC_POINT_SLICE], cols[lo:lo + MC_POINT_SLICE]
                 rates = _sum_rates(users, part,
                                    work[:2 * len(part) * size].reshape(2, len(part), size))
-                total[lo:lo + len(part)] += rates.sum(axis=1)
-                total_sq[lo:lo + len(part)] += np.square(rates, out=rates).sum(axis=1)
-    estimates = []
-    for total, total_sq in totals:
-        mean = total / n_channels
-        var = np.maximum(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
-        estimates.append([McEstimate(mean=float(m), std_error=float(e), n_trials=n_channels)
-                          for m, e in zip(mean, np.sqrt(var / n_channels))])
-    return estimates
+                total[idx] += rates.sum(axis=1)
+                total_sq[idx] += np.square(rates, out=rates).sum(axis=1)
+    total, total_sq = np.where(at, totals, np.nan)
+    mean = total / n_channels
+    var = np.maximum(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
+    return mean, np.sqrt(var / n_channels)
 
 
 # --- cell-averaged experiments ----------------------------------------------
-
-Scheme = str | TransmissionMode  # "ideal" | "min-distance" | fixed mode
-
-
-def _scheme_label(scheme: Scheme) -> str:
-    return scheme.label if isinstance(scheme, TransmissionMode) else scheme
-
 
 def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     """The (drops x sets x points x ports) chosen assignments and (drops
@@ -221,7 +210,8 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     The value is the closed-form rate, or with ``rating`` "mc" the Monte
     Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
     chosen mode at the points where any set chose it, from one draw per
-    chunk under the drop's key, into the block's one buffer.
+    chunk under the drop's key, into the block's one buffer, and each
+    (set, point) reads its mode's mean there.
     """
     (template, sets, grid_db, n_channels, seed, drops, rating) = args
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
@@ -252,19 +242,17 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
         # Allocated once: a fresh array per chunk is freed to the OS at
         # the heap top and page-faulted in again by the next chunk.
         fading = np.empty((min(n_channels, MC_CHUNK), template.n_users, template.n_ports))
+        points = np.arange(len(grid_db))
         for key, gains, drop_chosen, drop_values in zip(keys, pl.gains, chosen, values):
-            # Each distinct chosen mode, the (set, point) cells that chose
-            # it, and the points where any set did.
+            # Each distinct chosen mode, the one each (set, point) chose,
+            # and the points where any set chose it.
             distinct, which = np.unique(drop_chosen.reshape(-1, template.n_ports), axis=0,
                                         return_inverse=True)
-            cells = which.reshape(shape[1:]) == np.arange(len(distinct))[:, None, None]
-            points = [np.flatnonzero(at.any(axis=0)) for at in cells]
-            estimates = mc_sum_rates(
-                gains, [(row, [snrs[idx] for idx in idxs]) for row, idxs in zip(distinct, points)],
-                n_channels, key, fading=fading)
-            for at, idxs, ests in zip(cells, points, estimates):
-                for idx, est in zip(idxs, ests):
-                    drop_values[at[:, idx], idx] = est.mean
+            which = which.reshape(shape[1:])
+            at = np.zeros((len(distinct), len(grid_db)), dtype=bool)
+            at[which, points] = True
+            mean, _ = mc_sum_rates(gains, distinct, snrs, n_channels, key, at=at, fading=fading)
+            drop_values[:] = mean[which, points]
     return chosen, values
 
 
@@ -320,16 +308,33 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     return np.concatenate(chosen), np.concatenate(values)
 
 
+# Most candidate-drop-points (candidates x drops x SNR points) an
+# exhaustive sweep may rate unless forced: about 13 s of work at the
+# 0.032 us per candidate-drop-point measured at N = K = 4 (2 048 drops),
+# and 11 s at the 0.027 us measured at N = K = 5 (512 drops), 11 points
+# each, one worker on a 2-core x86 machine.
+SWEEP_IDEAL_LIMIT = 400_000_000
+
+
 def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
                  n_drops: int, n_channels: int, seed: int,
-                 rating: str = "analytic", n_jobs: int = 1) -> RateCurve:
-    """Rate curves of ``schemes`` averaged over the same uniform user drops.
+                 rating: str = "analytic", n_jobs: int = 1,
+                 force_ideal: bool = False) -> RateCurve:
+    """Rate curves of ``schemes`` averaged over the same uniform user
+    drops, all from one pass over the drops.
 
-    ``schemes`` lists "ideal", "min-distance" and fixed modes; the curve
-    holds one series per entry, in order. Selection always uses
-    closed-form rates, and a fixed mode is a candidate set of one. The
-    recorded value per drop is closed-form when ``rating="analytic"`` or a
-    fading-simulation estimate when ``rating="mc"``.
+    ``schemes`` lists "ideal", "min-distance" and fixed modes, each an
+    assignment row of N port entries; the curve holds one series per
+    entry, in order, and labels a fixed mode's ``[u1 ... uN]``. A fixed
+    mode may be any row that fits the scenario (``modes.check_fit``), in
+    the exhaustive set or not, and is a candidate set of one. Selection
+    always uses closed-form rates. The recorded value per drop is
+    closed-form when ``rating="analytic"`` or a fading-simulation
+    estimate when ``rating="mc"``.
+
+    Before any drop is drawn, every entry is checked: for repeats, each
+    fixed row for fit, and an exhaustive set for more than
+    SWEEP_IDEAL_LIMIT candidate-drop-points unless ``force_ideal``.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
@@ -337,29 +342,42 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
         raise ConfigError(f"rating must be 'analytic' or 'mc', got {rating!r}")
     if not schemes:
         raise ConfigError("no schemes requested")
-    n_ports = scenario_template.n_ports
-    sets: list[np.ndarray | None] = []
+    labels = [s if isinstance(s, str) else mode_label(s) for s in schemes]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"scheme or fixed mode given more than once: "
+                          f"{', '.join(repeated)}")
+    n_ports, n_users = scenario_template.n_ports, scenario_template.n_users
     for scheme in schemes:
-        if isinstance(scheme, TransmissionMode):
-            sets.append(np.array([scheme.assignment]))
-        elif scheme == "ideal":
-            sets.append(ideal_modes(n_ports, scenario_template.n_users))
-        elif scheme == "min-distance":
-            sets.append(None)  # drawn per drop
-        else:
+        if not isinstance(scheme, str):
+            check_fit(scheme, n_ports, n_users)
+        elif scheme not in ("ideal", "min-distance"):
             raise ConfigError(f"unknown scheme {scheme!r}")
+        elif scheme == "ideal" and not force_ideal:
+            count = ideal_count(n_ports, n_users)
+            work = count * n_drops * len(snr_grid_db)
+            if work > SWEEP_IDEAL_LIMIT:
+                raise ConfigError(
+                    f"exhaustive sweep would rate {work} candidate-drop-points "
+                    f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
+                    f"SNR points), more than {SWEEP_IDEAL_LIMIT}; pass "
+                    f"force_ideal/--force-ideal to run it anyway")
+    # The nearest-user set (None) is drawn per drop.
+    sets = [np.array([scheme]) if not isinstance(scheme, str) else
+            ideal_modes(n_ports, n_users) if scheme == "ideal" else None
+            for scheme in schemes]
     grid = tuple(float(db) for db in snr_grid_db)
     _, values = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops,
                            rating, n_jobs)
     series = []
-    for s, scheme in enumerate(schemes):
+    for s, label in enumerate(labels):
         per_drop = values[:, s]
         mean = per_drop.mean(axis=0)
         if n_drops > 1:
             stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
         else:
             stderr = np.zeros_like(mean)
-        series.append(RateSeries(label=_scheme_label(scheme), kind=rating,
+        series.append(RateSeries(label=label, kind=rating,
                                  values=tuple(float(v) for v in mean),
                                  std_errors=tuple(float(e) for e in stderr)))
     return RateCurve(snr_grid_db=grid, series=tuple(series))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dasrate import cli, experiments, numerics, simulate
+from dasrate.errors import DegenerateGainsError, NumericalFailureError
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,8 +114,21 @@ def test_capacity_error_exit_code(tmp_path, capsys):
                    + "user_positions = " + "; ".join(["0,0"] * 9) + "\n")
     code, _, err = run_cli(capsys, "rates", "--config", str(big),
                            "--no-mc", "--snr", "0:10:10")
-    assert code == cli.EXIT_CAPACITY
+    assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("error, exit_code", [(DegenerateGainsError, 4),
+                                              (NumericalFailureError, 5)])
+def test_engine_errors_exit_with_their_codes(capsys, monkeypatch, error, exit_code):
+    """An error raised under a command exits with its class's code and
+    one line on stderr."""
+    def failing(x):
+        raise error("forced in the kernel")
+
+    monkeypatch.setattr(numerics, "exp_e1", failing)
+    code, out, err = run_cli(capsys, "rates", "--config", "fig2.cfg", "--no-mc")
+    assert (code, out, err) == (exit_code, "", "error: forced in the kernel\n")
 
 
 def test_sweep_csv_and_capacity_guard(tmp_path, capsys):
@@ -223,6 +237,10 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 1 1 1 1]"), "4 ports"),
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 2]"), "4 ports"),
     (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[0 0 0 0]"), "no active port"),
+    (("sweep", "--config", "fig5.cfg", "--fixed-mode", "[1 -1 2 3]"),
+     "integer entries >= 0"),
+    (("rates", "--config", "fig2.cfg", "--no-mc", "--modes", "[1 2],[-1 2]"),
+     "integer entries >= 0"),
     (("sweep", "--config", "fig5.cfg", "--scheme", "ideal", "--fixed-mode", "[9 9]"),
      "4 ports"),
     (("crossover", "--config", "fig2.cfg", "--reference-db", "nan"), "must be finite"),
@@ -251,7 +269,8 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "sweep-seed-negative", "hist-seed-negative", "rates-seed-negative",
         "fixed-mode-too-short",
         "fixed-mode-user-out-of-range", "fixed-mode-too-long",
-        "fixed-mode-2-ports-on-4", "fixed-mode-all-off",
+        "fixed-mode-2-ports-on-4", "fixed-mode-all-off", "fixed-mode-negative",
+        "rates-mode-negative",
         "fixed-mode-bad-after-ideal", "reference-db-nan", "scheme-repeated",
         "fixed-mode-repeated", "rates-mode-repeated", "range-repeated",
         "out-dir-missing", "out-is-a-directory",

@@ -8,10 +8,9 @@ from dasrate.errors import ConfigError
 from dasrate.experiments import (bundled_config_path, crossover_report,
                                  curve_to_csv, histogram_to_csv,
                                  mode_rate_curves, parse_snr_spec,
-                                 resolve_mode_filter, sweep_curves)
+                                 resolve_mode_filter)
 from dasrate.geometry import load_scenario
-from dasrate.modes import TransmissionMode
-from dasrate.simulate import RateCurve, RateSeries
+from dasrate.simulate import RateCurve, RateSeries, cell_average
 
 FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
 
@@ -47,30 +46,30 @@ def test_resolve_mode_filter_defaults_to_ideal_set():
 
 
 def test_resolve_mode_filter_unknown_label_lists_valid():
-    """A label is checked against the scenario and the exhaustive-set rule,
+    """A row is checked against the scenario and the exhaustive-set rule,
     and the error names the condition it fails."""
     with pytest.raises(ConfigError, match="2 users"):
-        resolve_mode_filter(["[3 1]"], 2, 2)
+        resolve_mode_filter([(3, 1)], 2, 2)
     with pytest.raises(ConfigError, match="port off"):
-        resolve_mode_filter(["[1 0]"], 2, 2)  # inadmissible single-port mode
-    assert resolve_mode_filter(["[2 1]", "[1 1]"], 2, 2).tolist() == [[2, 1], [1, 1]]
+        resolve_mode_filter([(1, 0)], 2, 2)  # inadmissible single-port mode
+    assert resolve_mode_filter([(2, 1), (1, 1)], 2, 2).tolist() == [[2, 1], [1, 1]]
 
 
 def test_curve_csv_schema_and_stability():
-    curve = mode_rate_curves(FIG2, resolve_mode_filter(["[1 2]"], 2, 2),
+    curve = mode_rate_curves(FIG2, resolve_mode_filter([(1, 2)], 2, 2),
                              snr_grid_db=(0.0, 10.0), n_channels=500, seed=2)
     text = curve_to_csv(curve)
     lines = text.strip().split("\n")
     assert lines[0] == "snr_db,[1 2]_analytic,[1 2]_mc,[1 2]_mc_stderr"
     assert len(lines) == 3
     again = curve_to_csv(mode_rate_curves(
-        FIG2, resolve_mode_filter(["[1 2]"], 2, 2),
+        FIG2, resolve_mode_filter([(1, 2)], 2, 2),
         snr_grid_db=(0.0, 10.0), n_channels=500, seed=2))
     assert text == again  # byte-stable at fixed seed
 
 
 def test_analytic_only_curve_has_no_mc_columns():
-    curve = mode_rate_curves(FIG2, resolve_mode_filter(["[1 1]"], 2, 2),
+    curve = mode_rate_curves(FIG2, resolve_mode_filter([(1, 1)], 2, 2),
                              snr_grid_db=(0.0,), include_mc=False)
     assert curve_to_csv(curve).startswith("snr_db,[1 1]_analytic\n")
 
@@ -93,14 +92,14 @@ def test_sweep_guards_large_exhaustive_runs():
     template = load_scenario(bundled_config_path("fig6.cfg"))
     # 7625 candidates x 60 000 drops x 2 points is past the work limit...
     with pytest.raises(ConfigError, match="force"):
-        sweep_curves(template, ["ideal"], (0.0, 10.0), n_drops=60_000,
+        cell_average(template, ["ideal"], (0.0, 10.0), n_drops=60_000,
                      n_channels=0, seed=1)
     # ...and one drop is not.
-    curve = sweep_curves(template, ["ideal"], (0.0, 10.0), n_drops=1,
+    curve = cell_average(template, ["ideal"], (0.0, 10.0), n_drops=1,
                          n_channels=0, seed=1)
     assert len(curve.series) == 1
     # min-distance at the same size is fine
-    curve = sweep_curves(template, ["min-distance"], (0.0,), n_drops=2,
+    curve = cell_average(template, ["min-distance"], (0.0,), n_drops=2,
                          n_channels=0, seed=1)
     assert len(curve.series) == 1
 
@@ -110,12 +109,10 @@ def test_selection_gain_shrinks_at_high_snr():
     the mid-SNR region and decreases as SNR grows large."""
     import numpy as np
     from dasrate.modes import ideal_modes
-    from dasrate.simulate import cell_average
 
     template = load_scenario(bundled_config_path("fig3.cfg"))
     grid = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-    fixed = [TransmissionMode(tuple(row)) for row in ideal_modes(2, 2).tolist()]
-    curve = cell_average(template, ["ideal", *fixed], grid, 300, 0, seed=20)
+    curve = cell_average(template, ["ideal", *ideal_modes(2, 2)], grid, 300, 0, seed=20)
     scheme = np.array(curve.series[0].values)
     fixed = np.stack([np.array(series.values) for series in curve.series[1:]])
     gain = scheme - fixed.max(axis=0)
@@ -126,7 +123,7 @@ def test_selection_gain_shrinks_at_high_snr():
 
 def test_sweep_merges_schemes_and_fixed_modes():
     template = load_scenario(bundled_config_path("fig3.cfg"))
-    curve = sweep_curves(template, ["min-distance", TransmissionMode((1, 2))],
+    curve = cell_average(template, ["min-distance", (1, 2)],
                          (0.0, 20.0), n_drops=25, n_channels=0, seed=3)
     labels = [s.label for s in curve.series]
     assert labels == ["min-distance", "[1 2]"]

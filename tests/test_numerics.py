@@ -173,13 +173,12 @@ def _loop_exp_e1(x: float) -> float:
     return 1.0 / t
 
 
-def _bits_arguments() -> np.ndarray:
-    """The arguments pinned in ``BITS_FILE``: 2 001 log-spaced x in
-    [1e-300, 1e300], both neighbours of 1 and every depth-table edge."""
-    edges = [edge for edge, _ in numerics._CF_ROWS]
-    return np.unique(np.concatenate([np.logspace(-300, 300, 2001),
-                                     [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
-                                     edges]))
+def _pinned() -> tuple[np.ndarray, list[str]]:
+    """The arguments of ``BITS_FILE``, read with ``float.fromhex``, and
+    their recorded values in ``float.hex``."""
+    lines = [line.split() for line in BITS_FILE.read_text().splitlines()
+             if not line.startswith("#")]
+    return np.array([float.fromhex(x) for x, _ in lines]), [v for _, v in lines]
 
 
 def _accuracy_arguments() -> np.ndarray:
@@ -219,13 +218,28 @@ def test_fraction_depths_keep_a_level_in_hand():
 
 def test_kernel_bits_match_the_pinned_file():
     """The same bits on every machine: each pinned argument's value, in
-    ``float.hex``, as recorded."""
-    lines = [line.split() for line in BITS_FILE.read_text().splitlines()
-             if not line.startswith("#")]
-    xs = np.array([float.fromhex(x) for x, _ in lines])
-    assert xs.tolist() == _bits_arguments().tolist()
-    assert [v.hex() for v in exp_e1(xs).tolist()] == [v for _, v in lines]
-    assert [v.hex() for v in exp_e1(xs[::-1]).tolist()] == [v for _, v in lines[::-1]]
+    ``float.hex``, as recorded, in ascending and descending order."""
+    xs, values = _pinned()
+    assert [v.hex() for v in exp_e1(xs).tolist()] == values
+    assert [v.hex() for v in exp_e1(xs[::-1]).tolist()] == values[::-1]
+
+
+def test_pinned_arguments_are_the_documented_set():
+    """``BITS_FILE`` holds 2 031 ascending arguments: 2 001 log-spaced x
+    in [1e-300, 1e300], each within 4 ulps of ``np.logspace``'s, whose
+    last bits depend on numpy's SIMD dispatch; and both neighbours of 1
+    and every depth-table edge, exactly (1 is also a log-spaced point)."""
+    xs, _ = _pinned()
+    assert len(xs) == 2031 and (np.diff(xs) > 0).all()
+    exact = np.array([np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                      *(edge for edge, _ in numerics._CF_ROWS)])
+    at_exact = np.searchsorted(xs, exact)
+    assert xs[at_exact].tolist() == exact.tolist()
+    grid = np.logspace(-300, 300, 2001)
+    above = np.searchsorted(xs, grid).clip(1, len(xs) - 1)
+    nearest = above - (grid - xs[above - 1] < xs[above] - grid)
+    assert (np.abs(xs[nearest] - grid) <= 4 * np.spacing(grid)).all()
+    assert len(set(nearest.tolist()) | set(at_exact.tolist())) == len(xs)
 
 
 def test_array_kernel_is_bit_identical_to_the_loop_and_to_one_element_calls():
@@ -290,8 +304,8 @@ def test_one_bad_element_fails_the_whole_array(bad):
 
 
 if __name__ == "__main__":
-    # Re-record BITS_FILE from the current kernel.
-    xs = _bits_arguments()
+    # Re-record BITS_FILE's values for its arguments from the current kernel.
+    xs, _ = _pinned()
     BITS_FILE.write_text(
         "# x and exp(x) E1(x) in float.hex; PYTHONPATH=src python tests/test_numerics.py\n"
         "# rewrites this file from the current kernel.\n"

@@ -261,11 +261,11 @@ def test_sum_rate_mc_agreement_all_fig2_modes():
     modes = ideal_modes(2, 2)
     for snr_db in (0.0, 15.0, 30.0, 45.0):
         snr = db_to_linear(snr_db)
-        estimates = mc_sum_rates(FIG2_PL.gains, [(mode, [snr]) for mode in modes], 100_000,
-                                 np.random.SeedSequence((28, int(snr_db))))
+        means, errors = mc_sum_rates(FIG2_PL.gains, modes, [snr], 100_000,
+                                     np.random.SeedSequence((28, int(snr_db))))
         closed = mode_rates(FIG2_PL, modes, [snr])[0]
-        for (est,), rate in zip(estimates, closed.tolist()):
-            assert abs(rate - est.mean) < 3.0 * est.std_error
+        for rate, mean, std_error in zip(closed.tolist(), means[:, 0], errors[:, 0]):
+            assert abs(rate - mean) < 3.0 * std_error
 
 
 # --- approximated rates -----------------------------------------------------

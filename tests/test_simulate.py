@@ -10,12 +10,10 @@ import pytest
 from conftest import mode_rates
 from dasrate import numerics, simulate
 from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
-from dasrate.modes import (TransmissionMode, ideal_modes, min_distance_count,
-                           nearest_user_modes)
+from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
 from dasrate.selection import select_rows
-from dasrate.simulate import (McEstimate, _chunk_sizes, _chunk_stream, _sum_rates,
-                              _user_powers, cell_average, mc_sum_rates, mode_histogram,
-                              stream_key)
+from dasrate.simulate import (_chunk_sizes, _chunk_stream, _sum_rates, _user_powers,
+                              cell_average, mc_sum_rates, mode_histogram, stream_key)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -47,10 +45,10 @@ def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
 
 def one_estimate(pl, mode, snr, n_channels, seed, fading=None):
     """``mc_sum_rates`` of one assignment at one SNR, keyed by
-    ``SeedSequence(seed)``."""
-    ((est,),) = mc_sum_rates(pl.gains, [(mode, [snr])], n_channels,
-                             np.random.SeedSequence(seed), fading=fading)
-    return est
+    ``SeedSequence(seed)``, as (mean, standard error)."""
+    ((mean,),), ((std_error,),) = mc_sum_rates(pl.gains, [mode], [snr], n_channels,
+                                               np.random.SeedSequence(seed), fading=fading)
+    return float(mean), float(std_error)
 
 
 def test_instantaneous_rate_unit_case():
@@ -130,8 +128,9 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
 
 
 def dense_mc_estimate(n_channels, seed, shape, sum_rates):
-    """The engine in a dense form: ``sum_rates`` of each chunk of (T,
-    ``shape``) fading drawn by ``exponential``."""
+    """The engine in a dense form: the (mean, standard error) of
+    ``sum_rates`` of each chunk of (T, ``shape``) fading drawn by
+    ``exponential``."""
     total = 0.0
     total_sq = 0.0
     for c, size in enumerate(_chunk_sizes(n_channels)):
@@ -141,8 +140,7 @@ def dense_mc_estimate(n_channels, seed, shape, sum_rates):
         total_sq += float(np.square(rates).sum())
     mean = total / n_channels
     var = max(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_channels),
-                      n_trials=n_channels)
+    return mean, math.sqrt(var / n_channels)
 
 
 def oracle_cases():
@@ -185,8 +183,7 @@ def test_mc_matches_dense_form_on_same_draw(n_channels):
         dense = dense_mc_estimate(
             n_channels, (64, case), pl.gains.shape,
             lambda h: dense_sum_rates(*weights, h))
-        assert got.mean == pytest.approx(dense.mean, rel=DENSE_REL_TOL), str(mode)
-        assert got.std_error == pytest.approx(dense.std_error, rel=DENSE_REL_TOL), str(mode)
+        assert got == pytest.approx(dense, rel=DENSE_REL_TOL), str(mode)
 
 
 def test_sum_rates_match_dense_form_bit_for_bit():
@@ -231,21 +228,25 @@ def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
 
 
 def test_mc_sum_rates_pair_does_not_depend_on_its_call():
-    """Each (mode, SNR) estimate of a call that rates several modes at
-    more SNRs than one slice holds equals, bit for bit, the estimate of a
-    call that rates that pair alone."""
+    """Each (mode, SNR) cell of a call that rates one mode at more SNRs
+    than one slice holds and the others at every other SNR equals, bit
+    for bit, the estimate of a call that rates that cell alone; the cells
+    left out of ``at`` read NaN, and a mask of another shape is refused."""
     pl = drop(3, 75)
     modes = ideal_modes(3, 3)[::9]
     snrs = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
     assert len(modes) >= 3 and len(snrs) > simulate.MC_POINT_SLICE
-    rated = [(mode, snrs[m::2]) for m, mode in enumerate(modes)]
-    together = mc_sum_rates(pl.gains, rated, 9000, np.random.SeedSequence((76, 1)))
-    for (mode, mode_snrs), estimates in zip(rated, together):
-        assert len(estimates) == len(mode_snrs)
-        for snr, est in zip(mode_snrs, estimates):
-            alone = one_estimate(pl, mode, snr, 9000, (76, 1))
-            assert bits([alone.mean, alone.std_error]).tolist() == bits(
-                [est.mean, est.std_error]).tolist(), (mode, snr)
+    at = (np.arange(len(modes))[:, None] + np.arange(len(snrs))) % 2 == 0
+    at[0] = True
+    means, errors = mc_sum_rates(pl.gains, modes, snrs, 9000, np.random.SeedSequence((76, 1)),
+                                 at=at)
+    assert means.shape == errors.shape == at.shape
+    assert np.isnan(means[~at]).all() and np.isnan(errors[~at]).all()
+    for m, p in zip(*np.nonzero(at)):
+        alone = one_estimate(pl, modes[m], snrs[p], 9000, (76, 1))
+        assert bits(alone).tolist() == bits([means[m, p], errors[m, p]]).tolist(), (m, p)
+    with pytest.raises(ValueError, match="at must have shape"):
+        mc_sum_rates(pl.gains, modes, snrs, 9000, np.random.SeedSequence(76), at=at[:, 1:])
 
 
 def test_stream_keys_never_coincide():
@@ -266,8 +267,7 @@ def test_stream_keys_never_coincide():
 
 def test_mc_mode_with_no_active_port_is_zero():
     pl = drop(3, 65)
-    est = one_estimate(pl, (0, 0, 0), 1.0, 9000, 66)
-    assert est == McEstimate(mean=0.0, std_error=0.0, n_trials=9000)
+    assert one_estimate(pl, (0, 0, 0), 1.0, 9000, 66) == (0.0, 0.0)
 
 
 def test_fading_draws_unit_mean():
@@ -366,13 +366,13 @@ def test_mc_deterministic_per_seed():
     second = one_estimate(pl, mode, 100.0, 20_000, 5)
     assert first == second
     third = one_estimate(pl, mode, 100.0, 20_000, 6)
-    assert third.mean != first.mean
+    assert third[0] != first[0]
 
 
 def test_mc_bit_identical_across_worker_counts():
     """Monte Carlo cell averages of a scheme and a fixed mode, with more
     channels than one chunk, match bit for bit on one and two workers."""
-    schemes = ["min-distance", TransmissionMode((1, 1))]
+    schemes = ["min-distance", (1, 1)]
     serial, parallel = (cell_average(template(2), schemes, (10.0, 30.0), n_drops=3,
                                      n_channels=10_000, seed=7, rating="mc",
                                      n_jobs=n_jobs)
@@ -388,31 +388,29 @@ def test_mc_matches_closed_form_three_sigma():
         snr = float(10.0 ** rng.uniform(0, 3))
         candidates = ideal_modes(n, n)
         mode = candidates[int(rng.integers(0, len(candidates)))]
-        est = one_estimate(pl, mode, snr, 100_000, (36, case))
+        mean, std_error = one_estimate(pl, mode, snr, 100_000, (36, case))
         closed = mode_rates(pl, (mode,), [snr])[0, 0]
-        assert abs(closed - est.mean) < 3.0 * est.std_error, (
-            f"case {case}: mode {mode} closed {closed} vs "
-            f"mc {est.mean} +- {est.std_error}")
+        assert abs(closed - mean) < 3.0 * std_error, (
+            f"case {case}: mode {mode} closed {closed} vs mc {mean} +- {std_error}")
 
 
 def test_mc_single_link_unit_snr():
     pl = pathloss_matrix(unit_scenario())
-    est = one_estimate(pl, (1,), 1.0, 1_000_000, 8)
-    assert abs(est.mean - 0.8603473822708859) < 3.0 * est.std_error
+    mean, std_error = one_estimate(pl, (1,), 1.0, 1_000_000, 8)
+    assert abs(mean - 0.8603473822708859) < 3.0 * std_error
 
 
 def test_mc_std_error_contract():
     pl = pathloss_matrix(unit_scenario())
-    est = one_estimate(pl, (1,), 1.0, 10_000, 9)
-    assert est.n_trials == 10_000
-    assert 0.0 < est.std_error < est.mean
+    mean, std_error = one_estimate(pl, (1,), 1.0, 10_000, 9)
+    assert 0.0 < std_error < mean
 
 
 def test_cell_average_fixed_mode_symmetry():
     """Uniform drops make the two paired modes statistically identical;
     the same seed even yields mirrored drops, so check equality loosely."""
     grid = (0.0, 20.0, 40.0)
-    curve = cell_average(template(2), [TransmissionMode((1, 2)), TransmissionMode((2, 1))],
+    curve = cell_average(template(2), [(1, 2), (2, 1)],
                          grid, n_drops=400, n_channels=0, seed=40)
     a, b = (np.array(series.values) for series in curve.series)
     for series in curve.series:
@@ -423,8 +421,7 @@ def test_cell_average_fixed_mode_symmetry():
 
 def test_cell_average_scheme_dominates_fixed_modes():
     grid = (0.0, 10.0, 20.0, 30.0)
-    fixed = [TransmissionMode(tuple(row)) for row in ideal_modes(2, 2).tolist()]
-    curve = cell_average(template(2), ["min-distance", *fixed],
+    curve = cell_average(template(2), ["min-distance", *ideal_modes(2, 2)],
                          grid, n_drops=150, n_channels=0, seed=41)
     scheme_values = np.array(curve.series[0].values)
     for fixed in curve.series[1:]:
@@ -597,9 +594,9 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
 
 def test_cell_average_mc_rating_close_to_analytic():
     grid = (10.0, 30.0)
-    analytic = cell_average(template(2), [TransmissionMode((1, 2))], grid,
+    analytic = cell_average(template(2), [(1, 2)], grid,
                             n_drops=120, n_channels=0, seed=43)
-    mc = cell_average(template(2), [TransmissionMode((1, 2))], grid,
+    mc = cell_average(template(2), [(1, 2)], grid,
                       n_drops=120, n_channels=400, seed=43, rating="mc")
     assert mc.series[0].kind == "mc"
     for a, m, err in zip(analytic.series[0].values, mc.series[0].values,
