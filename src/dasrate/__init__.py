@@ -6,8 +6,8 @@ from .errors import (CapacityError, ConfigError, DasRateError,
 from .geometry import (PathlossMatrix, Scenario, db_to_linear,
                        default_port_layout, linear_to_db, load_scenario,
                        parse_scenario_config, pathloss_matrix, uniform_positions)
-from .modes import (TransmissionMode, admissible, ideal_count, ideal_modes,
-                    min_distance_count, nearest_user_modes)
+from .modes import (admissible, ideal_count, ideal_modes, min_distance_count, mode_label,
+                    nearest_user_modes, parse_label)
 from .numerics import exp_e1
 from .rate import (CrossoverFormulas, UserLinkPartition, crossover_snr,
                    pdf_interference_plus_noise, pdf_signal, pdf_sinr, row_sum_rates,
@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "ConfigError", "CrossoverFormulas", "DasRateError",
     "DegenerateGainsError", "NumericalFailureError", "PathlossMatrix",
-    "RateCurve", "RateSeries", "Scenario", "TransmissionMode", "UserLinkPartition",
+    "RateCurve", "RateSeries", "Scenario", "UserLinkPartition",
     "admissible", "cell_average", "crossover_snr", "db_to_linear", "default_port_layout",
     "exp_e1", "ideal_count", "ideal_modes", "linear_to_db", "load_scenario",
-    "mc_sum_rates", "min_distance_count", "mode_histogram", "nearest_user_modes",
-    "parse_scenario_config", "pathloss_matrix", "pdf_interference_plus_noise",
-    "pdf_signal", "pdf_sinr", "row_sum_rates", "select_rows", "subset_rates",
-    "uniform_positions",
+    "mc_sum_rates", "min_distance_count", "mode_histogram", "mode_label",
+    "nearest_user_modes", "parse_label", "parse_scenario_config", "pathloss_matrix",
+    "pdf_interference_plus_noise", "pdf_signal", "pdf_sinr", "row_sum_rates", "select_rows",
+    "subset_rates", "uniform_positions",
 ]

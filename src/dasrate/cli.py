@@ -1,8 +1,10 @@
 """Command-line interface: rates, sweep, crossover, hist, verify.
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/config,
-3 enumeration capacity, 4 degenerate gains, 5 numerical failure (only
-``verify`` raises it, when a quadrature exceeds its error budget).
+3 capacity (an enumeration past its budget, or a port count whose one
+drop outgrows a block: N >= 14 at K = N), 4 degenerate gains, 5
+numerical failure (only ``verify`` raises it, when a quadrature exceeds
+its error budget).
 
 Only ``verify`` imports scipy (through ``verification``); every other
 command runs on numpy alone.
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import experiments, simulate
 from .errors import ConfigError, DasRateError
 from .geometry import Scenario, load_scenario
-from .modes import TransmissionMode
+from .modes import parse_label
 
 # Objects made at import live until exit. Frozen, they are skipped by
 # every collection a run makes and by the interpreter's final collection
@@ -144,8 +146,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_rates(args) -> int:
     scenario = _resolve_config(args.config)
     grid = experiments.parse_snr_spec(args.snr)
-    rows = [TransmissionMode.from_label(tok).assignment
-            for tok in args.modes.split(",") if tok.strip()]
+    rows = [parse_label(tok) for tok in args.modes.split(",") if tok.strip()]
     modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users)
     curve = experiments.mode_rate_curves(scenario, modes, grid,
                                          n_channels=args.channels,
@@ -158,8 +159,7 @@ def _cmd_rates(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _resolve_config(args.config)
     grid = experiments.parse_snr_spec(args.snr)
-    schemes = [*(args.scheme or []), *(TransmissionMode.from_label(label).assignment
-                                       for label in args.fixed_mode or [])]
+    schemes = [*(args.scheme or []), *map(parse_label, args.fixed_mode or [])]
     curve = simulate.cell_average(scenario, schemes or ["ideal", "min-distance"], grid,
                                   n_drops=args.drops, n_channels=args.channels,
                                   seed=args.seed, rating=args.rating, n_jobs=args.jobs,

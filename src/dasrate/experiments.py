@@ -113,6 +113,7 @@ def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
     # The table holds the served users only, renumbered in order: an idle
     # user adds exactly 0.0 to every row, and its gains may tie.
     served = np.flatnonzero(np.bincount(modes.ravel(), minlength=scenario.n_users + 1)[1:])
+    simulate.check_drop_size(scenario.n_ports, len(served))
     renumber = np.zeros(scenario.n_users + 1, dtype=int)
     renumber[served + 1] = np.arange(1, len(served) + 1)
     analytic = row_sum_rates(subset_rates(pl.gains[None, served], snrs),

@@ -1,16 +1,14 @@
 """Transmission-mode representation and candidate-set generation.
 
 A mode assigns each antenna port a served user index (1-based) or 0 for
-off; below the CLI edge a set of modes is a (modes x ports) int array
-with one assignment per row. Two generation strategies are provided:
-exhaustive enumeration of every admissible assignment, and the reduced
-nearest-user construction whose candidate count depends only on the
-number of ports.
+off. The CLI reads a mode's label with ``parse_label``; below it a set
+of modes is a (modes x ports) int array with one assignment per row. Two
+generation strategies are provided: exhaustive enumeration of every
+admissible assignment, and the reduced nearest-user construction whose
+candidate count depends only on the number of ports.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,38 +19,25 @@ from .errors import CapacityError, ConfigError
 IDEAL_ENUMERATION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class TransmissionMode:
-    """Port-to-user assignment vector, as the CLI reads and prints it.
-
-    ``assignment[j]`` is the user served by port j (0 = port off). User
-    indices are 1-based to match the rendered labels. ``modes.check_fit``
-    checks a parsed row against a scenario.
-    """
-
-    assignment: tuple[int, ...]
-
-    @property
-    def label(self) -> str:
-        """Render as ``[u1 u2 ... uN]``, the format used in CSV and logs."""
-        return mode_label(self.assignment)
-
-    @classmethod
-    def from_label(cls, text: str) -> "TransmissionMode":
-        body = text.strip()
-        if body.startswith("[") and body.endswith("]"):
-            body = body[1:-1]
-        try:
-            entries = tuple(int(tok) for tok in body.split())
-        except ValueError as exc:
-            raise ValueError(f"cannot parse mode label {text!r}") from exc
-        if not entries:
-            raise ValueError(f"cannot parse mode label {text!r}")
-        return cls(entries)
+def parse_label(text: str) -> tuple[int, ...]:
+    """The assignment row of a label ``[u1 u2 ... uN]`` (brackets
+    optional): entry j is the 1-based user served by port j, 0 for off.
+    ``check_fit`` checks the row against a scenario."""
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    try:
+        entries = tuple(int(tok) for tok in body.split())
+    except ValueError as exc:
+        raise ValueError(f"cannot parse mode label {text!r}") from exc
+    if not entries:
+        raise ValueError(f"cannot parse mode label {text!r}")
+    return entries
 
 
 def mode_label(row) -> str:
-    """The label ``[u1 u2 ... uN]`` of an assignment row."""
+    """The label ``[u1 u2 ... uN]`` of an assignment row, the format used
+    in CSV and logs."""
     return "[" + " ".join(str(u) for u in row) + "]"
 
 

@@ -28,7 +28,7 @@ import numpy as np
 # so the first drop of a timed command does not pay for it.
 import numpy.random  # noqa: F401
 
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from .modes import check_fit, ideal_count, ideal_modes, mode_label, nearest_user_modes
 from .rate import row_sum_rates, subset_rates
@@ -230,7 +230,7 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values = np.empty(shape)
     # A block of many drops holds few points; a long grid goes in slices.
-    fixed, per_point = _drop_footprint(template, sets)
+    fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     step = max(1, (MAX_BLOCK_VALUES // len(drops) - fixed) // per_point)
     for lo in range(0, len(snrs), step):
         table = subset_rates(pl.gains, snrs[lo:lo + step])
@@ -266,15 +266,28 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
 MAX_BLOCK_VALUES = 2 ** 21
 
 
-def _drop_footprint(template: Scenario, sets) -> tuple[int, int]:
-    """Values one drop adds to a block, as (fixed, per SNR point): two
-    port masks per row (its active ports, and those less a user's) and
-    the gain columns and weights of its K (2^N - 1) subsets, K N 2^(N-1)
-    of each; then per point its rate rows and its K 2^N subset rates. A
-    nearest-user set has at most 2^N - N rows."""
-    n, k = template.n_ports, template.n_users
+def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
+    """Values one drop of N = ``n`` ports and K = ``k`` users adds to a
+    block, as (fixed, per SNR point): two port masks per row (its active
+    ports, and those less a user's) and the gain columns and weights of
+    its K (2^N - 1) subsets, K N 2^(N-1) of each; then per point its rate
+    rows and its K 2^N subset rates. A nearest-user set has at most
+    2^N - N rows."""
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
     return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
+
+
+def check_drop_size(n_ports: int, n_users: int) -> None:
+    """Raise CapacityError when one drop's nearest-user footprint at one
+    SNR point exceeds MAX_BLOCK_VALUES. Every block builds its drops'
+    nearest-user sets, so past this size (N >= 14 at K = N, 16 at K = 2,
+    17 at K = 1) no block fits, and the 2^N port masks alone would ask
+    for an unbounded allocation."""
+    values = sum(_drop_footprint(n_ports, n_users, [None]))
+    if values > MAX_BLOCK_VALUES:
+        raise CapacityError(f"one drop at N = {n_ports} ports and K = {n_users} takes "
+                            f"{values} values at one SNR point, more than the "
+                            f"{MAX_BLOCK_VALUES} a block may hold")
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
@@ -286,9 +299,11 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     Drops go out in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
     as its memory bound permits; a pool gets about eight blocks per
-    worker instead, when smaller, so that it stays balanced.
+    worker instead, when smaller, so that it stays balanced. A scenario
+    too large for one drop is refused by ``check_drop_size`` first.
     """
-    fixed, per_point = _drop_footprint(template, sets)
+    check_drop_size(template.n_ports, template.n_users)
+    fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
     if n_jobs > 1:
         size = min(size, math.ceil(n_drops / (8 * n_jobs)))
@@ -383,12 +398,16 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
     return RateCurve(snr_grid_db=grid, series=tuple(series))
 
 
+# Spacing, in dB, of the SNR points of a histogram range.
+HIST_GRID_STEP_DB = 5.0
+
+
 def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
-                   seed: int, grid_step_db: float = 5.0,
-                   n_jobs: int = 1) -> dict[tuple[float, float], dict[str, float]]:
+                   seed: int, n_jobs: int = 1) -> dict[tuple[float, float], dict[str, float]]:
     """Relative selection frequency of (K_A, N_A) groups per SNR range.
 
-    For every drop and every grid point inside a range, the nearest-user
+    For every drop and every grid point inside a range, every
+    HIST_GRID_STEP_DB from its low end, the nearest-user
     scheme's selected mode is tallied under the label ``KA{k}_NA{n}``;
     fractions sum to one within each range. The choices of all drops come
     back as one assignment array and are grouped with array operations.
@@ -397,14 +416,14 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
         raise ValueError("n_drops must be >= 1")
     ranges = [(float(lo), float(hi)) for lo, hi in snr_ranges_db]
     for i, (lo, hi) in enumerate(ranges):
-        check_snr_grid(lo, grid_step_db, hi, f"SNR range/--snr-ranges {lo:g}:{hi:g}")
+        check_snr_grid(lo, HIST_GRID_STEP_DB, hi, f"SNR range/--snr-ranges {lo:g}:{hi:g}")
         if (lo, hi) in ranges[:i]:
             raise ConfigError(f"SNR range/--snr-ranges {lo:g}:{hi:g} given more than once")
     points_per_range = []
     for lo, hi in ranges:
         points = [lo]
-        while points[-1] + grid_step_db <= hi + 1e-9:
-            points.append(points[-1] + grid_step_db)
+        while points[-1] + HIST_GRID_STEP_DB <= hi + 1e-9:
+            points.append(points[-1] + HIST_GRID_STEP_DB)
         points_per_range.append(points)
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))

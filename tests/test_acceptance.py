@@ -6,26 +6,17 @@ fading draws for the fixed-geometry agreement runs, 500 uniform drops for
 the cell-averaged runs.
 """
 
-import itertools
-import math
+import dataclasses
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
 
 from conftest import mode_rates, record_criterion
-from dasrate.experiments import bundled_config_path, crossover_report
-from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
-                              uniform_positions)
-from dasrate.modes import ideal_count, ideal_modes, min_distance_count, nearest_user_modes
-from dasrate.numerics import SERIES_CF_SPLIT, _exp_e1_continued_fraction, _exp_e1_series, exp_e1
-from dasrate.rate import (UserLinkPartition, cdf_interference_plus_noise,
-                          cdf_signal, cdf_sinr, pdf_interference_plus_noise,
-                          pdf_signal, pdf_sinr, row_sum_rates, subset_rates)
-from dasrate.selection import select_rows
+from dasrate import verification
+from dasrate.experiments import bundled_config_path
+from dasrate.geometry import db_to_linear, load_scenario, pathloss_matrix
+from dasrate.modes import ideal_modes
 from dasrate.simulate import cell_average, mc_sum_rates, mode_histogram
-from dasrate.verification import (partition_rate, quadrature_user_rate, random_partition,
-                                  sample_crossover_geometries)
 
 GRID = tuple(float(db) for db in range(0, 51, 5))
 DROPS = 500
@@ -75,40 +66,15 @@ def test_criterion_1_fig2_analytic_mc_agreement():
 
 
 def test_criterion_2_candidate_counts():
-    assert ideal_count(2, 2) == 4
-    assert ideal_count(4, 4) == 568
-    assert ideal_count(5, 5) == 7625
-    assert min_distance_count(2) == 2
-    assert min_distance_count(4) == 12
-    assert min_distance_count(5) == 27
-
-    # brute-force cross-check of the exhaustive enumeration for N, K <= 4
-    for n, k in itertools.product(range(1, 5), range(1, 5)):
-        brute = 0
-        for vec in itertools.product(range(k + 1), repeat=n):
-            active = {u for u in vec if u}
-            if not active:
-                continue
-            if len(active) == 1 and sum(1 for u in vec if u) < n:
-                continue
-            brute += 1
-        assert brute == ideal_count(n, k) == len(ideal_modes(n, k))
-
-    # the reduced enumeration realizes its count on every drop but those
-    # whose ports all share one nearest user, which are one row short
-    for n, size in ((2, 2), (4, 12), (5, 27)):
-        template = Scenario(n_ports=n, n_users=n,
-                            cell_radius=math.sqrt(112.0 / 3.0),
-                            pathloss_exponent=3.0, tx_power=1.0)
-        seeds = [(2, n, trial) for trial in range(20)]
-        distances = pathloss_matrix(template, uniform_positions(template, seeds)).distances
-        _, offsets = nearest_user_modes(distances)
-        nearest = distances.argmin(axis=1)
-        shared = (nearest == nearest[:, :1]).all(axis=1)
-        assert (np.diff(offsets) + shared == size).all()
-        assert not shared.all()
-    record_criterion(2, True, "ideal counts 4/568/7625, reduced counts "
-                              "2/12/27, brute force agrees for N,K <= 4")
+    """Ideal counts 4/568/7625 and reduced counts 2/12/27; brute force
+    agrees with the exhaustive enumeration for N, K <= 4; and the reduced
+    enumeration realizes its count on 20 drops at each of N = K = 2, 4
+    and 5, but for drops whose ports all share one nearest user, which
+    are one row short."""
+    result = verification.check_candidate_counts(n_drops=20, seed=2, ports=(2, 4, 5))
+    record_criterion(2, result.passed, "ideal counts 4/568/7625, reduced counts "
+                                       "2/12/27, brute force agrees for N,K <= 4")
+    assert result.passed, result.line()
 
 
 def test_criterion_3_scheme_equivalence(scheme_curves):
@@ -143,44 +109,18 @@ def test_criterion_4_crossover_self_consistency():
     ln(1 + e**-gamma/x) <= exp(x)E1(x) <= ln(1 + 1/x) bounds the shift to
     (0, 2.507] dB. The 2e-4 dB covers two bisection tolerances.
     """
-    offset_db = 10.0 * math.log10(math.exp(np.euler_gamma))
-    report = crossover_report(FIG2, reference_db=37.2)
-    fig2_formula_db = report.formulas.single_vs_12_db
-    fig2_pinned = fig2_formula_db == pytest.approx(37.224, abs=1e-3)
-    fig2_crossed = (report.approx_intersection_db is not None
-                    and report.exact_intersection_db is not None)
-    fig2_fe = (abs(fig2_formula_db - report.exact_intersection_db)
-               if fig2_crossed else math.inf)
-
-    triples = list(sample_crossover_geometries(n_geometries=20))
-    worst_fa = max(abs(formula_db - approx_db)
-                   for _, formula_db, approx_db, _ in triples)
-    shifts = [exact_db - approx_db for _, _, approx_db, exact_db in triples]
-    shift_ok = all(0.0 < shift <= offset_db + 2e-4 for shift in shifts)
-    passed = (fig2_pinned and fig2_crossed and fig2_fe <= 1.0
-              and len(triples) == 20 and worst_fa <= 1.0 and shift_ok)
-    record_criterion(4, passed,
-                     f"crossover: fig2 formula {fig2_formula_db:.3f} dB, "
-                     f"formula-vs-exact {fig2_fe:.2f} dB (tolerance 1 dB); "
-                     f"{len(triples)} geometries formula-vs-approx "
-                     f"{worst_fa:.2f} dB (tolerance 1 dB), exact-minus-approx "
-                     f"{min(shifts):.3f}-{max(shifts):.3f} dB (bound "
-                     f"(0, {offset_db:.3f}] dB, Euler-Mascheroni offset)")
-
-    assert fig2_formula_db == pytest.approx(37.224, abs=1e-3)
-    assert report.approx_intersection_db is not None
-    assert report.exact_intersection_db is not None
-    assert fig2_fe <= 1.0, (
-        f"fig2 formula {fig2_formula_db:.3f} dB vs exact-curve crossing "
-        f"{report.exact_intersection_db:.3f} dB differ by more than 1 dB")
-    assert len(triples) == 20
-    assert worst_fa <= 1.0, (
-        f"formula vs approximated-curve crossing {worst_fa:.3f} dB exceeds 1 dB")
-    assert shift_ok, (
-        f"exact-minus-approximated crossing {min(shifts):.4f}-"
-        f"{max(shifts):.4f} dB leaves (0, {offset_db:.4f} + 2e-4] dB, the "
-        f"Euler-Mascheroni offset that the ln(1+1/x) substitution drops from "
-        f"single-user curves")
+    result = verification.check_crossover_consistency(n_geometries=20)
+    figures = result.figures
+    offset_db = verification.EXACT_CROSSOVER_SHIFT_DB
+    record_criterion(4, result.passed,
+                     f"crossover: fig2 formula {figures['fig2_formula_db']:.3f} dB, "
+                     f"formula-vs-exact {figures['fig2_formula_vs_exact_db']:.2f} dB "
+                     f"(tolerance 1 dB); {figures['geometries']} geometries "
+                     f"formula-vs-approx {figures['formula_vs_approx_db']:.2f} dB "
+                     f"(tolerance 1 dB), exact-minus-approx "
+                     f"{figures['min_shift_db']:.3f}-{figures['max_shift_db']:.3f} dB "
+                     f"(bound (0, {offset_db:.3f}] dB, Euler-Mascheroni offset)")
+    assert result.passed, result.line()
 
 
 def test_criterion_5a_selection_dominates_fixed_modes(n2_template,
@@ -244,81 +184,31 @@ def test_criterion_5c_mode_histograms(n3_template):
     assert smaller_for_n4
 
 
-def test_criterion_6_property_suites(n2_template):
-    # scaled-E1 bracket, strict, on a 200-point log grid + branch agreement
-    for x in np.logspace(-6, 3, 200):
-        value = exp_e1(float(x))
-        assert 0.5 * math.log1p(2.0 / x) < value < math.log1p(1.0 / x)
-    series = _exp_e1_series(SERIES_CF_SPLIT)
-    fraction = _exp_e1_continued_fraction(SERIES_CF_SPLIT)
-    assert abs(series - fraction) / series <= 1e-12
-
-    # density normalization to 1e-6 and rate-vs-quadrature to 1e-8
-    rng = np.random.default_rng(60)
-    worst_norm = worst_rate = 0.0
-    for i in range(50):
-        part = random_partition(rng, allow_empty_interference=True)
-        closed = partition_rate(part)
-        worst_rate = max(worst_rate, abs(closed - quadrature_user_rate(part)))
-        if i < 20:
-            if part.interference_gains:
-                total, _ = integrate.quad(pdf_sinr(part), 0, np.inf, limit=400)
-                worst_norm = max(worst_norm, abs(total - 1.0))
-                total, _ = integrate.quad(pdf_interference_plus_noise(part),
-                                          part.noise_power, np.inf, limit=400)
-                worst_norm = max(worst_norm, abs(total - 1.0))
-            total, _ = integrate.quad(pdf_signal(part), 0, np.inf, limit=400)
-            worst_norm = max(worst_norm, abs(total - 1.0))
-    assert worst_norm <= 1e-6
-    assert worst_rate <= 1e-8
-
-    # Kolmogorov-Smirnov at 1e6 samples for all three densities
-    part = UserLinkPartition(signal_gains=(0.05, 0.012, 0.0031),
-                             interference_gains=(0.02, 0.004),
-                             tx_power=50.0, noise_power=1.0)
-    n = 1_000_000
-    rng = np.random.default_rng(61)
-    signal = sum(g * part.tx_power * rng.exponential(size=n)
-                 for g in part.signal_gains)
-    interference = part.noise_power + sum(
-        g * part.tx_power * rng.exponential(size=n)
-        for g in part.interference_gains)
-    worst_ks = max(
-        stats.ks_1samp(signal, cdf_signal(part)).statistic,
-        stats.ks_1samp(interference, cdf_interference_plus_noise(part)).statistic,
-        stats.ks_1samp(signal / interference, cdf_sinr(part)).statistic)
-    assert worst_ks < 0.005
-
-    # selection: subset dominance, and the same choices when the transmit
-    # and noise powers scale together, over one table per scaling
-    seeds = [(62, drop) for drop in range(10)]
-    pl = pathloss_matrix(n2_template, uniform_positions(n2_template, seeds))
-    nearest, offsets = nearest_user_modes(pl.distances)
-    ideal = ideal_modes(2, 2)
-    chosen = []
-    for scale in (1.0, 5.0):
-        snr = n2_template.tx_power * scale / (n2_template.noise_power * scale)
-        table = subset_rates(pl.gains, [snr * rho for rho in (1.0, 100.0, 10_000.0)])
-        _, best = select_rows(row_sum_rates(table, ideal))
-        for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            pick, fewer = select_rows(row_sum_rates(table[drop:drop + 1], nearest[lo:hi])[0])
-            assert (fewer <= best[drop] + 1e-12).all()
-            chosen.append(nearest[lo:hi][pick].tolist())
-    assert chosen[:len(seeds)] == chosen[len(seeds):]
-
-    # bit-identical reruns at fixed seed under varying worker counts
-    schemes = ["min-distance", (1, 2)]
-    assert (cell_average(n2_template, schemes, (0.0, 30.0), 4, n_channels=30_000,
-                         seed=63, rating="mc", n_jobs=1)
-            == cell_average(n2_template, schemes, (0.0, 30.0), 4, n_channels=30_000,
-                            seed=63, rating="mc", n_jobs=2))
-    assert (cell_average(n2_template, schemes, (0.0, 30.0), 40,
-                         n_channels=0, seed=64, n_jobs=1)
-            == cell_average(n2_template, schemes, (0.0, 30.0), 40,
-                            n_channels=0, seed=64, n_jobs=2))
-
-    record_criterion(6, True,
+def test_criterion_6_property_suites():
+    """The property checks at their tier-1 scales: the scaled-E1 bracket
+    on 200 points and branch agreement; density normalization on the
+    first 20 and rate-vs-quadrature on all 50 random partitions of seed
+    60; KS at 1e6 samples for all three densities; subset dominance and
+    argmax invariance on 15 drops of the fig2 ports; and a bit-identical
+    Monte Carlo cell average on one and two workers."""
+    results = [
+        verification.check_exp_e1_bounds(n_points=200),
+        verification.check_exp_e1_branch_consistency(),
+        verification.check_pdf_normalization(n_partitions=20, seed=60,
+                                             allow_empty_interference=True),
+        verification.check_rate_vs_quadrature(n_partitions=50, seed=60),
+        verification.check_ks_distributions(seed=61),
+        verification.check_selection_properties(
+            n_drops=15, seed=50, template=dataclasses.replace(FIG2, user_positions=None)),
+        verification.check_worker_invariance(n_drops=4, n_channels=30_000, seed=63,
+                                             schemes=("min-distance", (1, 2)),
+                                             grid_db=(0.0, 30.0)),
+    ]
+    worst_norm, worst_rate, worst_ks = (r.measured for r in results[2:5])
+    record_criterion(6, all(r.passed for r in results),
                      f"property suites: E1 bracket strict, branch agreement "
                      f"1e-12, densities normalized to {worst_norm:.1e}, "
                      f"rate-vs-quadrature {worst_rate:.1e}, KS {worst_ks:.4f}, "
                      f"selection invariants, bit-identical parallel reruns")
+    for result in results:
+        assert result.passed, result.line()

@@ -118,6 +118,29 @@ def test_capacity_error_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hist", "--drops", "2"),
+    ("sweep", "--scheme", "min-distance", "--drops", "2"),
+    ("rates", "--modes", "[" + " ".join(["1"] * 40) + "]", "--no-mc"),
+], ids=["hist", "sweep-min-distance", "rates-one-user"])
+def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, capsys, argv):
+    """At 40 ports one drop's nearest-user set and subset-rate table
+    (2^40 port masks) fit no block: each command exits 3 with one line
+    before it allocates them."""
+    big = tmp_path / "ports40.cfg"
+    big.write_text("n_ports = 40\nn_users = 2\ncell_radius = 6.11\npathloss_exponent = 3\n"
+                   "tx_power_dB = 0\nnoise_power = 1\nuser_positions = 1,0; -1,2\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv[0], "--config", str(big), *argv[1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: one drop at N = 40 ports and K = ") and err.count("\n") == 1
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("error, exit_code", [(DegenerateGainsError, 4),
                                               (NumericalFailureError, 5)])
 def test_engine_errors_exit_with_their_codes(capsys, monkeypatch, error, exit_code):

@@ -10,8 +10,8 @@ import pytest
 
 from dasrate.errors import CapacityError
 from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
-from dasrate.modes import (TransmissionMode, admissible, ideal_count, ideal_modes,
-                           min_distance_count, nearest_user_modes)
+from dasrate.modes import (admissible, ideal_count, ideal_modes, min_distance_count, mode_label,
+                           nearest_user_modes, parse_label)
 from dasrate.simulate import _user_powers, mode_histogram
 
 
@@ -46,12 +46,12 @@ def test_mode_invariant_ka_le_na():
 
 
 def test_mode_label_round_trip():
-    mode = TransmissionMode((1, 0, 3))
-    assert mode.label == "[1 0 3]"
-    assert TransmissionMode.from_label("[1 0 3]") == mode
-    assert TransmissionMode.from_label("2 2") == TransmissionMode((2, 2))
-    with pytest.raises(ValueError):
-        TransmissionMode.from_label("[]")
+    assert mode_label((1, 0, 3)) == "[1 0 3]"
+    assert parse_label("[1 0 3]") == (1, 0, 3)
+    assert parse_label("2 2") == (2, 2)
+    for bad in ("[]", "[1 x]"):
+        with pytest.raises(ValueError, match="cannot parse mode label"):
+            parse_label(bad)
 
 
 def test_ideal_counts_match_fixed_values():

@@ -6,9 +6,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
-from dasrate import numerics
+from dasrate import numerics, verification
 from dasrate.errors import NumericalFailureError
 from dasrate.numerics import (LN2, SERIES_CF_SPLIT, _exp_e1_continued_fraction,
                               _exp_e1_series, exp_e1)
@@ -41,36 +40,14 @@ def test_quadrature_oracle_at_one():
 
 
 def test_leading_asymptote():
-    # x * exp(x) E1(x) -> 1
-    assert 1e6 * exp_e1(1e6) == pytest.approx(1.0, rel=1e-5)
-    assert 1e12 * exp_e1(1e12) == pytest.approx(1.0, rel=1e-11)
+    for exponent, tolerance in ((6, 1e-5), (12, 1e-11)):
+        result = verification.check_exp_e1_asymptote(exponent, tolerance)
+        assert result.passed, result.line()
 
 
 def test_small_argument_bracket():
     value = exp_e1(0.01)
     assert 0.5 * math.log(201.0) < value < math.log(101.0)
-
-
-def test_two_sided_bound_and_monotonicity():
-    """Classical bracket, strict at every grid point, plus strict decrease.
-
-    Also the Jensen lower bound ln(1 + e**-gamma / x), which bounds the
-    exact-curve crossover shift in the acceptance suite's criterion 4.
-    """
-    xs = np.logspace(-6, 3, 200)
-    previous = math.inf
-    for x in xs:
-        value = exp_e1(float(x))
-        assert 0.5 * math.log1p(2.0 / x) < value < math.log1p(1.0 / x)
-        assert math.log1p(math.exp(-np.euler_gamma) / x) < value
-        assert value < previous
-        previous = value
-
-
-def test_branch_consistency_at_switchover():
-    series = _exp_e1_series(SERIES_CF_SPLIT)
-    fraction = _exp_e1_continued_fraction(SERIES_CF_SPLIT)
-    assert fraction == pytest.approx(series, rel=1e-12)
 
 
 def test_extreme_arguments_finite():
@@ -80,9 +57,8 @@ def test_extreme_arguments_finite():
 
 
 def test_agrees_with_scipy_where_unscaled_form_is_representable():
-    for x in np.logspace(-4, 2.5, 60):
-        reference = math.exp(x) * float(special.exp1(x))
-        assert exp_e1(float(x)) == pytest.approx(reference, rel=1e-12)
+    result = verification.check_exp_e1_reference(n_points=60)
+    assert result.passed, result.line()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from conftest import mode_rates, user_rates
+from dasrate import verification
 from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
 from dasrate.modes import ideal_modes
 from dasrate.numerics import LN2, exp_e1
-from dasrate.rate import (UserLinkPartition, cdf_signal, cdf_sinr, crossover_snr, log1p_inv,
+from dasrate.rate import (UserLinkPartition, crossover_snr, log1p_inv,
                           pdf_interference_plus_noise, pdf_signal, pdf_sinr,
                           rate_curve_intersection_db)
 from dasrate.simulate import mc_sum_rates
-from dasrate.verification import partition_rate, quadrature_user_rate, random_partition
+from dasrate.verification import partition_rate, random_partition
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -65,12 +66,8 @@ def test_pdf_signal_two_gains_closed_form():
 def test_pdf_signal_ks_against_sampled_sum():
     part = UserLinkPartition(signal_gains=(0.03, 0.011), interference_gains=(),
                              tx_power=20.0, noise_power=1.0)
-    rng = np.random.default_rng(21)
-    n = 1_000_000
-    draws = sum(g * part.tx_power * rng.exponential(size=n)
-                for g in part.signal_gains)
-    ks = stats.ks_1samp(draws, cdf_signal(part)).statistic
-    assert ks < 0.005
+    result = verification.check_ks_distributions(seed=21, part=part)
+    assert result.passed, result.line()
 
 
 def test_pdf_interference_shifted_exponential():
@@ -97,25 +94,16 @@ def test_pdf_interference_mean():
 
 
 def test_pdf_sinr_normalization_random_partitions():
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        part = random_partition(rng)
-        total, _ = integrate.quad(pdf_sinr(part), 0.0, np.inf, limit=400)
-        assert total == pytest.approx(1.0, abs=1e-6)
+    result = verification.check_pdf_normalization(n_partitions=20, seed=22)
+    assert result.passed, result.line()
 
 
 def test_pdf_sinr_ks_against_sampled_ratio():
     part = UserLinkPartition(signal_gains=(0.05, 0.012),
                              interference_gains=(0.02, 0.004),
                              tx_power=50.0, noise_power=1.0)
-    rng = np.random.default_rng(23)
-    n = 1_000_000
-    p = part.tx_power
-    signal = sum(g * p * rng.exponential(size=n) for g in part.signal_gains)
-    denom = part.noise_power + sum(g * p * rng.exponential(size=n)
-                                   for g in part.interference_gains)
-    ks = stats.ks_1samp(signal / denom, cdf_sinr(part)).statistic
-    assert ks < 0.005
+    result = verification.check_ks_distributions(seed=23, part=part)
+    assert result.passed, result.line()
 
 
 def test_pdf_sinr_noise_free_limit():
@@ -154,14 +142,6 @@ def test_rate_vanishing_interference_limit():
     part = UserLinkPartition(signal_gains=(0.05,), interference_gains=(1e-12,),
                              tx_power=100.0, noise_power=1.0)
     assert partition_rate(part) == pytest.approx(base, abs=1e-9)
-
-
-def test_rate_vs_quadrature_50_partitions():
-    rng = np.random.default_rng(25)
-    for _ in range(50):
-        part = random_partition(rng, allow_empty_interference=True)
-        closed = partition_rate(part)
-        assert closed == pytest.approx(quadrature_user_rate(part), abs=1e-8)
 
 
 def test_rate_near_equal_gains_vs_erlang_quadrature():

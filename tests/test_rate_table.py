@@ -15,8 +15,7 @@ from conftest import mode_rates, user_rates
 from dasrate.experiments import bundled_config_path
 from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
                               uniform_positions)
-from dasrate.modes import (TransmissionMode, ideal_modes, min_distance_count,
-                           nearest_user_modes)
+from dasrate.modes import ideal_modes, min_distance_count, mode_label, nearest_user_modes
 from dasrate.rate import UserLinkPartition, log1p_inv, row_sum_rates, subset_rates
 from dasrate.selection import select_rows
 from dasrate.simulate import stream_key
@@ -36,10 +35,6 @@ TIE = Scenario(n_ports=2, n_users=2, cell_radius=6.0, pathloss_exponent=3.0,
                user_positions=((0.0, 1.5), (3.0, -2.0)))
 
 
-def label(row):
-    return TransmissionMode(tuple(row)).label
-
-
 def nearest_rows(pl):
     """The nearest-user set of one (K x N) pathloss."""
     return nearest_user_modes(pl.distances[None])[0]
@@ -56,7 +51,7 @@ def test_golden_sum_rates_are_bit_identical(name, scenario):
     exact, approx = (mode_rates(pl, modes, snrs, kernel) for kernel in (None, log1p_inv))
     for m, mode in enumerate(modes):
         for p, db in enumerate(dbs):
-            want = GOLDEN[name][f"{label(mode)}@{db:g}"]
+            want = GOLDEN[name][f"{mode_label(mode)}@{db:g}"]
             assert exact[p, m] == want["exact"]
             assert approx[p, m] == want["approx"]
 
@@ -71,9 +66,9 @@ def test_golden_candidate_rates_of_one_drop_are_bit_identical():
     candidates = ideal_modes(4, 4)
     rates = mode_rates(pl, candidates, [10.0 ** (want["snr_db"] / 10.0)])
     (best,), _ = select_rows(rates)
-    assert list(map(label, candidates)) == want["labels"]
+    assert list(map(mode_label, candidates)) == want["labels"]
     assert rates[0].tolist() == want["rates"]
-    assert label(candidates[best]) == want["chosen"]
+    assert mode_label(candidates[best]) == want["chosen"]
 
 
 def _drops(n, count, seed=91):

@@ -4,7 +4,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 from conftest import mode_rates
 from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
@@ -88,28 +87,6 @@ def test_tie_break_first_in_order():
     (mode, rate), rates = candidate_rates(pl, ideal_modes(2, 2), snr=100.0)
     ties = [i for i, r in enumerate(rates) if r == rate]
     assert mode == tuple(ideal_modes(2, 2)[ties[0]])
-
-
-def test_reduced_never_beats_exhaustive():
-    template = dataclasses.replace(FIG2, user_positions=None)
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
-    for per_snr in both_schemes(drops(template, [(50, drop) for drop in range(15)]), snrs):
-        for (_, best), (_, fewer) in per_snr:
-            assert fewer <= best + 1e-12
-
-
-def test_argmax_invariance_under_joint_scaling():
-    """Rates depend on each gain times the SNR alone: gains times 13 and
-    SNRs over 13 choose the same modes at the same rates."""
-    snrs = [1.0, 100.0, 10000.0]
-    block = pathloss_matrix(FIG2, np.array([FIG2.user_positions]))
-    scaled_pl = dataclasses.replace(block, gains=block.gains * 13.0)
-    (base,), (scaled,) = (both_schemes(block, snrs),
-                          both_schemes(scaled_pl, [snr / 13.0 for snr in snrs]))
-    for pair, scaled_pair in zip(base, scaled):
-        assert [mode for mode, _ in scaled_pair] == [mode for mode, _ in pair]
-        assert [rate for _, rate in scaled_pair] == pytest.approx([rate for _, rate in pair],
-                                                                  rel=1e-12)
 
 
 def test_two_user_schemes_agree_per_drop():

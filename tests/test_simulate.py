@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import mode_rates
-from dasrate import numerics, simulate
+from dasrate import numerics, simulate, verification
 from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
 from dasrate.selection import select_rows
@@ -360,38 +360,13 @@ def test_mc_rejects_unfit_fading_buffer(fading):
 
 
 def test_mc_deterministic_per_seed():
-    pl = drop(2, 32)
-    mode = (1, 2)
-    first = one_estimate(pl, mode, 100.0, 20_000, 5)
-    second = one_estimate(pl, mode, 100.0, 20_000, 5)
-    assert first == second
-    third = one_estimate(pl, mode, 100.0, 20_000, 6)
-    assert third[0] != first[0]
-
-
-def test_mc_bit_identical_across_worker_counts():
-    """Monte Carlo cell averages of a scheme and a fixed mode, with more
-    channels than one chunk, match bit for bit on one and two workers."""
-    schemes = ["min-distance", (1, 1)]
-    serial, parallel = (cell_average(template(2), schemes, (10.0, 30.0), n_drops=3,
-                                     n_channels=10_000, seed=7, rating="mc",
-                                     n_jobs=n_jobs)
-                        for n_jobs in (1, 2))
-    assert serial == parallel
+    result = verification.check_mc_determinism(n_trials=20_000, seed=5, drop_seed=32)
+    assert result.passed, result.line()
 
 
 def test_mc_matches_closed_form_three_sigma():
-    rng = np.random.default_rng(34)
-    for case in range(20):
-        n = int(rng.integers(2, 4))
-        pl = drop(n, (35, case))
-        snr = float(10.0 ** rng.uniform(0, 3))
-        candidates = ideal_modes(n, n)
-        mode = candidates[int(rng.integers(0, len(candidates)))]
-        mean, std_error = one_estimate(pl, mode, snr, 100_000, (36, case))
-        closed = mode_rates(pl, (mode,), [snr])[0, 0]
-        assert abs(closed - mean) < 3.0 * std_error, (
-            f"case {case}: mode {mode} closed {closed} vs mc {mean} +- {std_error}")
+    result = verification.check_mc_vs_analytic(n_cases=20, n_trials=100_000, seed=34)
+    assert result.passed, result.line()
 
 
 def test_mc_single_link_unit_snr():
@@ -429,12 +404,10 @@ def test_cell_average_scheme_dominates_fixed_modes():
 
 
 def test_cell_average_deterministic_and_worker_invariant():
-    grid = (0.0, 30.0)
-    a = cell_average(template(2), ["min-distance"], grid, n_drops=60,
-                     n_channels=0, seed=42, n_jobs=1)
-    b = cell_average(template(2), ["min-distance"], grid, n_drops=60,
-                     n_channels=0, seed=42, n_jobs=2)
-    assert a == b
+    result = verification.check_worker_invariance(n_drops=60, n_channels=0, seed=42,
+                                                  schemes=("min-distance",),
+                                                  grid_db=(0.0, 30.0))
+    assert result.passed, result.line()
 
 
 def recorded_kernel_sizes(monkeypatch):
@@ -471,7 +444,7 @@ def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
     # subset gain columns and as many weights, then 50 rows and 3 x 8
     # subset rates per point.
     fixed, per_point = 50 * 2 + 3 * 3 * 8, 50 + 3 * 8
-    assert simulate._drop_footprint(template(3), [np.zeros((45, 3)), None]) == (
+    assert simulate._drop_footprint(3, 3, [np.zeros((45, 3)), None]) == (
         fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
     assert cell_average(*args, **kwargs) == whole
@@ -580,7 +553,7 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        fixed, per_point = simulate._drop_footprint(args[0], args[1])
+        fixed, per_point = simulate._drop_footprint(args[0].n_ports, args[0].n_users, args[1])
         peaks.append((peak, len(args[5]) * (fixed + per_point * len(args[2]))))
         return out
 
@@ -673,7 +646,7 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
     grid = tuple(float(db) for db in range(-10, 71, 5))
     sets = [ideal, None, fixed]
     if points_per_slice:
-        base, per_point = simulate._drop_footprint(template, sets)
+        base, per_point = simulate._drop_footprint(n, n, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
     chosen, values = simulate._block_worker((template, sets, grid, 0, 81,
