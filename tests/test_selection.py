@@ -10,6 +10,7 @@ from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
 from dasrate.modes import ideal_modes, nearest_user_modes
 from dasrate.rate import row_sum_rates, subset_rates
 from dasrate.selection import select_rows
+from dasrate.verification import check_selection_properties
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -87,6 +88,14 @@ def test_tie_break_first_in_order():
     (mode, rate), rates = candidate_rates(pl, ideal_modes(2, 2), snr=100.0)
     ties = [i for i, r in enumerate(rates) if r == rate]
     assert mode == tuple(ideal_modes(2, 2)[ties[0]])
+
+
+def test_reduced_never_beats_exhaustive():
+    """On 15 N = K = 3 drops at 0, 20 and 40 dB, the nearest-user set's
+    chosen rate never exceeds the exhaustive one, and joint gain/SNR
+    scaling changes no choice; criterion 6 runs the same check on N = K = 2."""
+    result = check_selection_properties(n_drops=15, seed=51)
+    assert result.passed, result.line()
 
 
 def test_two_user_schemes_agree_per_drop():
