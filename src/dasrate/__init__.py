@@ -13,14 +13,14 @@ from .rate import (CrossoverFormulas, UserLinkPartition, crossover_snr,
                    pdf_interference_plus_noise, pdf_signal, pdf_sinr, row_sum_rates,
                    subset_rates)
 from .selection import select_rows
-from .simulate import RateCurve, RateSeries, cell_average, mc_sum_rates, mode_histogram
+from .simulate import cell_average, mc_sum_rates, mode_histogram
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "ConfigError", "CrossoverFormulas", "DasRateError",
     "DegenerateGainsError", "NumericalFailureError", "PathlossMatrix",
-    "RateCurve", "RateSeries", "Scenario", "UserLinkPartition",
+    "Scenario", "UserLinkPartition",
     "admissible", "cell_average", "crossover_snr", "db_to_linear", "default_port_layout",
     "exp_e1", "ideal_count", "ideal_modes", "linear_to_db", "load_scenario",
     "mc_sum_rates", "min_distance_count", "mode_histogram", "mode_label",

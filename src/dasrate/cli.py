@@ -148,23 +148,24 @@ def _cmd_rates(args) -> int:
     grid = experiments.parse_snr_spec(args.snr)
     rows = [parse_label(tok) for tok in args.modes.split(",") if tok.strip()]
     modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users)
-    curve = experiments.mode_rate_curves(scenario, modes, grid,
-                                         n_channels=args.channels,
-                                         seed=args.seed,
-                                         include_mc=not args.no_mc)
-    _emit(experiments.curve_to_csv(curve), args.out)
+    analytic, mc = experiments.mode_rate_curves(scenario, modes, grid,
+                                                0 if args.no_mc else args.channels, args.seed)
+    mc_blocks = [] if mc is None else [("mc", mc[0]), ("mc_stderr", mc[1])]
+    _emit(experiments.curve_to_csv(grid, modes, ("analytic", analytic), *mc_blocks), args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     scenario = _resolve_config(args.config)
     grid = experiments.parse_snr_spec(args.snr)
-    schemes = [*(args.scheme or []), *map(parse_label, args.fixed_mode or [])]
-    curve = simulate.cell_average(scenario, schemes or ["ideal", "min-distance"], grid,
-                                  n_drops=args.drops, n_channels=args.channels,
-                                  seed=args.seed, rating=args.rating, n_jobs=args.jobs,
-                                  force_ideal=args.force_ideal)
-    _emit(experiments.curve_to_csv(curve), args.out)
+    schemes = [*(args.scheme or []), *map(parse_label, args.fixed_mode or [])] or [
+        "ideal", "min-distance"]
+    n_channels = args.channels if args.rating == "mc" else 0
+    means, errors = simulate.cell_average(scenario, schemes, grid, args.drops, n_channels,
+                                          args.seed, n_jobs=args.jobs,
+                                          force_ideal=args.force_ideal)
+    blocks = [("mc", means), ("mc_stderr", errors)] if n_channels else [("analytic", means)]
+    _emit(experiments.curve_to_csv(grid, schemes, *blocks), args.out)
     return EXIT_OK
 
 

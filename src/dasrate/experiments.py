@@ -23,7 +23,7 @@ from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
 from .modes import admissible, check_fit, ideal_modes, mode_label
 from .rate import (CrossoverFormulas, crossover_curves_db, crossover_snr, row_sum_rates,
                    subset_rates)
-from .simulate import RateCurve, RateSeries, mc_sum_rates
+from .simulate import mc_sum_rates
 
 
 def _fmt(value: float) -> str:
@@ -54,20 +54,17 @@ def bundled_config_path(name: str) -> Path:
         return path
 
 
-def curve_to_csv(curve: RateCurve) -> str:
-    """Flatten a rate curve: one row per SNR point, one column block per series."""
-    header = ["snr_db"]
-    columns = []
-    for s in curve.series:
-        header.append(f"{s.label}_{s.kind}")
-        columns.append(s.values)
-        if s.kind == "mc" and s.std_errors is not None:
-            header.append(f"{s.label}_mc_stderr")
-            columns.append(s.std_errors)
+def curve_to_csv(snr_grid_db, entries, *blocks: tuple[str, np.ndarray]) -> str:
+    """Rate curves as CSV: one row per SNR point of the grid, then per
+    entry, a scheme name or an assignment row (printed by ``mode_label``),
+    one column ``{label}_{suffix}`` per (suffix, values) block, from the
+    entry's row of the block's (entries x points) array."""
+    labels = [e if isinstance(e, str) else mode_label(e) for e in entries]
+    header = ["snr_db"] + [f"{label}_{suffix}" for label in labels for suffix, _ in blocks]
+    columns = np.stack([values for _, values in blocks], axis=1).reshape(-1, len(snr_grid_db))
     lines = [",".join(header)]
-    for i, db in enumerate(curve.snr_grid_db):
-        row = [_fmt(db)] + [_fmt(col[i]) for col in columns]
-        lines.append(",".join(row))
+    for db, row in zip(snr_grid_db, columns.T.tolist()):
+        lines.append(",".join(map(_fmt, [db, *row])))
     return "\n".join(lines) + "\n"
 
 
@@ -100,37 +97,32 @@ def resolve_mode_filter(rows, n_ports: int, n_users: int) -> np.ndarray:
 
 def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
                      n_channels: int = simulate.DEFAULT_N_CHANNELS,
-                     seed: int = 1, include_mc: bool = True) -> RateCurve:
-    """Per-mode analytic curves over a fixed geometry for the rows of a
-    (modes x ports) assignment array, with optional Monte Carlo
-    companions: every mode at every point reads the same fading draw per
-    chunk, keyed by the seed and the chunk."""
+                     seed: int = 1) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Sum-rate curves over a fixed geometry of the rows of a (modes x
+    ports) assignment array: the closed-form (modes x points) array, and
+    the ``mc_sum_rates`` means and standard errors from ``n_channels``
+    draws, in which every mode at every point reads the same fading draw
+    per chunk, keyed by the seed and the chunk; or None at
+    ``n_channels=0``."""
     if scenario.user_positions is None:
         raise ConfigError("rates experiment needs fixed user positions in the config")
     pl = pathloss_matrix(scenario)
-    grid = tuple(float(db) for db in snr_grid_db)
-    snrs = [db_to_linear(db) for db in grid]
+    snrs = [db_to_linear(float(db)) for db in snr_grid_db]
     # The table holds the served users only, renumbered in order: an idle
     # user adds exactly 0.0 to every row, and its gains may tie.
     served = np.flatnonzero(np.bincount(modes.ravel(), minlength=scenario.n_users + 1)[1:])
     simulate.check_drop_size(scenario.n_ports, len(served))
     renumber = np.zeros(scenario.n_users + 1, dtype=int)
     renumber[served + 1] = np.arange(1, len(served) + 1)
-    analytic = row_sum_rates(subset_rates(pl.gains[None, served], snrs),
-                             renumber[modes])[0].tolist()
-    if include_mc:
-        means, errors = mc_sum_rates(pl.gains, modes, snrs, n_channels,
-                                     simulate.stream_key(seed))
-    series: list[RateSeries] = []
-    for m_idx, row in enumerate(modes):
-        label = mode_label(row)
-        series.append(RateSeries(label=label, kind="analytic",
-                                 values=tuple(point[m_idx] for point in analytic)))
-        if include_mc:
-            series.append(RateSeries(label=label, kind="mc",
-                                     values=tuple(means[m_idx].tolist()),
-                                     std_errors=tuple(errors[m_idx].tolist())))
-    return RateCurve(snr_grid_db=grid, series=tuple(series))
+    # A long grid goes in slices of points, as a block's does.
+    analytic = np.empty((len(modes), len(snrs)))
+    step = simulate.point_step(scenario.n_ports, len(served), [modes])
+    for lo in range(0, len(snrs), step):
+        table = subset_rates(pl.gains[None, served], snrs[lo:lo + step])
+        analytic[:, lo:lo + step] = row_sum_rates(table, renumber[modes])[0].T
+    if not n_channels:
+        return analytic, None
+    return analytic, mc_sum_rates(pl.gains, modes, snrs, n_channels, simulate.stream_key(seed))
 
 
 # --- crossover report ---------------------------------------------------------

@@ -357,11 +357,14 @@ def crossover_snr(pathloss: PathlossMatrix) -> CrossoverFormulas:
     return CrossoverFormulas(single_vs_12=vs_12, single_vs_21=vs_21)
 
 
+# A crossing of two rate curves is sought from -20 to 80 dB in 0.25 dB
+# steps, and the last sign change is bisected to within 1e-4 dB.
+CROSSING_LO_DB, CROSSING_HI_DB, CROSSING_STEP_DB = -20.0, 80.0, 0.25
+CROSSING_TOL_DB = 1e-4
+
+
 def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
-                               rate_b: Callable[[np.ndarray], np.ndarray],
-                               lo_db: float = -20.0, hi_db: float = 80.0,
-                               tol_db: float = 1e-4,
-                               scan_step_db: float = 0.25) -> float | None:
+                               rate_b: Callable[[np.ndarray], np.ndarray]) -> float | None:
     """Highest-SNR crossing of two rate curves, located by bisection.
 
     ``rate_a``/``rate_b`` map an array of linear SNRs to bits/s/Hz. The
@@ -373,7 +376,8 @@ def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
         rhos = np.array([10.0 ** (db / 10.0) for db in dbs])
         return (np.asarray(rate_a(rhos)) - np.asarray(rate_b(rhos))).tolist()
 
-    n_steps = int(math.ceil((hi_db - lo_db) / scan_step_db))
+    lo_db, hi_db = CROSSING_LO_DB, CROSSING_HI_DB
+    n_steps = int(math.ceil((hi_db - lo_db) / CROSSING_STEP_DB))
     grid = [lo_db + i * (hi_db - lo_db) / n_steps for i in range(n_steps + 1)]
     values = diff(grid)
 
@@ -388,7 +392,7 @@ def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
 
     lo, hi = bracket
     f_lo = diff([lo])[0]
-    while hi - lo > tol_db:
+    while hi - lo > CROSSING_TOL_DB:
         mid = 0.5 * (lo + hi)
         f_mid = diff([mid])[0]
         if f_mid == 0.0:

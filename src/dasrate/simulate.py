@@ -21,12 +21,8 @@ and imports the pool machinery only when it starts one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-# numpy loads its random module lazily, on first use; load it at import
-# so the first drop of a timed command does not pay for it.
-import numpy.random  # noqa: F401
 
 from .errors import CapacityError, ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
@@ -52,28 +48,6 @@ MC_CHUNK = 8192
 # (points, chunk) work arrays take at most 2 MiB whatever the grid
 # length, and an 11-point grid is one pass.
 MC_POINT_SLICE = 16
-
-
-@dataclass(frozen=True)
-class RateSeries:
-    label: str
-    kind: str  # "analytic" or "mc"
-    values: tuple[float, ...]
-    std_errors: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    snr_grid_db: tuple[float, ...]
-    series: tuple[RateSeries, ...]
-
-    def __post_init__(self) -> None:
-        names = [(s.label, s.kind) for s in self.series]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate (label, kind) pairs in rate curve")
-        for s in self.series:
-            if len(s.values) != len(self.snr_grid_db):
-                raise ValueError(f"series {s.label!r} length does not match grid")
 
 
 def check_snr_grid(lo: float, step: float, hi: float, what: str) -> None:
@@ -103,9 +77,9 @@ def stream_key(seed: int, drop: int | None = None) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(0, 0) if drop is None else (drop,))
 
 
-def _chunk_sizes(n_trials: int, chunk: int = MC_CHUNK) -> list[int]:
-    full, rest = divmod(n_trials, chunk)
-    return [chunk] * full + ([rest] if rest else [])
+def _chunk_sizes(n_trials: int) -> list[int]:
+    full, rest = divmod(n_trials, MC_CHUNK)
+    return [MC_CHUNK] * full + ([rest] if rest else [])
 
 
 def _user_powers(hg: np.ndarray, row) -> list[tuple]:
@@ -207,13 +181,13 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     when the whole grid would hold more than MAX_BLOCK_VALUES, from one
     kernel call. Each set is rated on every drop of the block at once,
     and selects at every (drop, point) with one first-maximizer argmax.
-    The value is the closed-form rate, or with ``rating`` "mc" the Monte
-    Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
+    The value is the closed-form rate, or at ``n_channels`` >= 2 the
+    Monte Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
     chosen mode at the points where any set chose it, from one draw per
     chunk under the drop's key, into the block's one buffer, and each
     (set, point) reads its mode's mean there.
     """
-    (template, sets, grid_db, n_channels, seed, drops, rating) = args
+    (template, sets, grid_db, n_channels, seed, drops) = args
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
     pl = pathloss_matrix(template, uniform_positions(template, keys))
@@ -230,15 +204,14 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values = np.empty(shape)
     # A block of many drops holds few points; a long grid goes in slices.
-    fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
-    step = max(1, (MAX_BLOCK_VALUES // len(drops) - fixed) // per_point)
+    step = point_step(template.n_ports, template.n_users, sets, len(drops))
     for lo in range(0, len(snrs), step):
         table = subset_rates(pl.gains, snrs[lo:lo + step])
         for s, rows in enumerate(drop_sets):
             best, values[:, s, lo:lo + step] = select_rows(row_sum_rates(table, rows))
             chosen[:, s, lo:lo + step] = (rows[best] if rows.ndim == 2 else
                                           rows[np.arange(len(drops))[:, None], best])
-    if rating == "mc":
+    if n_channels:
         # Allocated once: a fresh array per chunk is freed to the OS at
         # the heap top and page-faulted in again by the next chunk.
         fading = np.empty((min(n_channels, MC_CHUNK), template.n_users, template.n_ports))
@@ -277,6 +250,13 @@ def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
     return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
 
 
+def point_step(n: int, k: int, sets, n_drops: int = 1) -> int:
+    """SNR points per ``subset_rates`` table of ``n_drops`` drops of ``sets``:
+    as many as ``_drop_footprint`` fits in MAX_BLOCK_VALUES, at least one."""
+    fixed, per_point = _drop_footprint(n, k, sets)
+    return max(1, (MAX_BLOCK_VALUES // n_drops - fixed) // per_point)
+
+
 def check_drop_size(n_ports: int, n_users: int) -> None:
     """Raise CapacityError when one drop's nearest-user footprint at one
     SNR point exceeds MAX_BLOCK_VALUES. Every block builds its drops'
@@ -291,7 +271,7 @@ def check_drop_size(n_ports: int, n_users: int) -> None:
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
-               n_drops: int, rating: str, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
+               n_drops: int, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
     """The chosen assignments and values of ``_block_worker`` for every
     drop, in drop order, on one process pool of min(n_jobs, blocks)
     workers when both are above one.
@@ -308,7 +288,7 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     if n_jobs > 1:
         size = min(size, math.ceil(n_drops / (8 * n_jobs)))
     tasks = [(template, sets, grid_db, n_channels, seed,
-              range(start, min(start + size, n_drops)), rating)
+              range(start, min(start + size, n_drops)))
              for start in range(0, n_drops, size)]
     if n_jobs > 1 and len(tasks) > 1:
         # Imported here, so a command that starts no pool never loads
@@ -332,29 +312,30 @@ SWEEP_IDEAL_LIMIT = 400_000_000
 
 
 def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
-                 n_drops: int, n_channels: int, seed: int,
-                 rating: str = "analytic", n_jobs: int = 1,
-                 force_ideal: bool = False) -> RateCurve:
-    """Rate curves of ``schemes`` averaged over the same uniform user
-    drops, all from one pass over the drops.
+                 n_drops: int, n_channels: int, seed: int, n_jobs: int = 1,
+                 force_ideal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Means and drop-level standard errors (zero at one drop) of the sum
+    rates of ``schemes`` over the same uniform user drops, as two
+    (entries x points) arrays in ``schemes`` order, all from one pass
+    over the drops.
 
     ``schemes`` lists "ideal", "min-distance" and fixed modes, each an
-    assignment row of N port entries; the curve holds one series per
-    entry, in order, and labels a fixed mode's ``[u1 ... uN]``. A fixed
-    mode may be any row that fits the scenario (``modes.check_fit``), in
-    the exhaustive set or not, and is a candidate set of one. Selection
-    always uses closed-form rates. The recorded value per drop is
-    closed-form when ``rating="analytic"`` or a fading-simulation
-    estimate when ``rating="mc"``.
+    assignment row of N port entries. A fixed mode may be any row that
+    fits the scenario (``modes.check_fit``), in the exhaustive set or
+    not, and is a candidate set of one. Selection always uses
+    closed-form rates. The recorded value per drop is closed-form at
+    ``n_channels=0`` or a fading-simulation estimate from ``n_channels``
+    >= 2 draws.
 
-    Before any drop is drawn, every entry is checked: for repeats, each
-    fixed row for fit, and an exhaustive set for more than
-    SWEEP_IDEAL_LIMIT candidate-drop-points unless ``force_ideal``.
+    Before any drop is drawn, the counts are checked, and every entry:
+    for repeats, each fixed row for fit, and an exhaustive set for more
+    than SWEEP_IDEAL_LIMIT candidate-drop-points unless ``force_ideal``.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
-    if rating not in ("analytic", "mc"):
-        raise ConfigError(f"rating must be 'analytic' or 'mc', got {rating!r}")
+    if n_channels == 1 or n_channels < 0:
+        raise ValueError(f"n_channels must be 0 (closed form) or >= 2 (Monte Carlo), "
+                         f"got {n_channels}")
     if not schemes:
         raise ConfigError("no schemes requested")
     labels = [s if isinstance(s, str) else mode_label(s) for s in schemes]
@@ -382,20 +363,15 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
             ideal_modes(n_ports, n_users) if scheme == "ideal" else None
             for scheme in schemes]
     grid = tuple(float(db) for db in snr_grid_db)
-    _, values = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops,
-                           rating, n_jobs)
-    series = []
-    for s, label in enumerate(labels):
-        per_drop = values[:, s]
-        mean = per_drop.mean(axis=0)
-        if n_drops > 1:
-            stderr = per_drop.std(axis=0, ddof=1) / math.sqrt(n_drops)
-        else:
-            stderr = np.zeros_like(mean)
-        series.append(RateSeries(label=label, kind=rating,
-                                 values=tuple(float(v) for v in mean),
-                                 std_errors=tuple(float(e) for e in stderr)))
-    return RateCurve(snr_grid_db=grid, series=tuple(series))
+    _, values = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops, n_jobs)
+    # Each entry reduces its own (drops x points) values: numpy sums a
+    # one-point grid's column pairwise but a (drops x entries) block row
+    # by row, and the printed digits would move.
+    per_entry = values.swapaxes(0, 1)
+    means = np.array([v.mean(axis=0) for v in per_entry])
+    if n_drops == 1:
+        return means, np.zeros_like(means)
+    return means, np.array([v.std(axis=0, ddof=1) for v in per_entry]) / math.sqrt(n_drops)
 
 
 # Spacing, in dB, of the SNR points of a histogram range.
@@ -428,8 +404,7 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
     # One candidate set: None, the nearest-user set of each drop.
-    chosen, _ = _run_drops(scenario_template, [None], flat_points, 0, seed, n_drops,
-                           "analytic", n_jobs)
+    chosen, _ = _run_drops(scenario_template, [None], flat_points, 0, seed, n_drops, n_jobs)
     # Each choice's group as the code KA * (N + 1) + NA: its distinct
     # nonzero users, counted on the sorted assignment, and its active ports.
     users = np.sort(chosen[:, 0], axis=2)

@@ -374,13 +374,9 @@ def check_worker_invariance(n_drops: int = 6, n_channels: int = 3000, seed: int 
     """An N = K = 2 cell average of ``schemes``, Monte Carlo rated (or
     analytic at ``n_channels=0``), is bit-identical on one worker and on
     two."""
-    def run(n_jobs):
-        return simulate.cell_average(_template(2, 2), list(schemes), grid_db,
-                                     n_drops=n_drops, n_channels=n_channels, seed=seed,
-                                     rating="mc" if n_channels else "analytic",
-                                     n_jobs=n_jobs)
-
-    identical = run(1) == run(2)
+    one, two = (simulate.cell_average(_template(2, 2), list(schemes), grid_db, n_drops,
+                                      n_channels, seed, n_jobs=n_jobs) for n_jobs in (1, 2))
+    identical = all(map(np.array_equal, one, two))
     kind = "Monte Carlo" if n_channels else "analytic"
     return CheckResult(f"bit-identical {kind} across worker counts",
                        identical, measured=0.0 if identical else 1.0,

@@ -10,7 +10,7 @@ from dasrate.experiments import (bundled_config_path, crossover_report,
                                  mode_rate_curves, parse_snr_spec,
                                  resolve_mode_filter)
 from dasrate.geometry import load_scenario
-from dasrate.simulate import RateCurve, RateSeries, cell_average
+from dasrate.simulate import cell_average
 
 FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
 
@@ -55,37 +55,32 @@ def test_resolve_mode_filter_unknown_label_lists_valid():
     assert resolve_mode_filter([(2, 1), (1, 1)], 2, 2).tolist() == [[2, 1], [1, 1]]
 
 
+def rates_csv(modes, grid, **kwargs):
+    analytic, mc = mode_rate_curves(FIG2, modes, grid, **kwargs)
+    mc_blocks = [] if mc is None else [("mc", mc[0]), ("mc_stderr", mc[1])]
+    return curve_to_csv(grid, modes, ("analytic", analytic), *mc_blocks)
+
+
 def test_curve_csv_schema_and_stability():
-    curve = mode_rate_curves(FIG2, resolve_mode_filter([(1, 2)], 2, 2),
-                             snr_grid_db=(0.0, 10.0), n_channels=500, seed=2)
-    text = curve_to_csv(curve)
+    modes = resolve_mode_filter([(1, 2)], 2, 2)
+    text = rates_csv(modes, (0.0, 10.0), n_channels=500, seed=2)
     lines = text.strip().split("\n")
     assert lines[0] == "snr_db,[1 2]_analytic,[1 2]_mc,[1 2]_mc_stderr"
     assert len(lines) == 3
-    again = curve_to_csv(mode_rate_curves(
-        FIG2, resolve_mode_filter([(1, 2)], 2, 2),
-        snr_grid_db=(0.0, 10.0), n_channels=500, seed=2))
+    again = rates_csv(modes, (0.0, 10.0), n_channels=500, seed=2)
     assert text == again  # byte-stable at fixed seed
 
 
 def test_analytic_only_curve_has_no_mc_columns():
-    curve = mode_rate_curves(FIG2, resolve_mode_filter([(1, 1)], 2, 2),
-                             snr_grid_db=(0.0,), include_mc=False)
-    assert curve_to_csv(curve).startswith("snr_db,[1 1]_analytic\n")
+    modes = resolve_mode_filter([(1, 1)], 2, 2)
+    assert mode_rate_curves(FIG2, modes, (0.0,), n_channels=0)[1] is None
+    assert rates_csv(modes, (0.0,), n_channels=0).startswith("snr_db,[1 1]_analytic\n")
 
 
 def test_mode_rate_curves_requires_positions():
     template = load_scenario(bundled_config_path("fig3.cfg"))
     with pytest.raises(ConfigError, match="positions"):
         mode_rate_curves(template, resolve_mode_filter(None, 2, 2), (0.0,))
-
-
-def test_rate_curve_validation():
-    series = RateSeries(label="x", kind="analytic", values=(1.0,))
-    with pytest.raises(ValueError):
-        RateCurve(snr_grid_db=(0.0, 5.0), series=(series,))
-    with pytest.raises(ValueError):
-        RateCurve(snr_grid_db=(0.0,), series=(series, series))
 
 
 def test_sweep_guards_large_exhaustive_runs():
@@ -95,13 +90,13 @@ def test_sweep_guards_large_exhaustive_runs():
         cell_average(template, ["ideal"], (0.0, 10.0), n_drops=60_000,
                      n_channels=0, seed=1)
     # ...and one drop is not.
-    curve = cell_average(template, ["ideal"], (0.0, 10.0), n_drops=1,
-                         n_channels=0, seed=1)
-    assert len(curve.series) == 1
+    means, _ = cell_average(template, ["ideal"], (0.0, 10.0), n_drops=1,
+                            n_channels=0, seed=1)
+    assert means.shape == (1, 2)
     # min-distance at the same size is fine
-    curve = cell_average(template, ["min-distance"], (0.0,), n_drops=2,
-                         n_channels=0, seed=1)
-    assert len(curve.series) == 1
+    means, _ = cell_average(template, ["min-distance"], (0.0,), n_drops=2,
+                            n_channels=0, seed=1)
+    assert means.shape == (1, 1)
 
 
 def test_selection_gain_shrinks_at_high_snr():
@@ -112,10 +107,8 @@ def test_selection_gain_shrinks_at_high_snr():
 
     template = load_scenario(bundled_config_path("fig3.cfg"))
     grid = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-    curve = cell_average(template, ["ideal", *ideal_modes(2, 2)], grid, 300, 0, seed=20)
-    scheme = np.array(curve.series[0].values)
-    fixed = np.stack([np.array(series.values) for series in curve.series[1:]])
-    gain = scheme - fixed.max(axis=0)
+    means, _ = cell_average(template, ["ideal", *ideal_modes(2, 2)], grid, 300, 0, seed=20)
+    gain = means[0] - means[1:].max(axis=0)
     assert np.all(gain >= -1e-12)
     assert gain[5] < gain[4] < gain[3]  # 30 -> 40 -> 50 dB
     assert gain[5] < gain.max()
@@ -123,11 +116,10 @@ def test_selection_gain_shrinks_at_high_snr():
 
 def test_sweep_merges_schemes_and_fixed_modes():
     template = load_scenario(bundled_config_path("fig3.cfg"))
-    curve = cell_average(template, ["min-distance", (1, 2)],
-                         (0.0, 20.0), n_drops=25, n_channels=0, seed=3)
-    labels = [s.label for s in curve.series]
-    assert labels == ["min-distance", "[1 2]"]
-    text = curve_to_csv(curve)
+    schemes = ["min-distance", (1, 2)]
+    means, _ = cell_average(template, schemes, (0.0, 20.0), n_drops=25, n_channels=0, seed=3)
+    assert means.shape == (2, 2)
+    text = curve_to_csv((0.0, 20.0), schemes, ("analytic", means))
     assert text.splitlines()[0] == "snr_db,min-distance_analytic,[1 2]_analytic"
 
 

@@ -385,22 +385,19 @@ def test_cell_average_fixed_mode_symmetry():
     """Uniform drops make the two paired modes statistically identical;
     the same seed even yields mirrored drops, so check equality loosely."""
     grid = (0.0, 20.0, 40.0)
-    curve = cell_average(template(2), [(1, 2), (2, 1)],
-                         grid, n_drops=400, n_channels=0, seed=40)
-    a, b = (np.array(series.values) for series in curve.series)
-    for series in curve.series:
-        errs = np.array(series.std_errors)
-        assert np.all(errs > 0)
-    assert np.all(np.abs(a - b) < 6.0 * errs)
+    (a, b), errors = cell_average(template(2), [(1, 2), (2, 1)],
+                                  grid, n_drops=400, n_channels=0, seed=40)
+    assert np.all(errors > 0)
+    assert np.all(np.abs(a - b) < 6.0 * errors[1])
 
 
 def test_cell_average_scheme_dominates_fixed_modes():
     grid = (0.0, 10.0, 20.0, 30.0)
-    curve = cell_average(template(2), ["min-distance", *ideal_modes(2, 2)],
-                         grid, n_drops=150, n_channels=0, seed=41)
-    scheme_values = np.array(curve.series[0].values)
-    for fixed in curve.series[1:]:
-        assert np.all(scheme_values >= np.array(fixed.values) - 1e-12)
+    (scheme_values, *fixed_values), _ = cell_average(
+        template(2), ["min-distance", *ideal_modes(2, 2)], grid, n_drops=150, n_channels=0,
+        seed=41)
+    for fixed in fixed_values:
+        assert np.all(scheme_values >= fixed - 1e-12)
 
 
 def test_cell_average_deterministic_and_worker_invariant():
@@ -431,13 +428,18 @@ def nearest_footprint(n):
     return 2 * rows + n * n * 2 ** n, rows + n * 2 ** n
 
 
-@pytest.mark.parametrize("rating, n_channels", [("analytic", 0), ("mc", 50)])
-def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
+def same_curves(a, b):
+    """Whether two (means, std_errors) pairs are bit-identical."""
+    return all(map(np.array_equal, a, b))
+
+
+@pytest.mark.parametrize("n_channels", [0, 50], ids=["analytic-0", "mc-50"])
+def test_point_slices_leave_values_unchanged(monkeypatch, n_channels):
     """A block holds at most MAX_BLOCK_VALUES; a grid too long for that
     goes in slices of points with the same values."""
     grid = tuple(float(db) for db in range(0, 50, 5))
     args = (template(3), ["ideal", "min-distance"], grid)
-    kwargs = dict(n_drops=5, n_channels=n_channels, seed=46, rating=rating)
+    kwargs = dict(n_drops=5, n_channels=n_channels, seed=46)
     whole = cell_average(*args, **kwargs)
     sizes = recorded_kernel_sizes(monkeypatch)
     # 45 exhaustive and 5 nearest-user rows: 50 x 2 masks and 3 x 3 x 4
@@ -447,7 +449,7 @@ def test_point_slices_leave_values_unchanged(monkeypatch, rating, n_channels):
     assert simulate._drop_footprint(3, 3, [np.zeros((45, 3)), None]) == (
         fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
-    assert cell_average(*args, **kwargs) == whole
+    assert same_curves(cell_average(*args, **kwargs), whole)
     # One drop per block, slices of 4, 4 and 2 points, 9 gains per drop.
     assert len(sizes) == 5 * 3 and max(sizes) <= 4 * 9
 
@@ -464,6 +466,33 @@ def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
     step = (simulate.MAX_BLOCK_VALUES - fixed) // per_point
     assert step == 709 and len(sizes) == 3 * 3
     assert max(sizes) <= step * 9 <= simulate.MAX_BLOCK_VALUES
+
+
+def test_long_rates_grid_goes_in_point_slices(monkeypatch):
+    """A rates grid too long for MAX_BLOCK_VALUES is rated in point
+    slices, as a block's is, whose kernel values stay within the bound,
+    with the CSV of one table."""
+    from dasrate.experiments import bundled_config_path, curve_to_csv, mode_rate_curves
+    from dasrate.geometry import load_scenario
+
+    scn = load_scenario(bundled_config_path("fig2.cfg"))
+    modes = ideal_modes(2, 2)
+    grid = tuple(0.1 * i for i in range(50))
+
+    def csv():
+        analytic, _ = mode_rate_curves(scn, modes, grid, n_channels=0)
+        return curve_to_csv(grid, modes, ("analytic", analytic))
+
+    whole = csv()
+    sizes = recorded_kernel_sizes(monkeypatch)
+    # 4 rows: 4 x 2 masks and 2 x 2 x 2 subset gain columns and as many
+    # weights, then 4 rows and 2 x 4 subset rates per point.
+    fixed, per_point = 4 * 2 + 2 * 2 * 4, 4 + 2 * 4
+    assert simulate._drop_footprint(2, 2, [modes]) == (fixed, per_point)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 7 * per_point)
+    assert csv() == whole
+    # Slices of 7 points, the last of 1, 4 gains each.
+    assert len(sizes) == 8 and max(sizes) <= 7 * 4 <= simulate.MAX_BLOCK_VALUES
 
 
 @pytest.fixture
@@ -522,7 +551,7 @@ def test_pool_runs_split_drops_for_balance(blocks_run):
     pooled = cell_average(*args, n_jobs=2, **kwargs)
     assert blocks_run == [range(lo, min(lo + 5, 70)) for lo in range(0, 70, 5)]
     blocks_run.clear()
-    assert cell_average(*args, **kwargs) == pooled
+    assert same_curves(cell_average(*args, **kwargs), pooled)
     assert blocks_run == [range(0, 70)]
 
 
@@ -565,15 +594,23 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
     assert peak <= 64 * values <= 64 * simulate.MAX_BLOCK_VALUES
 
 
+@pytest.mark.parametrize("n_channels", [1, -1])
+def test_cell_average_refuses_other_channel_counts(blocks_run, n_channels):
+    """0 channels rate in closed form and 2 or more by Monte Carlo; any
+    other count is refused before any drop is drawn."""
+    with pytest.raises(ValueError, match="n_channels"):
+        cell_average(template(2), ["min-distance"], (0.0,), n_drops=2, n_channels=n_channels,
+                     seed=1)
+    assert blocks_run == []
+
+
 def test_cell_average_mc_rating_close_to_analytic():
     grid = (10.0, 30.0)
-    analytic = cell_average(template(2), [(1, 2)], grid,
-                            n_drops=120, n_channels=0, seed=43)
-    mc = cell_average(template(2), [(1, 2)], grid,
-                      n_drops=120, n_channels=400, seed=43, rating="mc")
-    assert mc.series[0].kind == "mc"
-    for a, m, err in zip(analytic.series[0].values, mc.series[0].values,
-                         mc.series[0].std_errors):
+    (analytic,), _ = cell_average(template(2), [(1, 2)], grid,
+                                  n_drops=120, n_channels=0, seed=43)
+    (mc,), (errors,) = cell_average(template(2), [(1, 2)], grid,
+                                    n_drops=120, n_channels=400, seed=43)
+    for a, m, err in zip(analytic, mc, errors):
         # same drops underneath, so only fading noise separates the two
         assert abs(a - m) < 6.0 * max(err, 1e-3)
 
@@ -650,7 +687,7 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
     chosen, values = simulate._block_worker((template, sets, grid, 0, 81,
-                                             range(len(positions)), "analytic"))
+                                             range(len(positions))))
     assert chosen.shape == (len(positions), 3, len(grid), n)
     ties = full_size = 0
     for d, users in enumerate(positions):
@@ -701,9 +738,8 @@ def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid
     streams, keyed (seed; drop, chunk), whatever its points and sets, and
     draws all of them into one buffer; sets that chose one mode at a point
     record one value there."""
-    analytic = simulate._block_worker((template(3), sets, grid, 0, 74, range(5, 8),
-                                       "analytic"))
-    mc = simulate._block_worker((template(3), sets, grid, 9000, 74, range(5, 8), "mc"))
+    analytic = simulate._block_worker((template(3), sets, grid, 0, 74, range(5, 8)))
+    mc = simulate._block_worker((template(3), sets, grid, 9000, 74, range(5, 8)))
     assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
         (74, (drop, c)) for drop in range(5, 8) for c in range(2)]
     assert {(address, shape) for _, _, address, shape, _ in streams_opened} == {
