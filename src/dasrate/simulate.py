@@ -11,7 +11,10 @@ geometry from (seed; 0, 0, c).
 
 A draw does not depend on the SNR, so each chunk is drawn
 once per drop and read by every mode and point rated there (common
-random numbers). Each (mode, point) adds its chunks in chunk order and
+random numbers). A mode rates each draw and point as log2 of the
+product of its users' factors 1 + S / (I + 1/snr), one log2 per run of
+users, the runs split on the mode's draws alone so that no product
+overflows. Each (mode, point) adds its chunks in chunk order and
 drop results are combined in drop order, so outputs are bit-identical
 for a given seed whatever the worker count. A command runs its drops on
 at most one process pool, with no more workers than blocks of drops,
@@ -44,8 +47,8 @@ MAX_JOBS = 256
 # the trial count.
 MC_CHUNK = 8192
 
-# Most SNR points one Monte Carlo rating pass holds: its two
-# (points, chunk) work arrays take at most 2 MiB whatever the grid
+# Most SNR points one Monte Carlo rating pass holds: its three
+# (points, chunk) work arrays take at most 3 MiB whatever the grid
 # length, and an 11-point grid is one pass.
 MC_POINT_SLICE = 16
 
@@ -95,43 +98,77 @@ def _user_powers(hg: np.ndarray, row) -> list[tuple]:
             for user in dict.fromkeys(row[j] for j in active)]
 
 
+# Most bits the factors of one run of users may bound together: a factor
+# 1 + S / (I + 1/snr) is at most 1 + S * snr, so a run whose bounds
+# log2(1 + max S * _MAX_SNR) sum to at most this keeps its product below
+# 2^1024, with 24 bits to spare for rounding.
+RUN_BITS = 1000.0
+_MAX_SNR = db_to_linear(MAX_ABS_SNR_DB)
+
+
+def _runs(users: list[tuple]) -> list[list[tuple]]:
+    """``users`` in consecutive runs, in order: a run closes before the
+    sum of its users' bounds log2(1 + max S * _MAX_SNR) would pass
+    RUN_BITS. The split reads the users' draws, never the SNRs rated."""
+    runs, bits = [], math.inf
+    for user in users:
+        bound = math.log2(1.0 + float(user[0].max()) * _MAX_SNR)
+        if bits + bound > RUN_BITS:
+            runs.append([])
+            bits = 0.0
+        runs[-1].append(user)
+        bits += bound
+    return runs
+
+
 def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Sum over ``users`` of log2(1 + S / (I + 1 / snr)) for each draw
-    (column) and each 1 / snr of the (points, 1) ``inv_snr`` (row), in
-    ``work[0]``; ``work`` is a (2, points, draws) array. The first term
-    is written there directly, and a user with no interference divides
-    by ``inv_snr``, which is 0 + 1 / snr exactly; no user rates 0."""
-    rates, term = work
+    """Sum rate of ``users`` for each draw (column) and each 1 / snr of
+    the (points, 1) ``inv_snr`` (row), in ``work[0]``; ``work`` is a (3,
+    points, draws) array. Each user has the factor 1 + S / (I + 1 / snr),
+    and each of the ``_runs`` of users rates log2 of the product of its
+    factors, multiplied in user order; the runs' rates add in order. The
+    first run's product is formed in ``work[0]``, a later run's in
+    ``work[1]``, and each further factor in ``work[2]``. A user with no
+    interference divides by ``inv_snr``, which is 0 + 1 / snr exactly;
+    no user rates 0."""
+    rates, product, factor = work
     if not users:
         rates[:] = 0.0
-    for i, (signal, interference) in enumerate(users):
-        out = term if i else rates
-        noise = np.add(interference, inv_snr, out=out) if np.ndim(interference) else inv_snr
-        np.divide(signal, noise, out=out)
-        out += 1.0
+    for r, run in enumerate(_runs(users)):
+        out = product if r else rates
+        for i, (signal, interference) in enumerate(run):
+            term = factor if i else out
+            noise = np.add(interference, inv_snr, out=term) if np.ndim(interference) else inv_snr
+            np.divide(signal, noise, out=term)
+            term += 1.0
+            if i:
+                out *= term
         np.log2(out, out=out)
-        if i:
-            rates += term
+        if r:
+            rates += out
     return rates
 
 
 def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
                  key: np.random.SeedSequence, *, at: np.ndarray | None = None,
-                 fading: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 fading: np.ndarray | None = None,
+                 std_errors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Monte Carlo means and standard errors of the ergodic sum rates of
     the assignment ``rows``, each a sequence of N port entries, over the
     (K, N) pathloss ``gains`` at the linear ``snrs``, as two (rows x
-    points) arrays, from one fading draw per chunk.
+    points) arrays, from one fading draw per chunk; with ``std_errors``
+    False the errors are None, and no sum of squares is formed.
 
     Only the cells of the (rows x points) boolean mask ``at`` are rated,
     every cell when it is None; the others read NaN. Chunk c is drawn
     by SFC64 from ``key``'s child c into ``fading`` (at least
     (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
     ``gains`` in place. Each row's user powers are summed once per chunk
-    and rated at its points in slices of MC_POINT_SLICE. Each cell adds
-    its own total and sum of squares in chunk order, so its estimate
-    does not depend on the other cells of the call. A fixed geometry
-    passes ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c
+    and rated by ``_sum_rates`` at its points in slices of
+    MC_POINT_SLICE, one log2 per run of users. Each cell adds its own
+    total, and sum of squares, in chunk order, so its estimate does not
+    depend on the other cells of the call. A fixed geometry passes
+    ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c
     from ``SeedSequence(seed, spawn_key=(c,))``.
     """
     if n_channels < 2:
@@ -149,21 +186,24 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
         raise ValueError(f"at must have shape {(len(rows), len(snrs))}, got {at.shape}")
     points = [np.flatnonzero(cells) for cells in at]
     inv_snrs = [1.0 / snrs[cols, None] for cols in points]
-    totals = np.zeros((2, *at.shape))
-    work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, points), default=0)) * shape[0])
+    total = np.zeros(at.shape)
+    total_sq = np.zeros(at.shape) if std_errors else None
+    work = np.empty(3 * min(MC_POINT_SLICE, max(map(len, points), default=0)) * shape[0])
     for c, size in enumerate(_chunk_sizes(n_channels)):
         hg = _chunk_stream(key, c).standard_exponential(out=fading[:size])
         hg *= gains
-        for row, cols, inv_snr, total, total_sq in zip(rows, points, inv_snrs, *totals):
+        for r, (row, cols, inv_snr) in enumerate(zip(rows, points, inv_snrs)):
             users = _user_powers(hg, row)
             for lo in range(0, len(cols), MC_POINT_SLICE):
                 part, idx = inv_snr[lo:lo + MC_POINT_SLICE], cols[lo:lo + MC_POINT_SLICE]
                 rates = _sum_rates(users, part,
-                                   work[:2 * len(part) * size].reshape(2, len(part), size))
-                total[idx] += rates.sum(axis=1)
-                total_sq[idx] += np.square(rates, out=rates).sum(axis=1)
-    total, total_sq = np.where(at, totals, np.nan)
-    mean = total / n_channels
+                                   work[:3 * len(part) * size].reshape(3, len(part), size))
+                total[r, idx] += rates.sum(axis=1)
+                if std_errors:
+                    total_sq[r, idx] += np.square(rates, out=rates).sum(axis=1)
+    mean = np.where(at, total, np.nan) / n_channels
+    if not std_errors:
+        return mean, None
     var = np.maximum(total_sq - n_channels * mean * mean, 0.0) / (n_channels - 1)
     return mean, np.sqrt(var / n_channels)
 
@@ -224,7 +264,8 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
             which = which.reshape(shape[1:])
             at = np.zeros((len(distinct), len(grid_db)), dtype=bool)
             at[which, points] = True
-            mean, _ = mc_sum_rates(gains, distinct, snrs, n_channels, key, at=at, fading=fading)
+            mean, _ = mc_sum_rates(gains, distinct, snrs, n_channels, key, at=at,
+                                   fading=fading, std_errors=False)
             drop_values[:] = mean[which, points]
     return chosen, values
 

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import mode_rates
 from dasrate import numerics, simulate, verification
-from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
+from dasrate.geometry import (MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix,
+                              uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
 from dasrate.selection import select_rows
 from dasrate.simulate import (_chunk_sizes, _chunk_stream, _sum_rates, _user_powers,
@@ -40,7 +41,7 @@ def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
     h = np.asarray(power_gains, dtype=float)
     users = _user_powers(h * pl.gains, mode)
     inv_snr = np.array([[1.0 / snr]])
-    return _sum_rates(users, inv_snr, np.empty((2, 1, len(h))))[0]
+    return _sum_rates(users, inv_snr, np.empty((3, 1, len(h))))[0]
 
 
 def one_estimate(pl, mode, snr, n_channels, seed, fading=None):
@@ -70,7 +71,7 @@ def test_instantaneous_rates_hand_built_two_by_two():
     (s1, i1), (s2, i2) = _user_powers(np.ones((1, 2, 2)) * weights, mode)
     assert (s1[0], i1[0], s2[0], i2[0]) == (1.0, 2.0, 4.0, 3.0)
     h = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    rates = _sum_rates(_user_powers(h * weights, mode), inv_snr, np.empty((2, 1, 1)))
+    rates = _sum_rates(_user_powers(h * weights, mode), inv_snr, np.empty((3, 1, 1)))
     assert rates[0, 0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
                                         + math.log2(1.0 + 16.0 / 10.0))
     # each user alone: its own signal over noise plus its interferer
@@ -78,7 +79,7 @@ def test_instantaneous_rates_hand_built_two_by_two():
         keep = np.zeros((2, 1))
         keep[user] = 1.0
         alone = _sum_rates(_user_powers(h * weights * keep, mode), inv_snr,
-                           np.empty((2, 1, 1)))
+                           np.empty((3, 1, 1)))
         assert alone[0, 0] == pytest.approx(math.log2(1.0 + expected))
 
 
@@ -111,10 +112,13 @@ def dense_sum_rates(sig_w, intf_w, h):
 
 
 def ordered_sum_rates(pathloss, mode, inv_snr, h):
-    """The engine's per-draw sum rates in a dense form that adds in the
-    engine's order: ports in index order, users in the order they first
-    appear in the mode's assignment. Masked ports and idle users add an
-    exact 0."""
+    """The engine's per-draw sum rates in a dense form that adds and
+    multiplies in the engine's order: ports in index order, users in the
+    order they first appear in the mode's assignment, each run of users
+    one log2 of the product of its factors 1 + S / (I + 1/snr), the runs'
+    logs added in order. A run closes before the sum of its users' bounds
+    log2(1 + max S * snr_max) would pass RUN_BITS. Masked ports add an
+    exact 0 and idle users multiply by an exact 1."""
     users, first = np.unique(mode, return_index=True)
     by_first = users[np.argsort(first)]
     active = by_first[by_first != 0].tolist()
@@ -123,8 +127,17 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
     hg = (h * pathloss.gains)[:, [u - 1 for u in order]]
     signal = np.cumsum(hg * sig_mask, axis=2)[..., -1]
     interference = np.cumsum(hg * intf_mask, axis=2)[..., -1]
-    terms = np.log2(1.0 + signal / (interference + inv_snr))
-    return np.cumsum(terms, axis=1)[:, -1]
+    factors = 1.0 + signal / (interference + inv_snr)
+    runs, run_bits = [], math.inf
+    for u, peak in enumerate(signal.max(axis=0).tolist()):
+        bound = math.log2(1.0 + peak * 10.0 ** (MAX_ABS_SNR_DB / 10.0))
+        if run_bits + bound > simulate.RUN_BITS:
+            runs.append([])
+            run_bits = 0.0
+        runs[-1].append(u)
+        run_bits += bound
+    logs = [np.log2(np.cumprod(factors[:, run], axis=1)[:, -1]) for run in runs]
+    return np.cumsum(np.stack(logs, axis=1), axis=1)[:, -1]
 
 
 def dense_mc_estimate(n_channels, seed, shape, sum_rates):
@@ -207,12 +220,12 @@ def test_sum_rates_without_interferer_match_dense_form_bit_for_bit():
         h = _chunk_stream(np.random.SeedSequence(69), n).standard_exponential(size=(300, n, n))
         for user in (1, n):
             mode = (user,) * n
-            work = np.full((2, len(inv_snrs), len(h)), np.nan)
+            work = np.full((3, len(inv_snrs), len(h)), np.nan)
             got = _sum_rates(_user_powers(h * pl.gains, mode), inv_snrs, work)
             for p, inv_snr in enumerate(inv_snrs[:, 0]):
                 want = ordered_sum_rates(pl, mode, inv_snr, h)
                 assert np.array_equal(bits(got[p]), bits(want)), (mode, inv_snr)
-    idle = _sum_rates([], inv_snrs, np.full((2, len(inv_snrs), 5), np.nan))
+    idle = _sum_rates([], inv_snrs, np.full((3, len(inv_snrs), 5), np.nan))
     assert np.array_equal(bits(idle), bits(np.zeros((len(inv_snrs), 5))))
 
 
@@ -227,26 +240,47 @@ def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
                     lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), str(mode)
 
 
+def extreme_pathloss():
+    """A 2 x 2 fixed geometry whose mode [1 2] has factors 1 + S / (I +
+    1/snr) of about 1e270 and 1e66 at 280 to 300 dB: their product
+    overflows, so its users rate in two runs."""
+    return pathloss_matrix(Scenario(
+        n_ports=2, n_users=2, cell_radius=6.11, pathloss_exponent=120.0, tx_power=1.0,
+        port_positions=((1.0, 0.0), (-1.0, 0.0)), user_positions=((1.0, 0.0), (-1.0, 0.5))))
+
+
 def test_mc_sum_rates_pair_does_not_depend_on_its_call():
-    """Each (mode, SNR) cell of a call that rates one mode at more SNRs
-    than one slice holds and the others at every other SNR equals, bit
-    for bit, the estimate of a call that rates that cell alone; the cells
-    left out of ``at`` read NaN, and a mask of another shape is refused."""
-    pl = drop(3, 75)
-    modes = ideal_modes(3, 3)[::9]
-    snrs = [10.0 ** (db / 10.0) for db in range(-10, 60, 3)]
-    assert len(modes) >= 3 and len(snrs) > simulate.MC_POINT_SLICE
-    at = (np.arange(len(modes))[:, None] + np.arange(len(snrs))) % 2 == 0
-    at[0] = True
-    means, errors = mc_sum_rates(pl.gains, modes, snrs, 9000, np.random.SeedSequence((76, 1)),
-                                 at=at)
-    assert means.shape == errors.shape == at.shape
-    assert np.isnan(means[~at]).all() and np.isnan(errors[~at]).all()
-    for m, p in zip(*np.nonzero(at)):
-        alone = one_estimate(pl, modes[m], snrs[p], 9000, (76, 1))
-        assert bits(alone).tolist() == bits([means[m, p], errors[m, p]]).tolist(), (m, p)
-    with pytest.raises(ValueError, match="at must have shape"):
-        mc_sum_rates(pl.gains, modes, snrs, 9000, np.random.SeedSequence(76), at=at[:, 1:])
+    """Each (mode, SNR) cell of a call that rates one mode at every SNR
+    and the others at every other SNR is finite, within DENSE_REL_TOL of
+    the dense form (per-user logs) and equal, bit for bit, to the
+    estimate of a call that rates that cell alone; the cells left out of
+    ``at`` read NaN, and a mask of another shape is refused. At N = K = 3
+    the SNRs fill more than one slice; on the extreme 2 x 2 geometry the
+    mode [1 2] rates in two runs."""
+    cases = ((drop(3, 75), ideal_modes(3, 3)[::9], range(-10, 60, 3)),
+             (extreme_pathloss(), ideal_modes(2, 2), range(280, 301, 10)))
+    assert len(cases[0][2]) > simulate.MC_POINT_SLICE
+    assert len(simulate._runs(_user_powers(cases[1][0].gains[None], [1, 2]))) == 2
+    for pl, modes, grid_db in cases:
+        snrs = [db_to_linear(db) for db in grid_db]
+        assert len(modes) >= 3
+        at = (np.arange(len(modes))[:, None] + np.arange(len(snrs))) % 2 == 0
+        at[0] = True
+        means, errors = mc_sum_rates(pl.gains, modes, snrs, 9000,
+                                     np.random.SeedSequence((76, 1)), at=at)
+        assert means.shape == errors.shape == at.shape
+        assert np.isnan(means[~at]).all() and np.isnan(errors[~at]).all()
+        assert np.isfinite(means[at]).all() and np.isfinite(errors[at]).all()
+        for m, p in zip(*np.nonzero(at)):
+            alone = one_estimate(pl, modes[m], snrs[p], 9000, (76, 1))
+            assert bits(alone).tolist() == bits([means[m, p], errors[m, p]]).tolist(), (m, p)
+            weights = dense_weights(pl, modes[m], snrs[p])
+            dense, _ = dense_mc_estimate(9000, (76, 1), pl.gains.shape,
+                                         lambda h: dense_sum_rates(*weights, h))
+            assert means[m, p] == pytest.approx(dense, rel=DENSE_REL_TOL), (m, p)
+        with pytest.raises(ValueError, match="at must have shape"):
+            mc_sum_rates(pl.gains, modes, snrs, 9000, np.random.SeedSequence(76),
+                         at=at[:, 1:])
 
 
 def test_stream_keys_never_coincide():
@@ -376,9 +410,20 @@ def test_mc_single_link_unit_snr():
 
 
 def test_mc_std_error_contract():
+    """Standard errors are positive and below the mean; without them the
+    means are bit for bit those of the default call, one chunk or two."""
     pl = pathloss_matrix(unit_scenario())
     mean, std_error = one_estimate(pl, (1,), 1.0, 10_000, 9)
     assert 0.0 < std_error < mean
+    pl = drop(3, 77)
+    modes, snrs = ideal_modes(3, 3)[::5], [0.1, 1.0, 300.0]
+    for n_channels in (200, 9000):
+        key = np.random.SeedSequence((78, n_channels))
+        means, errors = mc_sum_rates(pl.gains, modes, snrs, n_channels, key)
+        assert errors.shape == means.shape
+        bare, none = mc_sum_rates(pl.gains, modes, snrs, n_channels, key, std_errors=False)
+        assert none is None
+        assert np.array_equal(bits(bare), bits(means))
 
 
 def test_cell_average_fixed_mode_symmetry():
