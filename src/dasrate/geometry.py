@@ -12,7 +12,7 @@ import numpy as np
 # so the first drop of a timed command does not pay for it.
 import numpy.random  # noqa: F401
 
-from .errors import ConfigError
+from .errors import CapacityError, ConfigError
 
 Coord = tuple[float, float]
 
@@ -24,6 +24,12 @@ RING_RADIUS_FACTOR = math.sqrt(3.0 / 7.0)
 # bundled configs is finite there; the linear SNR itself overflows a float
 # near 3083 dB.
 MAX_ABS_SNR_DB = 300.0
+
+# Most antenna ports a scenario may have. Every command builds a drop's
+# nearest-user set and subset-rate table, over the 2^N port masks, and
+# simulate.check_drop_size admits no drop past 16 ports at any K; a larger
+# count is refused on construction, before the port layout is built.
+MAX_PORTS = 16
 
 # Pathloss d**-p diverges for a user on top of a port; distances are
 # clamped below at this value (in the same units as cell_radius).
@@ -60,6 +66,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.n_ports < 1 or self.n_users < 1:
             raise ConfigError("n_ports and n_users must be >= 1")
+        if self.n_ports > MAX_PORTS:
+            raise CapacityError(f"one drop at N = {self.n_ports} ports and K = {self.n_users} "
+                                f"fits no block: at most {MAX_PORTS} ports are supported")
         for name in ("cell_radius", "pathloss_exponent", "tx_power", "noise_power"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and strictly positive")

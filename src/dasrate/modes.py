@@ -78,17 +78,17 @@ def min_distance_count(n_ports: int) -> int:
     return 2 ** n_ports - n_ports
 
 
-def ideal_modes(n_ports: int, n_users: int,
-                budget: int = IDEAL_ENUMERATION_BUDGET) -> np.ndarray:
+def ideal_modes(n_ports: int, n_users: int) -> np.ndarray:
     """Every admissible assignment, in lexicographic order, as the rows of
     a (modes x ports) int array. Excluded: the all-off vector, and
     single-active-user assignments with any port off. Raises
-    CapacityError, before allocating, when (K+1)^N exceeds ``budget``."""
+    CapacityError, before allocating, when (K+1)^N exceeds
+    IDEAL_ENUMERATION_BUDGET."""
     raw_size = (n_users + 1) ** n_ports
-    if raw_size > budget:
+    if raw_size > IDEAL_ENUMERATION_BUDGET:
         raise CapacityError(
             f"(K+1)^N = {raw_size} assignment vectors exceeds the enumeration "
-            f"budget of {budget} for N={n_ports}, K={n_users}")
+            f"budget of {IDEAL_ENUMERATION_BUDGET} for N={n_ports}, K={n_users}")
     rows = np.indices((n_users + 1,) * n_ports).reshape(n_ports, -1).T
     return rows[admissible(rows)]
 

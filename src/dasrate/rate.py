@@ -1,10 +1,10 @@
-"""Closed-form SINR statistics and ergodic rates for fixed large-scale gains.
+"""Closed-form ergodic rates for fixed large-scale gains.
 
 With Rayleigh fading, a user's aggregate signal power and its
 interference-plus-noise power are each weighted sums of independent
-exponentials, so both densities are hypoexponential mixtures obtained by
-partial fractions. The ratio's density and the resulting ergodic rate
-then reduce to combinations of scaled exponential-integral terms.
+exponentials, so both are hypoexponential, with partial-fraction
+densities. The resulting ergodic rate then reduces to combinations of
+scaled exponential-integral terms.
 
 Rates depend on the transmit and noise powers only through their ratio,
 the linear SNR P / sigma^2, and the rate engine takes that alone.
@@ -23,14 +23,14 @@ approximated rates too.
 R_k(B) is a partial-fraction sum that assumes pairwise-distinct gains.
 Near-ties (see ``GAIN_TIE_REL_TOL``) are separated by a deterministic
 relative perturbation, in the subsets that hold them only. At exact ties
-that leaves errors of up to about 1.5e-7 bits. The densities of a
-``UserLinkPartition`` are the physical model that ``verify`` checks the
-subset rates against.
+that leaves errors of up to about 1.5e-7 bits. The signal,
+interference-plus-noise and SINR densities of one user's link, the
+physical model that ``dasrate verify`` checks the subset rates against,
+live in ``verification``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,8 +40,6 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateGainsError
 from .geometry import PathlossMatrix, linear_to_db
-
-LN2 = math.log(2.0)
 
 # Two gains closer than this (relative) are treated as tied and nudged apart.
 GAIN_TIE_REL_TOL = 1e-9
@@ -72,33 +70,6 @@ def _separate_gains(gains: Sequence[float]) -> list[float]:
     raise DegenerateGainsError(f"gains remained tied after separation guard: {gains}")
 
 
-@dataclass(frozen=True)
-class UserLinkPartition:
-    """One user's link budget under a mode: desired vs. interfering gains.
-
-    Construction separates near-tied gains across the union of both lists
-    (the rate expression divides by every pairwise difference, including
-    signal-vs-interference ones).
-    """
-
-    signal_gains: tuple[float, ...]
-    interference_gains: tuple[float, ...]
-    tx_power: float
-    noise_power: float
-
-    def __post_init__(self) -> None:
-        if not self.signal_gains:
-            raise ValueError("partition needs at least one signal gain")
-        if any(g <= 0 for g in self.signal_gains + self.interference_gains):
-            raise ValueError("all gains must be strictly positive")
-        if self.tx_power <= 0 or self.noise_power <= 0:
-            raise ValueError("tx_power and noise_power must be strictly positive")
-        merged = _separate_gains(self.signal_gains + self.interference_gains)
-        n_sig = len(self.signal_gains)
-        object.__setattr__(self, "signal_gains", tuple(merged[:n_sig]))
-        object.__setattr__(self, "interference_gains", tuple(merged[n_sig:]))
-
-
 def _pf_weights(gains: Sequence[float]) -> list[float]:
     """Partial-fraction weights w_k = prod_{l != k} g_k / (g_k - g_l).
 
@@ -114,98 +85,6 @@ def _pf_weights(gains: Sequence[float]) -> list[float]:
     return weights
 
 
-# --- densities and distribution functions ----------------------------------
-
-def _hypoexponential(gains: Sequence[float], tx_power: float, shift: float,
-                     cdf: bool) -> Callable:
-    """Density, or with ``cdf`` the distribution function, of ``shift``
-    plus independent exponentials with means g * P over ``gains``: the
-    mixture sum_k w_k/(g_k P) * exp(-(rho - shift)/(g_k P)) on (shift, inf).
-    """
-    scales = [g * tx_power for g in gains]
-    weights = _pf_weights(gains)
-
-    def f(rho):
-        excess = np.asarray(rho, dtype=float) - shift
-        t = np.maximum(excess, 0.0)
-        out = sum(w * -np.expm1(-t / s) if cdf else w / s * np.exp(-t / s)
-                  for w, s in zip(weights, scales))
-        return np.where(excess > 0.0, out, 0.0)
-
-    return f
-
-
-def pdf_signal(partition: UserLinkPartition) -> Callable:
-    """Density of the aggregate received signal power on (0, inf)."""
-    return _hypoexponential(partition.signal_gains, partition.tx_power, 0.0, cdf=False)
-
-
-def cdf_signal(partition: UserLinkPartition) -> Callable:
-    return _hypoexponential(partition.signal_gains, partition.tx_power, 0.0, cdf=True)
-
-
-def _interferers(partition: UserLinkPartition) -> tuple:
-    """Interference gains, transmit power and noise power of a partition
-    that has interferers."""
-    if not partition.interference_gains:
-        raise ValueError("partition has no interference gains")
-    return partition.interference_gains, partition.tx_power, partition.noise_power
-
-
-def pdf_interference_plus_noise(partition: UserLinkPartition) -> Callable:
-    """Density of noise power plus aggregate interference, on (noise, inf)."""
-    return _hypoexponential(*_interferers(partition), cdf=False)
-
-
-def cdf_interference_plus_noise(partition: UserLinkPartition) -> Callable:
-    return _hypoexponential(*_interferers(partition), cdf=True)
-
-
-def _sinr_terms(partition: UserLinkPartition) -> list[tuple[float, float, float, float]]:
-    """(w_k, s_k, w_u, s_u) of every (signal, interferer) gain pair, in
-    (k, u) order; the SINR ratio needs at least one interference gain.
-    With none it reduces to signal/noise, and callers should use the
-    no-interference rate path."""
-    if not partition.interference_gains:
-        raise ValueError("no interference gains: use the no-interference "
-                         "rate path instead of the SINR ratio density")
-    sig, intf = partition.signal_gains, partition.interference_gains
-    return [(wk, sk, wu, su) for (wk, sk), (wu, su)
-            in itertools.product(zip(_pf_weights(sig), sig), zip(_pf_weights(intf), intf))]
-
-
-def pdf_sinr(partition: UserLinkPartition) -> Callable:
-    """Density of the SINR ratio on (0, inf)."""
-    terms = _sinr_terms(partition)
-    p, noise = partition.tx_power, partition.noise_power
-
-    def pdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
-        for wk, sk, wu, su in terms:
-            denom = su * rho + sk
-            out = out + (wk * wu * (noise * denom + sk * su * p) / denom ** 2
-                         * np.exp(-noise * rho / (sk * p)))
-        return np.where(rho > 0.0, out / p, 0.0)
-
-    return pdf
-
-
-def cdf_sinr(partition: UserLinkPartition) -> Callable:
-    terms = _sinr_terms(partition)
-    p, noise = partition.tx_power, partition.noise_power
-
-    def cdf(rho):
-        rho = np.asarray(rho, dtype=float)
-        rpos = np.maximum(rho, 0.0)
-        tail = np.zeros_like(rpos)
-        for wk, sk, wu, su in terms:
-            tail = tail + (wk * wu * sk / (sk + rpos * su) * np.exp(-noise * rpos / (sk * p)))
-        return np.where(rho > 0.0, 1.0 - tail, 0.0)
-
-    return cdf
-
-
 # --- ergodic rates ----------------------------------------------------------
 
 def log1p_inv(x: np.ndarray) -> np.ndarray:
@@ -215,13 +94,11 @@ def log1p_inv(x: np.ndarray) -> np.ndarray:
 
 
 def _near_ties(gains: np.ndarray) -> np.ndarray:
-    """Rows of a (subsets x gains) array that hold two gains
-    ``_separate_gains`` treats as tied."""
-    tied = np.zeros(len(gains), dtype=bool)
-    for a, b in itertools.combinations(range(gains.shape[1]), 2):
-        tied |= (np.abs(gains[:, a] - gains[:, b])
-                 <= GAIN_TIE_REL_TOL * np.maximum(gains[:, a], gains[:, b]))
-    return tied
+    """Rows of a (subsets x gains) array, each sorted ascending, that hold
+    two gains ``_separate_gains`` treats as tied. Rounded subtraction is
+    monotone, so in a sorted row any pair within tolerance makes some
+    adjacent pair within it too: only neighbours are compared."""
+    return (np.diff(gains, axis=1) <= GAIN_TIE_REL_TOL * gains[:, 1:]).any(axis=1)
 
 
 def subset_rates(gains: np.ndarray, snrs,
@@ -279,7 +156,7 @@ def subset_rates(gains: np.ndarray, snrs,
         total = weights[0] * e[:, cols[:, 0]]
         for w, col in zip(weights[1:], cols.T[1:]):
             total = total + w * e[:, col]
-        total = (total / LN2).reshape(len(snr), n_drops, n_users, len(masks))
+        total = (total / numerics.LN2).reshape(len(snr), n_drops, n_users, len(masks))
         out[..., masks] = total.transpose(2, 1, 0, 3)
     return out.transpose(1, 2, 0, 3)
 

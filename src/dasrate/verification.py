@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -29,7 +29,6 @@ from .experiments import bundled_config_path, crossover_report
 from .geometry import (PathlossMatrix, Scenario, load_scenario, pathloss_matrix,
                        uniform_positions)
 from .modes import ideal_count, ideal_modes, min_distance_count, nearest_user_modes
-from .rate import UserLinkPartition
 from .selection import select_rows
 
 
@@ -91,47 +90,98 @@ def log_integral_quadrature(
     return head[0] + tail[0]
 
 
-def partition_rate(partition: UserLinkPartition) -> float:
-    """Closed-form rate of a partition's user, in bits/s/Hz, as
-    R(S + I) - R(I): the interference-free rates over all its gains and
-    over its interference gains alone."""
-    gains = partition.signal_gains + partition.interference_gains
-    table = rate.subset_rates(np.array([[gains]]),
-                              [partition.tx_power / partition.noise_power])[0, 0, 0]
+class Link(NamedTuple):
+    """One user's link at unit noise power: the gains of its serving ports,
+    those of the mode's other active ports, and the linear SNR P / sigma^2.
+    The densities need the gains of each list distinct; rates do not."""
+
+    signal: tuple[float, ...]
+    interference: tuple[float, ...]
+    snr: float
+
+
+def _hypoexponential(gains: tuple[float, ...], snr: float, shift: float, cdf: bool) -> Callable:
+    """Density (or distribution function) of ``shift`` plus independent
+    exponentials of means g * snr over ``gains``, on (shift, inf)."""
+    scales = [g * snr for g in gains]
+    weights = rate._pf_weights(gains)
+
+    def f(x):
+        excess = np.asarray(x, dtype=float) - shift
+        t = np.maximum(excess, 0.0)
+        out = sum(w * -np.expm1(-t / s) if cdf else w / s * np.exp(-t / s)
+                  for w, s in zip(weights, scales))
+        return np.where(excess > 0.0, out, 0.0)
+
+    return f
+
+
+def signal_density(link: Link, cdf: bool = False) -> Callable:
+    """Density (or distribution function) of the signal power, on (0, inf)."""
+    return _hypoexponential(link.signal, link.snr, 0.0, cdf)
+
+
+def interference_density(link: Link, cdf: bool = False) -> Callable:
+    """Density (or distribution function) of unit noise plus interference, on (1, inf)."""
+    if not link.interference:
+        raise ValueError("link has no interference gains")
+    return _hypoexponential(link.interference, link.snr, 1.0, cdf)
+
+
+def sinr_density(link: Link, cdf: bool = False) -> Callable:
+    """Density (or distribution function) of the SINR, signal over
+    interference plus unit noise, on (0, inf). With no interferers the
+    SINR is the signal power, and ``signal_density`` serves instead."""
+    if not link.interference:
+        raise ValueError("no interference gains: use the no-interference rate path")
+    snr = link.snr
+    terms = [(wk * wu, sk, su)
+             for wk, sk in zip(rate._pf_weights(link.signal), link.signal)
+             for wu, su in zip(rate._pf_weights(link.interference), link.interference)]
+
+    def f(rho):
+        rho = np.asarray(rho, dtype=float)
+        r = np.maximum(rho, 0.0)
+        out = np.zeros_like(r)
+        for w, sk, su in terms:
+            denom = su * r + sk
+            decay = np.exp(-r / (sk * snr))
+            out = out + (w * sk / denom * decay if cdf
+                         else w * (denom + sk * su * snr) / denom ** 2 * decay)
+        return np.where(rho > 0.0, 1.0 - out if cdf else out / snr, 0.0)
+
+    return f
+
+
+def partition_rate(link: Link) -> float:
+    """Closed-form rate of a link, in bits/s/Hz, as R(S + I) - R(I): the
+    interference-free rates over all its gains and over the interferers'."""
+    gains = link.signal + link.interference
+    table = rate.subset_rates(np.array([[gains]]), [link.snr])[0, 0, 0]
     # Ports hold the signal gains, then the interference gains.
     every = (1 << len(gains)) - 1
-    interfering = every - ((1 << len(partition.signal_gains)) - 1)
+    interfering = every - ((1 << len(link.signal)) - 1)
     return float(table[every] - table[interfering])
 
 
-def quadrature_user_rate(partition: UserLinkPartition) -> float:
-    """Independent rate oracle: adaptive quadrature against the SINR density.
-
-    With interference, integrates log2(1+rho) against the ratio density;
-    without, against the signal density rescaled to SNR units.
-    """
-    noise = partition.noise_power
-    scale = max(partition.signal_gains) * partition.tx_power / noise
-    cut = max(50.0, 60.0 * scale)
-    if partition.interference_gains:
-        pdf = rate.pdf_sinr(partition)
-        return log_integral_quadrature(pdf, upper_cut=cut)
-    signal_pdf = rate.pdf_signal(partition)
-    return log_integral_quadrature(
-        lambda rho: noise * signal_pdf(rho * noise), upper_cut=cut)
+def quadrature_user_rate(link: Link) -> float:
+    """Independent rate oracle: log2(1 + rho) integrated against the SINR
+    density, or with no interferers against the signal density."""
+    cut = max(50.0, 60.0 * max(link.signal) * link.snr)
+    pdf = sinr_density(link) if link.interference else signal_density(link)
+    return log_integral_quadrature(pdf, upper_cut=cut)
 
 
 def random_partition(rng: np.random.Generator, max_signal: int = 3,
                      max_interference: int = 3,
-                     allow_empty_interference: bool = False) -> UserLinkPartition:
+                     allow_empty_interference: bool = False) -> Link:
     n_sig = int(rng.integers(1, max_signal + 1))
     lo = 0 if allow_empty_interference else 1
     n_intf = int(rng.integers(lo, max_interference + 1))
     gains = 10.0 ** rng.uniform(-3.0, -0.5, size=n_sig + n_intf)
-    return UserLinkPartition(signal_gains=tuple(gains[:n_sig]),
-                             interference_gains=tuple(gains[n_sig:]),
-                             tx_power=10.0 ** rng.uniform(0.0, 4.0),
-                             noise_power=1.0)
+    return Link(signal=tuple(gains[:n_sig].tolist()),
+                interference=tuple(gains[n_sig:].tolist()),
+                snr=float(10.0 ** rng.uniform(0.0, 4.0)))
 
 
 def _template(n: int, k: int) -> Scenario:
@@ -157,7 +207,7 @@ def check_exp_e1_bounds(n_points: int = 240) -> CheckResult:
     prev = math.inf
     for x, v in zip(xs, numerics.exp_e1(xs).tolist()):
         lo = 0.5 * math.log1p(2.0 / x)
-        jensen = math.log1p(math.exp(-np.euler_gamma) / x)
+        jensen = math.log1p(math.exp(-numerics.EULER_GAMMA) / x)
         hi = math.log1p(1.0 / x)
         worst = min(worst, v - lo, v - jensen, hi - v)
         if v >= prev:
@@ -205,15 +255,14 @@ def check_pdf_normalization(n_partitions: int = 10, seed: int = 101,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_partitions):
-        part = random_partition(rng, allow_empty_interference=allow_empty_interference)
-        total, _ = integrate.quad(rate.pdf_signal(part), 0.0, np.inf, limit=300)
+        link = random_partition(rng, allow_empty_interference=allow_empty_interference)
+        total, _ = integrate.quad(signal_density(link), 0.0, np.inf, limit=300)
         worst = max(worst, abs(total - 1.0))
-        if not part.interference_gains:
+        if not link.interference:
             continue
-        total, _ = integrate.quad(rate.pdf_interference_plus_noise(part),
-                                  part.noise_power, np.inf, limit=300)
+        total, _ = integrate.quad(interference_density(link), 1.0, np.inf, limit=300)
         worst = max(worst, abs(total - 1.0))
-        total, _ = integrate.quad(rate.pdf_sinr(part), 0.0, np.inf, limit=300)
+        total, _ = integrate.quad(sinr_density(link), 0.0, np.inf, limit=300)
         worst = max(worst, abs(total - 1.0))
     return CheckResult("density normalization (signal, interference, SINR)",
                        worst <= 1e-6, measured=worst, tolerance=1e-6)
@@ -223,9 +272,8 @@ def check_rate_vs_quadrature(n_partitions: int = 10, seed: int = 202) -> CheckRe
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_partitions):
-        part = random_partition(rng, allow_empty_interference=True)
-        closed = partition_rate(part)
-        worst = max(worst, abs(closed - quadrature_user_rate(part)))
+        link = random_partition(rng, allow_empty_interference=True)
+        worst = max(worst, abs(partition_rate(link) - quadrature_user_rate(link)))
     return CheckResult("closed-form rate vs quadrature oracle",
                        worst <= 1e-8, measured=worst, tolerance=1e-8)
 
@@ -339,26 +387,22 @@ def check_mc_vs_analytic(n_cases: int = 6, n_trials: int = 20000,
                        detail=f"{n_cases} cases at {n_trials} trials")
 
 
-KS_PARTITION = UserLinkPartition(signal_gains=(0.05, 0.012, 0.0031),
-                                 interference_gains=(0.02, 0.004),
-                                 tx_power=50.0, noise_power=1.0)
+KS_PARTITION = Link(signal=(0.05, 0.012, 0.0031), interference=(0.02, 0.004), snr=50.0)
 
 
 def check_ks_distributions(n_samples: int = 1_000_000, seed: int = 707,
-                           part: UserLinkPartition = KS_PARTITION) -> CheckResult:
+                           link: Link = KS_PARTITION) -> CheckResult:
     """Kolmogorov-Smirnov distance of sampled powers vs closed-form CDFs:
     the signal's, and with interference also the interference-plus-noise
     and SINR ones. The signal gains draw first, then the interference's."""
     rng = np.random.default_rng(seed)
-    p = part.tx_power
-    sig_draws = sum(g * p * rng.exponential(size=n_samples)
-                    for g in part.signal_gains)
-    intf_draws = part.noise_power + sum(g * p * rng.exponential(size=n_samples)
-                                        for g in part.interference_gains)
-    pairs = [(sig_draws, rate.cdf_signal(part))]
-    if part.interference_gains:
-        pairs += [(intf_draws, rate.cdf_interference_plus_noise(part)),
-                  (sig_draws / intf_draws, rate.cdf_sinr(part))]
+    sig_draws = sum(g * link.snr * rng.exponential(size=n_samples) for g in link.signal)
+    intf_draws = 1.0 + sum(g * link.snr * rng.exponential(size=n_samples)
+                           for g in link.interference)
+    pairs = [(sig_draws, signal_density(link, cdf=True))]
+    if link.interference:
+        pairs += [(intf_draws, interference_density(link, cdf=True)),
+                  (sig_draws / intf_draws, sinr_density(link, cdf=True))]
     worst = 0.0
     for draws, cdf in pairs:
         ks = stats.ks_1samp(draws, cdf).statistic
@@ -402,7 +446,7 @@ def _canonical_pathloss(pl):
 # Where the two-user mode has saturated, the exact single-user curve sits
 # gamma/ln2 bits below its ln(1 + 1/x) approximation, which moves the exact
 # crossover up by 10*log10(e**gamma) dB.
-EXACT_CROSSOVER_SHIFT_DB = 10.0 * math.log10(math.exp(np.euler_gamma))
+EXACT_CROSSOVER_SHIFT_DB = 10.0 * math.log10(math.exp(numerics.EULER_GAMMA))
 
 
 def _sample_crossover_geometries(n_geometries: int, seed: int = 79,

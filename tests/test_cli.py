@@ -118,18 +118,23 @@ def test_capacity_error_exit_code(tmp_path, capsys):
     assert "budget" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("hist", "--drops", "2"),
-    ("sweep", "--scheme", "min-distance", "--drops", "2"),
-    ("rates", "--modes", "[" + " ".join(["1"] * 40) + "]", "--no-mc"),
-], ids=["hist", "sweep-min-distance", "rates-one-user"])
-def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, capsys, argv):
-    """At 40 ports one drop's nearest-user set and subset-rate table
-    (2^40 port masks) fit no block: each command exits 3 with one line
-    before it allocates them."""
-    big = tmp_path / "ports40.cfg"
-    big.write_text("n_ports = 40\nn_users = 2\ncell_radius = 6.11\npathloss_exponent = 3\n"
-                   "tx_power_dB = 0\nnoise_power = 1\nuser_positions = 1,0; -1,2\n")
+@pytest.mark.parametrize("n_ports, argv", [
+    pytest.param(n_ports, argv, id=name if n_ports == 40 else f"{name}-{n_ports}")
+    for n_ports in (40, 20_000, 10 ** 9)
+    for name, argv in [
+        ("hist", ("hist", "--drops", "2")),
+        ("sweep-min-distance", ("sweep", "--scheme", "min-distance", "--drops", "2")),
+        ("rates-one-user", ("rates", "--modes", "[" + " ".join(["1"] * 40) + "]", "--no-mc")),
+    ]])
+def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, capsys, n_ports,
+                                                                  argv):
+    """From 17 ports one drop's nearest-user set and subset-rate table
+    (2^N port masks) fit no block: each command exits 3 with one line
+    before it allocates them, or the port layout."""
+    big = tmp_path / "big.cfg"
+    big.write_text(f"n_ports = {n_ports}\nn_users = 2\ncell_radius = 6.11\n"
+                   "pathloss_exponent = 3\ntx_power_dB = 0\nnoise_power = 1\n"
+                   "user_positions = 1,0; -1,2\n")
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, argv[0], "--config", str(big), *argv[1:])
@@ -137,7 +142,8 @@ def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, caps
     finally:
         tracemalloc.stop()
     assert (code, out) == (3, "")
-    assert err.startswith("error: one drop at N = 40 ports and K = ") and err.count("\n") == 1
+    assert err.startswith(f"error: one drop at N = {n_ports} ports and K = ")
+    assert err.count("\n") == 1
     assert peak < 2 ** 20
 
 

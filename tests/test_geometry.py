@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dasrate.errors import ConfigError
-from dasrate.geometry import (MIN_DISTANCE, Scenario, db_to_linear,
+from dasrate.errors import CapacityError, ConfigError
+from dasrate.geometry import (MAX_PORTS, MIN_DISTANCE, Scenario, db_to_linear,
                               default_port_layout, linear_to_db,
                               parse_scenario_config, pathloss_matrix,
                               uniform_positions)
+from dasrate.simulate import check_drop_size
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -20,6 +21,19 @@ def make_scenario(**overrides):
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
     base.update(overrides)
     return Scenario(**base)
+
+
+def test_port_bound_is_the_largest_drop_check_drop_size_admits():
+    """MAX_PORTS ports fit a block at K = 1, the smallest footprint, and
+    one more port fits none at any K, so the bound refuses exactly the
+    counts that no command could run."""
+    check_drop_size(MAX_PORTS, 1)
+    with pytest.raises(CapacityError):
+        check_drop_size(MAX_PORTS + 1, 1)
+    assert len(make_scenario(n_ports=MAX_PORTS, n_users=1, user_positions=None)
+               .port_positions) == MAX_PORTS
+    with pytest.raises(CapacityError, match=f"at most {MAX_PORTS} ports"):
+        make_scenario(n_ports=MAX_PORTS + 1, n_users=1, user_positions=None)
 
 
 def test_default_layout_two_ports():

@@ -11,11 +11,10 @@ from dasrate import verification
 from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
 from dasrate.modes import ideal_modes
 from dasrate.numerics import LN2, exp_e1
-from dasrate.rate import (UserLinkPartition, crossover_snr, log1p_inv,
-                          pdf_interference_plus_noise, pdf_signal, pdf_sinr,
-                          rate_curve_intersection_db)
+from dasrate.rate import crossover_snr, log1p_inv, rate_curve_intersection_db
 from dasrate.simulate import mc_sum_rates
-from dasrate.verification import partition_rate, random_partition
+from dasrate.verification import (KS_PARTITION, Link, interference_density, partition_rate,
+                                  random_partition, signal_density, sinr_density)
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
@@ -44,18 +43,14 @@ def test_fig2_gains_match_direct_arithmetic():
 # --- densities ---------------------------------------------------------------
 
 def test_pdf_signal_single_gain_is_exponential():
-    part = UserLinkPartition(signal_gains=(0.2,), interference_gains=(),
-                             tx_power=5.0, noise_power=1.0)
-    pdf = pdf_signal(part)
+    pdf = signal_density(Link((0.2,), (), 5.0))
     for rho in (0.1, 1.0, 4.0):
         assert pdf(rho) == pytest.approx(math.exp(-rho) / 1.0, rel=1e-12)
 
 
 def test_pdf_signal_two_gains_closed_form():
-    # gains (1, 2) at P=1: scales 1 and 2, hypoexponential difference form
-    part = UserLinkPartition(signal_gains=(1.0, 2.0), interference_gains=(),
-                             tx_power=1.0, noise_power=1.0)
-    pdf = pdf_signal(part)
+    # gains (1, 2) at snr 1: scales 1 and 2, hypoexponential difference form
+    pdf = signal_density(Link((1.0, 2.0), (), 1.0))
     for rho in (0.2, 1.0, 3.0):
         assert pdf(rho) == pytest.approx(math.exp(-rho / 2.0) - math.exp(-rho),
                                          rel=1e-12)
@@ -64,32 +59,25 @@ def test_pdf_signal_two_gains_closed_form():
 
 
 def test_pdf_signal_ks_against_sampled_sum():
-    part = UserLinkPartition(signal_gains=(0.03, 0.011), interference_gains=(),
-                             tx_power=20.0, noise_power=1.0)
-    result = verification.check_ks_distributions(seed=21, part=part)
+    result = verification.check_ks_distributions(seed=21, link=Link((0.03, 0.011), (), 20.0))
     assert result.passed, result.line()
 
 
 def test_pdf_interference_shifted_exponential():
-    part = UserLinkPartition(signal_gains=(0.5,), interference_gains=(0.1,),
-                             tx_power=10.0, noise_power=2.0)
-    pdf = pdf_interference_plus_noise(part)
-    scale = 0.1 * 10.0
-    assert pdf(1.9) == 0.0
-    for rho in (2.1, 3.0, 8.0):
-        assert pdf(rho) == pytest.approx(math.exp(-(rho - 2.0) / scale) / scale,
+    # P = 10 over noise 2 is snr 5: unit noise plus one exponential of mean 0.1 * 5
+    pdf = interference_density(Link((0.5,), (0.1,), 5.0))
+    scale = 0.1 * 5.0
+    assert pdf(0.95) == 0.0
+    for rho in (1.05, 1.5, 4.0):
+        assert pdf(rho) == pytest.approx(math.exp(-(rho - 1.0) / scale) / scale,
                                          rel=1e-12)
 
 
 def test_pdf_interference_mean():
-    part = UserLinkPartition(signal_gains=(0.5,),
-                             interference_gains=(0.02, 0.007, 0.0013),
-                             tx_power=30.0, noise_power=1.0)
-    pdf = pdf_interference_plus_noise(part)
-    mean, _ = integrate.quad(lambda rho: rho * pdf(rho), part.noise_power,
-                             np.inf, limit=300)
-    expected = part.noise_power + sum(g * part.tx_power
-                                      for g in part.interference_gains)
+    link = Link((0.5,), (0.02, 0.007, 0.0013), 30.0)
+    pdf = interference_density(link)
+    mean, _ = integrate.quad(lambda rho: rho * pdf(rho), 1.0, np.inf, limit=300)
+    expected = 1.0 + sum(g * link.snr for g in link.interference)
     assert mean == pytest.approx(expected, abs=1e-6)
 
 
@@ -99,37 +87,47 @@ def test_pdf_sinr_normalization_random_partitions():
 
 
 def test_pdf_sinr_ks_against_sampled_ratio():
-    part = UserLinkPartition(signal_gains=(0.05, 0.012),
-                             interference_gains=(0.02, 0.004),
-                             tx_power=50.0, noise_power=1.0)
-    result = verification.check_ks_distributions(seed=23, part=part)
+    link = Link((0.05, 0.012), (0.02, 0.004), 50.0)
+    result = verification.check_ks_distributions(seed=23, link=link)
     assert result.passed, result.line()
 
 
 def test_pdf_sinr_noise_free_limit():
-    """sigma -> 0 with one gain each side: ratio-of-exponentials density."""
+    """snr -> inf with one gain each side: ratio-of-exponentials density."""
     s_sig, s_intf = 0.04, 0.009
-    part = UserLinkPartition(signal_gains=(s_sig,), interference_gains=(s_intf,),
-                             tx_power=1.0, noise_power=1e-9)
-    pdf = pdf_sinr(part)
+    pdf = sinr_density(Link((s_sig,), (s_intf,), 1e9))
     for rho in (0.5, 2.0, 10.0):
         expected = s_sig * s_intf / (s_intf * rho + s_sig) ** 2
         assert pdf(rho) == pytest.approx(expected, rel=1e-6)
 
 
 def test_pdf_sinr_requires_interference():
-    part = UserLinkPartition(signal_gains=(0.1,), interference_gains=(),
-                             tx_power=1.0, noise_power=1.0)
     with pytest.raises(ValueError, match="no-interference"):
-        pdf_sinr(part)
+        sinr_density(Link((0.1,), (), 1.0))
+
+
+@pytest.mark.parametrize("link", [KS_PARTITION, Link((0.5,), (0.1,), 5.0),
+                                  Link((0.03, 0.011), (0.02, 0.007, 0.0013), 300.0)],
+                         ids=["ks", "one-each", "two-three"])
+def test_each_cdf_is_the_integral_of_its_density(link):
+    """quad(density, lo, x) = cdf(x) for the signal, the interference plus
+    noise and the SINR, at x a few multiples of a typical value past lo."""
+    signal, interference = sum(link.signal) * link.snr, sum(link.interference) * link.snr
+    for density, lo, typical in ((signal_density, 0.0, signal),
+                                 (interference_density, 1.0, interference),
+                                 (sinr_density, 0.0, signal / (1.0 + interference))):
+        pdf, cdf = density(link), density(link, cdf=True)
+        for c in (0.3, 1.0, 3.0):
+            x = lo + c * typical
+            area, _ = integrate.quad(pdf, lo, x, epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert area == pytest.approx(float(cdf(x)), abs=1e-9)
 
 
 # --- ergodic user rates --------------------------------------------------------
 
 def test_rate_unit_snr_single_gain():
-    """S*P/noise = 1 gives the classic exp(1)*E1(1)/ln2 value."""
-    rate = partition_rate(UserLinkPartition((0.01,), (), tx_power=100.0,
-                                            noise_power=1.0))
+    """S * snr = 1 gives the classic exp(1)*E1(1)/ln2 value."""
+    rate = partition_rate(Link((0.01,), (), 100.0))
     assert rate == pytest.approx(0.86034738227088595, rel=1e-12)
     # Monte Carlo oracle
     rng = np.random.default_rng(24)
@@ -138,17 +136,15 @@ def test_rate_unit_snr_single_gain():
 
 
 def test_rate_vanishing_interference_limit():
-    base = partition_rate(UserLinkPartition((0.05,), (), 100.0, 1.0))
-    part = UserLinkPartition(signal_gains=(0.05,), interference_gains=(1e-12,),
-                             tx_power=100.0, noise_power=1.0)
-    assert partition_rate(part) == pytest.approx(base, abs=1e-9)
+    base = partition_rate(Link((0.05,), (), 100.0))
+    assert partition_rate(Link((0.05,), (1e-12,), 100.0)) == pytest.approx(base, abs=1e-9)
 
 
 def test_rate_near_equal_gains_vs_erlang_quadrature():
     """Two nearly equal gains behave like the two-stage equal-scale chain."""
-    s, p = 0.02, 80.0
-    rate = partition_rate(UserLinkPartition((s, s * (1.0 + 1e-6)), (), p, 1.0))
-    scale = s * p
+    s, snr = 0.02, 80.0
+    rate = partition_rate(Link((s, s * (1.0 + 1e-6)), (), snr))
+    scale = s * snr
 
     def erlang2(x):
         return x * np.exp(-x / scale) / scale ** 2
@@ -160,40 +156,31 @@ def test_rate_near_equal_gains_vs_erlang_quadrature():
 
 
 def test_rate_monotone_in_power():
-    # raising P lifts the signal fully but the denominator only partially
-    # (noise is fixed), so the SINR, and hence the rate, strictly grows
+    # raising the SNR lifts the signal fully but the denominator only
+    # partially (noise is fixed), so the SINR, and hence the rate, strictly grows
     rng = np.random.default_rng(26)
     for _ in range(10):
-        part = random_partition(rng, allow_empty_interference=True)
-        higher = UserLinkPartition(part.signal_gains, part.interference_gains,
-                                   part.tx_power * 2.0, part.noise_power)
-        assert partition_rate(higher) > partition_rate(part)
+        link = random_partition(rng, allow_empty_interference=True)
+        assert partition_rate(link._replace(snr=link.snr * 2.0)) > partition_rate(link)
 
 
 def test_rate_interference_hurts():
     rng = np.random.default_rng(27)
     for _ in range(10):
-        part = random_partition(rng, max_interference=2)
-        without = UserLinkPartition(part.signal_gains, part.interference_gains[:-1],
-                                    part.tx_power, part.noise_power)
-        assert partition_rate(part) < partition_rate(without)
+        link = random_partition(rng, max_interference=2)
+        without = link._replace(interference=link.interference[:-1])
+        assert partition_rate(link) < partition_rate(without)
 
 
 def test_rate_degenerate_gain_continuity():
     """The tie-separation nudge moves the rate by far less than 1e-4 bits."""
-    part = UserLinkPartition(signal_gains=(0.02, 0.02), interference_gains=(0.005,),
-                             tx_power=100.0, noise_power=1.0)
-    jittered = UserLinkPartition(signal_gains=(0.02, 0.02 * (1.0 + 1e-6)),
-                                 interference_gains=(0.005,),
-                                 tx_power=100.0, noise_power=1.0)
-    assert partition_rate(part) == pytest.approx(partition_rate(jittered), abs=1e-4)
+    tied = Link((0.02, 0.02), (0.005,), 100.0)
+    jittered = Link((0.02, 0.02 * (1.0 + 1e-6)), (0.005,), 100.0)
+    assert partition_rate(tied) == pytest.approx(partition_rate(jittered), abs=1e-4)
 
 
 def test_guard_separates_cross_list_ties():
-    part = UserLinkPartition(signal_gains=(0.01,), interference_gains=(0.01,),
-                             tx_power=10.0, noise_power=1.0)
-    assert part.signal_gains[0] != part.interference_gains[0]
-    assert math.isfinite(partition_rate(part))
+    assert math.isfinite(partition_rate(Link((0.01,), (0.01,), 10.0)))
 
 
 # --- sum rate over modes --------------------------------------------------------
@@ -218,7 +205,7 @@ def test_sum_rate_inactive_users_contribute_zero():
     sum_rate = mode_rates(FIG2_PL, [[2, 2]], [10.0])[0, 0]
     assert per_user[0] == 0.0
     assert sum_rate == per_user[1]
-    single = partition_rate(UserLinkPartition((S21, S22), (), 10.0, 1.0))
+    single = partition_rate(Link((S21, S22), (), 10.0))
     assert sum_rate == pytest.approx(single, rel=1e-12)
 
 
@@ -276,7 +263,7 @@ def test_approx_termwise_bound():
 def test_approx_exceeds_exact_for_single_gain_no_interference():
     part_gains = (0.05,)
     for snr in (1.0, 100.0, 1e4):
-        exact = partition_rate(UserLinkPartition(part_gains, (), snr, 1.0))
+        exact = partition_rate(Link(part_gains, (), snr))
         approx = math.log1p(part_gains[0] * snr) / LN2
         assert approx >= exact
 

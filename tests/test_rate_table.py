@@ -16,10 +16,10 @@ from dasrate.experiments import bundled_config_path
 from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
                               uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, mode_label, nearest_user_modes
-from dasrate.rate import UserLinkPartition, log1p_inv, row_sum_rates, subset_rates
+from dasrate.rate import GAIN_TIE_REL_TOL, _near_ties, log1p_inv, row_sum_rates, subset_rates
 from dasrate.selection import select_rows
 from dasrate.simulate import stream_key
-from dasrate.verification import partition_rate
+from dasrate.verification import Link, partition_rate
 
 # Rates recorded, as repr strings, from the subset-rate table; every value
 # must come out bit for bit the same.
@@ -94,14 +94,13 @@ def _ports(mode, user):
 
 
 def _partition(pl, mode, user, snr):
-    """The partition of a (1-based) user under ``mode``, or None when the
-    mode leaves it idle."""
+    """The link of a (1-based) user under ``mode``, or None when the mode
+    leaves it idle."""
     signal, interference = _ports(mode, user)
     if not signal:
         return None
     row = pl.gains[user - 1].tolist()
-    return UserLinkPartition(tuple(row[j] for j in signal),
-                             tuple(row[j] for j in interference), snr, 1.0)
+    return Link(tuple(row[j] for j in signal), tuple(row[j] for j in interference), snr)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -278,3 +277,25 @@ def test_near_tied_rate_matches_fifty_digit_closed_form():
     assert pl.gains[3].tolist() == pytest.approx([4.67054e-3, 4.67067e-3,
                                                   4.29945e-2, 4.29892e-2], rel=1e-5)
     _assert_fifty_digit_rates(pl, [[3, 3, 4, 4]], (db_to_linear(50.0),))
+
+
+def test_near_ties_of_sorted_rows_match_every_pair():
+    """On sorted rows of near-tied, tied and spread gains, the adjacent-pair
+    test of ``_near_ties`` flags the rows that comparing every pair with
+    ``_separate_gains``'s rule flags."""
+    rng = np.random.default_rng(95)
+    for n in range(2, 8):
+        base = 10.0 ** rng.uniform(-30.0, 3.0, size=(20_000, 1))
+        # Each gain is off its row's base by under three tolerances, or
+        # moved by up to two decades.
+        near = 1.0 + rng.integers(0, 2, size=(20_000, n)) * rng.uniform(
+            -3.0, 3.0, size=(20_000, n)) * GAIN_TIE_REL_TOL
+        spread = np.where(rng.random((20_000, n)) < 0.3,
+                          10.0 ** rng.uniform(-2.0, 2.0, size=(20_000, n)), 1.0)
+        gains = np.sort(base * near * spread, axis=1)
+        every_pair = np.zeros(len(gains), dtype=bool)
+        for a, b in itertools.combinations(range(n), 2):
+            every_pair |= (np.abs(gains[:, a] - gains[:, b])
+                           <= GAIN_TIE_REL_TOL * np.maximum(gains[:, a], gains[:, b]))
+        assert 0 < every_pair.sum() < len(gains)
+        assert _near_ties(gains).tolist() == every_pair.tolist()
