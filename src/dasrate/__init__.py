@@ -9,14 +9,14 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
 from .modes import (admissible, ideal_count, ideal_modes, min_distance_count, mode_label,
                     nearest_user_modes, parse_label)
 from .numerics import exp_e1
-from .rate import CrossoverFormulas, crossover_snr, row_sum_rates, subset_rates
+from .rate import crossover_snr, row_sum_rates, subset_rates
 from .selection import select_rows
 from .simulate import cell_average, mc_sum_rates, mode_histogram
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityError", "ConfigError", "CrossoverFormulas", "DasRateError",
+    "CapacityError", "ConfigError", "DasRateError",
     "DegenerateGainsError", "NumericalFailureError", "PathlossMatrix", "Scenario",
     "admissible", "cell_average", "crossover_snr", "db_to_linear", "default_port_layout",
     "exp_e1", "ideal_count", "ideal_modes", "linear_to_db", "load_scenario",

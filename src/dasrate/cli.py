@@ -172,9 +172,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crossover(args) -> int:
     scenario = _resolve_config(args.config)
-    report = experiments.crossover_report(scenario,
-                                          reference_db=args.reference_db)
-    _emit("\n".join(report.lines()) + "\n", args.out)
+    lines = experiments.crossover_lines(scenario, reference_db=args.reference_db)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ ulp under another numpy SIMD dispatch, and so can a printed digit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -19,10 +18,9 @@ import numpy as np
 
 from . import simulate
 from .errors import ConfigError
-from .geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
+from .geometry import Scenario, db_to_linear, linear_to_db, pathloss_matrix
 from .modes import admissible, check_fit, ideal_modes, mode_label
-from .rate import (CrossoverFormulas, crossover_curves_db, crossover_snr, row_sum_rates,
-                   subset_rates)
+from .rate import crossover_curves_db, crossover_snr, row_sum_rates, subset_rates
 from .simulate import mc_sum_rates
 
 
@@ -31,8 +29,8 @@ def _fmt(value: float) -> str:
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """SNR grid from a ``start:step:stop`` dB spec (stop inclusive), checked
-    by ``simulate.check_snr_grid``."""
+    """SNR grid from a ``start:step:stop`` dB spec (stop inclusive), built
+    and checked by ``simulate.snr_grid``."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"SNR spec must be start:step:stop in dB, got {spec!r}")
@@ -40,9 +38,7 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"non-numeric SNR spec {spec!r}") from exc
-    simulate.check_snr_grid(start, step, stop, f"SNR spec/--snr {spec!r}")
-    n_steps = int(math.floor((stop - start) / step + 1e-9))
-    return tuple(start + i * step for i in range(n_steps + 1))
+    return simulate.snr_grid(start, step, stop, f"SNR spec/--snr {spec!r}")
 
 
 def bundled_config_path(name: str) -> Path:
@@ -127,50 +123,13 @@ def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
 
 # --- crossover report ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    formulas: CrossoverFormulas
-    formulas_swapped_users: CrossoverFormulas
-    approx_intersection_db: float | None
-    exact_intersection_db: float | None
-    reference_db: float | None = None
-
-    def lines(self) -> list[str]:
-        out = ["crossover analysis for modes [1 1] vs [1 2] (2 ports, 2 users)"]
-        out.append(f"  formula, users as given:  "
-                   f"{self.formulas.single_vs_12_db:.3f} dB  "
-                   f"(companion [1 1] vs [2 1]: {self.formulas.single_vs_21_db:.3f} dB)")
-        out.append(f"  formula, users swapped:   "
-                   f"{self.formulas_swapped_users.single_vs_12_db:.3f} dB  "
-                   f"(companion: {self.formulas_swapped_users.single_vs_21_db:.3f} dB)")
-        if self.approx_intersection_db is None:
-            out.append("  approximated curves:      no crossover in range")
-        else:
-            out.append(f"  approximated curves:      "
-                       f"{self.approx_intersection_db:.3f} dB (bisection)")
-        if self.exact_intersection_db is None:
-            out.append("  exact curves:             no crossover in range")
-        else:
-            out.append(f"  exact curves:             "
-                       f"{self.exact_intersection_db:.3f} dB (bisection)")
-        if (self.approx_intersection_db is not None
-                and self.exact_intersection_db is not None):
-            gap = abs(self.approx_intersection_db - self.exact_intersection_db)
-            out.append(f"  approx-vs-exact gap:      {gap:.3f} dB")
-        if self.reference_db is not None:
-            delta = self.formulas.single_vs_12_db - self.reference_db
-            out.append(f"  reference comparison:     {self.reference_db:.3f} dB "
-                       f"(formula deviates by {delta:+.3f} dB)")
-        return out
-
-
-def crossover_report(scenario: Scenario,
-                     reference_db: float | None = None) -> CrossoverReport:
-    """Self-auditing crossover comparison for a 2x2 fixed geometry.
+def crossover_lines(scenario: Scenario, reference_db: float | None = None) -> list[str]:
+    """Self-auditing crossover report for a 2x2 fixed geometry, as lines.
 
     Reports the closed-form value under both user labelings plus the
     numerically bisected intersections of the approximated and exact
-    [1 1]-vs-[1 2] rate curves.
+    [1 1]-vs-[1 2] rate curves, and the formula against ``reference_db``
+    when given.
     """
     if reference_db is not None and not math.isfinite(reference_db):
         raise ConfigError(f"reference_db/--reference-db must be finite, "
@@ -179,12 +138,20 @@ def crossover_report(scenario: Scenario,
         raise ConfigError("crossover analysis is defined for 2 ports and 2 users")
     if scenario.user_positions is None:
         raise ConfigError("crossover analysis needs fixed user positions")
-    pl = pathloss_matrix(scenario)
-    swapped = PathlossMatrix(distances=pl.distances[::-1].copy(),
-                             gains=pl.gains[::-1].copy())
-    approx_db, exact_db = crossover_curves_db(pl.gains)
-    return CrossoverReport(formulas=crossover_snr(pl),
-                           formulas_swapped_users=crossover_snr(swapped),
-                           approx_intersection_db=approx_db,
-                           exact_intersection_db=exact_db,
-                           reference_db=reference_db)
+    gains = pathloss_matrix(scenario).gains
+    vs_12, vs_21 = map(linear_to_db, crossover_snr(gains))
+    swapped_12, swapped_21 = map(linear_to_db, crossover_snr(gains[::-1]))
+    approx_db, exact_db = crossover_curves_db(gains)
+    rows = [("formula, users as given:",
+             f"{vs_12:.3f} dB  (companion [1 1] vs [2 1]: {vs_21:.3f} dB)"),
+            ("formula, users swapped:", f"{swapped_12:.3f} dB  (companion: {swapped_21:.3f} dB)")]
+    for name, db in (("approximated curves:", approx_db), ("exact curves:", exact_db)):
+        rows.append((name, "no crossover in range" if db is None
+                     else f"{db:.3f} dB (bisection)"))
+    if approx_db is not None and exact_db is not None:
+        rows.append(("approx-vs-exact gap:", f"{abs(approx_db - exact_db):.3f} dB"))
+    if reference_db is not None:
+        rows.append(("reference comparison:", f"{reference_db:.3f} dB (formula deviates "
+                                              f"by {vs_12 - reference_db:+.3f} dB)"))
+    return (["crossover analysis for modes [1 1] vs [1 2] (2 ports, 2 users)"]
+            + [f"  {name:<26}{value}" for name, value in rows])

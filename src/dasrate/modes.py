@@ -78,17 +78,22 @@ def min_distance_count(n_ports: int) -> int:
     return 2 ** n_ports - n_ports
 
 
-def ideal_modes(n_ports: int, n_users: int) -> np.ndarray:
-    """Every admissible assignment, in lexicographic order, as the rows of
-    a (modes x ports) int array. Excluded: the all-off vector, and
-    single-active-user assignments with any port off. Raises
-    CapacityError, before allocating, when (K+1)^N exceeds
-    IDEAL_ENUMERATION_BUDGET."""
+def check_enumeration_budget(n_ports: int, n_users: int) -> None:
+    """Raise CapacityError when the exhaustive set's (K+1)^N raw
+    assignment vectors exceed IDEAL_ENUMERATION_BUDGET."""
     raw_size = (n_users + 1) ** n_ports
     if raw_size > IDEAL_ENUMERATION_BUDGET:
         raise CapacityError(
             f"(K+1)^N = {raw_size} assignment vectors exceeds the enumeration "
             f"budget of {IDEAL_ENUMERATION_BUDGET} for N={n_ports}, K={n_users}")
+
+
+def ideal_modes(n_ports: int, n_users: int) -> np.ndarray:
+    """Every admissible assignment, in lexicographic order, as the rows of
+    a (modes x ports) int array. Excluded: the all-off vector, and
+    single-active-user assignments with any port off. Raises
+    CapacityError, before allocating, past ``check_enumeration_budget``."""
+    check_enumeration_budget(n_ports, n_users)
     rows = np.indices((n_users + 1,) * n_ports).reshape(n_ports, -1).T
     return rows[admissible(rows)]
 
@@ -101,18 +106,18 @@ def admissible(rows: np.ndarray) -> np.ndarray:
     return (active & (rows != rows.max(axis=1, keepdims=True))).any(axis=1) | active.all(axis=1)
 
 
-def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_user_modes(distances: np.ndarray) -> np.ndarray:
     """Nearest-user candidate sets of a block of drops, in one array pass.
 
     ``distances`` is (drops x users x ports). Starting from the mode where
     each port serves its nearest user, every port on/off mask with more
     than one active port is kept; masks leaving a single port on are
     dropped, and one single-user mode serving the globally closest user
-    with all ports is added instead. Size is 2^N - N, or one less when
-    every port shares one nearest user: the added mode is then the
-    all-ports mask. Returns the (modes x ports) assignments of every
-    drop's set, drop after drop, each in lexicographic order with no
-    repeats, and the (drops + 1) offsets of each drop's rows.
+    with all ports is added instead. Returns the (drops x (2^N - N) x
+    ports) assignments, each drop's in lexicographic order. When every
+    port shares one nearest user the added mode is the all-ports mask, so
+    the set holds 2^N - N - 1 distinct modes and that one twice, in
+    adjacent rows; a first-maximizer argmax takes the first copy.
     """
     n_drops, n_users, n_ports = distances.shape
     # Per-port nearest user; distance ties go to the lowest index.
@@ -126,9 +131,4 @@ def nearest_user_modes(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                            np.repeat(closest[:, None, None], n_ports, axis=2)], axis=1)
     flat = rows.reshape(-1, n_ports)
     drop = np.repeat(np.arange(n_drops), rows.shape[1])
-    rows = flat[np.lexsort([*flat.T[::-1], drop])].reshape(rows.shape)
-    # Sorted, a repeated mode sits next to its first copy.
-    keep = np.ones(rows.shape[:2], dtype=bool)
-    keep[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=2)
-    return rows[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-
+    return flat[np.lexsort([*flat.T[::-1], drop])].reshape(rows.shape)

@@ -32,14 +32,12 @@ live in ``verification``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numerics
 from .errors import DegenerateGainsError
-from .geometry import PathlossMatrix, linear_to_db
 
 # Two gains closer than this (relative) are treated as tied and nudged apart.
 GAIN_TIE_REL_TOL = 1e-9
@@ -192,46 +190,24 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
 
 # --- two-port, two-user analysis -------------------------------------------
 
-@dataclass(frozen=True)
-class CrossoverFormulas:
-    """High-SNR crossover points (linear SNR) from the closed-form rule.
-
-    ``single_vs_12``: where mode [1 1] overtakes [1 2];
-    ``single_vs_21``: where mode [1 1] overtakes [2 1].
+def crossover_snr(gains) -> tuple[float, float]:
+    """Closed-form high-SNR crossovers, as linear SNRs, of the (2, 2) gain
+    array ``gains``: where mode [1 1] overtakes [1 2], then where it
+    overtakes [2 1]. When the second user's two gains coincide the ratio
+    power r**(1/(r-1)) tends to e, and that limit is returned instead of
+    failing.
     """
-
-    single_vs_12: float
-    single_vs_21: float
-
-    @property
-    def single_vs_12_db(self) -> float:
-        return linear_to_db(self.single_vs_12)
-
-    @property
-    def single_vs_21_db(self) -> float:
-        return linear_to_db(self.single_vs_21)
-
-
-def crossover_snr(pathloss: PathlossMatrix) -> CrossoverFormulas:
-    """Closed-form high-SNR crossover of single-user vs. two-user modes.
-
-    Valid for the 2x2 case. When the second user's two gains coincide the
-    ratio power r**(1/(r-1)) tends to e, and that limit is returned
-    instead of failing.
-    """
-    gains = pathloss.gains
+    gains = np.asarray(gains, dtype=float)
     if gains.shape != (2, 2):
         raise ValueError(f"crossover analysis needs a 2x2 gain matrix, "
                          f"got shape {gains.shape}")
     s12 = float(gains[0, 1])
     s21, s22 = float(gains[1, 0]), float(gains[1, 1])
     if abs(s21 - s22) <= GAIN_TIE_REL_TOL * max(s21, s22):
-        return CrossoverFormulas(single_vs_12=math.e / s12,
-                                 single_vs_21=math.e / s21)
+        return math.e / s12, math.e / s21
     ratio = s21 / s22
-    vs_12 = (1.0 / s12) * ratio ** (s22 / (s21 - s22))
-    vs_21 = (1.0 / s21) * ratio ** (s21 / (s21 - s22))
-    return CrossoverFormulas(single_vs_12=vs_12, single_vs_21=vs_21)
+    return ((1.0 / s12) * ratio ** (s22 / (s21 - s22)),
+            (1.0 / s21) * ratio ** (s21 / (s21 - s22)))
 
 
 # A crossing of two rate curves is sought from -20 to 80 dB in 0.25 dB
@@ -240,18 +216,17 @@ CROSSING_LO_DB, CROSSING_HI_DB, CROSSING_STEP_DB = -20.0, 80.0, 0.25
 CROSSING_TOL_DB = 1e-4
 
 
-def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
-                               rate_b: Callable[[np.ndarray], np.ndarray]) -> float | None:
+def rate_curve_intersection_db(gap: Callable[[np.ndarray], np.ndarray]) -> float | None:
     """Highest-SNR crossing of two rate curves, located by bisection.
 
-    ``rate_a``/``rate_b`` map an array of linear SNRs to bits/s/Hz. The
-    difference is scanned on a dB grid, in one call per curve, and the
-    last sign change is refined; returns the crossing in dB, or None when
-    the curves do not cross in range.
+    ``gap`` maps an array of linear SNRs to curve A minus curve B, in
+    bits/s/Hz. It is scanned on a dB grid in one call, and the last sign
+    change is refined one call per step; returns the crossing in dB, or
+    None when the curves do not cross in range.
     """
     def diff(dbs: list[float]) -> list[float]:
         rhos = np.array([10.0 ** (db / 10.0) for db in dbs])
-        return (np.asarray(rate_a(rhos)) - np.asarray(rate_b(rhos))).tolist()
+        return np.asarray(gap(rhos)).tolist()
 
     lo_db, hi_db = CROSSING_LO_DB, CROSSING_HI_DB
     n_steps = int(math.ceil((hi_db - lo_db) / CROSSING_STEP_DB))
@@ -284,13 +259,14 @@ def rate_curve_intersection_db(rate_a: Callable[[np.ndarray], np.ndarray],
 def crossover_curves_db(gains: np.ndarray) -> tuple[float | None, float | None]:
     """Highest-SNR crossings, in dB, of the [1 1] and [1 2] sum-rate curves
     of a 2x2 gain matrix: of the approximated curves, then of the exact
-    ones, each None when the curves do not cross in range."""
+    ones, each None when the curves do not cross in range. Each
+    evaluation of the gap rates both modes from one ``subset_rates``
+    table."""
     gains = np.asarray(gains, dtype=float)[None]
 
-    def curve(row, kernel):
-        return lambda snr: row_sum_rates(subset_rates(gains, snr, kernel), [row])[0, :, 0]
+    def gap(snr, kernel=None):
+        rates = row_sum_rates(subset_rates(gains, snr, kernel), [(1, 1), (1, 2)])[0]
+        return rates[:, 0] - rates[:, 1]
 
-    approx_db, exact_db = (rate_curve_intersection_db(curve((1, 1), kernel),
-                                                      curve((1, 2), kernel))
-                           for kernel in (log1p_inv, None))
-    return approx_db, exact_db
+    return (rate_curve_intersection_db(lambda snr: gap(snr, log1p_inv)),
+            rate_curve_intersection_db(gap))

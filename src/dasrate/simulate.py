@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
-from .modes import check_fit, ideal_count, ideal_modes, mode_label, nearest_user_modes
+from .modes import (check_enumeration_budget, check_fit, ideal_count, ideal_modes, mode_label,
+                    nearest_user_modes)
 from .rate import row_sum_rates, subset_rates
 from .selection import select_rows
 
@@ -53,10 +54,11 @@ MC_CHUNK = 8192
 MC_POINT_SLICE = 16
 
 
-def check_snr_grid(lo: float, step: float, hi: float, what: str) -> None:
-    """Reject an SNR grid from ``lo`` to ``hi`` dB in ``step`` dB steps
-    that is not finite or increasing, leaves +-MAX_ABS_SNR_DB or holds
-    more than MAX_GRID_POINTS points; ``what`` names it in the message."""
+def snr_grid(lo: float, step: float, hi: float, what: str) -> tuple[float, ...]:
+    """The SNR points lo + i * step dB up to ``hi`` (inclusive, to within
+    1e-9 steps). Rejects a grid that is not finite or increasing, leaves
+    +-MAX_ABS_SNR_DB or holds more than MAX_GRID_POINTS points; ``what``
+    names it in the message."""
     if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
         raise ConfigError(f"invalid {what}: it needs finite bounds, step > 0 and "
                           f"stop >= start")
@@ -65,6 +67,8 @@ def check_snr_grid(lo: float, step: float, hi: float, what: str) -> None:
                           f"within +-{MAX_ABS_SNR_DB:g} dB")
     if (hi - lo) / step + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"{what} holds more than {MAX_GRID_POINTS} points")
+    n_steps = int(math.floor((hi - lo) / step + 1e-9))
+    return tuple(lo + i * step for i in range(n_steps + 1))
 
 
 def _chunk_stream(key: np.random.SeedSequence, chunk: int) -> np.random.Generator:
@@ -231,13 +235,7 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
     pl = pathloss_matrix(template, uniform_positions(template, keys))
-    nearest, offsets = nearest_user_modes(pl.distances)
-    # Every drop's nearest-user set as one (drops x rows x ports) array: a
-    # set one row short repeats its last row, which the first-maximizer
-    # argmax never takes.
-    sizes = np.diff(offsets)
-    nearest = nearest[offsets[:-1, None]
-                      + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
+    nearest = nearest_user_modes(pl.distances)
     drop_sets = [nearest if modes is None else modes for modes in sets]
 
     shape = (len(drops), len(sets), len(grid_db))
@@ -285,7 +283,7 @@ def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
     block, as (fixed, per SNR point): two port masks per row (its active
     ports, and those less a user's) and the gain columns and weights of
     its K (2^N - 1) subsets, K N 2^(N-1) of each; then per point its rate
-    rows and its K 2^N subset rates. A nearest-user set has at most
+    rows and its K 2^N subset rates. A nearest-user set has
     2^N - N rows."""
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
     return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
@@ -369,8 +367,10 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
     >= 2 draws.
 
     Before any drop is drawn, the counts are checked, and every entry:
-    for repeats, each fixed row for fit, and an exhaustive set for more
-    than SWEEP_IDEAL_LIMIT candidate-drop-points unless ``force_ideal``.
+    for repeats, each fixed row for fit, and an exhaustive set against
+    ``modes.check_enumeration_budget`` (CapacityError, with or without
+    ``force_ideal``), then for more than SWEEP_IDEAL_LIMIT
+    candidate-drop-points unless ``force_ideal``.
     """
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
@@ -390,10 +390,12 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
             check_fit(scheme, n_ports, n_users)
         elif scheme not in ("ideal", "min-distance"):
             raise ConfigError(f"unknown scheme {scheme!r}")
-        elif scheme == "ideal" and not force_ideal:
+        elif scheme == "ideal":
+            # No flag runs a set past the enumeration budget, so it is checked first.
+            check_enumeration_budget(n_ports, n_users)
             count = ideal_count(n_ports, n_users)
             work = count * n_drops * len(snr_grid_db)
-            if work > SWEEP_IDEAL_LIMIT:
+            if work > SWEEP_IDEAL_LIMIT and not force_ideal:
                 raise ConfigError(
                     f"exhaustive sweep would rate {work} candidate-drop-points "
                     f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
@@ -432,16 +434,12 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
     ranges = [(float(lo), float(hi)) for lo, hi in snr_ranges_db]
-    for i, (lo, hi) in enumerate(ranges):
-        check_snr_grid(lo, HIST_GRID_STEP_DB, hi, f"SNR range/--snr-ranges {lo:g}:{hi:g}")
-        if (lo, hi) in ranges[:i]:
-            raise ConfigError(f"SNR range/--snr-ranges {lo:g}:{hi:g} given more than once")
     points_per_range = []
-    for lo, hi in ranges:
-        points = [lo]
-        while points[-1] + HIST_GRID_STEP_DB <= hi + 1e-9:
-            points.append(points[-1] + HIST_GRID_STEP_DB)
-        points_per_range.append(points)
+    for i, (lo, hi) in enumerate(ranges):
+        what = f"SNR range/--snr-ranges {lo:g}:{hi:g}"
+        points_per_range.append(snr_grid(lo, HIST_GRID_STEP_DB, hi, what))
+        if (lo, hi) in ranges[:i]:
+            raise ConfigError(f"{what} given more than once")
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
     # One candidate set: None, the nearest-user set of each drop.

@@ -25,8 +25,8 @@ from scipy import integrate, special, stats
 
 from . import numerics, rate, simulate
 from .errors import NumericalFailureError
-from .experiments import bundled_config_path, crossover_report
-from .geometry import (PathlossMatrix, Scenario, load_scenario, pathloss_matrix,
+from .experiments import bundled_config_path
+from .geometry import (PathlossMatrix, Scenario, linear_to_db, load_scenario, pathloss_matrix,
                        uniform_positions)
 from .modes import ideal_count, ideal_modes, min_distance_count, nearest_user_modes
 from .selection import select_rows
@@ -294,8 +294,9 @@ def _brute_force_ideal_size(n: int, k: int) -> int:
 def check_candidate_counts(n_drops: int = 3, seed: int = 303,
                            ports=range(2, 7)) -> CheckResult:
     """Count formulas vs. actual enumerations vs. brute-force filtering,
-    and the nearest-user count on ``n_drops`` drops (seed; N, drop) at
-    each N = K of ``ports``, at least one of them full size."""
+    and the distinct rows of the nearest-user sets of ``n_drops`` drops
+    (seed; N, drop) at each N = K of ``ports``, at least one of them with
+    no repeat."""
     worst = 0
     for n, k in itertools.product(range(1, 5), range(1, 5)):
         expected = ideal_count(n, k)
@@ -305,11 +306,13 @@ def check_candidate_counts(n_drops: int = 3, seed: int = 303,
         template = _template(n, n)
         keys = [(seed, n, drop) for drop in range(n_drops)]
         distances = pathloss_matrix(template, uniform_positions(template, keys)).distances
-        _, offsets = nearest_user_modes(distances)
-        # A set is one row short only when every port shares one nearest user.
+        rows = nearest_user_modes(distances)
+        # Rows are sorted within a drop, so a repeat sits next to its first copy.
+        distinct = 1 + (rows[:, 1:] != rows[:, :-1]).any(axis=2).sum(axis=1)
+        # A set repeats a row only when every port shares one nearest user.
         nearest = distances.argmin(axis=1)
         shared = (nearest == nearest[:, :1]).all(axis=1)
-        worst = max(worst, int(np.abs(np.diff(offsets) + shared - min_distance_count(n)).max()),
+        worst = max(worst, int(np.abs(distinct + shared - min_distance_count(n)).max()),
                     int(shared.all()))
     fixed = (ideal_count(2, 2), ideal_count(4, 4), ideal_count(5, 5),
              min_distance_count(2), min_distance_count(4), min_distance_count(5))
@@ -331,19 +334,17 @@ def check_selection_properties(n_drops: int = 5, seed: int = 404,
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (0.0, 20.0, 40.0)]
     pl = pathloss_matrix(template, uniform_positions(template,
                                                      [(seed, drop) for drop in range(n_drops)]))
-    nearest, offsets = nearest_user_modes(pl.distances)
-    ideal = ideal_modes(n, k)
-    # Per (scaling, drop, set): the chosen rows and their rates.
-    chosen = np.empty((2, n_drops, 2, len(snrs), n), dtype=ideal.dtype)
-    values = np.empty((2, n_drops, 2, len(snrs)))
+    nearest = nearest_user_modes(pl.distances)
+    ideal = np.tile(ideal_modes(n, k), (n_drops, 1, 1))
+    # Per (scaling, set): each drop's chosen rows and their rates.
+    chosen = np.empty((2, 2, n_drops, len(snrs), n), dtype=ideal.dtype)
+    values = np.empty((2, 2, n_drops, len(snrs)))
     for s, scale in enumerate((1.0, 7.3)):
         table = rate.subset_rates(pl.gains * scale, [snr / scale for snr in snrs])
-        for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            for c, rows in enumerate((ideal, nearest[lo:hi])):
-                best, values[s, drop, c] = select_rows(
-                    rate.row_sum_rates(table[drop:drop + 1], rows)[0])
-                chosen[s, drop, c] = rows[best]
-    worst = max(0.0, float((values[0, :, 1] - values[0, :, 0]).max()))
+        for c, rows in enumerate((ideal, nearest)):
+            best, values[s, c] = select_rows(rate.row_sum_rates(table, rows))
+            chosen[s, c] = np.take_along_axis(rows, best[..., None], axis=1)
+    worst = max(0.0, float((values[0, 1] - values[0, 0]).max()))
     gap = np.abs(values[0] - values[1])
     ok = bool((chosen[0] == chosen[1]).all()
               and (gap <= 1e-12 * np.maximum(np.abs(values[0]), np.abs(values[1]))).all())
@@ -427,20 +428,15 @@ def check_worker_invariance(n_drops: int = 6, n_channels: int = 3000, seed: int 
                        tolerance=0.0)
 
 
-def _canonical_pathloss(pl):
+def _canonical_gains(gains: np.ndarray) -> np.ndarray:
     """Relabel users and ports so the globally strongest link is (1, 1).
 
     The closed-form crossover rule is stated for the labeling where user 1
     is the minimum-distance user served by port 1; arbitrary drops must be
     relabeled before the rule applies.
     """
-    gains, dist = pl.gains.copy(), pl.distances.copy()
     i, j = np.unravel_index(np.argmax(gains), gains.shape)
-    if i == 1:
-        gains, dist = gains[::-1], dist[::-1]
-    if j == 1:
-        gains, dist = gains[:, ::-1], dist[:, ::-1]
-    return PathlossMatrix(distances=dist.copy(), gains=gains.copy())
+    return gains[::-1 if i else 1, ::-1 if j else 1]
 
 
 # Where the two-user mode has saturated, the exact single-user curve sits
@@ -456,27 +452,27 @@ def _sample_crossover_geometries(n_geometries: int, seed: int = 79,
     formula lands above 20 dB, and every link exceeds ``min_link_snr``
     linear SNR at the predicted crossing.
 
-    Yields (pathloss, formula_db, approx_db, exact_db) tuples.
+    Yields (gains, formula_db, approx_db, exact_db) tuples.
     """
     found = 0
     for attempt in range(4000):
         if found >= n_geometries:
             return
-        pl = _canonical_pathloss(_drop(2, (seed, attempt)))
-        gains = pl.gains
+        gains = _canonical_gains(_drop(2, (seed, attempt)).gains)
         if gains[1, 1] <= gains[0, 1]:
             continue
-        formulas = rate.crossover_snr(pl)
-        if formulas.single_vs_12_db <= 20.0:
+        vs_12, _ = rate.crossover_snr(gains)
+        formula_db = linear_to_db(vs_12)
+        if formula_db <= 20.0:
             continue
-        if float(gains.min()) * formulas.single_vs_12 < min_link_snr:
+        if float(gains.min()) * vs_12 < min_link_snr:
             continue
 
         approx_db, exact_db = rate.crossover_curves_db(gains)
         if approx_db is None or exact_db is None:
             continue
         found += 1
-        yield pl, formulas.single_vs_12_db, approx_db, exact_db
+        yield gains, formula_db, approx_db, exact_db
 
 
 def check_crossover_consistency(n_geometries: int = 20) -> CheckResult:
@@ -494,11 +490,11 @@ def check_crossover_consistency(n_geometries: int = 20) -> CheckResult:
     bounds that shift. ``figures`` holds the fig2 formula, the measured
     gaps and the shift range.
     """
-    fig2 = crossover_report(load_scenario(bundled_config_path("fig2.cfg")))
-    fig2_formula_db = fig2.formulas.single_vs_12_db
-    fig2_fe = (math.inf if fig2.exact_intersection_db is None
-               or fig2.approx_intersection_db is None else
-               abs(fig2_formula_db - fig2.exact_intersection_db))
+    fig2 = pathloss_matrix(load_scenario(bundled_config_path("fig2.cfg"))).gains
+    fig2_formula_db = linear_to_db(rate.crossover_snr(fig2)[0])
+    fig2_approx_db, fig2_exact_db = rate.crossover_curves_db(fig2)
+    fig2_fe = (math.inf if fig2_exact_db is None or fig2_approx_db is None else
+               abs(fig2_formula_db - fig2_exact_db))
     worst_fa = 0.0
     shifts = []
     for _, formula_db, approx_db, exact_db in _sample_crossover_geometries(n_geometries):

@@ -68,8 +68,8 @@ def test_criterion_2_candidate_counts():
     """Ideal counts 4/568/7625 and reduced counts 2/12/27; brute force
     agrees with the exhaustive enumeration for N, K <= 4; and the reduced
     enumeration realizes its count on 20 drops at each of N = K = 2, 4
-    and 5, but for drops whose ports all share one nearest user, which
-    are one row short."""
+    and 5 in distinct rows, but for drops whose ports all share one
+    nearest user, which repeat one row."""
     result = verification.check_candidate_counts(n_drops=20, seed=2, ports=(2, 4, 5))
     record_criterion(2, result.passed, "ideal counts 4/568/7625, reduced counts "
                                        "2/12/27, brute force agrees for N,K <= 4")

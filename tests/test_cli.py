@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dasrate import cli, experiments, numerics, simulate
@@ -176,6 +177,36 @@ def test_sweep_csv_and_capacity_guard(tmp_path, capsys):
     assert "force" in err
 
 
+def test_sweep_work_guard_and_force_ideal(monkeypatch, capsys):
+    """An exhaustive sweep past SWEEP_IDEAL_LIMIT candidate-drop-points is
+    a usage error that advises --force-ideal; at a limit that admits it,
+    forcing returns the unforced arrays."""
+    monkeypatch.setattr(simulate, "SWEEP_IDEAL_LIMIT", 35)
+    code, out, err = run_cli(capsys, "sweep", "--config", "fig3.cfg", "--scheme", "ideal",
+                             "--drops", "3", "--snr", "0:10:20")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == ("error: exhaustive sweep would rate 36 candidate-drop-points (4 "
+                   "candidates x 3 drops x 3 SNR points), more than 35; pass "
+                   "force_ideal/--force-ideal to run it anyway\n")
+    monkeypatch.setattr(simulate, "SWEEP_IDEAL_LIMIT", 36)
+    args = (cli._resolve_config("fig3.cfg"), ["ideal"], (0.0, 10.0, 20.0), 3, 0, 1)
+    unforced = simulate.cell_average(*args)
+    forced = simulate.cell_average(*args, force_ideal=True)
+    assert all(map(np.array_equal, forced, unforced))
+
+
+@pytest.mark.parametrize("force", [(), ("--force-ideal",)], ids=["unforced", "forced"])
+def test_sweep_past_enumeration_budget_is_capacity_error(tmp_path, capsys, force):
+    """At N = K = 8 the exhaustive set's 9^8 vectors pass the enumeration
+    budget, which no flag lifts: it is checked before the work guard."""
+    cfg = tmp_path / "n8.cfg"
+    cfg.write_text("n_ports = 8\nn_users = 8\ncell_radius = 6.11\npathloss_exponent = 3\n"
+                   "tx_power_dB = 0\nnoise_power = 1\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--drops", "1", *force)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "enumeration budget" in err
+
+
 def test_sweep_fixed_modes(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--config", "fig3.cfg",
                            "--drops", "10", "--snr", "0:50:50",
@@ -185,12 +216,11 @@ def test_sweep_fixed_modes(capsys):
 
 
 def test_crossover_report_output(capsys):
+    """The fig2 crossover report prints the recorded bytes."""
     code, out, _ = run_cli(capsys, "crossover", "--config", "fig2.cfg",
                            "--reference-db", "37.2")
     assert code == 0
-    assert "37.224 dB" in out
-    assert "users swapped" in out
-    assert "+0.024 dB" in out
+    assert out == (DATA / "crossover_fig2.txt").read_text()
 
 
 def test_crossover_wrong_size_is_usage_error(capsys):

@@ -5,11 +5,12 @@ import math
 import pytest
 
 from dasrate.errors import ConfigError
-from dasrate.experiments import (bundled_config_path, crossover_report,
+from dasrate.experiments import (bundled_config_path, crossover_lines,
                                  curve_to_csv, histogram_to_csv,
                                  mode_rate_curves, parse_snr_spec,
                                  resolve_mode_filter)
-from dasrate.geometry import load_scenario
+from dasrate.geometry import linear_to_db, load_scenario, pathloss_matrix
+from dasrate.rate import crossover_curves_db, crossover_snr
 from dasrate.simulate import cell_average
 
 FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
@@ -131,19 +132,20 @@ def test_histogram_csv_schema():
 
 
 def test_crossover_report_frozen_fig2_values():
-    report = crossover_report(FIG2, reference_db=37.2)
-    assert report.formulas.single_vs_12_db == pytest.approx(37.224, abs=1e-3)
-    assert report.formulas.single_vs_21_db == pytest.approx(27.922, abs=1e-3)
+    gains = pathloss_matrix(FIG2).gains
+    vs_12, vs_21 = map(linear_to_db, crossover_snr(gains))
+    assert vs_12 == pytest.approx(37.224, abs=1e-3)
+    assert vs_21 == pytest.approx(27.922, abs=1e-3)
     # swapping user labels moves the formula answer substantially
-    assert report.formulas_swapped_users.single_vs_12_db == pytest.approx(
-        17.494, abs=1e-3)
-    assert report.exact_intersection_db == pytest.approx(37.78, abs=0.05)
-    assert report.approx_intersection_db == pytest.approx(36.38, abs=0.05)
-    text = "\n".join(report.lines())
+    assert linear_to_db(crossover_snr(gains[::-1])[0]) == pytest.approx(17.494, abs=1e-3)
+    approx_db, exact_db = crossover_curves_db(gains)
+    assert exact_db == pytest.approx(37.78, abs=0.05)
+    assert approx_db == pytest.approx(36.38, abs=0.05)
+    text = "\n".join(crossover_lines(FIG2, reference_db=37.2))
     assert "users swapped" in text and "reference" in text
 
 
 def test_crossover_report_requires_two_by_two():
     template = load_scenario(bundled_config_path("fig4.cfg"))
     with pytest.raises(ConfigError):
-        crossover_report(template)
+        crossover_lines(template)

@@ -18,8 +18,7 @@ from dasrate.simulate import _user_powers, mode_histogram
 def nearest_set(distances):
     """The nearest-user set of one (K x N) distance matrix, as a list of
     assignment tuples."""
-    rows, offsets = nearest_user_modes(np.asarray(distances, dtype=float)[None])
-    assert offsets.tolist() == [0, len(rows)]
+    (rows,) = nearest_user_modes(np.asarray(distances, dtype=float)[None])
     return list(map(tuple, rows.tolist()))
 
 
@@ -125,17 +124,17 @@ def test_min_distance_keeps_shared_nearest_user_masks():
 
 def test_min_distance_degenerate_dedup():
     """When every port shares one nearest user, the added single-user mode
-    repeats the all-ports mask and the set keeps one copy, silently."""
+    repeats the all-ports mask, in the next row, silently."""
     distances = [[1.0, 2.0], [3.0, 4.0]]  # user 1 nearest to both ports
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert nearest_set(distances) == [(1, 1)]
+        assert nearest_set(distances) == [(1, 1), (1, 1)]
 
 
 def test_min_distance_random_geometries():
     """Size, ordering, nearest-user agreement, and the subset property, on
     every drop: only a drop whose ports all share one nearest user has a
-    set one row short."""
+    set with a repeated row."""
     checked_subset = 0
     for n in range(2, 7):
         template = Scenario(n_ports=n, n_users=n,
@@ -143,13 +142,13 @@ def test_min_distance_random_geometries():
                             pathloss_exponent=3.0, tx_power=1.0)
         seeds = [(12, n, trial) for trial in range(6)]
         pl = pathloss_matrix(template, uniform_positions(template, seeds))
-        rows, offsets = nearest_user_modes(pl.distances)
-        for distances, lo, hi in zip(pl.distances, offsets, offsets[1:]):
-            cands = list(map(tuple, rows[lo:hi].tolist()))
+        for distances, rows in zip(pl.distances, nearest_user_modes(pl.distances)):
+            cands = list(map(tuple, rows.tolist()))
             # Per-port nearest user, 1-based; ties go to the lowest index.
             base = [int(np.argmin(distances[:, j])) + 1 for j in range(n)]
-            assert len(cands) == min_distance_count(n) - (len(set(base)) == 1)
-            assert cands == sorted(set(cands))
+            assert len(cands) == min_distance_count(n)
+            assert len(set(cands)) == min_distance_count(n) - (len(set(base)) == 1)
+            assert cands == sorted(cands)
             # Every member follows the nearest-user map, but for the
             # all-ports mode of the globally closest user.
             closest = int(np.argmin(distances.min(axis=1))) + 1

@@ -7,8 +7,8 @@ import pytest
 from scipy import integrate
 
 from conftest import mode_rates, user_rates
-from dasrate import verification
-from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, pathloss_matrix
+from dasrate import rate, verification
+from dasrate.geometry import PathlossMatrix, Scenario, db_to_linear, linear_to_db, pathloss_matrix
 from dasrate.modes import ideal_modes
 from dasrate.numerics import LN2, exp_e1
 from dasrate.rate import crossover_snr, log1p_inv, rate_curve_intersection_db
@@ -279,18 +279,17 @@ def test_approx_gap_shrinks_for_single_user_modes():
 # --- crossover and lower bound ------------------------------------------------
 
 def test_crossover_formula_frozen_values():
-    formulas = crossover_snr(FIG2_PL)
-    assert formulas.single_vs_12 == pytest.approx(5277.242985622688, rel=1e-12)
-    assert formulas.single_vs_12_db == pytest.approx(37.22407091312925, abs=1e-9)
-    assert formulas.single_vs_21_db == pytest.approx(27.922324851864428, abs=1e-9)
+    vs_12, vs_21 = crossover_snr(FIG2_PL.gains)
+    assert vs_12 == pytest.approx(5277.242985622688, rel=1e-12)
+    assert linear_to_db(vs_12) == pytest.approx(37.22407091312925, abs=1e-9)
+    assert linear_to_db(vs_21) == pytest.approx(27.922324851864428, abs=1e-9)
 
 
 def test_crossover_equal_gain_limit():
     d = np.array([[2.0, 3.0], [4.0, 4.0]])
-    pl = PathlossMatrix(distances=d, gains=d ** -3.0)
-    formulas = crossover_snr(pl)
-    assert formulas.single_vs_12 == pytest.approx(math.e / (3.0 ** -3.0), rel=1e-9)
-    assert formulas.single_vs_21 == pytest.approx(math.e / (4.0 ** -3.0), rel=1e-9)
+    vs_12, vs_21 = crossover_snr(d ** -3.0)
+    assert vs_12 == pytest.approx(math.e / (3.0 ** -3.0), rel=1e-9)
+    assert vs_21 == pytest.approx(math.e / (4.0 ** -3.0), rel=1e-9)
 
 
 def test_crossover_matches_selection_flip_on_fixed_geometry():
@@ -302,25 +301,46 @@ def test_crossover_matches_selection_flip_on_fixed_geometry():
     assert single_39 > paired_39
 
 
+def curve_gap(mode_a, mode_b):
+    """Sum rate of mode A minus that of mode B on the fig2 geometry, per
+    linear SNR."""
+    def gap(snr):
+        a, b = mode_rates(FIG2_PL, [mode_a, mode_b], snr).T
+        return a - b
+    return gap
+
+
 def test_intersection_bisection_on_fig2():
-    single, paired = [1, 1], [1, 2]
-
-    def curve(mode):
-        return lambda snr: mode_rates(FIG2_PL, [mode], snr)[:, 0]
-
-    crossing = rate_curve_intersection_db(curve(single), curve(paired))
+    crossing = rate_curve_intersection_db(curve_gap([1, 1], [1, 2]))
     assert crossing == pytest.approx(37.78, abs=0.05)
 
 
 def test_intersection_none_when_curves_do_not_cross():
     # [1 1] serves the strongest user with both ports and dominates the
     # badly-paired [2 1] at every SNR on this geometry
-    strong, weak = [1, 1], [2, 1]
+    assert rate_curve_intersection_db(curve_gap([1, 1], [2, 1])) is None
 
-    def curve(mode):
-        return lambda snr: mode_rates(FIG2_PL, [mode], snr)[:, 0]
 
-    assert rate_curve_intersection_db(curve(strong), curve(weak)) is None
+def test_crossover_curves_rate_one_table_per_gap_evaluation(monkeypatch):
+    """Each scan and bisection step rates both modes from one subset-rate
+    table."""
+    calls = {"gap": 0, "table": 0}
+    subset_rates, intersection = rate.subset_rates, rate.rate_curve_intersection_db
+
+    def counted_table(*args):
+        calls["table"] += 1
+        return subset_rates(*args)
+
+    def counted_intersection(gap):
+        def counted_gap(snr):
+            calls["gap"] += 1
+            return gap(snr)
+        return intersection(counted_gap)
+
+    monkeypatch.setattr(rate, "subset_rates", counted_table)
+    monkeypatch.setattr(rate, "rate_curve_intersection_db", counted_intersection)
+    assert None not in rate.crossover_curves_db(FIG2_PL.gains)
+    assert calls["gap"] > 2 and calls["table"] == calls["gap"]
 
 
 def single_user_rate_lower_bound(pathloss, user_index, snr):

@@ -43,12 +43,12 @@ def both_schemes(pl, snrs):
     ``pl`` at each SNR of ``snrs``, from one subset-rate table: per drop,
     a list of (ideal, reduced) (row, rate) pairs, one per SNR."""
     ideal = ideal_modes(pl.gains.shape[2], pl.gains.shape[1])
-    nearest, offsets = nearest_user_modes(pl.distances)
+    nearest = nearest_user_modes(pl.distances)
     table = subset_rates(pl.gains, snrs)
     results = []
-    for drop, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+    for drop in range(len(nearest)):
         picks = []
-        for rows in (ideal, nearest[lo:hi]):
+        for rows in (ideal, nearest[drop]):
             best, rates = select_rows(row_sum_rates(table[drop:drop + 1], rows)[0])
             picks.append([(tuple(rows[b]), r) for b, r in zip(best, rates.tolist())])
         results.append(list(zip(*picks)))
