@@ -221,8 +221,9 @@ def rate_curve_intersection_db(gap: Callable[[np.ndarray], np.ndarray]) -> float
 
     ``gap`` maps an array of linear SNRs to curve A minus curve B, in
     bits/s/Hz. It is scanned on a dB grid in one call, and the last sign
-    change is refined one call per step; returns the crossing in dB, or
-    None when the curves do not cross in range.
+    change is refined one call per step, starting from the scanned value
+    at its low end; returns the crossing in dB, or None when the curves
+    do not cross in range.
     """
     def diff(dbs: list[float]) -> list[float]:
         rhos = np.array([10.0 ** (db / 10.0) for db in dbs])
@@ -233,17 +234,15 @@ def rate_curve_intersection_db(gap: Callable[[np.ndarray], np.ndarray]) -> float
     grid = [lo_db + i * (hi_db - lo_db) / n_steps for i in range(n_steps + 1)]
     values = diff(grid)
 
-    bracket = None
+    last = None
     for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            bracket = (grid[i], grid[i])
-        elif values[i] * values[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
-    if bracket is None:
+        if values[i] == 0.0 or values[i] * values[i + 1] < 0.0:
+            last = i
+    if last is None:
         return None
 
-    lo, hi = bracket
-    f_lo = diff([lo])[0]
+    lo, f_lo = grid[last], values[last]
+    hi = lo if f_lo == 0.0 else grid[last + 1]
     while hi - lo > CROSSING_TOL_DB:
         mid = 0.5 * (lo + hi)
         f_mid = diff([mid])[0]

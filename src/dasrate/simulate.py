@@ -16,14 +16,18 @@ product of its users' factors 1 + S / (I + 1/snr), one log2 per run of
 users, the runs split on the mode's draws alone so that no product
 overflows. Each (mode, point) adds its chunks in chunk order and
 drop results are combined in drop order, so outputs are bit-identical
-for a given seed whatever the worker count. A command runs its drops on
-at most one process pool, with no more workers than blocks of drops,
-and imports the pool machinery only when it starts one.
+for a given seed whatever the worker count. A command splits its drops
+into at most ``--jobs`` equal contiguous shares, never more than it has
+drops, and works the first share itself and each other one in a child
+process made by ``os.fork``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -309,36 +313,95 @@ def check_drop_size(n_ports: int, n_users: int) -> None:
                             f"{MAX_BLOCK_VALUES} a block may hold")
 
 
+def _drop_shares(n_drops: int, n_jobs: int) -> list[range]:
+    """``n_drops`` drops in min(``n_jobs``, ``n_drops``) contiguous shares
+    of equal size, in drop order, the first ``n_drops`` % shares of them
+    one drop longer; one share where ``os.fork`` is missing."""
+    count = min(n_jobs, n_drops) if hasattr(os, "fork") else 1
+    size, extra = divmod(n_drops, count)
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
+def _child_exit(work, share: range, pipe) -> None:
+    """Send ``work(share)``, or the exception it raised, pickled down
+    ``pipe`` and leave through ``os._exit``, with status 1 when nothing
+    could be sent; never returns."""
+    status = 1
+    try:
+        try:
+            result = work(share)
+        except Exception as exc:
+            result = exc
+        pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_shares(work, shares: list[range]) -> list:
+    """``work`` of each share, in share order: the first share in this
+    process, each other one in a child made by ``os.fork``, which sends
+    its result back through a pipe (``_child_exit``).
+
+    Each pipe's write end is closed here before the next fork, so no
+    child holds another's pipe open. The children are read in share
+    order; a child's exception is raised here, and a child that sends no
+    result raises RuntimeError naming its drops. Whether this returns or
+    raises, every child still running is killed and every child reaped.
+    """
+    pipes, pids = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:
+                    _child_exit(work, share, pipe)
+            pids.append(pid)
+        results = [work(shares[0])]
+        for pipe, share in zip(pipes, shares[1:]):
+            try:
+                result = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"the child process that ran drops {share.start} to "
+                                   f"{share.stop - 1} ended without a result") from exc
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
                n_drops: int, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
     """The chosen assignments and values of ``_block_worker`` for every
-    drop, in drop order, on one process pool of min(n_jobs, blocks)
-    workers when both are above one.
+    drop, in drop order, from the ``_drop_shares`` of ``n_jobs``: this
+    process works the first share and a forked child each other one
+    (``_fork_shares``). The calling process should run no other thread.
 
-    Drops go out in blocks of consecutive drops, as large as
+    Each share goes in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
-    as its memory bound permits; a pool gets about eight blocks per
-    worker instead, when smaller, so that it stays balanced. A scenario
-    too large for one drop is refused by ``check_drop_size`` first.
+    as its memory bound permits. A scenario too large for one drop is
+    refused by ``check_drop_size`` first.
     """
     check_drop_size(template.n_ports, template.n_users)
     fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
-    if n_jobs > 1:
-        size = min(size, math.ceil(n_drops / (8 * n_jobs)))
-    tasks = [(template, sets, grid_db, n_channels, seed,
-              range(start, min(start + size, n_drops)))
-             for start in range(0, n_drops, size)]
-    if n_jobs > 1 and len(tasks) > 1:
-        # Imported here, so a command that starts no pool never loads
-        # multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            blocks = list(pool.map(_block_worker, tasks))
-    else:
-        blocks = [_block_worker(t) for t in tasks]
-    chosen, values = zip(*blocks)
+    def work(drops: range) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [_block_worker((template, sets, grid_db, n_channels, seed, drops[lo:lo + size]))
+                for lo in range(0, len(drops), size)]
+
+    shares = _fork_shares(work, _drop_shares(n_drops, n_jobs))
+    chosen, values = zip(*(block for blocks in shares for block in blocks))
     return np.concatenate(chosen), np.concatenate(values)
 
 

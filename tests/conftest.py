@@ -1,8 +1,12 @@
 """Shared pytest hooks and helpers: collect acceptance-criterion results
-and print one pass/fail line per criterion at the end of the run, and
-rate modes of one gain matrix through the subset-rate table."""
+and print one pass/fail line per criterion at the end of the run, rate
+modes of one gain matrix through the subset-rate table, and check that
+no child process is left."""
+
+import os
 
 import numpy as np
+import pytest
 
 from dasrate.rate import row_sum_rates, subset_rates
 
@@ -37,3 +41,9 @@ def user_rates(pl, rows, snr) -> np.ndarray:
     return np.stack([row_sum_rates(table[None, :, [k]],
                                    np.where(rows == k + 1, 1, 2 * (rows != 0)))[0, 0]
                      for k in range(len(pl.gains))], axis=1)
+
+
+def assert_no_child_left() -> None:
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

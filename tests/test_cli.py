@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left
 from dasrate import cli, experiments, numerics, simulate
 from dasrate.errors import DegenerateGainsError, NumericalFailureError
 
@@ -337,12 +337,12 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "range-too-low"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
-    drawn or a worker pool starts."""
+    drawn or a child process is forked."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started on invalid input")
 
     monkeypatch.setattr(simulate, "uniform_positions", no_work)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(os, "fork", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
@@ -492,61 +492,83 @@ def test_long_grid_mc_sweep_memory_stays_bounded(capsys):
     ("sweep", "--config", "fig4.cfg", "--seed", "3", "--snr", "0:10:50"),
 ], ids=["hist", "sweep"])
 def test_drop_blocks_do_not_change_output(capsys, argv, drops):
-    """Drops go out in blocks sized from the drop and worker counts, so
-    --jobs 1 and --jobs 2 split them differently; the bytes are the same."""
+    """--jobs splits the drops into shares, unequal ones at --jobs 3 on 65
+    drops, and each share into blocks; the bytes are those of --jobs 1."""
     outputs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, out, _ = run_cli(capsys, *argv, "--drops", str(drops), "--jobs", jobs)
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+    assert outputs[1:] == outputs[:1] * 2
 
 
 @pytest.fixture
-def pools_started(monkeypatch):
-    """The max_workers of every process pool a command starts."""
-    started = []
+def forks(monkeypatch):
+    """The pid of every child that a later command forks, in fork order."""
+    children = []
+    fork = os.fork
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def counting():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return started
+    monkeypatch.setattr(os, "fork", counting)
+    return children
 
 
-def test_sweep_starts_one_pool(capsys, pools_started):
-    """A --jobs 2 sweep of two schemes and a fixed mode runs every drop on
-    one process pool."""
+def test_sweep_forks_once_at_two_jobs(capsys, forks):
+    """A --jobs 2 sweep of two schemes and a fixed mode works its drops in
+    this process and one forked child, and reaps the child."""
     code, _, _ = run_cli(capsys, "sweep", "--config", "fig3.cfg", "--drops", "4",
                          "--snr", "0:25:50", "--scheme", "ideal",
                          "--scheme", "min-distance", "--fixed-mode", "[1 2]",
                          "--jobs", "2")
     assert code == 0
-    assert pools_started == [2]
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
-def test_pool_has_no_more_workers_than_blocks(capsys, pools_started):
-    """Two drops go out as two blocks, so --jobs 6 starts two workers."""
+def test_no_more_processes_than_drops(capsys, forks):
+    """Two drops go out as two shares, so --jobs 6 forks one child."""
     code, _, _ = run_cli(capsys, "hist", "--config", "fig7.cfg", "--drops", "2",
                          "--jobs", "6")
     assert code == 0
-    assert pools_started == [2]
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
-# Runs in a fresh interpreter, where nothing has imported scipy yet. The
-# --jobs 2 sweep comes last: once a pool has run, its modules stay loaded.
+def test_error_in_a_child_share_exits_as_at_one_job(capsys, monkeypatch, forks):
+    """A DegenerateGainsError raised only by the child that works the
+    second share exits 4 with the one stderr line of --jobs 1, and no
+    child is left."""
+    worker = simulate._block_worker
+
+    def failing(args):
+        if 2 in args[5]:
+            raise DegenerateGainsError("forced at drop 2")
+        return worker(args)
+
+    monkeypatch.setattr(simulate, "_block_worker", failing)
+    argv = ("sweep", "--config", "fig3.cfg", "--drops", "4", "--snr", "0:25:50")
+    for jobs in ("1", "2"):
+        assert run_cli(capsys, *argv, "--jobs", jobs) == (4, "", "error: forced at drop 2\n")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+# Runs in a fresh interpreter, where nothing has imported scipy yet.
 NUMPY_ONLY_SCRIPT = """
 import sys
 from dasrate import cli
 
-def numpy_only(when, pool=False):
+def numpy_only(when):
     assert "scipy" not in sys.modules, "scipy loaded " + when
     assert "numpy.random" in sys.modules, "numpy.random missing " + when
     assert "numpy.ma" not in sys.modules, "numpy.ma loaded " + when
-    assert ("concurrent.futures.process" in sys.modules) == pool, (
-        "pool modules " + ("missing " if pool else "loaded ") + when)
+    for name in ("concurrent.futures.process", "multiprocessing"):
+        assert name not in sys.modules, name + " loaded " + when
 
 numpy_only("by import dasrate.cli")
 out = sys.argv[1] + "/out.csv"
@@ -555,20 +577,20 @@ for argv in (
     ["rates", "--config", "fig2.cfg", "--snr", "0:10:20", "--channels", "200"],
     ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50"],
     ["crossover", "--config", "fig2.cfg"],
-    ["hist", "--config", "fig7.cfg", "--drops", "2"],
+    ["hist", "--config", "fig7.cfg", "--drops", "2", "--jobs", "2"],
     ["sweep", "--config", "fig3.cfg", "--drops", "2", "--snr", "0:25:50",
      "--rating", "mc", "--channels", "50", "--jobs", "2"],
 ):
     assert cli.main(argv + ["--out", out]) == 0, argv
-    numpy_only("by " + " ".join(argv), pool="--jobs" in argv)
+    numpy_only("by " + " ".join(argv))
 """
 
 
 def test_commands_other_than_verify_never_import_scipy(tmp_path):
     """scipy is needed only by ``dasrate verify``; every other command,
     and the import of the CLI itself, runs on numpy alone, without
-    ``numpy.ma``, and loads the process-pool modules only when it starts
-    a pool."""
+    ``numpy.ma``, and never loads ``multiprocessing`` or the process-pool
+    modules, not even at --jobs 2."""
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
                             env={**os.environ, "PYTHONPATH": src},

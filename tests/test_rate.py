@@ -323,7 +323,9 @@ def test_intersection_none_when_curves_do_not_cross():
 
 def test_crossover_curves_rate_one_table_per_gap_evaluation(monkeypatch):
     """Each scan and bisection step rates both modes from one subset-rate
-    table."""
+    table, and nothing else evaluates the gap: per crossing, one scan and
+    the halvings of a grid step down to CROSSING_TOL_DB (12 at 0.25 dB),
+    the bisection starting from the scanned value at its low end."""
     calls = {"gap": 0, "table": 0}
     subset_rates, intersection = rate.subset_rates, rate.rate_curve_intersection_db
 
@@ -340,7 +342,9 @@ def test_crossover_curves_rate_one_table_per_gap_evaluation(monkeypatch):
     monkeypatch.setattr(rate, "subset_rates", counted_table)
     monkeypatch.setattr(rate, "rate_curve_intersection_db", counted_intersection)
     assert None not in rate.crossover_curves_db(FIG2_PL.gains)
-    assert calls["gap"] > 2 and calls["table"] == calls["gap"]
+    steps = math.ceil(math.log2(rate.CROSSING_STEP_DB / rate.CROSSING_TOL_DB))
+    assert steps == 12
+    assert calls == {"gap": 2 * (1 + steps), "table": 2 * (1 + steps)}
 
 
 def single_user_rate_lower_bound(pathloss, user_index, snr):

@@ -1,14 +1,17 @@
 """Monte Carlo engine and cell-averaged experiment tests."""
 
-import concurrent.futures
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import mode_rates
+from conftest import assert_no_child_left, mode_rates
 from dasrate import numerics, simulate, verification
+from dasrate.errors import DegenerateGainsError
 from dasrate.geometry import (MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix,
                               uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
@@ -541,63 +544,153 @@ def test_long_rates_grid_goes_in_point_slices(monkeypatch):
 
 
 @pytest.fixture
-def blocks_run(monkeypatch):
-    """The drops of every block a later cell average runs, in order; a
-    pool it starts maps its blocks in this process."""
-    blocks = []
-    worker = simulate._block_worker
+def shares_run(monkeypatch, tmp_path):
+    """A function that gives the drops of every block run since its last
+    call, one list per process in share order: this process, then each
+    child it forked, in fork order. Each process appends its blocks to
+    one log file."""
+    log = tmp_path / "blocks.log"
+    log.touch()
+    children = []
+    worker, fork = simulate._block_worker, os.fork
 
     def recording(args):
-        blocks.append(args[5])
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {args[5].start} {args[5].stop}\n")
         return worker(args)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
+    def counting_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def shares_run():
+        blocks = {}
+        for line in log.read_text().splitlines():
+            pid, lo, hi = map(int, line.split())
+            blocks.setdefault(pid, []).append(range(lo, hi))
+        shares = [blocks.pop(pid, []) for pid in (os.getpid(), *children)]
+        assert not blocks
+        log.write_text("")
+        children.clear()
+        return shares
 
     monkeypatch.setattr(simulate, "_block_worker", recording)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return blocks
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return shares_run
 
 
 @pytest.mark.parametrize("n_drops, n_points", [(10, 11), (64, 11), (65, 11), (150, 11),
                                                (90, 16), (5, 704)])
-def test_poolless_blocks_fill_the_drop_point_bound(monkeypatch, blocks_run, n_drops, n_points):
-    """With no pool, drops go out in as few blocks as MAX_BLOCK_VALUES
-    allows; here it holds 64 drops of an 11-point grid."""
+def test_poolless_blocks_fill_the_drop_point_bound(monkeypatch, shares_run, n_drops, n_points):
+    """At --jobs 1, drops go out in as few blocks as MAX_BLOCK_VALUES
+    allows, all in this process; here it holds 64 drops of an 11-point
+    grid."""
     fixed, per_point = nearest_footprint(2)
     assert (fixed, per_point) == (20, 10)
     bound = 64 * (fixed + 11 * per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", bound)
     grid = tuple(0.1 * i for i in range(n_points))
     cell_average(template(2), ["min-distance"], grid, n_drops=n_drops, n_channels=0, seed=48)
+    [blocks] = shares_run()
     size = max(1, bound // (fixed + n_points * per_point))
-    assert len(blocks_run) == math.ceil(n_drops / size)
+    assert len(blocks) == math.ceil(n_drops / size)
     assert all(len(drops) == 1 or len(drops) * (fixed + n_points * per_point) <= bound
-               for drops in blocks_run)
-    assert [d for drops in blocks_run for d in drops] == list(range(n_drops))
+               for drops in blocks)
+    assert [d for drops in blocks for d in drops] == list(range(n_drops))
 
 
-def test_pool_runs_split_drops_for_balance(blocks_run):
-    """A pool of two gets about eight blocks per worker, with the values
-    of the one block that holds every drop with no pool."""
+def test_jobs_split_drops_into_equal_shares(monkeypatch, shares_run):
+    """--jobs 2 splits 70 drops into two equal contiguous shares, the
+    first worked in this process and the second in one forked child,
+    with the values of the serial run; at --jobs 3, 20 drops go 7, 7 and
+    6, each share in blocks of at most the 3 drops MAX_BLOCK_VALUES
+    holds here."""
     grid = tuple(float(db) for db in range(0, 51, 5))
     args = (template(2), ["ideal", "min-distance"], grid)
     kwargs = dict(n_drops=70, n_channels=0, seed=49)
-    pooled = cell_average(*args, n_jobs=2, **kwargs)
-    assert blocks_run == [range(lo, min(lo + 5, 70)) for lo in range(0, 70, 5)]
-    blocks_run.clear()
-    assert same_curves(cell_average(*args, **kwargs), pooled)
-    assert blocks_run == [range(0, 70)]
+    forked = cell_average(*args, n_jobs=2, **kwargs)
+    assert shares_run() == [[range(0, 35)], [range(35, 70)]]
+    assert same_curves(cell_average(*args, **kwargs), forked)
+    assert shares_run() == [[range(0, 70)]]
+
+    fixed, per_point = nearest_footprint(2)
+    monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", 3 * (fixed + 11 * per_point))
+    args = (template(2), ["min-distance"], grid)
+    kwargs = dict(n_drops=20, n_channels=0, seed=49)
+    forked = cell_average(*args, n_jobs=3, **kwargs)
+    assert shares_run() == [[range(0, 3), range(3, 6), range(6, 7)],
+                            [range(7, 10), range(10, 13), range(13, 14)],
+                            [range(14, 17), range(17, 20)]]
+    assert same_curves(cell_average(*args, **kwargs), forked)
+
+
+def test_drop_shares_differ_by_at_most_one_drop(monkeypatch):
+    """Any drop and job count splits into min(jobs, drops) contiguous
+    shares in drop order, the longer ones first and at most one drop
+    longer than the others; with no ``os.fork``, into one share. Counted
+    without forking."""
+    for n_drops in range(1, 41):
+        for n_jobs in range(1, simulate.MAX_JOBS + 1):
+            shares = simulate._drop_shares(n_drops, n_jobs)
+            assert len(shares) == min(n_jobs, n_drops)
+            assert [d for share in shares for d in share] == list(range(n_drops))
+            sizes = [len(share) for share in shares]
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+    monkeypatch.delattr(os, "fork")
+    assert simulate._drop_shares(70, 2) == [range(0, 70)]
+
+
+@pytest.fixture
+def deadline():
+    """Fails a fork-runner test that has not finished in 60 s, by a
+    SIGALRM in this process, instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the fork runner took more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_child_that_sends_nothing_raises(monkeypatch, deadline):
+    """A child that leaves through os._exit(1) before it sends its share
+    makes the cell average raise, naming that child's drops, and the
+    other children are reaped."""
+    parent, worker = os.getpid(), simulate._block_worker
+
+    def dying(args):
+        if 2 in args[5] and os.getpid() != parent:
+            os._exit(1)
+        return worker(args)
+
+    monkeypatch.setattr(simulate, "_block_worker", dying)
+    with pytest.raises(RuntimeError, match="drops 2 to 3 ended without a result"):
+        cell_average(template(2), ["min-distance"], (0.0, 10.0), n_drops=6, n_channels=0,
+                     seed=52, n_jobs=3)
+    assert_no_child_left()
+
+
+def test_error_in_own_share_kills_and_reaps_children(monkeypatch, deadline):
+    """An error in the share this process works is raised at once: the
+    children, which would sleep 30 s, are killed and reaped."""
+    parent = os.getpid()
+
+    def failing(args):
+        if os.getpid() == parent:
+            raise DegenerateGainsError("forced in this process")
+        time.sleep(30)
+
+    monkeypatch.setattr(simulate, "_block_worker", failing)
+    started = time.monotonic()
+    with pytest.raises(DegenerateGainsError, match="forced in this process"):
+        cell_average(template(2), ["min-distance"], (0.0,), n_drops=3, n_channels=0,
+                     seed=53, n_jobs=3)
+    assert time.monotonic() - started < 10
+    assert_no_child_left()
 
 
 def test_nearest_user_hist_makes_one_kernel_call(monkeypatch):
@@ -640,13 +733,13 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
 
 
 @pytest.mark.parametrize("n_channels", [1, -1])
-def test_cell_average_refuses_other_channel_counts(blocks_run, n_channels):
+def test_cell_average_refuses_other_channel_counts(shares_run, n_channels):
     """0 channels rate in closed form and 2 or more by Monte Carlo; any
     other count is refused before any drop is drawn."""
     with pytest.raises(ValueError, match="n_channels"):
         cell_average(template(2), ["min-distance"], (0.0,), n_drops=2, n_channels=n_channels,
                      seed=1)
-    assert blocks_run == []
+    assert shares_run() == [[]]
 
 
 def test_cell_average_mc_rating_close_to_analytic():
