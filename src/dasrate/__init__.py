@@ -9,8 +9,7 @@ from .geometry import (PathlossMatrix, Scenario, db_to_linear,
 from .modes import (admissible, ideal_count, ideal_modes, min_distance_count, mode_label,
                     nearest_user_modes, parse_label)
 from .numerics import exp_e1
-from .rate import crossover_snr, row_sum_rates, subset_rates
-from .selection import select_rows
+from .rate import crossover_snr, row_sum_rates, select_rows, subset_rates
 from .simulate import cell_average, mc_sum_rates, mode_histogram
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ chosen, so that what is left out is under 2**-57 of the value.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -56,16 +55,6 @@ _CF_ROWS = ((1.0, 116), (1.15625, 104), (1.28125, 93), (1.46875, 83),
             (312.0, 5), (1344.0, 4), (28160.0, 3), (385875968.0, 2))
 
 
-def _float_for_float(branch):
-    """Let an array-in, array-out kernel give a Python float for a float."""
-    @functools.wraps(branch)
-    def kernel(x):
-        values = np.asarray(x, dtype=float)
-        out = branch(values.reshape(-1))
-        return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
-    return kernel
-
-
 def _horner(x, coefficients):
     """sum_k coefficients[k] x^k, highest power first."""
     total = np.full(len(x), coefficients[-1])
@@ -75,7 +64,6 @@ def _horner(x, coefficients):
     return total
 
 
-@_float_for_float
 def exp_e1(x):
     """Exponentially scaled exponential integral ``exp(x) * E1(x)``.
 
@@ -89,6 +77,8 @@ def exp_e1(x):
     Raises:
         ValueError: if an element is not a finite positive number.
     """
+    values = np.asarray(x, dtype=float)
+    x = values.reshape(-1)
     finite = (x > 0.0) & (x < math.inf)
     if not finite.all():
         raise ValueError(f"exp_e1 requires finite x > 0, got {float(x[~finite][0])!r}")
@@ -96,12 +86,11 @@ def exp_e1(x):
     out = np.empty_like(x)
     out[low] = _exp_e1_series(x[low])
     out[~low] = _exp_e1_continued_fraction(x[~low])
-    return out
+    return float(out[0]) if values.ndim == 0 else out.reshape(values.shape)
 
 
-@_float_for_float
 def _exp_e1_series(x):
-    """Power-series branch, accurate for 0 < x <= 1.
+    """Power-series branch of a 1-D array, accurate for 0 < x <= 1.
 
     exp(x) * (-gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)), with
     ``exp`` and the sum as Horner polynomials. ``ln x`` is ``e ln 2 +
@@ -126,9 +115,8 @@ def _exp_e1_series(x):
     return total
 
 
-@_float_for_float
 def _exp_e1_continued_fraction(x):
-    """Continued-fraction branch, accurate for x >= 1.
+    """Continued-fraction branch of a 1-D array, accurate for x >= 1.
 
     exp(x) * E1(x) = 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
     evaluated bottom-up, ``t <- x - i^2/t + (2i - 1)`` from ``t = inf`` at

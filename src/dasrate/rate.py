@@ -16,7 +16,8 @@ so user k, served by ports S while ports A are active, has rate
 R_k(A) - R_k(A minus S), where R_k(B) is its interference-free rate over
 port set B and R_k(empty) = 0. ``subset_rates`` gives R_k(B) of every
 user and subset of a block of drops at many SNRs from one kernel call,
-and ``row_sum_rates`` rates any mode of those drops from that one table.
+and ``row_sum_rates`` rates any mode of those drops from that one table;
+``select_rows`` picks the best of a set's rated rows.
 The identity is algebraic in the kernel values, so it holds for the
 approximated rates too.
 
@@ -186,6 +187,14 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
                     - np.take_along_axis(user, rest[:, None], axis=2))
         total = rate if total is None else total + rate
     return total
+
+
+def select_rows(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best candidate at each point of a (... x points x candidates) rate
+    array: its column and its rate, one per point. The first maximizer
+    wins ties."""
+    best = rates.argmax(axis=-1)
+    return best, np.take_along_axis(rates, best[..., None], axis=-1)[..., 0]
 
 
 # --- two-port, two-user analysis -------------------------------------------

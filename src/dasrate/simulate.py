@@ -9,14 +9,14 @@ stream is jumped or advanced. Drop d's users come from (seed; d), the
 fading of its chunk c from (seed; d, c), and chunk c of a fixed
 geometry from (seed; 0, 0, c).
 
-A draw does not depend on the SNR, so each chunk is drawn
-once per drop and read by every mode and point rated there (common
-random numbers). A mode rates each draw and point as log2 of the
-product of its users' factors 1 + S / (I + 1/snr), one log2 per run of
-users, the runs split on the mode's draws alone so that no product
-overflows. Each (mode, point) adds its chunks in chunk order and
-drop results are combined in drop order, so outputs are bit-identical
-for a given seed whatever the worker count. A command splits its drops
+A draw does not depend on the SNR, so each chunk is drawn once per drop
+and read by every mode and point rated there (common random numbers).
+A mode rates each draw and point as log2 of the product of its users'
+factors 1 + S / (I + 1/snr); where a chunk's product passes 2^1024 at a
+point, that point's draws of the chunk add the users' log2s instead.
+Each (mode, point) adds its chunks in chunk order and drop results are
+combined in drop order, so outputs are bit-identical for a given seed
+whatever the worker count. A command splits its drops
 into at most ``--jobs`` equal contiguous shares, never more than it has
 drops, and works the first share itself and each other one in a child
 process made by ``os.fork``.
@@ -35,8 +35,7 @@ from .errors import CapacityError, ConfigError
 from .geometry import MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from .modes import (check_enumeration_budget, check_fit, ideal_count, ideal_modes, mode_label,
                     nearest_user_modes)
-from .rate import row_sum_rates, subset_rates
-from .selection import select_rows
+from .rate import row_sum_rates, select_rows, subset_rates
 
 # Full-scale experiment defaults; CI-scale runs pass smaller counts.
 DEFAULT_N_CHANNELS = 5000
@@ -52,8 +51,8 @@ MAX_JOBS = 256
 # the trial count.
 MC_CHUNK = 8192
 
-# Most SNR points one Monte Carlo rating pass holds: its three
-# (points, chunk) work arrays take at most 3 MiB whatever the grid
+# Most SNR points one Monte Carlo rating pass holds: its two
+# (points, chunk) work arrays take at most 2 MiB whatever the grid
 # length, and an 11-point grid is one pass.
 MC_POINT_SLICE = 16
 
@@ -106,60 +105,33 @@ def _user_powers(hg: np.ndarray, row) -> list[tuple]:
             for user in dict.fromkeys(row[j] for j in active)]
 
 
-# Most bits the factors of one run of users may bound together: a factor
-# 1 + S / (I + 1/snr) is at most 1 + S * snr, so a run whose bounds
-# log2(1 + max S * _MAX_SNR) sum to at most this keeps its product below
-# 2^1024, with 24 bits to spare for rounding.
-RUN_BITS = 1000.0
-_MAX_SNR = db_to_linear(MAX_ABS_SNR_DB)
-
-
-def _runs(users: list[tuple]) -> list[list[tuple]]:
-    """``users`` in consecutive runs, in order: a run closes before the
-    sum of its users' bounds log2(1 + max S * _MAX_SNR) would pass
-    RUN_BITS. The split reads the users' draws, never the SNRs rated."""
-    runs, bits = [], math.inf
-    for user in users:
-        bound = math.log2(1.0 + float(user[0].max()) * _MAX_SNR)
-        if bits + bound > RUN_BITS:
-            runs.append([])
-            bits = 0.0
-        runs[-1].append(user)
-        bits += bound
-    return runs
-
-
 def _sum_rates(users: list[tuple], inv_snr: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Sum rate of ``users`` for each draw (column) and each 1 / snr of
-    the (points, 1) ``inv_snr`` (row), in ``work[0]``; ``work`` is a (3,
+    the (points, 1) ``inv_snr`` (row), in ``work[0]``; ``work`` is a (2,
     points, draws) array. Each user has the factor 1 + S / (I + 1 / snr),
-    and each of the ``_runs`` of users rates log2 of the product of its
-    factors, multiplied in user order; the runs' rates add in order. The
-    first run's product is formed in ``work[0]``, a later run's in
-    ``work[1]``, and each further factor in ``work[2]``. A user with no
-    interference divides by ``inv_snr``, which is 0 + 1 / snr exactly;
-    no user rates 0."""
-    rates, product, factor = work
+    and the rate is log2 of the product of the factors, multiplied in
+    user order: the product is formed in ``work[0]`` and each further
+    factor in ``work[1]``. A product past 2^1024 reads inf. A user with
+    no interference divides by ``inv_snr``, which is 0 + 1 / snr
+    exactly; no user rates 0."""
+    product, factor = work
     if not users:
-        rates[:] = 0.0
-    for r, run in enumerate(_runs(users)):
-        out = product if r else rates
-        for i, (signal, interference) in enumerate(run):
-            term = factor if i else out
-            noise = np.add(interference, inv_snr, out=term) if np.ndim(interference) else inv_snr
-            np.divide(signal, noise, out=term)
-            term += 1.0
-            if i:
-                out *= term
-        np.log2(out, out=out)
-        if r:
-            rates += out
-    return rates
+        product[:] = 1.0
+    for i, (signal, interference) in enumerate(users):
+        term = factor if i else product
+        noise = np.add(interference, inv_snr, out=term) if np.ndim(interference) else inv_snr
+        np.divide(signal, noise, out=term)
+        term += 1.0
+        if i:
+            product *= term
+    return np.log2(product, out=product)
 
 
+# A product past 2^1024 is expected: it is caught by its inf total and
+# rated again, so the overflow is not reported.
+@np.errstate(over="ignore")
 def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
                  key: np.random.SeedSequence, *, at: np.ndarray | None = None,
-                 fading: np.ndarray | None = None,
                  std_errors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Monte Carlo means and standard errors of the ergodic sum rates of
     the assignment ``rows``, each a sequence of N port entries, over the
@@ -169,25 +141,21 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 
     Only the cells of the (rows x points) boolean mask ``at`` are rated,
     every cell when it is None; the others read NaN. Chunk c is drawn
-    by SFC64 from ``key``'s child c into ``fading`` (at least
-    (min(n_channels, MC_CHUNK), K, N); allocated if None) and scaled by
-    ``gains`` in place. Each row's user powers are summed once per chunk
-    and rated by ``_sum_rates`` at its points in slices of
-    MC_POINT_SLICE, one log2 per run of users. Each cell adds its own
-    total, and sum of squares, in chunk order, so its estimate does not
-    depend on the other cells of the call. A fixed geometry passes
-    ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c
-    from ``SeedSequence(seed, spawn_key=(c,))``.
+    by SFC64 from ``key``'s child c into the call's one (min(n_channels,
+    MC_CHUNK), K, N) array and scaled by ``gains`` in place. Each row's
+    user powers are summed once per chunk and rated by ``_sum_rates`` at
+    its points in slices of MC_POINT_SLICE, one log2 of the product of
+    its users' factors per draw. A point whose chunk total is inf had a
+    product past 2^1024: its draws of that chunk are rated again as the
+    per-user log2s added in user order. Each cell adds its own total,
+    and sum of squares, in chunk order, so its estimate does not depend
+    on the other cells of the call. A fixed geometry passes
+    ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c from
+    ``SeedSequence(seed, spawn_key=(c,))``.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
-    shape = (min(n_channels, MC_CHUNK), *gains.shape)
-    if fading is None:
-        fading = np.empty(shape)
-    elif (fading.dtype != np.float64 or not fading.flags.c_contiguous
-          or fading.shape[1:] != shape[1:] or fading.shape[0] < shape[0]):
-        raise ValueError(f"fading buffer must be C-contiguous float64 with shape "
-                         f"{shape} or more rows, got {fading.dtype} {fading.shape}")
+    fading = np.empty((min(n_channels, MC_CHUNK), *gains.shape))
     snrs = np.asarray(snrs, dtype=float)
     at = np.ones((len(rows), len(snrs)), dtype=bool) if at is None else np.asarray(at)
     if at.shape != (len(rows), len(snrs)):
@@ -196,7 +164,7 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
     inv_snrs = [1.0 / snrs[cols, None] for cols in points]
     total = np.zeros(at.shape)
     total_sq = np.zeros(at.shape) if std_errors else None
-    work = np.empty(3 * min(MC_POINT_SLICE, max(map(len, points), default=0)) * shape[0])
+    work = np.empty(2 * min(MC_POINT_SLICE, max(map(len, points), default=0)) * len(fading))
     for c, size in enumerate(_chunk_sizes(n_channels)):
         hg = _chunk_stream(key, c).standard_exponential(out=fading[:size])
         hg *= gains
@@ -205,8 +173,16 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
             for lo in range(0, len(cols), MC_POINT_SLICE):
                 part, idx = inv_snr[lo:lo + MC_POINT_SLICE], cols[lo:lo + MC_POINT_SLICE]
                 rates = _sum_rates(users, part,
-                                   work[:3 * len(part) * size].reshape(3, len(part), size))
-                total[r, idx] += rates.sum(axis=1)
+                                   work[:2 * len(part) * size].reshape(2, len(part), size))
+                sums = rates.sum(axis=1)
+                over = np.isinf(sums)
+                if over.any():
+                    logs = np.zeros((np.count_nonzero(over), size))
+                    for user in users:
+                        logs += _sum_rates([user], part[over], np.empty((2, *logs.shape)))
+                    rates[over] = logs
+                    sums[over] = logs.sum(axis=1)
+                total[r, idx] += sums
                 if std_errors:
                     total_sq[r, idx] += np.square(rates, out=rates).sum(axis=1)
     mean = np.where(at, total, np.nan) / n_channels
@@ -218,7 +194,8 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 
 # --- cell-averaged experiments ----------------------------------------------
 
-def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
+def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
+                  drops: range) -> tuple[np.ndarray, np.ndarray]:
     """The (drops x sets x points x ports) chosen assignments and (drops
     x sets x points) recorded values of a block of consecutive drops.
 
@@ -232,10 +209,9 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
     The value is the closed-form rate, or at ``n_channels`` >= 2 the
     Monte Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
     chosen mode at the points where any set chose it, from one draw per
-    chunk under the drop's key, into the block's one buffer, and each
-    (set, point) reads its mode's mean there.
+    chunk under the drop's key, and each (set, point) reads its mode's
+    mean there.
     """
-    (template, sets, grid_db, n_channels, seed, drops) = args
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     keys = [stream_key(seed, drop) for drop in drops]
     pl = pathloss_matrix(template, uniform_positions(template, keys))
@@ -254,9 +230,6 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
             chosen[:, s, lo:lo + step] = (rows[best] if rows.ndim == 2 else
                                           rows[np.arange(len(drops))[:, None], best])
     if n_channels:
-        # Allocated once: a fresh array per chunk is freed to the OS at
-        # the heap top and page-faulted in again by the next chunk.
-        fading = np.empty((min(n_channels, MC_CHUNK), template.n_users, template.n_ports))
         points = np.arange(len(grid_db))
         for key, gains, drop_chosen, drop_values in zip(keys, pl.gains, chosen, values):
             # Each distinct chosen mode, the one each (set, point) chose,
@@ -267,7 +240,7 @@ def _block_worker(args) -> tuple[np.ndarray, np.ndarray]:
             at = np.zeros((len(distinct), len(grid_db)), dtype=bool)
             at[which, points] = True
             mean, _ = mc_sum_rates(gains, distinct, snrs, n_channels, key, at=at,
-                                   fading=fading, std_errors=False)
+                                   std_errors=False)
             drop_values[:] = mean[which, points]
     return chosen, values
 
@@ -386,18 +359,22 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     drop, in drop order, from the ``_drop_shares`` of ``n_jobs``: this
     process works the first share and a forked child each other one
     (``_fork_shares``). The calling process should run no other thread.
+    ``n_jobs`` outside 1 to MAX_JOBS is refused (ValueError) before any
+    drop is drawn.
 
     Each share goes in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
     as its memory bound permits. A scenario too large for one drop is
     refused by ``check_drop_size`` first.
     """
+    if not 1 <= n_jobs <= MAX_JOBS:
+        raise ValueError(f"n_jobs must be 1 to {MAX_JOBS}, got {n_jobs}")
     check_drop_size(template.n_ports, template.n_users)
     fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
 
     def work(drops: range) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [_block_worker((template, sets, grid_db, n_channels, seed, drops[lo:lo + size]))
+        return [_block_worker(template, sets, grid_db, n_channels, seed, drops[lo:lo + size])
                 for lo in range(0, len(drops), size)]
 
     shares = _fork_shares(work, _drop_shares(n_drops, n_jobs))

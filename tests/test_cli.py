@@ -545,10 +545,10 @@ def test_error_in_a_child_share_exits_as_at_one_job(capsys, monkeypatch, forks):
     child is left."""
     worker = simulate._block_worker
 
-    def failing(args):
+    def failing(*args):
         if 2 in args[5]:
             raise DegenerateGainsError("forced at drop 2")
-        return worker(args)
+        return worker(*args)
 
     monkeypatch.setattr(simulate, "_block_worker", failing)
     argv = ("sweep", "--config", "fig3.cfg", "--drops", "4", "--snr", "0:25:50")

@@ -16,8 +16,8 @@ from dasrate.experiments import bundled_config_path
 from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
                               uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, mode_label, nearest_user_modes
-from dasrate.rate import GAIN_TIE_REL_TOL, _near_ties, log1p_inv, row_sum_rates, subset_rates
-from dasrate.selection import select_rows
+from dasrate.rate import (GAIN_TIE_REL_TOL, _near_ties, log1p_inv, row_sum_rates, select_rows,
+                          subset_rates)
 from dasrate.simulate import stream_key
 from dasrate.verification import Link, partition_rate
 

@@ -8,8 +8,7 @@ import numpy as np
 from conftest import mode_rates
 from dasrate.geometry import Scenario, pathloss_matrix, uniform_positions
 from dasrate.modes import ideal_modes, nearest_user_modes
-from dasrate.rate import row_sum_rates, subset_rates
-from dasrate.selection import select_rows
+from dasrate.rate import row_sum_rates, select_rows, subset_rates
 from dasrate.verification import check_selection_properties
 
 CELL_RADIUS = math.sqrt(112.0 / 3.0)

@@ -5,6 +5,7 @@ import os
 import signal
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ import pytest
 from conftest import assert_no_child_left, mode_rates
 from dasrate import numerics, simulate, verification
 from dasrate.errors import DegenerateGainsError
-from dasrate.geometry import (MAX_ABS_SNR_DB, Scenario, db_to_linear, pathloss_matrix,
-                              uniform_positions)
+from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
-from dasrate.selection import select_rows
+from dasrate.rate import select_rows
 from dasrate.simulate import (_chunk_sizes, _chunk_stream, _sum_rates, _user_powers,
                               cell_average, mc_sum_rates, mode_histogram, stream_key)
 
@@ -44,14 +44,14 @@ def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
     h = np.asarray(power_gains, dtype=float)
     users = _user_powers(h * pl.gains, mode)
     inv_snr = np.array([[1.0 / snr]])
-    return _sum_rates(users, inv_snr, np.empty((3, 1, len(h))))[0]
+    return _sum_rates(users, inv_snr, np.empty((2, 1, len(h))))[0]
 
 
-def one_estimate(pl, mode, snr, n_channels, seed, fading=None):
+def one_estimate(pl, mode, snr, n_channels, seed):
     """``mc_sum_rates`` of one assignment at one SNR, keyed by
     ``SeedSequence(seed)``, as (mean, standard error)."""
     ((mean,),), ((std_error,),) = mc_sum_rates(pl.gains, [mode], [snr], n_channels,
-                                               np.random.SeedSequence(seed), fading=fading)
+                                               np.random.SeedSequence(seed))
     return float(mean), float(std_error)
 
 
@@ -74,7 +74,7 @@ def test_instantaneous_rates_hand_built_two_by_two():
     (s1, i1), (s2, i2) = _user_powers(np.ones((1, 2, 2)) * weights, mode)
     assert (s1[0], i1[0], s2[0], i2[0]) == (1.0, 2.0, 4.0, 3.0)
     h = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-    rates = _sum_rates(_user_powers(h * weights, mode), inv_snr, np.empty((3, 1, 1)))
+    rates = _sum_rates(_user_powers(h * weights, mode), inv_snr, np.empty((2, 1, 1)))
     assert rates[0, 0] == pytest.approx(math.log2(1.0 + 1.0 / 5.0)
                                         + math.log2(1.0 + 16.0 / 10.0))
     # each user alone: its own signal over noise plus its interferer
@@ -82,7 +82,7 @@ def test_instantaneous_rates_hand_built_two_by_two():
         keep = np.zeros((2, 1))
         keep[user] = 1.0
         alone = _sum_rates(_user_powers(h * weights * keep, mode), inv_snr,
-                           np.empty((3, 1, 1)))
+                           np.empty((2, 1, 1)))
         assert alone[0, 0] == pytest.approx(math.log2(1.0 + expected))
 
 
@@ -115,13 +115,13 @@ def dense_sum_rates(sig_w, intf_w, h):
 
 
 def ordered_sum_rates(pathloss, mode, inv_snr, h):
-    """The engine's per-draw sum rates in a dense form that adds and
-    multiplies in the engine's order: ports in index order, users in the
-    order they first appear in the mode's assignment, each run of users
-    one log2 of the product of its factors 1 + S / (I + 1/snr), the runs'
-    logs added in order. A run closes before the sum of its users' bounds
-    log2(1 + max S * snr_max) would pass RUN_BITS. Masked ports add an
-    exact 0 and idle users multiply by an exact 1."""
+    """The engine's per-draw sum rates of the chunk ``h`` in a dense form
+    that adds and multiplies in the engine's order: ports in index order,
+    users in the order they first appear in the mode's assignment, one
+    log2 of the product of their factors 1 + S / (I + 1/snr). When some
+    draw's product passes 2^1024, every draw adds its users' log2s in
+    order instead. Masked ports add an exact 0 and idle users multiply by
+    an exact 1, or add an exact 0."""
     users, first = np.unique(mode, return_index=True)
     by_first = users[np.argsort(first)]
     active = by_first[by_first != 0].tolist()
@@ -131,16 +131,11 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
     signal = np.cumsum(hg * sig_mask, axis=2)[..., -1]
     interference = np.cumsum(hg * intf_mask, axis=2)[..., -1]
     factors = 1.0 + signal / (interference + inv_snr)
-    runs, run_bits = [], math.inf
-    for u, peak in enumerate(signal.max(axis=0).tolist()):
-        bound = math.log2(1.0 + peak * 10.0 ** (MAX_ABS_SNR_DB / 10.0))
-        if run_bits + bound > simulate.RUN_BITS:
-            runs.append([])
-            run_bits = 0.0
-        runs[-1].append(u)
-        run_bits += bound
-    logs = [np.log2(np.cumprod(factors[:, run], axis=1)[:, -1]) for run in runs]
-    return np.cumsum(np.stack(logs, axis=1), axis=1)[:, -1]
+    with np.errstate(over="ignore"):
+        rates = np.log2(np.cumprod(factors, axis=1)[:, -1])
+    if np.isinf(rates).any():
+        rates = np.cumsum(np.log2(factors), axis=1)[:, -1]
+    return rates
 
 
 def dense_mc_estimate(n_channels, seed, shape, sum_rates):
@@ -223,30 +218,39 @@ def test_sum_rates_without_interferer_match_dense_form_bit_for_bit():
         h = _chunk_stream(np.random.SeedSequence(69), n).standard_exponential(size=(300, n, n))
         for user in (1, n):
             mode = (user,) * n
-            work = np.full((3, len(inv_snrs), len(h)), np.nan)
+            work = np.full((2, len(inv_snrs), len(h)), np.nan)
             got = _sum_rates(_user_powers(h * pl.gains, mode), inv_snrs, work)
             for p, inv_snr in enumerate(inv_snrs[:, 0]):
                 want = ordered_sum_rates(pl, mode, inv_snr, h)
                 assert np.array_equal(bits(got[p]), bits(want)), (mode, inv_snr)
-    idle = _sum_rates([], inv_snrs, np.full((3, len(inv_snrs), 5), np.nan))
+    idle = _sum_rates([], inv_snrs, np.full((2, len(inv_snrs), 5), np.nan))
     assert np.array_equal(bits(idle), bits(np.zeros((len(inv_snrs), 5))))
 
 
 @pytest.mark.parametrize("n_channels", [200, 9000])
 def test_mc_matches_dense_oracle_bit_for_bit(n_channels):
-    """9000 channels are two chunks, the second a tail."""
+    """9000 channels are two chunks, the second a tail. On the extreme
+    2 x 2 geometry, rated in one call at 0 to 300 dB, the product of mode
+    [1 2] overflows at 200 and 300 dB, so only there each chunk adds its
+    users' logs."""
     for case, pl, snr, mode in oracle_cases():
         inv_snr = 1.0 / snr
         assert (one_estimate(pl, mode, snr, n_channels, (64, case))
                 == dense_mc_estimate(
                     n_channels, (64, case), pl.gains.shape,
                     lambda h: ordered_sum_rates(pl, mode, inv_snr, h))), str(mode)
+    pl, snrs = extreme_pathloss(), [db_to_linear(db) for db in (0, 100, 200, 300)]
+    means, errors = mc_sum_rates(pl.gains, [(1, 2)], snrs, n_channels, np.random.SeedSequence(77))
+    for snr, mean, error in zip(snrs, means[0], errors[0]):
+        assert (mean, error) == dense_mc_estimate(
+            n_channels, 77, pl.gains.shape,
+            lambda h: ordered_sum_rates(pl, (1, 2), 1.0 / snr, h)), snr
 
 
 def extreme_pathloss():
     """A 2 x 2 fixed geometry whose mode [1 2] has factors 1 + S / (I +
     1/snr) of about 1e270 and 1e66 at 280 to 300 dB: their product
-    overflows, so its users rate in two runs."""
+    overflows there, and at 200 dB, but not at 0 or 100 dB."""
     return pathloss_matrix(Scenario(
         n_ports=2, n_users=2, cell_radius=6.11, pathloss_exponent=120.0, tx_power=1.0,
         port_positions=((1.0, 0.0), (-1.0, 0.0)), user_positions=((1.0, 0.0), (-1.0, 0.5))))
@@ -259,23 +263,31 @@ def test_mc_sum_rates_pair_does_not_depend_on_its_call():
     estimate of a call that rates that cell alone; the cells left out of
     ``at`` read NaN, and a mask of another shape is refused. At N = K = 3
     the SNRs fill more than one slice; on the extreme 2 x 2 geometry the
-    mode [1 2] rates in two runs."""
+    product of mode [1 2] overflows at 200 dB and above, and no call
+    warns."""
     cases = ((drop(3, 75), ideal_modes(3, 3)[::9], range(-10, 60, 3)),
-             (extreme_pathloss(), ideal_modes(2, 2), range(280, 301, 10)))
+             (extreme_pathloss(), ideal_modes(2, 2), (0, 100, 200, 280, 290, 300)))
     assert len(cases[0][2]) > simulate.MC_POINT_SLICE
-    assert len(simulate._runs(_user_powers(cases[1][0].gains[None], [1, 2]))) == 2
+    with np.errstate(over="ignore"):
+        overflows = [np.isinf(instantaneous_sum_rates(
+            cases[1][0], [1, 2], np.ones((1, 2, 2)), db_to_linear(db))[0]) for db in cases[1][2]]
+    assert overflows == [False, False, True, True, True, True]
     for pl, modes, grid_db in cases:
         snrs = [db_to_linear(db) for db in grid_db]
         assert len(modes) >= 3
         at = (np.arange(len(modes))[:, None] + np.arange(len(snrs))) % 2 == 0
         at[0] = True
-        means, errors = mc_sum_rates(pl.gains, modes, snrs, 9000,
-                                     np.random.SeedSequence((76, 1)), at=at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, errors = mc_sum_rates(pl.gains, modes, snrs, 9000,
+                                         np.random.SeedSequence((76, 1)), at=at)
         assert means.shape == errors.shape == at.shape
         assert np.isnan(means[~at]).all() and np.isnan(errors[~at]).all()
         assert np.isfinite(means[at]).all() and np.isfinite(errors[at]).all()
         for m, p in zip(*np.nonzero(at)):
-            alone = one_estimate(pl, modes[m], snrs[p], 9000, (76, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                alone = one_estimate(pl, modes[m], snrs[p], 9000, (76, 1))
             assert bits(alone).tolist() == bits([means[m, p], errors[m, p]]).tolist(), (m, p)
             weights = dense_weights(pl, modes[m], snrs[p])
             dense, _ = dense_mc_estimate(9000, (76, 1), pl.gains.shape,
@@ -368,32 +380,15 @@ def test_neighbouring_chunk_streams_are_uncorrelated(seed):
 
 @pytest.mark.parametrize("n_channels", [2, 200, simulate.MC_CHUNK, 9000])
 def test_mc_fading_buffer_does_not_change_estimate(n_channels):
-    """A buffer passed in, stale or longer than needed, gives the estimate
-    of a call that allocates its own; 9000 channels are a chunk and a tail."""
+    """The one fading array of a call, each chunk drawn into its head
+    over the chunk before (9000 channels are a chunk and a tail), gives
+    bit for bit the estimate of fresh draws per chunk, call after call."""
     pl = drop(3, 70)
     mode = (1, 2, 3)
-    want = one_estimate(pl, mode, 300.0, n_channels, (71, 2))
-    for rows in (min(n_channels, simulate.MC_CHUNK), simulate.MC_CHUNK + 5):
-        fading = np.full((rows, 3, 3), np.nan)
-        for _ in range(2):
-            assert one_estimate(pl, mode, 300.0, n_channels, (71, 2), fading) == want
-
-
-@pytest.mark.parametrize("fading", [
-    np.empty((199, 3, 3)),
-    np.empty((200, 3, 2)),
-    np.empty((200, 2, 3)),
-    np.empty((200, 9)),
-    np.empty((200, 3, 3, 1)),
-    np.empty((200, 3, 3), dtype=np.float32),
-    np.empty((400, 3, 3))[::2],
-    np.empty((200, 3, 3), order="F"),
-], ids=["too-few-rows", "wrong-ports", "wrong-users", "flat", "4d", "float32",
-        "strided", "fortran"])
-def test_mc_rejects_unfit_fading_buffer(fading):
-    pl = drop(3, 72)
-    with pytest.raises(ValueError, match="fading buffer"):
-        one_estimate(pl, (1, 2, 3), 1.0, 200, 73, fading)
+    want = dense_mc_estimate(n_channels, (71, 2), pl.gains.shape,
+                             lambda h: ordered_sum_rates(pl, mode, 1.0 / 300.0, h))
+    for _ in range(2):
+        assert one_estimate(pl, mode, 300.0, n_channels, (71, 2)) == want
 
 
 def test_mc_deterministic_per_seed():
@@ -554,10 +549,10 @@ def shares_run(monkeypatch, tmp_path):
     children = []
     worker, fork = simulate._block_worker, os.fork
 
-    def recording(args):
+    def recording(*args):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {args[5].start} {args[5].stop}\n")
-        return worker(args)
+        return worker(*args)
 
     def counting_fork():
         pid = fork()
@@ -642,6 +637,21 @@ def test_drop_shares_differ_by_at_most_one_drop(monkeypatch):
     assert simulate._drop_shares(70, 2) == [range(0, 70)]
 
 
+@pytest.mark.parametrize("n_jobs", [0, -3, simulate.MAX_JOBS + 1])
+def test_drivers_refuse_job_counts_out_of_range(monkeypatch, n_jobs):
+    """Both drivers refuse a job count outside 1 to MAX_JOBS with
+    ValueError before any drop is drawn or any child forked."""
+    def refused(*args):
+        raise AssertionError("called for a refused job count")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(simulate, "uniform_positions", refused)
+    with pytest.raises(ValueError, match="n_jobs must be 1 to"):
+        cell_average(template(2), ["min-distance"], (0.0,), 4, 0, 1, n_jobs=n_jobs)
+    with pytest.raises(ValueError, match="n_jobs must be 1 to"):
+        mode_histogram(template(2), [(0.0, 10.0)], 4, 1, n_jobs=n_jobs)
+
+
 @pytest.fixture
 def deadline():
     """Fails a fork-runner test that has not finished in 60 s, by a
@@ -662,10 +672,10 @@ def test_child_that_sends_nothing_raises(monkeypatch, deadline):
     other children are reaped."""
     parent, worker = os.getpid(), simulate._block_worker
 
-    def dying(args):
+    def dying(*args):
         if 2 in args[5] and os.getpid() != parent:
             os._exit(1)
-        return worker(args)
+        return worker(*args)
 
     monkeypatch.setattr(simulate, "_block_worker", dying)
     with pytest.raises(RuntimeError, match="drops 2 to 3 ended without a result"):
@@ -679,7 +689,7 @@ def test_error_in_own_share_kills_and_reaps_children(monkeypatch, deadline):
     children, which would sleep 30 s, are killed and reaped."""
     parent = os.getpid()
 
-    def failing(args):
+    def failing(*args):
         if os.getpid() == parent:
             raise DegenerateGainsError("forced in this process")
         time.sleep(30)
@@ -713,10 +723,10 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
     peaks = []
     worker = simulate._block_worker
 
-    def traced(args):
+    def traced(*args):
         tracemalloc.start()
         try:
-            out = worker(args)
+            out = worker(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -824,8 +834,8 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
         base, per_point = simulate._drop_footprint(n, n, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
-    chosen, values = simulate._block_worker((template, sets, grid, 0, 81,
-                                             range(len(positions))))
+    chosen, values = simulate._block_worker(template, sets, grid, 0, 81,
+                                            range(len(positions)))
     assert chosen.shape == (len(positions), 3, len(grid), n)
     ties = full_size = 0
     for d, users in enumerate(positions):
@@ -875,14 +885,14 @@ def streams_opened(monkeypatch):
 def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid):
     """A block of 3 drops at 9000 channels (a chunk and a tail) opens 3 x 2
     streams, keyed (seed; drop, chunk), whatever its points and sets, and
-    draws all of them into one buffer; sets that chose one mode at a point
-    record one value there."""
-    analytic = simulate._block_worker((template(3), sets, grid, 0, 74, range(5, 8)))
-    mc = simulate._block_worker((template(3), sets, grid, 9000, 74, range(5, 8)))
+    draws both chunks of a drop into one buffer; sets that chose one mode
+    at a point record one value there."""
+    analytic = simulate._block_worker(template(3), sets, grid, 0, 74, range(5, 8))
+    mc = simulate._block_worker(template(3), sets, grid, 9000, 74, range(5, 8))
     assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
         (74, (drop, c)) for drop in range(5, 8) for c in range(2)]
-    assert {(address, shape) for _, _, address, shape, _ in streams_opened} == {
-        (streams_opened[0][2], (simulate.MC_CHUNK, 3, 3))}
+    for first, tail in zip(streams_opened[::2], streams_opened[1::2]):
+        assert first[2:4] == tail[2:4] == (first[2], (simulate.MC_CHUNK, 3, 3))
     (chosen, _), (mc_chosen, values) = analytic, mc
     assert mc_chosen.tolist() == chosen.tolist()
     for drop_chosen, drop_values in zip(chosen.tolist(), values):
