@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import experiments, simulate
 from .errors import ConfigError, DasRateError
-from .geometry import Scenario, load_scenario
+from .geometry import load_scenario
 from .modes import parse_label
 
 # Objects made at import live until exit. Frozen, they are skipped by
@@ -127,13 +127,6 @@ def _check_args(args) -> None:
         raise ConfigError(f"--out directory '{Path(out).parent}' does not exist")
 
 
-def _resolve_config(name: str) -> Scenario:
-    path = Path(name)
-    if not path.exists():
-        path = experiments.bundled_config_path(name)
-    return load_scenario(path)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
@@ -145,7 +138,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_rates(args) -> int:
-    scenario = _resolve_config(args.config)
+    scenario = load_scenario(args.config)
     grid = experiments.parse_snr_spec(args.snr)
     rows = [parse_label(tok) for tok in args.modes.split(",") if tok.strip()]
     modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users)
@@ -157,7 +150,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _resolve_config(args.config)
+    scenario = load_scenario(args.config)
     grid = experiments.parse_snr_spec(args.snr)
     schemes = [*(args.scheme or []), *map(parse_label, args.fixed_mode or [])] or [
         "ideal", "min-distance"]
@@ -171,7 +164,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    scenario = _resolve_config(args.config)
+    scenario = load_scenario(args.config)
     lines = experiments.crossover_lines(scenario, reference_db=args.reference_db)
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -196,7 +189,7 @@ def _parse_ranges(spec: str) -> list[tuple[float, float]]:
 
 
 def _cmd_hist(args) -> int:
-    scenario = _resolve_config(args.config)
+    scenario = load_scenario(args.config)
     fractions = simulate.mode_histogram(scenario, _parse_ranges(args.snr_ranges),
                                         n_drops=args.drops, seed=args.seed,
                                         n_jobs=args.jobs)

@@ -11,8 +11,6 @@ ulp under another numpy SIMD dispatch, and so can a printed digit.
 from __future__ import annotations
 
 import math
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -39,15 +37,6 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
     except ValueError as exc:
         raise ConfigError(f"non-numeric SNR spec {spec!r}") from exc
     return simulate.snr_grid(start, step, stop, f"SNR spec/--snr {spec!r}")
-
-
-def bundled_config_path(name: str) -> Path:
-    """Filesystem path of a packaged example config (e.g. ``fig2.cfg``)."""
-    ref = resources.files("dasrate").joinpath("configs", name)
-    with resources.as_file(ref) as path:
-        if not path.exists():
-            raise ConfigError(f"no bundled config named {name!r}")
-        return path
 
 
 def curve_to_csv(snr_grid_db, entries, *blocks: tuple[str, np.ndarray]) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,9 @@ Coord = tuple[float, float]
 # Ring radius of the circular port layout, as a fraction of cell radius.
 RING_RADIUS_FACTOR = math.sqrt(3.0 / 7.0)
 
-# SNR points and the configured transmit power lie within
-# +-MAX_ABS_SNR_DB dB. Every closed-form and Monte Carlo rate of the
-# bundled configs is finite there; the linear SNR itself overflows a float
-# near 3083 dB.
+# SNR points lie within +-MAX_ABS_SNR_DB dB. Every closed-form and Monte
+# Carlo rate of the bundled configs is finite there; the linear SNR itself
+# overflows a float near 3083 dB.
 MAX_ABS_SNR_DB = 300.0
 
 # Most antenna ports a scenario may have. Every command builds a drop's
@@ -46,7 +46,7 @@ def linear_to_db(value: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Static problem description: counts, powers, and coordinates.
+    """Static problem description: counts, pathloss, and coordinates.
 
     ``user_positions`` may be None for a template scenario whose users
     are drawn later by :func:`uniform_positions`; every other field is
@@ -57,8 +57,6 @@ class Scenario:
     n_users: int
     cell_radius: float
     pathloss_exponent: float
-    tx_power: float
-    noise_power: float = 1.0
     port_ring_radius: float | None = None
     port_positions: tuple[Coord, ...] | None = None
     user_positions: tuple[Coord, ...] | None = None
@@ -69,7 +67,7 @@ class Scenario:
         if self.n_ports > MAX_PORTS:
             raise CapacityError(f"one drop at N = {self.n_ports} ports and K = {self.n_users} "
                                 f"fits no block: at most {MAX_PORTS} ports are supported")
-        for name in ("cell_radius", "pathloss_exponent", "tx_power", "noise_power"):
+        for name in ("cell_radius", "pathloss_exponent"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and strictly positive")
         if self.port_ring_radius is None:
@@ -162,10 +160,8 @@ def uniform_positions(template: Scenario, seeds) -> np.ndarray:
 #
 # Flat key = value text. Position lists are semicolon-separated x,y pairs:
 #     user_positions = -3,-2.5; 3,3.5
-# tx_power_dB is converted to linear transmit power on load.
 
-_REQUIRED_KEYS = ("n_ports", "n_users", "cell_radius", "pathloss_exponent",
-                  "tx_power_dB", "noise_power")
+_REQUIRED_KEYS = ("n_ports", "n_users", "cell_radius", "pathloss_exponent")
 _OPTIONAL_KEYS = ("port_ring_radius", "user_positions", "port_positions")
 
 
@@ -215,28 +211,30 @@ def parse_scenario_config(text: str) -> Scenario:
         n_users = int(raw["n_users"])
         cell_radius = float(raw["cell_radius"])
         pathloss_exponent = float(raw["pathloss_exponent"])
-        tx_power_db = float(raw["tx_power_dB"])
-        noise_power = float(raw["noise_power"])
         ring = float(raw["port_ring_radius"]) if "port_ring_radius" in raw else None
     except ValueError as exc:
         raise ConfigError(f"non-numeric value in config: {exc}") from exc
-    if not abs(tx_power_db) <= MAX_ABS_SNR_DB:
-        raise ConfigError(f"tx_power_dB must be finite and within +-{MAX_ABS_SNR_DB:g} dB, "
-                          f"got {raw['tx_power_dB']}")
     ports = (_parse_positions(raw["port_positions"], "port_positions")
              if "port_positions" in raw else None)
     users = (_parse_positions(raw["user_positions"], "user_positions")
              if "user_positions" in raw else None)
     return Scenario(n_ports=n_ports, n_users=n_users, cell_radius=cell_radius,
-                    pathloss_exponent=pathloss_exponent, tx_power=db_to_linear(tx_power_db),
-                    noise_power=noise_power, port_ring_radius=ring,
+                    pathloss_exponent=pathloss_exponent, port_ring_radius=ring,
                     port_positions=ports, user_positions=users)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+def load_scenario(name: str | Path) -> Scenario:
+    """The Scenario of the config file ``name`` or, when no such file
+    exists, of the bundled config of that name (e.g. ``fig2.cfg``)."""
+    path = Path(name)
+    if path.exists():
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    else:
+        try:
+            text = resources.files("dasrate").joinpath("configs", str(name)).read_text()
+        except OSError as exc:
+            raise ConfigError(f"no bundled config named {str(name)!r}") from exc
     return parse_scenario_config(text)

@@ -7,7 +7,8 @@ densities. The resulting ergodic rate then reduces to combinations of
 scaled exponential-integral terms.
 
 Rates depend on the transmit and noise powers only through their ratio,
-the linear SNR P / sigma^2, and the rate engine takes that alone.
+the linear SNR P / sigma^2, so the rate engine takes that SNR alone and
+no scenario holds either power.
 
 Every closed-form rate goes through subset rates. With X a user's signal
 power and Y its interference power,

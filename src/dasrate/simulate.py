@@ -245,9 +245,13 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     return chosen, values
 
 
-# Most values one block holds, as counted by _drop_footprint. Measured
-# under tracemalloc, a block's peak is 8-30 bytes per counted value (the
-# most on long grids of one fixed mode, where the kernel's arguments and
+# Most values one block holds, as counted by _drop_footprint, where one
+# drop at one SNR point fits. A block never holds less than that, and
+# check_drop_size bounds it for the nearest-user set alone, so a large
+# exhaustive set holds more: one drop at one point takes 3.0 times this
+# at N = K = 7, and 14.3 times at N = 7, K = 9. Measured under
+# tracemalloc, a block's peak is 8-30 bytes per counted value (the most
+# on long grids of one fixed mode, where the kernel's arguments and
 # values outnumber the rows), so within 64 bytes a block peaks under
 # 135 MB: the exhaustive N = K = 5 set takes 20 drops of an 11-point grid
 # (39 MB), and a 500-drop nearest-user histogram at N = K = 4 is one
@@ -364,8 +368,10 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
 
     Each share goes in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
-    as its memory bound permits. A scenario too large for one drop is
-    refused by ``check_drop_size`` first.
+    as its memory bound permits, and never less than one drop at one
+    point. ``check_drop_size`` first refuses a scenario whose one drop of
+    the nearest-user set outgrows the bound at one point; it checks no
+    other set, so one drop of a large exhaustive set exceeds it.
     """
     if not 1 <= n_jobs <= MAX_JOBS:
         raise ValueError(f"n_jobs must be 1 to {MAX_JOBS}, got {n_jobs}")

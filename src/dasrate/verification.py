@@ -25,7 +25,6 @@ from scipy import integrate, special, stats
 
 from . import numerics, rate, simulate
 from .errors import NumericalFailureError
-from .experiments import bundled_config_path
 from .geometry import (PathlossMatrix, Scenario, linear_to_db, load_scenario, pathloss_matrix,
                        uniform_positions)
 from .modes import ideal_count, ideal_modes, min_distance_count, nearest_user_modes
@@ -185,7 +184,7 @@ def random_partition(rng: np.random.Generator, max_signal: int = 3,
 
 def _template(n: int, k: int) -> Scenario:
     return Scenario(n_ports=n, n_users=k, cell_radius=math.sqrt(112.0 / 3.0),
-                    pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
+                    pathloss_exponent=3.0)
 
 
 def _drop(n: int, seed) -> PathlossMatrix:
@@ -489,7 +488,7 @@ def check_crossover_consistency(n_geometries: int = 20) -> CheckResult:
     bounds that shift. ``figures`` holds the fig2 formula, the measured
     gaps and the shift range.
     """
-    fig2 = pathloss_matrix(load_scenario(bundled_config_path("fig2.cfg"))).gains
+    fig2 = pathloss_matrix(load_scenario("fig2.cfg")).gains
     fig2_formula_db = linear_to_db(rate.crossover_snr(fig2)[0])
     fig2_approx_db, fig2_exact_db = rate.crossover_curves_db(fig2)
     fig2_fe = (math.inf if fig2_exact_db is None or fig2_approx_db is None else

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import mode_rates, record_criterion
 from dasrate import verification
-from dasrate.experiments import bundled_config_path
 from dasrate.geometry import db_to_linear, load_scenario, pathloss_matrix
 from dasrate.modes import ideal_modes
 from dasrate.simulate import cell_average, mc_sum_rates, mode_histogram
@@ -22,18 +21,18 @@ GRID = tuple(float(db) for db in range(0, 51, 5))
 DROPS = 500
 SEED = 11
 
-FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
+FIG2 = load_scenario("fig2.cfg")
 FIG2_PL = pathloss_matrix(FIG2)
 
 
 @pytest.fixture(scope="module")
 def n2_template():
-    return load_scenario(bundled_config_path("fig3.cfg"))
+    return load_scenario("fig3.cfg")
 
 
 @pytest.fixture(scope="module")
 def n3_template():
-    return load_scenario(bundled_config_path("fig4.cfg"))
+    return load_scenario("fig4.cfg")
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +157,7 @@ def test_criterion_5b_saturation_vs_log_growth(n2_template):
 
 
 def test_criterion_5c_mode_histograms(n3_template):
-    n4_template = load_scenario(bundled_config_path("fig5.cfg"))
+    n4_template = load_scenario("fig5.cfg")
     ranges = [(0.0, 10.0), (10.0, 20.0), (20.0, 30.0), (30.0, 40.0),
               (40.0, 50.0)]
 

@@ -1,19 +1,18 @@
 """Experiment drivers, CSV schemas, and the crossover report."""
 
 import math
+from importlib import resources
 
 import pytest
 
 from dasrate.errors import ConfigError
-from dasrate.experiments import (bundled_config_path, crossover_lines,
-                                 curve_to_csv, histogram_to_csv,
-                                 mode_rate_curves, parse_snr_spec,
-                                 resolve_mode_filter)
-from dasrate.geometry import linear_to_db, load_scenario, pathloss_matrix
+from dasrate.experiments import (crossover_lines, curve_to_csv, histogram_to_csv,
+                                 mode_rate_curves, parse_snr_spec, resolve_mode_filter)
+from dasrate.geometry import _REQUIRED_KEYS, linear_to_db, load_scenario, pathloss_matrix
 from dasrate.rate import crossover_curves_db, crossover_snr
 from dasrate.simulate import cell_average
 
-FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
+FIG2 = load_scenario("fig2.cfg")
 
 
 def test_parse_snr_spec():
@@ -25,15 +24,22 @@ def test_parse_snr_spec():
 
 
 def test_bundled_configs_all_load():
-    for name, (n, k) in {"fig2.cfg": (2, 2), "fig3.cfg": (2, 2),
-                         "fig4.cfg": (3, 3), "fig5.cfg": (4, 4),
-                         "fig6.cfg": (5, 5), "fig7.cfg": (3, 3),
-                         "fig8.cfg": (4, 4)}.items():
-        scn = load_scenario(bundled_config_path(name))
+    """Each bundled config loads by name and sets the required keys and,
+    of the optional ones, only those listed here."""
+    fixed = ("port_positions", "user_positions")
+    for name, (n, k, optional) in {"fig2.cfg": (2, 2, fixed), "fig3.cfg": (2, 2, ()),
+                                   "fig4.cfg": (3, 3, ()), "fig5.cfg": (4, 4, ()),
+                                   "fig6.cfg": (5, 5, ()), "fig7.cfg": (3, 3, ()),
+                                   "fig8.cfg": (4, 4, ())}.items():
+        scn = load_scenario(name)
         assert (scn.n_ports, scn.n_users) == (n, k)
         assert scn.cell_radius == pytest.approx(math.sqrt(112.0 / 3.0))
-    with pytest.raises(ConfigError):
-        bundled_config_path("fig99.cfg")
+        text = resources.files("dasrate").joinpath("configs", name).read_text()
+        lines = [line.split("#", 1)[0] for line in text.splitlines()]
+        keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
+        assert sorted(keys) == sorted(_REQUIRED_KEYS + optional)
+    with pytest.raises(ConfigError, match="^no bundled config named 'fig99.cfg'$"):
+        load_scenario("fig99.cfg")
 
 
 def test_fig2_config_geometry():
@@ -79,13 +85,13 @@ def test_analytic_only_curve_has_no_mc_columns():
 
 
 def test_mode_rate_curves_requires_positions():
-    template = load_scenario(bundled_config_path("fig3.cfg"))
+    template = load_scenario("fig3.cfg")
     with pytest.raises(ConfigError, match="positions"):
         mode_rate_curves(template, resolve_mode_filter(None, 2, 2), (0.0,))
 
 
 def test_sweep_guards_large_exhaustive_runs():
-    template = load_scenario(bundled_config_path("fig6.cfg"))
+    template = load_scenario("fig6.cfg")
     # 7625 candidates x 60 000 drops x 2 points is past the work limit...
     with pytest.raises(ConfigError, match="force"):
         cell_average(template, ["ideal"], (0.0, 10.0), n_drops=60_000,
@@ -106,7 +112,7 @@ def test_selection_gain_shrinks_at_high_snr():
     import numpy as np
     from dasrate.modes import ideal_modes
 
-    template = load_scenario(bundled_config_path("fig3.cfg"))
+    template = load_scenario("fig3.cfg")
     grid = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
     means, _ = cell_average(template, ["ideal", *ideal_modes(2, 2)], grid, 300, 0, seed=20)
     gain = means[0] - means[1:].max(axis=0)
@@ -116,7 +122,7 @@ def test_selection_gain_shrinks_at_high_snr():
 
 
 def test_sweep_merges_schemes_and_fixed_modes():
-    template = load_scenario(bundled_config_path("fig3.cfg"))
+    template = load_scenario("fig3.cfg")
     schemes = ["min-distance", (1, 2)]
     means, _ = cell_average(template, schemes, (0.0, 20.0), n_drops=25, n_channels=0, seed=3)
     assert means.shape == (2, 2)
@@ -146,6 +152,6 @@ def test_crossover_report_frozen_fig2_values():
 
 
 def test_crossover_report_requires_two_by_two():
-    template = load_scenario(bundled_config_path("fig4.cfg"))
+    template = load_scenario("fig4.cfg")
     with pytest.raises(ConfigError):
         crossover_lines(template)

@@ -17,7 +17,7 @@ CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
 def make_scenario(**overrides):
     base = dict(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
-                pathloss_exponent=3.0, tx_power=1.0,
+                pathloss_exponent=3.0,
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
     base.update(overrides)
     return Scenario(**base)
@@ -70,15 +70,13 @@ def test_pathloss_direct_arithmetic():
 
 def test_pathloss_unit_distance():
     scn = Scenario(n_ports=1, n_users=1, cell_radius=5.0, pathloss_exponent=7.0,
-                   tx_power=1.0, port_positions=((1.0, 0.0),),
-                   user_positions=((0.0, 0.0),))
+                   port_positions=((1.0, 0.0),), user_positions=((0.0, 0.0),))
     assert pathloss_matrix(scn).gains[0, 0] == pytest.approx(1.0)
 
 
 def test_pathloss_clamped_for_coincident_user():
     scn = Scenario(n_ports=1, n_users=1, cell_radius=5.0, pathloss_exponent=3.0,
-                   tx_power=1.0, port_positions=((1.0, 1.0),),
-                   user_positions=((1.0, 1.0),))
+                   port_positions=((1.0, 1.0),), user_positions=((1.0, 1.0),))
     pl = pathloss_matrix(scn)
     assert pl.distances[0, 0] == MIN_DISTANCE
     assert pl.gains[0, 0] == pytest.approx(1e6)
@@ -88,7 +86,7 @@ def test_pathloss_scale_consistency():
     """Scaling all coordinates by c scales every gain by c**-p."""
     scn = make_scenario()
     scaled = Scenario(n_ports=2, n_users=2, cell_radius=2.0 * CELL_RADIUS,
-                      pathloss_exponent=3.0, tx_power=1.0,
+                      pathloss_exponent=3.0,
                       port_positions=tuple((2 * x, 2 * y)
                                            for x, y in scn.port_positions),
                       user_positions=tuple((2 * x, 2 * y)
@@ -104,13 +102,13 @@ def test_rotational_symmetry():
     users = tuple((float(x), float(y))
                   for x, y in rng.uniform(-3, 3, size=(4, 2)))
     scn = Scenario(n_ports=n, n_users=4, cell_radius=CELL_RADIUS,
-                   pathloss_exponent=3.0, tx_power=1.0, user_positions=users)
+                   pathloss_exponent=3.0, user_positions=users)
     theta = 2.0 * math.pi / n
     rotated_users = tuple((x * math.cos(theta) - y * math.sin(theta),
                            x * math.sin(theta) + y * math.cos(theta))
                           for x, y in users)
     rotated = Scenario(n_ports=n, n_users=4, cell_radius=CELL_RADIUS,
-                       pathloss_exponent=3.0, tx_power=1.0,
+                       pathloss_exponent=3.0,
                        user_positions=rotated_users)
     original = pathloss_matrix(scn).gains
     shifted = pathloss_matrix(rotated).gains
@@ -122,7 +120,7 @@ def test_drop_users_radial_mean():
     n = 100_000
     # positions are i.i.d., so one big drop stands in for n single drops
     big = Scenario(n_ports=2, n_users=n, cell_radius=CELL_RADIUS,
-                   pathloss_exponent=3.0, tx_power=1.0)
+                   pathloss_exponent=3.0)
     (positions,) = uniform_positions(big, [99])
     radii = np.hypot(*positions.T)
     mean = radii.mean()
@@ -135,7 +133,7 @@ def test_drop_users_radial_mean():
 
 def test_drop_users_deterministic():
     template = Scenario(n_ports=2, n_users=3, cell_radius=CELL_RADIUS,
-                        pathloss_exponent=3.0, tx_power=1.0)
+                        pathloss_exponent=3.0)
     assert np.array_equal(uniform_positions(template, [7]), uniform_positions(template, [7]))
     assert not np.array_equal(uniform_positions(template, [7]),
                               uniform_positions(template, [8]))
@@ -147,8 +145,8 @@ def test_db_conversions():
 
 
 def test_scenario_validation():
-    with pytest.raises(ConfigError):
-        make_scenario(tx_power=-1.0)
+    with pytest.raises(ConfigError, match="cell_radius must be finite and strictly positive"):
+        make_scenario(cell_radius=-1.0)
     with pytest.raises(ConfigError):
         make_scenario(user_positions=((100.0, 100.0), (0.0, 0.0)))
     with pytest.raises(ConfigError):
@@ -161,8 +159,6 @@ n_ports = 2
 n_users = 2
 cell_radius = 6.110100926607787
 pathloss_exponent = 3
-tx_power_dB = 20
-noise_power = 1
 port_positions = -4,0; 4,0
 user_positions = -3,-2.5; 3,3.5
 """
@@ -171,7 +167,7 @@ user_positions = -3,-2.5; 3,3.5
 def test_parse_config_round_trip():
     scn = parse_scenario_config(CONFIG_TEXT)
     assert scn.n_ports == 2 and scn.n_users == 2
-    assert scn.tx_power == pytest.approx(100.0)
+    assert (scn.cell_radius, scn.pathloss_exponent) == (6.110100926607787, 3.0)
     assert scn.user_positions == ((-3.0, -2.5), (3.0, 3.5))
     assert scn.port_positions == ((-4.0, 0.0), (4.0, 0.0))
 
@@ -185,8 +181,8 @@ def test_parse_config_defaults_optional_keys():
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("noise_power = 1", "badline", "key = value"),
-    ("noise_power = 1", "noise_power = 1\nmystery = 3", "unknown key"),
+    ("pathloss_exponent = 3", "badline", "key = value"),
+    ("pathloss_exponent = 3", "pathloss_exponent = 3\nmystery = 3", "unknown key"),
     ("n_ports = 2", "n_ports = two", "non-numeric"),
     ("n_ports = 2", "n_ports = 2\nn_ports = 2", "duplicate key"),
     ("user_positions = -3,-2.5; 3,3.5", "user_positions = 1;2", "pairs"),
@@ -198,6 +194,6 @@ def test_parse_config_errors(old, new, message):
 
 def test_parse_config_missing_required():
     text = "\n".join(line for line in CONFIG_TEXT.splitlines()
-                     if not line.startswith("noise_power"))
-    with pytest.raises(ConfigError, match="missing required"):
+                     if not line.startswith("pathloss_exponent"))
+    with pytest.raises(ConfigError, match="missing required keys: pathloss_exponent$"):
         parse_scenario_config(text)

@@ -37,7 +37,7 @@ def test_mode_derived_sets():
 def test_mode_invariant_ka_le_na():
     """Every selected mode's group has 1 <= K_A <= N_A <= N."""
     template = Scenario(n_ports=4, n_users=4, cell_radius=math.sqrt(112.0 / 3.0),
-                        pathloss_exponent=3.0, tx_power=1.0)
+                        pathloss_exponent=3.0)
     (groups,) = mode_histogram(template, [(0.0, 50.0)], n_drops=40, seed=1).values()
     for label in groups:
         k, n = (int(part[2:]) for part in label.split("_"))
@@ -139,7 +139,7 @@ def test_min_distance_random_geometries():
     for n in range(2, 7):
         template = Scenario(n_ports=n, n_users=n,
                             cell_radius=math.sqrt(112.0 / 3.0),
-                            pathloss_exponent=3.0, tx_power=1.0)
+                            pathloss_exponent=3.0)
         seeds = [(12, n, trial) for trial in range(6)]
         pl = pathloss_matrix(template, uniform_positions(template, seeds))
         for distances, rows in zip(pl.distances, nearest_user_modes(pl.distances)):

@@ -21,7 +21,7 @@ CELL_RADIUS = math.sqrt(112.0 / 3.0)
 # Fixed two-user geometry used throughout: port 1 at (-4, 0), port 2 at
 # (4, 0), user 1 at (-3, -2.5), user 2 at (3, 3.5), pathloss exponent 3.
 FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
-                pathloss_exponent=3.0, tx_power=1.0,
+                pathloss_exponent=3.0,
                 port_positions=((-4.0, 0.0), (4.0, 0.0)),
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
 FIG2_PL = pathloss_matrix(FIG2)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conftest import mode_rates, user_rates
-from dasrate.experiments import bundled_config_path
 from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
                               uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, mode_label, nearest_user_modes
@@ -25,12 +24,11 @@ from dasrate.verification import Link, partition_rate
 # must come out bit for bit the same.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_rates.json").read_text())
 
-FIG2 = load_scenario(bundled_config_path("fig2.cfg"))
+FIG2 = load_scenario("fig2.cfg")
 
 # User 1 sits on the perpendicular bisector of the two ports, so its two
 # gains are exactly equal and the tie-separation guard must act.
 TIE = Scenario(n_ports=2, n_users=2, cell_radius=6.0, pathloss_exponent=3.0,
-               tx_power=1.0, noise_power=1.0,
                port_positions=((-4.0, 0.0), (4.0, 0.0)),
                user_positions=((0.0, 1.5), (3.0, -2.0)))
 
@@ -58,7 +56,7 @@ def test_golden_sum_rates_are_bit_identical(name, scenario):
 
 def test_golden_candidate_rates_of_one_drop_are_bit_identical():
     want = GOLDEN["n4_drop"]
-    template = load_scenario(bundled_config_path("fig5.cfg"))
+    template = load_scenario("fig5.cfg")
     seed, drop = want["seed"]
     (users,) = uniform_positions(
         template, [np.random.SeedSequence(entropy=seed, spawn_key=(drop,))])
@@ -73,7 +71,7 @@ def test_golden_candidate_rates_of_one_drop_are_bit_identical():
 
 def _drops(n, count, seed=91):
     template = Scenario(n_ports=n, n_users=n, cell_radius=math.sqrt(112.0 / 3.0),
-                        pathloss_exponent=3.0, tx_power=1.0, noise_power=1.0)
+                        pathloss_exponent=3.0)
     positions = uniform_positions(template, [(seed, n, d) for d in range(count)])
     return [pathloss_matrix(template, users) for users in positions]
 
@@ -166,7 +164,7 @@ def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
 # others beyond it, at radius 6 between two ports, so every port has the
 # same nearest user.
 RING = Scenario(n_ports=4, n_users=4, cell_radius=6.5, pathloss_exponent=3.0,
-                tx_power=1.0, noise_power=1.0, port_ring_radius=4.0)
+                port_ring_radius=4.0)
 EDGE = tuple((6.0 * math.cos(a), 6.0 * math.sin(a))
              for a in (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi))
 SPECIAL_DROPS = {
@@ -271,7 +269,7 @@ def test_near_tied_rate_matches_fifty_digit_closed_form():
     """Drop 9 of fig5 at seed 1: user 4's interfering gains differ by 3e-5
     and its serving gains by 1.2e-4, relative, and under [3 3 4 4] at
     50 dB its rate is within 1e-9 bits of the 50-digit closed form."""
-    template = load_scenario(bundled_config_path("fig5.cfg"))
+    template = load_scenario("fig5.cfg")
     pl = pathloss_matrix(template, uniform_positions(template, [stream_key(1, 9)])[0])
     assert pl.gains[3].tolist() == pytest.approx([4.67054e-3, 4.67067e-3,
                                                   4.29945e-2, 4.29892e-2], rel=1e-5)

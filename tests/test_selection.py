@@ -14,7 +14,7 @@ from dasrate.verification import check_selection_properties
 CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
 FIG2 = Scenario(n_ports=2, n_users=2, cell_radius=CELL_RADIUS,
-                pathloss_exponent=3.0, tx_power=1.0,
+                pathloss_exponent=3.0,
                 port_positions=((-4.0, 0.0), (4.0, 0.0)),
                 user_positions=((-3.0, -2.5), (3.0, 3.5)))
 FIG2_PL = pathloss_matrix(FIG2)
@@ -81,7 +81,7 @@ def test_tie_break_first_in_order():
     """Two copies of one geometry row force exact rate ties; the first
     candidate in canonical order must win."""
     scn = Scenario(n_ports=2, n_users=2, cell_radius=10.0, pathloss_exponent=3.0,
-                   tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)),
+                   port_positions=((2.0, 0.0), (-2.0, 0.0)),
                    user_positions=((0.0, 1.0), (0.0, -1.0)))
     pl = pathloss_matrix(scn)
     (mode, rate), rates = candidate_rates(pl, ideal_modes(2, 2), snr=100.0)

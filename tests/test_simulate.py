@@ -24,7 +24,7 @@ CELL_RADIUS = math.sqrt(112.0 / 3.0)
 
 def template(n, k=None):
     return Scenario(n_ports=n, n_users=k if k is not None else n,
-                    cell_radius=CELL_RADIUS, pathloss_exponent=3.0, tx_power=1.0)
+                    cell_radius=CELL_RADIUS, pathloss_exponent=3.0)
 
 
 def drop(n, seed):
@@ -34,8 +34,7 @@ def drop(n, seed):
 
 def unit_scenario():
     return Scenario(n_ports=1, n_users=1, cell_radius=5.0, pathloss_exponent=3.0,
-                    tx_power=1.0, port_positions=((1.0, 0.0),),
-                    user_positions=((0.0, 0.0),))
+                    port_positions=((1.0, 0.0),), user_positions=((0.0, 0.0),))
 
 
 def instantaneous_sum_rates(pl, mode, power_gains, snr=1.0):
@@ -252,7 +251,7 @@ def extreme_pathloss():
     1/snr) of about 1e270 and 1e66 at 280 to 300 dB: their product
     overflows there, and at 200 dB, but not at 0 or 100 dB."""
     return pathloss_matrix(Scenario(
-        n_ports=2, n_users=2, cell_radius=6.11, pathloss_exponent=120.0, tx_power=1.0,
+        n_ports=2, n_users=2, cell_radius=6.11, pathloss_exponent=120.0,
         port_positions=((1.0, 0.0), (-1.0, 0.0)), user_positions=((1.0, 0.0), (-1.0, 0.5))))
 
 
@@ -515,10 +514,10 @@ def test_long_rates_grid_goes_in_point_slices(monkeypatch):
     """A rates grid too long for MAX_BLOCK_VALUES is rated in point
     slices, as a block's is, whose kernel values stay within the bound,
     with the CSV of one table."""
-    from dasrate.experiments import bundled_config_path, curve_to_csv, mode_rate_curves
+    from dasrate.experiments import curve_to_csv, mode_rate_curves
     from dasrate.geometry import load_scenario
 
-    scn = load_scenario(bundled_config_path("fig2.cfg"))
+    scn = load_scenario("fig2.cfg")
     modes = ideal_modes(2, 2)
     grid = tuple(0.1 * i for i in range(50))
 
@@ -801,9 +800,9 @@ def test_select_rows_takes_the_first_maximizer_at_each_point():
 # the maximum. "shared": every port has the same nearest user, so the
 # drop's nearest-user set has 2^N - N - 1 modes.
 TWO_PORTS = Scenario(n_ports=2, n_users=2, cell_radius=10.0, pathloss_exponent=3.0,
-                     tx_power=1.0, port_positions=((2.0, 0.0), (-2.0, 0.0)))
+                     port_positions=((2.0, 0.0), (-2.0, 0.0)))
 RING = Scenario(n_ports=4, n_users=4, cell_radius=6.5, pathloss_exponent=3.0,
-                tx_power=1.0, port_ring_radius=4.0)
+                port_ring_radius=4.0)
 SPECIAL_DROPS = {
     2: (TWO_PORTS, {"tie": ((0.0, 1.0), (0.0, -1.0)),
                     "shared": ((0.5, 0.5), (0.0, -8.0))}),
@@ -906,10 +905,10 @@ def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid
 def test_rates_open_one_stream_per_chunk(streams_opened):
     """Every mode at every point of a fixed geometry reads one draw per
     chunk, keyed (seed; 0, 0, chunk)."""
-    from dasrate.experiments import bundled_config_path, mode_rate_curves
+    from dasrate.experiments import mode_rate_curves
     from dasrate.geometry import load_scenario
 
-    scn = load_scenario(bundled_config_path("fig2.cfg"))
+    scn = load_scenario("fig2.cfg")
     mode_rate_curves(scn, ideal_modes(2, 2), (0.0, 10.0, 20.0, 30.0),
                      n_channels=9000, seed=3)
     assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
