@@ -372,7 +372,13 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     point. ``check_drop_size`` first refuses a scenario whose one drop of
     the nearest-user set outgrows the bound at one point; it checks no
     other set, so one drop of a large exhaustive set exceeds it.
+
+    Drops draw their users uniformly, so a template that sets
+    ``user_positions`` is refused (ConfigError) before any drop is drawn.
     """
+    if template.user_positions is not None:
+        raise ConfigError("the config sets user_positions, but sweep and hist draw their "
+                          "users uniformly per drop; use dasrate rates for fixed users")
     if not 1 <= n_jobs <= MAX_JOBS:
         raise ValueError(f"n_jobs must be 1 to {MAX_JOBS}, got {n_jobs}")
     check_drop_size(template.n_ports, template.n_users)

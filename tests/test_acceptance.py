@@ -181,29 +181,24 @@ def test_criterion_5c_mode_histograms(n3_template):
 
 def test_criterion_6_property_suites():
     """The property checks at their tier-1 scales: the scaled-E1 bracket
-    on 200 points and branch agreement; density normalization on the
-    first 20 and rate-vs-quadrature on all 50 random partitions of seed
-    60; KS at 1e6 samples for all three densities; subset dominance and
-    argmax invariance on 15 drops of the fig2 ports; and a bit-identical
-    Monte Carlo cell average on one and two workers."""
+    on 200 points and branch agreement; closed-form rate vs the MGF
+    quadrature oracle on 50 random partitions of seed 60; subset
+    dominance and argmax invariance on 15 drops of the fig2 ports; and a
+    bit-identical Monte Carlo cell average on one and two workers."""
     results = [
         verification.check_exp_e1_bounds(n_points=200),
         verification.check_exp_e1_branch_consistency(),
-        verification.check_pdf_normalization(n_partitions=20, seed=60,
-                                             allow_empty_interference=True),
         verification.check_rate_vs_quadrature(n_partitions=50, seed=60),
-        verification.check_ks_distributions(seed=61),
         verification.check_selection_properties(
             n_drops=15, seed=50, template=dataclasses.replace(FIG2, user_positions=None)),
         verification.check_worker_invariance(n_drops=4, n_channels=30_000, seed=63,
                                              schemes=("min-distance", (1, 2)),
                                              grid_db=(0.0, 30.0)),
     ]
-    worst_norm, worst_rate, worst_ks = (r.measured for r in results[2:5])
+    worst_rate = results[2].measured
     record_criterion(6, all(r.passed for r in results),
                      f"property suites: E1 bracket strict, branch agreement "
-                     f"1e-12, densities normalized to {worst_norm:.1e}, "
-                     f"rate-vs-quadrature {worst_rate:.1e}, KS {worst_ks:.4f}, "
+                     f"1e-12, rate-vs-MGF-oracle {worst_rate:.1e}, "
                      f"selection invariants, bit-identical parallel reruns")
     for result in results:
         assert result.passed, result.line()

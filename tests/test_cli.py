@@ -341,6 +341,12 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
      "--snr-ranges 3080:3090 spans 3080 to 3090 dB"),
     (("hist", "--config", "fig7.cfg", "--snr-ranges", "0:10,-310:-300"),
      "--snr-ranges -310:-300 spans"),
+    (("sweep", "--config", "fig2.cfg", "--drops", "2"),
+     "sets user_positions, but sweep and hist draw their users uniformly per drop; "
+     "use dasrate rates"),
+    (("hist", "--config", "fig2.cfg", "--drops", "2", "--snr-ranges", "0:10"),
+     "sets user_positions, but sweep and hist draw their users uniformly per drop; "
+     "use dasrate rates"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
         "jobs-0", "jobs-negative", "jobs-too-many", "channels-1-with-mc",
         "sweep-seed-negative", "hist-seed-negative", "rates-seed-negative",
@@ -352,7 +358,7 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "fixed-mode-repeated", "rates-mode-repeated", "range-repeated",
         "out-dir-missing", "out-is-a-directory",
         "snr-too-high", "snr-too-low", "rates-snr-past-bound", "range-too-high",
-        "range-too-low"])
+        "range-too-low", "sweep-fixed-users", "hist-fixed-users"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a child process is forked."""
@@ -579,6 +585,27 @@ def test_commands_other_than_verify_never_import_scipy(tmp_path):
     modules, not even at --jobs 2."""
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+VERIFY_SCRIPT = """
+import sys
+from dasrate import cli
+
+assert cli.main(["verify", "--level", "quick"]) == 0
+for name in ("scipy.integrate", "scipy.special"):
+    assert name in sys.modules, name + " not loaded"
+assert "scipy.stats" not in sys.modules, "scipy.stats loaded"
+"""
+
+
+def test_verify_never_imports_scipy_stats():
+    """``dasrate verify`` loads scipy's quadrature and special functions,
+    and not ``scipy.stats``, a large import that no check uses."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", VERIFY_SCRIPT],
                             env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -1,4 +1,4 @@
-"""Scaled exponential-integral kernel and quadrature oracle tests."""
+"""Scaled exponential-integral kernel and MGF quadrature oracle tests."""
 
 import math
 from pathlib import Path
@@ -11,7 +11,7 @@ from dasrate import numerics, verification
 from dasrate.errors import NumericalFailureError
 from dasrate.numerics import (LN2, SERIES_CF_SPLIT, _exp_e1_continued_fraction,
                               _exp_e1_series, exp_e1)
-from dasrate.verification import log_integral_quadrature
+from dasrate.verification import Link, mgf_rate
 
 # Frozen reference values computed with 30-digit mpmath before the build:
 # e**x * E1(x), E1(x) = integral_x^inf exp(-t)/t dt.
@@ -67,11 +67,11 @@ def test_domain_errors(bad):
         exp_e1(bad)
 
 
-# --- log-rate quadrature ------------------------------------------------------
+# --- MGF quadrature oracle ------------------------------------------------------
 
 def test_quadrature_unit_mean_exponential_vs_mc():
     """Monte Carlo oracle: mean of log2(1+X), X ~ Exp(1), 1e7 samples."""
-    result = log_integral_quadrature(lambda rho: np.exp(-rho), upper_cut=60.0)
+    result = mgf_rate(Link((1.0,), (), 1.0))
     rng = np.random.default_rng(42)
     total = 0.0
     total_sq = 0.0
@@ -84,38 +84,49 @@ def test_quadrature_unit_mean_exponential_vs_mc():
     stderr = math.sqrt((total_sq / n - mean * mean) / n)
     assert abs(result - mean) < 3.0 * stderr
     # and against the closed form it is supposed to reproduce
-    assert result == pytest.approx(exp_e1(1.0) / LN2, abs=1e-8)
-
-
-def test_quadrature_narrow_spike_gives_one_bit():
-    sigma = 1e-3
-    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-
-    def spike(rho):
-        return norm * np.exp(-0.5 * ((rho - 1.0) / sigma) ** 2)
-
-    assert log_integral_quadrature(spike, upper_cut=2.0) == pytest.approx(1.0, abs=1e-6)
+    assert result == pytest.approx(exp_e1(1.0) / LN2, abs=1e-12)
 
 
 @pytest.mark.parametrize("mean", [0.1, 1.0, 10.0])
 def test_quadrature_matches_scaled_exponential_closed_form(mean):
-    result = log_integral_quadrature(
-        lambda rho: np.exp(-rho / mean) / mean, upper_cut=80.0 * mean)
-    assert result == pytest.approx(exp_e1(1.0 / mean) / LN2, abs=1e-8)
+    result = mgf_rate(Link((mean,), (), 1.0))
+    assert result == pytest.approx(exp_e1(1.0 / mean) / LN2, abs=1e-12)
 
 
-def test_quadrature_rejects_bad_cut():
-    with pytest.raises(ValueError):
-        log_integral_quadrature(lambda rho: np.exp(-rho), upper_cut=-1.0)
+def test_quadrature_error_budget_enforced(monkeypatch):
+    """An error estimate over 1e-8 bits raises, as does a NaN one."""
+    quad = verification.integrate.quad
+    for err in (1e-8, math.nan):
+        monkeypatch.setattr(verification.integrate, "quad",
+                            lambda *args, **kwargs: (quad(*args, **kwargs)[0], err))
+        with pytest.raises(NumericalFailureError):
+            mgf_rate(Link((0.1,), (0.01,), 100.0))
 
 
-def test_quadrature_error_budget_enforced():
-    # a pathologically oscillatory integrand defeats the fixed budget
-    def nasty(rho):
-        return max(0.0, math.sin(1e7 * rho)) * math.exp(-rho)
+def _mpmath_rate(link: Link) -> mpmath.mpf:
+    """The lemma's integral at 30 digits, in bits."""
+    with mpmath.workdps(30):
+        snr = mpmath.mpf(link.snr)
 
-    with pytest.raises(NumericalFailureError):
-        log_integral_quadrature(nasty, upper_cut=50.0, abs_tol=1e-12)
+        def mgf(s, gains):
+            return mpmath.fprod(1 / (1 + s * mpmath.mpf(g) * snr) for g in gains)
+
+        def integrand(s):
+            return (mpmath.exp(-s) * (mgf(s, link.interference)
+                                      - mgf(s, link.signal + link.interference)) / s)
+
+        return mpmath.quad(integrand, [0, 1 / snr, 1, mpmath.inf]) / mpmath.log(2)
+
+
+@pytest.mark.parametrize("link", [Link((1.0,) * 2, (), 1000.0), Link((1.0,) * 4, (), 1000.0),
+                                  Link((1.0,) * 6, (), 1000.0),
+                                  Link((0.3, 0.3), (0.02, 0.02, 0.02), 1000.0)],
+                         ids=["2-tied", "4-tied", "6-tied", "both-lists-tied"])
+def test_quadrature_holds_at_gain_ties(link):
+    """Tied unit gains at 30 dB, where the closed form fails, and a link
+    whose signal gains tie and whose interference gains tie: the oracle
+    is within 1e-12 bits of the lemma evaluated by 30-digit mpmath."""
+    assert abs(mgf_rate(link) - float(_mpmath_rate(link))) <= 1e-12
 
 
 # --- array kernel ---------------------------------------------------------------
