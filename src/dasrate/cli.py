@@ -42,8 +42,8 @@ _SHARED_FLAGS = {
     "--snr": dict(default="0:5:50", help="SNR grid in dB as start:step:stop"),
     "--jobs": dict(type=int, default=1,
                    help="worker processes that run the drops"),
-    "--drops": dict(type=int, default=simulate.DEFAULT_N_DROPS,
-                    help="number of uniform user drops"),
+    "--drops": dict(type=int, help=f"number of user drops (default {simulate.DEFAULT_N_DROPS}, "
+                                   f"or 1 for a config that sets user_positions)"),
     "--channels": dict(type=int, default=simulate.DEFAULT_N_CHANNELS,
                        help="fading realizations per Monte Carlo estimate"),
 }
@@ -113,7 +113,7 @@ def _check_args(args) -> None:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if getattr(args, "jobs", 1) > simulate.MAX_JOBS:
         raise ConfigError(f"--jobs must be <= {simulate.MAX_JOBS}, got {args.jobs}")
-    if getattr(args, "drops", 1) < 1:
+    if getattr(args, "drops", None) is not None and args.drops < 1:
         raise ConfigError(f"--drops must be >= 1, got {args.drops}")
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -137,15 +137,23 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _n_drops(args, scenario) -> int:
+    """--drops, by default 1 for a config that sets user_positions (one drop)."""
+    return args.drops or (1 if scenario.user_positions else simulate.DEFAULT_N_DROPS)
+
+
 def _cmd_rates(args) -> int:
     scenario = load_scenario(args.config)
+    if scenario.user_positions is None:
+        raise ConfigError("rates needs fixed user positions in the config")
     grid = experiments.parse_snr_spec(args.snr)
     rows = [parse_label(tok) for tok in args.modes.split(",") if tok.strip()]
-    modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users)
-    analytic, mc = experiments.mode_rate_curves(scenario, modes, grid,
-                                                0 if args.no_mc else args.channels, args.seed)
-    mc_blocks = [] if mc is None else [("mc", mc[0]), ("mc_stderr", mc[1])]
-    _emit(experiments.curve_to_csv(grid, modes, ("analytic", analytic), *mc_blocks), args.out)
+    modes = experiments.resolve_mode_filter(rows, scenario.n_ports, scenario.n_users).tolist()
+    blocks = [("analytic", simulate.cell_average(scenario, modes, grid, 1, 0, args.seed)[0])]
+    if not args.no_mc:
+        blocks += zip(("mc", "mc_stderr"),
+                      simulate.cell_average(scenario, modes, grid, 1, args.channels, args.seed))
+    _emit(experiments.curve_to_csv(grid, modes, *blocks), args.out)
     return EXIT_OK
 
 
@@ -155,8 +163,8 @@ def _cmd_sweep(args) -> int:
     schemes = [*(args.scheme or []), *map(parse_label, args.fixed_mode or [])] or [
         "ideal", "min-distance"]
     n_channels = args.channels if args.rating == "mc" else 0
-    means, errors = simulate.cell_average(scenario, schemes, grid, args.drops, n_channels,
-                                          args.seed, n_jobs=args.jobs,
+    means, errors = simulate.cell_average(scenario, schemes, grid, _n_drops(args, scenario),
+                                          n_channels, args.seed, n_jobs=args.jobs,
                                           force_ideal=args.force_ideal)
     blocks = [("mc", means), ("mc_stderr", errors)] if n_channels else [("analytic", means)]
     _emit(experiments.curve_to_csv(grid, schemes, *blocks), args.out)
@@ -191,7 +199,7 @@ def _parse_ranges(spec: str) -> list[tuple[float, float]]:
 def _cmd_hist(args) -> int:
     scenario = load_scenario(args.config)
     fractions = simulate.mode_histogram(scenario, _parse_ranges(args.snr_ranges),
-                                        n_drops=args.drops, seed=args.seed,
+                                        n_drops=_n_drops(args, scenario), seed=args.seed,
                                         n_jobs=args.jobs)
     _emit(experiments.histogram_to_csv(fractions), args.out)
     return EXIT_OK

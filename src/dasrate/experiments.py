@@ -1,5 +1,5 @@
-"""Experiment drivers behind the CLI: fixed-geometry rate curves,
-crossover reports, and the CSV forms of curves and histograms.
+"""Experiment helpers behind the CLI: SNR grids, the modes of a rates
+run, crossover reports, and the CSV forms of curves and histograms.
 
 CSV output is RFC-4180 style with '.' decimals and a fixed column order.
 On one machine, analytic-only outputs are byte-identical across runs and
@@ -16,14 +16,9 @@ import numpy as np
 
 from . import simulate
 from .errors import ConfigError
-from .geometry import Scenario, db_to_linear, linear_to_db, pathloss_matrix
+from .geometry import Scenario, linear_to_db, pathloss_matrix
 from .modes import admissible, check_fit, ideal_modes, mode_label
-from .rate import crossover_curves_db, crossover_snr, row_sum_rates, subset_rates
-from .simulate import mc_sum_rates
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
+from .rate import crossover_curves_db, crossover_snr
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
@@ -47,9 +42,10 @@ def curve_to_csv(snr_grid_db, entries, *blocks: tuple[str, np.ndarray]) -> str:
     labels = [e if isinstance(e, str) else mode_label(e) for e in entries]
     header = ["snr_db"] + [f"{label}_{suffix}" for label in labels for suffix, _ in blocks]
     columns = np.stack([values for _, values in blocks], axis=1).reshape(-1, len(snr_grid_db))
+    line = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
     for db, row in zip(snr_grid_db, columns.T.tolist()):
-        lines.append(",".join(map(_fmt, [db, *row])))
+        lines.append(line % (db, *row))
     return "\n".join(lines) + "\n"
 
 
@@ -57,57 +53,22 @@ def histogram_to_csv(fractions: dict[tuple[float, float], dict[str, float]]) -> 
     lines = ["range_lo_db,range_hi_db,group_label,fraction"]
     for (lo, hi), groups in fractions.items():
         for label, fraction in groups.items():
-            lines.append(",".join([_fmt(lo), _fmt(hi), label, _fmt(fraction)]))
+            lines.append("%.12g,%.12g,%s,%.12g" % (lo, hi, label, fraction))
     return "\n".join(lines) + "\n"
 
 
-# --- fixed-geometry rate curves ---------------------------------------------
-
 def resolve_mode_filter(rows, n_ports: int, n_users: int) -> np.ndarray:
     """(modes x ports) assignments for a rates run: the assignment
-    ``rows``, each checked by ``modes.check_fit``, for repeats and, as
-    members of the exhaustive set, by ``modes.admissible``; or the whole
-    exhaustive set for no rows."""
+    ``rows``, checked by ``modes.check_fit`` and, as members of the
+    exhaustive set, by ``modes.admissible``; or the whole exhaustive set
+    for no rows. ``simulate.cell_average`` refuses a repeated row."""
     if not rows:
         return ideal_modes(n_ports, n_users)
-    for i, row in enumerate(rows):
-        check_fit(row, n_ports, n_users)
-        if tuple(row) in map(tuple, rows[:i]):
-            raise ConfigError(f"mode given more than once: {mode_label(row)}")
-        if not admissible(np.array([row]))[0]:
-            raise ConfigError(f"mode {mode_label(row)} serves one user with a port off; "
-                              f"a one-user mode must use every port")
-    return np.array(rows)
-
-
-def mode_rate_curves(scenario: Scenario, modes: np.ndarray, snr_grid_db,
-                     n_channels: int = simulate.DEFAULT_N_CHANNELS,
-                     seed: int = 1) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Sum-rate curves over a fixed geometry of the rows of a (modes x
-    ports) assignment array: the closed-form (modes x points) array, and
-    the ``mc_sum_rates`` means and standard errors from ``n_channels``
-    draws, in which every mode at every point reads the same fading draw
-    per chunk, keyed by the seed and the chunk; or None at
-    ``n_channels=0``."""
-    if scenario.user_positions is None:
-        raise ConfigError("rates experiment needs fixed user positions in the config")
-    pl = pathloss_matrix(scenario)
-    snrs = [db_to_linear(float(db)) for db in snr_grid_db]
-    # The table holds the served users only, renumbered in order: an idle
-    # user adds exactly 0.0 to every row, and its gains may tie.
-    served = np.flatnonzero(np.bincount(modes.ravel(), minlength=scenario.n_users + 1)[1:])
-    simulate.check_drop_size(scenario.n_ports, len(served))
-    renumber = np.zeros(scenario.n_users + 1, dtype=int)
-    renumber[served + 1] = np.arange(1, len(served) + 1)
-    # A long grid goes in slices of points, as a block's does.
-    analytic = np.empty((len(modes), len(snrs)))
-    step = simulate.point_step(scenario.n_ports, len(served), [modes])
-    for lo in range(0, len(snrs), step):
-        table = subset_rates(pl.gains[None, served], snrs[lo:lo + step])
-        analytic[:, lo:lo + step] = row_sum_rates(table, renumber[modes])[0].T
-    if not n_channels:
-        return analytic, None
-    return analytic, mc_sum_rates(pl.gains, modes, snrs, n_channels, simulate.stream_key(seed))
+    modes = check_fit(rows, n_ports, n_users)
+    for row in modes[~admissible(modes)][:1]:
+        raise ConfigError(f"mode {mode_label(row)} serves one user with a port off; "
+                          f"a one-user mode must use every port")
+    return modes
 
 
 # --- crossover report ---------------------------------------------------------

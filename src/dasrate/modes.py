@@ -41,22 +41,26 @@ def mode_label(row) -> str:
     return "[" + " ".join(str(u) for u in row) + "]"
 
 
-def check_fit(row, n_ports: int, n_users: int) -> None:
-    """Reject an assignment row, a sequence of N port entries, that does
-    not fit a scenario of ``n_ports`` ports and ``n_users`` users. Any row
-    that fits may be swept as a fixed mode, in the exhaustive set or not
-    (``[1 0 0]`` serves one user on one of three ports); ``rates`` also
-    asks for ``admissible`` rows."""
-    if len(row) != n_ports:
-        raise ConfigError(f"fixed mode {mode_label(row)} has {len(row)} entries; "
-                          f"the scenario has {n_ports} ports")
-    if any(int(u) != u or u < 0 for u in row):
-        raise ConfigError(f"fixed mode {mode_label(row)} needs integer entries >= 0")
-    if max(row) > n_users:
-        raise ConfigError(f"fixed mode {mode_label(row)} serves user {max(row)}; "
-                          f"the scenario has {n_users} users")
-    if not any(row):
-        raise ConfigError(f"fixed mode {mode_label(row)} has no active port")
+def check_fit(rows, n_ports: int, n_users: int) -> np.ndarray:
+    """The assignment ``rows``, each a sequence of N port entries, as one
+    (rows x ports) int array; ConfigError names the first row that does
+    not fit a scenario of ``n_ports`` ports and ``n_users`` users, and
+    the first condition it fails. Any row that fits may be swept as a
+    fixed mode, in the exhaustive set or not (``[1 0 0]`` serves one user
+    on one of three ports); ``rates`` also asks for ``admissible`` rows."""
+    for row in rows:
+        if len(row) != n_ports:
+            raise ConfigError(f"fixed mode {mode_label(row)} has {len(row)} entries; "
+                              f"the scenario has {n_ports} ports")
+    array = np.asarray(rows).reshape(len(rows), n_ports)
+    top = array.max(axis=1)
+    faults = {"needs integer entries >= 0": ((array != np.floor(array)) | (array < 0)).any(1),
+              f"serves user {{}}; the scenario has {n_users} users": top > n_users,
+              "has no active port": ~array.any(axis=1)}
+    for row in np.flatnonzero(np.logical_or.reduce([*faults.values()]))[:1]:
+        why = next(why for why, fault in faults.items() if fault[row])
+        raise ConfigError(f"fixed mode {mode_label(rows[row])} " + why.format(top[row]))
+    return array.astype(int)
 
 
 def ideal_count(n_ports: int, n_users: int) -> int:

@@ -189,12 +189,17 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
     return total
 
 
-def select_rows(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def select_rows(rates: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]:
     """Best candidate at each point of a (... x points x candidates) rate
     array: its column and its rate, one per point. The first maximizer
-    wins ties."""
-    best = rates.argmax(axis=-1)
-    return best, np.take_along_axis(rates, best[..., None], axis=-1)[..., 0]
+    wins ties. With ``starts``, each run of candidates from one start to
+    the next selects on its own, all at once, in (... x points x runs)."""
+    if starts is None:
+        return tuple(a[..., 0] for a in select_rows(rates, [0]))
+    n = rates.shape[-1]
+    top = np.repeat(np.maximum.reduceat(rates, starts, axis=-1), np.diff([*starts, n]), axis=-1)
+    best = np.minimum.reduceat(np.where(rates == top, np.arange(n), n), starts, axis=-1)
+    return best, np.take_along_axis(rates, best, axis=-1)
 
 
 # --- two-port, two-user analysis -------------------------------------------

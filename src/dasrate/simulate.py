@@ -5,9 +5,9 @@ a unit-variance complex Gaussian), drawn in chunks of MC_CHUNK channels,
 each from an SFC64 generator seeded by its own key, a ``SeedSequence``
 on the seed with its indices in the spawn key, which is not zero-padded
 as the entropy is, so keys of different lengths never coincide; no
-stream is jumped or advanced. Drop d's users come from (seed; d), the
-fading of its chunk c from (seed; d, c), and chunk c of a fixed
-geometry from (seed; 0, 0, c).
+stream is jumped or advanced. Drop d's users come from (seed; d), its
+chunk c from (seed; d, c), and chunk c of the one drop of a config that
+sets ``user_positions`` from (seed; 0, 0, c).
 
 A draw does not depend on the SNR, so each chunk is drawn once per drop
 and read by every mode and point rated there (common random numbers).
@@ -28,6 +28,7 @@ import math
 import os
 import pickle
 import signal
+from collections import Counter
 
 import numpy as np
 
@@ -82,8 +83,8 @@ def _chunk_stream(key: np.random.SeedSequence, chunk: int) -> np.random.Generato
 
 
 def stream_key(seed: int, drop: int | None = None) -> np.random.SeedSequence:
-    """Key of a drop, whose users are drawn from it, or of a fixed
-    geometry when ``drop`` is None; its child c draws Monte Carlo chunk c."""
+    """Key of a drop, whose users it draws, or at None of a fixed-user
+    config's one drop; its child c draws Monte Carlo chunk c."""
     return np.random.SeedSequence(seed, spawn_key=(0, 0) if drop is None else (drop,))
 
 
@@ -149,9 +150,7 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
     product past 2^1024: its draws of that chunk are rated again as the
     per-user log2s added in user order. Each cell adds its own total,
     and sum of squares, in chunk order, so its estimate does not depend
-    on the other cells of the call. A fixed geometry passes
-    ``stream_key(seed)``, or ``SeedSequence(seed)`` to draw chunk c from
-    ``SeedSequence(seed, spawn_key=(c,))``.
+    on the other cells of the call.
     """
     if n_channels < 2:
         raise ValueError("n_channels must be >= 2")
@@ -194,44 +193,68 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 
 # --- cell-averaged experiments ----------------------------------------------
 
-def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
-                  drops: range) -> tuple[np.ndarray, np.ndarray]:
-    """The (drops x sets x points x ports) chosen assignments and (drops
-    x sets x points) recorded values of a block of consecutive drops.
+def _served_users(n_users: int, sets) -> np.ndarray:
+    """Mask of the K users some set can serve: all with a nearest-user set
+    (None), else those the rows name. An idle user adds exactly 0.0 to a
+    row's rate and its gains may tie, so a table holds these alone."""
+    if any(modes is None for modes in sets):
+        return np.ones(n_users, dtype=bool)
+    return np.bincount(np.concatenate(sets).ravel(), minlength=n_users + 1)[1:] > 0
 
-    A set is a (modes x ports) assignment array, or None for each drop's
-    nearest-user set. Users, gains and nearest-user sets are built for the
-    whole block in one array pass each. One ``subset_rates`` table holds
-    every drop's subset rates at every point, or at each slice of points
-    when the whole grid would hold more than MAX_BLOCK_VALUES, from one
-    kernel call. Each set is rated on every drop of the block at once,
-    and selects at every (drop, point) with one first-maximizer argmax.
-    The value is the closed-form rate, or at ``n_channels`` >= 2 the
-    Monte Carlo mean: one ``mc_sum_rates`` call per drop rates each distinct
-    chosen mode at the points where any set chose it, from one draw per
-    chunk under the drop's key, and each (set, point) reads its mode's
-    mean there.
+
+def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
+                  drops: range, std_errors: bool = False) -> tuple[np.ndarray, ...]:
+    """The (drops x sets x points x ports) chosen assignments and the
+    (drops x sets x points) values and Monte Carlo standard errors of a
+    block of consecutive drops, drop d's users from ``stream_key(seed,
+    d)``; a template that sets ``user_positions`` is one drop of those
+    users, keyed ``stream_key(seed)``. A set is a (modes x ports)
+    assignment array, or None for each drop's nearest-user set.
+
+    One ``subset_rates`` table of the ``_served_users``, per slice of
+    points past MAX_BLOCK_VALUES, serves every set: the shared sets' rows
+    go to one ``row_sum_rates`` call and one segmented ``select_rows``,
+    the nearest-user sets per drop. The value is the closed-form rate or,
+    at ``n_channels`` >= 2, the mean of one ``mc_sum_rates`` call per
+    drop over its distinct chosen modes, each at the points that chose
+    it; only with ``std_errors`` are its standard errors read, else 0.
     """
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
-    keys = [stream_key(seed, drop) for drop in drops]
-    pl = pathloss_matrix(template, uniform_positions(template, keys))
-    nearest = nearest_user_modes(pl.distances)
-    drop_sets = [nearest if modes is None else modes for modes in sets]
+    positions = template.user_positions
+    keys = [stream_key(seed, drop) for drop in drops] if positions is None else [stream_key(seed)]
+    pl = pathloss_matrix(template, uniform_positions(template, keys) if positions is None
+                         else np.array([positions]))
+    sizes = np.array([0 if modes is None else len(modes) for modes in sets])
+    shared, nearest = np.flatnonzero(sizes), np.flatnonzero(sizes == 0)
+    if len(shared):
+        rows = np.concatenate([modes for modes in sets if modes is not None])
+        starts = np.cumsum(sizes[shared]) - sizes[shared]
+    nearest_rows = nearest_user_modes(pl.distances) if len(nearest) else None
+    served = _served_users(template.n_users, [None] if len(nearest) else [rows])
+    gains = pl.gains[:, served]
+    renumber = np.cumsum([0, *served])  # a served user's row in the table, 1-based
 
-    shape = (len(drops), len(sets), len(grid_db))
+    shape = (len(keys), len(sets), len(grid_db))
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
-    values = np.empty(shape)
-    # A block of many drops holds few points; a long grid goes in slices.
-    step = point_step(template.n_ports, template.n_users, sets, len(drops))
+    values, errors = np.empty(shape), np.zeros(shape)
+    # A block of many drops holds few points; a long grid goes in slices
+    # of as many points as MAX_BLOCK_VALUES holds, at least one.
+    base, per_point = _drop_footprint(template.n_ports, served.sum(), sets)
+    step = max(1, (MAX_BLOCK_VALUES // len(keys) - base) // per_point)
     for lo in range(0, len(snrs), step):
-        table = subset_rates(pl.gains, snrs[lo:lo + step])
-        for s, rows in enumerate(drop_sets):
-            best, values[:, s, lo:lo + step] = select_rows(row_sum_rates(table, rows))
-            chosen[:, s, lo:lo + step] = (rows[best] if rows.ndim == 2 else
-                                          rows[np.arange(len(drops))[:, None], best])
+        part = slice(lo, lo + step)
+        table = subset_rates(gains, snrs[part])
+        if len(shared):
+            best, rates = select_rows(row_sum_rates(table, renumber[rows]), starts)
+            values[:, shared, part] = rates.swapaxes(1, 2)
+            chosen[:, shared, part] = rows[best.swapaxes(1, 2)]
+        for s in nearest:
+            best, values[:, s, part] = select_rows(row_sum_rates(table, nearest_rows))
+            chosen[:, s, part] = nearest_rows[np.arange(len(keys))[:, None], best]
     if n_channels:
         points = np.arange(len(grid_db))
-        for key, gains, drop_chosen, drop_values in zip(keys, pl.gains, chosen, values):
+        for key, drop_gains, drop_chosen, drop_values, drop_errors in zip(
+                keys, pl.gains, chosen, values, errors):
             # Each distinct chosen mode, the one each (set, point) chose,
             # and the points where any set chose it.
             distinct, which = np.unique(drop_chosen.reshape(-1, template.n_ports), axis=0,
@@ -239,10 +262,11 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
             which = which.reshape(shape[1:])
             at = np.zeros((len(distinct), len(grid_db)), dtype=bool)
             at[which, points] = True
-            mean, _ = mc_sum_rates(gains, distinct, snrs, n_channels, key, at=at,
-                                   std_errors=False)
+            mean, error = mc_sum_rates(drop_gains, distinct, snrs, n_channels, key, at=at,
+                                       std_errors=std_errors)
             drop_values[:] = mean[which, points]
-    return chosen, values
+            drop_errors[:] = error[which, points] if std_errors else 0.0
+    return chosen, values, errors
 
 
 # Most values one block holds, as counted by _drop_footprint, where one
@@ -270,19 +294,12 @@ def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
     return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
 
 
-def point_step(n: int, k: int, sets, n_drops: int = 1) -> int:
-    """SNR points per ``subset_rates`` table of ``n_drops`` drops of ``sets``:
-    as many as ``_drop_footprint`` fits in MAX_BLOCK_VALUES, at least one."""
-    fixed, per_point = _drop_footprint(n, k, sets)
-    return max(1, (MAX_BLOCK_VALUES // n_drops - fixed) // per_point)
-
-
 def check_drop_size(n_ports: int, n_users: int) -> None:
     """Raise CapacityError when one drop's nearest-user footprint at one
-    SNR point exceeds MAX_BLOCK_VALUES. Every block builds its drops'
-    nearest-user sets, so past this size (N >= 14 at K = N, 16 at K = 2,
-    17 at K = 1) no block fits, and the 2^N port masks alone would ask
-    for an unbounded allocation."""
+    SNR point, over ``n_users`` served users, exceeds MAX_BLOCK_VALUES.
+    Past this size (N >= 14 at K = N, 16 at K = 2, 17 at K = 1) no block
+    of that set fits, and a table's 2^N port masks alone would ask for
+    an unbounded allocation."""
     values = sum(_drop_footprint(n_ports, n_users, [None]))
     if values > MAX_BLOCK_VALUES:
         raise CapacityError(f"one drop at N = {n_ports} ports and K = {n_users} takes "
@@ -358,40 +375,41 @@ def _fork_shares(work, shares: list[range]) -> list:
 
 
 def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
-               n_drops: int, n_jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chosen assignments and values of ``_block_worker`` for every
-    drop, in drop order, from the ``_drop_shares`` of ``n_jobs``: this
-    process works the first share and a forked child each other one
-    (``_fork_shares``). The calling process should run no other thread.
-    ``n_jobs`` outside 1 to MAX_JOBS is refused (ValueError) before any
-    drop is drawn.
+               n_drops: int, n_jobs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chosen assignments, values and standard errors of
+    ``_block_worker`` for every drop, in drop order, from the
+    ``_drop_shares`` of ``n_jobs``: this process works the first share
+    and a forked child each other one (``_fork_shares``). The calling
+    process should run no other thread. ``n_jobs`` outside 1 to MAX_JOBS
+    (ValueError) and ``n_drops`` other than 1 on a one-drop config
+    (ConfigError) are refused before any drop is drawn. Only a run of
+    one drop reads Monte Carlo standard errors.
 
     Each share goes in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
     as its memory bound permits, and never less than one drop at one
     point. ``check_drop_size`` first refuses a scenario whose one drop of
-    the nearest-user set outgrows the bound at one point; it checks no
-    other set, so one drop of a large exhaustive set exceeds it.
-
-    Drops draw their users uniformly, so a template that sets
-    ``user_positions`` is refused (ConfigError) before any drop is drawn.
+    the nearest-user set, over the ``_served_users``, outgrows the bound
+    at one point; it checks no other set, so one drop of a large
+    exhaustive set exceeds it.
     """
-    if template.user_positions is not None:
-        raise ConfigError("the config sets user_positions, but sweep and hist draw their "
-                          "users uniformly per drop; use dasrate rates for fixed users")
     if not 1 <= n_jobs <= MAX_JOBS:
         raise ValueError(f"n_jobs must be 1 to {MAX_JOBS}, got {n_jobs}")
-    check_drop_size(template.n_ports, template.n_users)
-    fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
+    if template.user_positions is not None and n_drops != 1:
+        raise ConfigError(f"the config sets user_positions, so it is one drop: "
+                          f"n_drops/--drops must be 1, got {n_drops}")
+    n_served = _served_users(template.n_users, sets).sum()
+    check_drop_size(template.n_ports, n_served)
+    fixed, per_point = _drop_footprint(template.n_ports, n_served, sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
 
-    def work(drops: range) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [_block_worker(template, sets, grid_db, n_channels, seed, drops[lo:lo + size])
+    def work(drops: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return [_block_worker(template, sets, grid_db, n_channels, seed, drops[lo:lo + size],
+                              n_drops == 1)
                 for lo in range(0, len(drops), size)]
 
     shares = _fork_shares(work, _drop_shares(n_drops, n_jobs))
-    chosen, values = zip(*(block for blocks in shares for block in blocks))
-    return np.concatenate(chosen), np.concatenate(values)
+    return tuple(map(np.concatenate, zip(*(block for blocks in shares for block in blocks))))
 
 
 # Most candidate-drop-points (candidates x drops x SNR points) an
@@ -405,10 +423,11 @@ SWEEP_IDEAL_LIMIT = 400_000_000
 def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
                  n_drops: int, n_channels: int, seed: int, n_jobs: int = 1,
                  force_ideal: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Means and drop-level standard errors (zero at one drop) of the sum
-    rates of ``schemes`` over the same uniform user drops, as two
-    (entries x points) arrays in ``schemes`` order, all from one pass
-    over the drops.
+    """Means and standard errors of the sum rates of ``schemes`` over the
+    same drops (a template's uniform ones, or a fixed-user config's one),
+    as two (entries x points) arrays in ``schemes`` order, from one pass
+    over the drops. The errors are drop-level, and at one drop those of
+    its Monte Carlo estimates over the channels, or 0 in closed form.
 
     ``schemes`` lists "ideal", "min-distance" and fixed modes, each an
     assignment row of N port entries. A fixed mode may be any row that
@@ -418,8 +437,8 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
     ``n_channels=0`` or a fading-simulation estimate from ``n_channels``
     >= 2 draws.
 
-    Before any drop is drawn, the counts are checked, and every entry:
-    for repeats, each fixed row for fit, and an exhaustive set against
+    Before any drop is drawn, the counts are checked, and then, over all
+    entries at once, the names, fit, repeats, and an exhaustive set against
     ``modes.check_enumeration_budget`` (CapacityError, with or without
     ``force_ideal``), then for more than SWEEP_IDEAL_LIMIT
     candidate-drop-points unless ``force_ideal``.
@@ -431,41 +450,44 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
                          f"got {n_channels}")
     if not schemes:
         raise ConfigError("no schemes requested")
-    labels = [s if isinstance(s, str) else mode_label(s) for s in schemes]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    n_ports, n_users = scenario_template.n_ports, scenario_template.n_users
+    names = [scheme for scheme in schemes if isinstance(scheme, str)]
+    for name in set(names) - {"ideal", "min-distance"}:
+        raise ConfigError(f"unknown scheme {name!r}")
+    fixed = check_fit([scheme for scheme in schemes if not isinstance(scheme, str)],
+                      n_ports, n_users)
+    ordered = fixed[np.lexsort(fixed.T)]
+    twice = ordered[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+    repeated = sorted({name for name, count in Counter(names).items() if count > 1}
+                      | set(map(mode_label, twice)))
     if repeated:
         raise ConfigError(f"scheme or fixed mode given more than once: "
                           f"{', '.join(repeated)}")
-    n_ports, n_users = scenario_template.n_ports, scenario_template.n_users
-    for scheme in schemes:
-        if not isinstance(scheme, str):
-            check_fit(scheme, n_ports, n_users)
-        elif scheme not in ("ideal", "min-distance"):
-            raise ConfigError(f"unknown scheme {scheme!r}")
-        elif scheme == "ideal":
-            # No flag runs a set past the enumeration budget, so it is checked first.
-            check_enumeration_budget(n_ports, n_users)
-            count = ideal_count(n_ports, n_users)
-            work = count * n_drops * len(snr_grid_db)
-            if work > SWEEP_IDEAL_LIMIT and not force_ideal:
-                raise ConfigError(
-                    f"exhaustive sweep would rate {work} candidate-drop-points "
-                    f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
-                    f"SNR points), more than {SWEEP_IDEAL_LIMIT}; pass "
-                    f"force_ideal/--force-ideal to run it anyway")
-    # The nearest-user set (None) is drawn per drop.
-    sets = [np.array([scheme]) if not isinstance(scheme, str) else
+    if "ideal" in names:
+        # No flag runs a set past the enumeration budget, so it is checked first.
+        check_enumeration_budget(n_ports, n_users)
+        count = ideal_count(n_ports, n_users)
+        work = count * n_drops * len(snr_grid_db)
+        if work > SWEEP_IDEAL_LIMIT and not force_ideal:
+            raise ConfigError(
+                f"exhaustive sweep would rate {work} candidate-drop-points "
+                f"({count} candidates x {n_drops} drops x {len(snr_grid_db)} "
+                f"SNR points), more than {SWEEP_IDEAL_LIMIT}; pass "
+                f"force_ideal/--force-ideal to run it anyway")
+    # A fixed mode is a (1 x ports) set; the nearest-user set (None) is per drop.
+    fixed_sets = iter(fixed[:, None])
+    sets = [next(fixed_sets) if not isinstance(scheme, str) else
             ideal_modes(n_ports, n_users) if scheme == "ideal" else None
             for scheme in schemes]
     grid = tuple(float(db) for db in snr_grid_db)
-    _, values = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops, n_jobs)
+    _, values, errors = _run_drops(scenario_template, sets, grid, n_channels, seed, n_drops, n_jobs)
+    if n_drops == 1:
+        return values[0], errors[0]
     # Each entry reduces its own (drops x points) values: numpy sums a
     # one-point grid's column pairwise but a (drops x entries) block row
     # by row, and the printed digits would move.
     per_entry = values.swapaxes(0, 1)
     means = np.array([v.mean(axis=0) for v in per_entry])
-    if n_drops == 1:
-        return means, np.zeros_like(means)
     return means, np.array([v.std(axis=0, ddof=1) for v in per_entry]) / math.sqrt(n_drops)
 
 
@@ -495,7 +517,7 @@ def mode_histogram(scenario_template: Scenario, snr_ranges_db, n_drops: int,
 
     flat_points = tuple(sorted({db for pts in points_per_range for db in pts}))
     # One candidate set: None, the nearest-user set of each drop.
-    chosen, _ = _run_drops(scenario_template, [None], flat_points, 0, seed, n_drops, n_jobs)
+    chosen = _run_drops(scenario_template, [None], flat_points, 0, seed, n_drops, n_jobs)[0]
     # Each choice's group as the code KA * (N + 1) + NA: its distinct
     # nonzero users, counted on the sorted assignment, and its active ports.
     users = np.sort(chosen[:, 0], axis=2)

@@ -82,7 +82,8 @@ def test_rates_explicit_mode_at_eight_ports(tmp_path, capsys):
 def test_rates_idle_user_gain_tie_is_not_rated(tmp_path, capsys):
     """An idle user at the centre of a ring of ten ports has ten nearly
     equal gains; a mode that serves only the other user rates as that
-    user alone does, byte for byte, and the idle user's tie is never met."""
+    user alone does, byte for byte, in rates and in a one-drop fixed-mode
+    sweep, and the idle user's tie is never met."""
     ports = "; ".join(f"{4 * math.cos(2 * math.pi * j / 10):.12f},"
                       f"{4 * math.sin(2 * math.pi * j / 10):.12f}" for j in range(10))
     head = f"n_ports = 10\ncell_radius = 6.11\npathloss_exponent = 3\nport_positions = {ports}\n"
@@ -90,11 +91,48 @@ def test_rates_idle_user_gain_tie_is_not_rated(tmp_path, capsys):
     for users, label in (("0,0; 2,1", "2"), ("2,1", "1")):
         cfg = tmp_path / f"users{label}.cfg"
         cfg.write_text(head + f"n_users = {users.count(';') + 1}\nuser_positions = {users}\n")
-        code, out, err = run_cli(capsys, "rates", "--config", str(cfg), "--no-mc",
-                                 "--snr", "0:10:20", "--modes", f"[{' '.join([label] * 10)}]")
-        assert code == cli.EXIT_OK, err
-        columns.append([line.split(",")[1] for line in out.splitlines()[1:]])
-    assert columns[0] == columns[1] == ["0.426644638526", "2.07713038112", "5.01231877375"]
+        mode = f"[{' '.join([label] * 10)}]"
+        for argv in (("rates", "--no-mc", "--modes", mode),
+                     ("sweep", "--drops", "1", "--fixed-mode", mode)):
+            code, out, err = run_cli(capsys, argv[0], "--config", str(cfg), "--snr", "0:10:20",
+                                     *argv[1:])
+            assert code == cli.EXIT_OK, err
+            columns.append([line.split(",")[1] for line in out.splitlines()[1:]])
+    assert columns == [["0.426644638526", "2.07713038112", "5.01231877375"]] * 4
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fixed_user_sweep_prints_the_rates_columns(capsys, jobs):
+    """A config that sets user_positions is one drop: a fixed-mode sweep
+    of fig2, with --drops omitted or 1, prints the bytes of the columns
+    that rates prints for those modes, the closed-form ones and the Monte
+    Carlo means and channel-level standard errors."""
+    flags = ("--config", "fig2.cfg", "--snr", "0:10:30", "--seed", "5", "--channels", "9000")
+    code, out, _ = run_cli(capsys, "rates", *flags, "--modes", "[1 2],[1 1]")
+    assert code == cli.EXIT_OK
+    rates = [line.split(",") for line in out.splitlines()]
+    assert rates[0][1:4] == ["[1 2]_analytic", "[1 2]_mc", "[1 2]_mc_stderr"]
+    for extra, columns in ((("--rating", "analytic"), (0, 1, 4)),
+                           (("--rating", "mc", "--drops", "1"), (0, 2, 3, 5, 6))):
+        code, out, _ = run_cli(capsys, "sweep", *flags, "--fixed-mode", "[1 2]",
+                               "--fixed-mode", "[1 1]", "--jobs", jobs, *extra)
+        assert code == cli.EXIT_OK
+        assert out.splitlines() == [",".join(row[c] for c in columns) for row in rates]
+    assert all(float(row[3]) > 0 for row in rates[1:])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_fixed_user_hist_is_one_drop(capsys, forks, jobs):
+    """hist on fig2 tallies one drop, the config's: its nearest-user set
+    is [1 1] and [1 2], whose exact curves cross at 37.8 dB, so [1 2]
+    (two users on two ports) wins every point of 0:10 and 30 and 35 dB
+    of 30:50. No child is forked for the one drop."""
+    code, out, err = run_cli(capsys, "hist", "--config", "fig2.cfg",
+                             "--snr-ranges", "0:10,30:50", "--jobs", jobs)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.splitlines() == ["range_lo_db,range_hi_db,group_label,fraction",
+                                "0,10,KA2_NA2,1", "30,50,KA1_NA2,0.6", "30,50,KA2_NA2,0.4"]
+    assert forks == []
 
 
 def test_missing_config_is_usage_error(capsys):
@@ -342,11 +380,11 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
     (("hist", "--config", "fig7.cfg", "--snr-ranges", "0:10,-310:-300"),
      "--snr-ranges -310:-300 spans"),
     (("sweep", "--config", "fig2.cfg", "--drops", "2"),
-     "sets user_positions, but sweep and hist draw their users uniformly per drop; "
-     "use dasrate rates"),
-    (("hist", "--config", "fig2.cfg", "--drops", "2", "--snr-ranges", "0:10"),
-     "sets user_positions, but sweep and hist draw their users uniformly per drop; "
-     "use dasrate rates"),
+     "the config sets user_positions, so it is one drop: n_drops/--drops must be 1, got 2"),
+    (("hist", "--config", "fig2.cfg", "--drops", "2", "--snr-ranges", "0:10", "--jobs", "2"),
+     "the config sets user_positions, so it is one drop: n_drops/--drops must be 1, got 2"),
+    (("rates", "--config", "fig3.cfg", "--no-mc"),
+     "rates needs fixed user positions in the config"),
 ], ids=["snr-inf", "snr-nan", "snr-too-many-points", "range-inf", "drops-0",
         "jobs-0", "jobs-negative", "jobs-too-many", "channels-1-with-mc",
         "sweep-seed-negative", "hist-seed-negative", "rates-seed-negative",
@@ -358,7 +396,7 @@ def test_verify_detects_tampered_kernel(capsys, monkeypatch):
         "fixed-mode-repeated", "rates-mode-repeated", "range-repeated",
         "out-dir-missing", "out-is-a-directory",
         "snr-too-high", "snr-too-low", "rates-snr-past-bound", "range-too-high",
-        "range-too-low", "sweep-fixed-users", "hist-fixed-users"])
+        "range-too-low", "sweep-fixed-users", "hist-fixed-users", "rates-template"])
 def test_bad_input_is_usage_error_before_any_work(capsys, monkeypatch, argv, message):
     """Each bad value exits 2 with one line on stderr, before a drop is
     drawn or a child process is forked."""

@@ -7,7 +7,7 @@ import pytest
 
 from dasrate.errors import ConfigError
 from dasrate.experiments import (crossover_lines, curve_to_csv, histogram_to_csv,
-                                 mode_rate_curves, parse_snr_spec, resolve_mode_filter)
+                                 parse_snr_spec, resolve_mode_filter)
 from dasrate.geometry import _REQUIRED_KEYS, linear_to_db, load_scenario, pathloss_matrix
 from dasrate.rate import crossover_curves_db, crossover_snr
 from dasrate.simulate import cell_average
@@ -62,9 +62,15 @@ def test_resolve_mode_filter_unknown_label_lists_valid():
     assert resolve_mode_filter([(2, 1), (1, 1)], 2, 2).tolist() == [[2, 1], [1, 1]]
 
 
-def rates_csv(modes, grid, **kwargs):
-    analytic, mc = mode_rate_curves(FIG2, modes, grid, **kwargs)
-    mc_blocks = [] if mc is None else [("mc", mc[0]), ("mc_stderr", mc[1])]
+def rates_csv(modes, grid, n_channels, seed=1):
+    """The CSV of fig2's ``modes`` that ``rates`` prints: one drop's
+    closed-form values and, at ``n_channels``, its Monte Carlo means and
+    channel-level standard errors."""
+    modes = list(modes)
+    analytic, zeros = cell_average(FIG2, modes, grid, 1, 0, seed)
+    assert not zeros.any()
+    mc_blocks = [] if not n_channels else zip(
+        ("mc", "mc_stderr"), cell_average(FIG2, modes, grid, 1, n_channels, seed))
     return curve_to_csv(grid, modes, ("analytic", analytic), *mc_blocks)
 
 
@@ -74,20 +80,14 @@ def test_curve_csv_schema_and_stability():
     lines = text.strip().split("\n")
     assert lines[0] == "snr_db,[1 2]_analytic,[1 2]_mc,[1 2]_mc_stderr"
     assert len(lines) == 3
+    assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
     again = rates_csv(modes, (0.0, 10.0), n_channels=500, seed=2)
     assert text == again  # byte-stable at fixed seed
 
 
 def test_analytic_only_curve_has_no_mc_columns():
     modes = resolve_mode_filter([(1, 1)], 2, 2)
-    assert mode_rate_curves(FIG2, modes, (0.0,), n_channels=0)[1] is None
     assert rates_csv(modes, (0.0,), n_channels=0).startswith("snr_db,[1 1]_analytic\n")
-
-
-def test_mode_rate_curves_requires_positions():
-    template = load_scenario("fig3.cfg")
-    with pytest.raises(ConfigError, match="positions"):
-        mode_rate_curves(template, resolve_mode_filter(None, 2, 2), (0.0,))
 
 
 def test_sweep_guards_large_exhaustive_runs():

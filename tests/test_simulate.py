@@ -511,26 +511,27 @@ def test_long_grid_kernel_batches_stay_bounded(monkeypatch):
 
 
 def test_long_rates_grid_goes_in_point_slices(monkeypatch):
-    """A rates grid too long for MAX_BLOCK_VALUES is rated in point
-    slices, as a block's is, whose kernel values stay within the bound,
-    with the CSV of one table."""
-    from dasrate.experiments import curve_to_csv, mode_rate_curves
+    """A fixed geometry's grid too long for MAX_BLOCK_VALUES is rated in
+    point slices, as a block's is, whose kernel values stay within the
+    bound, with the CSV of one table."""
+    from dasrate.experiments import curve_to_csv
     from dasrate.geometry import load_scenario
 
     scn = load_scenario("fig2.cfg")
-    modes = ideal_modes(2, 2)
+    modes = list(ideal_modes(2, 2))
     grid = tuple(0.1 * i for i in range(50))
 
     def csv():
-        analytic, _ = mode_rate_curves(scn, modes, grid, n_channels=0)
+        analytic, _ = cell_average(scn, modes, grid, 1, 0, 1)
         return curve_to_csv(grid, modes, ("analytic", analytic))
 
     whole = csv()
     sizes = recorded_kernel_sizes(monkeypatch)
-    # 4 rows: 4 x 2 masks and 2 x 2 x 2 subset gain columns and as many
-    # weights, then 4 rows and 2 x 4 subset rates per point.
+    # 4 one-row sets: 4 x 2 masks and 2 x 2 x 2 subset gain columns and
+    # as many weights, then 4 rows and 2 x 4 subset rates per point.
     fixed, per_point = 4 * 2 + 2 * 2 * 4, 4 + 2 * 4
-    assert simulate._drop_footprint(2, 2, [modes]) == (fixed, per_point)
+    sets = [np.array([mode]) for mode in modes]
+    assert simulate._drop_footprint(2, 2, sets) == (fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 7 * per_point)
     assert csv() == whole
     # Slices of 7 points, the last of 1, 4 gains each.
@@ -751,6 +752,17 @@ def test_cell_average_refuses_other_channel_counts(shares_run, n_channels):
     assert shares_run() == [[]]
 
 
+def test_one_user_fixed_mode_leaves_the_nearest_user_set_every_user():
+    """A table holds only the users some set can serve; a fixed mode
+    that serves one user, swept beside the nearest-user set, leaves that
+    set every user: each entry reads the bytes it reads alone."""
+    grid = (0.0, 20.0, 40.0)
+    both, _ = cell_average(template(3), ["min-distance", (1, 1, 1)], grid, 5, 0, 7)
+    (alone,), _ = cell_average(template(3), ["min-distance"], grid, 5, 0, 7)
+    (fixed,), _ = cell_average(template(3), [(1, 1, 1)], grid, 5, 0, 7)
+    assert both.tolist() == [alone.tolist(), fixed.tolist()]
+
+
 def test_cell_average_mc_rating_close_to_analytic():
     grid = (10.0, 30.0)
     (analytic,), _ = cell_average(template(2), [(1, 2)], grid,
@@ -833,8 +845,9 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
         base, per_point = simulate._drop_footprint(n, n, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
-    chosen, values = simulate._block_worker(template, sets, grid, 0, 81,
-                                            range(len(positions)))
+    chosen, values, errors = simulate._block_worker(template, sets, grid, 0, 81,
+                                                    range(len(positions)))
+    assert not errors.any()
     assert chosen.shape == (len(positions), 3, len(grid), n)
     ties = full_size = 0
     for d, users in enumerate(positions):
@@ -892,7 +905,8 @@ def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid
         (74, (drop, c)) for drop in range(5, 8) for c in range(2)]
     for first, tail in zip(streams_opened[::2], streams_opened[1::2]):
         assert first[2:4] == tail[2:4] == (first[2], (simulate.MC_CHUNK, 3, 3))
-    (chosen, _), (mc_chosen, values) = analytic, mc
+    (chosen, _, _), (mc_chosen, values, errors) = analytic, mc
+    assert not errors.any()
     assert mc_chosen.tolist() == chosen.tolist()
     for drop_chosen, drop_values in zip(chosen.tolist(), values):
         for idx in range(len(grid)):
@@ -903,13 +917,11 @@ def test_mc_sweep_opens_one_stream_per_drop_and_chunk(streams_opened, sets, grid
 
 
 def test_rates_open_one_stream_per_chunk(streams_opened):
-    """Every mode at every point of a fixed geometry reads one draw per
-    chunk, keyed (seed; 0, 0, chunk)."""
-    from dasrate.experiments import mode_rate_curves
+    """Every mode at every point of a fixed geometry, one drop, reads one
+    draw per chunk, keyed (seed; 0, 0, chunk)."""
     from dasrate.geometry import load_scenario
 
     scn = load_scenario("fig2.cfg")
-    mode_rate_curves(scn, ideal_modes(2, 2), (0.0, 10.0, 20.0, 30.0),
-                     n_channels=9000, seed=3)
+    cell_average(scn, list(ideal_modes(2, 2)), (0.0, 10.0, 20.0, 30.0), 1, 9000, 3)
     assert [(entropy, key) for entropy, key, *_ in streams_opened] == [
         (3, (0, 0, 0)), (3, (0, 0, 1))]
