@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/config,
 3 capacity (an enumeration past its budget, or a port count whose one
 drop outgrows a block: N >= 14 at K = N, and N > 16 at any K, which the
-config load refuses), 4 degenerate gains, 5
-numerical failure (only ``verify`` raises it, when a quadrature exceeds
-its error budget).
+config load refuses), 5 numerical failure (only ``verify``, when a
+quadrature exceeds its error budget); 4 is retired.
 
 Only ``verify`` imports scipy (through ``verification``); every other
 command runs on numpy alone.

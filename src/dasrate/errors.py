@@ -15,11 +15,6 @@ class CapacityError(DasRateError):
     exit_code = 3
 
 
-class DegenerateGainsError(DasRateError):
-    """Pathloss gains remained tied after the deterministic separation guard."""
-    exit_code = 4
-
-
 class NumericalFailureError(DasRateError):
     """A quadrature's error estimate exceeded its budget."""
     exit_code = 5

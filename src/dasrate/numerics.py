@@ -1,7 +1,8 @@
 """Scaled exponential-integral kernel.
 
 Every closed-form rate in this package is a weighted combination of
-``exp(x) * E1(x)`` terms, where ``E1(x) = integral_x^inf exp(-t)/t dt``.
+``exp(x) * E1(x)`` terms, where ``E1(x) = integral_x^inf exp(-t)/t dt``,
+and at near-tied gains of ``exp(x) * E_k(x)`` terms (``exp_en``).
 Only the scaled product is evaluated here: the unscaled ``E1`` underflows
 for x above ~700 and ``exp(x)`` overflows around the same point, while
 their product stays comfortably inside double range for any positive x.
@@ -53,6 +54,7 @@ _CF_ROWS = ((1.0, 116), (1.15625, 104), (1.28125, 93), (1.46875, 83),
             (6.875, 23), (8.5, 20), (10.0, 18), (12.0, 16), (15.0, 14),
             (20.0, 12), (28.5, 10), (37.0, 9), (50.0, 8), (76.0, 7), (132.0, 6),
             (312.0, 5), (1344.0, 4), (28160.0, 3), (385875968.0, 2))
+_EN_EXTRA_LEVELS = 4  # past a row's depth, for exp_en's fractions at orders up to ceil(x)
 
 
 def _horner(x, coefficients):
@@ -143,3 +145,32 @@ def _exp_e1_continued_fraction(x):
     out = np.empty_like(x)
     out[order] = 1.0 / t
     return out
+
+
+def exp_en(x, first, count: int) -> np.ndarray:
+    """exp(x) E_k(x), k = 1 .. ``count``, one row per k, of a 1-D array of
+    x > 0 whose exp(x) E1(x) is ``first``. v_(k+1) = (1 - x v_k) / k damps
+    round-off at k >= x, v_k = (1 - k v_(k+1)) / x at k < x: at x <= 4 (11
+    times round-off at most) v_k recurs up from ``first``, else down and up
+    from k0 = min(ceil(x), count), whose v is the fraction 1/(x + n - 1 n/(x
+    + n + 2 - ...)) at n = k0, bottom-up from t = inf ``_EN_EXTRA_LEVELS``
+    past x's ``_CF_ROWS`` depth: a level in hand (checked on 270 x in (4, 1e30]).
+    Relative error stayed under 1.3e-15 for x in [1e-30, 1e300], k <= 410."""
+    v = np.zeros((count, len(x)))
+    v[0] = first
+    k0 = np.where(x > 4.0, np.minimum(np.ceil(x), count), 1.0)
+    at = np.flatnonzero(k0 > 1.0)
+    n, x_at = k0[at], x[at]
+    edges, depths = np.array(_CF_ROWS).T
+    depth = depths[np.searchsorted(edges, x_at, side="right") - 1] + _EN_EXTRA_LEVELS
+    levels = np.arange(depth.max(initial=0), 0, -1)[:, None]
+    t = np.full(len(at), math.inf)  # until each element's own depth
+    for a, b in zip(levels * (n - 1 + levels),
+                    np.where(levels <= depth, x_at + (n + 2 * levels - 2), math.inf)):
+        t = b - a / t
+    v[n.astype(int) - 1, at] = 1.0 / t
+    for k in range(int(k0.max(initial=1.0)) - 1, 1, -1):
+        v[k - 1] = np.where(k < k0, (1.0 - k * v[k]) / x, v[k - 1])
+    for k in range(1, count):
+        v[k] = np.where(k >= k0, (1.0 - x * v[k - 1]) / k, v[k])
+    return v

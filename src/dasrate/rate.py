@@ -21,67 +21,27 @@ and ``row_sum_rates`` rates any mode of those drops from that one table;
 The identity is algebraic in the kernel values, so it holds for the
 approximated rates too.
 
-R_k(B) is a partial-fraction sum that assumes pairwise-distinct gains.
-Near-ties (see ``GAIN_TIE_REL_TOL``) are separated by a deterministic
-relative perturbation, in the subsets that hold them only. At a pair of
-exact ties that leaves an error of about 1.5e-7 bits, but at three or
-more the sum cancels badly: four tied unit gains at 30 dB read -5.7e5
-bits, against 11.78. ``dasrate verify`` checks the subset rates against
-``verification.mgf_rate``, an oracle that holds at any ties.
+The paper's R_k(B), a partial-fraction sum over distinct gains, is formed
+by a recursion that divides by each subset's own gain span, or by an
+Erlang mixture of positive terms, so it holds at any ties; ``dasrate
+verify`` checks both routes against the oracle ``verification.mgf_rate``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateGainsError
 
-# Two gains closer than this (relative) are treated as tied and nudged apart.
-GAIN_TIE_REL_TOL = 1e-9
-# Relative perturbation unit applied to the later of a tied pair.
-GAIN_PERTURB_REL = 1e-7
-_GUARD_MAX_PASSES = 8
-
-
-def _separate_gains(gains: Sequence[float]) -> list[float]:
-    """Nudge near-tied gains apart deterministically.
-
-    The k-th offender is scaled by (1 + GAIN_PERTURB_REL * k) so repeated
-    values fan out; raises if ties survive the pass budget.
-    """
-    values = [float(g) for g in gains]
-    for _ in range(_GUARD_MAX_PASSES):
-        clash = None
-        for b in range(1, len(values)):
-            for a in range(b):
-                if abs(values[a] - values[b]) <= GAIN_TIE_REL_TOL * max(values[a], values[b]):
-                    clash = b
-                    break
-            if clash is not None:
-                break
-        if clash is None:
-            return values
-        values[clash] *= 1.0 + GAIN_PERTURB_REL * (clash + 1)
-    raise DegenerateGainsError(f"gains remained tied after separation guard: {gains}")
-
-
-def _pf_weights(gains: Sequence[float]) -> list[float]:
-    """Partial-fraction weights w_k = prod_{l != k} g_k / (g_k - g_l).
-
-    Each gain may also be an array, one entry per subset, to weigh many
-    subsets of the same size at once."""
-    weights = []
-    for k, gk in enumerate(gains):
-        prod = 1.0
-        for l, gl in enumerate(gains):
-            if l != k:
-                prod *= gk / (gk - gl)
-        weights.append(prod)
-    return weights
+# Per subset size |B|: the widest span 1 - g_lo / g_hi at which R(B) takes
+# the Erlang mixture, as the recursion's round-off grows as spans shrink,
+# and the mixture's last term M, past which the terms hold under 2**-57 of
+# R(B) at that span (as T_k / k falls with k).
+_WIDEST = np.array([0, 0, .001, .01, .1, .3, .4, .5, .55, .6, .65, .7, .72, .75, .78, .8, .82])
+_LAST = (0, 0, 5, 9, 20, 41, 57, 80, 97, 119, 147, 185, 208, 245, 294, 337, 390)
 
 
 # --- ergodic rates ----------------------------------------------------------
@@ -92,12 +52,29 @@ def log1p_inv(x: np.ndarray) -> np.ndarray:
     return np.array([math.log1p(v) for v in (1.0 / x).tolist()])
 
 
-def _near_ties(gains: np.ndarray) -> np.ndarray:
-    """Rows of a (subsets x gains) array, each sorted ascending, that hold
-    two gains ``_separate_gains`` treats as tied. Rounded subtraction is
-    monotone, so in a sorted row any pair within tolerance makes some
-    adjacent pair within it too: only neighbours are compared."""
-    return (np.diff(gains, axis=1) <= GAIN_TIE_REL_TOL * gains[:, 1:]).any(axis=1)
+def _log1p_inv_increments(x: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """``log1p_inv``'s ``numerics.exp_en``: the steps of T_k = ln(1 + a) + sum_{i=2..k}
+    (1 - r^(i-1)) / (i - 1), a = 1/x, r = 1/(1 + a), as (1 - r)(1 + ... + r^(i-2))."""
+    ratio = np.full((count - 1, len(x)), x / (1.0 + x))
+    ratio[0] = 1.0
+    done = np.cumsum(np.cumprod(ratio, axis=0) / (1.0 + x), axis=0)
+    return np.vstack([first, done / np.arange(1.0, count)[:, None]])
+
+
+def _erlang_mixture(g, x, first, increments, last: int) -> np.ndarray:
+    """R(B) ln 2 = sum_m p_m T_(|B|+m)(x_lo), m <= ``last``, of subsets of one size from
+    their ascending gains ``g`` and g_lo's kernel arguments and values ``x`` and ``first``:
+    sum g_j |h_j|^2 is g_lo times an Erlang variable of |B| + M stages, M a sum of
+    geometric counts of odds g_lo / g_j with pmf p (Alouini and Goldsmith, 1999)."""
+    p = np.zeros((last + 2, len(g)))  # P(M = m) in p[m + 1], after a 0
+    p[1] = 1.0
+    for g_j in g[:, 1:].T:
+        stay, move = g[:, 0] / g_j, (g_j - g[:, 0]) / g_j
+        for m in range(1, last + 2):
+            p[m] = stay * p[m] + move * p[m - 1]
+    # T_k as running sums, added to the mixture in a fixed order.
+    running = np.cumsum(increments(x.ravel(), first.ravel(), g.shape[1] + last), axis=0)[-last - 1:]
+    return sum(p_m[:, None] * t.reshape(x.shape) for p_m, t in zip(p[1:], running))
 
 
 def subset_rates(gains: np.ndarray, snrs,
@@ -108,56 +85,57 @@ def subset_rates(gains: np.ndarray, snrs,
     ``gains`` is (drops x users x ports); the result is (drops x points x
     users x 2^N), indexed by B's port bitmask (bit j for port j), and
     mask 0 reads 0. R_k(B) = E[log2(1 + snr sum_{j in B} g_kj |h_kj|^2)]
-    is the partial-fraction sum sum_j w_j exp_e1(1 / (g_j snr)) / ln 2
-    over B's gains in ascending order, so it depends on B's gains alone,
-    not on how the ports are numbered. The weights depend on the gains
-    alone and are formed for all subsets of one size at once; only the
-    near-tied subsets go through ``_separate_gains``, and every gain it
-    moves gets a kernel value of its own. Every drop's gains, at every
-    point, go to one kernel call. Each user's (drops x points x 2^N)
-    slice is contiguous. ``kernel`` defaults to the exact
-    ``numerics.exp_e1``; pass ``log1p_inv`` for the approximated rates.
+    depends on B's gains alone. In each user's gain order, B's extreme
+    gains g_lo and g_hi are its lowest and highest bits, and R(B) =
+    (g_hi R(B - lo) - g_lo R(B - hi)) / (g_hi - g_lo) from R({j}) =
+    kernel(1 / (g_j snr)) / ln 2 (Newton's divided differences), or the
+    exact Erlang mixture where B's span is narrow for its size
+    (``_WIDEST``). One kernel call rates the block, and each value runs its
+    size's fixed operations, whatever the rest of the block. Each user's
+    slice is contiguous. ``kernel`` is None (exact) or ``log1p_inv``.
     """
     gains = np.asarray(gains, dtype=float)
     n_drops, n_users, n_ports = gains.shape
-    flat = gains.reshape(-1)
-    members = (np.arange(1 << n_ports)[:, None] >> np.arange(n_ports)) & 1
-    moved: list[float] = []
-    groups = []
-    for size in range(1, n_ports + 1):
-        masks = np.flatnonzero(members.sum(axis=1) == size)
-        ports = np.nonzero(members[masks])[1].reshape(len(masks), size)
-        # Column in ``flat`` of each (drop, user, subset) gain, in ascending
-        # gain order; a stable sort keeps tied gains in port order.
-        cols = (np.arange(n_drops * n_users)[:, None, None] * n_ports + ports).reshape(-1, size)
-        cols = np.take_along_axis(cols, np.argsort(flat[cols], axis=1, kind="stable"), axis=1)
-        g = flat[cols]
-        for r in np.flatnonzero(_near_ties(g)):
-            try:
-                values = _separate_gains(g[r].tolist())
-            except DegenerateGainsError as exc:
-                _, user, m = np.unravel_index(r, (n_drops, n_users, len(masks)))
-                raise DegenerateGainsError(f"user {user + 1}, ports "
-                                           f"{(ports[m] + 1).tolist()}: {exc}") from exc
-            for j in np.flatnonzero(np.array(values) != g[r]):
-                cols[r, j] = len(flat) + len(moved)
-                moved.append(values[j])
-            g[r] = values
-        groups.append((masks, cols, _pf_weights(list(g.T))))
-    snr = np.asarray(snrs, dtype=float)[:, None]
-    x = 1.0 / (np.concatenate([flat, moved]) * snr)
     # Looked up per call, so a patched or traced numerics.exp_e1 is the one used.
-    kernel = numerics.exp_e1 if kernel is None else kernel
-    e = kernel(x.ravel()).reshape(x.shape)
-    out = np.zeros((n_users, n_drops, len(snr), 1 << n_ports))
-    for masks, cols, weights in groups:
-        # Term by term in gain order, one (points x subsets) column at a time.
-        total = weights[0] * e[:, cols[:, 0]]
-        for w, col in zip(weights[1:], cols.T[1:]):
-            total = total + w * e[:, col]
-        total = (total / numerics.LN2).reshape(len(snr), n_drops, n_users, len(masks))
-        out[..., masks] = total.transpose(2, 1, 0, 3)
-    return out.transpose(1, 2, 0, 3)
+    kernel, increments = {None: (numerics.exp_e1, numerics.exp_en),
+                          log1p_inv: (log1p_inv, _log1p_inv_increments)}[kernel]
+    # Each (user, drop) row's gains ascending, one column per row.
+    rows = gains.transpose(1, 0, 2).reshape(-1, n_ports)
+    g = np.sort(rows, axis=1).T
+    x = 1.0 / (g[..., None] * np.asarray(snrs, dtype=float))
+    first = kernel(x.ravel()).reshape(x.shape)
+    # R(B) ln 2 by sorted mask (bit i for a row's i-th smallest gain).
+    table = np.zeros((1 << n_ports, *x.shape[1:]))
+    table[1 << np.arange(n_ports)] = first
+    # Each mask's size and lowest and highest bits, and its weights.
+    members = (np.arange(1 << n_ports)[:, None] >> np.arange(n_ports)) & 1
+    sizes = members.sum(axis=1)
+    lo, hi = members.argmax(axis=1), n_ports - 1 - members[:, ::-1].argmax(axis=1)
+    span = g[hi] - g[lo]
+    tight = span <= _WIDEST[sizes, None] * g[hi]
+    exact, near = tight & (span == 0.0), tight & (span > 0.0)
+    w_hi, w_lo = (np.divide(g[end], span, out=np.zeros_like(span), where=~tight)[..., None]
+                  for end in (hi, lo))
+    drop_lo, drop_hi = (np.arange(1 << n_ports) - (1 << end) for end in (lo, hi))
+    for size in range(2, n_ports + 1):
+        masks = np.flatnonzero(sizes == size)
+        table[masks] = (w_hi[masks] * table[drop_lo[masks]]
+                        - w_lo[masks] * table[drop_hi[masks]])
+        # Exact ties need one term; (terms x subsets x points) go in parts of 2^20.
+        for last, group in ((0, exact), (_LAST[size], near)):
+            mask, row = np.nonzero(group[masks])
+            step = max(1, 2 ** 20 // ((size + last) * x.shape[2]))
+            for i in range(0, len(row), step):
+                part, r = masks[mask[i:i + step]], row[i:i + step]
+                ports = np.nonzero(members[part])[1].reshape(len(part), size)
+                table[part, r] = _erlang_mixture(g[ports, r[:, None]], x[lo[part], r],
+                                                 first[lo[part], r], increments, last)
+    # Each row's port masks as sorted masks, gathered to (rows x points x 2^N).
+    rank = np.argsort(np.argsort(rows, axis=1, kind="stable"), axis=1)
+    out = table[((1 << rank) @ members.T)[:, None], np.arange(len(rows))[:, None, None],
+                np.arange(x.shape[2])[:, None]]
+    out /= numerics.LN2
+    return out.reshape(n_users, n_drops, *out.shape[1:]).transpose(1, 2, 0, 3)
 
 
 def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
@@ -207,21 +185,17 @@ def select_rows(rates: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]
 def crossover_snr(gains) -> tuple[float, float]:
     """Closed-form high-SNR crossovers, as linear SNRs, of the (2, 2) gain
     array ``gains``: where mode [1 1] overtakes [1 2], then where it
-    overtakes [2 1]. When the second user's two gains coincide the ratio
-    power r**(1/(r-1)) tends to e, and that limit is returned instead of
-    failing.
+    overtakes [2 1]. Both scale r^(1/(r-1)), with r = s21 / s22 = 1 + d,
+    taken as exp(log1p(d) / d), whose limit e holds at d = 0.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.shape != (2, 2):
         raise ValueError(f"crossover analysis needs a 2x2 gain matrix, "
                          f"got shape {gains.shape}")
-    s12 = float(gains[0, 1])
-    s21, s22 = float(gains[1, 0]), float(gains[1, 1])
-    if abs(s21 - s22) <= GAIN_TIE_REL_TOL * max(s21, s22):
-        return math.e / s12, math.e / s21
-    ratio = s21 / s22
-    return ((1.0 / s12) * ratio ** (s22 / (s21 - s22)),
-            (1.0 / s21) * ratio ** (s21 / (s21 - s22)))
+    s12, s21, s22 = float(gains[0, 1]), float(gains[1, 0]), float(gains[1, 1])
+    d = (s21 - s22) / s22
+    power = math.e if d == 0.0 else math.exp(math.log1p(d) / d)
+    return power / s12, power / s22
 
 
 # A crossing of two rate curves is sought from -20 to 80 dB in 0.25 dB

@@ -196,7 +196,7 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 def _served_users(n_users: int, sets) -> np.ndarray:
     """Mask of the K users some set can serve: all with a nearest-user set
     (None), else those the rows name. An idle user adds exactly 0.0 to a
-    row's rate and its gains may tie, so a table holds these alone."""
+    row's rate, so a table, and ``check_drop_size``, count these alone."""
     if any(modes is None for modes in sets):
         return np.ones(n_users, dtype=bool)
     return np.bincount(np.concatenate(sets).ravel(), minlength=n_users + 1)[1:] > 0
@@ -286,10 +286,9 @@ MAX_BLOCK_VALUES = 2 ** 21
 def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
     """Values one drop of N = ``n`` ports and K = ``k`` users adds to a
     block, as (fixed, per SNR point): two port masks per row (its active
-    ports, and those less a user's) and the gain columns and weights of
-    its K (2^N - 1) subsets, K N 2^(N-1) of each; then per point its rate
-    rows and its K 2^N subset rates. A nearest-user set has
-    2^N - N rows."""
+    ports, and those less a user's) and K N 2^N for its subsets' spans and
+    weights (four of them at N = 4); then per point its rate rows and its
+    K 2^N subset rates. A nearest-user set has 2^N - N rows."""
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
     return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
 

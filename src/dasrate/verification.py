@@ -174,14 +174,17 @@ def check_exp_e1_asymptote(exponent: int = 6, tolerance: float = 1e-5) -> CheckR
                        measured=err, tolerance=tolerance)
 
 
+# Links on both routes of ``rate.subset_rates``: 4 tied gains, 5 with 1e-9 gaps, 8 within 7%.
+TIED_LINKS = (Link((1.0,) * 4, (), 1000.0), Link((0.5, 1.0, 1 + 1e-9), (1 + 2e-9, 3.0), 100.0),
+              Link((1.0, 1.01, 1.02, 1.03), (1.04, 1.05, 1.06, 1.07), 10.0))
+
+
 def check_rate_vs_quadrature(n_partitions: int = 10, seed: int = 202) -> CheckResult:
     """Closed form vs ``mgf_rate`` on ``n_partitions`` random links of
-    ``seed``, some of them with no interferers."""
+    ``seed``, some of them with no interferers, and on ``TIED_LINKS``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_partitions):
-        link = random_partition(rng, allow_empty_interference=True)
-        worst = max(worst, abs(partition_rate(link) - mgf_rate(link)))
+    links = [random_partition(rng, allow_empty_interference=True) for _ in range(n_partitions)]
+    worst = max(abs(partition_rate(link) - mgf_rate(link)) for link in [*links, *TIED_LINKS])
     return CheckResult("closed-form rate vs MGF quadrature oracle",
                        worst <= 1e-8, measured=worst, tolerance=1e-8)
 

@@ -8,13 +8,16 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import assert_no_child_left
 from dasrate import cli, numerics, simulate
-from dasrate.errors import DegenerateGainsError, NumericalFailureError
+from dasrate.errors import CapacityError, NumericalFailureError
 from dasrate.geometry import load_scenario, pathloss_matrix
+from dasrate.rate import subset_rates
+from dasrate.verification import Link, mgf_rate
 
 DATA = Path(__file__).parent / "data"
 
@@ -184,8 +187,7 @@ def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, caps
     assert peak < 2 ** 20
 
 
-@pytest.mark.parametrize("error, exit_code", [(DegenerateGainsError, 4),
-                                              (NumericalFailureError, 5)])
+@pytest.mark.parametrize("error, exit_code", [(NumericalFailureError, 5)])
 def test_engine_errors_exit_with_their_codes(capsys, monkeypatch, error, exit_code):
     """An error raised under a command exits with its class's code and
     one line on stderr."""
@@ -197,25 +199,68 @@ def test_engine_errors_exit_with_their_codes(capsys, monkeypatch, error, exit_co
     assert (code, out, err) == (exit_code, "", "error: forced in the kernel\n")
 
 
-@pytest.mark.parametrize("users, argv", [
-    ("n_users = 2\n", ("hist", "--drops", "4", "--jobs", "1")),
-    ("n_users = 2\n", ("hist", "--drops", "4", "--jobs", "2")),
-    ("n_users = 1\nuser_positions = 2,1\n",
-     ("rates", "--modes", "[1 1 1 1 1 1 1 1 1 1]", "--no-mc")),
-], ids=["hist-jobs1", "hist-jobs2", "rates"])
-def test_ports_at_one_point_exit_4(tmp_path, capsys, users, argv):
-    """Ten ports at one point give every user ten equal gains, which tie
-    separation cannot part: the engine's DegenerateGainsError exits 4 with
-    one stderr line and no output, from a forked child's share too, and
-    no child is left."""
+TEN_PORTS_AT_ONE_POINT = ("n_ports = 10\ncell_radius = 6.11\npathloss_exponent = 3\n"
+                          "port_positions = " + "; ".join(["1,0"] * 10) + "\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ports_at_one_point_exit_0_in_hist(tmp_path, capsys, jobs):
+    """Ten ports at one point give every user ten equal gains: each
+    user's nearest ports are all ten, so every drop picks a single-user
+    mode on all of them, at one job and from a forked child's share."""
     config = tmp_path / "tied.cfg"
-    config.write_text("n_ports = 10\ncell_radius = 6.11\npathloss_exponent = 3\n"
-                      "port_positions = " + "; ".join(["1,0"] * 10) + "\n" + users)
-    code, out, err = run_cli(capsys, argv[0], "--config", str(config), *argv[1:])
-    assert (code, out) == (4, "")
-    assert err.startswith("error: user 1, ports [1, 2, 3, 4, 5, 6, 7, 8, 9]")
-    assert err.count("\n") == 1
+    config.write_text(TEN_PORTS_AT_ONE_POINT + "n_users = 2\n")
+    code, out, err = run_cli(capsys, "hist", "--config", str(config), "--drops", "4",
+                             "--jobs", jobs)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{lo},{lo + 10},KA1_NA10,1" for lo in (0, 10, 20, 30)]
     assert_no_child_left()
+
+
+def test_ports_at_one_point_exit_0_in_rates(tmp_path, capsys):
+    """With ten tied gains g, the rate is the Erlang-10 limit
+    sum_{i<=10} e^x E_i(x) / ln 2 at x = 1 / (g snr): within 1e-12 bits
+    in the table, and to every printed digit."""
+    config = tmp_path / "tied.cfg"
+    config.write_text(TEN_PORTS_AT_ONE_POINT + "n_users = 1\nuser_positions = 2,1\n")
+    code, out, err = run_cli(capsys, "rates", "--config", str(config), "--modes",
+                             "[1 1 1 1 1 1 1 1 1 1]", "--no-mc", "--snr", "0:15:45")
+    assert (code, err) == (0, "")
+    gains = pathloss_matrix(load_scenario(str(config))).gains
+    snrs = [10.0 ** (db / 10.0) for db in (0.0, 15.0, 30.0, 45.0)]
+    table = subset_rates(gains[None], snrs)[0, :, 0, -1]
+    with mpmath.workdps(30):
+        for line, snr, value in zip(out.splitlines()[1:], snrs, table.tolist()):
+            x = 1 / (mpmath.mpf(gains[0, 0]) * snr)
+            want = float(sum(mpmath.exp(x) * mpmath.expint(i, x) for i in range(1, 11))
+                         / mpmath.log(2))
+            assert abs(value - want) <= 1e-12
+            assert line.split(",")[1] == "%.12g" % want
+
+
+# Geometries of near-equal port distances: four ports around a user at
+# the centre (every gain tied), and eight ring ports around a user just
+# off the centre (gains within 7%, no tie).
+NEAR_TIED_CONFIGS = {
+    "centre-4": ("n_ports = 4\nport_positions = 1,0; -1,0; 0,1; 0,-1\nuser_positions = 0,0\n",
+                 "[1 1 1 1]"),
+    "ring-8": ("n_ports = 8\nuser_positions = 0.05,0.02\n", "[1 1 1 1 1 1 1 1]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_TIED_CONFIGS))
+def test_near_tied_configs_print_the_oracle_rates(tmp_path, capsys, name):
+    """``rates`` prints ``mgf_rate``'s value to every printed digit."""
+    ports, mode = NEAR_TIED_CONFIGS[name]
+    config = tmp_path / f"{name}.cfg"
+    config.write_text("n_users = 1\ncell_radius = 6.11\npathloss_exponent = 3\n" + ports)
+    code, out, err = run_cli(capsys, "rates", "--config", str(config), "--modes", mode,
+                             "--snr", "0:10:30", "--no-mc")
+    assert (code, err) == (0, "")
+    gains = tuple(pathloss_matrix(load_scenario(str(config))).gains[0].tolist())
+    want = ["%g,%.12g" % (db, mgf_rate(Link(gains, (), 10.0 ** (db / 10.0))))
+            for db in (0, 10, 20, 30)]
+    assert out.splitlines()[1:] == want
 
 
 def test_sweep_csv_and_capacity_guard(tmp_path, capsys):
@@ -570,20 +615,20 @@ def test_no_more_processes_than_drops(capsys, forks):
 
 
 def test_error_in_a_child_share_exits_as_at_one_job(capsys, monkeypatch, forks):
-    """A DegenerateGainsError raised only by the child that works the
-    second share exits 4 with the one stderr line of --jobs 1, and no
-    child is left."""
+    """A CapacityError raised only by the child that works the second
+    share exits 3 with the one stderr line of --jobs 1, and no child is
+    left."""
     worker = simulate._block_worker
 
     def failing(*args):
         if 2 in args[5]:
-            raise DegenerateGainsError("forced at drop 2")
+            raise CapacityError("forced at drop 2")
         return worker(*args)
 
     monkeypatch.setattr(simulate, "_block_worker", failing)
     argv = ("sweep", "--config", "fig3.cfg", "--drops", "4", "--snr", "0:25:50")
     for jobs in ("1", "2"):
-        assert run_cli(capsys, *argv, "--jobs", jobs) == (4, "", "error: forced at drop 2\n")
+        assert run_cli(capsys, *argv, "--jobs", jobs) == (3, "", "error: forced at drop 2\n")
     assert len(forks) == 1
     assert_no_child_left()
 

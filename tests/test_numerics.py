@@ -10,7 +10,7 @@ import pytest
 from dasrate import numerics, verification
 from dasrate.errors import NumericalFailureError
 from dasrate.numerics import (LN2, SERIES_CF_SPLIT, _exp_e1_continued_fraction,
-                              _exp_e1_series, exp_e1)
+                              _exp_e1_series, exp_e1, exp_en)
 from dasrate.verification import Link, mgf_rate
 
 # Frozen reference values computed with 30-digit mpmath before the build:
@@ -286,6 +286,87 @@ def test_one_bad_element_fails_the_whole_array(bad):
     xs = np.array([0.5, 2.0, bad, 7.0])
     with pytest.raises(ValueError, match="finite x > 0"):
         exp_e1(xs)
+
+
+# --- exp(x) E_k(x) ------------------------------------------------------------------
+
+def _reference_exp_en(x: float, count: int) -> list:
+    """exp(x) E_k(x), k = 1 .. count, to about 35 digits: below x = 1
+    recurring up from mpmath's E1, else from a continued fraction deep
+    enough to settle at 40 digits, at an order where each recurrence
+    damps round-off (down below it, up above it)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x < 1:
+            v = [mpmath.exp(x) * mpmath.e1(x)]
+        else:
+            order = min(count, int(mpmath.ceil(x)))
+
+            def fraction(depth):
+                t = mpmath.inf
+                for i in range(depth, 0, -1):
+                    t = x + order + 2 * i - 2 - mpmath.mpf(i) * (order - 1 + i) / t
+                return 1 / t
+
+            depth = 50
+            while abs(fraction(depth) / fraction(2 * depth) - 1) > mpmath.mpf(10) ** -38:
+                depth *= 2
+            v = [fraction(2 * depth)]
+            for k in range(order - 1, 0, -1):
+                v.insert(0, (1 - k * v[0]) / x)
+        while len(v) < count:
+            v.append((1 - x * v[-1]) / len(v))
+        return v
+
+
+# Arguments across the double range, dense where the continued fraction
+# takes over at x = 4, with the orders a subset size needs.
+EN_ARGUMENTS = np.concatenate([np.logspace(-30, 300, 67), np.linspace(3.5, 12.0, 18),
+                               [4.0, np.nextafter(4.0, 5.0), 100.5, 389.7]])
+
+
+def test_exp_en_is_within_2e_15_of_a_40_digit_reference():
+    xs = EN_ARGUMENTS
+    for count in (7, 60):
+        values = exp_en(xs, exp_e1(xs), count)
+        for x, column in zip(xs.tolist(), values.T.tolist()):
+            want = _reference_exp_en(x, count)
+            assert max(abs(v / w - 1) for v, w in zip(column, want)) <= 2e-15, (x, count)
+    # The deepest orders, at x below, near and above the count.
+    xs = np.array([0.5, 7.5, 50.5, 200.0, 316.2, 405.5, 1e4])
+    for x, column in zip(xs.tolist(), exp_en(xs, exp_e1(xs), 406).T.tolist()):
+        want = _reference_exp_en(x, 406)
+        assert max(abs(v / w - 1) for v, w in zip(column, want)) <= 2e-15, x
+
+
+def test_exp_en_fraction_keeps_a_level_in_hand():
+    """At the order n = min(ceil(x), 406) of ``exp_en``'s fraction, one
+    level less than its depth (x's row of ``_CF_ROWS`` plus
+    ``_EN_EXTRA_LEVELS``) is
+    already within 2**-57 of 40 digits, at each row's lowest x above 4,
+    just above 4, and just above the integer below each row's lowest x,
+    where n - x is largest."""
+    edges = [edge for edge, _ in numerics._CF_ROWS if edge > 4.0]
+    xs = sorted({*edges, 4.0 + 1e-9, *(math.ceil(e) - 1 + 1e-9 for e in edges)})
+    with mpmath.workdps(40):
+        for x in xs:
+            depth = min(d for e, d in numerics._CF_ROWS if e <= x) + numerics._EN_EXTRA_LEVELS
+            n = min(math.ceil(x), 406)
+            t = mpmath.inf
+            for i in range(depth - 1, 0, -1):
+                t = mpmath.mpf(x) + n + 2 * i - 2 - mpmath.mpf(i) * (n - 1 + i) / t
+            want = _reference_exp_en(x, n)[-1]
+            assert abs(1 / (t * want) - 1) <= mpmath.mpf(2) ** -57, x
+
+
+def test_exp_en_values_do_not_depend_on_the_rest_of_the_call():
+    xs = EN_ARGUMENTS
+    together = exp_en(xs, exp_e1(xs), 24)
+    alone = np.stack([exp_en(xs[i:i + 1], exp_e1(xs[i:i + 1]), 24)[:, 0] for i in range(len(xs))])
+    assert together.T.tobytes() == alone.tobytes()
+    shuffled = np.random.default_rng(5).permutation(len(xs))
+    again = exp_en(xs[shuffled], exp_e1(xs[shuffled]), 24)
+    assert again.tobytes() == together[:, shuffled].tobytes()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -89,43 +90,91 @@ def test_rate_interference_hurts():
 
 
 def test_rate_degenerate_gain_continuity():
-    """The tie-separation nudge moves the rate by far less than 1e-4 bits."""
+    """Two tied serving gains rate within 1e-4 bits of gains 1e-6 apart."""
     tied = Link((0.02, 0.02), (0.005,), 100.0)
     jittered = Link((0.02, 0.02 * (1.0 + 1e-6)), (0.005,), 100.0)
     assert partition_rate(tied) == pytest.approx(partition_rate(jittered), abs=1e-4)
 
 
 def test_guard_separates_cross_list_ties():
+    """A gain that serves and interferes at once rates finite."""
     assert math.isfinite(partition_rate(Link((0.01,), (0.01,), 10.0)))
 
 
-@pytest.mark.parametrize("plant", ["bias", "dropped-term"])
+@pytest.mark.parametrize("plant", ["bias", "recursion", "dropped-term"])
 def test_rate_check_fails_on_a_planted_closed_form_error(monkeypatch, plant):
     """The closed-form-vs-oracle check fails when each table's R(S + I),
-    its all-ports entry, is 1e-7 bits high, or when its partial-fraction
-    sum loses the term of the largest gain. (A bias on every entry would
-    cancel in R(S + I) - R(I).)"""
-    subset_rates = rate.subset_rates
-
-    def planted(gains, snrs):
-        # The check rates one link at one SNR per table.
-        table = subset_rates(gains, snrs)
-        g = sorted(gains[0, 0].tolist())
-        table[..., -1] += (1e-7 if plant == "bias" else
-                           -rate._pf_weights(g)[-1] * exp_e1(1.0 / (g[-1] * snrs[0])) / LN2)
-        return table
-
+    its all-ports entry, is 1e-7 bits high (a bias on every entry would
+    cancel in R(S + I) - R(I)), when each recursion step's weights are
+    1e-6 high, relative, or when the Erlang mixture drops its E1 term."""
     assert verification.check_rate_vs_quadrature().passed
-    monkeypatch.setattr(rate, "subset_rates", planted)
+    if plant == "bias":
+        subset_rates = rate.subset_rates
+
+        def planted(gains, snrs):
+            table = subset_rates(gains, snrs)
+            table[..., -1] += 1e-7
+            return table
+
+        monkeypatch.setattr(rate, "subset_rates", planted)
+    elif plant == "recursion":
+        class PlantedNumpy:
+            """numpy, whose divide (the recursion's weights) reads high."""
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def divide(*args, **kwargs):
+                return np.divide(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(rate, "np", PlantedNumpy())
+    else:
+        mixture = rate._erlang_mixture
+        monkeypatch.setattr(rate, "_erlang_mixture",
+                            lambda g, x, first, *rest: mixture(g, x, 0.0 * first, *rest))
     result = verification.check_rate_vs_quadrature()
     assert not result.passed and result.measured > 1e-8, result.line()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: the closed form fails at exact gain ties")
 def test_rate_at_four_tied_gains_matches_the_oracle():
     link = Link((1.0,) * 4, (), 1000.0)
     assert abs(partition_rate(link) - mgf_rate(link)) <= 1e-9
+
+
+def _oracle_gains() -> dict[str, tuple[float, ...]]:
+    """Gain sets on both routes of ``subset_rates``: exact ties, five
+    gains with gaps of 1e-3 to 1e-12, uniform clusters of spans 0.5 to
+    1e-9, geometric chains and random sets. Sixteen gains take about a
+    second each, so fewer sets hold them."""
+    rng = np.random.default_rng(33)
+    cases = {f"tie-{n}": (1.0,) * n for n in range(2, 17)}
+    cases.update({f"gap-{gap:g}": (0.5, 1.0, 1.0 + gap, 1.0 + 2.0 * gap, 3.0)
+                  for gap in 10.0 ** -np.arange(3.0, 13.0)})
+    cases.update({f"cluster-{n}-{span:g}": tuple(np.linspace(1.0, 1.0 + span, n).tolist())
+                  for n in (3, 5, 8, 12) for span in (0.5, 1e-2, 1e-5, 1e-9)})
+    cases["cluster-16-0.01"] = tuple(np.linspace(1.0, 1.01, 16).tolist())
+    cases.update({f"chain-{n}-{ratio:g}": tuple((ratio ** np.arange(n)).tolist())
+                  for n in (4, 8, 12) for ratio in (1.02, 1.2)})
+    cases.update({f"random-{n}": tuple(10.0 ** rng.uniform(-3.0, 0.0, n)) for n in (12, 16)})
+    return cases
+
+
+ORACLE_GAINS = _oracle_gains()
+ORACLE_SNRS = (1e-3, 1.0, 1e3, 1e8, 1e30)
+
+
+@pytest.mark.parametrize("name", ORACLE_GAINS)
+def test_rates_match_the_mgf_oracle_at_any_gains(name):
+    """Each set's full rate, and its rate with every other gain an
+    interferer, is finite and within 1e-9 bits of ``mgf_rate`` at linear
+    SNRs from 1e-3 to 1e30, all from one table."""
+    gains = ORACLE_GAINS[name]
+    table = rate.subset_rates(np.array([[gains]]), ORACLE_SNRS)[0, :, 0]
+    odd = sum(1 << j for j in range(1, len(gains), 2))
+    for snr, full, split in zip(ORACLE_SNRS, table[:, -1], table[:, -1] - table[:, odd]):
+        for value, link in ((full, Link(gains, (), snr)),
+                            (split, Link(gains[::2], gains[1::2], snr))):
+            assert math.isfinite(value) and abs(value - mgf_rate(link)) <= 1e-9, (link, value)
 
 
 # --- sum rate over modes --------------------------------------------------------
@@ -200,6 +249,23 @@ def test_approx_rate_single_user_two_log_identity():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("gains", [(1.0,) * 4, (0.5, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 3.0),
+                                   tuple(np.linspace(1.0, 1.07, 8).tolist())],
+                         ids=["tie-4", "gap-1e-9", "cluster-8"])
+def test_approx_rates_hold_at_near_ties(gains):
+    """The approximated rate over all the gains, sum_j w_j ln(1 + g_j snr)
+    / ln 2, is within 1e-12 bits of its value at 60 digits, taken at ties
+    as the limit of gains moved apart by 1e-40, relative, at 200 digits."""
+    snrs = (1e-3, 1.0, 1e3, 1e8)
+    table = rate.subset_rates(np.array([[gains]]), snrs, log1p_inv)[0, :, 0, -1]
+    with mpmath.workdps(200):
+        g = [mpmath.mpf(v) * (1 + k * mpmath.mpf(10) ** -40) for k, v in enumerate(gains)]
+        for snr, value in zip(snrs, table.tolist()):
+            want = mpmath.fsum(mpmath.fprod(a / (a - b) for b in g if b is not a)
+                               * mpmath.log1p(a * snr) for a in g) / mpmath.log(2)
+            assert abs(value - float(want)) <= 1e-12
+
+
 def test_approx_termwise_bound():
     for x in np.logspace(-6, 3, 100):
         assert exp_e1(float(x)) <= math.log1p(1.0 / x)
@@ -235,6 +301,21 @@ def test_crossover_equal_gain_limit():
     vs_12, vs_21 = crossover_snr(d ** -3.0)
     assert vs_12 == pytest.approx(math.e / (3.0 ** -3.0), rel=1e-9)
     assert vs_21 == pytest.approx(math.e / (4.0 ** -3.0), rel=1e-9)
+
+
+def test_tied_two_by_two_gains_give_finite_crossover_curves():
+    """User 2 is as far from both ports: the exact and approximated curves
+    of both modes are finite over the whole scan, and each pair crosses,
+    the exact pair above the approximated one."""
+    d = np.array([[1.0, 5.0], [3.0, 3.0]])
+    pl = PathlossMatrix(distances=d, gains=d ** -3.0)
+    assert pl.gains[1, 0] == pl.gains[1, 1]
+    snrs = 10.0 ** (np.arange(-20.0, 80.25, 0.25) / 10.0)
+    for kernel in (None, log1p_inv):
+        assert np.isfinite(mode_rates(pl, [[1, 1], [1, 2]], snrs, kernel)).all()
+    approx_db, exact_db = rate.crossover_curves_db(pl.gains)
+    assert approx_db is not None and exact_db is not None
+    assert 0.0 < exact_db - approx_db <= verification.EXACT_CROSSOVER_SHIFT_DB
 
 
 def test_crossover_matches_selection_flip_on_fixed_geometry():

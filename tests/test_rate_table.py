@@ -15,8 +15,8 @@ from conftest import mode_rates, user_rates
 from dasrate.geometry import (Scenario, db_to_linear, load_scenario, pathloss_matrix,
                               uniform_positions)
 from dasrate.modes import ideal_modes, min_distance_count, mode_label, nearest_user_modes
-from dasrate.rate import (GAIN_TIE_REL_TOL, _near_ties, log1p_inv, row_sum_rates, select_rows,
-                          subset_rates)
+from dasrate import rate
+from dasrate.rate import log1p_inv, row_sum_rates, select_rows, subset_rates
 from dasrate.simulate import stream_key
 from dasrate.verification import Link, partition_rate
 
@@ -27,7 +27,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_rates.json").read_
 FIG2 = load_scenario("fig2.cfg")
 
 # User 1 sits on the perpendicular bisector of the two ports, so its two
-# gains are exactly equal and the tie-separation guard must act.
+# gains are exactly equal and its pair takes the Erlang mixture.
 TIE = Scenario(n_ports=2, n_users=2, cell_radius=6.0, pathloss_exponent=3.0,
                port_positions=((-4.0, 0.0), (4.0, 0.0)),
                user_positions=((0.0, 1.5), (3.0, -2.0)))
@@ -276,23 +276,40 @@ def test_near_tied_rate_matches_fifty_digit_closed_form():
     _assert_fifty_digit_rates(pl, [[3, 3, 4, 4]], (db_to_linear(50.0),))
 
 
-def test_near_ties_of_sorted_rows_match_every_pair():
-    """On sorted rows of near-tied, tied and spread gains, the adjacent-pair
-    test of ``_near_ties`` flags the rows that comparing every pair with
-    ``_separate_gains``'s rule flags."""
-    rng = np.random.default_rng(95)
-    for n in range(2, 8):
-        base = 10.0 ** rng.uniform(-30.0, 3.0, size=(20_000, 1))
-        # Each gain is off its row's base by under three tolerances, or
-        # moved by up to two decades.
-        near = 1.0 + rng.integers(0, 2, size=(20_000, n)) * rng.uniform(
-            -3.0, 3.0, size=(20_000, n)) * GAIN_TIE_REL_TOL
-        spread = np.where(rng.random((20_000, n)) < 0.3,
-                          10.0 ** rng.uniform(-2.0, 2.0, size=(20_000, n)), 1.0)
-        gains = np.sort(base * near * spread, axis=1)
-        every_pair = np.zeros(len(gains), dtype=bool)
-        for a, b in itertools.combinations(range(n), 2):
-            every_pair |= (np.abs(gains[:, a] - gains[:, b])
-                           <= GAIN_TIE_REL_TOL * np.maximum(gains[:, a], gains[:, b]))
-        assert 0 < every_pair.sum() < len(gains)
-        assert _near_ties(gains).tolist() == every_pair.tolist()
+def test_mixture_terms_are_the_fewest_that_hold_the_tail():
+    """At each size's widest span, M is the geometric counts' sum of
+    (size - 1) counts of failure odds ``_WIDEST``, the widest any subset
+    can have: past ``_LAST``, E[(|B| + M) 1{M > last}] / |B|, which bounds
+    the left-out terms' share of R(B) since T_k / k falls with k, is
+    under 2**-57, and one term fewer is not."""
+    with mpmath.workdps(40):
+        for size in range(2, 17):
+            fail = mpmath.mpf(float(rate._WIDEST[size]))
+            r = size - 1
+            pmf = [(1 - fail) ** r]
+            for m in range(1, rate._LAST[size] + 1):
+                pmf.append(pmf[-1] * (m + r - 1) / m * fail)
+            mean = size + r * fail / (1 - fail)
+            tails = [(mean - mpmath.fsum((size + m) * p for m, p in enumerate(pmf[:last + 1])))
+                     / size for last in (rate._LAST[size] - 1, rate._LAST[size])]
+            assert tails[1] < mpmath.mpf(2) ** -57 <= tails[0], size
+
+
+def test_tight_subsets_rate_the_same_alone_as_in_a_block():
+    """Tied and near-tied subsets, which take the Erlang mixture, get the
+    same bits in a block of drops as in a table of their drop alone, at
+    either kernel and in either point order."""
+    template, (tied, near) = SPECIAL_DROPS["ring4"]
+    positions = list(uniform_positions(template, [(96, d) for d in range(9)]))
+    positions[3:3] = map(np.array, (tied, near))
+    gains = np.stack([pathloss_matrix(template, users).gains for users in positions])
+    ordered = np.sort(gains, axis=2)
+    spans = 1.0 - ordered[..., :1] / ordered[..., 1:]
+    # Ties, and near ties beyond the pair, are in the block.
+    assert (spans[3] == 0.0).any() and (spans[4, :, -1] <= rate._WIDEST[4]).any()
+    snrs = [10.0 ** (db / 10.0) for db in (-20, 0, 30, 60, 90)]
+    for kernel in (None, log1p_inv):
+        table = subset_rates(gains, snrs, kernel)
+        for d in range(len(gains)):
+            alone = subset_rates(gains[d:d + 1], snrs[::-1], kernel)[0, ::-1]
+            assert table[d].tobytes() == alone.tobytes(), (kernel, d)

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import assert_no_child_left, mode_rates
 from dasrate import numerics, simulate, verification
-from dasrate.errors import DegenerateGainsError
+from dasrate.errors import NumericalFailureError
 from dasrate.geometry import Scenario, db_to_linear, pathloss_matrix, uniform_positions
 from dasrate.modes import ideal_modes, min_distance_count, nearest_user_modes
 from dasrate.rate import select_rows
@@ -691,12 +691,12 @@ def test_error_in_own_share_kills_and_reaps_children(monkeypatch, deadline):
 
     def failing(*args):
         if os.getpid() == parent:
-            raise DegenerateGainsError("forced in this process")
+            raise NumericalFailureError("forced in this process")
         time.sleep(30)
 
     monkeypatch.setattr(simulate, "_block_worker", failing)
     started = time.monotonic()
-    with pytest.raises(DegenerateGainsError, match="forced in this process"):
+    with pytest.raises(NumericalFailureError, match="forced in this process"):
         cell_average(template(2), ["min-distance"], (0.0,), n_drops=3, n_channels=0,
                      seed=53, n_jobs=3)
     assert time.monotonic() - started < 10
