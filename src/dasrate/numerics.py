@@ -2,7 +2,9 @@
 
 Every closed-form rate in this package is a weighted combination of
 ``exp(x) * E1(x)`` terms, where ``E1(x) = integral_x^inf exp(-t)/t dt``,
-and at near-tied gains of ``exp(x) * E_k(x)`` terms (``exp_en``).
+and at near-tied gains of ``exp(x) * E_k(x)`` terms (``exp_en``). One
+continued fraction serves both: order 1 for E1 above x = 1, and order
+min(ceil(x), k) for the E_k recurrences above x = 4.
 Only the scaled product is evaluated here: the unscaled ``E1`` underflows
 for x above ~700 and ``exp(x)`` overflows around the same point, while
 their product stays comfortably inside double range for any positive x.
@@ -117,29 +119,32 @@ def _exp_e1_series(x):
     return total
 
 
-def _exp_e1_continued_fraction(x):
-    """Continued-fraction branch of a 1-D array, accurate for x >= 1.
+def _exp_e1_continued_fraction(x, n=1, extra_levels=0):
+    """Continued-fraction branch of a 1-D array, accurate for x >= 1:
+    exp(x) * E_n(x) at order ``n``, 1 or an array like ``x``.
 
-    exp(x) * E1(x) = 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))),
-    evaluated bottom-up, ``t <- x - i^2/t + (2i - 1)`` from ``t = inf`` at
-    i = depth down to 1, to the depth of the element's row of
-    ``_CF_ROWS``. The call sorts its elements, so the ones still at each
-    level are a prefix that it updates in place.
+    exp(x) * E_n(x) = 1 / (x + n - 1 n/(x + n + 2 - 2 (n + 1)/(x + n + 4 - ...))),
+    bottom-up, ``t <- -i(n - 1 + i)/t + (x + n - 1) + (2i - 1)`` from t = inf
+    at i = its ``_CF_ROWS`` depth plus ``extra_levels`` down to 1. The call
+    sorts x, so the elements still at a level are a prefix, done in place.
     """
     order = np.argsort(x)
     xs = x[order]
+    m = n - 1 if np.ndim(n) == 0 else n[order] - 1
+    xm = xs + m if np.any(m) else xs  # x + n - 1, formed once: x at order 1
     # Elements below each row's upper edge: those at its depth or deeper.
     ends = np.searchsorted(xs, [edge for edge, _ in _CF_ROWS[1:]]).tolist() + [len(xs)]
-    depths = [depth for _, depth in _CF_ROWS] + [0]
+    depths = [depth + extra_levels for _, depth in _CF_ROWS] + [0]
     t = np.full(len(xs), math.inf)
     for end, depth, below in zip(ends, depths, depths[1:]):
         # A call of a few large x would otherwise spend its time on the
         # empty prefixes of the deep rows.
         if not end:
             continue
-        head, x_head = t[:end], xs[:end]
+        head, x_head = t[:end], xm[:end]
+        m_head = m if np.ndim(m) == 0 else m[:end]
         for i in range(depth, below, -1):
-            np.divide(-i * i, head, out=head)
+            np.divide(-i * (m_head + i), head, out=head)
             head += x_head
             head += 2 * i - 1
     out = np.empty_like(x)
@@ -152,23 +157,16 @@ def exp_en(x, first, count: int) -> np.ndarray:
     x > 0 whose exp(x) E1(x) is ``first``. v_(k+1) = (1 - x v_k) / k damps
     round-off at k >= x, v_k = (1 - k v_(k+1)) / x at k < x: at x <= 4 (11
     times round-off at most) v_k recurs up from ``first``, else down and up
-    from k0 = min(ceil(x), count), whose v is the fraction 1/(x + n - 1 n/(x
-    + n + 2 - ...)) at n = k0, bottom-up from t = inf ``_EN_EXTRA_LEVELS``
-    past x's ``_CF_ROWS`` depth: a level in hand (checked on 270 x in (4, 1e30]).
+    from k0 = min(ceil(x), count), whose v is the continued fraction at n =
+    k0, ``_EN_EXTRA_LEVELS`` past x's ``_CF_ROWS`` depth: a level in hand
+    (checked on 270 x in (4, 1e30]).
     Relative error stayed under 1.3e-15 for x in [1e-30, 1e300], k <= 410."""
     v = np.zeros((count, len(x)))
     v[0] = first
     k0 = np.where(x > 4.0, np.minimum(np.ceil(x), count), 1.0)
     at = np.flatnonzero(k0 > 1.0)
-    n, x_at = k0[at], x[at]
-    edges, depths = np.array(_CF_ROWS).T
-    depth = depths[np.searchsorted(edges, x_at, side="right") - 1] + _EN_EXTRA_LEVELS
-    levels = np.arange(depth.max(initial=0), 0, -1)[:, None]
-    t = np.full(len(at), math.inf)  # until each element's own depth
-    for a, b in zip(levels * (n - 1 + levels),
-                    np.where(levels <= depth, x_at + (n + 2 * levels - 2), math.inf)):
-        t = b - a / t
-    v[n.astype(int) - 1, at] = 1.0 / t
+    n = k0[at]
+    v[n.astype(int) - 1, at] = _exp_e1_continued_fraction(x[at], n, _EN_EXTRA_LEVELS)
     for k in range(int(k0.max(initial=1.0)) - 1, 1, -1):
         v[k - 1] = np.where(k < k0, (1.0 - k * v[k]) / x, v[k - 1])
     for k in range(1, count):

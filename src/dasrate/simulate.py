@@ -88,9 +88,12 @@ def stream_key(seed: int, drop: int | None = None) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(0, 0) if drop is None else (drop,))
 
 
-def _chunk_sizes(n_trials: int) -> list[int]:
-    full, rest = divmod(n_trials, MC_CHUNK)
-    return [MC_CHUNK] * full + ([rest] if rest else [])
+def _chunk_sizes(n_trials: int):
+    """The sizes of the Monte Carlo chunks of ``n_trials`` draws, MC_CHUNK
+    each and the last one the rest, yielded one at a time: a huge count
+    costs time, not memory."""
+    for start in range(0, n_trials, MC_CHUNK):
+        yield min(MC_CHUNK, n_trials - start)
 
 
 def _user_powers(hg: np.ndarray, row) -> list[tuple]:
@@ -193,13 +196,14 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 
 # --- cell-averaged experiments ----------------------------------------------
 
-def _served_users(n_users: int, sets) -> np.ndarray:
-    """Mask of the K users some set can serve: all with a nearest-user set
-    (None), else those the rows name. An idle user adds exactly 0.0 to a
-    row's rate, so a table, and ``check_drop_size``, count these alone."""
+def _served_users(sets) -> np.ndarray | None:
+    """The users some set can serve, 1-based and ascending, or None for all
+    K with a nearest-user set (None). An idle user adds exactly 0.0 to a
+    row's rate, so a table, and its footprint, count these alone."""
     if any(modes is None for modes in sets):
-        return np.ones(n_users, dtype=bool)
-    return np.bincount(np.concatenate(sets).ravel(), minlength=n_users + 1)[1:] > 0
+        return None
+    users = np.sort(np.concatenate(sets), axis=None)
+    return users[np.diff(users, prepend=0) > 0]  # each once; 0 is no user
 
 
 def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
@@ -226,26 +230,27 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
                          else np.array([positions]))
     sizes = np.array([0 if modes is None else len(modes) for modes in sets])
     shared, nearest = np.flatnonzero(sizes), np.flatnonzero(sizes == 0)
+    served = _served_users(sets)
+    gains = pl.gains if served is None else pl.gains[:, served - 1]
     if len(shared):
         rows = np.concatenate([modes for modes in sets if modes is not None])
         starts = np.cumsum(sizes[shared]) - sizes[shared]
+        # Each entry's served user as its row in the table, 1-based.
+        table_rows = rows if served is None else np.searchsorted(served, rows, side="right")
     nearest_rows = nearest_user_modes(pl.distances) if len(nearest) else None
-    served = _served_users(template.n_users, [None] if len(nearest) else [rows])
-    gains = pl.gains[:, served]
-    renumber = np.cumsum([0, *served])  # a served user's row in the table, 1-based
 
     shape = (len(keys), len(sets), len(grid_db))
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values, errors = np.empty(shape), np.zeros(shape)
     # A block of many drops holds few points; a long grid goes in slices
     # of as many points as MAX_BLOCK_VALUES holds, at least one.
-    base, per_point = _drop_footprint(template.n_ports, served.sum(), sets)
+    base, per_point = _drop_footprint(template.n_ports, template.n_users, served, sets)
     step = max(1, (MAX_BLOCK_VALUES // len(keys) - base) // per_point)
     for lo in range(0, len(snrs), step):
         part = slice(lo, lo + step)
         table = subset_rates(gains, snrs[part])
         if len(shared):
-            best, rates = select_rows(row_sum_rates(table, renumber[rows]), starts)
+            best, rates = select_rows(row_sum_rates(table, table_rows), starts)
             values[:, shared, part] = rates.swapaxes(1, 2)
             chosen[:, shared, part] = rows[best.swapaxes(1, 2)]
         for s in nearest:
@@ -271,35 +276,41 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
 
 # Most values one block holds, as counted by _drop_footprint, where one
 # drop at one SNR point fits. A block never holds less than that, and
-# check_drop_size bounds it for the nearest-user set alone, so a large
-# exhaustive set holds more: one drop at one point takes 3.0 times this
-# at N = K = 7, and 14.3 times at N = 7, K = 9. Measured under
-# tracemalloc, a block's peak is 8-30 bytes per counted value (the most
-# on long grids of one fixed mode, where the kernel's arguments and
-# values outnumber the rows), so within 64 bytes a block peaks under
-# 135 MB: the exhaustive N = K = 5 set takes 20 drops of an 11-point grid
-# (39 MB), and a 500-drop nearest-user histogram at N = K = 4 is one
-# block (7 MB).
+# check_drop_size bounds it with an exhaustive set counted as the
+# nearest-user set, so a large exhaustive set holds more: one drop at
+# one point takes 3.0 times this at N = K = 7, and 14.3 times at N = 7,
+# K = 9. Measured under tracemalloc, a block's peak is 8-30 bytes per
+# counted value (the most on long grids of one fixed mode, where the
+# kernel's arguments and values outnumber the rows), so within 64 bytes
+# a block peaks under 135 MB: the exhaustive N = K = 5 set takes 20
+# drops of an 11-point grid (39 MB), and a 500-drop nearest-user
+# histogram at N = K = 4 is one block (7 MB).
 MAX_BLOCK_VALUES = 2 ** 21
 
 
-def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
+def _drop_footprint(n: int, k: int, served, sets) -> tuple[int, int]:
     """Values one drop of N = ``n`` ports and K = ``k`` users adds to a
-    block, as (fixed, per SNR point): two port masks per row (its active
-    ports, and those less a user's) and K N 2^N for its subsets' spans and
-    weights (four of them at N = 4); then per point its rate rows and its
-    K 2^N subset rates. A nearest-user set has 2^N - N rows."""
+    block, as (fixed, per SNR point): 2 + 2N per user for its position,
+    distances and gains; two port masks per row (its active ports, and
+    those less a user's) and S N 2^N for its subsets' spans and weights
+    (four of them at N = 4), S the ``served`` users (all K at None); then
+    per point its rate rows and its S 2^N subset rates. A nearest-user
+    set has 2^N - N rows."""
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
-    return 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
+    s = k if served is None else len(served)
+    return (2 + 2 * n) * k + 2 * rows + s * n * 2 ** n, rows + s * 2 ** n
 
 
-def check_drop_size(n_ports: int, n_users: int) -> None:
-    """Raise CapacityError when one drop's nearest-user footprint at one
-    SNR point, over ``n_users`` served users, exceeds MAX_BLOCK_VALUES.
-    Past this size (N >= 14 at K = N, 16 at K = 2, 17 at K = 1) no block
-    of that set fits, and a table's 2^N port masks alone would ask for
-    an unbounded allocation."""
-    values = sum(_drop_footprint(n_ports, n_users, [None]))
+def check_drop_size(n_ports: int, n_users: int, sets=(None,)) -> None:
+    """Raise CapacityError when one drop of ``n_users`` users at one SNR
+    point, with ``sets``, exceeds MAX_BLOCK_VALUES: an exhaustive set
+    counts as the nearest-user set, for the enumeration budget, not this
+    bound, limits its rows. Past this size (with the nearest-user set, N
+    >= 14 at K = N, 16 at K = 2, 17 at K = 1, K > 116 508 at N = 2) no
+    block fits, and a table's 2^N port masks or a drop's K user positions
+    alone would ask for an unbounded allocation."""
+    least = [None if modes is None or len(modes) > 1 else modes for modes in sets]
+    values = sum(_drop_footprint(n_ports, n_users, _served_users(least), least))
     if values > MAX_BLOCK_VALUES:
         raise CapacityError(f"one drop at N = {n_ports} ports and K = {n_users} takes "
                             f"{values} values at one SNR point, more than the "
@@ -387,19 +398,18 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     Each share goes in blocks of consecutive drops, as large as
     MAX_BLOCK_VALUES allows, so that a command makes as few kernel calls
     as its memory bound permits, and never less than one drop at one
-    point. ``check_drop_size`` first refuses a scenario whose one drop of
-    the nearest-user set, over the ``_served_users``, outgrows the bound
-    at one point; it checks no other set, so one drop of a large
-    exhaustive set exceeds it.
+    point. ``check_drop_size`` first refuses a scenario whose one drop
+    outgrows the bound at one point; it counts an exhaustive set as the
+    nearest-user set, so one drop of a large exhaustive set exceeds it.
     """
     if not 1 <= n_jobs <= MAX_JOBS:
         raise ValueError(f"n_jobs must be 1 to {MAX_JOBS}, got {n_jobs}")
     if template.user_positions is not None and n_drops != 1:
         raise ConfigError(f"the config sets user_positions, so it is one drop: "
                           f"n_drops/--drops must be 1, got {n_drops}")
-    n_served = _served_users(template.n_users, sets).sum()
-    check_drop_size(template.n_ports, n_served)
-    fixed, per_point = _drop_footprint(template.n_ports, n_served, sets)
+    check_drop_size(template.n_ports, template.n_users, sets)
+    fixed, per_point = _drop_footprint(template.n_ports, template.n_users,
+                                       _served_users(sets), sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
 
     def work(drops: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

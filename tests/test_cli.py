@@ -187,6 +187,37 @@ def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, caps
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("n_users, argv", [
+    pytest.param(n_users, argv, id=f"{name}-{n_users}")
+    for n_users in (10 ** 6, 10 ** 11)
+    for name, argv in [
+        ("hist", ("hist", "--drops", "2")),
+        ("sweep-min-distance", ("sweep", "--scheme", "min-distance", "--drops", "2")),
+        ("sweep-fixed-mode", ("sweep", "--fixed-mode", "[1 2]", "--drops", "2")),
+        ("sweep-fixed-last-user", ("sweep", "--fixed-mode", f"[1 {n_users}]", "--drops", "2")),
+    ]])
+def test_large_user_count_is_capacity_error_before_any_allocation(tmp_path, capsys, n_users,
+                                                                  argv):
+    """Each drop draws, measures and gains every one of its K users, even
+    under a fixed mode that serves two: past about 117 000 users at N =
+    2 (350 000 under one fixed mode) one drop fits no block, and each
+    command exits 3 with one line before it allocates anything K-sized,
+    also when the mode serves the last user."""
+    big = tmp_path / "users.cfg"
+    big.write_text(f"n_ports = 2\nn_users = {n_users}\ncell_radius = 6.11\n"
+                   "pathloss_exponent = 3\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv[0], "--config", str(big), *argv[1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: one drop at N = 2 ports and K = {n_users} takes ")
+    assert err.count("\n") == 1
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("error, exit_code", [(NumericalFailureError, 5)])
 def test_engine_errors_exit_with_their_codes(capsys, monkeypatch, error, exit_code):
     """An error raised under a command exits with its class's code and

@@ -137,6 +137,22 @@ def ordered_sum_rates(pathloss, mode, inv_snr, h):
     return rates
 
 
+def test_a_huge_channel_count_costs_no_memory_before_the_first_draw(monkeypatch):
+    """The chunk sizes come one at a time: 10^20 channels reach the first
+    chunk's draw, here refused, without a list of their sizes."""
+    class FirstDraw(Exception):
+        pass
+
+    def refused(key, chunk):
+        assert chunk == 0
+        raise FirstDraw
+
+    monkeypatch.setattr(simulate, "_chunk_stream", refused)
+    with pytest.raises(FirstDraw):
+        simulate.mc_sum_rates(drop(2, 1).gains, [(1, 2)], [10.0], 10 ** 20,
+                              np.random.SeedSequence(1))
+
+
 def dense_mc_estimate(n_channels, seed, shape, sum_rates):
     """The engine in a dense form: the (mean, standard error) of
     ``sum_rates`` of each chunk of (T, ``shape``) fading drawn by
@@ -464,10 +480,11 @@ def recorded_kernel_sizes(monkeypatch):
 
 def nearest_footprint(n):
     """(fixed, per point) values of one drop of an N = K = n nearest-user
-    block: two masks per row and K N 2^(N-1) subset gain columns and
-    weights, then per point its 2^N - N rows and K 2^N subset rates."""
+    block: 2 + 2N per user for its geometry, two masks per row and K N
+    2^(N-1) subset gain columns and weights, then per point its 2^N - N
+    rows and K 2^N subset rates."""
     rows = 2 ** n - n
-    return 2 * rows + n * n * 2 ** n, rows + n * 2 ** n
+    return (2 + 2 * n) * n + 2 * rows + n * n * 2 ** n, rows + n * 2 ** n
 
 
 def same_curves(a, b):
@@ -484,11 +501,11 @@ def test_point_slices_leave_values_unchanged(monkeypatch, n_channels):
     kwargs = dict(n_drops=5, n_channels=n_channels, seed=46)
     whole = cell_average(*args, **kwargs)
     sizes = recorded_kernel_sizes(monkeypatch)
-    # 45 exhaustive and 5 nearest-user rows: 50 x 2 masks and 3 x 3 x 4
-    # subset gain columns and as many weights, then 50 rows and 3 x 8
-    # subset rates per point.
-    fixed, per_point = 50 * 2 + 3 * 3 * 8, 50 + 3 * 8
-    assert simulate._drop_footprint(3, 3, [np.zeros((45, 3)), None]) == (
+    # 3 users' positions, distances and gains (3 x 8), 45 exhaustive and
+    # 5 nearest-user rows: 50 x 2 masks and 3 x 3 x 4 subset gain columns
+    # and as many weights, then 50 rows and 3 x 8 subset rates per point.
+    fixed, per_point = 3 * 8 + 50 * 2 + 3 * 3 * 8, 50 + 3 * 8
+    assert simulate._drop_footprint(3, 3, None, [np.zeros((45, 3)), None]) == (
         fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
     assert same_curves(cell_average(*args, **kwargs), whole)
@@ -527,11 +544,12 @@ def test_long_rates_grid_goes_in_point_slices(monkeypatch):
 
     whole = csv()
     sizes = recorded_kernel_sizes(monkeypatch)
-    # 4 one-row sets: 4 x 2 masks and 2 x 2 x 2 subset gain columns and
-    # as many weights, then 4 rows and 2 x 4 subset rates per point.
-    fixed, per_point = 4 * 2 + 2 * 2 * 4, 4 + 2 * 4
+    # 2 users' geometry (2 x 6), 4 one-row sets: 4 x 2 masks and 2 x 2 x 2
+    # subset gain columns and as many weights, then 4 rows and 2 x 4
+    # subset rates per point.
+    fixed, per_point = 2 * 6 + 4 * 2 + 2 * 2 * 4, 4 + 2 * 4
     sets = [np.array([mode]) for mode in modes]
-    assert simulate._drop_footprint(2, 2, sets) == (fixed, per_point)
+    assert simulate._drop_footprint(2, 2, simulate._served_users(sets), sets) == (fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 7 * per_point)
     assert csv() == whole
     # Slices of 7 points, the last of 1, 4 gains each.
@@ -583,7 +601,7 @@ def test_poolless_blocks_fill_the_drop_point_bound(monkeypatch, shares_run, n_dr
     allows, all in this process; here it holds 64 drops of an 11-point
     grid."""
     fixed, per_point = nearest_footprint(2)
-    assert (fixed, per_point) == (20, 10)
+    assert (fixed, per_point) == (32, 10)
     bound = 64 * (fixed + 11 * per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", bound)
     grid = tuple(0.1 * i for i in range(n_points))
@@ -712,14 +730,17 @@ def test_nearest_user_hist_makes_one_kernel_call(monkeypatch):
     assert len(sizes) == 1 and sizes[0] <= 500 * 9 * 16
 
 
-@pytest.mark.parametrize("n, schemes, n_drops, top_db", [
-    (4, ["min-distance"], 500, 40), (5, ["ideal", "min-distance"], 40, 50),
-], ids=["hist-nearest", "fig6-exhaustive"])
-def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_db):
+@pytest.mark.parametrize("scn, schemes, n_drops, grid", [
+    (template(4), ["min-distance"], 500, range(0, 41, 5)),
+    (template(5), ["ideal", "min-distance"], 40, range(0, 51, 5)),
+    (template(2, 20_000), [(1, 2)], 20, (0, 10)),
+], ids=["hist-nearest", "fig6-exhaustive", "fixed-of-20000-users"])
+def test_block_peaks_stay_under_the_bound(monkeypatch, scn, schemes, n_drops, grid):
     """The traced peak of the largest block of a 500-drop nearest-user
-    histogram at N = K = 4 and of an exhaustive N = K = 5 sweep stays
-    within 64 bytes per counted value, and so under 64 x MAX_BLOCK_VALUES
-    bytes."""
+    histogram at N = K = 4, of an exhaustive N = K = 5 sweep and of a
+    fixed mode that serves 2 of 20 000 users, whose drops each draw and
+    place every user, stays within 64 bytes per counted value, and so
+    under 64 x MAX_BLOCK_VALUES bytes."""
     peaks = []
     worker = simulate._block_worker
 
@@ -730,13 +751,13 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, n, schemes, n_drops, top_
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        fixed, per_point = simulate._drop_footprint(args[0].n_ports, args[0].n_users, args[1])
+        fixed, per_point = simulate._drop_footprint(args[0].n_ports, args[0].n_users,
+                                                    simulate._served_users(args[1]), args[1])
         peaks.append((peak, len(args[5]) * (fixed + per_point * len(args[2]))))
         return out
 
     monkeypatch.setattr(simulate, "_block_worker", traced)
-    grid = tuple(float(db) for db in range(0, top_db + 1, 5))
-    cell_average(template(n), schemes, grid, n_drops=n_drops, n_channels=0, seed=51)
+    cell_average(scn, schemes, tuple(map(float, grid)), n_drops=n_drops, n_channels=0, seed=51)
     peak, values = max(peaks)
     assert values <= simulate.MAX_BLOCK_VALUES
     assert peak <= 64 * values <= 64 * simulate.MAX_BLOCK_VALUES
@@ -842,7 +863,7 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
     grid = tuple(float(db) for db in range(-10, 71, 5))
     sets = [ideal, None, fixed]
     if points_per_slice:
-        base, per_point = simulate._drop_footprint(n, n, sets)
+        base, per_point = simulate._drop_footprint(n, n, None, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
     chosen, values, errors = simulate._block_worker(template, sets, grid, 0, 81,
