@@ -4,9 +4,8 @@ Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage/config,
 3 capacity (an enumeration past its budget, or a port or user count
 whose one drop outgrows a block, which counts every user's position,
 distances and gains: N >= 14 at K = N, N > 16 at any K, which the config
-load refuses, and at N = 2 K > 116 508 with the nearest-user set or
-K > 349 520 with one fixed mode), 5 numerical failure (only ``verify``,
-when a quadrature exceeds its error budget); 4 is retired.
+load refuses, and K > 116 508 at N = 2), 5 numerical failure (only
+``verify``, when a quadrature exceeds its error budget); 4 is retired.
 
 Only ``verify`` imports scipy (through ``verification``); every other
 command runs on numpy alone.

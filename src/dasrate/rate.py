@@ -143,18 +143,22 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
     ``subset_rates`` table: sum_k [R_k(A) - R_k(A minus S_k)], where A
     holds a row's active ports and S_k user k's serving ones. ``rows`` is
     a (rows x ports) set that every drop rates, or (drops x rows x ports),
-    a set per drop. Users are added in index order and an idle user adds
-    exactly 0.0, so a row's rate does not depend on the other rows, drops
-    or points of the call.
+    a set per drop. Only the table's users that some row serves are
+    added, each once and in index order: a user no row serves would add
+    exactly 0.0, so its table entries are not read, and a row's rate does
+    not depend on the other rows, drops or points of the call. Entries
+    past the table's users are ignored.
     """
     rows = np.asarray(rows)
     n_masks = table.shape[3]
     bit = 1 << np.arange(rows.shape[-1])
     active = ((rows != 0) * bit).sum(axis=-1)
+    users = np.sort(rows, axis=None)
+    users = users[(np.diff(users, prepend=0) > 0) & (users <= table.shape[2])]  # 0 is no user
     total = None
-    for k in range(table.shape[2]):
-        rest = active - ((rows == k + 1) * bit).sum(axis=-1)
-        user = table[:, :, k]
+    for k in users.tolist():
+        rest = active - ((rows == k) * bit).sum(axis=-1)
+        user = table[:, :, k - 1]
         if rows.ndim == 2:
             # The rows of a large set repeat few (A, A minus S_k) pairs, at
             # most 3^N: each pair's difference is taken once.
@@ -164,7 +168,7 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
             rate = (np.take_along_axis(user, active[:, None], axis=2)
                     - np.take_along_axis(user, rest[:, None], axis=2))
         total = rate if total is None else total + rate
-    return total
+    return np.zeros((*table.shape[:2], rows.shape[-2])) if total is None else total
 
 
 def select_rows(rates: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]:

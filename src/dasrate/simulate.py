@@ -196,16 +196,6 @@ def mc_sum_rates(gains: np.ndarray, rows, snrs, n_channels: int,
 
 # --- cell-averaged experiments ----------------------------------------------
 
-def _served_users(sets) -> np.ndarray | None:
-    """The users some set can serve, 1-based and ascending, or None for all
-    K with a nearest-user set (None). An idle user adds exactly 0.0 to a
-    row's rate, so a table, and its footprint, count these alone."""
-    if any(modes is None for modes in sets):
-        return None
-    users = np.sort(np.concatenate(sets), axis=None)
-    return users[np.diff(users, prepend=0) > 0]  # each once; 0 is no user
-
-
 def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
                   drops: range, std_errors: bool = False) -> tuple[np.ndarray, ...]:
     """The (drops x sets x points x ports) chosen assignments and the
@@ -215,13 +205,14 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     users, keyed ``stream_key(seed)``. A set is a (modes x ports)
     assignment array, or None for each drop's nearest-user set.
 
-    One ``subset_rates`` table of the ``_served_users``, per slice of
-    points past MAX_BLOCK_VALUES, serves every set: the shared sets' rows
-    go to one ``row_sum_rates`` call and one segmented ``select_rows``,
-    the nearest-user sets per drop. The value is the closed-form rate or,
-    at ``n_channels`` >= 2, the mean of one ``mc_sum_rates`` call per
-    drop over its distinct chosen modes, each at the points that chose
-    it; only with ``std_errors`` are its standard errors read, else 0.
+    One ``subset_rates`` table of every user, per slice of points past
+    MAX_BLOCK_VALUES, serves every set, and ``row_sum_rates`` reads only
+    the users a set's rows serve: the shared sets' rows go to one call
+    and one segmented ``select_rows``, the nearest-user sets per drop.
+    The value is the closed-form rate or, at ``n_channels`` >= 2, the
+    mean of one ``mc_sum_rates`` call per drop over its distinct chosen
+    modes, each at the points that chose it; only with ``std_errors``
+    are its standard errors read, else 0.
     """
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     positions = template.user_positions
@@ -230,13 +221,9 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
                          else np.array([positions]))
     sizes = np.array([0 if modes is None else len(modes) for modes in sets])
     shared, nearest = np.flatnonzero(sizes), np.flatnonzero(sizes == 0)
-    served = _served_users(sets)
-    gains = pl.gains if served is None else pl.gains[:, served - 1]
     if len(shared):
         rows = np.concatenate([modes for modes in sets if modes is not None])
         starts = np.cumsum(sizes[shared]) - sizes[shared]
-        # Each entry's served user as its row in the table, 1-based.
-        table_rows = rows if served is None else np.searchsorted(served, rows, side="right")
     nearest_rows = nearest_user_modes(pl.distances) if len(nearest) else None
 
     shape = (len(keys), len(sets), len(grid_db))
@@ -244,13 +231,13 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     values, errors = np.empty(shape), np.zeros(shape)
     # A block of many drops holds few points; a long grid goes in slices
     # of as many points as MAX_BLOCK_VALUES holds, at least one.
-    base, per_point = _drop_footprint(template.n_ports, template.n_users, served, sets)
+    base, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     step = max(1, (MAX_BLOCK_VALUES // len(keys) - base) // per_point)
     for lo in range(0, len(snrs), step):
         part = slice(lo, lo + step)
-        table = subset_rates(gains, snrs[part])
+        table = subset_rates(pl.gains, snrs[part])
         if len(shared):
-            best, rates = select_rows(row_sum_rates(table, table_rows), starts)
+            best, rates = select_rows(row_sum_rates(table, rows), starts)
             values[:, shared, part] = rates.swapaxes(1, 2)
             chosen[:, shared, part] = rows[best.swapaxes(1, 2)]
         for s in nearest:
@@ -279,38 +266,36 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
 # check_drop_size bounds it with an exhaustive set counted as the
 # nearest-user set, so a large exhaustive set holds more: one drop at
 # one point takes 3.0 times this at N = K = 7, and 14.3 times at N = 7,
-# K = 9. Measured under tracemalloc, a block's peak is 8-30 bytes per
+# K = 9. Measured under tracemalloc, a block's peak is 8-32 bytes per
 # counted value (the most on long grids of one fixed mode, where the
 # kernel's arguments and values outnumber the rows), so within 64 bytes
 # a block peaks under 135 MB: the exhaustive N = K = 5 set takes 20
-# drops of an 11-point grid (39 MB), and a 500-drop nearest-user
-# histogram at N = K = 4 is one block (7 MB).
+# drops of an 11-point grid (43 MB), and a 500-drop nearest-user
+# histogram at N = K = 4 is one block (8 MB).
 MAX_BLOCK_VALUES = 2 ** 21
 
 
-def _drop_footprint(n: int, k: int, served, sets) -> tuple[int, int]:
+def _drop_footprint(n: int, k: int, sets) -> tuple[int, int]:
     """Values one drop of N = ``n`` ports and K = ``k`` users adds to a
     block, as (fixed, per SNR point): 2 + 2N per user for its position,
     distances and gains; two port masks per row (its active ports, and
-    those less a user's) and S N 2^N for its subsets' spans and weights
-    (four of them at N = 4), S the ``served`` users (all K at None); then
-    per point its rate rows and its S 2^N subset rates. A nearest-user
-    set has 2^N - N rows."""
+    those less a user's) and K N 2^N for its subsets' spans and weights
+    (four of them at N = 4); then per point its rate rows and its K 2^N
+    subset rates. A nearest-user set has 2^N - N rows."""
     rows = sum(2 ** n - n if modes is None else len(modes) for modes in sets)
-    s = k if served is None else len(served)
-    return (2 + 2 * n) * k + 2 * rows + s * n * 2 ** n, rows + s * 2 ** n
+    return (2 + 2 * n) * k + 2 * rows + k * n * 2 ** n, rows + k * 2 ** n
 
 
 def check_drop_size(n_ports: int, n_users: int, sets=(None,)) -> None:
     """Raise CapacityError when one drop of ``n_users`` users at one SNR
     point, with ``sets``, exceeds MAX_BLOCK_VALUES: an exhaustive set
     counts as the nearest-user set, for the enumeration budget, not this
-    bound, limits its rows. Past this size (with the nearest-user set, N
-    >= 14 at K = N, 16 at K = 2, 17 at K = 1, K > 116 508 at N = 2) no
-    block fits, and a table's 2^N port masks or a drop's K user positions
-    alone would ask for an unbounded allocation."""
+    bound, limits its rows. Past this size (with the nearest-user set or
+    one fixed mode, N >= 14 at K = N, 16 at K = 2, 17 at K = 1, K >
+    116 508 at N = 2) no block fits, and a table's 2^N port masks or a
+    drop's K user positions alone would ask for an unbounded allocation."""
     least = [None if modes is None or len(modes) > 1 else modes for modes in sets]
-    values = sum(_drop_footprint(n_ports, n_users, _served_users(least), least))
+    values = sum(_drop_footprint(n_ports, n_users, least))
     if values > MAX_BLOCK_VALUES:
         raise CapacityError(f"one drop at N = {n_ports} ports and K = {n_users} takes "
                             f"{values} values at one SNR point, more than the "
@@ -408,14 +393,13 @@ def _run_drops(template: Scenario, sets, grid_db, n_channels: int, seed: int,
         raise ConfigError(f"the config sets user_positions, so it is one drop: "
                           f"n_drops/--drops must be 1, got {n_drops}")
     check_drop_size(template.n_ports, template.n_users, sets)
-    fixed, per_point = _drop_footprint(template.n_ports, template.n_users,
-                                       _served_users(sets), sets)
+    fixed, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
     size = max(1, MAX_BLOCK_VALUES // (fixed + per_point * len(grid_db)))
 
     def work(drops: range) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [_block_worker(template, sets, grid_db, n_channels, seed, drops[lo:lo + size],
-                              n_drops == 1)
-                for lo in range(0, len(drops), size)]
+        return [_block_worker(template, sets, grid_db, n_channels, seed,
+                              range(lo, min(lo + size, drops.stop)), n_drops == 1)
+                for lo in range(drops.start, drops.stop, size)]
 
     shares = _fork_shares(work, _drop_shares(n_drops, n_jobs))
     return tuple(map(np.concatenate, zip(*(block for blocks in shares for block in blocks))))
@@ -465,10 +449,8 @@ def cell_average(scenario_template: Scenario, schemes, snr_grid_db,
         raise ConfigError(f"unknown scheme {name!r}")
     fixed = check_fit([scheme for scheme in schemes if not isinstance(scheme, str)],
                       n_ports, n_users)
-    ordered = fixed[np.lexsort(fixed.T)]
-    twice = ordered[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
-    repeated = sorted({name for name, count in Counter(names).items() if count > 1}
-                      | set(map(mode_label, twice)))
+    counts = Counter(names + [mode_label(row) for row in fixed])
+    repeated = sorted(entry for entry, count in counts.items() if count > 1)
     if repeated:
         raise ConfigError(f"scheme or fixed mode given more than once: "
                           f"{', '.join(repeated)}")

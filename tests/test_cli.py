@@ -198,11 +198,11 @@ def test_large_port_count_is_capacity_error_before_any_allocation(tmp_path, caps
     ]])
 def test_large_user_count_is_capacity_error_before_any_allocation(tmp_path, capsys, n_users,
                                                                   argv):
-    """Each drop draws, measures and gains every one of its K users, even
-    under a fixed mode that serves two: past about 117 000 users at N =
-    2 (350 000 under one fixed mode) one drop fits no block, and each
-    command exits 3 with one line before it allocates anything K-sized,
-    also when the mode serves the last user."""
+    """Each drop draws, measures, gains and rates every one of its K
+    users, even under a fixed mode that serves two: past about 117 000
+    users at N = 2 one drop fits no block, and each command exits 3 with
+    one line before it allocates anything K-sized, also when the mode
+    serves the last user."""
     big = tmp_path / "users.cfg"
     big.write_text(f"n_ports = 2\nn_users = {n_users}\ncell_radius = 6.11\n"
                    "pathloss_exponent = 3\n")

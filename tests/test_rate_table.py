@@ -159,6 +159,21 @@ def test_block_of_tables_and_points_equals_per_point_sum_rates(n, kernel):
     assert alone[::-1].tolist() == row_sum_rates(table, modes[1])[1].tolist()
 
 
+def test_users_no_row_serves_are_never_read():
+    """A table whose users that no row serves read NaN rates the rows, a
+    set that every drop rates and a set per drop, to the finite floats of
+    the clean table."""
+    pls = _drops(4, 3)
+    table = subset_rates(np.stack([pl.gains for pl in pls]), [1.0, 1e3, 1e5])
+    rows = np.array([[1, 3, 0, 3], [3, 3, 3, 0], [0, 0, 1, 0]])
+    idle = table.copy()
+    idle[:, :, [1, 3]] = np.nan
+    for set_rows in (rows, np.stack([rows, rows[::-1], rows[[1, 0, 2]]])):
+        rates = row_sum_rates(idle, set_rows)
+        assert np.isfinite(rates).all()
+        assert rates.tolist() == row_sum_rates(table, set_rows).tolist()
+
+
 # Ring of four ports at radius 4; a user at the centre has four exactly
 # tied gains. In the second drop one user sits near the centre and the
 # others beyond it, at radius 6 between two ports, so every port has the

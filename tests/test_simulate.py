@@ -153,6 +153,25 @@ def test_a_huge_channel_count_costs_no_memory_before_the_first_draw(monkeypatch)
                               np.random.SeedSequence(1))
 
 
+@pytest.mark.parametrize("driver", [
+    lambda: cell_average(template(2), ["min-distance"], (0.0,), 10 ** 20, 0, 1),
+    lambda: mode_histogram(template(2), [(0.0, 10.0)], 10 ** 20, 1),
+], ids=["cell_average", "mode_histogram"])
+def test_a_huge_drop_count_reaches_the_first_block(monkeypatch, driver):
+    """Each share's blocks are stepped through without its length: 10^20
+    drops, past a C ssize_t, reach the first block, here refused."""
+    class FirstBlock(Exception):
+        pass
+
+    def refused(*args):
+        assert args[5].start == 0
+        raise FirstBlock
+
+    monkeypatch.setattr(simulate, "_block_worker", refused)
+    with pytest.raises(FirstBlock):
+        driver()
+
+
 def dense_mc_estimate(n_channels, seed, shape, sum_rates):
     """The engine in a dense form: the (mean, standard error) of
     ``sum_rates`` of each chunk of (T, ``shape``) fading drawn by
@@ -505,7 +524,7 @@ def test_point_slices_leave_values_unchanged(monkeypatch, n_channels):
     # 5 nearest-user rows: 50 x 2 masks and 3 x 3 x 4 subset gain columns
     # and as many weights, then 50 rows and 3 x 8 subset rates per point.
     fixed, per_point = 3 * 8 + 50 * 2 + 3 * 3 * 8, 50 + 3 * 8
-    assert simulate._drop_footprint(3, 3, None, [np.zeros((45, 3)), None]) == (
+    assert simulate._drop_footprint(3, 3, [np.zeros((45, 3)), None]) == (
         fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 4 * per_point)
     assert same_curves(cell_average(*args, **kwargs), whole)
@@ -549,7 +568,7 @@ def test_long_rates_grid_goes_in_point_slices(monkeypatch):
     # subset rates per point.
     fixed, per_point = 2 * 6 + 4 * 2 + 2 * 2 * 4, 4 + 2 * 4
     sets = [np.array([mode]) for mode in modes]
-    assert simulate._drop_footprint(2, 2, simulate._served_users(sets), sets) == (fixed, per_point)
+    assert simulate._drop_footprint(2, 2, sets) == (fixed, per_point)
     monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES", fixed + 7 * per_point)
     assert csv() == whole
     # Slices of 7 points, the last of 1, 4 gains each.
@@ -751,8 +770,7 @@ def test_block_peaks_stay_under_the_bound(monkeypatch, scn, schemes, n_drops, gr
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        fixed, per_point = simulate._drop_footprint(args[0].n_ports, args[0].n_users,
-                                                    simulate._served_users(args[1]), args[1])
+        fixed, per_point = simulate._drop_footprint(args[0].n_ports, args[0].n_users, args[1])
         peaks.append((peak, len(args[5]) * (fixed + per_point * len(args[2]))))
         return out
 
@@ -863,7 +881,7 @@ def test_block_selection_matches_brute_force_argmax(monkeypatch, n, points_per_s
     grid = tuple(float(db) for db in range(-10, 71, 5))
     sets = [ideal, None, fixed]
     if points_per_slice:
-        base, per_point = simulate._drop_footprint(n, n, None, sets)
+        base, per_point = simulate._drop_footprint(n, n, sets)
         monkeypatch.setattr(simulate, "MAX_BLOCK_VALUES",
                             len(positions) * (base + points_per_slice * per_point))
     chosen, values, errors = simulate._block_worker(template, sets, grid, 0, 81,
