@@ -17,7 +17,7 @@ R_k(A) - R_k(A minus S), where R_k(B) is its interference-free rate over
 port set B and R_k(empty) = 0. ``subset_rates`` gives R_k(B) of every
 user and subset of a block of drops at many SNRs from one kernel call,
 and ``row_sum_rates`` rates any mode of those drops from that one table;
-``select_rows`` picks the best of a set's rated rows.
+``select_rows`` picks the first best of a candidate set's rated rows.
 The identity is algebraic in the kernel values, so it holds for the
 approximated rates too.
 
@@ -153,8 +153,7 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
     n_masks = table.shape[3]
     bit = 1 << np.arange(rows.shape[-1])
     active = ((rows != 0) * bit).sum(axis=-1)
-    users = np.sort(rows, axis=None)
-    users = users[(np.diff(users, prepend=0) > 0) & (users <= table.shape[2])]  # 0 is no user
+    users = np.flatnonzero(np.bincount(rows.ravel())[1:table.shape[2] + 1]) + 1  # 0 is no user
     total = None
     for k in users.tolist():
         rest = active - ((rows == k) * bit).sum(axis=-1)
@@ -171,17 +170,12 @@ def row_sum_rates(table: np.ndarray, rows) -> np.ndarray:
     return np.zeros((*table.shape[:2], rows.shape[-2])) if total is None else total
 
 
-def select_rows(rates: np.ndarray, starts=None) -> tuple[np.ndarray, np.ndarray]:
+def select_rows(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best candidate at each point of a (... x points x candidates) rate
     array: its column and its rate, one per point. The first maximizer
-    wins ties. With ``starts``, each run of candidates from one start to
-    the next selects on its own, all at once, in (... x points x runs)."""
-    if starts is None:
-        return tuple(a[..., 0] for a in select_rows(rates, [0]))
-    n = rates.shape[-1]
-    top = np.repeat(np.maximum.reduceat(rates, starts, axis=-1), np.diff([*starts, n]), axis=-1)
-    best = np.minimum.reduceat(np.where(rates == top, np.arange(n), n), starts, axis=-1)
-    return best, np.take_along_axis(rates, best, axis=-1)
+    wins ties, as ``argmax`` returns it."""
+    best = rates.argmax(axis=-1)
+    return best, np.take_along_axis(rates, best[..., None], axis=-1)[..., 0]
 
 
 # --- two-port, two-user analysis -------------------------------------------

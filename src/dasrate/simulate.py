@@ -207,28 +207,30 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
 
     One ``subset_rates`` table of every user, per slice of points past
     MAX_BLOCK_VALUES, serves every set, and ``row_sum_rates`` reads only
-    the users a set's rows serve: the shared sets' rows go to one call
-    and one segmented ``select_rows``, the nearest-user sets per drop.
-    The value is the closed-form rate or, at ``n_channels`` >= 2, the
-    mean of one ``mc_sum_rates`` call per drop over its distinct chosen
-    modes, each at the points that chose it; only with ``std_errors``
-    are its standard errors read, else 0.
+    the users a set's rows serve. A fixed mode, a set of one row, is
+    rated and never selected: the rows of every fixed mode go to one
+    call. Each other set, exhaustive or nearest-user, is rated where it
+    lies by a call of its own and selected by ``select_rows``. The value
+    is the closed-form rate or, at ``n_channels`` >= 2, the mean of one
+    ``mc_sum_rates`` call per drop over its distinct chosen modes, each
+    at the points that chose it; only with ``std_errors`` are its
+    standard errors read, else 0.
     """
     snrs = [db_to_linear(snr_db) for snr_db in grid_db]
     positions = template.user_positions
     keys = [stream_key(seed, drop) for drop in drops] if positions is None else [stream_key(seed)]
     pl = pathloss_matrix(template, uniform_positions(template, keys) if positions is None
                          else np.array([positions]))
-    sizes = np.array([0 if modes is None else len(modes) for modes in sets])
-    shared, nearest = np.flatnonzero(sizes), np.flatnonzero(sizes == 0)
-    if len(shared):
-        rows = np.concatenate([modes for modes in sets if modes is not None])
-        starts = np.cumsum(sizes[shared]) - sizes[shared]
-    nearest_rows = nearest_user_modes(pl.distances) if len(nearest) else None
+    fixed = [s for s, modes in enumerate(sets) if modes is not None and len(modes) == 1]
+    selected = {s: nearest_user_modes(pl.distances) if modes is None else modes
+                for s, modes in enumerate(sets) if s not in fixed}
 
     shape = (len(keys), len(sets), len(grid_db))
     chosen = np.empty((*shape, template.n_ports), dtype=np.min_scalar_type(template.n_users))
     values, errors = np.empty(shape), np.zeros(shape)
+    if fixed:
+        fixed_rows = np.concatenate([sets[s] for s in fixed])
+        chosen[:, fixed] = fixed_rows[:, None]
     # A block of many drops holds few points; a long grid goes in slices
     # of as many points as MAX_BLOCK_VALUES holds, at least one.
     base, per_point = _drop_footprint(template.n_ports, template.n_users, sets)
@@ -236,13 +238,12 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
     for lo in range(0, len(snrs), step):
         part = slice(lo, lo + step)
         table = subset_rates(pl.gains, snrs[part])
-        if len(shared):
-            best, rates = select_rows(row_sum_rates(table, rows), starts)
-            values[:, shared, part] = rates.swapaxes(1, 2)
-            chosen[:, shared, part] = rows[best.swapaxes(1, 2)]
-        for s in nearest:
-            best, values[:, s, part] = select_rows(row_sum_rates(table, nearest_rows))
-            chosen[:, s, part] = nearest_rows[np.arange(len(keys))[:, None], best]
+        if fixed:
+            values[:, fixed, part] = row_sum_rates(table, fixed_rows).swapaxes(1, 2)
+        for s, rows in selected.items():
+            best, values[:, s, part] = select_rows(row_sum_rates(table, rows))
+            rows = np.broadcast_to(rows, (len(keys), *rows.shape[-2:]))
+            chosen[:, s, part] = np.take_along_axis(rows, best[..., None], axis=1)
     if n_channels:
         points = np.arange(len(grid_db))
         for key, drop_gains, drop_chosen, drop_values, drop_errors in zip(
@@ -266,12 +267,13 @@ def _block_worker(template: Scenario, sets, grid_db, n_channels: int, seed: int,
 # check_drop_size bounds it with an exhaustive set counted as the
 # nearest-user set, so a large exhaustive set holds more: one drop at
 # one point takes 3.0 times this at N = K = 7, and 14.3 times at N = 7,
-# K = 9. Measured under tracemalloc, a block's peak is 8-32 bytes per
+# K = 9. Measured under tracemalloc, a block's peak is 8-36 bytes per
 # counted value (the most on long grids of one fixed mode, where the
-# kernel's arguments and values outnumber the rows), so within 64 bytes
-# a block peaks under 135 MB: the exhaustive N = K = 5 set takes 20
-# drops of an 11-point grid (43 MB), and a 500-drop nearest-user
-# histogram at N = K = 4 is one block (8 MB).
+# kernel's arguments and values outnumber the rows, and 32 for one
+# exhaustive N = K = 6 drop at one point), so within 64 bytes a block
+# peaks under 135 MB: the exhaustive N = K = 5 set takes 20 drops of an
+# 11-point grid (43 MB), and a 500-drop nearest-user histogram at
+# N = K = 4 is one block (8 MB).
 MAX_BLOCK_VALUES = 2 ** 21
 
 

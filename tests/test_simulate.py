@@ -753,13 +753,15 @@ def test_nearest_user_hist_makes_one_kernel_call(monkeypatch):
     (template(4), ["min-distance"], 500, range(0, 41, 5)),
     (template(5), ["ideal", "min-distance"], 40, range(0, 51, 5)),
     (template(2, 20_000), [(1, 2)], 20, (0, 10)),
-], ids=["hist-nearest", "fig6-exhaustive", "fixed-of-20000-users"])
+    (template(6), ["ideal", "min-distance"], 1, (10,)),
+], ids=["hist-nearest", "fig6-exhaustive", "fixed-of-20000-users", "exhaustive-one-point"])
 def test_block_peaks_stay_under_the_bound(monkeypatch, scn, schemes, n_drops, grid):
     """The traced peak of the largest block of a 500-drop nearest-user
-    histogram at N = K = 4, of an exhaustive N = K = 5 sweep and of a
-    fixed mode that serves 2 of 20 000 users, whose drops each draw and
-    place every user, stays within 64 bytes per counted value, and so
-    under 64 x MAX_BLOCK_VALUES bytes."""
+    histogram at N = K = 4, of an exhaustive N = K = 5 sweep, of a fixed
+    mode that serves 2 of 20 000 users, whose drops each draw and place
+    every user, and of one exhaustive N = K = 6 drop at one point, whose
+    117 000 rows far outnumber its subset rates, stays within 64 bytes
+    per counted value, and so under 64 x MAX_BLOCK_VALUES bytes."""
     peaks = []
     worker = simulate._block_worker
 
@@ -843,6 +845,16 @@ def test_select_rows_takes_the_first_maximizer_at_each_point():
     best, chosen = select_rows(rates)
     assert best.tolist() == [1, 0, 3, 0]
     assert chosen.tolist() == [3.0, 5.0, 0.5, 0.0]
+    # A (drops x points x candidates) block, as the block worker passes
+    # it, selects each (drop, point) on its own.
+    rates = np.array([[[1.0, 3.0, 3.0, 2.0], [-0.0, 0.0, -1.0, 0.0]],
+                      [[0.0, -1.0, 0.0, 0.5], [2.0, 2.0, 1.0, 2.0]],
+                      [[0.0, -0.0, 0.0, -0.0], [-3.0, -2.0, -2.0, -1.0]]])
+    best, chosen = select_rows(rates)
+    assert best.tolist() == [[1, 0], [3, 0], [0, 3]]
+    assert chosen.tolist() == [[3.0, 0.0], [0.5, 2.0], [0.0, -1.0]]
+    assert np.signbit(chosen[:, 0]).tolist() == [False, False, False]
+    assert np.signbit(chosen[0, 1])
 
 
 # Special drops of a two-port and a four-port ring layout. "tie": every
